@@ -213,28 +213,6 @@ def shifted(field, delta):
 x, y, z = _XYZ
 
 
-def radial_power_field(alpha, dim, vector=False):
-    """r^alpha centered at the origin vertex of the reference cell.
-
-    The Sobolev index is controlled by alpha (k < alpha + dim/2 by the usual
-    embedding; recorded per field, not proven). In 1D the singularity sits at
-    the left endpoint of (-1, 1) instead.
-    """
-    alpha = sp.nsimplify(alpha)
-    if dim == 1:
-        base = (1 + x) ** alpha
-        exprs = [base]
-    else:
-        r2 = sum(s**2 for s in _XYZ[:dim])
-        base = r2 ** (alpha / 2)
-        exprs = [base] if not vector else [base, x * r2 ** ((alpha - 1) / 2)] + (
-            [0] if dim == 3 else []
-        )
-    tag = f"H^{{{float(alpha) + dim / 2:g}-eps}}"
-    name = f"r_pow_{float(alpha):g}" + ("_vec" if vector else "")
-    return from_sympy(name, exprs, dim, smoothness=tag)
-
-
 @lru_cache(maxsize=None)
 def suite(name, dim):
     """Named field suites for studies.

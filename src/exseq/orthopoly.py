@@ -17,48 +17,6 @@ import numpy as np
 _COMPLEX_STEP = 1e-100
 
 
-def jacobi(n, alpha, beta, x):
-    """Orthonormal Jacobi polynomial of degree n on (-1,1), weight (1-x)^a (1+x)^b."""
-    from math import gamma, sqrt
-
-    x = np.asarray(x)
-    gamma0 = (
-        2.0 ** (alpha + beta + 1)
-        / (alpha + beta + 1)
-        * gamma(alpha + 1)
-        * gamma(beta + 1)
-        / gamma(alpha + beta + 1)
-    )
-    p0 = np.full(x.shape, 1.0 / sqrt(gamma0), dtype=x.dtype)
-    if n == 0:
-        return p0
-    gamma1 = (alpha + 1) * (beta + 1) / (alpha + beta + 3) * gamma0
-    p1 = ((alpha + beta + 2) * x / 2 + (alpha - beta) / 2) / sqrt(gamma1)
-    if n == 1:
-        return p1
-    aold = 2.0 / (2 + alpha + beta) * sqrt(
-        (alpha + 1) * (beta + 1) / (alpha + beta + 3)
-    )
-    for i in range(1, n):
-        h1 = 2 * i + alpha + beta
-        anew = (
-            2.0
-            / (h1 + 2)
-            * sqrt(
-                (i + 1)
-                * (i + 1 + alpha + beta)
-                * (i + 1 + alpha)
-                * (i + 1 + beta)
-                / ((h1 + 1) * (h1 + 3))
-            )
-        )
-        bnew = -(alpha**2 - beta**2) / (h1 * (h1 + 2))
-        pnew = ((x - bnew) * p1 - aold * p0) / anew
-        p0, p1 = p1, pnew
-        aold = anew
-    return p1
-
-
 @functools.lru_cache(maxsize=None)
 def mode_indices(dim, degree):
     """Exponent tuples of the modal basis, grouped by total degree."""

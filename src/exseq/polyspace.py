@@ -100,10 +100,6 @@ def pad_slots(coeffs, cell, value_dim, deg_from, deg_to):
     return out.reshape(shape + (value_dim * n2,))
 
 
-def common_degree(space_a, space_b):
-    return max(space_a.degree, space_b.degree)
-
-
 def span_from_rows(rows, cutoff=SVD_CUTOFF):
     """Orthonormal basis of the row span, rank decided by relative SVD cutoff."""
     rows = np.atleast_2d(rows)
@@ -212,6 +208,22 @@ def normal_trace_matrix(refcell, degree, face):
     for m in range(3):
         out[:, m * nm : (m + 1) * nm] = face.normal[m] * T
     return out, fcell
+
+
+def tangential_trace_stack(refcell, degree):
+    """Tangential traces on all faces, stacked: slots -> face 2-comp slots."""
+    return np.vstack(
+        [tangential_trace_matrix(refcell, degree, face)[0] for face in refcell.faces]
+    )
+
+
+def normal_trace_stack(refcell, degree, content_degree):
+    """Normal traces on all faces, stacked, truncated to content_degree modes."""
+    rows = []
+    for face in refcell.faces:
+        T, fcell = normal_trace_matrix(refcell, degree, face)
+        rows.append(T[: fcell.n_modes(content_degree)])
+    return np.vstack(rows)
 
 
 def edge_tangential_trace_matrix(cell, degree, edge, value_dim):

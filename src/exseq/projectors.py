@@ -1,21 +1,48 @@
-"""Projection-based interpolation operators as staged constrained solvers.
+"""Projection-based interpolation operators as one list of staged solves.
 
-Each operator fixes the interpolant hierarchically (vertices, then edges,
-then faces, then the interior); every stage solves a square system for the
-trace-free correction on top of a lifted copy of the already-fixed
-lower-dimensional data. Lifts are minimum-coefficient pseudoinverses; the
-final interpolant is invariant of that choice because the bubble corrections
-absorb it.
+Each operator fixes its interpolant hierarchically: vertices, then edges,
+then faces, then the interior. A plan is the ordered list of those stages,
+and every stage is one `Stage`:
 
-All stage data is consumed through point values of the input field at plan
-quadrature nodes (derivative conditions are rewritten by integration by
-parts), so the operators accept any evaluable field with finite traces.
+- `trace` T maps the stage's coordinates to the data fixed by earlier
+  stages, and `lift` L = pinv(T) extends that data with minimal
+  coefficients;
+- `parents` gathers the data from earlier stages' outputs, applying the
+  parameter flips and signs of edges shared with another orientation;
+- `bubbles` B are the trace-free directions (T B^T = 0);
+- `conditions` K are the stage's defining functionals, and `rhs` gives
+  their values as (sample region, matrix M) pairs, so K x = sum M s (an M
+  with fewer rows than K feeds K's leading rows);
+- `out` maps the stage's coordinates to the slot coefficients on its cell
+  that later stages read, and `restrict` maps the target's slots back to the
+  stage's coordinates, so the conditions can be re-checked on a result.
+
+Applying a plan runs one loop: x0 = L d, then
+x = x0 + B^T (K B^T)^{-1} (sum M s - K x0), with K B^T factored once when the
+plan is built. The result does not depend on the lift, because the bubble
+correction absorbs any trace-free part of it.
+
+Derivative conditions are rewritten by integration by parts, so all stage
+data is read through point values of the input field at the plan's
+quadrature nodes. The operators accept any evaluable field with finite
+traces.
+
+The edge stages of the edge elements and the face stages of the face
+elements impose moments: the mean and the derivative moments on each edge,
+or the mean and the zero-mean moments on each face. Those moments span all
+of P_p on the edge or face, so their square system solve(C, C X) returns X.
+These stages are therefore plain L2 projections of the tangential or normal
+trace onto P_p, the same stage that l2_2d and l2_3d use on the cell.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
+import scipy.linalg
 from numpy.polynomial.legendre import leggauss
 
 from . import polyspace as ps
+from .calculus import diff_rows
 from .refsimplex import make_reference_cell, quadrature
 
 OPERATORS = (
@@ -53,8 +80,23 @@ def _weighted(values, weights):
     return w.reshape(values.shape[0], n_chan)
 
 
-def _flip_matrix(n_modes):
-    return np.diag([(-1.0) ** n for n in range(n_modes)])
+def _moments(cell, degree, rows, rule, frame=None):
+    """Covectors pairing samples with the rows' values over a rule.
+
+    frame, if given, maps the rows' vector values into the frame of the
+    samples (the columns of a face chart).
+    """
+    pts, weights = rule
+    vals = _eval_rows(cell, rows.shape[1] // cell.n_modes(degree), degree,
+                      rows, pts)
+    if frame is not None:
+        vals = np.einsum("mpl,kl->mpk", vals, frame)
+    return _weighted(vals, weights)
+
+
+def _flip(n_modes, sigma):
+    """Modal map of the parameter change s -> sigma*s on a centred interval."""
+    return np.diag(float(sigma) ** np.arange(n_modes))
 
 
 def _graded_interval_rule(nodes_per_panel=16, levels=18, ratio=0.22):
@@ -82,11 +124,380 @@ def _graded_interval_rule(nodes_per_panel=16, levels=18, ratio=0.22):
     return pts[order], wts[order]
 
 
-class ProjectorPlan:
-    """Factorized staged solver for one interpolation operator at one degree.
+def quadrature_interval(length, degree):
+    """Gauss nodes/weights on the centered interval (-length/2, length/2)."""
+    n = degree // 2 + 1
+    xg, wg = leggauss(n)
+    return 0.5 * length * xg, 0.5 * length * wg
 
-    Immutable after construction; `apply` allocates no shared state and may
-    run concurrently on different fields.
+
+# ---------------------------------------------------------------------------
+# the stage primitive
+
+
+@dataclass
+class Stage:
+    """One constrained solve of a plan; see the module docstring.
+
+    `name` keys the stage's output for later stages' `parents`; `group`
+    (vertices, edges, faces or interior) sums its conditions into the plan's
+    `stage_conditions`.
+    """
+
+    name: str
+    group: str
+    trace: np.ndarray
+    lift: np.ndarray
+    parents: list
+    bubbles: np.ndarray
+    conditions: np.ndarray
+    rhs: list
+    out: np.ndarray
+    restrict: np.ndarray
+    factor: tuple | None
+
+
+def _stage(name, group, restrict, bubbles, conditions, rhs, trace=None,
+           parents=(), out=None):
+    n = bubbles.shape[1]
+    trace = np.zeros((0, n)) if trace is None else trace
+    square = conditions @ bubbles.T
+    return Stage(
+        name=name,
+        group=group,
+        trace=trace,
+        lift=_pinv(trace),
+        parents=list(parents),
+        bubbles=bubbles,
+        conditions=conditions,
+        rhs=list(rhs),
+        out=np.eye(n) if out is None else out,
+        restrict=restrict,
+        factor=scipy.linalg.lu_factor(square) if len(square) else None,
+    )
+
+
+def _gather(stage, outs, nb):
+    """The stage's trace data: its parents' outputs, oriented."""
+    parts = [P @ outs[name] for name, P in stage.parents]
+    return np.vstack([np.zeros((0, nb))] + parts)
+
+
+def _data(stage, samples, nb):
+    """Right-hand side of the stage's conditions, sum of M s; a matrix M with
+    fewer rows than the conditions feeds the leading ones."""
+    r = np.zeros((len(stage.conditions), nb))
+    for key, M in stage.rhs:
+        r[: len(M)] += M @ samples[key]
+    return r
+
+
+def _l2_stage(name, group, cell, p, restrict, region, rule, direction=None):
+    """L2 projection onto P_p(cell) of the samples, or of their component
+    along `direction`; rule: (points in cell coordinates, weights)."""
+    M = cell.tabulate(p, rule[0]) * rule[1]
+    if direction is not None:
+        M = np.einsum("mq,c->mqc", M, direction).reshape(len(M), -1)
+    eye = np.eye(len(M))
+    return _stage(name, group, restrict, eye, eye, [(region, M)])
+
+
+def _stiffness_stage(name, group, cell, deg, restrict, trace, parents, vol,
+                     fluxes):
+    """Scalar stage: lift the trace data, then fix the bubbles b by the
+    seminorm conditions (grad b, grad u) = -(lap b, u) + (db/dn, u)_boundary.
+
+    vol: (region, points, weights) in cell coordinates; fluxes: one
+    (region, points, weights, conormals) per boundary piece.
+    """
+    B = ps.null_space_of(trace, n_cols=cell.n_modes(deg))
+    D = [ps.deriv_matrix(cell, deg, i) for i in range(cell.dim)]
+    region, pts, w = vol
+    lap = B @ sum(Di @ Di for Di in D).T
+    rhs = [(region, -_weighted(lap @ cell.tabulate(deg, pts), w))]
+    for region, pts, w, conormal in fluxes:
+        dn = np.einsum("mpk,pk->mp", cell.tabulate_grad(deg, pts), conormal)
+        rhs.append((region, _weighted(B @ dn, w)))
+    K = sum(B @ Di.T @ Di for Di in D)
+    return _stage(name, group, restrict, B, K, rhs, trace, parents)
+
+
+def _segment_stage(name, group, cell, deg, restrict, ends, region, rule,
+                   vertex_s):
+    """Endpoint values plus seminorm projection on an interval cell.
+
+    ends: the vertex ids at the cell's two endpoints; vertex_s: the interval
+    parameter of every vertex of the plan. The endpoint flux is a rule on the
+    "vertices" region whose conormal is -1 and +1 at the ends and 0 elsewhere.
+    """
+    n_verts = len(vertex_s)
+    eye = np.eye(n_verts)
+    conormal = (eye[ends[1]] - eye[ends[0]])[:, None]
+    return _stiffness_stage(
+        name, group, cell, deg, restrict,
+        cell.tabulate(deg, cell.vertices).T, [("vertices", eye[list(ends)])],
+        (region, rule[0][:, None], rule[1]),
+        [("vertices", vertex_s[:, None], np.ones(n_verts), conormal)],
+    )
+
+
+def _sides(rc, cell, vertex_ids):
+    """Sides of a triangle `cell` whose vertices are rc's `vertex_ids`.
+
+    Yields (local edge, global edge index, sigma, ccw): the global edge's
+    parameter s sits at local parameter sigma*s, and ccw is +1 when the local
+    tangent runs counterclockwise.
+    """
+    for ledge, ccw in ps.triangle_edges(cell):
+        a, b = (vertex_ids[i] for i in ledge.vertex_ids)
+        g = next(e.index for e in rc.edges if set(e.vertex_ids) == {a, b})
+        yield ledge, g, (1.0 if a < b else -1.0), ccw
+
+
+def _triangle_stage(plan, name, group, rc, cell, vertex_ids, deg, restrict,
+                    region, rule):
+    """Scalar stiffness stage on a triangle fed by its sides' edge stages."""
+    trace, parents, fluxes = [], [], []
+    for ledge, g, sigma, ccw in _sides(rc, cell, vertex_ids):
+        s, w = quadrature_interval(ledge.length, plan.quad_degree)
+        trace.append(ps.scalar_trace_matrix(cell, deg, ledge)[0])
+        parents.append((f"edge{g}", _flip(ledge.cell.n_modes(deg), sigma)))
+        outward = ccw * np.array([ledge.tangent[1], -ledge.tangent[0]])
+        fluxes.append((f"edge{g}", ledge.embed(sigma * s), w,
+                       np.broadcast_to(outward, (len(s), 2))))
+    return _stiffness_stage(name, group, cell, deg, restrict, np.vstack(trace),
+                            parents, (region, rule[0], rule[1]), fluxes)
+
+
+def _mixed_stage(name, group, space, bubble, restrict, trace, parents, gauge,
+                 gauge_rhs, energy, op, energy_rhs):
+    """Stage in the coordinates of a vector space.
+
+    The bubble part is fixed by an energy block, (op u, e) for the rows e of
+    `energy`, and a gauge block, the pairings (u, g) with the rows g of
+    `gauge`. energy_rhs lists one (region, matrix) per region, including the
+    region of the single gauge_rhs term; the other regions feed only the
+    energy block, which comes first.
+    """
+    region, G = gauge_rhs
+    rhs = [(key, np.vstack([E, G]) if key == region else E)
+           for key, E in energy_rhs]
+    K = np.vstack([energy @ diff_rows(op, space).T, gauge @ space.basis.T])
+    return _stage(name, group, restrict, bubble.basis @ space.basis.T, K, rhs,
+                  trace @ space.basis.T, parents, space.basis.T)
+
+
+def _edge_element_stage(plan, name, group, rc, cell, vertex_ids, p,
+                        slot_restrict, frame, region, rule):
+    """Edge-element stage on a triangle: the curl2d cell or a curl3d face.
+
+    Lifts the sides' tangential data, then fixes the bubbles by (u, grad v)
+    for the H1 bubbles v and by (curl u, curl w) for the bubbles w
+    orthogonal to those gradients, the latter by the surface Stokes formula.
+    `frame` maps the triangle's vectors into the frame of the samples.
+    """
+    deg = p + 1
+    Q = ps.build_space(cell, "hcurl", p)
+    grads = diff_rows("grad", ps.build_space(cell, "h1_bubble", p))
+    psi = diff_rows("curl2d_vector",
+                    ps.build_space(cell, "hcurl_bubble_orth", p))
+    D = [ps.deriv_matrix(cell, deg, i) for i in range(2)]
+    rot = np.concatenate([psi @ D[1].T, -(psi @ D[0].T)], axis=1)
+    energy = [(region, _moments(cell, deg, rot, rule, frame))]
+    trace, parents = [], []
+    for ledge, g, sigma, ccw in _sides(rc, cell, vertex_ids):
+        nm1 = ledge.cell.n_modes(p)
+        T, _ = ps.edge_tangential_trace_matrix(cell, deg, ledge, 2)
+        trace.append(T[:nm1])
+        parents.append((f"edge{g}", sigma * _flip(nm1, sigma)))
+        s, w = quadrature_interval(ledge.length, plan.quad_degree)
+        pv = _eval_rows(cell, 1, deg, psi, ledge.embed(sigma * s))[:, :, 0]
+        tvals = pv[:, :, None] * (frame @ ledge.tangent)[None, None, :]
+        energy.append((f"edge{g}", ccw * _weighted(tvals, w)))
+    restrict = Q.basis if slot_restrict is None else Q.basis @ slot_restrict
+    return _mixed_stage(
+        name, group, Q, ps.build_space(cell, "hcurl_bubble", p), restrict,
+        np.vstack(trace), parents,
+        grads, (region, _moments(cell, deg, grads, rule, frame)),
+        psi, "curl2d_vector", energy,
+    )
+
+
+# ---------------------------------------------------------------------------
+# stage lists of the operator families
+
+
+def _grad_stages(plan, rc, p):
+    cell = rc.cell
+    deg = p if rc.dim == 1 else p + 1
+    eye = np.eye(len(rc.vertices))
+    plan.sample_points["vertices"] = rc.vertices
+    plan.stages.append(_stage("vertices", "vertices",
+                              cell.tabulate(deg, rc.vertices).T,
+                              eye, eye, [("vertices", eye)]))
+    interior = np.eye(cell.n_modes(deg))
+    if rc.dim == 1:
+        rule = _graded_interval_rule()
+        plan.sample_points["vol"] = rule[0][:, None]
+        plan.stages.append(_segment_stage("interior", "interior", cell, deg,
+                                          interior, (0, 1), "vol", rule,
+                                          rc.vertices[:, 0]))
+        return ps.scalar_space(cell, deg)
+    for edge in rc.edges:
+        key = f"edge{edge.index}"
+        rule = quadrature_interval(edge.length, plan.quad_degree)
+        plan.sample_points[key] = edge.embed(rule[0])
+        plan.stages.append(_segment_stage(
+            key, "edges", edge.cell, deg,
+            ps.scalar_trace_matrix(cell, deg, edge)[0], edge.vertex_ids,
+            key, rule, (rc.vertices - edge.midpoint) @ edge.tangent,
+        ))
+    q = quadrature(cell, plan.quad_degree)
+    if rc.dim == 2:
+        plan.sample_points["vol"] = q.points
+        plan.stages.append(_triangle_stage(
+            plan, "interior", "interior", rc, cell, (0, 1, 2), deg, interior,
+            "vol", (q.points, q.weights),
+        ))
+        return ps.scalar_space(cell, deg)
+    fluxes = []
+    for face in rc.faces:
+        key = f"face{face.index}"
+        q2 = quadrature(face.cell, plan.quad_degree)
+        plan.sample_points[key] = face.embed(q2.points)
+        plan.stages.append(_triangle_stage(
+            plan, key, "faces", rc, face.cell, face.vertex_ids, deg,
+            ps.scalar_trace_matrix(cell, deg, face)[0], key,
+            (q2.points, q2.weights),
+        ))
+        fluxes.append((key, face.embed(q2.points), q2.weights,
+                       np.broadcast_to(face.normal, (len(q2.weights), 3))))
+    plan.sample_points["vol"] = q.points
+    trace = np.vstack([ps.scalar_trace_matrix(cell, deg, f)[0]
+                       for f in rc.faces])
+    parents = [(f"face{f.index}", np.eye(f.cell.n_modes(deg)))
+               for f in rc.faces]
+    plan.stages.append(_stiffness_stage(
+        "interior", "interior", cell, deg, interior, trace, parents,
+        ("vol", q.points, q.weights), fluxes,
+    ))
+    return ps.scalar_space(cell, deg)
+
+
+def _curl_stages(plan, rc, p):
+    cell, deg = rc.cell, p + 1
+    for edge in rc.edges:
+        key = f"edge{edge.index}"
+        s, w = quadrature_interval(edge.length, plan.quad_degree)
+        plan.sample_points[key] = edge.embed(s)
+        T, ecell = ps.edge_tangential_trace_matrix(cell, deg, edge, rc.dim)
+        plan.stages.append(_l2_stage(key, "edges", ecell, p,
+                                     T[: ecell.n_modes(p)], key,
+                                     (s[:, None], w), edge.tangent))
+    Q = ps.build_space(rc, "hcurl", p)
+    q = quadrature(cell, plan.quad_degree)
+    if rc.dim == 2:
+        plan.sample_points["vol"] = q.points
+        plan.stages.append(_edge_element_stage(
+            plan, "interior", "interior", rc, cell, (0, 1, 2), p, None,
+            np.eye(2), "vol", (q.points, q.weights),
+        ))
+        return Q
+    face_rules = []
+    for face in rc.faces:
+        key = f"face{face.index}"
+        q2 = quadrature(face.cell, plan.quad_degree)
+        face_rules.append(q2)
+        plan.sample_points[key] = face.embed(q2.points)
+        plan.stages.append(_edge_element_stage(
+            plan, key, "faces", rc, face.cell, face.vertex_ids, p,
+            ps.tangential_trace_matrix(rc, deg, face)[0], face.frame, key,
+            (q2.points, q2.weights),
+        ))
+    plan.sample_points["vol"] = q.points
+    # (curl u, curl W) = (u, curl curl W) - (Pi_tau u, gamma_tau curl W)
+    W = diff_rows("curl3d", ps.build_space(rc, "hcurl_bubble_orth", p))
+    curl_W = diff_rows("curl3d", ps.PolySpace(cell, 3, deg, W))
+    energy = [("vol", _moments(cell, deg, curl_W, (q.points, q.weights)))]
+    for face, q2 in zip(rc.faces, face_rules):
+        amb = face.embed(q2.points)
+        tang = np.einsum("mpk,kl->mpl", _eval_rows(cell, 3, deg, W, amb),
+                         face.frame)
+        gamma = np.stack([-tang[..., 1], tang[..., 0]], axis=-1)
+        back = np.einsum("mpl,kl->mpk", gamma, face.frame)
+        energy.append((f"face{face.index}", -_weighted(back, q2.weights)))
+    grads = diff_rows("grad", ps.build_space(rc, "h1_bubble", p))
+    parents = [(f"face{f.index}", np.eye(2 * f.cell.n_modes(deg)))
+               for f in rc.faces]
+    plan.stages.append(_mixed_stage(
+        "interior", "interior", Q, ps.build_space(rc, "hcurl_bubble", p),
+        Q.basis, ps.tangential_trace_stack(rc, deg), parents,
+        grads, ("vol", _moments(cell, deg, grads, (q.points, q.weights))),
+        W, "curl3d", energy,
+    ))
+    return Q
+
+
+def _div_stages(plan, rc, p):
+    cell, deg = rc.cell, p + 1
+    face_rules = []
+    for face in rc.faces:
+        key = f"face{face.index}"
+        q2 = quadrature(face.cell, plan.quad_degree)
+        face_rules.append(q2)
+        plan.sample_points[key] = face.embed(q2.points)
+        T, fcell = ps.normal_trace_matrix(rc, deg, face)
+        plan.stages.append(_l2_stage(key, "faces", fcell, p,
+                                     T[: fcell.n_modes(p)], key,
+                                     (q2.points, q2.weights), face.normal))
+    q = quadrature(cell, plan.quad_degree)
+    plan.sample_points["vol"] = q.points
+    V = ps.build_space(rc, "hdiv", p)
+    Vb = ps.build_space(rc, "hdiv_bubble", p)
+    curls = ps.span_from_rows(
+        diff_rows("curl3d", ps.build_space(rc, "hcurl_bubble", p)))
+    divs = diff_rows("div", ps.subspace_from_constraints(Vb, curls))
+    # (div u, div v) = -(u, grad div v) + (u.n, div v)_boundary
+    D = [ps.deriv_matrix(cell, deg, i) for i in range(3)]
+    grad_div = np.concatenate([divs @ Di.T for Di in D], axis=1)
+    energy = [("vol", -_moments(cell, deg, grad_div, (q.points, q.weights)))]
+    for face, q2 in zip(rc.faces, face_rules):
+        dvals = _eval_rows(cell, 1, deg, divs, face.embed(q2.points))[:, :, 0]
+        nvals = dvals[:, :, None] * face.normal[None, None, :]
+        energy.append((f"face{face.index}", _weighted(nvals, q2.weights)))
+    parents = [(f"face{f.index}", np.eye(f.cell.n_modes(p))) for f in rc.faces]
+    plan.stages.append(_mixed_stage(
+        "interior", "interior", V, Vb, V.basis,
+        ps.normal_trace_stack(rc, deg, p), parents,
+        curls, ("vol", _moments(cell, deg, curls, (q.points, q.weights))),
+        divs, "div", energy,
+    ))
+    return V
+
+
+def _l2_stages(plan, rc, p):
+    q = quadrature(rc.cell, plan.quad_degree)
+    plan.sample_points["vol"] = q.points
+    plan.stages.append(_l2_stage("interior", "interior", rc.cell, p,
+                                 np.eye(rc.cell.n_modes(p)), "vol",
+                                 (q.points, q.weights)))
+    return ps.scalar_space(rc.cell, p)
+
+
+_FAMILIES = {
+    "grad": _grad_stages,
+    "curl": _curl_stages,
+    "div": _div_stages,
+    "l2": _l2_stages,
+}
+
+
+class ProjectorPlan:
+    """Staged solver for one interpolation operator at one degree.
+
+    `stages` is the ordered stage list; the last stage's output is the target
+    slot vector. Immutable after construction; `apply` allocates no shared
+    state and may run concurrently on different fields.
     """
 
     def __init__(self, operator, p):
@@ -96,12 +507,16 @@ class ProjectorPlan:
             raise ValueError("complex degree must be >= 0")
         self.operator = operator
         self.p = p
+        self.quad_degree = min(2 * (p + 2) + 14, 40)
         self.sample_points = {}
+        self.stages = []
+        family, dim = operator[:-2].rstrip("_"), int(operator[-2])
+        self.target = _FAMILIES[family](self, make_reference_cell(dim), p)
         self.stage_conditions = {}
-        self._d = {}
-        getattr(self, "_build_" + operator)()
-
-    # -- public API ---------------------------------------------------------
+        for st in self.stages:
+            self.stage_conditions[st.group] = (
+                self.stage_conditions.get(st.group, 0) + len(st.conditions)
+            )
 
     def apply(self, field, check_tol=None):
         """Interpolate an evaluable field; returns target slot coefficients."""
@@ -131,846 +546,32 @@ class ProjectorPlan:
             samples[key] = np.moveaxis(vals, 0, -1).reshape(-1, nb)
         return self._solve(samples).T
 
+    def _solve(self, samples):
+        nb = next(iter(samples.values())).shape[1]
+        outs = {}
+        for st in self.stages:
+            x = st.lift @ _gather(st, outs, nb)
+            if st.factor is not None:
+                r = _data(st, samples, nb) - st.conditions @ x
+                x = x + st.bubbles.T @ scipy.linalg.lu_solve(st.factor, r)
+            outs[st.name] = st.out @ x
+        return outs[self.stages[-1].name]
+
     def condition_residual(self, samples, slots):
-        """Re-check the defining conditions; relative residual magnitude."""
-        lhs, rhs = self._conditions(samples, slots)
+        """Re-check every stage's trace and condition equations on `slots`.
+
+        Returns the largest equation residual relative to the largest term.
+        """
+        slots = np.reshape(slots, (-1, 1))
+        outs, lhs, rhs = {}, [], []
+        for st in self.stages:
+            x = st.restrict @ slots
+            lhs += [st.trace @ x, st.conditions @ x]
+            rhs += [_gather(st, outs, 1), _data(st, samples, 1)]
+            outs[st.name] = st.out @ x
+        lhs, rhs = np.concatenate(lhs), np.concatenate(rhs)
         scale = max(np.abs(rhs).max(), np.abs(lhs).max(), 1e-30)
         return float(np.abs(lhs - rhs).max() / scale)
-
-    @property
-    def target(self):
-        return self._d["target"]
-
-    # -- shared pieces ------------------------------------------------------
-
-    def _quad_degree(self):
-        return min(2 * (self.p + 2) + 14, 40)
-
-    def _edge_rule_1d(self, length):
-        q = quadrature_interval(length, self._quad_degree())
-        return q
-
-    def _store_vol(self, cell):
-        q = quadrature(cell, self._quad_degree())
-        self._d["vol_pts"], self._d["vol_w"] = q.points, q.weights
-        self.sample_points["vol"] = q.points
-
-    def _store_edges(self, refcell):
-        d = self._d
-        d["edge_rules"] = []
-        for edge in refcell.edges:
-            s, w = self._edge_rule_1d(edge.length)
-            self.sample_points[f"edge{edge.index}"] = edge.embed(s)
-            d["edge_rules"].append((s, w))
-
-    def _store_faces(self, refcell):
-        d = self._d
-        d["face_rules"] = []
-        for face in refcell.faces:
-            q = quadrature(face.cell, self._quad_degree())
-            self.sample_points[f"face{face.index}"] = face.embed(q.points)
-            d["face_rules"].append(q)
-
-    def _solve(self, samples):
-        return getattr(self, "_solve_" + self.operator)(samples)
-
-    def _conditions(self, samples, slots):
-        fn = getattr(self, "_conditions_" + self.operator, None)
-        if fn is None:
-            return np.zeros(1), np.zeros(1)
-        return fn(samples, slots)
-
-    # ------------------------------------------------------------------ 1D
-
-    def _build_grad1d(self):
-        p = self.p
-        rc = make_reference_cell(1)
-        cell = rc.cell
-        d = self._d
-        d["dim"] = 1
-        d["cell"] = cell
-        d["refcell"] = rc
-        target = ps.scalar_space(cell, p)
-        d["target"] = target
-        pts, wts = _graded_interval_rule()
-        self.sample_points["vol"] = pts[:, None]
-        self.sample_points["vertices"] = cell.vertices
-        d["vol_w1d"] = wts
-        nm = cell.n_modes(p)
-        D = ps.deriv_matrix(cell, p, 0)
-        d["D"] = D
-        Vv = cell.tabulate(p, cell.vertices)
-        q = quadrature(cell, 2 * p + 2)
-        Vq = cell.tabulate(p, q.points)
-        hq = np.stack([(1 - q.points[:, 0]) / 2, (1 + q.points[:, 0]) / 2])
-        d["lift"] = (hq * q.weights) @ Vq.T
-        bub = ps.null_space_of(Vv.T, n_cols=nm)
-        d["bubbles"] = bub
-        if bub.shape[0]:
-            gb = bub @ D.T
-            d["solve"] = np.linalg.inv(gb @ gb.T)
-            d["couple"] = gb @ (d["lift"] @ D.T).T
-            Vvol = cell.tabulate(p, pts[:, None])
-            d["rhs_vol"] = -_weighted(bub @ (D @ D).T @ Vvol, wts)
-            bpe = gb @ Vv
-            d["rhs_vert"] = np.stack([-bpe[:, 0], bpe[:, 1]], axis=1)
-        self.stage_conditions["vertices"] = 2
-        self.stage_conditions["interior"] = int(bub.shape[0])
-
-    def _solve_grad1d(self, samples):
-        d = self._d
-        vert = samples["vertices"]
-        out = d["lift"].T @ vert
-        if d["bubbles"].shape[0]:
-            rhs = d["rhs_vol"] @ samples["vol"] + d["rhs_vert"] @ vert
-            rhs -= d["couple"] @ vert
-            out = out + d["bubbles"].T @ (d["solve"] @ rhs)
-        return out
-
-    def _conditions_grad1d(self, samples, slots):
-        d = self._d
-        cell = d["cell"]
-        pv = d["target"].evaluate(slots, cell.vertices)
-        lhs = [pv]
-        rhs = [samples["vertices"][:, 0]]
-        if d["bubbles"].shape[0]:
-            own = (d["bubbles"] @ d["D"].T) @ (d["D"] @ slots)
-            data = (d["rhs_vol"] @ samples["vol"]
-                    + d["rhs_vert"] @ samples["vertices"])[:, 0]
-            lhs.append(own)
-            rhs.append(data)
-        return np.concatenate(lhs), np.concatenate(rhs)
-
-    # ------------------------------------------------------------------ L2
-
-    def _build_l2(self, dim):
-        rc = make_reference_cell(dim)
-        cell = rc.cell
-        d = self._d
-        d["dim"] = dim
-        d["cell"] = cell
-        d["refcell"] = rc
-        target = ps.scalar_space(cell, self.p)
-        d["target"] = target
-        self._store_vol(cell)
-        V = cell.tabulate(self.p, d["vol_pts"])
-        d["proj"] = V * d["vol_w"]
-        self.stage_conditions["interior"] = target.dim
-
-    def _build_l2_3d(self):
-        self._build_l2(3)
-
-    def _build_l2_2d(self):
-        self._build_l2(2)
-
-    def _solve_l2(self, samples):
-        return self._d["proj"] @ samples["vol"]
-
-    _solve_l2_3d = _solve_l2
-    _solve_l2_2d = _solve_l2
-
-    def _conditions_l2(self, samples, slots):
-        return self._d["proj"] @ samples["vol"][:, 0] - slots, np.zeros(len(slots))
-
-    _conditions_l2_3d = _conditions_l2
-    _conditions_l2_2d = _conditions_l2
-
-    # ----------------------------------------------------- scalar (grad) ops
-
-    def _edge_stage_build(self, refcell, deg):
-        """1D endpoint+seminorm problems on every global edge."""
-        d = self._d
-        d["edges"] = []
-        for edge, (s, w) in zip(refcell.edges, d["edge_rules"]):
-            e = {}
-            ecell = edge.cell
-            nm1 = ecell.n_modes(deg)
-            D1 = ps.deriv_matrix(ecell, deg, 0)
-            Vv = ecell.tabulate(deg, ecell.vertices)
-            q1 = quadrature(ecell, 2 * deg + 2)
-            V1 = ecell.tabulate(deg, q1.points)
-            L = edge.length
-            hq = np.stack(
-                [(L / 2 - q1.points[:, 0]) / L, (q1.points[:, 0] + L / 2) / L]
-            )
-            e["lift"] = (hq * q1.weights) @ V1.T
-            bub = ps.null_space_of(Vv.T, n_cols=nm1)
-            e["bubbles"] = bub
-            e["vertex_ids"] = edge.vertex_ids
-            if bub.shape[0]:
-                gb = bub @ D1.T
-                e["solve"] = np.linalg.inv(gb @ gb.T)
-                e["couple"] = gb @ (e["lift"] @ D1.T).T
-                Vs = ecell.tabulate(deg, s[:, None])
-                e["rhs_vol"] = -_weighted(bub @ (D1 @ D1).T @ Vs, w)
-                bpe = gb @ Vv
-                e["rhs_vert"] = np.stack([-bpe[:, 0], bpe[:, 1]], axis=1)
-            d["edges"].append(e)
-
-    def _solve_edges_scalar(self, samples):
-        d = self._d
-        vert = samples["vertices"]
-        out = []
-        for k, e in enumerate(d["edges"]):
-            a, b = e["vertex_ids"]
-            ends = np.stack([vert[a], vert[b]])
-            w = e["lift"].T @ ends
-            if e["bubbles"].shape[0]:
-                rhs = e["rhs_vol"] @ samples[f"edge{k}"] + e["rhs_vert"] @ ends
-                rhs -= e["couple"] @ ends
-                w = w + e["bubbles"].T @ (e["solve"] @ rhs)
-            out.append(w)
-        return out
-
-    def _scalar_stiffness_stage(self, cell, deg, trace_stack, qd,
-                                boundary_rules):
-        """Lift + interior-stiffness block for a scalar space on `cell`.
-
-        boundary_rules: list of (region_key, points_in_cell_coords, weights,
-        outward_conormal) for the du/dn boundary term of the stiffness RHS.
-        """
-        st = {}
-        nm = cell.n_modes(deg)
-        st["lift"] = _pinv(trace_stack)
-        st["trace_stack"] = trace_stack
-        bub = ps.null_space_of(trace_stack, n_cols=nm)
-        st["bubbles"] = bub
-        dim = cell.dim
-        D = [ps.deriv_matrix(cell, deg, i) for i in range(dim)]
-        if bub.shape[0]:
-            gb = [bub @ D[i].T for i in range(dim)]
-            st["solve"] = np.linalg.inv(sum(g @ g.T for g in gb))
-            lap = bub @ sum(Di @ Di for Di in D).T
-            q = quadrature(cell, qd)
-            V = cell.tabulate(deg, q.points)
-            st["rhs_vol"] = -_weighted(lap @ V, q.weights)
-            st["vol_quad"] = q
-            st["rhs_bnd"] = []
-            for key, pts_local, w, conormal in boundary_rules:
-                G = cell.tabulate_grad(deg, pts_local)
-                dn = np.einsum("mpk,pk->mp", G, conormal)
-                st["rhs_bnd"].append((key, _weighted(bub @ dn, w)))
-            st["couple"] = sum(
-                (bub @ D[i].T) @ (st["lift"].T @ D[i].T).T for i in range(dim)
-            )
-        return st
-
-    def _triangle_boundary_rules(self, cell, edge_keys_and_maps):
-        """Boundary-term rules for a triangle; one entry per edge.
-
-        edge_keys_and_maps: list of (region_key, local_edge, sigma) where the
-        physical point of global parameter s has local parameter sigma*s.
-        """
-        rules = []
-        centroid = cell.vertices.mean(axis=0)
-        for key, ledge, sigma in edge_keys_and_maps:
-            s, w = self._edge_rule_1d(ledge.length)
-            pl = ledge.embed(sigma * s)
-            nrm = np.array([ledge.tangent[1], -ledge.tangent[0]])
-            if np.dot(nrm, ledge.midpoint - centroid) < 0:
-                nrm = -nrm
-            conormal = np.broadcast_to(nrm, (len(s), 2))
-            rules.append((key, pl, w, conormal))
-        return rules
-
-    def _build_grad2d(self):
-        p = self.p
-        rc = make_reference_cell(2)
-        cell = rc.cell
-        d = self._d
-        d["dim"], d["cell"], d["refcell"] = 2, cell, rc
-        deg = p + 1
-        d["target"] = ps.scalar_space(cell, deg)
-        self.sample_points["vertices"] = rc.vertices
-        self._store_edges(rc)
-        self._store_vol(cell)
-        self._edge_stage_build(rc, deg)
-        rows = [ps.scalar_trace_matrix(cell, deg, e)[0] for e in rc.edges]
-        maps = [(f"edge{e.index}", e, 1.0) for e in rc.edges]
-        st = self._scalar_stiffness_stage(
-            cell, deg, np.vstack(rows), self._quad_degree(),
-            self._triangle_boundary_rules(cell, maps),
-        )
-        d["interior"] = st
-        self.stage_conditions["vertices"] = 3
-        self.stage_conditions["edges"] = sum(e["bubbles"].shape[0] for e in d["edges"])
-        self.stage_conditions["interior"] = int(st["bubbles"].shape[0])
-
-    def _run_scalar_stage(self, st, data_coeffs, samples, vol_key):
-        out = st["lift"] @ data_coeffs
-        if st["bubbles"].shape[0]:
-            rhs = st["rhs_vol"] @ samples[vol_key]
-            for key, mat in st["rhs_bnd"]:
-                rhs += mat @ samples[key]
-            rhs -= st["couple"] @ data_coeffs
-            out = out + st["bubbles"].T @ (st["solve"] @ rhs)
-        return out
-
-    def _solve_grad2d(self, samples):
-        d = self._d
-        edge_coeffs = self._solve_edges_scalar(samples)
-        data = np.concatenate(edge_coeffs, axis=0)
-        return self._run_scalar_stage(d["interior"], data, samples, "vol")
-
-    def _conditions_grad2d(self, samples, slots):
-        return self._conditions_grad_nd(samples, slots)
-
-    def _match_face_edges(self, refcell, face):
-        """Match face-local edges to global edges: (global index, sigma)."""
-        out = []
-        for ledge, _sign in ps.triangle_edges(face.cell):
-            ends_pl = np.stack(
-                [
-                    ledge.midpoint - 0.5 * ledge.length * ledge.tangent,
-                    ledge.midpoint + 0.5 * ledge.length * ledge.tangent,
-                ]
-            )
-            ends_amb = face.embed(ends_pl)
-            match = None
-            for ge in refcell.edges:
-                ga = ge.midpoint - 0.5 * ge.length * ge.tangent
-                gb = ge.midpoint + 0.5 * ge.length * ge.tangent
-                if np.allclose(ends_amb[0], ga, atol=1e-12) and np.allclose(
-                    ends_amb[1], gb, atol=1e-12
-                ):
-                    match = (ge.index, 1.0)
-                elif np.allclose(ends_amb[0], gb, atol=1e-12) and np.allclose(
-                    ends_amb[1], ga, atol=1e-12
-                ):
-                    match = (ge.index, -1.0)
-                if match:
-                    break
-            if match is None:
-                raise AssertionError("face edge does not match a global edge")
-            out.append((ledge, match[0], match[1]))
-        return out
-
-    def _build_grad3d(self):
-        p = self.p
-        rc = make_reference_cell(3)
-        cell = rc.cell
-        d = self._d
-        d["dim"], d["cell"], d["refcell"] = 3, cell, rc
-        deg = p + 1
-        d["target"] = ps.scalar_space(cell, deg)
-        self.sample_points["vertices"] = rc.vertices
-        self._store_edges(rc)
-        self._store_faces(rc)
-        self._store_vol(cell)
-        self._edge_stage_build(rc, deg)
-        qd = self._quad_degree()
-
-        d["faces"] = []
-        for face in rc.faces:
-            fcell = face.cell
-            matched = self._match_face_edges(rc, face)
-            rows = [ps.scalar_trace_matrix(fcell, deg, le)[0] for le, _, _ in matched]
-            maps = [(f"edge{g}", le, sg) for le, g, sg in matched]
-            st = self._scalar_stiffness_stage(
-                fcell, deg, np.vstack(rows), qd,
-                self._triangle_boundary_rules(fcell, maps),
-            )
-            st["edge_map"] = [
-                (g, np.eye(le.cell.n_modes(deg)) if sg > 0
-                 else _flip_matrix(le.cell.n_modes(deg)))
-                for le, g, sg in matched
-            ]
-            st["vol_key"] = f"face{face.index}"
-            # face volume term must use the same rule as the stored region
-            q2 = d["face_rules"][face.index]
-            if st["bubbles"].shape[0]:
-                D = [ps.deriv_matrix(fcell, deg, i) for i in range(2)]
-                lap = st["bubbles"] @ sum(Di @ Di for Di in D).T
-                V2 = fcell.tabulate(deg, q2.points)
-                st["rhs_vol"] = -_weighted(lap @ V2, q2.weights)
-            d["faces"].append(st)
-
-        rows = [ps.scalar_trace_matrix(cell, deg, f)[0] for f in rc.faces]
-        bnd = []
-        for face, q2 in zip(rc.faces, d["face_rules"]):
-            conormal = np.broadcast_to(face.normal, (len(q2.weights), 3))
-            bnd.append((f"face{face.index}", face.embed(q2.points), q2.weights,
-                        conormal))
-        st = self._scalar_stiffness_stage(cell, deg, np.vstack(rows), qd, bnd)
-        # interior volume term must use the stored region's rule
-        if st["bubbles"].shape[0]:
-            D = [ps.deriv_matrix(cell, deg, i) for i in range(3)]
-            lap = st["bubbles"] @ sum(Di @ Di for Di in D).T
-            V3 = cell.tabulate(deg, d["vol_pts"])
-            st["rhs_vol"] = -_weighted(lap @ V3, d["vol_w"])
-        d["interior"] = st
-        self.stage_conditions["vertices"] = 4
-        self.stage_conditions["edges"] = sum(e["bubbles"].shape[0] for e in d["edges"])
-        self.stage_conditions["faces"] = sum(
-            f["bubbles"].shape[0] for f in d["faces"]
-        )
-        self.stage_conditions["interior"] = int(st["bubbles"].shape[0])
-
-    def _solve_grad3d(self, samples):
-        d = self._d
-        edge_coeffs = self._solve_edges_scalar(samples)
-        face_coeffs = []
-        for st in d["faces"]:
-            data = np.concatenate(
-                [F @ edge_coeffs[g] for g, F in st["edge_map"]], axis=0
-            )
-            face_coeffs.append(
-                self._run_scalar_stage(st, data, samples, st["vol_key"])
-            )
-        data = np.concatenate(face_coeffs, axis=0)
-        return self._run_scalar_stage(d["interior"], data, samples, "vol")
-
-    def _conditions_grad3d(self, samples, slots):
-        return self._conditions_grad_nd(samples, slots)
-
-    def _conditions_grad_nd(self, samples, slots):
-        """Vertex interpolation + interior-stage orthogonality re-check."""
-        d = self._d
-        target = d["target"]
-        verts = d["refcell"].vertices
-        pv = target.evaluate(slots, verts)
-        lhs = [pv]
-        rhs = [samples["vertices"][:, 0]]
-        st = d["interior"]
-        if st["bubbles"].shape[0]:
-            dim = d["dim"]
-            D = [ps.deriv_matrix(d["cell"], target.degree, i) for i in range(dim)]
-            own = sum((st["bubbles"] @ D[i].T) @ (D[i] @ slots) for i in range(dim))
-            data = st["rhs_vol"] @ samples["vol"][:, 0]
-            for key, mat in st["rhs_bnd"]:
-                data = data + mat @ samples[key][:, 0]
-            lhs.append(own)
-            rhs.append(data)
-        return np.concatenate(lhs), np.concatenate(rhs)
-
-    # -------------------------------------------------------------- curl ops
-
-    def _build_curl2d(self):
-        p = self.p
-        rc = make_reference_cell(2)
-        cell = rc.cell
-        d = self._d
-        d["dim"], d["cell"], d["refcell"] = 2, cell, rc
-        deg = p + 1
-        Q = ps.build_space(rc, "hcurl", p)
-        d["target"] = Q
-        self._store_edges(rc)
-        self._store_vol(cell)
-
-        # edge moment systems: mean + derivative moments == L2 projection
-        d["edge_proj"] = []
-        for edge, (s, w) in zip(rc.edges, d["edge_rules"]):
-            ecell = edge.cell
-            nm1 = ecell.n_modes(p)
-            Wb = ps.build_space(ecell, "h1_bubble", p)
-            D1 = ps.deriv_matrix(ecell, p + 1, 0)
-            dmom = ps.pad_slots(Wb.basis, ecell, 1, p + 1, p + 1) @ D1.T
-            dmom = dmom[:, :nm1]  # derivatives live in degree p
-            mean = ps.mean_row(ecell, 1, p)
-            C = np.vstack([mean, dmom])
-            Vs = ecell.tabulate(p, s[:, None])
-            # conditions {mean, derivative moments} span P_p, so the solve
-            # reproduces the plain L2 projection of the tangential trace
-            sol = np.linalg.solve(C, C @ (Vs * w))
-            d["edge_proj"].append((sol, edge.tangent))
-
-        # interior: unknowns over hcurl bubbles; conditions (grad W bubbles,
-        # curl against a gradient-complement of the bubbles)
-        Qb = ps.build_space(rc, "hcurl_bubble", p)
-        Wb = ps.build_space(rc, "h1_bubble", p)
-        Qperp = ps.build_space(rc, "hcurl_bubble_orth", p)
-        d["bubbles"] = Qb
-        T_rows = []
-        for edge in rc.edges:
-            T, ec = ps.edge_tangential_trace_matrix(cell, deg, edge, 2)
-            T_rows.append(T[: ec.n_modes(p)])
-        trace_stack = np.vstack(T_rows) @ Q.basis.T
-        d["trace_stack"] = trace_stack
-        d["lift"] = _pinv(trace_stack)
-        from .calculus import diff_rows
-
-        if Qb.dim:
-            grads = diff_rows("grad", Wb)  # rows in 2-comp slots at degree p+1
-            M_b = grads @ Qb.basis.T
-            curl_perp = diff_rows("curl2d_vector", Qperp)
-            curl_bub = diff_rows("curl2d_vector", Qb)
-            M_a = curl_perp @ curl_bub.T
-            d["square"] = np.linalg.inv(np.vstack([M_b, M_a]))
-            d["lift_b"] = grads @ Q.basis.T
-            d["lift_a"] = curl_perp @ diff_rows("curl2d_vector", Q).T
-            # rhs (b): (u, grad v) via volume samples
-            gvals = _eval_rows(cell, 2, deg, grads, d["vol_pts"])
-            d["rhs_b"] = _weighted(gvals, d["vol_w"])
-            # rhs (a): (curl u, curl w) = (u, curl_scalar(psi)) + bnd(psi u.t)
-            psi = curl_perp  # scalar rows, degree p+1 container
-            D = [ps.deriv_matrix(cell, deg, i) for i in range(2)]
-            rot = np.concatenate([psi @ D[1].T, -(psi @ D[0].T)], axis=1)
-            rvals = _eval_rows(cell, 2, deg, rot, d["vol_pts"])
-            d["rhs_a_vol"] = _weighted(rvals, d["vol_w"])
-            d["rhs_a_edge"] = []
-            for edge, (s, w) in zip(rc.edges, d["edge_rules"]):
-                sign = _ccw_sign(cell, edge)
-                pv = _eval_rows(cell, 1, deg, psi, edge.embed(s))[:, :, 0]
-                tvals = pv[:, :, None] * edge.tangent[None, None, :]
-                d["rhs_a_edge"].append(
-                    (f"edge{edge.index}", sign * _weighted(tvals, w))
-                )
-        self.stage_conditions["edges"] = 3 * (p + 1)
-        self.stage_conditions["interior"] = int(Qb.dim)
-
-    def _solve_curl2d(self, samples):
-        d = self._d
-        edge_data = []
-        for k, (sol, tangent) in enumerate(d["edge_proj"]):
-            vals = samples[f"edge{k}"].reshape(len(self._d["edge_rules"][k][0]), 2, -1)
-            tang = np.einsum("pcb,c->pb", vals, tangent)
-            edge_data.append(sol @ tang)
-        data = np.concatenate(edge_data, axis=0)
-        coords = d["lift"] @ data
-        if d["bubbles"].dim:
-            rhs_b = d["rhs_b"] @ samples["vol"] - d["lift_b"] @ coords
-            rhs_a = d["rhs_a_vol"] @ samples["vol"]
-            for key, mat in d["rhs_a_edge"]:
-                rhs_a = rhs_a + mat @ samples[key]
-            rhs_a = rhs_a - d["lift_a"] @ coords
-            beta = d["square"] @ np.vstack([rhs_b, rhs_a])
-            bub_coords = d["bubbles"].basis @ d["target"].basis.T
-            coords = coords + bub_coords.T @ beta
-        return d["target"].basis.T @ coords
-
-    def _conditions_curl2d(self, samples, slots):
-        """Edge mean conditions + interior gradient orthogonality re-check."""
-        d = self._d
-        lhs, rhs = [], []
-        for k, (sol, tangent) in enumerate(d["edge_proj"]):
-            s, w = d["edge_rules"][k]
-            edge = d["refcell"].edges[k]
-            vals = samples[f"edge{k}"].reshape(len(s), 2)
-            tang = vals @ tangent
-            own = _eval_rows(d["cell"], 2, d["target"].degree,
-                             slots[None, :], edge.embed(s))[0] @ tangent
-            lhs.append(np.array([np.sum(w * own)]))
-            rhs.append(np.array([np.sum(w * tang)]))
-        if d["bubbles"].dim:
-            coords = d["target"].basis @ slots
-            lhs.append(d["lift_b"] @ coords)
-            rhs.append(d["rhs_b"] @ samples["vol"][:, 0])
-        return np.concatenate(lhs), np.concatenate(rhs)
-
-    def _build_curl3d(self):
-        p = self.p
-        rc = make_reference_cell(3)
-        cell = rc.cell
-        d = self._d
-        d["dim"], d["cell"], d["refcell"] = 3, cell, rc
-        deg = p + 1
-        Q = ps.build_space(rc, "hcurl", p)
-        d["target"] = Q
-        self._store_edges(rc)
-        self._store_faces(rc)
-        self._store_vol(cell)
-        from .calculus import diff_rows
-
-        # --- edge stage: moment systems on each global edge
-        d["edge_proj"] = []
-        for edge, (s, w) in zip(rc.edges, d["edge_rules"]):
-            ecell = edge.cell
-            nm1 = ecell.n_modes(p)
-            Wb = ps.build_space(ecell, "h1_bubble", p)
-            D1 = ps.deriv_matrix(ecell, p + 1, 0)
-            dmom = (Wb.basis @ D1.T)[:, :nm1]
-            mean = ps.mean_row(ecell, 1, p)
-            C = np.vstack([mean, dmom])
-            Vs = ecell.tabulate(p, s[:, None])
-            sol = np.linalg.solve(C, C @ (Vs * w))
-            d["edge_proj"].append((sol, edge.tangent))
-
-        # --- face stage: 2D edge-element problems on each face
-        d["faces"] = []
-        for face in rc.faces:
-            fcell = face.cell
-            f = {}
-            Q2 = ps.build_space(fcell, "hcurl", p)
-            Q2b = ps.build_space(fcell, "hcurl_bubble", p)
-            W2b = ps.build_space(fcell, "h1_bubble", p)
-            Q2perp = ps.build_space(fcell, "hcurl_bubble_orth", p)
-            f["space"] = Q2
-            matched = self._match_face_edges(rc, face)
-            T_rows, emap = [], []
-            for ledge, g, sg in matched:
-                T, ec = ps.edge_tangential_trace_matrix(fcell, deg, ledge, 2)
-                T_rows.append(T[: ec.n_modes(p)])
-                nm1 = ec.n_modes(p)
-                F = np.eye(nm1) if sg > 0 else _flip_matrix(nm1)
-                emap.append((g, sg, F))
-            f["edge_map"] = emap
-            trace_stack = np.vstack(T_rows) @ Q2.basis.T
-            f["lift"] = _pinv(trace_stack)
-            f["trace_stack"] = trace_stack
-            f["bubbles"] = Q2b
-            if Q2b.dim:
-                grads = diff_rows("grad", W2b)
-                M_b = grads @ Q2b.basis.T
-                curl_perp = diff_rows("curl2d_vector", Q2perp)
-                curl_bub = diff_rows("curl2d_vector", Q2b)
-                M_a = curl_perp @ curl_bub.T
-                f["square"] = np.linalg.inv(np.vstack([M_b, M_a]))
-                f["lift_b"] = grads @ Q2.basis.T
-                f["lift_a"] = curl_perp @ diff_rows("curl2d_vector", Q2).T
-                q2 = d["face_rules"][face.index]
-                # (Pi_tau u, grad_f v): pair ambient samples with J grad_f v
-                gvals2 = _eval_rows(fcell, 2, deg, grads, q2.points)
-                gvals3 = np.einsum("mpl,kl->mpk", gvals2, face.frame)
-                f["rhs_b"] = (f"face{face.index}", _weighted(gvals3, q2.weights))
-                # (curl_f Pi_tau u, curl_f w) by the surface Stokes formula
-                psi = curl_perp
-                D2 = [ps.deriv_matrix(fcell, deg, i) for i in range(2)]
-                rot = np.concatenate([psi @ D2[1].T, -(psi @ D2[0].T)], axis=1)
-                rvals2 = _eval_rows(fcell, 2, deg, rot, q2.points)
-                rvals3 = np.einsum("mpl,kl->mpk", rvals2, face.frame)
-                f["rhs_a_vol"] = (f"face{face.index}",
-                                  _weighted(rvals3, q2.weights))
-                f["rhs_a_edge"] = []
-                for ledge, g, sg in matched:
-                    s, w = self._edge_rule_1d(ledge.length)
-                    pl = ledge.embed(sg * s)
-                    pv = _eval_rows(fcell, 1, deg, psi, pl)[:, :, 0]
-                    ccw = _ccw_sign(fcell, ledge)
-                    t3 = face.frame @ ledge.tangent
-                    tvals = pv[:, :, None] * t3[None, None, :]
-                    f["rhs_a_edge"].append(
-                        (f"edge{g}", ccw * _weighted(tvals, w))
-                    )
-            d["faces"].append(f)
-
-        # --- interior stage
-        Qb = ps.build_space(rc, "hcurl_bubble", p)
-        Wb = ps.build_space(rc, "h1_bubble", p)
-        Qperp = ps.build_space(rc, "hcurl_bubble_orth", p)
-        d["bubbles"] = Qb
-        T_rows = []
-        for face in rc.faces:
-            T, _ = ps.tangential_trace_matrix(rc, deg, face)
-            T_rows.append(T)
-        trace_stack = np.vstack(T_rows) @ Q.basis.T
-        d["trace_stack"] = trace_stack
-        d["lift"] = _pinv(trace_stack)
-        if Qb.dim:
-            grads = diff_rows("grad", Wb)
-            M_b = grads @ Qb.basis.T
-            curl_perp = diff_rows("curl3d", Qperp)
-            curl_bub = diff_rows("curl3d", Qb)
-            M_a = curl_perp @ curl_bub.T
-            d["square"] = np.linalg.inv(np.vstack([M_b, M_a]))
-            d["lift_b"] = grads @ Q.basis.T
-            d["lift_a"] = curl_perp @ diff_rows("curl3d", Q).T
-            gvals = _eval_rows(cell, 3, deg, grads, d["vol_pts"])
-            d["rhs_b"] = _weighted(gvals, d["vol_w"])
-            # (curl u, curl w) = (curl curl w, u) - (Pi_tau u, gamma_tau curl w)
-            W_rows = curl_perp  # 3-comp rows, degree deg container
-            holder = ps.PolySpace(cell, 3, deg, W_rows)
-            curl_W = diff_rows("curl3d", holder)
-            cvals = _eval_rows(cell, 3, deg, curl_W, d["vol_pts"])
-            d["rhs_a_vol"] = _weighted(cvals, d["vol_w"])
-            d["rhs_a_face"] = []
-            for face, q2 in zip(rc.faces, d["face_rules"]):
-                amb = face.embed(q2.points)
-                Wvals = _eval_rows(cell, 3, deg, W_rows, amb)
-                tang = np.einsum("mpk,kl->mpl", Wvals, face.frame)
-                gamma = np.stack([-tang[..., 1], tang[..., 0]], axis=-1)
-                back = np.einsum("mpl,kl->mpk", gamma, face.frame)
-                d["rhs_a_face"].append(
-                    (f"face{face.index}", -_weighted(back, q2.weights))
-                )
-        self.stage_conditions["edges"] = 6 * (p + 1)
-        self.stage_conditions["faces"] = sum(
-            f["bubbles"].dim for f in d["faces"]
-        )
-        self.stage_conditions["interior"] = int(Qb.dim)
-
-    def _solve_curl3d(self, samples):
-        d = self._d
-        edge_data = []
-        for k, (sol, tangent) in enumerate(d["edge_proj"]):
-            s, _ = d["edge_rules"][k]
-            vals = samples[f"edge{k}"].reshape(len(s), 3, -1)
-            tang = np.einsum("pcb,c->pb", vals, tangent)
-            edge_data.append(sol @ tang)
-        face_coords = []
-        for face, f in zip(d["refcell"].faces, d["faces"]):
-            data = []
-            for g, sg, F in f["edge_map"]:
-                data.append(sg * (F @ edge_data[g]))
-            data = np.concatenate(data, axis=0)
-            coords = f["lift"] @ data
-            if f["bubbles"].dim:
-                key, mat = f["rhs_b"]
-                rhs_b = mat @ samples[key] - f["lift_b"] @ coords
-                key, mat = f["rhs_a_vol"]
-                rhs_a = mat @ samples[key]
-                for key, mat in f["rhs_a_edge"]:
-                    rhs_a = rhs_a + mat @ samples[key]
-                rhs_a = rhs_a - f["lift_a"] @ coords
-                beta = f["square"] @ np.vstack([rhs_b, rhs_a])
-                coords = coords + (f["bubbles"].basis @ f["space"].basis.T).T @ beta
-            face_coords.append(f["space"].basis.T @ coords)  # 2D slots
-        data = np.concatenate(face_coords, axis=0)
-        coords = d["lift"] @ data
-        if d["bubbles"].dim:
-            rhs_b = d["rhs_b"] @ samples["vol"] - d["lift_b"] @ coords
-            rhs_a = d["rhs_a_vol"] @ samples["vol"]
-            for key, mat in d["rhs_a_face"]:
-                rhs_a = rhs_a + mat @ samples[key]
-            rhs_a = rhs_a - d["lift_a"] @ coords
-            beta = d["square"] @ np.vstack([rhs_b, rhs_a])
-            coords = coords + (d["bubbles"].basis @ d["target"].basis.T).T @ beta
-        return d["target"].basis.T @ coords
-
-    def _conditions_curl3d(self, samples, slots):
-        d = self._d
-        lhs, rhs = [], []
-        for k, (sol, tangent) in enumerate(d["edge_proj"]):
-            s, w = d["edge_rules"][k]
-            edge = d["refcell"].edges[k]
-            vals = samples[f"edge{k}"].reshape(len(s), 3)
-            tang = vals @ tangent
-            own = _eval_rows(d["cell"], 3, d["target"].degree,
-                             slots[None, :], edge.embed(s))[0] @ tangent
-            lhs.append(np.array([np.sum(w * own)]))
-            rhs.append(np.array([np.sum(w * tang)]))
-        if d["bubbles"].dim:
-            coords = d["target"].basis @ slots
-            lhs.append(d["lift_b"] @ coords)
-            rhs.append(d["rhs_b"] @ samples["vol"][:, 0])
-        return np.concatenate(lhs), np.concatenate(rhs)
-
-    # --------------------------------------------------------------- div op
-
-    def _build_div3d(self):
-        p = self.p
-        rc = make_reference_cell(3)
-        cell = rc.cell
-        d = self._d
-        d["dim"], d["cell"], d["refcell"] = 3, cell, rc
-        deg = p + 1
-        V = ps.build_space(rc, "hdiv", p)
-        d["target"] = V
-        self._store_faces(rc)
-        self._store_vol(cell)
-        from .calculus import diff_rows
-
-        # face stage: mean + zero-mean moments == L2 projection onto P_p(f)
-        d["face_proj"] = []
-        for face, q2 in zip(rc.faces, d["face_rules"]):
-            fcell = face.cell
-            nm2 = fcell.n_modes(p)
-            Vb = ps.build_space(fcell, "hdiv_bubble", p)  # zero-mean scalars
-            mean = ps.mean_row(fcell, 1, p)
-            C = np.vstack([mean, Vb.basis])
-            V2 = fcell.tabulate(p, q2.points)
-            sol = np.linalg.solve(C, C @ (V2 * q2.weights))
-            d["face_proj"].append((sol, face.normal))
-
-        # interior stage
-        Vb = ps.build_space(rc, "hdiv_bubble", p)
-        Qb = ps.build_space(rc, "hcurl_bubble", p)
-        d["bubbles"] = Vb
-        T_rows = []
-        for face in rc.faces:
-            T, fc = ps.normal_trace_matrix(rc, deg, face)
-            T_rows.append(T[: fc.n_modes(p)])
-        trace_stack = np.vstack(T_rows) @ V.basis.T
-        d["trace_stack"] = trace_stack
-        d["lift"] = _pinv(trace_stack)
-        if Vb.dim:
-            curl_bub_rows = diff_rows("curl3d", Qb) if Qb.dim else np.zeros(
-                (0, 3 * cell.n_modes(deg))
-            )
-            curl_basis = ps.span_from_rows(curl_bub_rows)
-            M_b = curl_basis @ Vb.basis.T
-            compl = ps.subspace_from_constraints(Vb, curl_basis)
-            div_compl = diff_rows("div", compl)
-            div_bub = diff_rows("div", Vb)
-            M_a = div_compl @ div_bub.T
-            d["square"] = np.linalg.inv(np.vstack([M_b, M_a]))
-            d["lift_b"] = curl_basis @ V.basis.T
-            d["lift_a"] = div_compl @ diff_rows("div", V).T
-            cvals = _eval_rows(cell, 3, deg, curl_basis, d["vol_pts"])
-            d["rhs_b"] = _weighted(cvals, d["vol_w"])
-            # (div u, div v) = -(u, grad div v) + (u.n, div v)_boundary
-            D = [ps.deriv_matrix(cell, deg, i) for i in range(3)]
-            divv = div_compl  # scalar rows
-            gdiv = np.concatenate([divv @ D[i].T for i in range(3)], axis=1)
-            gvals = _eval_rows(cell, 3, deg, gdiv, d["vol_pts"])
-            d["rhs_a_vol"] = -_weighted(gvals, d["vol_w"])
-            d["rhs_a_face"] = []
-            for face, q2 in zip(rc.faces, d["face_rules"]):
-                amb = face.embed(q2.points)
-                dvals = _eval_rows(cell, 1, deg, divv, amb)[:, :, 0]
-                nvals = dvals[:, :, None] * face.normal[None, None, :]
-                d["rhs_a_face"].append(
-                    (f"face{face.index}", _weighted(nvals, q2.weights))
-                )
-        self.stage_conditions["faces"] = 4 * ((p + 1) * (p + 2) // 2)
-        self.stage_conditions["interior"] = int(Vb.dim)
-
-    def _solve_div3d(self, samples):
-        d = self._d
-        face_data = []
-        for k, (sol, normal) in enumerate(d["face_proj"]):
-            q2 = d["face_rules"][k]
-            vals = samples[f"face{k}"].reshape(len(q2.weights), 3, -1)
-            nrm = np.einsum("pcb,c->pb", vals, normal)
-            face_data.append(sol @ nrm)
-        data = np.concatenate(face_data, axis=0)
-        coords = d["lift"] @ data
-        if d["bubbles"].dim:
-            rhs_b = d["rhs_b"] @ samples["vol"] - d["lift_b"] @ coords
-            rhs_a = d["rhs_a_vol"] @ samples["vol"]
-            for key, mat in d["rhs_a_face"]:
-                rhs_a = rhs_a + mat @ samples[key]
-            rhs_a = rhs_a - d["lift_a"] @ coords
-            beta = d["square"] @ np.vstack([rhs_b, rhs_a])
-            coords = coords + (d["bubbles"].basis @ d["target"].basis.T).T @ beta
-        return d["target"].basis.T @ coords
-
-    def _conditions_div3d(self, samples, slots):
-        d = self._d
-        lhs, rhs = [], []
-        for k, (sol, normal) in enumerate(d["face_proj"]):
-            q2 = d["face_rules"][k]
-            face = d["refcell"].faces[k]
-            vals = samples[f"face{k}"].reshape(len(q2.weights), 3)
-            nrm = vals @ normal
-            own = _eval_rows(d["cell"], 3, d["target"].degree,
-                             slots[None, :], face.embed(q2.points))[0] @ normal
-            lhs.append(np.array([np.sum(q2.weights * own)]))
-            rhs.append(np.array([np.sum(q2.weights * nrm)]))
-        if d["bubbles"].dim:
-            coords = d["target"].basis @ slots
-            lhs.append(d["lift_b"] @ coords)
-            rhs.append(d["rhs_b"] @ samples["vol"][:, 0])
-        return np.concatenate(lhs), np.concatenate(rhs)
-
-
-def _ccw_sign(cell, edge):
-    """+1 when the edge tangent runs counterclockwise around the triangle."""
-    for e, sign in ps.triangle_edges(cell):
-        if e.vertex_ids == edge.vertex_ids and np.allclose(
-            e.midpoint, edge.midpoint
-        ):
-            return sign
-    # fall back to orientation test against the centroid
-    centroid = cell.vertices.mean(axis=0)
-    arm = edge.midpoint - centroid
-    return 1.0 if arm[0] * edge.tangent[1] - arm[1] * edge.tangent[0] > 0 else -1.0
-
-
-def quadrature_interval(length, degree):
-    """Gauss nodes/weights on the centered interval (-length/2, length/2)."""
-    n = degree // 2 + 1
-    xg, wg = leggauss(n)
-    return 0.5 * length * xg, 0.5 * length * wg
 
 
 _plan_cache = {}
@@ -981,10 +582,6 @@ def build_plan(operator, p):
     if key not in _plan_cache:
         _plan_cache[key] = ProjectorPlan(operator, p)
     return _plan_cache[key]
-
-
-def apply(plan, field, check_tol=None):
-    return plan.apply(field, check_tol=check_tol)
 
 
 def apply_1d(p, field):
@@ -1012,73 +609,34 @@ def check_commuting(p, fields_by_op):
     Returns a list of {identity, field, residual, scale} records.
     """
     from . import fields as fl
-    from .calculus import diff_rows
 
+    chains = (
+        ("grad3d", "grad_chain_3d", "grad", "curl3d", fl.grad_field),
+        ("curl3d", "curl_chain_3d", "curl3d", "div3d", fl.curl_field),
+        ("div3d", "div_chain_3d", "div", "l2_3d", fl.div_field),
+        ("grad2d", "grad_chain_2d", "grad", "curl2d", fl.grad_field),
+        ("curl2d", "curl_chain_2d", "curl2d_vector", "l2_2d", fl.curl_field),
+    )
     out = []
-
-    def record(identity, fname, a_slots, b_slots, cell, vd, deg_a, deg_b,
-               field_scale):
-        deg = max(deg_a, deg_b)
-        a = ps.pad_slots(a_slots, cell, vd, deg_a, deg)
-        b = ps.pad_slots(b_slots, cell, vd, deg_b, deg)
-        scale = max(field_scale, 1e-30)
-        out.append(
-            {
-                "identity": identity,
-                "field": fname,
-                "residual": float(np.linalg.norm(a - b)),
-                "scale": float(scale),
-                "rel_residual": float(np.linalg.norm(a - b) / scale),
-                "p": p,
-            }
-        )
-
-    rc3 = make_reference_cell(3)
-    rc2 = make_reference_cell(2)
-
-    for f in fields_by_op.get("grad3d", ()):
-        gplan = build_plan("grad3d", p)
-        cplan = build_plan("curl3d", p)
-        gi = gplan.apply(f)
-        holder = ps.PolySpace(rc3.cell, 1, p + 1, gi[None, :])
-        grad_gi = diff_rows("grad", holder)[0]
-        ci = cplan.apply(fl.grad_field(f))
-        record("grad_chain_3d", f.name, grad_gi, ci, rc3.cell, 3, p + 1, p + 1,
-               np.linalg.norm(gi))
-    for f in fields_by_op.get("curl3d", ()):
-        cplan = build_plan("curl3d", p)
-        dplan = build_plan("div3d", p)
-        ci = cplan.apply(f)
-        holder = ps.PolySpace(rc3.cell, 3, p + 1, ci[None, :])
-        curl_ci = diff_rows("curl3d", holder)[0]
-        di = dplan.apply(fl.curl_field(f))
-        record("curl_chain_3d", f.name, curl_ci, di, rc3.cell, 3, p + 1, p + 1,
-               np.linalg.norm(ci))
-    for f in fields_by_op.get("div3d", ()):
-        dplan = build_plan("div3d", p)
-        lplan = build_plan("l2_3d", p)
-        di = dplan.apply(f)
-        holder = ps.PolySpace(rc3.cell, 3, p + 1, di[None, :])
-        div_di = diff_rows("div", holder)[0]
-        li = lplan.apply(fl.div_field(f))
-        record("div_chain_3d", f.name, div_di, li, rc3.cell, 1, p + 1, p,
-               np.linalg.norm(di))
-    for f in fields_by_op.get("grad2d", ()):
-        gplan = build_plan("grad2d", p)
-        cplan = build_plan("curl2d", p)
-        gi = gplan.apply(f)
-        holder = ps.PolySpace(rc2.cell, 1, p + 1, gi[None, :])
-        grad_gi = diff_rows("grad", holder)[0]
-        ci = cplan.apply(fl.grad_field(f))
-        record("grad_chain_2d", f.name, grad_gi, ci, rc2.cell, 2, p + 1, p + 1,
-               np.linalg.norm(gi))
-    for f in fields_by_op.get("curl2d", ()):
-        cplan = build_plan("curl2d", p)
-        lplan = build_plan("l2_2d", p)
-        ci = cplan.apply(f)
-        holder = ps.PolySpace(rc2.cell, 2, p + 1, ci[None, :])
-        curl_ci = diff_rows("curl2d_vector", holder)[0]
-        li = lplan.apply(fl.curl_field(f))
-        record("curl_chain_2d", f.name, curl_ci, li, rc2.cell, 1, p + 1, p,
-               np.linalg.norm(ci))
+    for operator, identity, deriv, next_op, chained in chains:
+        for f in fields_by_op.get(operator, ()):
+            plan, nxt = build_plan(operator, p), build_plan(next_op, p)
+            a_slots = plan.apply(f)
+            t = plan.target
+            holder = ps.PolySpace(t.cell, t.value_dim, t.degree, a_slots[None])
+            a = diff_rows(deriv, holder)[0]
+            b = ps.pad_slots(nxt.apply(chained(f)), t.cell,
+                             nxt.target.value_dim, nxt.target.degree, t.degree)
+            residual = float(np.linalg.norm(a - b))
+            scale = max(float(np.linalg.norm(a_slots)), 1e-30)
+            out.append(
+                {
+                    "identity": identity,
+                    "field": f.name,
+                    "residual": residual,
+                    "scale": scale,
+                    "rel_residual": residual / scale,
+                    "p": p,
+                }
+            )
     return out

@@ -214,11 +214,8 @@ class ReferenceCell:
     dim 3: unit tetrahedron; dim 2: unit right triangle; dim 1: (-1, 1).
     """
 
-    def __init__(self, dim, variant="unit"):
-        if variant not in ("unit", "biunit_edge"):
-            raise ValueError(f"unknown variant {variant}")
+    def __init__(self, dim):
         self.dim = dim
-        self.variant = variant
         if dim == 1:
             self.vertices = np.array([[-1.0], [1.0]])
             self.cell = Cell(self.vertices, "edge")
@@ -343,8 +340,8 @@ class ReferenceCell:
 
 
 @lru_cache(maxsize=None)
-def make_reference_cell(dim, variant="unit"):
-    return ReferenceCell(dim, variant)
+def make_reference_cell(dim):
+    return ReferenceCell(dim)
 
 
 def face_chart(refcell, face_id):

@@ -8,6 +8,8 @@ computable surrogates; equivalence constants are never asserted, only
 measured by the studies.
 """
 
+import hashlib
+
 import numpy as np
 import scipy.linalg
 
@@ -421,8 +423,14 @@ def _field_curl(field, pts, dim):
 _solver_cache = {}
 
 
+def _space_key(space):
+    """Content key of a space: its cell, degree and basis bytes, not its name."""
+    digest = hashlib.blake2b(space.basis, digest_size=16).hexdigest()
+    return (space.cell.key, space.value_dim, space.degree, space.basis.shape, digest)
+
+
 def _h1curl_matrices(space):
-    key = (space.cell.key, space.name, space.degree, space.dim, "H1curl")
+    key = (_space_key(space), "H1curl")
     if key in _solver_cache:
         return _solver_cache[key]
     from .calculus import diff_rows
@@ -501,7 +509,7 @@ def _field_curl_jet(field, pts, dim):
 
 def _fractional_matrices(space, norm, s, P):
     """Field-independent structures of the rich-space fractional minimizer."""
-    key = (space.cell.key, space.name, space.degree, space.dim, norm, s, P)
+    key = (_space_key(space), norm, s, P)
     if key in _solver_cache:
         return _solver_cache[key]
     from .calculus import diff_rows

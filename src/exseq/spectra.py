@@ -106,22 +106,6 @@ def friedrichs_constant(case, p):
 # discrete liftings
 
 
-def _tangential_trace_stack(rc, degree):
-    rows = []
-    for face in rc.faces:
-        T, _ = ps.tangential_trace_matrix(rc, degree, face)
-        rows.append(T)
-    return np.vstack(rows)
-
-
-def _normal_trace_stack(rc, degree, content_degree):
-    rows = []
-    for face in rc.faces:
-        T, fc = ps.normal_trace_matrix(rc, degree, face)
-        rows.append(T[: fc.n_modes(content_degree)])
-    return np.vstack(rows)
-
-
 @dataclass
 class LiftingResult:
     space: ps.PolySpace
@@ -145,8 +129,8 @@ def discrete_lifting_curl(p, w_slots):
     Q = ps.build_space(rc, "hcurl", p)
     Qb = ps.build_space(rc, "hcurl_bubble", p)
     Wb = ps.build_space(rc, "h1_bubble", p)
-    stack = _tangential_trace_stack(rc, p + 1) @ Q.basis.T
-    data = _tangential_trace_stack(rc, p + 1) @ np.asarray(w_slots, dtype=float)
+    stack = ps.tangential_trace_stack(rc, p + 1) @ Q.basis.T
+    data = ps.tangential_trace_stack(rc, p + 1) @ np.asarray(w_slots, dtype=float)
     w_E = Q.basis.T @ (np.linalg.pinv(stack, rcond=1e-10) @ data)
     if Qb.dim == 0:
         energy = float(np.linalg.norm(_curl_rows_of(Q, w_E)))
@@ -196,8 +180,8 @@ def discrete_lifting_div(p, w_slots):
     V = ps.build_space(rc, "hdiv", p)
     Vb = ps.build_space(rc, "hdiv_bubble", p)
     Qperp = ps.build_space(rc, "hcurl_bubble_orth", p)
-    stack = _normal_trace_stack(rc, p + 1, p) @ V.basis.T
-    data = _normal_trace_stack(rc, p + 1, p) @ np.asarray(w_slots, dtype=float)
+    stack = ps.normal_trace_stack(rc, p + 1, p) @ V.basis.T
+    data = ps.normal_trace_stack(rc, p + 1, p) @ np.asarray(w_slots, dtype=float)
     w_E = V.basis.T @ (np.linalg.pinv(stack, rcond=1e-10) @ data)
     if Vb.dim == 0:
         energy = float(np.linalg.norm(_div_rows_of(V, w_E)))
@@ -247,8 +231,8 @@ def x_minus_half_norm(p, w_slots, lift_degree=None):
     Qb = ps.build_space(rc, "hcurl_bubble", pl)
     w_pad = ps.pad_slots(np.asarray(w_slots, dtype=float), rc.cell, 3, p + 1,
                          pl + 1)
-    stack = _tangential_trace_stack(rc, pl + 1) @ Q.basis.T
-    data = _tangential_trace_stack(rc, pl + 1) @ w_pad
+    stack = ps.tangential_trace_stack(rc, pl + 1) @ Q.basis.T
+    data = ps.tangential_trace_stack(rc, pl + 1) @ w_pad
     w_E = Q.basis.T @ (np.linalg.pinv(stack, rcond=1e-10) @ data)
 
     def energy_sq(slots):

@@ -113,8 +113,7 @@ def fields_for(operator, suite_name):
 
 def _error_l2_parts(plan, field, slots):
     """L2 norms of (e, De) for the operator's graph norm, by quadrature."""
-    d = plan._d
-    cell = d["cell"]
+    cell = plan.target.cell
     op = plan.operator
     target = plan.target
     if op == "grad1d":

@@ -57,6 +57,19 @@ def test_zero_input_gives_zero_output():
         assert np.abs(slots).max() == 0.0
 
 
+def _stage(plan, name):
+    return next(st for st in plan.stages if st.name == name)
+
+
+def _assert_l2_stage(stage):
+    # no trace data, identity bubbles and conditions: x = M s is the plain
+    # weighted L2 projection of the sampled trace component
+    n = stage.bubbles.shape[1]
+    assert stage.trace.shape == (0, n)
+    assert np.array_equal(stage.bubbles, np.eye(n))
+    assert np.array_equal(stage.conditions, np.eye(n))
+
+
 def test_curl_edge_stage_is_l2_projection(rng):
     # the edge moments (mean + derivative moments) reproduce the plain
     # tangential L2 projection
@@ -67,11 +80,18 @@ def test_curl_edge_stage_is_l2_projection(rng):
     slots = plan.apply(f)
     Q = plan.target
     for k, edge in enumerate(rc.edges):
-        s, w = plan._d["edge_rules"][k]
-        pts = edge.embed(s)
+        st = _stage(plan, f"edge{k}")
+        _assert_l2_stage(st)
+        (region, M), = st.rhs
+        pts = plan.sample_points[region]
+        s = (pts - edge.midpoint) @ edge.tangent
+        Vs = edge.cell.tabulate(p, s[:, None])
+        w = (M.reshape(len(M), len(s), 3) @ edge.tangent)[0] / Vs[0]
+        assert np.allclose(M, np.einsum("mq,c->mqc", Vs * w, edge.tangent)
+                           .reshape(M.shape), rtol=0, atol=1e-14)
+        # the rule keeps the modes orthonormal: M s is the L2 projection
+        assert np.allclose((Vs * w) @ Vs.T, np.eye(len(Vs)), rtol=0, atol=1e-12)
         data = np.asarray(f(pts)) @ edge.tangent
-        ecell = edge.cell
-        Vs = ecell.tabulate(p, s[:, None])
         proj = (Vs * w) @ data
         own = (Vs * w) @ (Q.evaluate(slots, pts) @ edge.tangent)
         assert np.abs(proj - own).max() < 1e-11 * max(1, np.abs(proj).max())
@@ -85,12 +105,18 @@ def test_div_face_stage_is_l2_projection():
     slots = plan.apply(f)
     V = plan.target
     for k, face in enumerate(rc.faces):
-        q2 = plan._d["face_rules"][k]
-        amb = face.embed(q2.points)
+        st = _stage(plan, f"face{k}")
+        _assert_l2_stage(st)
+        (region, M), = st.rhs
+        amb = plan.sample_points[region]
+        V2 = face.cell.tabulate(p, face.project(amb))
+        w = (M.reshape(len(M), len(amb), 3) @ face.normal)[0] / V2[0]
+        assert np.allclose(M, np.einsum("mq,c->mqc", V2 * w, face.normal)
+                           .reshape(M.shape), rtol=0, atol=1e-14)
+        assert np.allclose((V2 * w) @ V2.T, np.eye(len(V2)), rtol=0, atol=1e-12)
         data = np.asarray(f(amb)) @ face.normal
-        V2 = face.cell.tabulate(p, q2.points)
-        proj = (V2 * q2.weights) @ data
-        own = (V2 * q2.weights) @ (V.evaluate(slots, amb) @ face.normal)
+        proj = (V2 * w) @ data
+        own = (V2 * w) @ (V.evaluate(slots, amb) @ face.normal)
         assert np.abs(proj - own).max() < 1e-11 * max(1, np.abs(proj).max())
 
 
@@ -200,16 +226,9 @@ def test_lift_invariance_grad2d(rng):
     plan = pj.ProjectorPlan("grad2d", p)
     f = fl.suite("entire", 2)[0]
     base = plan.apply(f)
-    st = plan._d["interior"]
-    bub = st["bubbles"]
-    pert = bub.T @ rng.standard_normal((bub.shape[0], st["lift"].shape[1]))
-    st = dict(st)
-    st["lift"] = st["lift"] + pert
-    cell = plan._d["cell"]
-    deg = plan.target.degree
-    D = [ps.deriv_matrix(cell, deg, i) for i in range(2)]
-    st["couple"] = sum((bub @ D[i].T) @ (st["lift"].T @ D[i].T).T for i in range(2))
-    plan._d["interior"] = st
+    st = plan.stages[-1]
+    bub = st.bubbles
+    st.lift = st.lift + bub.T @ rng.standard_normal((len(bub), st.lift.shape[1]))
     shifted = plan.apply(f)
     assert np.abs(base - shifted).max() < 1e-10
 
@@ -274,6 +293,68 @@ def test_condition_residual_check(rng):
     f = [g for g in fl.suite("entire", 3) if g.value_dim == 3][0]
     slots = plan.apply(f, check_tol=1e-9)
     assert np.all(np.isfinite(slots))
+
+
+@pytest.mark.parametrize("operator", ["curl3d", "div3d"])
+def test_condition_residual_rechecks_interior_energy_block(operator, rng):
+    # a bubble direction that the gauge block cannot see (orthogonal to the
+    # gradients, or to the curls) must still move the residual
+    p = 4
+    rc = make_reference_cell(3)
+    plan = pj.build_plan(operator, p)
+    f = [g for g in fl.suite("entire", 3) if g.value_dim == 3][0]
+    samples = {k: np.asarray(f(pts)).reshape(-1, 1)
+               for k, pts in plan.sample_points.items()}
+    slots = plan.apply(f)
+    if operator == "curl3d":
+        unseen = ps.build_space(rc, "hcurl_bubble_orth", p)
+    else:
+        curls = ps.span_from_rows(
+            ca.diff_rows("curl3d", ps.build_space(rc, "hcurl_bubble", p)))
+        unseen = ps.subspace_from_constraints(
+            ps.build_space(rc, "hdiv_bubble", p), curls)
+    e = unseen.random_elements(1, rng)[0]
+    perturbed = slots + 1e-3 * np.linalg.norm(slots) * e
+    assert plan.condition_residual(samples, slots) <= 1e-9
+    assert plan.condition_residual(samples, perturbed) > 1e-6
+
+
+def _extension(plan, name, x):
+    """Target slots of the zero-data solve in which stage `name` returns x.
+
+    Every other stage's equations hold for the result, so only stage
+    `name`'s conditions can see it.
+    """
+    outs = {}
+    for st in plan.stages:
+        y = st.lift @ np.concatenate(
+            [np.zeros(0)] + [P @ outs[n] for n, P in st.parents])
+        if st.name == name:
+            y = x
+        elif len(st.bubbles):
+            y = y - st.bubbles.T @ np.linalg.solve(
+                st.conditions @ st.bubbles.T, st.conditions @ y)
+        outs[st.name] = st.out @ y
+    return outs[plan.stages[-1].name]
+
+
+@pytest.mark.parametrize("operator", pj.OPERATORS)
+def test_condition_residual_rechecks_every_stage(operator, rng):
+    p = 3
+    plan = pj.build_plan(operator, p)
+    f = fl.suite("entire", plan.target.cell.dim)[0]
+    if plan.target.value_dim > 1:
+        f = fl.grad_field(f)
+    samples = {k: np.asarray(f(pts)).reshape(-1, 1)
+               for k, pts in plan.sample_points.items()}
+    slots = plan.apply(f)
+    assert plan.condition_residual(samples, slots) <= 1e-9
+    for st in plan.stages:
+        if len(st.bubbles):
+            x = st.bubbles.T @ rng.standard_normal(len(st.bubbles))
+            e = _extension(plan, st.name, x)
+            perturbed = slots + 1e-3 * np.linalg.norm(slots) * e / np.linalg.norm(e)
+            assert plan.condition_residual(samples, perturbed) > 1e-6, st.name
 
 
 def test_nonfinite_samples_rejected():

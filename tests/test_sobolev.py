@@ -125,6 +125,22 @@ def test_two_block_curl_projector_kills_curl_of_gradients(rc3):
     assert np.linalg.norm((slots @ Q.basis.T) @ cmat.matrix) < 1e-11
 
 
+def test_h1curl_solver_cache_keyed_by_content(rc3, monkeypatch):
+    # two unnamed spaces of one dimension must not share a cached factor
+    rng = np.random.default_rng(3)
+    A, B = (
+        ps.PolySpace(rc3.cell, 3, 3, ps.span_from_rows(rng.standard_normal((45, 60))))
+        for _ in range(2)
+    )
+    f = [g for g in fl.suite("entire", 3) if g.value_dim == 3][0]
+    monkeypatch.setattr(sb, "_solver_cache", {})
+    sb.best_approx(A, f, "H1curl")
+    _, after_a = sb.best_approx(B, f, "H1curl")
+    monkeypatch.setattr(sb, "_solver_cache", {})
+    _, fresh = sb.best_approx(B, f, "H1curl")
+    assert after_a == pytest.approx(fresh, rel=1e-9)
+
+
 def test_weaker_norm_error_smaller(rc3):
     f = fl.suite("entire", 3)[0]
     W = ps.build_space(rc3, "h1", 3)
