@@ -119,6 +119,14 @@ def diff_rows(name, space):
     return fn(space)
 
 
+def diff_slots(name, space, slots):
+    """Operator image of the elements `slots` (one or more rows) of `space`."""
+    holder = ps.PolySpace(space.cell, space.value_dim, space.degree,
+                          np.atleast_2d(slots))
+    rows = diff_rows(name, holder)
+    return rows[0] if np.asarray(slots).ndim == 1 else rows
+
+
 # ---------------------------------------------------------------------------
 # trace operators
 
@@ -165,7 +173,7 @@ def _trace_rows(name, source, sub, refcell):
 def trace_op(name, source, sub, target, refcell=None):
     """Trace operator expanded in a target space living on the trace cell."""
     rows, tcell, vd = _trace_rows(name, source, sub, refcell)
-    if target.cell is not tcell and target.cell.key != tcell.key:
+    if not np.array_equal(target.cell.vertices, tcell.vertices):  # by content
         raise ValueError("target space does not live on the trace cell")
     coords, resid = _expand_in(target, rows, tcell, vd, source.degree)
     if resid > 1e-11:
@@ -204,11 +212,6 @@ def subspace_distance(rows_a, basis_b):
     den = np.linalg.norm(rows_a, axis=1)
     den[den == 0] = 1.0
     return float((num / den).max())
-
-
-def _range_and_kernel(rows, source_dim):
-    basis = ps.span_from_rows(rows)
-    return basis, basis.shape[0], source_dim - basis.shape[0]
 
 
 def check_exact_sequence(p, refcell3, refcell2, refcell1):

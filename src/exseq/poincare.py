@@ -19,7 +19,9 @@ from itertools import product
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
+from . import cache
 from . import polyspace as ps
+from .calculus import diff_slots as _apply_rows  # the name the tests call
 from .refsimplex import quadrature
 
 KINDS = ("grad3d", "curl3d", "div3d", "grad2d", "curl2d")
@@ -54,7 +56,6 @@ class RegularizedInverse:
         self.m = m
         self.center = self.cell.centroid
         self.radius = radius_factor * self.cell.inradius
-        self._matrices = {}
 
     @property
     def in_vdim(self):
@@ -74,11 +75,9 @@ class RegularizedInverse:
     def matrix(self, degree):
         """Slot matrix (vd_in*nm_deg) -> (vd_out*nm_{deg+1}); rows act as
         out_slots = in_slots @ matrix."""
-        if degree not in self._matrices:
-            self._matrices[degree] = _build_matrix(
-                self.cell, self.kind, degree, self.m, self.center, self.radius
-            )
-        return self._matrices[degree]
+        return _build_matrix(
+            self.cell, self.kind, degree, self.m, self.center, self.radius
+        )
 
     def apply_slots(self, degree, slots):
         return np.asarray(slots) @ self.matrix(degree)
@@ -119,26 +118,21 @@ def _bump_moment_scaled(dim, m, alpha, radius):
     return float(val / den) * radius ** (2 * total)
 
 
-_contract_cache = {}
-
-
+@cache.memo
 def _contractions(cell, degree, center):
     """Gauss nodes t_j on [0,1] and modal matrices of P -> P(t x + (1-t)c)."""
-    key = (cell.key, degree)
-    if key not in _contract_cache:
-        n = degree + 2
-        xt, wt = leggauss(n)
-        t_nodes = 0.5 * (xt + 1.0)
-        t_weights = 0.5 * wt
-        q = quadrature(cell, 2 * degree)
-        V = cell.tabulate(degree, q.points)
-        mats = []
-        for t in t_nodes:
-            pts = t * q.points + (1.0 - t) * center[None, :]
-            Vt = cell.tabulate(degree, pts)
-            mats.append((V * q.weights) @ Vt.T)  # C[k, j] = <phi_j(contract), phi_k>
-        _contract_cache[key] = (t_nodes, t_weights, mats)
-    return _contract_cache[key]
+    n = degree + 2
+    xt, wt = leggauss(n)
+    t_nodes = 0.5 * (xt + 1.0)
+    t_weights = 0.5 * wt
+    q = quadrature(cell, 2 * degree)
+    V = cell.tabulate(degree, q.points)
+    mats = []
+    for t in t_nodes:
+        pts = t * q.points + (1.0 - t) * center[None, :]
+        Vt = cell.tabulate(degree, pts)
+        mats.append((V * q.weights) @ Vt.T)  # C[k, j] = <phi_j(contract), phi_k>
+    return t_nodes, t_weights, mats
 
 
 def _alpha_derivative(cell, degree, alpha):
@@ -150,6 +144,7 @@ def _alpha_derivative(cell, degree, alpha):
     return mat
 
 
+@cache.memo
 def _build_matrix(cell, kind, degree, m, center, radius):
     from math import factorial
 
@@ -231,14 +226,9 @@ def _build_matrix(cell, kind, degree, m, center, radius):
 # Helmholtz-type splittings
 
 
+@cache.memo
 def regularized_inverse(refcell, kind, m=6, radius_factor=0.9):
-    key = (refcell.dim, kind, m, radius_factor)
-    if key not in _inverse_cache:
-        _inverse_cache[key] = RegularizedInverse(refcell, kind, m, radius_factor)
-    return _inverse_cache[key]
-
-
-_inverse_cache = {}
+    return RegularizedInverse(refcell, kind, m, radius_factor)
 
 
 def helmholtz_curl(refcell, space, slots, tol=1e-9):
@@ -290,13 +280,3 @@ def helmholtz_div(refcell, space, slots, tol=1e-9):
     if resid > tol:
         raise ArithmeticError(f"splitting reconstruction residual {resid:.2e} > {tol}")
     return psi_space, psi, z_space, z, resid
-
-
-def _apply_rows(name, space, slots):
-    from .calculus import _DIFF_TABLE
-
-    fn, _ = _DIFF_TABLE[name]
-    holder = ps.PolySpace(space.cell, space.value_dim, space.degree,
-                          np.atleast_2d(slots))
-    rows = fn(holder)
-    return rows[0] if np.asarray(slots).ndim == 1 else rows

@@ -13,7 +13,7 @@ and face (Raviart-Thomas) spaces and the L2 slot are of degree p.
 import numpy as np
 
 from . import cache
-from .refsimplex import quadrature
+from .refsimplex import Cell, Edge, ReferenceCell, quadrature
 
 SVD_CUTOFF = 1e-10
 
@@ -71,9 +71,6 @@ class PolySpace:
             return comp[..., 0, :]
         return np.moveaxis(comp, -2, -1)
 
-    def evaluate_basis(self, pts):
-        return self.evaluate(self.basis, pts)
-
     def random_elements(self, n, rng, unit=True):
         c = rng.standard_normal((n, self.dim))
         if unit:
@@ -126,32 +123,28 @@ def null_space_of(constraints, n_cols=None, cutoff=SVD_CUTOFF):
 # ---------------------------------------------------------------------------
 # modal operator matrices
 
-_op_registry = {}
-
-
 def deriv_matrix(cell, degree, direction):
     """Apply-matrix of d/dx_i on modal coefficients (degree -> degree)."""
-    key = (cell.key, "D", degree, direction)
-    if key not in _op_registry:
-        q = quadrature(cell, 2 * degree)
-        V = cell.tabulate(degree, q.points)
-        G = cell.tabulate_grad(degree, q.points)
-        Vw = V * q.weights
-        for i in range(cell.dim):
-            Gi = np.ascontiguousarray(G[:, :, i])
-            _op_registry[(cell.key, "D", degree, i)] = Vw @ Gi.T
-    return _op_registry[key]
+    return _deriv_matrices(cell, degree)[direction]
 
 
+@cache.memo
+def _deriv_matrices(cell, degree):
+    # one gradient tabulation yields every direction
+    q = quadrature(cell, 2 * degree)
+    V = cell.tabulate(degree, q.points)
+    G = cell.tabulate_grad(degree, q.points)
+    Vw = V * q.weights
+    return tuple(Vw @ np.ascontiguousarray(G[:, :, i]).T for i in range(cell.dim))
+
+
+@cache.memo
 def coord_matrix(cell, degree, direction):
     """Apply-matrix of multiplication by x_i (degree -> degree+1)."""
-    key = (cell.key, "X", degree, direction)
-    if key not in _op_registry:
-        q = quadrature(cell, 2 * degree + 2)
-        V1 = cell.tabulate(degree, q.points)
-        V2 = cell.tabulate(degree + 1, q.points)
-        _op_registry[key] = (V2 * (q.weights * q.points[:, direction])) @ V1.T
-    return _op_registry[key]
+    q = quadrature(cell, 2 * degree + 2)
+    V1 = cell.tabulate(degree, q.points)
+    V2 = cell.tabulate(degree + 1, q.points)
+    return (V2 * (q.weights * q.points[:, direction])) @ V1.T
 
 
 def mean_row(cell, value_dim, degree):
@@ -167,19 +160,17 @@ def mean_row(cell, value_dim, degree):
 # trace matrices (into planar/interval trace cells)
 
 
+@cache.memo
 def scalar_trace_matrix(cell, degree, sub):
     """Restriction of scalar modal coefficients to a Face or Edge sub-simplex.
 
     Returns (T, trace_cell): trace coefficients (same degree) are T @ coeffs.
     """
-    key = (cell.key, "trace", degree, sub.cell.key)
-    if key not in _op_registry:
-        q = quadrature(sub.cell, 2 * degree)
-        amb = sub.embed(q.points)
-        V3 = cell.tabulate(degree, amb)
-        V2 = sub.cell.tabulate(degree, q.points)
-        _op_registry[key] = (V2 * q.weights) @ V3.T
-    return _op_registry[key], sub.cell
+    q = quadrature(sub.cell, 2 * degree)
+    amb = sub.embed(q.points)
+    V3 = cell.tabulate(degree, amb)
+    V2 = sub.cell.tabulate(degree, q.points)
+    return (V2 * q.weights) @ V3.T, sub.cell
 
 
 def tangential_trace_matrix(refcell, degree, face):
@@ -237,49 +228,43 @@ def edge_tangential_trace_matrix(cell, degree, edge, value_dim):
     return out, ecell
 
 
+@cache.memo
 def triangle_edges(cell):
     """Oriented edge data for any 2D triangle cell.
 
     Returns a tuple of (Edge, ccw_sign); tangents run from the lower to the
     higher vertex index, ccw_sign relates that to counterclockwise traversal.
     """
-    from .refsimplex import Edge
-
-    key = (cell.key, "edges")
-    if key not in _op_registry:
-        v = cell.vertices
-        d1, d2 = v[1] - v[0], v[2] - v[0]
-        det = d1[0] * d2[1] - d1[1] * d2[0]
-        ccw = (0, 1), (1, 2), (2, 0)
-        if det < 0:
-            ccw = (0, 2), (2, 1), (1, 0)
-        edges = []
-        for k, (a, b) in enumerate(ccw):
-            lo, hi = min(a, b), max(a, b)
-            sign = 1 if (a, b) == (lo, hi) else -1
-            va, vb = v[lo], v[hi]
-            length = float(np.linalg.norm(vb - va))
-            from .refsimplex import Cell
-
-            ecell = Cell(
-                np.array([[-0.5 * length], [0.5 * length]]),
-                f"{cell.key}.edge{lo}{hi}",
+    v = cell.vertices
+    d1, d2 = v[1] - v[0], v[2] - v[0]
+    det = d1[0] * d2[1] - d1[1] * d2[0]
+    ccw = (0, 1), (1, 2), (2, 0)
+    if det < 0:
+        ccw = (0, 2), (2, 1), (1, 0)
+    edges = []
+    for k, (a, b) in enumerate(ccw):
+        lo, hi = min(a, b), max(a, b)
+        sign = 1 if (a, b) == (lo, hi) else -1
+        va, vb = v[lo], v[hi]
+        length = float(np.linalg.norm(vb - va))
+        ecell = Cell(
+            np.array([[-0.5 * length], [0.5 * length]]),
+            f"{cell.key}.edge{lo}{hi}",
+        )
+        edges.append(
+            (
+                Edge(
+                    index=k,
+                    vertex_ids=(lo, hi),
+                    tangent=(vb - va) / length,
+                    length=length,
+                    midpoint=0.5 * (va + vb),
+                    cell=ecell,
+                ),
+                sign,
             )
-            edges.append(
-                (
-                    Edge(
-                        index=k,
-                        vertex_ids=(lo, hi),
-                        tangent=(vb - va) / length,
-                        length=length,
-                        midpoint=0.5 * (va + vb),
-                        cell=ecell,
-                    ),
-                    sign,
-                )
-            )
-        _op_registry[key] = tuple(edges)
-    return _op_registry[key]
+        )
+    return tuple(edges)
 
 
 # ---------------------------------------------------------------------------
@@ -446,42 +431,36 @@ def grad_orthogonal_subspace(space, scalar, name=""):
 # public dispatcher with caching
 
 
-def build_space(cell_or_refcell, kind, p, refcell=None):
+@cache.memo
+def build_space(cell, kind, p):
     """Build one of the complex's spaces at complex degree p.
 
-    kind: one of KINDS. The H1 family ("h1*") has polynomial degree p+1;
-    all others have degree p. On 2D cells the face family degenerates to the
-    scalar L2 slot, per the trace-space identifications.
+    `cell` is a Cell or a ReferenceCell (3D bubble kinds need its faces); both
+    spellings share one memo entry. kind: one of KINDS. The H1 family ("h1*")
+    has polynomial degree p+1; all others have degree p. On 2D cells the face
+    family degenerates to the scalar L2 slot, per the trace-space
+    identifications. With EXSEQ_CACHE_DIR set the basis persists on disk; an
+    entry that is not orthonormal rows of the slot width is recomputed.
     """
-    from .refsimplex import ReferenceCell
-
-    if isinstance(cell_or_refcell, ReferenceCell):
-        refcell = cell_or_refcell
+    source = cell
+    refcell = cell if isinstance(cell, ReferenceCell) else None
+    if refcell is not None:
         cell = refcell.cell
-    else:
-        cell = cell_or_refcell
     if kind not in KINDS:
         raise ValueError(f"unsupported kind {kind!r}")
     if p < 0:
         raise ValueError(f"complex degree must be >= 0, got {p}")
-    key = (cell.key, kind, p)
-    if key in _space_cache:
-        return _space_cache[key]
-
-    ckey = f"space-{cell.key}-{kind}-{p}"
-    stored = cache.get(ckey)
-    if stored is not None:
-        sp = PolySpace(
-            cell,
-            int(stored["value_dim"]),
-            int(stored["degree"]),
-            stored["basis"],
-            name=f"{kind}[p={p}]",
-        )
-        _space_cache[key] = sp
-        return sp
 
     name = f"{kind}[p={p}]"
+    label = f"space-{kind}-{p}"
+    stored = cache.load(label, cell)
+    if stored is not None:
+        vd, deg, B = int(stored["value_dim"]), int(stored["degree"]), stored["basis"]
+        if B.ndim == 2 and B.shape[1] == slot_count(cell, vd, deg) and np.allclose(
+            B @ B.T, np.eye(len(B)), rtol=0.0, atol=1e-10
+        ):
+            return PolySpace(cell, vd, deg, B, name=name)
+
     if kind == "h1":
         sp = scalar_space(cell, p + 1, name=name)
     elif kind == "l2":
@@ -491,48 +470,37 @@ def build_space(cell_or_refcell, kind, p, refcell=None):
     elif kind == "hdiv":
         sp = raviart_thomas_space(cell, p, name=name)
     elif kind == "h1_bubble":
-        sp = bubble_space(build_space(cell, "h1", p, refcell), refcell, name=name)
+        sp = bubble_space(build_space(source, "h1", p), refcell, name=name)
     elif kind == "hcurl_bubble":
-        base = build_space(cell, "hcurl", p, refcell)
+        base = build_space(source, "hcurl", p)
         if cell.dim == 1:
             sp = zero_mean_space(base, name=name)
         else:
             sp = bubble_space(base, refcell, name=name)
     elif kind == "hdiv_bubble":
-        base = build_space(cell, "hdiv", p, refcell)
+        base = build_space(source, "hdiv", p)
         if cell.dim == 3:
             sp = normal_bubble_space(base, refcell, name=name)
         else:
             sp = zero_mean_space(base, name=name)
     elif kind == "h1_zero_mean":
-        sp = zero_mean_space(build_space(cell, "h1", p, refcell), name=name)
+        sp = zero_mean_space(build_space(source, "h1", p), name=name)
     elif kind == "l2_zero_mean":
-        sp = zero_mean_space(build_space(cell, "l2", p, refcell), name=name)
+        sp = zero_mean_space(build_space(source, "l2", p), name=name)
     elif kind == "hcurl_orth":
         sp = grad_orthogonal_subspace(
-            build_space(cell, "hcurl", p, refcell),
-            build_space(cell, "h1", p, refcell),
+            build_space(source, "hcurl", p),
+            build_space(source, "h1", p),
             name=name,
         )
     elif kind == "hcurl_bubble_orth":
         sp = grad_orthogonal_subspace(
-            build_space(cell, "hcurl_bubble", p, refcell),
-            build_space(cell, "h1_bubble", p, refcell),
+            build_space(source, "hcurl_bubble", p),
+            build_space(source, "h1_bubble", p),
             name=name,
         )
-    _space_cache[key] = sp
-    cache.put(
-        ckey,
-        {
-            "basis": sp.basis,
-            "value_dim": np.array(sp.value_dim),
-            "degree": np.array(sp.degree),
-        },
-    )
+    cache.save(label, cell, basis=sp.basis, value_dim=sp.value_dim, degree=sp.degree)
     return sp
-
-
-_space_cache = {}
 
 
 def h1_dimension(p, dim=3):

@@ -41,8 +41,9 @@ import numpy as np
 import scipy.linalg
 from numpy.polynomial.legendre import leggauss
 
+from . import cache
 from . import polyspace as ps
-from .calculus import diff_rows
+from .calculus import diff_rows, diff_slots
 from .refsimplex import make_reference_cell, quadrature
 
 OPERATORS = (
@@ -574,14 +575,9 @@ class ProjectorPlan:
         return float(np.abs(lhs - rhs).max() / scale)
 
 
-_plan_cache = {}
-
-
+@cache.memo
 def build_plan(operator, p):
-    key = (operator, p)
-    if key not in _plan_cache:
-        _plan_cache[key] = ProjectorPlan(operator, p)
-    return _plan_cache[key]
+    return ProjectorPlan(operator, p)
 
 
 def apply_1d(p, field):
@@ -623,8 +619,7 @@ def check_commuting(p, fields_by_op):
             plan, nxt = build_plan(operator, p), build_plan(next_op, p)
             a_slots = plan.apply(f)
             t = plan.target
-            holder = ps.PolySpace(t.cell, t.value_dim, t.degree, a_slots[None])
-            a = diff_rows(deriv, holder)[0]
+            a = diff_slots(deriv, t, a_slots)
             b = ps.pad_slots(nxt.apply(chained(f)), t.cell,
                              nxt.target.value_dim, nxt.target.degree, t.degree)
             residual = float(np.linalg.norm(a - b))

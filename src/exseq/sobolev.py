@@ -8,12 +8,12 @@ computable surrogates; equivalence constants are never asserted, only
 measured by the studies.
 """
 
-import hashlib
-
 import numpy as np
 import scipy.linalg
 
+from . import cache
 from . import polyspace as ps
+from .calculus import diff_rows, diff_slots
 from .refsimplex import quadrature
 
 
@@ -69,8 +69,8 @@ class SobolevGram:
             y = self.U1.T @ c
             return float(np.sum(self.lam1**s * y**2))
         _, mu, V = self._second_data()
-        # V is A1-orthonormal: A1 = V^{-T} V^{-1}, H_s = V^{-T} mu^{s-1} V^{-1}
-        y = np.linalg.solve(V, c)
+        # V is A1-orthonormal: V^{-1} = V^T A1, H_s = V^{-T} mu^{s-1} V^{-1}
+        y = V.T @ (self.A1 @ c)
         return float(np.sum(mu ** (s - 1.0) * y**2))
 
     def dual_quadform(self, b, s):
@@ -86,14 +86,9 @@ class SobolevGram:
         return float(np.sum(mu ** (1.0 - s) * y**2))
 
 
-_gram_cache = {}
-
-
+@cache.memo
 def gram(cell, degree):
-    key = (cell.key, degree)
-    if key not in _gram_cache:
-        _gram_cache[key] = SobolevGram(cell, degree)
-    return _gram_cache[key]
+    return SobolevGram(cell, degree)
 
 
 def fractional_norm(g, coeffs, s):
@@ -237,8 +232,6 @@ def error_in_norm(space, field, slots, quad, norm):
     if norm in ("Hcurl", "Hdiv", "H1curl"):
         base_order = 1 if norm == "H1curl" else 0
         total = jet_err_sq(_derivative_multiindices(dim, base_order))
-        from .calculus import diff_rows
-
         if norm in ("Hcurl", "H1curl"):
             dname = "curl3d" if dim == 3 else "curl2d_vector"
             out_vd = 3 if dim == 3 else 1
@@ -251,9 +244,7 @@ def error_in_norm(space, field, slots, quad, norm):
                 field.jet(quad.points, _unit(dim, i))[:, i] for i in range(dim)
             )
             dfield = None
-        holder = ps.PolySpace(cell, space.value_dim, space.degree,
-                              np.atleast_2d(slots))
-        drows = diff_rows(dname, holder)[0]
+        drows = diff_slots(dname, space, slots)
         dspace = ps.PolySpace(cell, out_vd, space.degree, drows[None, :])
         pv = _diff_values(dspace, drows, quad, (0,) * dim)
         du = np.asarray(du, dtype=float)
@@ -355,14 +346,10 @@ def _unit(dim, i):
 
 
 def calculus_grad_rows(space):
-    from .calculus import diff_rows
-
     return diff_rows("grad", space)
 
 
 def _two_block_projector(space, field, q, norm):
-    from .calculus import diff_rows
-
     cell = space.cell
     if norm == "Hcurl":
         dname = "curl3d" if cell.dim == 3 else "curl2d_vector"
@@ -420,21 +407,8 @@ def _field_curl(field, pts, dim):
     return jx[:, 1] - jy[:, 0]
 
 
-_solver_cache = {}
-
-
-def _space_key(space):
-    """Content key of a space: its cell, degree and basis bytes, not its name."""
-    digest = hashlib.blake2b(space.basis, digest_size=16).hexdigest()
-    return (space.cell.key, space.value_dim, space.degree, space.basis.shape, digest)
-
-
+@cache.memo
 def _h1curl_matrices(space):
-    key = (_space_key(space), "H1curl")
-    if key in _solver_cache:
-        return _solver_cache[key]
-    from .calculus import diff_rows
-
     cell = space.cell
     g = gram(cell, space.degree)
     comps = space.components(space.basis)
@@ -443,9 +417,7 @@ def _h1curl_matrices(space):
     vd_curl = 3 if cell.dim == 3 else 1
     dcomp = d_rows.reshape(space.dim, vd_curl, space.n_modes)
     A = A + sum(dcomp[:, c] @ g.A1 @ dcomp[:, c].T for c in range(vd_curl))
-    out = (scipy.linalg.cho_factor(A), dcomp, vd_curl)
-    _solver_cache[key] = out
-    return out
+    return scipy.linalg.cho_factor(A), dcomp, vd_curl
 
 
 def _h1curl_minimizer(space, field, q):
@@ -507,13 +479,9 @@ def _field_curl_jet(field, pts, dim):
     return out
 
 
+@cache.memo
 def _fractional_matrices(space, norm, s, P):
     """Field-independent structures of the rich-space fractional minimizer."""
-    key = (_space_key(space), norm, s, P)
-    if key in _solver_cache:
-        return _solver_cache[key]
-    from .calculus import diff_rows
-
     cell = space.cell
     g = gram(cell, P)
     nm_rich = cell.n_modes(P)
@@ -539,9 +507,7 @@ def _fractional_matrices(space, norm, s, P):
             [_apply_hs(g, dc[:, c], s) for c in range(out_vd)], axis=1
         )
         A = A + sum(Hs_d[:, c] @ dc[:, c].T for c in range(out_vd))
-    out = (scipy.linalg.cho_factor(A), Bc, Hs_B, dc, Hs_d, out_vd)
-    _solver_cache[key] = out
-    return out
+    return scipy.linalg.cho_factor(A), Bc, Hs_B, dc, Hs_d, out_vd
 
 
 def _fractional_best_approx(space, field, norm, s, rich_degree, q):
@@ -593,6 +559,6 @@ def _apply_hs(g, X, s):
         Y = X @ g.U1
         return (Y * g.lam1**s) @ g.U1.T
     _, mu, V = g._second_data()
-    Vi = np.linalg.inv(V)
+    Vi = V.T @ g.A1  # V is A1-orthonormal, so V^{-1} = V^T A1
     Y = X @ Vi.T
     return (Y * mu ** (s - 1.0)) @ Vi

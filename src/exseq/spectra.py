@@ -13,7 +13,7 @@ import numpy as np
 import scipy.linalg
 
 from . import polyspace as ps
-from .calculus import diff_rows
+from .calculus import diff_rows, diff_slots
 from .refsimplex import make_reference_cell
 
 FRIEDRICHS_CASES = (
@@ -85,15 +85,12 @@ def friedrichs_constant(case, p):
     sub = constrained_subspace(case, p)
     if sub.dim == 0:
         return 0.0, np.inf, 0
-    holder = ps.PolySpace(
-        sub.parent.cell, sub.parent.value_dim, sub.parent.degree, sub.basis
-    )
     if case.startswith("curl2d"):
-        rows = diff_rows("curl2d_vector", holder)
+        rows = diff_slots("curl2d_vector", sub.parent, sub.basis)
     elif case.startswith("curl3d"):
-        rows = diff_rows("curl3d", holder)
+        rows = diff_slots("curl3d", sub.parent, sub.basis)
     else:
-        rows = diff_rows("div", holder)
+        rows = diff_slots("div", sub.parent, sub.basis)
     A = rows @ rows.T
     lam = scipy.linalg.eigvalsh(A)
     lam_min = float(lam[0])
@@ -126,95 +123,61 @@ def discrete_lifting_curl(p, w_slots):
     multiplier vanishes.
     """
     rc = make_reference_cell(3)
-    Q = ps.build_space(rc, "hcurl", p)
     Qb = ps.build_space(rc, "hcurl_bubble", p)
     Wb = ps.build_space(rc, "h1_bubble", p)
-    stack = ps.tangential_trace_stack(rc, p + 1) @ Q.basis.T
-    data = ps.tangential_trace_stack(rc, p + 1) @ np.asarray(w_slots, dtype=float)
-    w_E = Q.basis.T @ (np.linalg.pinv(stack, rcond=1e-10) @ data)
-    if Qb.dim == 0:
-        energy = float(np.linalg.norm(_curl_rows_of(Q, w_E)))
-        return LiftingResult(
-            Q, w_E, 0.0,
-            float(np.abs(stack @ (Q.basis @ w_E) - data).max()),
-            0.0, np.inf, energy,
-        )
-    curl_b = diff_rows("curl3d", Qb)
-    A = curl_b @ curl_b.T
     grads = diff_rows("grad", Wb) if Wb.dim else np.zeros((0, Qb.basis.shape[1]))
-    B = grads @ Qb.basis.T
-    n, m = Qb.dim, B.shape[0]
-    K = np.zeros((n + m, n + m))
-    K[:n, :n] = A
-    K[:n, n:] = B.T
-    K[n:, :n] = B
-    curl_E = _curl_rows_of(Q, w_E)
-    rhs = np.concatenate([curl_b @ curl_E, grads @ w_E])
-    sol = np.linalg.solve(K, rhs) if n + m else np.zeros(0)
-    w0 = sol[:n] @ Qb.basis
-    mult = sol[n:]
-    out = w_E - w0
-    trace_res = float(np.abs(stack @ (Q.basis @ out) - data).max())
-    orth = float(np.abs(grads @ out).max()) if m else 0.0
-    smin = float(np.linalg.svd(K, compute_uv=False)[-1]) if n + m else np.inf
-    energy = float(np.linalg.norm(_curl_rows_of(Q, out)))
-    return LiftingResult(Q, out, float(np.linalg.norm(mult)), trace_res, orth,
-                         smin, energy)
-
-
-def _curl_rows_of(space, slots):
-    holder = ps.PolySpace(space.cell, space.value_dim, space.degree,
-                          np.atleast_2d(slots))
-    return diff_rows("curl3d", holder)[0]
-
-
-def _div_rows_of(space, slots):
-    holder = ps.PolySpace(space.cell, space.value_dim, space.degree,
-                          np.atleast_2d(slots))
-    return diff_rows("div", holder)[0]
+    return _saddle_lifting(ps.build_space(rc, "hcurl", p), Qb, grads, "curl3d",
+                           ps.tangential_trace_stack(rc, p + 1), w_slots)
 
 
 def discrete_lifting_div(p, w_slots):
     """Minimum-div-energy lifting of the facewise normal trace of w."""
     rc = make_reference_cell(3)
-    V = ps.build_space(rc, "hdiv", p)
     Vb = ps.build_space(rc, "hdiv_bubble", p)
     Qperp = ps.build_space(rc, "hcurl_bubble_orth", p)
-    stack = ps.normal_trace_stack(rc, p + 1, p) @ V.basis.T
-    data = ps.normal_trace_stack(rc, p + 1, p) @ np.asarray(w_slots, dtype=float)
-    w_E = V.basis.T @ (np.linalg.pinv(stack, rcond=1e-10) @ data)
-    if Vb.dim == 0:
-        energy = float(np.linalg.norm(_div_rows_of(V, w_E)))
-        return LiftingResult(
-            V, w_E, 0.0,
-            float(np.abs(stack @ (V.basis @ w_E) - data).max()),
-            0.0, np.inf, energy,
-        )
-    div_b = diff_rows("div", Vb)
-    A = div_b @ div_b.T
     curls = (
         ps.pad_slots(diff_rows("curl3d", Qperp), rc.cell, 3, Qperp.degree,
                      Vb.degree)
         if Qperp.dim
         else np.zeros((0, Vb.basis.shape[1]))
     )
-    B = curls @ Vb.basis.T
-    n, m = Vb.dim, B.shape[0]
+    return _saddle_lifting(ps.build_space(rc, "hdiv", p), Vb, curls, "div",
+                           ps.normal_trace_stack(rc, p + 1, p), w_slots)
+
+
+def _saddle_lifting(space, bubbles, constraints, deriv, traces, w_slots):
+    """Lifting of the trace data `traces @ w` into `space`: a minimum-coefficient
+    lift, corrected over `bubbles` to minimize ||deriv u|| subject to
+    `constraints @ u = 0` by one saddle-point solve."""
+    stack = traces @ space.basis.T
+    data = traces @ np.asarray(w_slots, dtype=float)
+    w_E = space.basis.T @ (np.linalg.pinv(stack, rcond=1e-10) @ data)
+    if bubbles.dim == 0:
+        energy = float(np.linalg.norm(diff_slots(deriv, space, w_E)))
+        return LiftingResult(
+            space, w_E, 0.0,
+            float(np.abs(stack @ (space.basis @ w_E) - data).max()),
+            0.0, np.inf, energy,
+        )
+    d_b = diff_rows(deriv, bubbles)
+    A = d_b @ d_b.T
+    B = constraints @ bubbles.basis.T
+    n, m = bubbles.dim, B.shape[0]
     K = np.zeros((n + m, n + m))
     K[:n, :n] = A
     K[:n, n:] = B.T
     K[n:, :n] = B
-    rhs = np.concatenate([div_b @ _div_rows_of(V, w_E), curls @ w_E])
+    rhs = np.concatenate([d_b @ diff_slots(deriv, space, w_E), constraints @ w_E])
     sol = np.linalg.solve(K, rhs) if n + m else np.zeros(0)
-    w0 = sol[:n] @ Vb.basis
+    w0 = sol[:n] @ bubbles.basis
     mult = sol[n:]
     out = w_E - w0
-    trace_res = float(np.abs(stack @ (V.basis @ out) - data).max())
-    orth = float(np.abs(curls @ out).max()) if m else 0.0
+    trace_res = float(np.abs(stack @ (space.basis @ out) - data).max())
+    orth = float(np.abs(constraints @ out).max()) if m else 0.0
     smin = float(np.linalg.svd(K, compute_uv=False)[-1]) if n + m else np.inf
-    energy = float(np.linalg.norm(_div_rows_of(V, out)))
-    return LiftingResult(V, out, float(np.linalg.norm(mult)), trace_res, orth,
-                         smin, energy)
+    energy = float(np.linalg.norm(diff_slots(deriv, space, out)))
+    return LiftingResult(space, out, float(np.linalg.norm(mult)), trace_res,
+                         orth, smin, energy)
 
 
 def x_minus_half_norm(p, w_slots, lift_degree=None):
@@ -236,14 +199,14 @@ def x_minus_half_norm(p, w_slots, lift_degree=None):
     w_E = Q.basis.T @ (np.linalg.pinv(stack, rcond=1e-10) @ data)
 
     def energy_sq(slots):
-        c = _curl_rows_of(Q, slots)
+        c = diff_slots("curl3d", Q, slots)
         return float(slots @ slots + c @ c)
 
     if Qb.dim == 0:
         return np.sqrt(energy_sq(w_E))
     curl_b = diff_rows("curl3d", Qb)
     A = Qb.basis @ Qb.basis.T + curl_b @ curl_b.T
-    rhs = Qb.basis @ w_E + curl_b @ _curl_rows_of(Q, w_E)
+    rhs = Qb.basis @ w_E + curl_b @ diff_slots("curl3d", Q, w_E)
     beta = np.linalg.solve(A, rhs)
     v = w_E - beta @ Qb.basis
     return np.sqrt(energy_sq(v))

@@ -107,6 +107,19 @@ def test_surf_curl_of_gradient_vanishes(rc3, rng):
         assert np.abs(out).max() < 1e-10
 
 
+def test_trace_target_cell_matched_by_content(rc2, rc3):
+    # faces 1-3 and the 2D reference cell have equal vertices, so the memo
+    # hands a face the space first built on "tri": its name must not matter
+    W = ps.build_space(rc3, "h1", 2)
+    ps.build_space(rc2.cell, "h1", 2)
+    face = rc3.faces[1]
+    target = ps.build_space(face.cell, "h1", 2)
+    assert target.cell.key != face.cell.key
+    assert ca.trace_op("restrict", W, face, target, rc3).matrix.shape[0] == W.dim
+    with pytest.raises(ValueError):
+        ca.trace_op("restrict", W, rc3.faces[0], target, rc3)
+
+
 def test_gamma_tau_is_rotated_tangential_trace(rc3, rng):
     p = 2
     Q = ps.build_space(rc3, "hcurl", p)

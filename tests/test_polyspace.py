@@ -3,7 +3,7 @@ import pytest
 
 from exseq import calculus as ca
 from exseq import polyspace as ps
-from exseq.refsimplex import quadrature
+from exseq.refsimplex import Cell, quadrature
 
 
 def test_closed_form_dimensions(rc3):
@@ -163,3 +163,27 @@ def test_random_elements_deterministic(rc3):
     a = sp.random_elements(3, np.random.default_rng(5))
     b = sp.random_elements(3, np.random.default_rng(5))
     assert np.array_equal(a, b)
+
+
+def test_cells_named_alike_get_distinct_matrices():
+    a = Cell([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], "T")
+    b = Cell([[0.0, 0.0], [2.0, 0.0], [0.0, 1.0]], "T")
+    fresh = Cell([[0.0, 0.0], [2.0, 0.0], [0.0, 1.0]], "T-fresh")
+    for op in (ps.deriv_matrix, ps.coord_matrix):
+        A, B = op(a, 3, 0), op(b, 3, 0)
+        assert not np.allclose(A, B)
+        assert np.array_equal(B, op(fresh, 3, 0))
+
+
+def test_memoised_tables_are_read_only(rc3):
+    D = ps.deriv_matrix(rc3.cell, 2, 0)
+    with pytest.raises(ValueError):
+        D[0, 0] = 1.0
+    sp = ps.build_space(rc3, "hcurl", 1)
+    with pytest.raises(ValueError):
+        sp.basis[0, 0] = 1.0
+
+
+def test_memo_rejects_arguments_without_content_key():
+    with pytest.raises(TypeError):
+        ps.deriv_matrix(object(), 1, 0)

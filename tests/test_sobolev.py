@@ -3,10 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+from exseq import cache
 from exseq import fields as fl
 from exseq import polyspace as ps
 from exseq import sobolev as sb
-from exseq.refsimplex import quadrature
+from exseq.refsimplex import make_reference_cell, quadrature
 
 
 def test_gram_spd_and_endpoints(rc3, rng):
@@ -125,7 +126,7 @@ def test_two_block_curl_projector_kills_curl_of_gradients(rc3):
     assert np.linalg.norm((slots @ Q.basis.T) @ cmat.matrix) < 1e-11
 
 
-def test_h1curl_solver_cache_keyed_by_content(rc3, monkeypatch):
+def test_h1curl_solver_cache_keyed_by_content(rc3):
     # two unnamed spaces of one dimension must not share a cached factor
     rng = np.random.default_rng(3)
     A, B = (
@@ -133,12 +134,29 @@ def test_h1curl_solver_cache_keyed_by_content(rc3, monkeypatch):
         for _ in range(2)
     )
     f = [g for g in fl.suite("entire", 3) if g.value_dim == 3][0]
-    monkeypatch.setattr(sb, "_solver_cache", {})
+    cache.clear()
     sb.best_approx(A, f, "H1curl")
     _, after_a = sb.best_approx(B, f, "H1curl")
-    monkeypatch.setattr(sb, "_solver_cache", {})
+    cache.clear()
     _, fresh = sb.best_approx(B, f, "H1curl")
     assert after_a == pytest.approx(fresh, rel=1e-9)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_order_above_one_matches_explicit_inverse(dim, rng):
+    # V from eigh(A2, A1) is A1-orthonormal, so V^T A1 stands in for inv(V)
+    g = sb.gram(make_reference_cell(dim).cell, 8)
+    _, mu, V = g._second_data()
+    Vi = np.linalg.inv(V)
+    s = 1.5
+    c = rng.standard_normal(g.n)
+    y = Vi @ c
+    assert g.fractional_quadform(c, s) == pytest.approx(
+        float(np.sum(mu ** (s - 1.0) * y**2)), rel=1e-12
+    )
+    X = rng.standard_normal((4, g.n))
+    ref = ((X @ Vi.T) * mu ** (s - 1.0)) @ Vi
+    assert np.abs(sb._apply_hs(g, X, s) - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_weaker_norm_error_smaller(rc3):

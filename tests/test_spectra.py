@@ -71,7 +71,7 @@ def test_lifting_curl_minimality(rng, rc3):
     Q = ps.build_space(rc3, "hcurl", p)
     w = Q.random_elements(1, rng)[0]
     res = spc.discrete_lifting_curl(p, w)
-    curl_w = spc._curl_rows_of(Q, w)
+    curl_w = ca.diff_slots("curl3d", Q, w)
     # the admissible field w itself is one constrained competitor only if it
     # satisfies the orthogonality; compare against the energy of w anyway
     assert res.energy <= np.linalg.norm(curl_w) + 1e-10
@@ -92,7 +92,7 @@ def test_lifting_div_mean_equals_boundary_flux(rng, rc3):
     V = ps.build_space(rc3, "hdiv", p)
     w = V.random_elements(1, rng)[0]
     res = spc.discrete_lifting_div(p, w)
-    div_rows = spc._div_rows_of(V, res.slots)
+    div_rows = ca.diff_slots("div", V, res.slots)
     mean_div = div_rows[0] * np.sqrt(rc3.cell.measure)
     flux = 0.0
     for face in rc3.faces:
@@ -131,7 +131,7 @@ def test_x_minus_half_norm_properties(rng, rc3):
     w = Q.random_elements(1, rng)[0]
     assert spc.x_minus_half_norm(p, np.zeros_like(w)) == 0.0
     val = spc.x_minus_half_norm(p, w)
-    curl_w = spc._curl_rows_of(Q, w)
+    curl_w = ca.diff_slots("curl3d", Q, w)
     hcurl = np.sqrt(w @ w + curl_w @ curl_w)
     assert val <= hcurl + 1e-12
     richer = spc.x_minus_half_norm(p, w, lift_degree=p + 2)

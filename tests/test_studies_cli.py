@@ -156,14 +156,53 @@ def test_cache_roundtrip(tmp_path, monkeypatch):
     from exseq.refsimplex import make_reference_cell
 
     monkeypatch.setenv("EXSEQ_CACHE_DIR", str(tmp_path))
-    cache.clear_memory()
+    cache.clear()
     rc2 = make_reference_cell(2)
-    key = ("tri", "hcurl", 1)
-    ps._space_cache.pop(key, None)
     sp1 = ps.build_space(rc2, "hcurl", 1)
     files = os.listdir(tmp_path)
     assert any("hcurl" in f for f in files)
-    cache.clear_memory()
-    ps._space_cache.pop(key, None)
+    cache.clear()
     sp2 = ps.build_space(rc2, "hcurl", 1)
+    assert np.array_equal(sp1.basis, sp2.basis)
+
+
+def _tamper_space_entry(tmp_path, monkeypatch, edit):
+    """Build tri hcurl p=1 with a disk cache, rewrite its entry with `edit`,
+    and build it again from a cleared memo; returns (first, second, entry)."""
+    from exseq import cache
+    from exseq import polyspace as ps
+    from exseq.refsimplex import make_reference_cell
+
+    monkeypatch.setenv("EXSEQ_CACHE_DIR", str(tmp_path))
+    cache.clear()
+    rc2 = make_reference_cell(2)
+    sp1 = ps.build_space(rc2, "hcurl", 1)
+    (path,) = [tmp_path / f for f in os.listdir(tmp_path) if "hcurl-1" in f]
+    with np.load(path) as data:
+        arrays = dict(data)
+    edit(arrays)
+    np.savez(path, **arrays)
+    cache.clear()
+    sp2 = ps.build_space(rc2, "hcurl", 1)
+    with np.load(path) as data:
+        return sp1, sp2, dict(data)
+
+
+def test_cache_malformed_entry_recomputed(tmp_path, monkeypatch):
+    def truncate(arrays):
+        arrays["basis"] = arrays["basis"][:2, :5]
+
+    sp1, sp2, entry = _tamper_space_entry(tmp_path, monkeypatch, truncate)
+    assert sp2.basis.shape == (8, 12)
+    assert np.array_equal(sp1.basis, sp2.basis)
+    assert np.array_equal(entry["basis"], sp1.basis)
+
+
+def test_cache_entry_of_other_source_ignored(tmp_path, monkeypatch):
+    def restamp(arrays):
+        # still orthonormal rows of the right width: only the stamp tells
+        arrays["basis"] = -arrays["basis"]
+        arrays["stamp"] = np.array("other source")
+
+    sp1, sp2, _ = _tamper_space_entry(tmp_path, monkeypatch, restamp)
     assert np.array_equal(sp1.basis, sp2.basis)
