@@ -11,8 +11,9 @@ raises ValueError instead of corrupting later results.
 With EXSEQ_CACHE_DIR set, `save` and `load` keep entries on disk as .npz files
 named by a label and a content digest. Each file carries `STAMP`, a blake2b of
 the package's source files; `load` ignores an entry saved by other source.
-Only `polyspace.build_space` persists, and it recomputes and overwrites an
-entry whose basis is not orthonormal rows of the expected width.
+Only the base spaces of `polyspace.build_space` (h1, l2, hcurl, hdiv) persist;
+it recomputes and overwrites an entry whose basis is not orthonormal rows of
+the closed-form shape.
 """
 
 import dataclasses

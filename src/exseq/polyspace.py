@@ -160,17 +160,21 @@ def mean_row(cell, value_dim, degree):
 # trace matrices (into planar/interval trace cells)
 
 
-@cache.memo
 def scalar_trace_matrix(cell, degree, sub):
     """Restriction of scalar modal coefficients to a Face or Edge sub-simplex.
 
     Returns (T, trace_cell): trace coefficients (same degree) are T @ coeffs.
     """
+    return _trace_table(cell, degree, sub), sub.cell
+
+
+@cache.memo
+def _trace_table(cell, degree, sub):
     q = quadrature(sub.cell, 2 * degree)
     amb = sub.embed(q.points)
     V3 = cell.tabulate(degree, amb)
     V2 = sub.cell.tabulate(degree, q.points)
-    return (V2 * q.weights) @ V3.T, sub.cell
+    return (V2 * q.weights) @ V3.T
 
 
 def tangential_trace_matrix(refcell, degree, face):
@@ -228,13 +232,20 @@ def edge_tangential_trace_matrix(cell, degree, edge, value_dim):
     return out, ecell
 
 
-@cache.memo
 def triangle_edges(cell):
     """Oriented edge data for any 2D triangle cell.
 
     Returns a tuple of (Edge, ccw_sign); tangents run from the lower to the
     higher vertex index, ccw_sign relates that to counterclockwise traversal.
+    The edge cells are named after `cell`; tables keyed by an edge see only
+    its content, so triangles with equal vertices still share them.
     """
+    return _triangle_edges(cell, cell.key)
+
+
+@cache.memo
+def _triangle_edges(cell, key):
+    # keyed by the display name too, so the edge cells carry the right one
     v = cell.vertices
     d1, d2 = v[1] - v[0], v[2] - v[0]
     det = d1[0] * d2[1] - d1[1] * d2[0]
@@ -249,7 +260,7 @@ def triangle_edges(cell):
         length = float(np.linalg.norm(vb - va))
         ecell = Cell(
             np.array([[-0.5 * length], [0.5 * length]]),
-            f"{cell.key}.edge{lo}{hi}",
+            f"{key}.edge{lo}{hi}",
         )
         edges.append(
             (
@@ -431,35 +442,60 @@ def grad_orthogonal_subspace(space, scalar, name=""):
 # public dispatcher with caching
 
 
-@cache.memo
 def build_space(cell, kind, p):
     """Build one of the complex's spaces at complex degree p.
 
-    `cell` is a Cell or a ReferenceCell (3D bubble kinds need its faces); both
-    spellings share one memo entry. kind: one of KINDS. The H1 family ("h1*")
-    has polynomial degree p+1; all others have degree p. On 2D cells the face
-    family degenerates to the scalar L2 slot, per the trace-space
-    identifications. With EXSEQ_CACHE_DIR set the basis persists on disk; an
-    entry that is not orthonormal rows of the slot width is recomputed.
+    `cell` is a Cell or a ReferenceCell (3D bubble kinds need its faces). kind:
+    one of KINDS. The H1 family ("h1*") has polynomial degree p+1; all others
+    have degree p. On 2D cells the face family degenerates to the scalar L2
+    slot, per the trace-space identifications. The space is bound to `cell`,
+    and shares one read-only basis with every cell of equal vertices.
     """
-    source = cell
-    refcell = cell if isinstance(cell, ReferenceCell) else None
-    if refcell is not None:
-        cell = refcell.cell
     if kind not in KINDS:
         raise ValueError(f"unsupported kind {kind!r}")
     if p < 0:
         raise ValueError(f"complex degree must be >= 0, got {p}")
+    vd, deg, basis = _space_basis(cell, kind, p)
+    if isinstance(cell, ReferenceCell):
+        cell = cell.cell
+    return PolySpace(cell, vd, deg, basis, name=f"{kind}[p={p}]")
 
+
+def _base_shape(cell, kind, p):
+    """(value_dim, degree, dimension) of a base kind ("h1", "l2", "hcurl" or
+    "hdiv"), in closed form; the other kinds are cut from these."""
+    d = cell.dim
+    if kind == "h1":
+        return 1, p + 1, h1_dimension(p, d)
+    if kind == "hcurl" and d > 1:
+        return d, p + 1, hcurl_dimension(p, d)
+    if kind == "hdiv" and d == 3:
+        return 3, p + 1, hdiv_dimension(p)
+    # l2, and the 1D edge and 2D face families, which are the scalar L2 slot
+    return 1, p, cell.n_modes(p)
+
+
+@cache.memo
+def _space_basis(cell, kind, p):
+    """(value_dim, degree, basis) of build_space. With EXSEQ_CACHE_DIR set the
+    bases of the base kinds persist on disk; an entry that is not orthonormal
+    rows of the closed-form shape is recomputed. Other kinds are cut from
+    their (possibly loaded) bases."""
+    source = cell
+    refcell = cell if isinstance(cell, ReferenceCell) else None
+    if refcell is not None:
+        cell = refcell.cell
     name = f"{kind}[p={p}]"
     label = f"space-{kind}-{p}"
-    stored = cache.load(label, cell)
+    persist = kind in ("h1", "l2", "hcurl", "hdiv")
+    stored = cache.load(label, cell) if persist else None
     if stored is not None:
-        vd, deg, B = int(stored["value_dim"]), int(stored["degree"]), stored["basis"]
-        if B.ndim == 2 and B.shape[1] == slot_count(cell, vd, deg) and np.allclose(
-            B @ B.T, np.eye(len(B)), rtol=0.0, atol=1e-10
+        vd, deg, dim = _base_shape(cell, kind, p)
+        B = stored["basis"]
+        if B.shape == (dim, slot_count(cell, vd, deg)) and np.allclose(
+            B @ B.T, np.eye(dim), rtol=0.0, atol=1e-10
         ):
-            return PolySpace(cell, vd, deg, B, name=name)
+            return vd, deg, B
 
     if kind == "h1":
         sp = scalar_space(cell, p + 1, name=name)
@@ -499,8 +535,9 @@ def build_space(cell, kind, p):
             build_space(source, "h1_bubble", p),
             name=name,
         )
-    cache.save(label, cell, basis=sp.basis, value_dim=sp.value_dim, degree=sp.degree)
-    return sp
+    if persist:
+        cache.save(label, cell, basis=sp.basis)
+    return sp.value_dim, sp.degree, sp.basis
 
 
 def h1_dimension(p, dim=3):
@@ -510,6 +547,15 @@ def h1_dimension(p, dim=3):
     if dim == 2:
         return (p + 2) * (p + 3) // 2
     return p + 2
+
+
+def hcurl_dimension(p, dim=3):
+    """Closed-form dimension of the edge-element space at complex degree p."""
+    if dim == 3:
+        return (p + 1) * (p + 3) * (p + 4) // 2
+    if dim == 2:
+        return (p + 1) * (p + 3)
+    return p + 1
 
 
 def hdiv_dimension(p):

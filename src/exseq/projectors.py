@@ -66,9 +66,14 @@ def _pinv(mat):
 
 def _eval_rows(cell, vd, degree, rows, pts):
     """Values of slot-coefficient rows at points, (n_rows, n_pts, vd)."""
-    V = cell.tabulate(degree, pts)
-    comp = rows.reshape(len(rows), vd, cell.n_modes(degree)) @ V
-    return np.moveaxis(comp, 1, 2)
+    return _rows_at(cell.tabulate(degree, pts), vd, rows)
+
+
+def _rows_at(V, vd, rows):
+    """Values of slot-coefficient rows from the modal table V (nm, n_pts) of
+    their points, (n_rows, n_pts, vd), by one (n_rows*vd, nm) @ V product."""
+    vals = (rows.reshape(-1, len(V)) @ V).reshape(len(rows), vd, V.shape[1])
+    return np.moveaxis(vals, 1, 2)
 
 
 def _weighted(values, weights):
@@ -81,15 +86,14 @@ def _weighted(values, weights):
     return w.reshape(values.shape[0], n_chan)
 
 
-def _moments(cell, degree, rows, rule, frame=None):
-    """Covectors pairing samples with the rows' values over a rule.
+def _moments(V, weights, rows, frame=None):
+    """Covectors pairing samples with the rows' values over a rule, from the
+    modal table V of the rule's points.
 
     frame, if given, maps the rows' vector values into the frame of the
     samples (the columns of a face chart).
     """
-    pts, weights = rule
-    vals = _eval_rows(cell, rows.shape[1] // cell.n_modes(degree), degree,
-                      rows, pts)
+    vals = _rows_at(V, rows.shape[1] // len(V), rows)
     if frame is not None:
         vals = np.einsum("mpl,kl->mpk", vals, frame)
     return _weighted(vals, weights)
@@ -304,7 +308,8 @@ def _edge_element_stage(plan, name, group, rc, cell, vertex_ids, p,
                     ps.build_space(cell, "hcurl_bubble_orth", p))
     D = [ps.deriv_matrix(cell, deg, i) for i in range(2)]
     rot = np.concatenate([psi @ D[1].T, -(psi @ D[0].T)], axis=1)
-    energy = [(region, _moments(cell, deg, rot, rule, frame))]
+    Vq = cell.tabulate(deg, rule[0])
+    energy = [(region, _moments(Vq, rule[1], rot, frame))]
     trace, parents = [], []
     for ledge, g, sigma, ccw in _sides(rc, cell, vertex_ids):
         nm1 = ledge.cell.n_modes(p)
@@ -319,7 +324,7 @@ def _edge_element_stage(plan, name, group, rc, cell, vertex_ids, p,
     return _mixed_stage(
         name, group, Q, ps.build_space(cell, "hcurl_bubble", p), restrict,
         np.vstack(trace), parents,
-        grads, (region, _moments(cell, deg, grads, rule, frame)),
+        grads, (region, _moments(Vq, rule[1], grads, frame)),
         psi, "curl2d_vector", energy,
     )
 
@@ -419,7 +424,8 @@ def _curl_stages(plan, rc, p):
     # (curl u, curl W) = (u, curl curl W) - (Pi_tau u, gamma_tau curl W)
     W = diff_rows("curl3d", ps.build_space(rc, "hcurl_bubble_orth", p))
     curl_W = diff_rows("curl3d", ps.PolySpace(cell, 3, deg, W))
-    energy = [("vol", _moments(cell, deg, curl_W, (q.points, q.weights)))]
+    Vq = cell.tabulate(deg, q.points)
+    energy = [("vol", _moments(Vq, q.weights, curl_W))]
     for face, q2 in zip(rc.faces, face_rules):
         amb = face.embed(q2.points)
         tang = np.einsum("mpk,kl->mpl", _eval_rows(cell, 3, deg, W, amb),
@@ -433,7 +439,7 @@ def _curl_stages(plan, rc, p):
     plan.stages.append(_mixed_stage(
         "interior", "interior", Q, ps.build_space(rc, "hcurl_bubble", p),
         Q.basis, ps.tangential_trace_stack(rc, deg), parents,
-        grads, ("vol", _moments(cell, deg, grads, (q.points, q.weights))),
+        grads, ("vol", _moments(Vq, q.weights, grads)),
         W, "curl3d", energy,
     ))
     return Q
@@ -461,7 +467,8 @@ def _div_stages(plan, rc, p):
     # (div u, div v) = -(u, grad div v) + (u.n, div v)_boundary
     D = [ps.deriv_matrix(cell, deg, i) for i in range(3)]
     grad_div = np.concatenate([divs @ Di.T for Di in D], axis=1)
-    energy = [("vol", -_moments(cell, deg, grad_div, (q.points, q.weights)))]
+    Vq = cell.tabulate(deg, q.points)
+    energy = [("vol", -_moments(Vq, q.weights, grad_div))]
     for face, q2 in zip(rc.faces, face_rules):
         dvals = _eval_rows(cell, 1, deg, divs, face.embed(q2.points))[:, :, 0]
         nvals = dvals[:, :, None] * face.normal[None, None, :]
@@ -470,7 +477,7 @@ def _div_stages(plan, rc, p):
     plan.stages.append(_mixed_stage(
         "interior", "interior", V, Vb, V.basis,
         ps.normal_trace_stack(rc, deg, p), parents,
-        curls, ("vol", _moments(cell, deg, curls, (q.points, q.weights))),
+        curls, ("vol", _moments(Vq, q.weights, curls)),
         divs, "div", energy,
     ))
     return V

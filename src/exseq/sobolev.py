@@ -24,6 +24,10 @@ class SobolevGram:
     and A2 adds the (multinomial-weighted) second-derivative Gram, so the
     generalized eigenvalues are >= 1 and fractional powers interpolate the
     integer-order norms exactly at s in {0, 1, 2}.
+
+    The spectrum of A1 is computed only for fractional orders: order 0 is the
+    Euclidean form, and order 1 is the A1 form (a Cholesky solve with A1 for
+    the dual form). Orders above 1 use the (A2, A1) pencil.
     """
 
     def __init__(self, cell, degree):
@@ -34,14 +38,21 @@ class SobolevGram:
         self._D = D
         S = sum(Di.T @ Di for Di in D)
         self.A1 = np.eye(self.n) + S
-        lam, U = scipy.linalg.eigh(self.A1)
-        self.lam1 = np.clip(lam, 1.0, None)
-        self.U1 = U
+        self._first = None
+        self._cho = None
         self._second = None
 
-    @property
-    def M(self):
-        return np.eye(self.n)
+    def _first_data(self):
+        """(clipped eigenvalues, eigenvectors) of A1."""
+        if self._first is None:
+            lam, U = scipy.linalg.eigh(self.A1)
+            self._first = (np.clip(lam, 1.0, None), U)
+        return self._first
+
+    def _solve_a1(self, b):
+        if self._cho is None:
+            self._cho = scipy.linalg.cho_factor(self.A1)
+        return scipy.linalg.cho_solve(self._cho, b)
 
     def _second_data(self):
         if self._second is None:
@@ -65,9 +76,14 @@ class SobolevGram:
         if not 0.0 <= s <= 2.0:
             raise ValueError(f"fractional order s={s} outside [0, 2]")
         c = np.asarray(coeffs, dtype=float)
-        if s <= 1.0:
-            y = self.U1.T @ c
-            return float(np.sum(self.lam1**s * y**2))
+        if s == 0.0:
+            return float(c @ c)
+        if s == 1.0:
+            return float(c @ (self.A1 @ c))
+        if s < 1.0:
+            lam, U = self._first_data()
+            y = U.T @ c
+            return float(np.sum(lam**s * y**2))
         _, mu, V = self._second_data()
         # V is A1-orthonormal: V^{-1} = V^T A1, H_s = V^{-T} mu^{s-1} V^{-1}
         y = V.T @ (self.A1 @ c)
@@ -78,9 +94,14 @@ class SobolevGram:
         if not 0.0 <= s <= 2.0:
             raise ValueError(f"fractional order s={s} outside [0, 2]")
         b = np.asarray(b, dtype=float)
-        if s <= 1.0:
-            y = self.U1.T @ b
-            return float(np.sum(self.lam1 ** (-s) * y**2))
+        if s == 0.0:
+            return float(b @ b)
+        if s == 1.0:
+            return float(b @ self._solve_a1(b))
+        if s < 1.0:
+            lam, U = self._first_data()
+            y = U.T @ b
+            return float(np.sum(lam ** (-s) * y**2))
         _, mu, V = self._second_data()
         y = V.T @ b
         return float(np.sum(mu ** (1.0 - s) * y**2))
@@ -100,16 +121,24 @@ def fractional_norm(g, coeffs, s):
     return float(np.sqrt(sum(g.fractional_quadform(ci, s) for ci in comps)))
 
 
+def mode_pairings(V, weights, values):
+    """L2 pairings of sampled values with the modes of a table V (nm, n_pts).
+
+    values: (n_pts,) or (n_pts, k); returns (k, nm), one row per column, from
+    one GEMM. The raveled rows of a vector field's components are its
+    component-major slot covector.
+    """
+    vals = np.asarray(values, dtype=float).reshape(len(weights), -1)
+    return (V @ (weights[:, None] * vals)).T
+
+
 def field_mode_pairings(cell, degree, quad, values):
     """L2 pairings of sampled field values with the modal basis.
 
     values: (n_pts,) or (n_pts, vd); returns (vd*nm,) slot covector.
     """
     V = cell.tabulate(degree, quad.points)
-    vals = np.asarray(values, dtype=float)
-    if vals.ndim == 1:
-        vals = vals[:, None]
-    return np.concatenate([(V * quad.weights) @ vals[:, c] for c in range(vals.shape[1])])
+    return mode_pairings(V, quad.weights, values).ravel()
 
 
 def dual_norm(g, field_or_values, s, quad_degree=None):
@@ -150,21 +179,18 @@ def _jet_pairings(space, field, quad, order_matrices):
     corresponding derivatives of the basis, in space coordinates."""
     cell = space.cell
     nm = space.n_modes
-    rhs = np.zeros(space.dim)
+    vd = space.value_dim
     comps = space.components(space.basis)
-    for alpha, weight in order_matrices:
-        vals = field.jet(quad.points, alpha)
-        vals = np.asarray(vals, dtype=float)
-        if vals.ndim == 1:
-            vals = vals[:, None]
+    V = cell.tabulate(space.degree, quad.points)
+    jets = [field.jet(quad.points, alpha) for alpha, _ in order_matrices]
+    b = mode_pairings(V, quad.weights, np.column_stack(jets)).reshape(-1, vd, nm)
+    rhs = np.zeros(space.dim)
+    for (alpha, weight), b_alpha in zip(order_matrices, b):
         mat = np.eye(nm)
         for i, a in enumerate(alpha):
             for _ in range(a):
                 mat = ps.deriv_matrix(cell, space.degree, i) @ mat
-        V = cell.tabulate(space.degree, quad.points)
-        for c in range(space.value_dim):
-            b = (V * quad.weights) @ vals[:, c]
-            rhs += weight * (comps[:, c] @ (mat.T @ b))
+        rhs += weight * np.einsum("dcm,cm->d", comps, b_alpha @ mat)
     return rhs
 
 
@@ -186,15 +212,15 @@ def _derivative_multiindices(dim, order):
     return out
 
 
-def _diff_values(space, slots, quad, alpha):
-    """Values of d^alpha of a polynomial given by slot coefficients."""
+def _diff_values(space, slots, V, alpha):
+    """Values of d^alpha of a polynomial given by slot coefficients, from the
+    modal table V of the space's degree at the points."""
     cell = space.cell
     mat = np.eye(space.n_modes)
     for i, a in enumerate(alpha):
         for _ in range(a):
             mat = ps.deriv_matrix(cell, space.degree, i) @ mat
     comp = space.components(slots) @ mat.T
-    V = cell.tabulate(space.degree, quad.points)
     vals = comp @ V
     return vals[0] if space.value_dim == 1 else vals.T
 
@@ -214,12 +240,13 @@ def error_in_norm(space, field, slots, quad, norm):
     """
     cell = space.cell
     dim = cell.dim
+    V = cell.tabulate(space.degree, quad.points)
 
     def jet_err_sq(alphas):
         total = 0.0
         for alpha, wgt in alphas:
             fv = field.jet(quad.points, alpha)
-            pv = _diff_values(space, slots, quad, alpha)
+            pv = _diff_values(space, slots, V, alpha)
             total += wgt * _l2sq(quad, np.asarray(fv, dtype=float) - pv)
         return total
 
@@ -246,12 +273,12 @@ def error_in_norm(space, field, slots, quad, norm):
             dfield = None
         drows = diff_slots(dname, space, slots)
         dspace = ps.PolySpace(cell, out_vd, space.degree, drows[None, :])
-        pv = _diff_values(dspace, drows, quad, (0,) * dim)
+        pv = _diff_values(dspace, drows, V, (0,) * dim)
         du = np.asarray(du, dtype=float)
         total += _l2sq(quad, du - pv)
         if norm == "H1curl":
             for i in range(dim):
-                pv_i = _diff_values(dspace, drows, quad, _unit(dim, i))
+                pv_i = _diff_values(dspace, drows, V, _unit(dim, i))
                 fv_i = dfield[i]
                 if fv_i.ndim == 2 and out_vd == 1:
                     fv_i = fv_i[:, 0]
@@ -364,11 +391,8 @@ def _two_block_projector(space, field, q, norm):
         rows_b = g_basis @ space.basis.T  # gradient orthogonality
         if field.value_dim != space.value_dim:
             raise ValueError("field/value-dim mismatch")
-        curl_u = _field_curl(field, q.points, cell.dim)
-        b_curl = field_mode_pairings(cell, space.degree, q, curl_u)
-        rhs_a = d_compl @ b_curl
-        b_val = field_mode_pairings(cell, space.degree, q, field(q.points))
-        rhs_b = g_basis @ b_val
+        du = _field_curl(field, q.points, cell.dim)
+        test_b = g_basis
     else:
         d_rows = diff_rows("div", space)
         ned = ps.nedelec_space(cell, space.degree - 1)
@@ -379,15 +403,17 @@ def _two_block_projector(space, field, q, norm):
         d_compl = diff_rows("div", compl)
         rows_a = d_compl @ d_rows.T
         rows_b = c_basis @ space.basis.T
-        div_u = field.jet(q.points, (1, 0, 0))[:, 0] + field.jet(q.points, (0, 1, 0))[
+        du = field.jet(q.points, (1, 0, 0))[:, 0] + field.jet(q.points, (0, 1, 0))[
             :, 1
         ] + field.jet(q.points, (0, 0, 1))[:, 2]
-        b_div = field_mode_pairings(cell, space.degree, q, div_u)
-        rhs_a = d_compl @ b_div
-        b_val = field_mode_pairings(cell, space.degree, q, field(q.points))
-        rhs_b = c_basis @ b_val
+        test_b = c_basis
+    # pair D u and u with the modes in one product
+    V = cell.tabulate(space.degree, q.points)
+    du = np.asarray(du, dtype=float).reshape(len(q.weights), -1)
+    b = mode_pairings(V, q.weights, np.column_stack([du, field(q.points)]))
+    k = du.shape[1]
     A = np.vstack([rows_a, rows_b])
-    rhs = np.concatenate([rhs_a, rhs_b])
+    rhs = np.concatenate([d_compl @ b[:k].ravel(), test_b @ b[k:].ravel()])
     return np.linalg.solve(A, rhs)
 
 
@@ -422,30 +448,22 @@ def _h1curl_matrices(space):
 
 def _h1curl_minimizer(space, field, q):
     cell = space.cell
+    d, vd = cell.dim, space.value_dim
     comps = space.components(space.basis)
     cho, dcomp, vd_curl = _h1curl_matrices(space)
-    # rhs: (u, phi)_{H1} + (curl u, curl phi)_{H1}
-    rhs = np.zeros(space.dim)
+    # rhs: (u, phi)_{H1} + (curl u, curl phi)_{H1}, all pairings in one product
     V = cell.tabulate(space.degree, q.points)
-    uvals = np.asarray(field(q.points), dtype=float)
-    du = [np.asarray(field.jet(q.points, _unit(cell.dim, i)), dtype=float)
-          for i in range(cell.dim)]
-    D = [ps.deriv_matrix(cell, space.degree, i) for i in range(cell.dim)]
-    for c in range(space.value_dim):
-        b = (V * q.weights) @ uvals[:, c]
-        rhs += comps[:, c] @ b
-        for i in range(cell.dim):
-            bi = (V * q.weights) @ du[i][:, c]
-            rhs += comps[:, c] @ (D[i].T @ bi)
-    curl_u = _field_curl(field, q.points, cell.dim)
-    curl_u = curl_u if curl_u.ndim == 2 else curl_u[:, None]
-    dcurl = _field_curl_jet(field, q.points, cell.dim)
-    for c in range(vd_curl):
-        b = (V * q.weights) @ curl_u[:, c]
-        rhs += dcomp[:, c] @ b
-        for i in range(cell.dim):
-            bi = (V * q.weights) @ dcurl[i][:, c]
-            rhs += dcomp[:, c] @ (D[i].T @ bi)
+    du = [field.jet(q.points, _unit(d, i)) for i in range(d)]
+    curl_u = _field_curl(field, q.points, d)
+    dcurl = _field_curl_jet(field, q.points, d)
+    b = mode_pairings(V, q.weights,
+                      np.column_stack([field(q.points), *du, curl_u, *dcurl]))
+    bu, *bdu = np.split(b[: vd * (d + 1)], d + 1)
+    bc, *bdc = np.split(b[vd * (d + 1) :], d + 1)
+    D = [ps.deriv_matrix(cell, space.degree, i) for i in range(d)]
+    bu = bu + sum(bi @ Di for bi, Di in zip(bdu, D))
+    bc = bc + sum(bi @ Di for bi, Di in zip(bdc, D))
+    rhs = np.einsum("dcm,cm->d", comps, bu) + np.einsum("dcm,cm->d", dcomp, bc)
     return scipy.linalg.cho_solve(cho, rhs)
 
 
@@ -515,15 +533,9 @@ def _fractional_best_approx(space, field, norm, s, rich_degree, q):
     P = rich_degree or (space.degree + 6)
     g = gram(cell, P)
     cho, Bc, Hs_B, dc, Hs_d, out_vd = _fractional_matrices(space, norm, s, P)
-    uvals = np.asarray(field(q.points), dtype=float)
-    if uvals.ndim == 1:
-        uvals = uvals[:, None]
-    u_rich = np.stack(
-        [field_mode_pairings(cell, P, q, uvals[:, c]) for c in range(uvals.shape[1])]
-    )
-    rhs = sum(Hs_B[:, c] @ u_rich[c] for c in range(space.value_dim))
-    du_rich = None
-    if norm in ("Hhalf_div", "Hhalf_curl"):
+    uvals = np.asarray(field(q.points), dtype=float).reshape(len(q.weights), -1)
+    cols = [uvals]
+    if out_vd:
         if norm == "Hhalf_div":
             du = sum(
                 field.jet(q.points, _unit(cell.dim, i))[:, i]
@@ -531,13 +543,12 @@ def _fractional_best_approx(space, field, norm, s, rich_degree, q):
             )
         else:
             du = _field_curl(field, q.points, cell.dim)
-        du = np.asarray(du)
-        if du.ndim == 1:
-            du = du[:, None]
-        du_rich = np.stack(
-            [field_mode_pairings(cell, P, q, du[:, c]) for c in range(out_vd)]
-        )
-        rhs = rhs + sum(Hs_d[:, c] @ du_rich[c] for c in range(out_vd))
+        cols.append(du)
+    # pairings of u (and of D u) with the rich modes in one product
+    b = mode_pairings(cell.tabulate(P, q.points), q.weights, np.column_stack(cols))
+    u_rich, du_rich = b[: uvals.shape[1]], b[uvals.shape[1] :]
+    rhs = sum(Hs_B[:, c] @ u_rich[c] for c in range(space.value_dim))
+    rhs = rhs + sum(Hs_d[:, c] @ du_rich[c] for c in range(out_vd))
     coords = scipy.linalg.cho_solve(cho, rhs)
     slots = coords @ space.basis
     # surrogate error: H_s distance inside the rich space
@@ -545,7 +556,7 @@ def _fractional_best_approx(space, field, norm, s, rich_degree, q):
     err2 = sum(
         g.fractional_quadform(diff[c], s) for c in range(diff.shape[0])
     )
-    if du_rich is not None:
+    if out_vd:
         ddiff = du_rich - np.tensordot(coords, dc, axes=(0, 0))
         err2 += sum(
             g.fractional_quadform(ddiff[c], s) for c in range(ddiff.shape[0])
@@ -555,9 +566,13 @@ def _fractional_best_approx(space, field, norm, s, rich_degree, q):
 
 def _apply_hs(g, X, s):
     """Apply H_s to rows of X (n, nm)."""
-    if s <= 1.0:
-        Y = X @ g.U1
-        return (Y * g.lam1**s) @ g.U1.T
+    if s == 0.0:
+        return X
+    if s == 1.0:
+        return X @ g.A1
+    if s < 1.0:
+        lam, U = g._first_data()
+        return ((X @ U) * lam**s) @ U.T
     _, mu, V = g._second_data()
     Vi = V.T @ g.A1  # V is A1-orthonormal, so V^{-1} = V^T A1
     Y = X @ Vi.T

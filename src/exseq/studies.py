@@ -122,9 +122,11 @@ def _error_l2_parts(plan, field, slots):
     else:
         q = quadrature(cell, min(2 * target.degree + 14, 40))
         pts, w = q.points, q.weights
+    # one table serves the target's values and those of its derivatives
+    V = cell.tabulate(target.degree, pts)
     uvals = np.asarray(field(pts), dtype=float)
-    pvals = target.evaluate(slots, pts)
-    e = uvals - pvals
+    pvals = pj._rows_at(V, target.value_dim, slots[None, :])[0]
+    e = uvals - (pvals[:, 0] if target.value_dim == 1 else pvals)
     if e.ndim == 1:
         l2 = np.sqrt(np.sum(w * e**2))
     else:
@@ -139,8 +141,7 @@ def _error_l2_parts(plan, field, slots):
             [field.jet(pts, fl._unit(dim, i)) for i in range(dim)], axis=1
         )
         D = [ps.deriv_matrix(cell, target.degree, i) for i in range(dim)]
-        V = cell.tabulate(target.degree, pts)
-        dp = np.stack([(D[i] @ slots) @ V for i in range(dim)], axis=1)
+        dp = (np.stack([D[i] @ slots for i in range(dim)]) @ V).T
         ge = du - dp
         h1_part = np.sqrt(np.einsum("q,qi->", w, ge**2))
         return float(l2), float(h1_part), (e, ge, pts, w)
@@ -149,7 +150,7 @@ def _error_l2_parts(plan, field, slots):
         cu = fl.curl_field(field)(pts)
         crows = ca.diff_slots("curl3d" if dim == 3 else "curl2d_vector", target, slots)
         vd = 3 if dim == 3 else 1
-        cp = pj._eval_rows(cell, vd, target.degree, crows[None, :], pts)[0]
+        cp = pj._rows_at(V, vd, crows[None, :])[0]
         ce = np.asarray(cu, dtype=float)
         if ce.ndim == 1:
             ce = ce[:, None]
@@ -159,29 +160,18 @@ def _error_l2_parts(plan, field, slots):
     # div3d
     dv = fl.div_field(field)(pts)
     drows = ca.diff_slots("div", target, slots)
-    dp = pj._eval_rows(cell, 1, target.degree, drows[None, :], pts)[0][:, 0]
+    dp = pj._rows_at(V, 1, drows[None, :])[0][:, 0]
     de = np.asarray(dv, dtype=float) - dp
     dl2 = np.sqrt(np.sum(w * de**2))
     return float(l2), float(dl2), (e, de, pts, w)
 
 
-def _dual_pair(cell, degree, pts, w, e):
-    """Modal pairings of sampled error values against a test space."""
-    V = cell.tabulate(degree, pts)
-    e = np.asarray(e)
-    if e.ndim == 1:
-        e = e[:, None]
-    return np.concatenate([(V * w) @ e[:, c] for c in range(e.shape[1])])
-
-
-def _graph_dual_norm(cell, P, s, pts, w, e, de):
+def _dual_norm(cell, P, s, pairings):
+    """Dual H^s norm over P_P(cell) of modal pairings (k, nm) taken with a
+    table of degree >= P. Modes nest by degree, so the leading n_modes(P)
+    columns are the degree-P pairings."""
     g = sb.gram(cell, P)
-    b1 = _dual_pair(cell, P, pts, w, e)
-    val = sb.dual_norm(g, b1, s) ** 2
-    if de is not None:
-        b2 = _dual_pair(cell, P, pts, w, de)
-        val += sb.dual_norm(g, b2, s) ** 2
-    return float(np.sqrt(val))
+    return sb.dual_norm(g, pairings[:, : g.n], s)
 
 
 def run_convergence(cfg):
@@ -233,8 +223,12 @@ def _records_for(op, p, f, s, parts, den, dual_offset, cell):
                         err / den if den > 0 else float("inf"))
         )
         return out
+    P = p + 1 + dual_offset
     if op.startswith("grad"):
         l2, h1p, (e, ge, pts, w) = parts
+        # pairings of e (row 0) and grad e against the degree-(P+2) modes;
+        # the table is freed before the Grams below are built
+        b = sb.mode_pairings(cell.tabulate(P + 2, pts), w, np.column_stack([e, ge]))
         if s <= 0.0:
             err = float(np.sqrt(l2**2 + h1p**2))
             norm_id = "H1"
@@ -242,19 +236,16 @@ def _records_for(op, p, f, s, parts, den, dual_offset, cell):
             err = l2
             norm_id = "L2"
         else:
-            P = p + 1 + dual_offset
             g = sb.gram(cell, P)
-            b = _dual_pair(cell, P, pts, w, e)
-            err = sb.fractional_norm(g, b, 1.0 - s)
+            err = sb.fractional_norm(g, b[0, : g.n], 1.0 - s)
             norm_id = f"H{1 - s:g}"
         out.append(
             StudyRecord(op, p, f.name, s, norm_id, err, den,
                         err / den if den > 0 else float("inf"))
         )
         if op != "grad1d":
-            P = p + 1 + dual_offset
-            dn = _graph_dual_norm(cell, P, s, pts, w, ge, None)
-            dn2 = _graph_dual_norm(cell, P + 2, s, pts, w, ge, None)
+            dn = _dual_norm(cell, P, s, b[1:])
+            dn2 = _dual_norm(cell, P + 2, s, b[1:])
             rec = StudyRecord(
                 op, p, f.name, s, "grad_dual", dn, den,
                 dn / den if den > 0 else float("inf"),
@@ -268,8 +259,8 @@ def _records_for(op, p, f, s, parts, den, dual_offset, cell):
         err = float(np.sqrt(l2**2 + dl2**2))
         norm_id = "Hgraph"
     else:
-        P = p + 1 + dual_offset
-        err = _graph_dual_norm(cell, P, s, pts, w, e, de)
+        b = sb.mode_pairings(cell.tabulate(P, pts), w, np.column_stack([e, de]))
+        err = _dual_norm(cell, P, s, b)
         norm_id = f"Hdual{s:g}"
     out.append(
         StudyRecord(op, p, f.name, s, norm_id, err, den,
@@ -312,7 +303,7 @@ def _dims_table(p_max):
         entries = [
             ("h1_3d", ps.build_space(rc3, "h1", p).dim, ps.h1_dimension(p, 3)),
             ("hcurl_3d", ps.build_space(rc3, "hcurl", p).dim,
-             (p + 1) * (p + 3) * (p + 4) // 2),
+             ps.hcurl_dimension(p, 3)),
             ("hdiv_3d", ps.build_space(rc3, "hdiv", p).dim, ps.hdiv_dimension(p)),
             ("h1_conditions_3d", ps.h1_condition_count(p), ps.h1_dimension(p, 3)),
             ("hdiv_conditions_3d",
@@ -320,7 +311,8 @@ def _dims_table(p_max):
              + 4 * ((p + 1) * (p + 2) // 2),
              ps.hdiv_dimension(p)),
             ("h1_2d", ps.build_space(rc2, "h1", p).dim, ps.h1_dimension(p, 2)),
-            ("hcurl_2d", ps.build_space(rc2, "hcurl", p).dim, (p + 1) * (p + 3)),
+            ("hcurl_2d", ps.build_space(rc2, "hcurl", p).dim,
+             ps.hcurl_dimension(p, 2)),
         ]
         for name, dim, closed in entries:
             rows.append(

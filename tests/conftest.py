@@ -1,7 +1,18 @@
+import os
+
 import numpy as np
 import pytest
+import scipy
 
 from exseq.refsimplex import make_reference_cell
+
+
+def pytest_report_header(config):
+    # criterion 08's detail line depends on the BLAS thread count, so gate
+    # outputs compare only between runs that show the same setting
+    threads = os.environ.get("OPENBLAS_NUM_THREADS", "unset")
+    return (f"numpy {np.__version__}, scipy {scipy.__version__}, "
+            f"OPENBLAS_NUM_THREADS={threads}")
 
 
 @pytest.fixture(scope="session")

@@ -108,12 +108,11 @@ def test_surf_curl_of_gradient_vanishes(rc3, rng):
 
 
 def test_trace_target_cell_matched_by_content(rc2, rc3):
-    # faces 1-3 and the 2D reference cell have equal vertices, so the memo
-    # hands a face the space first built on "tri": its name must not matter
+    # faces 1-3 and the 2D reference cell have equal vertices, so a space
+    # built on "tri" lives on face 1 too: the cell's name must not matter
     W = ps.build_space(rc3, "h1", 2)
-    ps.build_space(rc2.cell, "h1", 2)
     face = rc3.faces[1]
-    target = ps.build_space(face.cell, "h1", 2)
+    target = ps.build_space(rc2.cell, "h1", 2)
     assert target.cell.key != face.cell.key
     assert ca.trace_op("restrict", W, face, target, rc3).matrix.shape[0] == W.dim
     with pytest.raises(ValueError):

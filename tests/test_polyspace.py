@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from exseq import cache
 from exseq import calculus as ca
 from exseq import polyspace as ps
 from exseq.refsimplex import Cell, quadrature
@@ -187,3 +188,21 @@ def test_memoised_tables_are_read_only(rc3):
 def test_memo_rejects_arguments_without_content_key():
     with pytest.raises(TypeError):
         ps.deriv_matrix(object(), 1, 0)
+
+
+def test_spaces_and_edges_bound_to_requested_cell(rc2, rc3):
+    # face 1 of the tetrahedron and the triangle have equal vertices, so they
+    # share the memoised basis, but each space and edge names its own cell
+    face = rc3.faces[1].cell
+    assert np.array_equal(face.vertices, rc2.cell.vertices)
+    cache.clear()
+    tri_space = ps.build_space(rc2.cell, "h1", 2)
+    sp = ps.build_space(face, "h1", 2)
+    assert sp.cell is face and sp.cell.key == "tet.face1"
+    assert ps.export_json(sp)["cell"] == "tet.face1"
+    assert tri_space.cell.key == "tri"
+    assert sp.basis is tri_space.basis
+    ps.triangle_edges(rc2.cell)
+    for ledge, _ in ps.triangle_edges(face):
+        assert ledge.cell.key.startswith("tet.face1.edge")
+        assert ps.scalar_trace_matrix(face, 2, ledge)[1] is ledge.cell

@@ -369,3 +369,11 @@ def test_unknown_operator_rejected():
         pj.build_plan("grad4d", 1)
     with pytest.raises(ValueError):
         pj.ProjectorPlan("grad3d", -1)
+
+
+def test_eval_rows_of_no_rows(rc3):
+    pts = quadrature(rc3.cell, 4).points
+    for vd in (1, 3):
+        rows = np.zeros((0, vd * rc3.cell.n_modes(3)))
+        assert pj._eval_rows(rc3.cell, vd, 3, rows, pts).shape == (0, len(pts), vd)
+

@@ -187,3 +187,27 @@ def test_field_without_jets_raises():
     f = fl.AnalyticField("raw", 3, 1, lambda pts: pts[:, 0])
     with pytest.raises(ValueError, match="derivatives"):
         f.jet(np.zeros((2, 3)), (1, 0, 0))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_integer_orders_need_no_spectrum(dim, rng, monkeypatch):
+    # orders 0 and 1 are the Euclidean and A1 forms: no eigendecomposition
+    import scipy.linalg
+
+    calls = []
+    eigh = scipy.linalg.eigh
+    monkeypatch.setattr(scipy.linalg, "eigh",
+                        lambda *a, **k: calls.append(1) or eigh(*a, **k))
+    g = sb.SobolevGram(make_reference_cell(dim).cell, 6)
+    c = rng.standard_normal(g.n)
+    got = {(form, s): getattr(g, form)(c, s)
+           for form in ("fractional_quadform", "dual_quadform") for s in (0.0, 1.0)}
+    assert not calls
+    monkeypatch.undo()
+    lam, U = np.linalg.eigh(g.A1)
+    y = U.T @ c
+    for s in (0.0, 1.0):
+        assert got["fractional_quadform", s] == pytest.approx(
+            float(np.sum(lam**s * y**2)), rel=1e-12)
+        assert got["dual_quadform", s] == pytest.approx(
+            float(np.sum(lam ** (-s) * y**2)), rel=1e-12)

@@ -206,3 +206,14 @@ def test_cache_entry_of_other_source_ignored(tmp_path, monkeypatch):
 
     sp1, sp2, _ = _tamper_space_entry(tmp_path, monkeypatch, restamp)
     assert np.array_equal(sp1.basis, sp2.basis)
+
+
+def test_cache_entry_with_missing_rows_recomputed(tmp_path, monkeypatch):
+    def drop_rows(arrays):
+        # still orthonormal rows of the full width: only the count tells
+        arrays["basis"] = arrays["basis"][:2]
+
+    sp1, sp2, entry = _tamper_space_entry(tmp_path, monkeypatch, drop_rows)
+    assert sp2.basis.shape == (8, 12)
+    assert np.array_equal(sp1.basis, sp2.basis)
+    assert np.array_equal(entry["basis"], sp1.basis)
