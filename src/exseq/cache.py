@@ -61,15 +61,16 @@ def _fingerprint(x):
     raise TypeError(f"no content fingerprint for {type(x).__name__}")
 
 
-def _freeze(x):
+def freeze(x):
+    """Make the arrays in `x` read-only, recursively; returns `x`."""
     if isinstance(x, np.ndarray):
         x.flags.writeable = False
     elif isinstance(x, (tuple, list)):
         for v in x:
-            _freeze(v)
+            freeze(v)
     elif isinstance(x, dict) or type(x).__module__.startswith("exseq."):
         for v in (x if isinstance(x, dict) else vars(x)).values():
-            _freeze(v)
+            freeze(v)
     return x
 
 
@@ -92,7 +93,7 @@ def memo(fn):
         key = (name, _fingerprint(args), _fingerprint(sorted(kwargs.items())))
         result = get(key)
         if result is None:
-            result = _entries[key] = _freeze(fn(*args, **kwargs))
+            result = _entries[key] = freeze(fn(*args, **kwargs))
         return result
 
     return memoised

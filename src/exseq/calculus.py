@@ -6,9 +6,11 @@ polynomial integrands), never by numerical differentiation of point samples.
 """
 
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
+from . import fields as fl
 from . import polyspace as ps
 from .refsimplex import quadrature
 
@@ -37,16 +39,8 @@ def _expand_in(target, rows, src_cell, src_vd, src_degree):
     return coords, float(np.linalg.norm(resid) / scale)
 
 
-def _grad_rows(space):
-    cell = space.cell
-    D = [ps.deriv_matrix(cell, space.degree, i) for i in range(cell.dim)]
-    comps = [space.basis @ D[i].T for i in range(cell.dim)]
-    return np.concatenate(comps, axis=1)
-
-
 def _curl3d_rows(space):
     cell = space.cell
-    nm = cell.n_modes(space.degree)
     D = [ps.deriv_matrix(cell, space.degree, i) for i in range(3)]
     c = space.components(space.basis)
     u1, u2, u3 = c[:, 0], c[:, 1], c[:, 2]
@@ -77,13 +71,35 @@ def _div_rows(space):
     return sum(c[:, i] @ D[i].T for i in range(cell.dim))
 
 
-_DIFF_TABLE = {
-    "grad": (_grad_rows, lambda s: s.cell.dim),
-    "curl3d": (_curl3d_rows, lambda s: 3),
-    "curl2d_scalar": (_curl2d_scalar_rows, lambda s: 2),
-    "curl2d_vector": (_curl2d_vector_rows, lambda s: 1),
-    "div": (_div_rows, lambda s: 1),
+class Derivative(NamedTuple):
+    """One derivative of the complex, on polynomials and on fields.
+
+    rows(space): slot rows of the images of the space's basis; value_dim(d):
+    the image's value dimension on a d-dimensional cell; field(f): the same
+    derivative of an analytic field, or None where none is needed.
+    """
+
+    rows: Callable
+    value_dim: Callable
+    field: Callable | None
+
+
+DERIVATIVES = {
+    "grad": Derivative(lambda s: ps.gradient_rows(s.cell, s, s.degree),
+                       lambda d: d, fl.grad_field),
+    "curl3d": Derivative(_curl3d_rows, lambda d: 3, fl.curl_field),
+    "curl2d_scalar": Derivative(_curl2d_scalar_rows, lambda d: 2, None),
+    "curl2d_vector": Derivative(_curl2d_vector_rows, lambda d: 1, fl.curl_field),
+    "div": Derivative(_div_rows, lambda d: 1, fl.div_field),
 }
+
+
+def derivative_name(family, dim):
+    """The DERIVATIVES entry of a family ("grad", "curl" or "div") on a
+    dim-dimensional cell: the curl of a 2D vector field is a scalar."""
+    if family == "curl":
+        return "curl3d" if dim == 3 else "curl2d_vector"
+    return family
 
 
 def diff_op(name, source, target):
@@ -91,9 +107,8 @@ def diff_op(name, source, target):
 
     Raises if the image does not embed in the declared target space.
     """
-    if name not in _DIFF_TABLE:
+    if name not in DERIVATIVES:
         raise ValueError(f"unknown differential operator {name!r}")
-    fn, out_vd = _DIFF_TABLE[name]
     if name == "grad" and source.value_dim != 1:
         raise ValueError("grad needs a scalar source")
     if name == "curl3d" and (source.cell.dim != 3 or source.value_dim != 3):
@@ -104,8 +119,9 @@ def diff_op(name, source, target):
         raise ValueError("curl2d_vector needs a 2-component source on a 2D cell")
     if name == "div" and source.value_dim != source.cell.dim:
         raise ValueError("div needs a full vector source")
-    rows = fn(source)
-    coords, resid = _expand_in(target, rows, source.cell, out_vd(source), source.degree)
+    rows = diff_rows(name, source)
+    out_vd = DERIVATIVES[name].value_dim(source.cell.dim)
+    coords, resid = _expand_in(target, rows, source.cell, out_vd, source.degree)
     if resid > 1e-11:
         raise ValueError(
             f"image of {name} does not lie in target {target.name}: residual {resid:.2e}"
@@ -115,8 +131,7 @@ def diff_op(name, source, target):
 
 def diff_rows(name, space):
     """Slot rows of the operator image, without expanding in a target space."""
-    fn, _ = _DIFF_TABLE[name]
-    return fn(space)
+    return DERIVATIVES[name].rows(space)
 
 
 def diff_slots(name, space, slots):

@@ -31,23 +31,23 @@ def _load_config(path):
     return out
 
 
-def _apply_config(args, parser):
-    if getattr(args, "config", None):
-        cfg = _load_config(args.config)
-        for key, val in cfg.items():
-            if not hasattr(args, key):
-                parser.error(f"unknown config key {key!r}")
-            cur = getattr(args, key)
-            if isinstance(cur, bool):
-                val = val.lower() in ("1", "true", "yes")
-            elif isinstance(cur, int):
-                val = int(val)
-            elif isinstance(cur, float):
-                val = float(val)
-            elif isinstance(cur, (list, tuple)):
-                val = type(cur)(type(cur[0])(v) for v in val.split(",")) if cur else val.split(",")
-            setattr(args, key, val)
-    return args
+def _config_values(args, parser):
+    """The config file's values, typed like the parsed flags they mirror."""
+    out = {}
+    for key, val in _load_config(args.config).items():
+        if not hasattr(args, key):
+            parser.error(f"unknown config key {key!r}")
+        cur = getattr(args, key)
+        if isinstance(cur, bool):
+            val = val.lower() in ("1", "true", "yes")
+        elif isinstance(cur, int):
+            val = int(val)
+        elif isinstance(cur, float):
+            val = float(val)
+        elif isinstance(cur, (list, tuple)):
+            val = type(cur)(type(cur[0])(v) for v in val.split(",")) if cur else val.split(",")
+        out[key] = val
+    return out
 
 
 def _emit(text, out_path):
@@ -104,7 +104,10 @@ def main(argv=None):
                         choices=("entire", "singular", "poly", "mixed"))
 
     args = parser.parse_args(argv)
-    args = _apply_config(args, parser)
+    if args.config:
+        # the file's values replace the defaults, so flags given still win
+        subs.choices[args.command].set_defaults(**_config_values(args, parser))
+        args = parser.parse_args(argv)
     try:
         return _dispatch(args)
     except (ValueError, OSError) as exc:

@@ -89,12 +89,8 @@ def from_polynomial(name, space, slots, smoothness="entire"):
         return space.evaluate(slots, pts)
 
     def jet_factory(alpha):
-        mat = np.eye(space.n_modes)
-        for i, a in enumerate(alpha):
-            for _ in range(a):
-                mat = ps.deriv_matrix(cell, space.degree, i) @ mat
-        comp = space.components(slots)
-        dslots = (comp @ mat.T).reshape(slots.shape)
+        mat = ps.deriv_alpha(cell, space.degree, alpha)
+        dslots = (space.components(slots) @ mat.T).reshape(slots.shape)
 
         def evaluate_d(pts):
             return space.evaluate(dslots, pts)

@@ -21,6 +21,7 @@ from numpy.polynomial.legendre import leggauss
 
 from . import cache
 from . import polyspace as ps
+from .calculus import DERIVATIVES, derivative_name
 from .calculus import diff_slots as _apply_rows  # the name the tests call
 from .refsimplex import quadrature
 
@@ -56,10 +57,6 @@ class RegularizedInverse:
         self.m = m
         self.center = self.cell.centroid
         self.radius = radius_factor * self.cell.inradius
-
-    @property
-    def in_vdim(self):
-        return _VDIMS[self.kind][0]
 
     @property
     def out_vdim(self):
@@ -135,15 +132,6 @@ def _contractions(cell, degree, center):
     return t_nodes, t_weights, mats
 
 
-def _alpha_derivative(cell, degree, alpha):
-    mat = np.eye(cell.n_modes(degree))
-    for i, a in enumerate(alpha):
-        D = ps.deriv_matrix(cell, degree, i)
-        for _ in range(a):
-            mat = D @ mat
-    return mat
-
-
 @cache.memo
 def _build_matrix(cell, kind, degree, m, center, radius):
     from math import factorial
@@ -190,7 +178,7 @@ def _build_matrix(cell, kind, degree, m, center, radius):
             fa *= factorial(a)
         # modal transform of each input component for this alpha:
         # K = C_hat[L] @ D^alpha, applied as slots @ (K.T)
-        K = (C_hat[L] @ _alpha_derivative(cell, degree, alpha)) / fa
+        K = (C_hat[L] @ ps.deriv_alpha(cell, degree, alpha)) / fa
         KT = K.T
 
         def add(in_comp, out_comp, op):
@@ -239,17 +227,14 @@ def helmholtz_curl(refcell, space, slots, tol=1e-9):
     cell = refcell.cell
     dim = cell.dim
     deg = space.degree
-    if dim == 3:
-        curl_slots = _apply_rows("curl3d", space, slots)
-        rc = regularized_inverse(refcell, "curl3d")
-        z_space, z = rc.apply(ps.vector_space(cell, deg, 3), curl_slots)
-    else:
-        curl_slots = _apply_rows("curl2d_vector", space, slots)
-        rc = regularized_inverse(refcell, "curl2d")
-        z_space, z = rc.apply(ps.scalar_space(cell, deg), curl_slots)
+    curl = derivative_name("curl", dim)
+    curl_slots = _apply_rows(curl, space, slots)
+    rc = regularized_inverse(refcell, f"curl{dim}d")
+    z_space, z = rc.apply(
+        ps.vector_space(cell, deg, DERIVATIVES[curl].value_dim(dim)), curl_slots)
     deg1 = z_space.degree
     u_pad = ps.pad_slots(slots, cell, dim, deg, deg1)
-    rg = regularized_inverse(refcell, "grad3d" if dim == 3 else "grad2d")
+    rg = regularized_inverse(refcell, f"grad{dim}d")
     phi_space, phi = rg.apply(ps.vector_space(cell, deg1, dim), u_pad - z)
     gphi = _apply_rows("grad", phi_space, phi)  # modal degree phi_space.degree
     lhs = ps.pad_slots(u_pad - z, cell, dim, deg1, phi_space.degree)

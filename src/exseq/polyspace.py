@@ -128,6 +128,15 @@ def deriv_matrix(cell, degree, direction):
     return _deriv_matrices(cell, degree)[direction]
 
 
+def deriv_alpha(cell, degree, alpha):
+    """Apply-matrix of d^alpha, the product of the first-order matrices."""
+    mat = np.eye(cell.n_modes(degree))
+    for i, a in enumerate(alpha):
+        for _ in range(a):
+            mat = deriv_matrix(cell, degree, i) @ mat
+    return mat
+
+
 @cache.memo
 def _deriv_matrices(cell, degree):
     # one gradient tabulation yields every direction

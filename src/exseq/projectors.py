@@ -43,7 +43,7 @@ from numpy.polynomial.legendre import leggauss
 
 from . import cache
 from . import polyspace as ps
-from .calculus import diff_rows, diff_slots
+from .calculus import DERIVATIVES, derivative_name, diff_rows, diff_slots
 from .refsimplex import make_reference_cell, quadrature
 
 OPERATORS = (
@@ -306,8 +306,7 @@ def _edge_element_stage(plan, name, group, rc, cell, vertex_ids, p,
     grads = diff_rows("grad", ps.build_space(cell, "h1_bubble", p))
     psi = diff_rows("curl2d_vector",
                     ps.build_space(cell, "hcurl_bubble_orth", p))
-    D = [ps.deriv_matrix(cell, deg, i) for i in range(2)]
-    rot = np.concatenate([psi @ D[1].T, -(psi @ D[0].T)], axis=1)
+    rot = diff_slots("curl2d_scalar", ps.scalar_space(cell, deg), psi)
     Vq = cell.tabulate(deg, rule[0])
     energy = [(region, _moments(Vq, rule[1], rot, frame))]
     trace, parents = [], []
@@ -465,8 +464,7 @@ def _div_stages(plan, rc, p):
         diff_rows("curl3d", ps.build_space(rc, "hcurl_bubble", p)))
     divs = diff_rows("div", ps.subspace_from_constraints(Vb, curls))
     # (div u, div v) = -(u, grad div v) + (u.n, div v)_boundary
-    D = [ps.deriv_matrix(cell, deg, i) for i in range(3)]
-    grad_div = np.concatenate([divs @ Di.T for Di in D], axis=1)
+    grad_div = diff_slots("grad", ps.scalar_space(cell, deg), divs)
     Vq = cell.tabulate(deg, q.points)
     energy = [("vol", -_moments(Vq, q.weights, grad_div))]
     for face, q2 in zip(rc.faces, face_rules):
@@ -611,29 +609,24 @@ def check_commuting(p, fields_by_op):
     provide first-derivative jets so the chained input can be formed.
     Returns a list of {identity, field, residual, scale} records.
     """
-    from . import fields as fl
-
-    chains = (
-        ("grad3d", "grad_chain_3d", "grad", "curl3d", fl.grad_field),
-        ("curl3d", "curl_chain_3d", "curl3d", "div3d", fl.curl_field),
-        ("div3d", "div_chain_3d", "div", "l2_3d", fl.div_field),
-        ("grad2d", "grad_chain_2d", "grad", "curl2d", fl.grad_field),
-        ("curl2d", "curl_chain_2d", "curl2d_vector", "l2_2d", fl.curl_field),
-    )
+    chains = {"grad3d": "curl3d", "curl3d": "div3d", "div3d": "l2_3d",
+              "grad2d": "curl2d", "curl2d": "l2_2d"}
     out = []
-    for operator, identity, deriv, next_op, chained in chains:
+    for operator, next_op in chains.items():
+        family, dim = operator[:-2], operator[-2:]
+        deriv = derivative_name(family, int(dim[0]))
         for f in fields_by_op.get(operator, ()):
             plan, nxt = build_plan(operator, p), build_plan(next_op, p)
             a_slots = plan.apply(f)
             t = plan.target
             a = diff_slots(deriv, t, a_slots)
-            b = ps.pad_slots(nxt.apply(chained(f)), t.cell,
+            b = ps.pad_slots(nxt.apply(DERIVATIVES[deriv].field(f)), t.cell,
                              nxt.target.value_dim, nxt.target.degree, t.degree)
             residual = float(np.linalg.norm(a - b))
             scale = max(float(np.linalg.norm(a_slots)), 1e-30)
             out.append(
                 {
-                    "identity": identity,
+                    "identity": f"{family}_chain_{dim}",
                     "field": f.name,
                     "residual": residual,
                     "scale": scale,

@@ -72,8 +72,6 @@ class Cell:
         pts = np.asarray(pts)
         if pts.ndim == 1:
             pts = pts[:, None]
-        if self.dim == 1:
-            return (pts - self._v0) @ self._Ainv.T
         return (pts - self._v0) @ self._Ainv.T
 
     def from_reference(self, ref_pts):

@@ -6,6 +6,12 @@ H1-Gram) pencil (and (H1, H2) for orders in (1,2]); dual norms are inner
 approximations over a rich polynomial test space. Both are the standard
 computable surrogates; equivalence constants are never asserted, only
 measured by the studies.
+
+Every derivative comes from one table: a graph norm's family derivative (curl
+or div, and grad) from `calculus.DERIVATIVES`, which pairs the slot rows of a
+polynomial's derivative with the same derivative of a field, and each d^alpha
+of the norms' multi-indices from `polyspace.deriv_alpha` on the polynomial
+side and the field's jets on the other.
 """
 
 import numpy as np
@@ -13,7 +19,7 @@ import scipy.linalg
 
 from . import cache
 from . import polyspace as ps
-from .calculus import diff_rows, diff_slots
+from .calculus import DERIVATIVES, derivative_name, diff_rows, diff_slots
 from .refsimplex import quadrature
 
 
@@ -27,7 +33,8 @@ class SobolevGram:
 
     The spectrum of A1 is computed only for fractional orders: order 0 is the
     Euclidean form, and order 1 is the A1 form (a Cholesky solve with A1 for
-    the dual form). Orders above 1 use the (A2, A1) pencil.
+    the dual form). Orders above 1 use the (A2, A1) pencil. Each lazily built
+    table is read-only, like the memoised Gram that shares it.
     """
 
     def __init__(self, cell, degree):
@@ -46,12 +53,12 @@ class SobolevGram:
         """(clipped eigenvalues, eigenvectors) of A1."""
         if self._first is None:
             lam, U = scipy.linalg.eigh(self.A1)
-            self._first = (np.clip(lam, 1.0, None), U)
+            self._first = cache.freeze((np.clip(lam, 1.0, None), U))
         return self._first
 
     def _solve_a1(self, b):
         if self._cho is None:
-            self._cho = scipy.linalg.cho_factor(self.A1)
+            self._cho = cache.freeze(scipy.linalg.cho_factor(self.A1))
         return scipy.linalg.cho_solve(self._cho, b)
 
     def _second_data(self):
@@ -64,7 +71,7 @@ class SobolevGram:
                     Mij = self._D[i] @ self._D[j]
                     A2 += w * (Mij.T @ Mij)
             mu, V = scipy.linalg.eigh(A2, self.A1)
-            self._second = (A2, np.clip(mu, 1.0, None), V)
+            self._second = cache.freeze((A2, np.clip(mu, 1.0, None), V))
         return self._second
 
     @property
@@ -141,57 +148,34 @@ def field_mode_pairings(cell, degree, quad, values):
     return mode_pairings(V, quad.weights, values).ravel()
 
 
-def dual_norm(g, field_or_values, s, quad_degree=None):
-    """Discrete dual norm sup_{v in P_degree} (e, v)/||v||_{H^s}.
-
-    `field_or_values` is an evaluator pts -> values, a (pairings,) covector,
-    or an array of sampled values matching the quadrature.
-    """
-    if callable(field_or_values):
-        qd = quad_degree or (2 * g.degree + 10)
-        q = quadrature(g.cell, min(qd, 40))
-        vals = field_or_values(q.points)
-        b = field_mode_pairings(g.cell, g.degree, q, vals)
-    else:
-        b = np.asarray(field_or_values, dtype=float)
-    comps = b.reshape(-1, g.n)
+def dual_norm(g, pairings, s):
+    """Discrete dual norm sup_{v in P_degree} (e, v)/||v||_{H^s}, from the
+    component-stacked covector of L2 pairings of e with the modes."""
+    comps = np.asarray(pairings, dtype=float).reshape(-1, g.n)
     return float(np.sqrt(sum(g.dual_quadform(bi, s) for bi in comps)))
 
 
 # ---------------------------------------------------------------------------
 # best approximation
 
+# order of the multi-indices of each integer norm, and the derivative family
+# whose graph norm it is (if any)
+_ORDER = {"L2": 0, "H1": 1, "H1full": 1, "H2": 2, "Hcurl": 0, "Hdiv": 0,
+          "H1curl": 1}
+_FAMILY = {"Hcurl": "curl", "H1curl": "curl", "Hhalf_curl": "curl",
+           "Hdiv": "div", "Hhalf_div": "div"}
 
-def _h1_gram_on(space):
-    g = gram(space.cell, space.degree)
+
+def _graph_derivative(norm, dim):
+    """The DERIVATIVES entry of a graph norm on a dim-cell, or None."""
+    family = _FAMILY.get(norm)
+    return family and derivative_name(family, dim)
+
+
+def _form_on(space, G):
+    """Gram of the space's basis in the modal form G, summed over components."""
     comps = space.components(space.basis)
-    return sum(comps[:, c] @ g.A1 @ comps[:, c].T for c in range(space.value_dim))
-
-
-def _h2_gram_on(space):
-    g = gram(space.cell, space.degree)
-    comps = space.components(space.basis)
-    return sum(comps[:, c] @ g.A2 @ comps[:, c].T for c in range(space.value_dim))
-
-
-def _jet_pairings(space, field, quad, order_matrices):
-    """Sum of L2 pairings of prescribed derivatives of the field against the
-    corresponding derivatives of the basis, in space coordinates."""
-    cell = space.cell
-    nm = space.n_modes
-    vd = space.value_dim
-    comps = space.components(space.basis)
-    V = cell.tabulate(space.degree, quad.points)
-    jets = [field.jet(quad.points, alpha) for alpha, _ in order_matrices]
-    b = mode_pairings(V, quad.weights, np.column_stack(jets)).reshape(-1, vd, nm)
-    rhs = np.zeros(space.dim)
-    for (alpha, weight), b_alpha in zip(order_matrices, b):
-        mat = np.eye(nm)
-        for i, a in enumerate(alpha):
-            for _ in range(a):
-                mat = ps.deriv_matrix(cell, space.degree, i) @ mat
-        rhs += weight * np.einsum("dcm,cm->d", comps, b_alpha @ mat)
-    return rhs
+    return sum(comps[:, c] @ G @ comps[:, c].T for c in range(space.value_dim))
 
 
 def _derivative_multiindices(dim, order):
@@ -212,97 +196,58 @@ def _derivative_multiindices(dim, order):
     return out
 
 
-def _diff_values(space, slots, V, alpha):
-    """Values of d^alpha of a polynomial given by slot coefficients, from the
-    modal table V of the space's degree at the points."""
+def _jet_pairings(space, field, quad, order):
+    """Sum over the H^order multi-indices of the L2 pairings of d^alpha of the
+    field against d^alpha of the basis, in space coordinates."""
     cell = space.cell
-    mat = np.eye(space.n_modes)
-    for i, a in enumerate(alpha):
-        for _ in range(a):
-            mat = ps.deriv_matrix(cell, space.degree, i) @ mat
-    comp = space.components(slots) @ mat.T
-    vals = comp @ V
-    return vals[0] if space.value_dim == 1 else vals.T
+    alphas = _derivative_multiindices(cell.dim, order)
+    comps = space.components(space.basis)
+    V = cell.tabulate(space.degree, quad.points)
+    jets = [field.jet(quad.points, alpha) for alpha, _ in alphas]
+    b = mode_pairings(V, quad.weights, np.column_stack(jets))
+    b = b.reshape(-1, space.value_dim, space.n_modes)
+    rhs = np.zeros(space.dim)
+    for (alpha, weight), b_alpha in zip(alphas, b):
+        mat = ps.deriv_alpha(cell, space.degree, alpha)
+        rhs += weight * np.einsum("dcm,cm->d", comps, b_alpha @ mat)
+    return rhs
 
 
-def _l2sq(quad, diff):
-    diff = np.asarray(diff, dtype=float)
+def _l2sq(weights, diff):
     if diff.ndim == 1:
-        return float(np.sum(quad.weights * diff**2))
-    return float(np.einsum("q,qi->", quad.weights, diff**2))
+        return float(np.sum(weights * diff**2))
+    return float(np.einsum("q,qi->", weights, diff**2))
 
 
 def error_in_norm(space, field, slots, quad, norm):
-    """Quadrature error ||field - polynomial|| in the requested norm.
+    """Quadrature error ||field - polynomial|| in the requested integer norm.
 
-    Derivative parts come from the field's jets; fractional norms are handled
-    by their surrogate forms elsewhere.
+    Sums the squared L2 errors of d^alpha, over the multi-indices of the
+    norm's order, of the value and, for graph norms, of the family derivative
+    of field and polynomial alike; fractional norms are handled by their
+    surrogate forms elsewhere.
     """
-    cell = space.cell
-    dim = cell.dim
-    V = cell.tabulate(space.degree, quad.points)
-
-    def jet_err_sq(alphas):
-        total = 0.0
-        for alpha, wgt in alphas:
-            fv = field.jet(quad.points, alpha)
-            pv = _diff_values(space, slots, V, alpha)
-            total += wgt * _l2sq(quad, np.asarray(fv, dtype=float) - pv)
-        return total
-
-    if norm == "L2":
-        return float(np.sqrt(jet_err_sq([((0,) * dim, 1.0)])))
-    if norm in ("H1", "H1full"):
-        return float(np.sqrt(jet_err_sq(_derivative_multiindices(dim, 1))))
-    if norm == "H2":
-        return float(np.sqrt(jet_err_sq(_derivative_multiindices(dim, 2))))
-    if norm in ("Hcurl", "Hdiv", "H1curl"):
-        base_order = 1 if norm == "H1curl" else 0
-        total = jet_err_sq(_derivative_multiindices(dim, base_order))
-        if norm in ("Hcurl", "H1curl"):
-            dname = "curl3d" if dim == 3 else "curl2d_vector"
-            out_vd = 3 if dim == 3 else 1
-            du = _field_curl(field, quad.points, dim)
-            dfield = _field_curl_jet(field, quad.points, dim) if norm == "H1curl" else None
-        else:
-            dname = "div"
-            out_vd = 1
-            du = sum(
-                field.jet(quad.points, _unit(dim, i))[:, i] for i in range(dim)
-            )
-            dfield = None
-        drows = diff_slots(dname, space, slots)
-        dspace = ps.PolySpace(cell, out_vd, space.degree, drows[None, :])
-        pv = _diff_values(dspace, drows, V, (0,) * dim)
-        du = np.asarray(du, dtype=float)
-        total += _l2sq(quad, du - pv)
-        if norm == "H1curl":
-            for i in range(dim):
-                pv_i = _diff_values(dspace, drows, V, _unit(dim, i))
-                fv_i = dfield[i]
-                if fv_i.ndim == 2 and out_vd == 1:
-                    fv_i = fv_i[:, 0]
-                total += _l2sq(quad, np.asarray(fv_i, dtype=float) - pv_i)
-        return float(np.sqrt(total))
-    raise ValueError(f"no direct error formula for norm {norm!r}")
+    if norm not in _ORDER:
+        raise ValueError(f"no direct error formula for norm {norm!r}")
+    cell, pts = space.cell, quad.points
+    V = cell.tabulate(space.degree, pts)
+    parts = [(field, space.value_dim, slots)]
+    name = _graph_derivative(norm, cell.dim)
+    if name:
+        d = DERIVATIVES[name]
+        parts.append((d.field(field), d.value_dim(cell.dim),
+                      diff_slots(name, space, slots)))
+    total = 0.0
+    for f, vd, sl in parts:
+        comps = np.reshape(sl, (vd, -1))
+        for alpha, weight in _derivative_multiindices(cell.dim, _ORDER[norm]):
+            fv = f.jet(pts, alpha)
+            pv = (comps @ ps.deriv_alpha(cell, space.degree, alpha).T) @ V
+            total += weight * _l2sq(quad.weights, fv - pv.T.reshape(fv.shape))
+    return float(np.sqrt(total))
 
 
-def _error_norm(space, field, coeffs_slots, quad, kind):
-    """Error of the approximation in its own norm (L2 for the plain kinds)."""
-    direct = {
-        "L2": "L2",
-        "H1": "H1full",
-        "H1full": "H1full",
-        "H2": "H2",
-        "Hcurl": "Hcurl",
-        "Hdiv": "Hdiv",
-        "H1curl": "H1curl",
-    }
-    return error_in_norm(space, field, coeffs_slots, quad, direct[kind])
-
-
-def best_approx(space, field, norm="L2", rich_degree=None, quad_degree=None,
-                s=0.5, quad=None):
+def best_approx(space, field, norm="L2", rich_degree=None, s=0.5, quad=None):
     """Best approximation of an analytic field in `space`.
 
     norm:
@@ -316,16 +261,12 @@ def best_approx(space, field, norm="L2", rich_degree=None, quad_degree=None,
       Hhalf    fractional H^s minimization through a rich-space surrogate
       Hhalf_div, Hhalf_curl   graph-norm surrogates ||.||_{H^s}^2 + ||D.||_{H^s}^2
 
-    Returns (slot coefficients, error) where the error is the L2-part
-    quadrature error for integer norms and the surrogate-form error for the
-    fractional ones.
+    Returns (slot coefficients, error) where the error is the quadrature
+    error in the full norm for integer norms (H1full for H1) and the
+    surrogate-form error for the fractional ones.
     """
     cell = space.cell
-    if quad is None:
-        qd = quad_degree or min(2 * space.degree + 14, 40)
-        q = quadrature(cell, qd)
-    else:
-        q = quad
+    q = quadrature(cell, min(2 * space.degree + 14, 40)) if quad is None else quad
 
     if norm == "L2":
         b = field_mode_pairings(cell, space.degree, q, field(q.points))
@@ -333,11 +274,9 @@ def best_approx(space, field, norm="L2", rich_degree=None, quad_degree=None,
     elif norm == "H1":
         if space.value_dim != 1:
             raise ValueError("the gradient-orthogonal projector is scalar")
-        grad_rows = calculus_grad_rows(space)
+        grad_rows = diff_rows("grad", space)
         A = grad_rows @ grad_rows.T
-        gvals = np.stack(
-            [field.jet(q.points, _unit(cell.dim, i)) for i in range(cell.dim)], axis=1
-        )
+        gvals = DERIVATIVES["grad"].field(field)(q.points)
         b = field_mode_pairings(cell, space.degree, q, gvals)
         rhs = grad_rows @ b
         mean = ps.mean_row(cell, 1, space.degree)[0] @ space.basis.T
@@ -345,13 +284,10 @@ def best_approx(space, field, norm="L2", rich_degree=None, quad_degree=None,
         target_mean = float(np.sum(q.weights * field(q.points)))
         rhs = np.concatenate([rhs, [target_mean]])
         coords, *_ = np.linalg.lstsq(A, rhs, rcond=None)
-    elif norm == "H1full":
-        A = _h1_gram_on(space)
-        rhs = _jet_pairings(space, field, q, _derivative_multiindices(cell.dim, 1))
-        coords = np.linalg.solve(A, rhs)
-    elif norm == "H2":
-        A = _h2_gram_on(space)
-        rhs = _jet_pairings(space, field, q, _derivative_multiindices(cell.dim, 2))
+    elif norm in ("H1full", "H2"):
+        g = gram(cell, space.degree)
+        A = _form_on(space, g.A1 if norm == "H1full" else g.A2)
+        rhs = _jet_pairings(space, field, q, _ORDER[norm])
         coords = np.linalg.solve(A, rhs)
     elif norm in ("Hcurl", "Hdiv"):
         coords = _two_block_projector(space, field, q, norm)
@@ -363,53 +299,32 @@ def best_approx(space, field, norm="L2", rich_degree=None, quad_degree=None,
         raise ValueError(f"unknown norm {norm!r}")
 
     slots = coords @ space.basis
-    return slots, _error_norm(space, field, slots, q, norm)
-
-
-def _unit(dim, i):
-    a = [0] * dim
-    a[i] = 1
-    return tuple(a)
-
-
-def calculus_grad_rows(space):
-    return diff_rows("grad", space)
+    return slots, error_in_norm(space, field, slots, q, norm)
 
 
 def _two_block_projector(space, field, q, norm):
     cell = space.cell
+    name = _graph_derivative(norm, cell.dim)
+    d_rows = diff_rows(name, space)
     if norm == "Hcurl":
-        dname = "curl3d" if cell.dim == 3 else "curl2d_vector"
-        d_rows = diff_rows(dname, space)
+        # gradients: the curl block is tested on their complement
         scalar = ps.scalar_space(cell, space.degree)
-        g_rows = diff_rows("grad", scalar)
-        g_basis = ps.span_from_rows(g_rows)
-        # complement of gradients inside the space, to test the curl block
-        compl = ps.subspace_from_constraints(space, g_basis)
-        d_compl = diff_rows(dname, compl)
-        rows_a = d_compl @ d_rows.T  # curl-curl conditions against complement
-        rows_b = g_basis @ space.basis.T  # gradient orthogonality
-        if field.value_dim != space.value_dim:
-            raise ValueError("field/value-dim mismatch")
-        du = _field_curl(field, q.points, cell.dim)
-        test_b = g_basis
+        test_b = ps.span_from_rows(diff_rows("grad", scalar))
     else:
-        d_rows = diff_rows("div", space)
+        # curls: the div block is tested on their complement
         ned = ps.nedelec_space(cell, space.degree - 1)
-        c_rows = diff_rows("curl3d", ned)
-        c_basis = ps.span_from_rows(c_rows)
-        c_basis = ps.pad_slots(c_basis, cell, 3, ned.degree, space.degree)
-        compl = ps.subspace_from_constraints(space, c_basis)
-        d_compl = diff_rows("div", compl)
-        rows_a = d_compl @ d_rows.T
-        rows_b = c_basis @ space.basis.T
-        du = field.jet(q.points, (1, 0, 0))[:, 0] + field.jet(q.points, (0, 1, 0))[
-            :, 1
-        ] + field.jet(q.points, (0, 0, 1))[:, 2]
-        test_b = c_basis
+        c_basis = ps.span_from_rows(diff_rows("curl3d", ned))
+        test_b = ps.pad_slots(c_basis, cell, 3, ned.degree, space.degree)
+    compl = ps.subspace_from_constraints(space, test_b)
+    d_compl = diff_rows(name, compl)
+    rows_a = d_compl @ d_rows.T  # D-D conditions against the complement
+    rows_b = test_b @ space.basis.T  # orthogonality to the test rows
+    if field.value_dim != space.value_dim:
+        raise ValueError("field/value-dim mismatch")
+    du = DERIVATIVES[name].field(field)(q.points)
     # pair D u and u with the modes in one product
     V = cell.tabulate(space.degree, q.points)
-    du = np.asarray(du, dtype=float).reshape(len(q.weights), -1)
+    du = du.reshape(len(q.weights), -1)
     b = mode_pairings(V, q.weights, np.column_stack([du, field(q.points)]))
     k = du.shape[1]
     A = np.vstack([rows_a, rows_b])
@@ -417,47 +332,28 @@ def _two_block_projector(space, field, q, norm):
     return np.linalg.solve(A, rhs)
 
 
-def _field_curl(field, pts, dim):
-    if dim == 3:
-        j = {a: field.jet(pts, a) for a in ((1, 0, 0), (0, 1, 0), (0, 0, 1))}
-        return np.stack(
-            [
-                j[(0, 1, 0)][:, 2] - j[(0, 0, 1)][:, 1],
-                j[(0, 0, 1)][:, 0] - j[(1, 0, 0)][:, 2],
-                j[(1, 0, 0)][:, 1] - j[(0, 1, 0)][:, 0],
-            ],
-            axis=1,
-        )
-    jx = field.jet(pts, (1, 0))
-    jy = field.jet(pts, (0, 1))
-    return jx[:, 1] - jy[:, 0]
-
-
 @cache.memo
 def _h1curl_matrices(space):
     cell = space.cell
     g = gram(cell, space.degree)
-    comps = space.components(space.basis)
-    A = sum(comps[:, c] @ g.A1 @ comps[:, c].T for c in range(space.value_dim))
-    d_rows = diff_rows("curl3d" if cell.dim == 3 else "curl2d_vector", space)
-    vd_curl = 3 if cell.dim == 3 else 1
-    dcomp = d_rows.reshape(space.dim, vd_curl, space.n_modes)
-    A = A + sum(dcomp[:, c] @ g.A1 @ dcomp[:, c].T for c in range(vd_curl))
-    return scipy.linalg.cho_factor(A), dcomp, vd_curl
+    curl = derivative_name("curl", cell.dim)
+    curls = ps.PolySpace(cell, DERIVATIVES[curl].value_dim(cell.dim),
+                         space.degree, diff_rows(curl, space))
+    A = _form_on(space, g.A1) + _form_on(curls, g.A1)
+    return scipy.linalg.cho_factor(A), curls.components(curls.basis)
 
 
 def _h1curl_minimizer(space, field, q):
     cell = space.cell
     d, vd = cell.dim, space.value_dim
     comps = space.components(space.basis)
-    cho, dcomp, vd_curl = _h1curl_matrices(space)
+    cho, dcomp = _h1curl_matrices(space)
+    curl = DERIVATIVES[derivative_name("curl", d)].field(field)
     # rhs: (u, phi)_{H1} + (curl u, curl phi)_{H1}, all pairings in one product
     V = cell.tabulate(space.degree, q.points)
-    du = [field.jet(q.points, _unit(d, i)) for i in range(d)]
-    curl_u = _field_curl(field, q.points, d)
-    dcurl = _field_curl_jet(field, q.points, d)
-    b = mode_pairings(V, q.weights,
-                      np.column_stack([field(q.points), *du, curl_u, *dcurl]))
+    alphas = [alpha for alpha, _ in _derivative_multiindices(d, 1)]
+    b = mode_pairings(V, q.weights, np.column_stack(
+        [f.jet(q.points, alpha) for f in (field, curl) for alpha in alphas]))
     bu, *bdu = np.split(b[: vd * (d + 1)], d + 1)
     bc, *bdc = np.split(b[vd * (d + 1) :], d + 1)
     D = [ps.deriv_matrix(cell, space.degree, i) for i in range(d)]
@@ -467,100 +363,49 @@ def _h1curl_minimizer(space, field, q):
     return scipy.linalg.cho_solve(cho, rhs)
 
 
-def _field_curl_jet(field, pts, dim):
-    """Spatial derivatives of the curl, from order-2 jets of the field."""
-    out = []
-    for i in range(dim):
-        if dim == 3:
-            def second(a, b):
-                alpha = [0, 0, 0]
-                alpha[a] += 1
-                alpha[b] += 1
-                return field.jet(pts, tuple(alpha))
-            ji = [second(i, k) for k in range(3)]
-            out.append(
-                np.stack(
-                    [
-                        ji[1][:, 2] - ji[2][:, 1],
-                        ji[2][:, 0] - ji[0][:, 2],
-                        ji[0][:, 1] - ji[1][:, 0],
-                    ],
-                    axis=1,
-                )
-            )
-        else:
-            alpha_x = [0, 0]
-            alpha_x[i] += 1
-            ax = tuple(a + b for a, b in zip(alpha_x, (1, 0)))
-            ay = tuple(a + b for a, b in zip(alpha_x, (0, 1)))
-            out.append((field.jet(pts, ax)[:, 1] - field.jet(pts, ay)[:, 0])[:, None])
-    return out
-
-
 @cache.memo
 def _fractional_matrices(space, norm, s, P):
-    """Field-independent structures of the rich-space fractional minimizer."""
+    """Field-independent structures of the rich-space fractional minimizer:
+    the factored form and, per block (the value, then for graph norms the
+    derivative), the rich-degree rows and their H_s images."""
     cell = space.cell
     g = gram(cell, P)
-    nm_rich = cell.n_modes(P)
-    B = ps.pad_slots(space.basis, cell, space.value_dim, space.degree, P)
-    Bc = B.reshape(space.dim, space.value_dim, nm_rich)
-    Hs_B = np.stack(
-        [_apply_hs(g, Bc[:, c], s) for c in range(space.value_dim)], axis=1
-    )
-    A = sum(Hs_B[:, c] @ Bc[:, c].T for c in range(space.value_dim))
-    dc = Hs_d = None
-    out_vd = 0
-    if norm in ("Hhalf_div", "Hhalf_curl"):
-        if norm == "Hhalf_div":
-            d_rows = diff_rows("div", space)
-            out_vd = 1
-        else:
-            dname = "curl3d" if cell.dim == 3 else "curl2d_vector"
-            d_rows = diff_rows(dname, space)
-            out_vd = 3 if cell.dim == 3 else 1
-        d_rows = ps.pad_slots(d_rows, cell, out_vd, space.degree, P)
-        dc = d_rows.reshape(space.dim, out_vd, nm_rich)
-        Hs_d = np.stack(
-            [_apply_hs(g, dc[:, c], s) for c in range(out_vd)], axis=1
-        )
-        A = A + sum(Hs_d[:, c] @ dc[:, c].T for c in range(out_vd))
-    return scipy.linalg.cho_factor(A), Bc, Hs_B, dc, Hs_d, out_vd
+    blocks = [(space.basis, space.value_dim)]
+    name = _graph_derivative(norm, cell.dim)
+    if name:
+        blocks.append((diff_rows(name, space),
+                       DERIVATIVES[name].value_dim(cell.dim)))
+    A, parts = 0, []
+    for rows, vd in blocks:
+        R = ps.pad_slots(rows, cell, vd, space.degree, P)
+        R = R.reshape(space.dim, vd, cell.n_modes(P))
+        Hs = np.stack([_apply_hs(g, R[:, c], s) for c in range(vd)], axis=1)
+        A = A + sum(Hs[:, c] @ R[:, c].T for c in range(vd))
+        parts.append((R, Hs))
+    return scipy.linalg.cho_factor(A), parts
 
 
 def _fractional_best_approx(space, field, norm, s, rich_degree, q):
     cell = space.cell
     P = rich_degree or (space.degree + 6)
     g = gram(cell, P)
-    cho, Bc, Hs_B, dc, Hs_d, out_vd = _fractional_matrices(space, norm, s, P)
-    uvals = np.asarray(field(q.points), dtype=float).reshape(len(q.weights), -1)
-    cols = [uvals]
-    if out_vd:
-        if norm == "Hhalf_div":
-            du = sum(
-                field.jet(q.points, _unit(cell.dim, i))[:, i]
-                for i in range(cell.dim)
-            )
-        else:
-            du = _field_curl(field, q.points, cell.dim)
-        cols.append(du)
+    cho, parts = _fractional_matrices(space, norm, s, P)
+    name = _graph_derivative(norm, cell.dim)
+    fields = [field] + ([DERIVATIVES[name].field(field)] if name else [])
+    cols = [f(q.points).reshape(len(q.weights), -1) for f in fields]
     # pairings of u (and of D u) with the rich modes in one product
     b = mode_pairings(cell.tabulate(P, q.points), q.weights, np.column_stack(cols))
-    u_rich, du_rich = b[: uvals.shape[1]], b[uvals.shape[1] :]
-    rhs = sum(Hs_B[:, c] @ u_rich[c] for c in range(space.value_dim))
-    rhs = rhs + sum(Hs_d[:, c] @ du_rich[c] for c in range(out_vd))
+    b = np.split(b, np.cumsum([c.shape[1] for c in cols])[:-1])
+    rhs = 0
+    for (_, Hs), bk in zip(parts, b):
+        rhs = rhs + sum(Hs[:, c] @ bk[c] for c in range(len(bk)))
     coords = scipy.linalg.cho_solve(cho, rhs)
     slots = coords @ space.basis
     # surrogate error: H_s distance inside the rich space
-    diff = u_rich - np.tensordot(coords, Bc, axes=(0, 0))
-    err2 = sum(
-        g.fractional_quadform(diff[c], s) for c in range(diff.shape[0])
-    )
-    if out_vd:
-        ddiff = du_rich - np.tensordot(coords, dc, axes=(0, 0))
-        err2 += sum(
-            g.fractional_quadform(ddiff[c], s) for c in range(ddiff.shape[0])
-        )
+    err2 = 0
+    for (R, _), bk in zip(parts, b):
+        diff = bk - np.tensordot(coords, R, axes=(0, 0))
+        err2 += sum(g.fractional_quadform(diff[c], s) for c in range(len(diff)))
     return slots, float(np.sqrt(max(err2, 0.0)))
 
 

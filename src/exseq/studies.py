@@ -112,58 +112,36 @@ def fields_for(operator, suite_name):
 
 
 def _error_l2_parts(plan, field, slots):
-    """L2 norms of (e, De) for the operator's graph norm, by quadrature."""
-    cell = plan.target.cell
-    op = plan.operator
+    """L2 norms of (e, De) for the operator's graph norm, by quadrature.
+
+    Returns (||e||, ||De||, (e, De, points, weights)); the L2 operators have
+    no derivative part, and None in its places.
+    """
     target = plan.target
-    if op == "grad1d":
+    cell = target.cell
+    if plan.operator == "grad1d":
         pts, w = pj._graded_interval_rule()
         pts = pts[:, None]
     else:
         q = quadrature(cell, min(2 * target.degree + 14, 40))
         pts, w = q.points, q.weights
-    # one table serves the target's values and those of its derivatives
+    # one table serves the target's values and those of its derivative
     V = cell.tabulate(target.degree, pts)
-    uvals = np.asarray(field(pts), dtype=float)
-    pvals = pj._rows_at(V, target.value_dim, slots[None, :])[0]
-    e = uvals - (pvals[:, 0] if target.value_dim == 1 else pvals)
-    if e.ndim == 1:
-        l2 = np.sqrt(np.sum(w * e**2))
-    else:
-        l2 = np.sqrt(np.einsum("q,qi->", w, e**2))
 
-    if op.startswith("grad") or op.startswith("l2"):
-        # gradient part for the H1-scale norms
-        if op.startswith("l2"):
-            return float(l2), None, (e, pts, w)
-        dim = cell.dim
-        du = np.stack(
-            [field.jet(pts, fl._unit(dim, i)) for i in range(dim)], axis=1
-        )
-        D = [ps.deriv_matrix(cell, target.degree, i) for i in range(dim)]
-        dp = (np.stack([D[i] @ slots for i in range(dim)]) @ V).T
-        ge = du - dp
-        h1_part = np.sqrt(np.einsum("q,qi->", w, ge**2))
-        return float(l2), float(h1_part), (e, ge, pts, w)
-    if op.startswith("curl"):
-        dim = cell.dim
-        cu = fl.curl_field(field)(pts)
-        crows = ca.diff_slots("curl3d" if dim == 3 else "curl2d_vector", target, slots)
-        vd = 3 if dim == 3 else 1
-        cp = pj._rows_at(V, vd, crows[None, :])[0]
-        ce = np.asarray(cu, dtype=float)
-        if ce.ndim == 1:
-            ce = ce[:, None]
-        ce = ce - cp
-        cl2 = np.sqrt(np.einsum("q,qi->", w, ce**2))
-        return float(l2), float(cl2), (e, ce, pts, w)
-    # div3d
-    dv = fl.div_field(field)(pts)
-    drows = ca.diff_slots("div", target, slots)
-    dp = pj._rows_at(V, 1, drows[None, :])[0][:, 0]
-    de = np.asarray(dv, dtype=float) - dp
-    dl2 = np.sqrt(np.sum(w * de**2))
-    return float(l2), float(dl2), (e, de, pts, w)
+    def error(f, vd, rows):
+        fv = f(pts)  # in the field's own shape: grad on an interval is (n, 1)
+        return fv - pj._rows_at(V, vd, rows[None, :])[0].reshape(fv.shape)
+
+    e = error(field, target.value_dim, slots)
+    l2 = float(np.sqrt(sb._l2sq(w, e)))
+    family = plan.operator[:-2].rstrip("_")
+    if family == "l2":
+        return l2, None, (e, None, pts, w)
+    name = ca.derivative_name(family, cell.dim)
+    d = ca.DERIVATIVES[name]
+    de = error(d.field(field), d.value_dim(cell.dim),
+               ca.diff_slots(name, target, slots))
+    return l2, float(np.sqrt(sb._l2sq(w, de))), (e, de, pts, w)
 
 
 def _dual_norm(cell, P, s, pairings):

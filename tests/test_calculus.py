@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+import sympy as sp
 
 from exseq import calculus as ca
+from exseq import fields as fl
 from exseq import polyspace as ps
-from exseq.refsimplex import quadrature
+from exseq import sobolev as sb
+from exseq.refsimplex import make_reference_cell, quadrature
 
 
 def _project_scalar(cell, degree, fn, quad_degree=None):
@@ -175,3 +178,39 @@ def test_bubble_sequence_dimension_identity(rc3, rc2, rc1):
         assert split["dim_bubble_hcurl"] == split["dim_grad"] + split["dim_curl"]
         s2 = [c for c in rep["checks"] if c["label"] == "2d.bubble.curl_eq_zero_mean"][0]
         assert s2["dim_curl"] == s2["dim_zero_mean"]
+
+
+@pytest.mark.parametrize("dim,family,name", [
+    (3, "grad", "grad"), (3, "curl", "curl3d"), (3, "div", "div"),
+    (2, "grad", "grad"), (2, "curl", "curl2d_vector"), (2, "div", "div"),
+    (1, "grad", "grad"),
+])
+def test_derivative_table_pairs_field_and_slots(dim, family, name, rng):
+    # the field side of each entry, applied to a polynomial field, equals the
+    # slot side evaluated at the same points
+    assert ca.derivative_name(family, dim) == name
+    cell = make_reference_cell(dim).cell
+    entry = ca.DERIVATIVES[name]
+    space = ps.vector_space(cell, 4, 1 if family == "grad" else dim)
+    slots = space.random_elements(1, rng)[0]
+    q = quadrature(cell, 8)
+    fv = entry.field(fl.from_polynomial("u", space, slots))(q.points)
+    image = ps.vector_space(cell, 4, entry.value_dim(dim))
+    pv = image.evaluate(ca.diff_slots(name, space, slots), q.points)
+    if dim == 1:
+        # grad on an interval is a 1-vector field: (n, 1), never (n,)
+        assert fv.shape == (len(q.weights), 1)
+    assert np.abs(fv - pv.reshape(fv.shape)).max() <= 1e-10 * np.abs(pv).max()
+
+
+def test_deriv_alpha_second_order_jet(rc3):
+    x, y, z = sp.symbols("x y z")
+    f = fl.from_sympy("quartic", x**2 * y * z + y**3 - x * z**2, 3)
+    cell, alpha = rc3.cell, (1, 0, 1)
+    q = quadrature(cell, 10)
+    # a member of the degree-4 space: its L2 pairings are its coefficients
+    slots = sb.field_mode_pairings(cell, 4, q, f(q.points))
+    vals = ps.scalar_space(cell, 4).evaluate(
+        slots @ ps.deriv_alpha(cell, 4, alpha).T, q.points)
+    exact = f.jet(q.points, alpha)
+    assert np.abs(vals - exact).max() <= 1e-10 * np.abs(exact).max()

@@ -4,6 +4,7 @@ import pytest
 from exseq import cache
 from exseq import calculus as ca
 from exseq import polyspace as ps
+from exseq import sobolev as sb
 from exseq.refsimplex import Cell, quadrature
 
 
@@ -183,6 +184,13 @@ def test_memoised_tables_are_read_only(rc3):
     sp = ps.build_space(rc3, "hcurl", 1)
     with pytest.raises(ValueError):
         sp.basis[0, 0] = 1.0
+    # the Gram's lazily built tables are shared with every later caller too
+    g = sb.gram(rc3.cell, 2)
+    g.dual_quadform(np.ones(g.n), 1.0)  # builds the Cholesky factor of A1
+    tables = [g.A1, *g._first_data(), *g._second_data(), g._cho[0]]
+    for table in tables:
+        with pytest.raises(ValueError):
+            table.flat[0] = 1.0
 
 
 def test_memo_rejects_arguments_without_content_key():

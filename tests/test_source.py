@@ -1,0 +1,49 @@
+"""Static checks of the package source, with the standard library's ast:
+no dead code and no duplicate helpers."""
+
+import ast
+from collections import defaultdict
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "exseq"
+
+
+def _trees(*dirs):
+    return {path: ast.parse(path.read_text())
+            for d in dirs for path in sorted(d.rglob("*.py"))}
+
+
+def _is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
+def test_every_function_is_referenced():
+    # every function, method and property of the package is named in src/ or
+    # tests/ somewhere besides its own definition
+    defined = {}
+    for path, tree in _trees(PACKAGE).items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                    and not _is_dunder(node.name):
+                defined.setdefault(node.name, f"{path.name}:{node.lineno}")
+    used = set()
+    for tree in _trees(ROOT / "src", ROOT / "tests").values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name.rsplit(".", 1)[-1])
+    assert sorted(f"{n} ({where})" for n, where in defined.items()
+                  if n not in used) == []
+
+
+def test_no_top_level_function_defined_twice():
+    homes = defaultdict(list)
+    for path, tree in _trees(PACKAGE).items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                homes[node.name].append(path.name)
+    assert {n: m for n, m in homes.items() if len(m) > 1} == {}

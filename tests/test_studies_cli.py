@@ -150,6 +150,17 @@ def test_cli_config_file(tmp_path):
     assert rows[-1].startswith("3,")
 
 
+def test_cli_flags_override_config_file(tmp_path):
+    cfgf = tmp_path / "run.cfg"
+    cfgf.write_text("p_max = 1\n")
+    out = tmp_path / "dims.csv"
+    code = cli.main(["dims", "--config", str(cfgf), "--p-max", "3",
+                     "--out", str(out)])
+    assert code == 0
+    assert {r.split(",")[0] for r in out.read_text().splitlines()[1:]} == {
+        "0", "1", "2", "3"}
+
+
 def test_cache_roundtrip(tmp_path, monkeypatch):
     from exseq import cache
     from exseq import polyspace as ps
