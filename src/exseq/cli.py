@@ -32,10 +32,13 @@ def _load_config(path):
 
 
 def _config_values(args, parser):
-    """The config file's values, typed like the parsed flags they mirror."""
+    """The config file's values, typed like the parsed flags they mirror; a
+    repeatable flag takes a comma list."""
+    actions = {a.dest: a for a in parser._actions
+               if a.dest not in ("help", "config")}
     out = {}
     for key, val in _load_config(args.config).items():
-        if not hasattr(args, key):
+        if key not in actions:
             parser.error(f"unknown config key {key!r}")
         cur = getattr(args, key)
         if isinstance(cur, bool):
@@ -44,8 +47,9 @@ def _config_values(args, parser):
             val = int(val)
         elif isinstance(cur, float):
             val = float(val)
-        elif isinstance(cur, (list, tuple)):
-            val = type(cur)(type(cur[0])(v) for v in val.split(",")) if cur else val.split(",")
+        elif isinstance(actions[key], argparse._AppendAction):
+            convert = actions[key].type or str
+            val = [convert(v.strip()) for v in val.split(",")]
         out[key] = val
     return out
 
@@ -106,7 +110,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.config:
         # the file's values replace the defaults, so flags given still win
-        subs.choices[args.command].set_defaults(**_config_values(args, parser))
+        sub = subs.choices[args.command]
+        sub.set_defaults(**_config_values(args, sub))
         args = parser.parse_args(argv)
     try:
         return _dispatch(args)

@@ -2,8 +2,8 @@
 
 Named suite fields are defined symbolically and compiled lazily, so strong
 norms and best-approximation denominators pair against exact derivatives.
-Polynomial
-fields wrap modal coefficients and differentiate exactly.
+Polynomial fields wrap modal coefficients and differentiate exactly, reading
+their values and jets from one modal table per point set.
 """
 
 from functools import lru_cache
@@ -81,24 +81,46 @@ def from_sympy(name, exprs, dim, smoothness="smooth"):
 
 
 def from_polynomial(name, space, slots, smoothness="entire"):
-    """Field wrapping modal slot coefficients of a PolySpace element."""
-    slots = np.asarray(slots, dtype=float)
-    cell = space.cell
+    """Field wrapping modal slot coefficients of a PolySpace element; its
+    values and every jet read one modal table per point set."""
+    return polynomial_fields()(name, space, slots, smoothness)
 
-    def evaluate(pts):
-        return space.evaluate(slots, pts)
 
-    def jet_factory(alpha):
-        mat = ps.deriv_alpha(cell, space.degree, alpha)
-        dslots = (space.components(slots) @ mat.T).reshape(slots.shape)
+def polynomial_fields():
+    """A `from_polynomial` whose fields share one store of modal tables.
 
-        def evaluate_d(pts):
-            return space.evaluate(dslots, pts)
+    The store is keyed by content (cell vertices, degree and point bytes), so
+    each point set is tabulated once for the values and jets of all its
+    fields, and it lives as long as one of them does.
+    """
+    tables = {}
 
-        return evaluate_d
+    def table(cell, degree, pts):
+        key = (cell.vertices.tobytes(), degree, pts.shape, pts.tobytes())
+        if key not in tables:
+            tables[key] = cell.tabulate(degree, pts)
+        return tables[key]
 
-    return AnalyticField(name, cell.dim, space.value_dim, evaluate, jet_factory,
-                         smoothness)
+    def make(name, space, slots, smoothness="entire"):
+        slots = np.asarray(slots, dtype=float)
+        cell = space.cell
+
+        def evaluate(pts):
+            return space.values(slots, table(cell, space.degree, pts))
+
+        def jet_factory(alpha):
+            mat = ps.deriv_alpha(cell, space.degree, alpha)
+            dslots = (space.components(slots) @ mat.T).reshape(slots.shape)
+
+            def evaluate_d(pts):
+                return space.values(dslots, table(cell, space.degree, pts))
+
+            return evaluate_d
+
+        return AnalyticField(name, cell.dim, space.value_dim, evaluate,
+                             jet_factory, smoothness)
+
+    return make
 
 
 def _unit(dim, i):

@@ -150,8 +150,9 @@ def tabulate(dim, degree, pts):
         pts = pts[:, None]
     if dim == 1:
         return _tabulate_biunit(1, degree, pts)
-    scale = 2.0 ** (dim / 2.0)
-    return scale * _tabulate_biunit(dim, degree, 2.0 * pts - 1.0)
+    vals = _tabulate_biunit(dim, degree, 2.0 * pts - 1.0)
+    vals *= 2.0 ** (dim / 2.0)
+    return vals
 
 
 def tabulate_grad(dim, degree, pts):
@@ -164,5 +165,6 @@ def tabulate_grad(dim, degree, pts):
     for k in range(dim):
         shifted = pts.astype(complex)
         shifted[:, k] += 1j * _COMPLEX_STEP
-        out[:, :, k] = tabulate(dim, degree, shifted).imag / _COMPLEX_STEP
+        np.divide(tabulate(dim, degree, shifted).imag, _COMPLEX_STEP,
+                  out=out[:, :, k])
     return out

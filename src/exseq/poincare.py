@@ -159,12 +159,16 @@ def _build_matrix(cell, kind, degree, m, center, radius):
 
     R = np.zeros((vd_in * nm, vd_out * nm1))
 
+    def add(in_comp, out_comp, block):
+        R[in_comp * nm : (in_comp + 1) * nm,
+          out_comp * nm1 : (out_comp + 1) * nm1] += block
+
     def moment(alpha):
         return _bump_moment_scaled(dim, m, tuple(alpha), radius)
 
+    terms = []
     for alpha in product(range(degree + 1), repeat=dim):
-        L = sum(alpha)
-        if L > degree:
+        if sum(alpha) > degree:
             continue
         mu = moment(alpha)
         nu = np.array(
@@ -173,40 +177,39 @@ def _build_matrix(cell, kind, degree, m, center, radius):
         )
         if mu == 0.0 and not nu.any():
             continue
+        terms.append((alpha, mu, nu))
+    # each D^alpha continues the chain of its prefix, in the walk's order
+    chains = ps.deriv_alphas(cell, degree, [alpha for alpha, _, _ in terms])
+    for (alpha, mu, nu), D_alpha in zip(terms, chains):
         fa = 1.0
         for a in alpha:
             fa *= factorial(a)
         # modal transform of each input component for this alpha:
         # K = C_hat[L] @ D^alpha, applied as slots @ (K.T)
-        K = (C_hat[L] @ ps.deriv_alpha(cell, degree, alpha)) / fa
+        K = (C_hat[sum(alpha)] @ D_alpha) / fa
         KT = K.T
-
-        def add(in_comp, out_comp, op):
-            R[in_comp * nm : (in_comp + 1) * nm,
-              out_comp * nm1 : (out_comp + 1) * nm1] += KT @ op
-
         if kind in ("grad3d", "grad2d"):
             # v . [(x-c) mu - nu]
             for i in range(dim):
                 Rblock = mu * W[i].T - nu[i] * pad
-                R[i * nm : (i + 1) * nm, :nm1] += KT @ Rblock
+                add(i, 0, KT @ Rblock)
         elif kind == "div3d":
             for i in range(dim):
                 Rblock = mu * W[i].T - nu[i] * pad
-                add(0, i, Rblock)
+                add(0, i, KT @ Rblock)
         elif kind == "curl2d":
             # scalar v times rotated (-(x2-a2), x1-a1)
-            add(0, 0, -(mu * W[1].T - nu[1] * pad))
-            add(0, 1, mu * W[0].T - nu[0] * pad)
+            add(0, 0, KT @ -(mu * W[1].T - nu[1] * pad))
+            add(0, 1, KT @ (mu * W[0].T - nu[0] * pad))
         elif kind == "curl3d":
-            # (v x w)_i with w = (x-c) mu - nu
-            ops = [mu * W[i].T - nu[i] * pad for i in range(3)]
-            add(1, 0, ops[2])
-            add(2, 0, -ops[1])
-            add(2, 1, ops[0])
-            add(0, 1, -ops[2])
-            add(0, 2, ops[1])
-            add(1, 2, -ops[0])
+            # (v x w)_i with w = (x-c) mu - nu; KT @ -op is -(KT @ op) exactly
+            KO = [KT @ (mu * W[i].T - nu[i] * pad) for i in range(3)]
+            add(1, 0, KO[2])
+            add(2, 0, -KO[1])
+            add(2, 1, KO[0])
+            add(0, 1, -KO[2])
+            add(0, 2, KO[1])
+            add(1, 2, -KO[0])
     return R
 
 

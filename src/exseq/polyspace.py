@@ -65,7 +65,11 @@ class PolySpace:
 
     def evaluate(self, coeffs, pts):
         """Point values; shape (..., n_pts) scalar or (..., n_pts, value_dim)."""
-        V = self.cell.tabulate(self.degree, pts)
+        return self.values(coeffs, self.cell.tabulate(self.degree, pts))
+
+    def values(self, coeffs, V):
+        """Point values from the modal table V (n_modes, n_pts) of the points,
+        shaped as `evaluate`'s."""
         comp = self.components(coeffs) @ V
         if self.value_dim == 1:
             return comp[..., 0, :]
@@ -130,21 +134,49 @@ def deriv_matrix(cell, degree, direction):
 
 def deriv_alpha(cell, degree, alpha):
     """Apply-matrix of d^alpha, the product of the first-order matrices."""
-    mat = np.eye(cell.n_modes(degree))
-    for i, a in enumerate(alpha):
-        for _ in range(a):
-            mat = deriv_matrix(cell, degree, i) @ mat
-    return mat
+    return next(deriv_alphas(cell, degree, [alpha]))
+
+
+def deriv_alphas(cell, degree, alphas):
+    """Yield the apply-matrix of d^alpha for each multi-index of `alphas`.
+
+    The chain applies D_0 first, then D_1, and so on; its first factor is a
+    D_i itself, and d^0 is the identity. A matrix continues the partial
+    product held from the multi-indices before it, so a walk in
+    itertools.product order forms each d^alpha from its prefix with one
+    product, and every matrix equals the chain formed from scratch bit for
+    bit.
+    """
+    D = _deriv_matrices(cell, degree)
+    held = [None] * cell.dim  # held[k]: (alpha[:k+1], its product)
+    for alpha in map(tuple, alphas):
+        mat = None  # the identity
+        for k, a in enumerate(alpha):
+            done = 0
+            if held[k] and held[k][0][:k] == alpha[:k] and held[k][0][k] <= a:
+                done, mat = held[k][0][k], held[k][1]
+            for _ in range(a - done):
+                mat = D[k] if mat is None else D[k] @ mat
+            held[k] = (alpha[: k + 1], mat)
+        yield np.eye(cell.n_modes(degree)) if mat is None else mat
+
+
+_POINT_BLOCK = 512  # points per gradient tabulation of _deriv_matrices
 
 
 @cache.memo
 def _deriv_matrices(cell, degree):
-    # one gradient tabulation yields every direction
+    # the gradient table is tabulated a block of points at a time, each
+    # direction into its own contiguous plane
     q = quadrature(cell, 2 * degree)
     V = cell.tabulate(degree, q.points)
-    G = cell.tabulate_grad(degree, q.points)
-    Vw = V * q.weights
-    return tuple(Vw @ np.ascontiguousarray(G[:, :, i]).T for i in range(cell.dim))
+    V *= q.weights
+    G = np.empty((cell.dim,) + V.shape)
+    for start in range(0, len(q.weights), _POINT_BLOCK):
+        block = slice(start, start + _POINT_BLOCK)
+        G[:, :, block] = np.moveaxis(
+            cell.tabulate_grad(degree, q.points[block]), -1, 0)
+    return tuple(V @ Gi.T for Gi in G)
 
 
 @cache.memo

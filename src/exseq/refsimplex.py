@@ -87,12 +87,13 @@ class Cell:
 
     def tabulate(self, degree, pts):
         """Orthonormal modal basis values at cell points, (n_modes, n_pts)."""
-        ref = self.to_reference(pts)
-        return orthopoly.tabulate(self.dim, degree, ref) / np.sqrt(self._detA)
+        vals = orthopoly.tabulate(self.dim, degree, self.to_reference(pts))
+        vals /= np.sqrt(self._detA)
+        return vals
 
     def tabulate_grad(self, degree, pts):
-        ref = self.to_reference(pts)
-        g = orthopoly.tabulate_grad(self.dim, degree, ref) / np.sqrt(self._detA)
+        g = orthopoly.tabulate_grad(self.dim, degree, self.to_reference(pts))
+        g /= np.sqrt(self._detA)
         return np.einsum("mpk,kl->mpl", g, self._Ainv)
 
     def __repr__(self):

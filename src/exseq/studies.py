@@ -20,7 +20,7 @@ from . import polyspace as ps
 from . import projectors as pj
 from . import sobolev as sb
 from . import spectra as spc
-from .refsimplex import make_reference_cell, quadrature
+from .refsimplex import MAX_QUAD_DEGREE, make_reference_cell, quadrature
 
 OPERATOR_SHAPE = {
     "grad3d": (3, 1),
@@ -74,6 +74,39 @@ class StudyConfig:
             raise ValueError("invalid degree range")
         if self.dual_offset < 2:
             raise ValueError("dual-test offset must be at least 2")
+        for op in self.operators:
+            for s in self.s_values:
+                for p in range(self.p_min, self.p_max + 1):
+                    # a Gram's derivative matrices use a rule of twice its degree
+                    top = max(_gram_degrees(op, p, s, self.dual_offset),
+                              default=0)
+                    if 2 * top > MAX_QUAD_DEGREE:
+                        raise ValueError(
+                            f"{op} at p={p}, s={s:g} needs a degree-{top} "
+                            f"Sobolev Gram, whose rule of degree {2 * top} is "
+                            f"beyond the quadrature cap {MAX_QUAD_DEGREE}")
+
+
+def _gram_degrees(op, p, s, dual_offset):
+    """Degrees of the Sobolev Grams that the records of (op, p, s) build:
+    the denominator's in `sobolev.best_approx` and the numerator's in
+    `_records_for`, whose dual degree is P."""
+    target = p if op == "grad1d" else p + 1  # an L2 target needs no Gram
+    P = p + 1 + dual_offset
+    norm, den_s = DENOMINATOR_NORM[op]
+    out = set()
+    if den_s is not None:
+        out.add(target + dual_offset)  # the rich space of the surrogate
+    elif norm != "L2":
+        out.add(target)
+    if op.startswith("grad"):
+        if 0.0 < s < 1.0:
+            out.add(P)  # the fractional norm of the value
+        if op != "grad1d":
+            out |= {P, P + 2}  # the gradient's dual norm and its P-stability
+    elif not op.startswith("l2") and s > 0.0:
+        out.add(P)
+    return out
 
 
 @dataclass
@@ -356,8 +389,8 @@ def run_verification(p_max=6, seed=0, n_projection=40, n_poincare=6):
 
     comm_rows = []
     for p in range(0, p_max + 1):
-        suite = _commuting_suite(p, rng)
-        comm_rows.extend(pj.check_commuting(p, suite))
+        # the suite's tables are freed with it, before the next degree's
+        comm_rows.extend(pj.check_commuting(p, _commuting_suite(p, rng)))
     worst_comm = max(r["rel_residual"] for r in comm_rows)
     report["sections"]["commuting"] = {
         "ok": worst_comm <= 1e-9,
@@ -429,10 +462,11 @@ def _commuting_suite(p, rng):
     vec3 = ps.vector_space(rc3.cell, deg, 3)
     sc2 = ps.scalar_space(rc2.cell, deg)
     vec2 = ps.vector_space(rc2.cell, deg, 2)
+    poly = fl.polynomial_fields()  # one table store for the whole suite
 
     def polys(space, tag, n=2):
         return [
-            fl.from_polynomial(f"{tag}{i}", space, s)
+            poly(f"{tag}{i}", space, s)
             for i, s in enumerate(space.random_elements(n, rng))
         ]
 

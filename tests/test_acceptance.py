@@ -256,7 +256,7 @@ def test_criterion_08_rate_ratios(rate_records, capsys):
           if r.operator == "grad3d" and r.norm_id == "H1"}
     ok_c = True
     gap_slopes = []
-    for fname in {r.field for r in records_dual}:
+    for fname in sorted({r.field for r in records_dual}):
         rows = sorted(
             [r for r in records_dual
              if r.field == fname and r.norm_id == "grad_dual"],

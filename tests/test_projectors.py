@@ -377,3 +377,49 @@ def test_eval_rows_of_no_rows(rc3):
         rows = np.zeros((0, vd * rc3.cell.n_modes(3)))
         assert pj._eval_rows(rc3.cell, vd, 3, rows, pts).shape == (0, len(pts), vd)
 
+
+
+def test_shared_table_fields_match_space_evaluate(rc3, rc2, rng):
+    # fields sharing one table store return the values and jets of
+    # space.evaluate, bit for bit, also for a point set seen before
+    poly = fl.polynomial_fields()
+    spaces = [ps.scalar_space(rc3.cell, 4), ps.vector_space(rc3.cell, 4, 3),
+              ps.scalar_space(rc2.cell, 4), ps.vector_space(rc2.cell, 4, 2)]
+    for space in spaces:
+        cell = space.cell
+        slots = space.random_elements(2, rng)
+        flds = [poly(f"u{i}", space, s) for i, s in enumerate(slots)]
+        point_sets = [quadrature(cell, 9).points, quadrature(cell, 6).points]
+        for pts in point_sets + point_sets:
+            for f, s in zip(flds, slots):
+                assert np.array_equal(f(pts), space.evaluate(s, pts))
+                for alpha in [(1,) + (0,) * (cell.dim - 1),
+                              (0,) * (cell.dim - 1) + (2,), (1,) * cell.dim]:
+                    D = ps.deriv_alpha(cell, space.degree, alpha)
+                    ds = (space.components(s) @ D.T).reshape(s.shape)
+                    assert np.array_equal(f.jet(pts, alpha),
+                                          space.evaluate(ds, pts))
+
+
+def test_commuting_check_tabulates_each_point_set_once(monkeypatch):
+    from collections import Counter
+
+    from exseq import studies as st
+    from exseq.refsimplex import Cell
+
+    rng = np.random.default_rng(5)
+    p = 1
+    # a first check builds the plans and every memoised table
+    pj.check_commuting(p, st._commuting_suite(p, rng))
+    seen = Counter()
+    tabulate = Cell.tabulate
+
+    def counting(self, degree, pts):
+        pts = np.asarray(pts, dtype=float)
+        seen[(self.vertices.tobytes(), degree, pts.shape, pts.tobytes())] += 1
+        return tabulate(self, degree, pts)
+
+    monkeypatch.setattr(Cell, "tabulate", counting)
+    pj.check_commuting(p, st._commuting_suite(p, rng))
+    assert seen
+    assert max(seen.values()) == 1

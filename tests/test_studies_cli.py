@@ -228,3 +228,71 @@ def test_cache_entry_with_missing_rows_recomputed(tmp_path, monkeypatch):
     assert sp2.basis.shape == (8, 12)
     assert np.array_equal(sp1.basis, sp2.basis)
     assert np.array_equal(entry["basis"], sp1.basis)
+
+
+def test_cli_config_repeatable_operator(tmp_path):
+    # a repeatable flag in the file is a comma list, not a string iterated
+    # per character ("unknown operator 'g'")
+    cfgf = tmp_path / "run.cfg"
+    cfgf.write_text("operator = grad3d\np_min = 1\np_max = 1\n"
+                    "dual_offset = 2\n")
+    out = tmp_path / "conv.csv"
+    assert cli.main(["convergence", "--config", str(cfgf),
+                     "--out", str(out)]) == 0
+    rows = out.read_text().splitlines()[1:]
+    assert rows and {r.split(",")[0] for r in rows} == {"grad3d"}
+
+
+def test_cli_config_repeatable_s(tmp_path):
+    # "s = 0.5" raised a TypeError; a comma list gives one record per order
+    cfgf = tmp_path / "run.cfg"
+    out = tmp_path / "conv.csv"
+    for s_line, orders in (("s = 0.5", {"0.5"}), ("s = 0.5, 1", {"0.5", "1.0"})):
+        cfgf.write_text(f"operator = grad1d\n{s_line}\np_min = 2\np_max = 2\n")
+        assert cli.main(["convergence", "--config", str(cfgf),
+                         "--out", str(out)]) == 0
+        rows = [r.split(",") for r in out.read_text().splitlines()[1:]]
+        assert {r[3] for r in rows if r[1] == "2"} == orders
+
+
+def test_cli_config_key_must_be_a_flag_of_the_subcommand(tmp_path):
+    # "command" is no flag: it used to switch verify to dims silently
+    cfgf = tmp_path / "run.cfg"
+    cfgf.write_text("command = dims\n")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--config", str(cfgf), "--p-max", "0"])
+    assert exc.value.code == 2
+
+
+def test_config_rejects_degrees_beyond_the_quadrature_cap():
+    # grad1d at s in (0, 1) builds a degree-(p + 7) Gram, so p = 14 needs a
+    # degree-42 rule; the config is refused before any work is done
+    cfg = st.StudyConfig(operators=("grad1d",), p_min=2, p_max=14,
+                         s_values=(0.0, 0.5))
+    with pytest.raises(ValueError, match=r"grad1d at p=14, s=0\.5 .*42"):
+        cfg.validate()
+    st.StudyConfig(operators=("grad1d",), p_min=2, p_max=13,
+                   s_values=(0.0, 0.5)).validate()
+    st.StudyConfig(operators=("grad1d",), p_max=20, s_values=(0.0, 1.0)).validate()
+    with pytest.raises(ValueError, match=r"grad3d at p=2, s=0 "):
+        st.StudyConfig(operators=("grad3d",), p_min=2, p_max=2,
+                       dual_offset=16).validate()
+
+
+@pytest.mark.parametrize("op", sorted(st.OPERATOR_SHAPE))
+def test_gram_degrees_are_the_grams_a_sweep_builds(op, monkeypatch):
+    from exseq import sobolev as sb
+
+    built = set()
+    gram = sb.gram
+
+    def spy(cell, degree):
+        built.add(degree)
+        return gram(cell, degree)
+
+    monkeypatch.setattr(sb, "gram", spy)
+    s_values = (0.0, 0.5, 1.0)
+    st.run_convergence(st.StudyConfig(operators=(op,), p_min=1, p_max=1,
+                                      s_values=s_values, dual_offset=2))
+    assert built == set().union(
+        *(st._gram_degrees(op, 1, s, 2) for s in s_values))
