@@ -24,8 +24,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .refsimplex import Cell, ReferenceCell
-
 _entries: dict = {}  # memo key -> shared result
 
 STAMP = hashlib.blake2b(
@@ -46,6 +44,10 @@ def _fingerprint(x):
         return x
     if isinstance(x, (tuple, list)):
         return tuple(_fingerprint(v) for v in x)
+    # imported here: both modules memoise with this one
+    from .polyspace import PolySpace
+    from .refsimplex import Cell, ReferenceCell
+
     if isinstance(x, Cell):
         return ("Cell", x.dim, _fingerprint(x.vertices))
     if isinstance(x, ReferenceCell):  # built from its cell's vertices alone
@@ -53,8 +55,6 @@ def _fingerprint(x):
     if dataclasses.is_dataclass(x) and not isinstance(x, type):
         return (type(x).__name__,) + tuple(
             _fingerprint(getattr(x, f.name)) for f in dataclasses.fields(x))
-    from .polyspace import PolySpace
-
     if isinstance(x, PolySpace):
         return ("PolySpace", _fingerprint(x.cell), x.value_dim, x.degree,
                 _fingerprint(x.basis))

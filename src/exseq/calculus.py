@@ -146,72 +146,57 @@ def diff_slots(name, space, slots):
 # trace operators
 
 
-def _trace_rows(name, source, sub, refcell):
-    cell = source.cell
+# trace operator -> (trace part of `polyspace.trace_matrix`, derivative of the
+# traced rows on the trace cell)
+_TRACES = {
+    "restrict": (None, None),
+    "Pi_tau": ("tangential", None),
+    "gamma_tau": ("tangential", None),  # Pi_tau rotated: n x u
+    "normal": ("normal", None),
+    "edge_tangential": ("tangential", None),
+    "surf_grad": (None, "grad"),
+    "surf_curl": ("tangential", "curl2d_vector"),
+}
+
+
+def _trace_rows(name, source, sub):
+    """Slot rows on `sub.cell` of the traced basis, and their value dimension."""
+    if name not in _TRACES:
+        raise ValueError(f"unknown trace operator {name!r}")
+    part, deriv = _TRACES[name]
     deg = source.degree
-    if name == "Pi_tau":
-        T, tcell = ps.tangential_trace_matrix(refcell, deg, sub)
-        return source.basis @ T.T, tcell, 2
+    rows = source.basis @ ps.trace_matrix(source.cell, deg, sub, part).T
+    nm = sub.cell.n_modes(deg)
     if name == "gamma_tau":
-        T, tcell = ps.tangential_trace_matrix(refcell, deg, sub)
-        rows = source.basis @ T.T
-        nm2 = tcell.n_modes(deg)
-        rot = np.concatenate([-rows[:, nm2:], rows[:, :nm2]], axis=1)
-        return rot, tcell, 2
-    if name == "normal":
-        T, tcell = ps.normal_trace_matrix(refcell, deg, sub)
-        return source.basis @ T.T, tcell, 1
-    if name == "edge_tangential":
-        T, tcell = ps.edge_tangential_trace_matrix(cell, deg, sub, source.value_dim)
-        return source.basis @ T.T, tcell, 1
-    if name == "restrict":
-        T, tcell = ps.scalar_trace_matrix(cell, deg, sub)
-        return source.basis @ T.T, tcell, 1
-    if name == "surf_grad":
-        T, tcell = ps.scalar_trace_matrix(cell, deg, sub)
-        traced = source.basis @ T.T
-        D = [ps.deriv_matrix(tcell, deg, i) for i in range(2)]
-        return (
-            np.concatenate([traced @ D[0].T, traced @ D[1].T], axis=1),
-            tcell,
-            2,
-        )
-    if name == "surf_curl":
-        T, tcell = ps.tangential_trace_matrix(refcell, deg, sub)
-        traced = source.basis @ T.T
-        nm2 = tcell.n_modes(deg)
-        D = [ps.deriv_matrix(tcell, deg, i) for i in range(2)]
-        return traced[:, nm2:] @ D[0].T - traced[:, :nm2] @ D[1].T, tcell, 1
-    raise ValueError(f"unknown trace operator {name!r}")
+        rows = np.concatenate([-rows[:, nm:], rows[:, :nm]], axis=1)
+    if deriv:
+        rows = diff_rows(deriv, ps.PolySpace(sub.cell, rows.shape[1] // nm, deg,
+                                             rows))
+    return rows, rows.shape[1] // nm
 
 
 def trace_op(name, source, sub, target, refcell=None):
-    """Trace operator expanded in a target space living on the trace cell."""
-    rows, tcell, vd = _trace_rows(name, source, sub, refcell)
-    if not np.array_equal(target.cell.vertices, tcell.vertices):  # by content
+    """Trace operator expanded in a target space living on the trace cell.
+
+    The trace reads its frame from `sub`; `refcell` is not needed."""
+    rows, vd = _trace_rows(name, source, sub)
+    if not np.array_equal(target.cell.vertices, sub.cell.vertices):  # by content
         raise ValueError("target space does not live on the trace cell")
-    coords, resid = _expand_in(target, rows, tcell, vd, source.degree)
+    coords, resid = _expand_in(target, rows, sub.cell, vd, source.degree)
     if resid > 1e-11:
         raise ValueError(f"trace image not contained in target: residual {resid:.2e}")
     return LinearOpMatrix(source, target, coords, resid)
 
 
 def trace_space(space, sub, family, refcell=None):
-    """Image space of a trace: restriction (h1), tangential (hcurl), normal (hdiv)."""
-    deg = space.degree
-    if family == "h1":
-        rows, tcell, vd = _trace_rows("restrict", space, sub, refcell)
-    elif family == "hcurl":
-        if hasattr(sub, "normal"):
-            rows, tcell, vd = _trace_rows("Pi_tau", space, sub, refcell)
-        else:
-            rows, tcell, vd = _trace_rows("edge_tangential", space, sub, refcell)
-    elif family == "hdiv":
-        rows, tcell, vd = _trace_rows("normal", space, sub, refcell)
-    else:
+    """Image space of a trace: restriction (h1), tangential (hcurl), normal
+    (hdiv). Like `trace_op`, it needs no `refcell`."""
+    names = {"h1": "restrict", "hcurl": "Pi_tau", "hdiv": "normal"}
+    if family not in names:
         raise ValueError(f"unknown family {family!r}")
-    basis = ps.span_from_rows(rows)
-    return ps.PolySpace(tcell, vd, deg, basis, name=f"trace_{family}[{space.name}]")
+    rows, vd = _trace_rows(names[family], space, sub)
+    return ps.PolySpace(sub.cell, vd, space.degree, ps.span_from_rows(rows),
+                        name=f"trace_{family}[{space.name}]")
 
 
 # ---------------------------------------------------------------------------

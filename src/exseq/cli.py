@@ -95,7 +95,6 @@ def main(argv=None):
     p_conv.add_argument("--s", action="append", type=float, default=None)
     p_conv.add_argument("--dual-offset", type=int, default=6,
                         dest="dual_offset")
-    p_conv.add_argument("--timing", action="store_true")
 
     p_fried = subs.add_parser("friedrichs", help="discrete Friedrichs sweep")
     _common_flags(p_fried, p_min=1, p_max=8)
@@ -144,7 +143,7 @@ def _dispatch(args):
             seed=args.seed,
         )
         records, slopes = st.run_convergence(cfg)
-        rows = st.records_to_rows(records, timing=args.timing)
+        rows = st.records_to_rows(records)
         for s in slopes:
             rows.append(
                 {

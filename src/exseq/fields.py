@@ -6,11 +6,10 @@ Polynomial fields wrap modal coefficients and differentiate exactly, reading
 their values and jets from one modal table per point set.
 """
 
-from functools import lru_cache
-
 import numpy as np
 import sympy as sp
 
+from . import cache
 from . import polyspace as ps
 
 
@@ -231,7 +230,7 @@ def shifted(field, delta):
 x, y, z = _XYZ
 
 
-@lru_cache(maxsize=None)
+@cache.memo
 def suite(name, dim):
     """Named field suites for studies.
 

@@ -10,14 +10,16 @@ Gradients are obtained by complex-step differentiation of the tabulation,
 which is exact to machine precision for these rational-polynomial formulas.
 """
 
-import functools
+import math
 
 import numpy as np
+
+from . import cache
 
 _COMPLEX_STEP = 1e-100
 
 
-@functools.lru_cache(maxsize=None)
+@cache.memo
 def mode_indices(dim, degree):
     """Exponent tuples of the modal basis, grouped by total degree."""
     out = []
@@ -38,7 +40,7 @@ def mode_indices(dim, degree):
 
 
 def n_modes(dim, degree):
-    return len(mode_indices(dim, degree))
+    return math.comb(degree + dim, dim)
 
 
 def _collapsed_2d(r, s):

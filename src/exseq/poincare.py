@@ -13,7 +13,6 @@ are out of numerical reach anyway.
 """
 
 from fractions import Fraction
-from functools import lru_cache
 from itertools import product
 
 import numpy as np
@@ -21,8 +20,7 @@ from numpy.polynomial.legendre import leggauss
 
 from . import cache
 from . import polyspace as ps
-from .calculus import DERIVATIVES, derivative_name
-from .calculus import diff_slots as _apply_rows  # the name the tests call
+from .calculus import DERIVATIVES, derivative_name, diff_slots
 from .refsimplex import quadrature
 
 KINDS = ("grad3d", "curl3d", "div3d", "grad2d", "curl2d")
@@ -98,7 +96,7 @@ class RegularizedInverse:
         return out_space, out
 
 
-@lru_cache(maxsize=None)
+@cache.memo
 def _bump_moment_scaled(dim, m, alpha, radius):
     """Centered moment of the unit-mass bump over the radius-r ball."""
     if any(a % 2 for a in alpha):
@@ -231,7 +229,7 @@ def helmholtz_curl(refcell, space, slots, tol=1e-9):
     dim = cell.dim
     deg = space.degree
     curl = derivative_name("curl", dim)
-    curl_slots = _apply_rows(curl, space, slots)
+    curl_slots = diff_slots(curl, space, slots)
     rc = regularized_inverse(refcell, f"curl{dim}d")
     z_space, z = rc.apply(
         ps.vector_space(cell, deg, DERIVATIVES[curl].value_dim(dim)), curl_slots)
@@ -239,7 +237,7 @@ def helmholtz_curl(refcell, space, slots, tol=1e-9):
     u_pad = ps.pad_slots(slots, cell, dim, deg, deg1)
     rg = regularized_inverse(refcell, f"grad{dim}d")
     phi_space, phi = rg.apply(ps.vector_space(cell, deg1, dim), u_pad - z)
-    gphi = _apply_rows("grad", phi_space, phi)  # modal degree phi_space.degree
+    gphi = diff_slots("grad", phi_space, phi)  # modal degree phi_space.degree
     lhs = ps.pad_slots(u_pad - z, cell, dim, deg1, phi_space.degree)
     resid_vec = lhs - gphi
     scale = np.linalg.norm(slots) or 1.0
@@ -253,14 +251,14 @@ def helmholtz_div(refcell, space, slots, tol=1e-9):
     """Split u = curl(psi) + z with z from the div right inverse (3D)."""
     cell = refcell.cell
     deg = space.degree
-    div_slots = _apply_rows("div", space, slots)
+    div_slots = diff_slots("div", space, slots)
     rd = regularized_inverse(refcell, "div3d")
     z_space, z = rd.apply(ps.scalar_space(cell, deg), div_slots)
     deg1 = z_space.degree
     u_pad = ps.pad_slots(slots, cell, 3, deg, deg1)
     rc = regularized_inverse(refcell, "curl3d")
     psi_space, psi = rc.apply(ps.vector_space(cell, deg1, 3), u_pad - z)
-    cpsi = _apply_rows("curl3d", psi_space, psi)
+    cpsi = diff_slots("curl3d", psi_space, psi)
     lhs = ps.pad_slots(u_pad - z, cell, 3, deg1, psi_space.degree)
     resid_vec = lhs - cpsi
     scale = np.linalg.norm(slots) or 1.0

@@ -8,6 +8,11 @@ SVDs with a relative singular-value cutoff.
 Degree convention: `p` is the complex degree. The H1-conforming scalar space
 at complex degree p consists of polynomials of degree p+1; the edge (Nedelec)
 and face (Raviart-Thomas) spaces and the L2 slot are of degree p.
+
+`trace_matrix` is the one trace: the restriction to a face or an edge, taken
+as a scalar, tangential or normal trace. `boundary_traces` stacks it over a
+cell's boundary; the trace-free kinds of `build_space` are the subspaces that
+stack annihilates.
 """
 
 import numpy as np
@@ -198,15 +203,27 @@ def mean_row(cell, value_dim, degree):
 
 
 # ---------------------------------------------------------------------------
-# trace matrices (into planar/interval trace cells)
+# traces (into planar/interval trace cells)
 
 
-def scalar_trace_matrix(cell, degree, sub):
-    """Restriction of scalar modal coefficients to a Face or Edge sub-simplex.
+def trace_matrix(cell, degree, sub, part=None):
+    """The one trace: modal coefficients on `cell` -> coefficients of the same
+    degree on the Face or Edge `sub`'s own cell, `sub.cell`.
 
-    Returns (T, trace_cell): trace coefficients (same degree) are T @ coeffs.
+    part=None restricts a scalar. part="tangential" or "normal" traces a
+    vector field along a frame: a face's chart frame or an edge's tangent, or
+    a face's normal. Block (l, m) of the result is frame[m, l] times the
+    scalar trace, mapping component m of the field to component l of the
+    trace.
     """
-    return _trace_table(cell, degree, sub), sub.cell
+    T = _trace_table(cell, degree, sub)
+    if part is None:
+        return T
+    if part == "normal":
+        frame = sub.normal[:, None]
+    else:
+        frame = sub.frame if hasattr(sub, "frame") else sub.tangent[:, None]
+    return np.kron(frame.T, T)
 
 
 @cache.memo
@@ -218,59 +235,19 @@ def _trace_table(cell, degree, sub):
     return (V2 * q.weights) @ V3.T
 
 
-def tangential_trace_matrix(refcell, degree, face):
-    """Face tangential trace of a 3-component field, in the face chart frame.
-
-    Maps slots (3*nm) to 2-component slots (2*nm2) on the planar face cell.
+def boundary_traces(cell, degree, part=None, refcell=None, keep=None):
+    """`trace_matrix` stacked over the boundary of `cell`: the faces of the
+    tetrahedron `refcell`, or a triangle's sides; on an interval, the values
+    at its ends. keep: a trace degree whose leading modes each piece keeps.
     """
-    T, fcell = scalar_trace_matrix(refcell.cell, degree, face)
-    nm = refcell.cell.n_modes(degree)
-    nm2 = fcell.n_modes(degree)
-    out = np.zeros((2 * nm2, 3 * nm))
-    for l in range(2):
-        for m in range(3):
-            out[l * nm2 : (l + 1) * nm2, m * nm : (m + 1) * nm] = (
-                face.frame[m, l] * T
-            )
-    return out, fcell
-
-
-def normal_trace_matrix(refcell, degree, face):
-    """Face normal trace n_f . u of a 3-component field (scalar on the face)."""
-    T, fcell = scalar_trace_matrix(refcell.cell, degree, face)
-    nm = refcell.cell.n_modes(degree)
-    nm2 = fcell.n_modes(degree)
-    out = np.zeros((nm2, 3 * nm))
-    for m in range(3):
-        out[:, m * nm : (m + 1) * nm] = face.normal[m] * T
-    return out, fcell
-
-
-def tangential_trace_stack(refcell, degree):
-    """Tangential traces on all faces, stacked: slots -> face 2-comp slots."""
-    return np.vstack(
-        [tangential_trace_matrix(refcell, degree, face)[0] for face in refcell.faces]
-    )
-
-
-def normal_trace_stack(refcell, degree, content_degree):
-    """Normal traces on all faces, stacked, truncated to content_degree modes."""
-    rows = []
-    for face in refcell.faces:
-        T, fcell = normal_trace_matrix(refcell, degree, face)
-        rows.append(T[: fcell.n_modes(content_degree)])
-    return np.vstack(rows)
-
-
-def edge_tangential_trace_matrix(cell, degree, edge, value_dim):
-    """Edge trace t_e . u of a vector field (scalar on the edge interval)."""
-    T, ecell = scalar_trace_matrix(cell, degree, edge)
-    nm = cell.n_modes(degree)
-    nm1 = ecell.n_modes(degree)
-    out = np.zeros((nm1, value_dim * nm))
-    for m in range(value_dim):
-        out[:, m * nm : (m + 1) * nm] = edge.tangent[m] * T
-    return out, ecell
+    if cell.dim == 1:
+        return cell.tabulate(degree, cell.vertices).T
+    subs = refcell.faces if cell.dim == 3 else [e for e, _ in triangle_edges(cell)]
+    return np.vstack([
+        trace_matrix(cell, degree, sub, part)[
+            : None if keep is None else sub.cell.n_modes(keep)]
+        for sub in subs
+    ])
 
 
 def triangle_edges(cell):
@@ -323,160 +300,68 @@ def _triangle_edges(cell, key):
 # space constructors
 
 
-def scalar_space(cell, degree, name=""):
+def scalar_space(cell, degree):
     if degree < 0:
         raise ValueError("polynomial degree must be >= 0")
-    return PolySpace(cell, 1, degree, np.eye(cell.n_modes(degree)), name=name)
+    return PolySpace(cell, 1, degree, np.eye(cell.n_modes(degree)))
 
 
-def vector_space(cell, degree, value_dim, name=""):
+def vector_space(cell, degree, value_dim):
     nm = cell.n_modes(degree)
-    return PolySpace(cell, value_dim, degree, np.eye(value_dim * nm), name=name)
+    return PolySpace(cell, value_dim, degree, np.eye(value_dim * nm))
 
 
-def _component_rows(coeff_blocks, nm_out):
-    """Stack per-component coefficient blocks into slot rows."""
-    n_rows = coeff_blocks[0].shape[0]
-    vd = len(coeff_blocks)
-    out = np.zeros((n_rows, vd * nm_out))
-    for c, blk in enumerate(coeff_blocks):
-        out[:, c * nm_out : (c + 1) * nm_out] = blk
-    return out
-
-
-def nedelec_space(cell, p, name=""):
+def nedelec_space(cell, p):
     """Edge elements of the first type at complex degree p (3D or 2D cell)."""
-    if p < 0:
-        raise ValueError("complex degree must be >= 0")
-    nm_p = cell.n_modes(p)
-    nm = cell.n_modes(p + 1)
-    eye = np.eye(nm_p)
-    pad = np.zeros((nm_p, nm))
-    pad[:, :nm_p] = eye
-    zero = np.zeros((nm_p, nm))
-    X = [coord_matrix(cell, p, i).T for i in range(cell.dim)]  # (nm_p, nm) rows
-    rows = []
-    if cell.dim == 3:
-        for c in range(3):
-            blocks = [zero, zero, zero]
-            blocks[c] = pad
-            rows.append(_component_rows(blocks, nm))
-        # x cross (phi e_c): e_1 -> (0, x3 phi, -x2 phi), cyclic
-        rows.append(_component_rows([zero, X[2], -X[1]], nm))
-        rows.append(_component_rows([-X[2], zero, X[0]], nm))
-        rows.append(_component_rows([X[1], -X[0], zero], nm))
-    elif cell.dim == 2:
-        for c in range(2):
-            blocks = [zero, zero]
-            blocks[c] = pad
-            rows.append(_component_rows(blocks, nm))
-        rows.append(_component_rows([X[1], -X[0]], nm))
-    else:
-        return scalar_space(cell, p, name=name)
-    basis = span_from_rows(np.vstack(rows))
-    return PolySpace(cell, cell.dim, p + 1, basis, name=name)
+    if cell.dim == 1:
+        return scalar_space(cell, p)
+    if cell.dim == 2:  # the rotated x phi
+        return _with_products(cell, p, lambda X, O: [[X[1], -X[0]]])
+    # x cross (phi e_c): e_1 -> (0, x3 phi, -x2 phi), cyclic
+    return _with_products(cell, p, lambda X, O: [
+        [O, X[2], -X[1]], [-X[2], O, X[0]], [X[1], -X[0], O]])
 
 
-def raviart_thomas_space(cell, p, name=""):
+def raviart_thomas_space(cell, p):
     """Face elements (normal-conforming) at complex degree p on a 3D cell."""
     if cell.dim == 2:
-        return scalar_space(cell, p, name=name)
+        return scalar_space(cell, p)
     if cell.dim == 1:
         raise ValueError("the face-element family is not defined on intervals")
+    return _with_products(cell, p, lambda X, O: [X])  # x phi
+
+
+def _with_products(cell, p, products):
+    """The vector space spanned by P_p^d, padded to degree p+1, and by the
+    block rows `products(X, O)` of the coordinate multiplications X[i] of
+    P_p and the zero block O."""
     if p < 0:
         raise ValueError("complex degree must be >= 0")
-    nm_p = cell.n_modes(p)
-    nm = cell.n_modes(p + 1)
-    eye = np.eye(nm_p)
-    pad = np.zeros((nm_p, nm))
-    pad[:, :nm_p] = eye
+    nm_p, nm = cell.n_modes(p), cell.n_modes(p + 1)
     zero = np.zeros((nm_p, nm))
-    X = [coord_matrix(cell, p, i).T for i in range(3)]
-    rows = []
-    for c in range(3):
-        blocks = [zero, zero, zero]
-        blocks[c] = pad
-        rows.append(_component_rows(blocks, nm))
-    rows.append(_component_rows([X[0], X[1], X[2]], nm))
-    basis = span_from_rows(np.vstack(rows))
-    return PolySpace(cell, 3, p + 1, basis, name=name)
+    X = [coord_matrix(cell, p, i).T for i in range(cell.dim)]  # (nm_p, nm) rows
+    rows = [np.hstack([np.eye(nm_p, nm) if k == c else zero
+                       for k in range(cell.dim)]) for c in range(cell.dim)]
+    rows += [np.hstack(blocks) for blocks in products(X, zero)]
+    return PolySpace(cell, cell.dim, p + 1, span_from_rows(np.vstack(rows)))
 
 
-def subspace_from_constraints(space, constraint_rows, name=""):
+def subspace_from_constraints(space, constraint_rows):
     """Subspace of `space` annihilated by constraint functionals.
 
     constraint_rows are slot covectors (L2 pairings against given fields).
     """
     C = np.atleast_2d(constraint_rows) @ space.basis.T
     N = null_space_of(C, n_cols=space.dim)
-    return PolySpace(
-        space.cell, space.value_dim, space.degree, N @ space.basis, name=name
-    )
-
-
-def bubble_space(space, refcell=None, name=""):
-    """Trace-free subspace of a space (full, tangential, or normal trace).
-
-    Scalar spaces: vanishing boundary trace (endpoint values in 1D).
-    Vector spaces: vanishing tangential trace (edge elements) where
-    value_dim == cell.dim matches the edge family; normal trace for the
-    face family is handled by `normal_bubble_space`.
-    """
-    cell = space.cell
-    rows = []
-    if cell.dim == 1:
-        verts = cell.vertices
-        V = cell.tabulate(space.degree, verts)
-        rows.append(V.T)
-    elif cell.dim == 2:
-        for edge, _sign in triangle_edges(cell):
-            if space.value_dim == 1:
-                T, _ = scalar_trace_matrix(cell, space.degree, edge)
-                rows.append(T)
-            else:
-                T, _ = edge_tangential_trace_matrix(
-                    cell, space.degree, edge, space.value_dim
-                )
-                rows.append(T)
-    else:
-        assert refcell is not None, "3D bubbles need the reference cell"
-        for face in refcell.faces:
-            if space.value_dim == 1:
-                T, _ = scalar_trace_matrix(cell, space.degree, face)
-                rows.append(T)
-            else:
-                T, _ = tangential_trace_matrix(refcell, space.degree, face)
-                rows.append(T)
-    return subspace_from_constraints(space, np.vstack(rows), name=name)
-
-
-def normal_bubble_space(space, refcell, name=""):
-    rows = []
-    for face in refcell.faces:
-        T, _ = normal_trace_matrix(refcell, space.degree, face)
-        rows.append(T)
-    return subspace_from_constraints(space, np.vstack(rows), name=name)
-
-
-def zero_mean_space(space, name=""):
-    return subspace_from_constraints(
-        space, mean_row(space.cell, space.value_dim, space.degree), name=name
-    )
+    return PolySpace(space.cell, space.value_dim, space.degree, N @ space.basis)
 
 
 def gradient_rows(cell, scalar_space_obj, out_degree):
     """Slot rows of the gradients of a scalar space's basis, at out_degree."""
     deg = scalar_space_obj.degree
     D = [deriv_matrix(cell, deg, i) for i in range(cell.dim)]
-    comps = [scalar_space_obj.basis @ D[i].T for i in range(cell.dim)]
-    rows = _component_rows(comps, cell.n_modes(deg))
+    rows = np.hstack([scalar_space_obj.basis @ D[i].T for i in range(cell.dim)])
     return pad_slots(rows, cell, cell.dim, deg, out_degree)
-
-
-def grad_orthogonal_subspace(space, scalar, name=""):
-    """Elements of a vector `space` L2-orthogonal to gradients of `scalar`."""
-    rows = gradient_rows(space.cell, scalar, space.degree)
-    return subspace_from_constraints(space, rows, name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -516,6 +401,27 @@ def _base_shape(cell, kind, p):
     return 1, p, cell.n_modes(p)
 
 
+# the base kinds' builders, at complex degree p
+_BASES = {
+    "h1": lambda cell, p: scalar_space(cell, p + 1),
+    "l2": scalar_space,
+    "hcurl": nedelec_space,
+    "hdiv": raviart_thomas_space,
+}
+# every other kind is cut from a parent kind: (parent, cut) for the elements
+# whose trace of the part `cut` vanishes (`trace_matrix`'s part), whose mean
+# vanishes ("mean"), or that are L2-orthogonal to the gradients of a kind
+_CUTS = {
+    "h1_bubble": ("h1", None),
+    "hcurl_bubble": ("hcurl", "tangential"),
+    "hdiv_bubble": ("hdiv", "normal"),
+    "h1_zero_mean": ("h1", "mean"),
+    "l2_zero_mean": ("l2", "mean"),
+    "hcurl_orth": ("hcurl", "h1"),
+    "hcurl_bubble_orth": ("hcurl_bubble", "h1_bubble"),
+}
+
+
 @cache.memo
 def _space_basis(cell, kind, p):
     """(value_dim, degree, basis) of build_space. With EXSEQ_CACHE_DIR set the
@@ -526,10 +432,21 @@ def _space_basis(cell, kind, p):
     refcell = cell if isinstance(cell, ReferenceCell) else None
     if refcell is not None:
         cell = refcell.cell
-    name = f"{kind}[p={p}]"
+    if kind in _CUTS:
+        base, cut = _CUTS[kind]
+        parent = build_space(source, base, p)
+        if cut in KINDS:
+            rows = gradient_rows(cell, build_space(source, cut, p), parent.degree)
+        elif cut == "mean" or parent.degree == p:
+            # a parent of degree p is the L2 slot (the interval's edge family,
+            # the triangle's face family), whose bubbles have zero mean
+            rows = mean_row(cell, parent.value_dim, parent.degree)
+        else:
+            rows = boundary_traces(cell, parent.degree, cut, refcell)
+        sp = subspace_from_constraints(parent, rows)
+        return sp.value_dim, sp.degree, sp.basis
     label = f"space-{kind}-{p}"
-    persist = kind in ("h1", "l2", "hcurl", "hdiv")
-    stored = cache.load(label, cell) if persist else None
+    stored = cache.load(label, cell)
     if stored is not None:
         vd, deg, dim = _base_shape(cell, kind, p)
         B = stored["basis"]
@@ -537,47 +454,8 @@ def _space_basis(cell, kind, p):
             B @ B.T, np.eye(dim), rtol=0.0, atol=1e-10
         ):
             return vd, deg, B
-
-    if kind == "h1":
-        sp = scalar_space(cell, p + 1, name=name)
-    elif kind == "l2":
-        sp = scalar_space(cell, p, name=name)
-    elif kind == "hcurl":
-        sp = nedelec_space(cell, p, name=name)
-    elif kind == "hdiv":
-        sp = raviart_thomas_space(cell, p, name=name)
-    elif kind == "h1_bubble":
-        sp = bubble_space(build_space(source, "h1", p), refcell, name=name)
-    elif kind == "hcurl_bubble":
-        base = build_space(source, "hcurl", p)
-        if cell.dim == 1:
-            sp = zero_mean_space(base, name=name)
-        else:
-            sp = bubble_space(base, refcell, name=name)
-    elif kind == "hdiv_bubble":
-        base = build_space(source, "hdiv", p)
-        if cell.dim == 3:
-            sp = normal_bubble_space(base, refcell, name=name)
-        else:
-            sp = zero_mean_space(base, name=name)
-    elif kind == "h1_zero_mean":
-        sp = zero_mean_space(build_space(source, "h1", p), name=name)
-    elif kind == "l2_zero_mean":
-        sp = zero_mean_space(build_space(source, "l2", p), name=name)
-    elif kind == "hcurl_orth":
-        sp = grad_orthogonal_subspace(
-            build_space(source, "hcurl", p),
-            build_space(source, "h1", p),
-            name=name,
-        )
-    elif kind == "hcurl_bubble_orth":
-        sp = grad_orthogonal_subspace(
-            build_space(source, "hcurl_bubble", p),
-            build_space(source, "h1_bubble", p),
-            name=name,
-        )
-    if persist:
-        cache.save(label, cell, basis=sp.basis)
+    sp = _BASES[kind](cell, p)
+    cache.save(label, cell, basis=sp.basis)
     return sp.value_dim, sp.degree, sp.basis
 
 

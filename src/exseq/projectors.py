@@ -129,13 +129,6 @@ def _graded_interval_rule(nodes_per_panel=16, levels=18, ratio=0.22):
     return pts[order], wts[order]
 
 
-def quadrature_interval(length, degree):
-    """Gauss nodes/weights on the centered interval (-length/2, length/2)."""
-    n = degree // 2 + 1
-    xg, wg = leggauss(n)
-    return 0.5 * length * xg, 0.5 * length * wg
-
-
 # ---------------------------------------------------------------------------
 # the stage primitive
 
@@ -240,7 +233,7 @@ def _segment_stage(name, group, cell, deg, restrict, ends, region, rule,
     conormal = (eye[ends[1]] - eye[ends[0]])[:, None]
     return _stiffness_stage(
         name, group, cell, deg, restrict,
-        cell.tabulate(deg, cell.vertices).T, [("vertices", eye[list(ends)])],
+        ps.boundary_traces(cell, deg), [("vertices", eye[list(ends)])],
         (region, rule[0][:, None], rule[1]),
         [("vertices", vertex_s[:, None], np.ones(n_verts), conormal)],
     )
@@ -262,16 +255,16 @@ def _sides(rc, cell, vertex_ids):
 def _triangle_stage(plan, name, group, rc, cell, vertex_ids, deg, restrict,
                     region, rule):
     """Scalar stiffness stage on a triangle fed by its sides' edge stages."""
-    trace, parents, fluxes = [], [], []
+    parents, fluxes = [], []
     for ledge, g, sigma, ccw in _sides(rc, cell, vertex_ids):
-        s, w = quadrature_interval(ledge.length, plan.quad_degree)
-        trace.append(ps.scalar_trace_matrix(cell, deg, ledge)[0])
+        q1 = quadrature(ledge.cell, plan.quad_degree)
         parents.append((f"edge{g}", _flip(ledge.cell.n_modes(deg), sigma)))
         outward = ccw * np.array([ledge.tangent[1], -ledge.tangent[0]])
-        fluxes.append((f"edge{g}", ledge.embed(sigma * s), w,
-                       np.broadcast_to(outward, (len(s), 2))))
-    return _stiffness_stage(name, group, cell, deg, restrict, np.vstack(trace),
-                            parents, (region, rule[0], rule[1]), fluxes)
+        fluxes.append((f"edge{g}", ledge.embed(sigma * q1.points[:, 0]),
+                       q1.weights, np.broadcast_to(outward, (len(q1.weights), 2))))
+    return _stiffness_stage(name, group, cell, deg, restrict,
+                            ps.boundary_traces(cell, deg), parents,
+                            (region, rule[0], rule[1]), fluxes)
 
 
 def _mixed_stage(name, group, space, bubble, restrict, trace, parents, gauge,
@@ -309,20 +302,18 @@ def _edge_element_stage(plan, name, group, rc, cell, vertex_ids, p,
     rot = diff_slots("curl2d_scalar", ps.scalar_space(cell, deg), psi)
     Vq = cell.tabulate(deg, rule[0])
     energy = [(region, _moments(Vq, rule[1], rot, frame))]
-    trace, parents = [], []
+    parents = []
     for ledge, g, sigma, ccw in _sides(rc, cell, vertex_ids):
-        nm1 = ledge.cell.n_modes(p)
-        T, _ = ps.edge_tangential_trace_matrix(cell, deg, ledge, 2)
-        trace.append(T[:nm1])
-        parents.append((f"edge{g}", sigma * _flip(nm1, sigma)))
-        s, w = quadrature_interval(ledge.length, plan.quad_degree)
-        pv = _eval_rows(cell, 1, deg, psi, ledge.embed(sigma * s))[:, :, 0]
+        parents.append((f"edge{g}", sigma * _flip(ledge.cell.n_modes(p), sigma)))
+        q1 = quadrature(ledge.cell, plan.quad_degree)
+        pv = _eval_rows(cell, 1, deg, psi,
+                        ledge.embed(sigma * q1.points[:, 0]))[:, :, 0]
         tvals = pv[:, :, None] * (frame @ ledge.tangent)[None, None, :]
-        energy.append((f"edge{g}", ccw * _weighted(tvals, w)))
+        energy.append((f"edge{g}", ccw * _weighted(tvals, q1.weights)))
     restrict = Q.basis if slot_restrict is None else Q.basis @ slot_restrict
     return _mixed_stage(
         name, group, Q, ps.build_space(cell, "hcurl_bubble", p), restrict,
-        np.vstack(trace), parents,
+        ps.boundary_traces(cell, deg, "tangential", keep=p), parents,
         grads, (region, _moments(Vq, rule[1], grads, frame)),
         psi, "curl2d_vector", energy,
     )
@@ -350,12 +341,12 @@ def _grad_stages(plan, rc, p):
         return ps.scalar_space(cell, deg)
     for edge in rc.edges:
         key = f"edge{edge.index}"
-        rule = quadrature_interval(edge.length, plan.quad_degree)
-        plan.sample_points[key] = edge.embed(rule[0])
+        q1 = quadrature(edge.cell, plan.quad_degree)
+        plan.sample_points[key] = edge.embed(q1.points)
         plan.stages.append(_segment_stage(
-            key, "edges", edge.cell, deg,
-            ps.scalar_trace_matrix(cell, deg, edge)[0], edge.vertex_ids,
-            key, rule, (rc.vertices - edge.midpoint) @ edge.tangent,
+            key, "edges", edge.cell, deg, ps.trace_matrix(cell, deg, edge),
+            edge.vertex_ids, key, (q1.points[:, 0], q1.weights),
+            (rc.vertices - edge.midpoint) @ edge.tangent,
         ))
     q = quadrature(cell, plan.quad_degree)
     if rc.dim == 2:
@@ -372,18 +363,17 @@ def _grad_stages(plan, rc, p):
         plan.sample_points[key] = face.embed(q2.points)
         plan.stages.append(_triangle_stage(
             plan, key, "faces", rc, face.cell, face.vertex_ids, deg,
-            ps.scalar_trace_matrix(cell, deg, face)[0], key,
+            ps.trace_matrix(cell, deg, face), key,
             (q2.points, q2.weights),
         ))
         fluxes.append((key, face.embed(q2.points), q2.weights,
                        np.broadcast_to(face.normal, (len(q2.weights), 3))))
     plan.sample_points["vol"] = q.points
-    trace = np.vstack([ps.scalar_trace_matrix(cell, deg, f)[0]
-                       for f in rc.faces])
     parents = [(f"face{f.index}", np.eye(f.cell.n_modes(deg)))
                for f in rc.faces]
     plan.stages.append(_stiffness_stage(
-        "interior", "interior", cell, deg, interior, trace, parents,
+        "interior", "interior", cell, deg, interior,
+        ps.boundary_traces(cell, deg, refcell=rc), parents,
         ("vol", q.points, q.weights), fluxes,
     ))
     return ps.scalar_space(cell, deg)
@@ -393,12 +383,12 @@ def _curl_stages(plan, rc, p):
     cell, deg = rc.cell, p + 1
     for edge in rc.edges:
         key = f"edge{edge.index}"
-        s, w = quadrature_interval(edge.length, plan.quad_degree)
-        plan.sample_points[key] = edge.embed(s)
-        T, ecell = ps.edge_tangential_trace_matrix(cell, deg, edge, rc.dim)
-        plan.stages.append(_l2_stage(key, "edges", ecell, p,
-                                     T[: ecell.n_modes(p)], key,
-                                     (s[:, None], w), edge.tangent))
+        q1 = quadrature(edge.cell, plan.quad_degree)
+        plan.sample_points[key] = edge.embed(q1.points)
+        T = ps.trace_matrix(cell, deg, edge, "tangential")
+        plan.stages.append(_l2_stage(key, "edges", edge.cell, p,
+                                     T[: edge.cell.n_modes(p)], key,
+                                     (q1.points, q1.weights), edge.tangent))
     Q = ps.build_space(rc, "hcurl", p)
     q = quadrature(cell, plan.quad_degree)
     if rc.dim == 2:
@@ -416,7 +406,7 @@ def _curl_stages(plan, rc, p):
         plan.sample_points[key] = face.embed(q2.points)
         plan.stages.append(_edge_element_stage(
             plan, key, "faces", rc, face.cell, face.vertex_ids, p,
-            ps.tangential_trace_matrix(rc, deg, face)[0], face.frame, key,
+            ps.trace_matrix(cell, deg, face, "tangential"), face.frame, key,
             (q2.points, q2.weights),
         ))
     plan.sample_points["vol"] = q.points
@@ -437,7 +427,7 @@ def _curl_stages(plan, rc, p):
                for f in rc.faces]
     plan.stages.append(_mixed_stage(
         "interior", "interior", Q, ps.build_space(rc, "hcurl_bubble", p),
-        Q.basis, ps.tangential_trace_stack(rc, deg), parents,
+        Q.basis, ps.boundary_traces(cell, deg, "tangential", rc), parents,
         grads, ("vol", _moments(Vq, q.weights, grads)),
         W, "curl3d", energy,
     ))
@@ -452,9 +442,9 @@ def _div_stages(plan, rc, p):
         q2 = quadrature(face.cell, plan.quad_degree)
         face_rules.append(q2)
         plan.sample_points[key] = face.embed(q2.points)
-        T, fcell = ps.normal_trace_matrix(rc, deg, face)
-        plan.stages.append(_l2_stage(key, "faces", fcell, p,
-                                     T[: fcell.n_modes(p)], key,
+        T = ps.trace_matrix(cell, deg, face, "normal")
+        plan.stages.append(_l2_stage(key, "faces", face.cell, p,
+                                     T[: face.cell.n_modes(p)], key,
                                      (q2.points, q2.weights), face.normal))
     q = quadrature(cell, plan.quad_degree)
     plan.sample_points["vol"] = q.points
@@ -474,7 +464,7 @@ def _div_stages(plan, rc, p):
     parents = [(f"face{f.index}", np.eye(f.cell.n_modes(p))) for f in rc.faces]
     plan.stages.append(_mixed_stage(
         "interior", "interior", V, Vb, V.basis,
-        ps.normal_trace_stack(rc, deg, p), parents,
+        ps.boundary_traces(cell, deg, "normal", rc, keep=p), parents,
         curls, ("vol", _moments(Vq, q.weights, curls)),
         divs, "div", energy,
     ))

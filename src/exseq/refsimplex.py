@@ -10,14 +10,13 @@ operators computed on the planar copy coincide with the traced 3D ones.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from math import factorial
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.special import roots_jacobi
 
-from . import orthopoly
+from . import cache, orthopoly
 
 MAX_QUAD_DEGREE = 40
 
@@ -108,7 +107,7 @@ class QuadratureRule:
     exactness_degree: int
 
 
-@lru_cache(maxsize=None)
+@cache.memo
 def _reference_rule(dim, degree):
     if degree < 0:
         raise ValueError("quadrature degree must be nonnegative")
@@ -338,7 +337,7 @@ class ReferenceCell:
         return np.pi / self.max_angle
 
 
-@lru_cache(maxsize=None)
+@cache.memo
 def make_reference_cell(dim):
     return ReferenceCell(dim)
 

@@ -160,10 +160,9 @@ def dual_norm(g, pairings, s):
 
 # order of the multi-indices of each integer norm, and the derivative family
 # whose graph norm it is (if any)
-_ORDER = {"L2": 0, "H1": 1, "H1full": 1, "H2": 2, "Hcurl": 0, "Hdiv": 0,
-          "H1curl": 1}
+_ORDER = {"L2": 0, "H1": 1, "H1full": 1, "H2": 2, "Hcurl": 0, "H1curl": 1}
 _FAMILY = {"Hcurl": "curl", "H1curl": "curl", "Hhalf_curl": "curl",
-           "Hdiv": "div", "Hhalf_div": "div"}
+           "Hhalf_div": "div"}
 
 
 def _graph_derivative(norm, dim):
@@ -256,7 +255,6 @@ def best_approx(space, field, norm="L2", rich_degree=None, s=0.5, quad=None):
       H1full   full H1-norm minimization
       H2       full H2-norm minimization
       Hcurl    curl-curl orthogonality plus orthogonality to gradients
-      Hdiv     div-div orthogonality plus orthogonality to the curl range
       H1curl   full (H1, curl-H1) norm minimization
       Hhalf    fractional H^s minimization through a rich-space surrogate
       Hhalf_div, Hhalf_curl   graph-norm surrogates ||.||_{H^s}^2 + ||D.||_{H^s}^2
@@ -289,8 +287,8 @@ def best_approx(space, field, norm="L2", rich_degree=None, s=0.5, quad=None):
         A = _form_on(space, g.A1 if norm == "H1full" else g.A2)
         rhs = _jet_pairings(space, field, q, _ORDER[norm])
         coords = np.linalg.solve(A, rhs)
-    elif norm in ("Hcurl", "Hdiv"):
-        coords = _two_block_projector(space, field, q, norm)
+    elif norm == "Hcurl":
+        coords = _two_block_projector(space, field, q)
     elif norm == "H1curl":
         coords = _h1curl_minimizer(space, field, q)
     elif norm in ("Hhalf", "Hhalf_div", "Hhalf_curl"):
@@ -302,19 +300,14 @@ def best_approx(space, field, norm="L2", rich_degree=None, s=0.5, quad=None):
     return slots, error_in_norm(space, field, slots, q, norm)
 
 
-def _two_block_projector(space, field, q, norm):
+def _two_block_projector(space, field, q):
+    """The Hcurl projector: the curl block tested on the complement of the
+    gradients, plus orthogonality to the gradients."""
     cell = space.cell
-    name = _graph_derivative(norm, cell.dim)
+    name = _graph_derivative("Hcurl", cell.dim)
     d_rows = diff_rows(name, space)
-    if norm == "Hcurl":
-        # gradients: the curl block is tested on their complement
-        scalar = ps.scalar_space(cell, space.degree)
-        test_b = ps.span_from_rows(diff_rows("grad", scalar))
-    else:
-        # curls: the div block is tested on their complement
-        ned = ps.nedelec_space(cell, space.degree - 1)
-        c_basis = ps.span_from_rows(diff_rows("curl3d", ned))
-        test_b = ps.pad_slots(c_basis, cell, 3, ned.degree, space.degree)
+    scalar = ps.scalar_space(cell, space.degree)
+    test_b = ps.span_from_rows(diff_rows("grad", scalar))
     compl = ps.subspace_from_constraints(space, test_b)
     d_compl = diff_rows(name, compl)
     rows_a = d_compl @ d_rows.T  # D-D conditions against the complement

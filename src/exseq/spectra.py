@@ -126,8 +126,9 @@ def discrete_lifting_curl(p, w_slots):
     Qb = ps.build_space(rc, "hcurl_bubble", p)
     Wb = ps.build_space(rc, "h1_bubble", p)
     grads = diff_rows("grad", Wb) if Wb.dim else np.zeros((0, Qb.basis.shape[1]))
+    traces = ps.boundary_traces(rc.cell, p + 1, "tangential", rc)
     return _saddle_lifting(ps.build_space(rc, "hcurl", p), Qb, grads, "curl3d",
-                           ps.tangential_trace_stack(rc, p + 1), w_slots)
+                           traces, w_slots)
 
 
 def discrete_lifting_div(p, w_slots):
@@ -141,8 +142,9 @@ def discrete_lifting_div(p, w_slots):
         if Qperp.dim
         else np.zeros((0, Vb.basis.shape[1]))
     )
+    traces = ps.boundary_traces(rc.cell, p + 1, "normal", rc, keep=p)
     return _saddle_lifting(ps.build_space(rc, "hdiv", p), Vb, curls, "div",
-                           ps.normal_trace_stack(rc, p + 1, p), w_slots)
+                           traces, w_slots)
 
 
 def _saddle_lifting(space, bubbles, constraints, deriv, traces, w_slots):
@@ -194,8 +196,9 @@ def x_minus_half_norm(p, w_slots, lift_degree=None):
     Qb = ps.build_space(rc, "hcurl_bubble", pl)
     w_pad = ps.pad_slots(np.asarray(w_slots, dtype=float), rc.cell, 3, p + 1,
                          pl + 1)
-    stack = ps.tangential_trace_stack(rc, pl + 1) @ Q.basis.T
-    data = ps.tangential_trace_stack(rc, pl + 1) @ w_pad
+    traces = ps.boundary_traces(rc.cell, pl + 1, "tangential", rc)
+    stack = traces @ Q.basis.T
+    data = traces @ w_pad
     w_E = Q.basis.T @ (np.linalg.pinv(stack, rcond=1e-10) @ data)
 
     def energy_sq(slots):

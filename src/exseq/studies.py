@@ -8,7 +8,6 @@ seeds give byte-identical output files.
 """
 
 import json
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,10 +119,9 @@ class StudyRecord:
     denominator: float
     ratio: float
     pstab: float = float("nan")
-    wall_time: float = 0.0
 
-    def row(self, timing=False):
-        out = {
+    def row(self):
+        return {
             "operator": self.operator,
             "p": self.p,
             "field": self.field,
@@ -134,9 +132,6 @@ class StudyRecord:
             "ratio": self.ratio,
             "pstab": self.pstab,
         }
-        if timing:
-            out["wall_time"] = self.wall_time
-        return out
 
 
 def fields_for(operator, suite_name):
@@ -200,7 +195,6 @@ def run_convergence(cfg):
         den_norm, den_s = DENOMINATOR_NORM[op]
         for f in flds:
             for p in range(cfg.p_min, cfg.p_max + 1):
-                t0 = time.perf_counter()
                 plan = pj.build_plan(op, p)
                 target = plan.target
                 slots = plan.apply(f)
@@ -211,14 +205,10 @@ def run_convergence(cfg):
                     kwargs["rich_degree"] = target.degree + cfg.dual_offset
                 _, den = sb.best_approx(den_space, f, den_norm, **kwargs)
                 parts = _error_l2_parts(plan, f, slots)
-                wall = time.perf_counter() - t0
                 for s in cfg.s_values:
-                    recs = _records_for(
+                    records += _records_for(
                         op, p, f, s, parts, den, cfg.dual_offset, cell
                     )
-                    for r in recs:
-                        r.wall_time = wall
-                        records.append(r)
     records.sort(key=lambda r: (r.operator, r.field, r.s, r.norm_id, r.p))
     slopes = fit_slopes(records, cfg)
     return records, slopes
@@ -566,8 +556,8 @@ def _poincare_checks(p_max, rng, n_samples):
 # serialization
 
 
-def records_to_rows(records, timing=False):
-    return [r.row(timing=timing) for r in records]
+def records_to_rows(records):
+    return [r.row() for r in records]
 
 
 def format_rows(rows, fmt):

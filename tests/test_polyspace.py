@@ -213,7 +213,6 @@ def test_spaces_and_edges_bound_to_requested_cell(rc2, rc3):
     ps.triangle_edges(rc2.cell)
     for ledge, _ in ps.triangle_edges(face):
         assert ledge.cell.key.startswith("tet.face1.edge")
-        assert ps.scalar_trace_matrix(face, 2, ledge)[1] is ledge.cell
 
 
 def _chain_from_scratch(cell, degree, alpha):
@@ -261,3 +260,69 @@ def test_streamed_deriv_matrices_equal_one_shot_bitwise(block, rc3,
         assert len(streamed) == cell.dim
         for a, b in zip(streamed, one_shot):
             assert np.array_equal(a, b)
+
+
+def _frame_blocks(T, frame):
+    # block (l, m) is frame[m, l] * T, assembled block by block
+    n_in, n_out = frame.shape
+    out = np.zeros((n_out * T.shape[0], n_in * T.shape[1]))
+    for l in range(n_out):
+        for m in range(n_in):
+            out[l * T.shape[0]:(l + 1) * T.shape[0],
+                m * T.shape[1]:(m + 1) * T.shape[1]] = frame[m, l] * T
+    return out
+
+
+def _triangles(rc2, rc3):
+    # the triangle and the four face cells, each with its sides
+    return [(cell, [side for side, _ in ps.triangle_edges(cell)])
+            for cell in [rc2.cell] + [f.cell for f in rc3.faces]]
+
+
+def test_trace_matrix_parts_are_frame_blocks_of_the_scalar_trace(rc2, rc3):
+    deg = 3
+    cases = [(rc3.cell, f, "tangential", f.frame) for f in rc3.faces]
+    cases += [(rc3.cell, f, "normal", f.normal[:, None]) for f in rc3.faces]
+    cases += [(rc3.cell, e, "tangential", e.tangent[:, None]) for e in rc3.edges]
+    cases += [(cell, e, "tangential", e.tangent[:, None])
+              for cell, sides in _triangles(rc2, rc3) for e in sides]
+    for cell, sub, part, frame in cases:
+        T = ps.trace_matrix(cell, deg, sub)
+        assert T.shape == (sub.cell.n_modes(deg), cell.n_modes(deg))
+        assert np.array_equal(ps.trace_matrix(cell, deg, sub, part),
+                              _frame_blocks(T, frame))
+
+
+def test_boundary_traces_keep_leading_modes(rc2, rc3):
+    deg = 4
+    cases = [(rc3.cell, rc3, rc3.faces, part)
+             for part in (None, "tangential", "normal")]
+    cases += [(cell, None, sides, part) for cell, sides in _triangles(rc2, rc3)
+              for part in (None, "tangential")]
+    for cell, rc, subs, part in cases:
+        full = [ps.trace_matrix(cell, deg, sub, part) for sub in subs]
+        assert np.array_equal(ps.boundary_traces(cell, deg, part, rc),
+                              np.vstack(full))
+        for keep in range(deg + 1):
+            assert np.array_equal(
+                ps.boundary_traces(cell, deg, part, rc, keep=keep),
+                np.vstack([T[: sub.cell.n_modes(keep)]
+                           for sub, T in zip(subs, full)]))
+
+
+def test_triangle_and_interval_bubbles_are_trace_free(rc1, rc2, rc3):
+    p = 4
+    for cell, sides in _triangles(rc2, rc3):
+        w = ps.build_space(cell, "h1_bubble", p)
+        q = ps.build_space(cell, "hcurl_bubble", p)
+        assert w.dim and q.dim
+        for side in sides:
+            amb = side.embed(quadrature(side.cell, 2 * (p + 2)).points)
+            assert np.abs(w.evaluate(w.basis, amb)).max() < 1e-10
+            assert np.abs(q.evaluate(q.basis, amb) @ side.tangent).max() < 1e-10
+    w = ps.build_space(rc1, "h1_bubble", p)
+    assert np.abs(w.evaluate(w.basis, rc1.vertices)).max() < 1e-12
+    q = ps.build_space(rc1, "hcurl_bubble", p)
+    rule = quadrature(rc1.cell, 2 * p)
+    means = q.evaluate(q.basis, rule.points) @ rule.weights
+    assert q.dim == p and np.abs(means).max() < 1e-12

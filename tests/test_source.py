@@ -47,3 +47,18 @@ def test_no_top_level_function_defined_twice():
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 homes[node.name].append(path.name)
     assert {n: m for n, m in homes.items() if len(m) > 1} == {}
+
+
+def test_memo_is_the_only_cache():
+    # every cached table goes through cache.memo: no functools cache
+    # decorator in the package
+    found = []
+    for path, tree in _trees(PACKAGE).items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for dec in node.decorator_list:
+                    target = dec.func if isinstance(dec, ast.Call) else dec
+                    name = getattr(target, "attr", getattr(target, "id", ""))
+                    if name in ("lru_cache", "cache"):
+                        found.append(f"{path.name}:{node.lineno} {node.name}")
+    assert found == []
