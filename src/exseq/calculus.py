@@ -6,6 +6,7 @@ polynomial integrands), never by numerical differentiation of point samples.
 """
 
 from dataclasses import dataclass
+from itertools import pairwise
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -102,6 +103,40 @@ def derivative_name(family, dim):
     return family
 
 
+# The de Rham complex of a d-cell as one indexed sequence of spaces (Arnold,
+# Falk and Winther, Acta Numerica 2006): slot k holds the k-forms, from H1 at
+# k = 0 to L2 at k = d, and COMPLEX[d][k] is the derivative that leaves slot
+# k, of family FAMILIES[k]. Each interpolation operator is the projection
+# onto one slot, OPERATORS[name] = (d, k).
+COMPLEX = {
+    3: ("grad", "curl3d", "div"),
+    2: ("grad", "curl2d_vector"),
+    1: ("grad",),
+}
+FAMILIES = ("grad", "curl", "div")
+OPERATORS = {
+    "grad3d": (3, 0),
+    "curl3d": (3, 1),
+    "div3d": (3, 2),
+    "l2_3d": (3, 3),
+    "grad2d": (2, 0),
+    "curl2d": (2, 1),
+    "l2_2d": (2, 2),
+    "grad1d": (1, 0),
+}
+
+
+def slot_value_dim(dim, slot):
+    """Value dimension of a slot of the dim-cell's complex: scalars in H1,
+    else the image dimension of the derivative that enters the slot."""
+    return DERIVATIVES[COMPLEX[dim][slot - 1]].value_dim(dim) if slot else 1
+
+
+def operator_at(dim, slot):
+    """The OPERATORS name of a slot of the dim-cell's complex, or None."""
+    return next((n for n, at in OPERATORS.items() if at == (dim, slot)), None)
+
+
 def diff_op(name, source, target):
     """Exact differential operator from `source` expanded in `target`.
 
@@ -175,10 +210,9 @@ def _trace_rows(name, source, sub):
     return rows, rows.shape[1] // nm
 
 
-def trace_op(name, source, sub, target, refcell=None):
-    """Trace operator expanded in a target space living on the trace cell.
-
-    The trace reads its frame from `sub`; `refcell` is not needed."""
+def trace_op(name, source, sub, target):
+    """Trace operator expanded in a target space living on the trace cell;
+    the trace reads its frame from the Face or Edge `sub`."""
     rows, vd = _trace_rows(name, source, sub)
     if not np.array_equal(target.cell.vertices, sub.cell.vertices):  # by content
         raise ValueError("target space does not live on the trace cell")
@@ -188,9 +222,9 @@ def trace_op(name, source, sub, target, refcell=None):
     return LinearOpMatrix(source, target, coords, resid)
 
 
-def trace_space(space, sub, family, refcell=None):
+def trace_space(space, sub, family):
     """Image space of a trace: restriction (h1), tangential (hcurl), normal
-    (hdiv). Like `trace_op`, it needs no `refcell`."""
+    (hdiv)."""
     names = {"h1": "restrict", "hcurl": "Pi_tau", "hdiv": "normal"}
     if family not in names:
         raise ValueError(f"unknown family {family!r}")
@@ -214,8 +248,37 @@ def subspace_distance(rows_a, basis_b):
     return float((num / den).max())
 
 
+# the space kinds of slots 0, 1 and 2 and of the top slot, in the full and
+# the trace-free sequence
+_FULL = ("h1", "hcurl", "hdiv", "l2")
+_TRACE_FREE = ("h1_bubble", "hcurl_bubble", "hdiv_bubble", "l2_zero_mean")
+
+
+def _sequence(refcell, p, kinds=_FULL):
+    """The spaces of the refcell's complex, slot by slot."""
+    d = refcell.dim
+    return [ps.build_space(refcell, kind, p) for kind in kinds[:d] + kinds[-1:]]
+
+
+def _arrows(refcell, p):
+    """The full sequence's spaces and the matrices of the derivatives between
+    consecutive slots."""
+    S = _sequence(refcell, p)
+    return S, [diff_op(D, S[k], S[k + 1]).matrix
+               for k, D in enumerate(COMPLEX[refcell.dim])]
+
+
+def _image(name, space):
+    """Orthonormal rows spanning the image of a space under a derivative."""
+    if not space.dim:
+        vd = DERIVATIVES[name].value_dim(space.cell.dim)
+        return np.zeros((0, vd * space.n_modes))
+    return ps.span_from_rows(diff_rows(name, space))
+
+
 def check_exact_sequence(p, refcell3, refcell2, refcell1):
-    """Rank/kernel report for the full and trace-free sequences, 3D and 2D.
+    """Rank/kernel report for the full and trace-free sequences, 3D and 2D,
+    and the trace-free sequence of the interval.
 
     Every entry carries measured dimensions plus an `ok` flag against the
     expected identity.
@@ -225,118 +288,35 @@ def check_exact_sequence(p, refcell3, refcell2, refcell1):
     def record(label, ok, **data):
         rep["checks"].append({"label": label, "ok": bool(ok), **data})
 
-    # --- 3D full sequence
-    W = ps.build_space(refcell3, "h1", p)
-    Q = ps.build_space(refcell3, "hcurl", p)
-    V = ps.build_space(refcell3, "hdiv", p)
-    L = ps.build_space(refcell3, "l2", p)
-    g = diff_op("grad", W, Q)
-    c = diff_op("curl3d", Q, V)
-    d = diff_op("div", V, L)
-    record("3d.grad.kernel", W.dim - np.linalg.matrix_rank(g.matrix, tol=1e-8) == 1,
-           kernel=int(W.dim - np.linalg.matrix_rank(g.matrix, tol=1e-8)), expected=1)
-    grad_range = ps.span_from_rows(g.matrix)
-    curl_kernel = ps.null_space_of(c.matrix.T, n_cols=Q.dim)
-    record(
-        "3d.ker_curl_eq_range_grad",
-        curl_kernel.shape[0] == grad_range.shape[0]
-        and subspace_distance(grad_range, curl_kernel) < 1e-8,
-        dim_kernel=int(curl_kernel.shape[0]),
-        dim_range=int(grad_range.shape[0]),
-    )
-    curl_range = ps.span_from_rows(c.matrix)
-    div_kernel = ps.null_space_of(d.matrix.T, n_cols=V.dim)
-    record(
-        "3d.ker_div_eq_range_curl",
-        div_kernel.shape[0] == curl_range.shape[0]
-        and subspace_distance(curl_range, div_kernel) < 1e-8,
-        dim_kernel=int(div_kernel.shape[0]),
-        dim_range=int(curl_range.shape[0]),
-    )
-    record(
-        "3d.div_onto_l2",
-        np.linalg.matrix_rank(d.matrix, tol=1e-8) == L.dim,
-        rank=int(np.linalg.matrix_rank(d.matrix, tol=1e-8)),
-        expected=int(L.dim),
-    )
-
-    # --- 3D trace-free sequence
-    Wb = ps.build_space(refcell3, "h1_bubble", p)
-    Qb = ps.build_space(refcell3, "hcurl_bubble", p)
-    Vb = ps.build_space(refcell3, "hdiv_bubble", p)
-    Lz = ps.build_space(refcell3, "l2_zero_mean", p)
-    gb = ps.span_from_rows(diff_rows("grad", Wb)) if Wb.dim else np.zeros((0, 3 * Wb.n_modes))
-    cb = ps.span_from_rows(diff_rows("curl3d", Qb)) if Qb.dim else np.zeros((0, 3 * Qb.n_modes))
-    db = ps.span_from_rows(diff_rows("div", Vb)) if Vb.dim else np.zeros((0, Vb.n_modes))
-    record(
-        "3d.bubble.dim_split",
-        Qb.dim == gb.shape[0] + cb.shape[0],
-        dim_bubble_hcurl=int(Qb.dim),
-        dim_grad=int(gb.shape[0]),
-        dim_curl=int(cb.shape[0]),
-    )
-    Lz_deg = ps.pad_slots(Lz.basis, Lz.cell, 1, Lz.degree, Vb.degree)
-    record(
-        "3d.bubble.div_onto_zero_mean",
-        db.shape[0] == Lz.dim and subspace_distance(db, Lz_deg) < 1e-8,
-        dim_div=int(db.shape[0]),
-        dim_zero_mean=int(Lz.dim),
-    )
-
-    # --- face trace-free sequence (2D on the reference triangle)
-    W2b = ps.build_space(refcell2, "h1_bubble", p)
-    Q2b = ps.build_space(refcell2, "hcurl_bubble", p)
-    V2b = ps.build_space(refcell2, "hdiv_bubble", p)
-    g2 = ps.span_from_rows(diff_rows("grad", W2b)) if W2b.dim else np.zeros((0, 2 * W2b.n_modes))
-    c2 = ps.span_from_rows(diff_rows("curl2d_vector", Q2b)) if Q2b.dim else np.zeros((0, Q2b.n_modes))
-    record(
-        "2d.bubble.dim_split",
-        Q2b.dim == g2.shape[0] + c2.shape[0],
-        dim_bubble_hcurl=int(Q2b.dim),
-        dim_grad=int(g2.shape[0]),
-        dim_curl=int(c2.shape[0]),
-    )
-    V2b_deg = ps.pad_slots(V2b.basis, V2b.cell, 1, V2b.degree, Q2b.degree)
-    record(
-        "2d.bubble.curl_eq_zero_mean",
-        c2.shape[0] == V2b.dim and subspace_distance(c2, V2b_deg) < 1e-8,
-        dim_curl=int(c2.shape[0]),
-        dim_zero_mean=int(V2b.dim),
-    )
-
-    # --- 2D full sequence
-    W2 = ps.build_space(refcell2, "h1", p)
-    Q2 = ps.build_space(refcell2, "hcurl", p)
-    L2 = ps.build_space(refcell2, "l2", p)
-    g2f = diff_op("grad", W2, Q2)
-    c2f = diff_op("curl2d_vector", Q2, L2)
-    kernel2 = ps.null_space_of(c2f.matrix.T, n_cols=Q2.dim)
-    range2 = ps.span_from_rows(g2f.matrix)
-    record(
-        "2d.ker_curl_eq_range_grad",
-        kernel2.shape[0] == range2.shape[0]
-        and subspace_distance(range2, kernel2) < 1e-8,
-        dim_kernel=int(kernel2.shape[0]),
-        dim_range=int(range2.shape[0]),
-    )
-    record(
-        "2d.curl_onto_l2",
-        np.linalg.matrix_rank(c2f.matrix, tol=1e-8) == L2.dim,
-        rank=int(np.linalg.matrix_rank(c2f.matrix, tol=1e-8)),
-        expected=int(L2.dim),
-    )
-
-    # --- edge sequence
-    W1b = ps.build_space(refcell1, "h1_bubble", p)
-    Q1z = ps.build_space(refcell1, "hcurl_bubble", p)
-    g1 = ps.span_from_rows(diff_rows("grad", W1b)) if W1b.dim else np.zeros((0, W1b.n_modes))
-    Q1z_deg = ps.pad_slots(Q1z.basis, Q1z.cell, 1, Q1z.degree, W1b.degree)
-    record(
-        "1d.bubble.grad_eq_zero_mean",
-        g1.shape[0] == Q1z.dim and subspace_distance(g1, Q1z_deg) < 1e-8,
-        dim_grad=int(g1.shape[0]),
-        dim_zero_mean=int(Q1z.dim),
-    )
+    fam = FAMILIES
+    for rc in (refcell3, refcell2, refcell1):
+        d = rc.dim
+        if d > 1:
+            S, A = _arrows(rc, p)
+            if d == 3:
+                kernel = S[0].dim - np.linalg.matrix_rank(A[0], tol=1e-8)
+                record("3d.grad.kernel", kernel == 1, kernel=int(kernel),
+                       expected=1)
+            for k in range(1, d):
+                ran = ps.span_from_rows(A[k - 1])
+                ker = ps.null_space_of(A[k].T, n_cols=S[k].dim)
+                record(f"{d}d.ker_{fam[k]}_eq_range_{fam[k - 1]}",
+                       len(ker) == len(ran) and subspace_distance(ran, ker) < 1e-8,
+                       dim_kernel=len(ker), dim_range=len(ran))
+            rank = np.linalg.matrix_rank(A[-1], tol=1e-8)
+            record(f"{d}d.{fam[d - 1]}_onto_l2", rank == S[d].dim,
+                   rank=int(rank), expected=S[d].dim)
+        B = _sequence(rc, p, _TRACE_FREE)
+        img = [_image(D, B[k]) for k, D in enumerate(COMPLEX[d])]
+        if d > 1:
+            record(f"{d}d.bubble.dim_split", B[1].dim == len(img[0]) + len(img[1]),
+                   dim_bubble_hcurl=B[1].dim, dim_grad=len(img[0]),
+                   dim_curl=len(img[1]))
+        # the last arrow maps onto the zero-mean top slot
+        top = ps.pad_slots(B[d].basis, B[d].cell, 1, B[d].degree, B[d - 1].degree)
+        record(f"{d}d.bubble.{fam[d - 1]}_{'onto' if d == 3 else 'eq'}_zero_mean",
+               len(img[-1]) == B[d].dim and subspace_distance(img[-1], top) < 1e-8,
+               **{f"dim_{fam[d - 1]}": len(img[-1]), "dim_zero_mean": B[d].dim})
     rep["ok"] = all(c["ok"] for c in rep["checks"])
     return rep
 
@@ -352,22 +332,9 @@ def _composite_residual(a, b):
 def complex_property_residual(refcell3, refcell2, p):
     """Max matrix residual of the composite identities curl o grad = 0 and
     div o curl = 0 (3D) and curl o grad = 0 (2D), relative to operator scale."""
-    W = ps.build_space(refcell3, "h1", p)
-    Q = ps.build_space(refcell3, "hcurl", p)
-    V = ps.build_space(refcell3, "hdiv", p)
-    L = ps.build_space(refcell3, "l2", p)
-    g = diff_op("grad", W, Q)
-    c = diff_op("curl3d", Q, V)
-    d = diff_op("div", V, L)
-    r1 = _composite_residual(g.matrix, c.matrix)
-    r2 = _composite_residual(c.matrix, d.matrix)
-    W2 = ps.build_space(refcell2, "h1", p)
-    Q2 = ps.build_space(refcell2, "hcurl", p)
-    L2 = ps.build_space(refcell2, "l2", p)
-    g2 = diff_op("grad", W2, Q2)
-    c2 = diff_op("curl2d_vector", Q2, L2)
-    r3 = _composite_residual(g2.matrix, c2.matrix)
-    return max(float(r1), float(r2), float(r3))
+    return max(float(_composite_residual(a, b))
+               for rc in (refcell3, refcell2)
+               for a, b in pairwise(_arrows(rc, p)[1]))
 
 
 def integration_by_parts_residual(refcell, p, rng, n_samples=5):

@@ -185,7 +185,7 @@ def _dispatch(args):
 
     if args.command == "project":
         op = args.operator
-        dim, vd = st.OPERATOR_SHAPE[op]
+        dim = pj.OPERATORS[op][0]
         plan = pj.build_plan(op, args.p_max)
         docs = []
         rows = []

@@ -20,45 +20,34 @@ from numpy.polynomial.legendre import leggauss
 
 from . import cache
 from . import polyspace as ps
-from .calculus import DERIVATIVES, derivative_name, diff_slots
+from .calculus import COMPLEX, OPERATORS, diff_slots, operator_at, slot_value_dim
 from .refsimplex import quadrature
-
-KINDS = ("grad3d", "curl3d", "div3d", "grad2d", "curl2d")
-
-_T_POWER = {"grad3d": 0, "curl3d": 1, "div3d": 2, "grad2d": 0, "curl2d": 1}
-_VDIMS = {
-    "grad3d": (3, 1),
-    "curl3d": (3, 3),
-    "div3d": (1, 3),
-    "grad2d": (2, 1),
-    "curl2d": (1, 2),
-}
 
 
 class RegularizedInverse:
     """Averaged path-integral right inverse on a cell.
 
-    kind selects the operator family; the bump is (1 - |x-c|^2/r^2)^m on the
-    ball of radius `radius_factor * inradius` about the centroid, normalized
-    to unit mass in closed form.
+    kind names the slot (OPERATORS) whose outgoing derivative is inverted,
+    on a 2D or 3D cell: the inverse maps the next slot into it. The bump is
+    (1 - |x-c|^2/r^2)^m on the ball of radius `radius_factor * inradius`
+    about the centroid, normalized to unit mass in closed form.
     """
 
     def __init__(self, refcell, kind, m=6, radius_factor=0.9):
-        if kind not in KINDS:
+        dim, slot = OPERATORS.get(kind, (0, 0))
+        if dim < 2 or slot == dim:  # neither on the interval nor from L2
             raise ValueError(f"unknown kind {kind!r}")
-        want_dim = 3 if kind.endswith("3d") else 2
-        if refcell.dim != want_dim:
-            raise ValueError(f"{kind} needs a {want_dim}D cell")
+        if refcell.dim != dim:
+            raise ValueError(f"{kind} needs a {dim}D cell")
         self.refcell = refcell
         self.cell = refcell.cell
         self.kind = kind
+        self.derivative = COMPLEX[dim][slot]
+        self.in_vdim = slot_value_dim(dim, slot + 1)
+        self.out_vdim = slot_value_dim(dim, slot)
         self.m = m
         self.center = self.cell.centroid
         self.radius = radius_factor * self.cell.inradius
-
-    @property
-    def out_vdim(self):
-        return _VDIMS[self.kind][1]
 
     def bump_mass(self):
         """Integral of the normalized bump; 1 by construction."""
@@ -83,17 +72,11 @@ class RegularizedInverse:
         Returns (out_space, out_slots) with out_space a full polynomial space
         of the output value dimension at degree+1.
         """
-        vd_in, vd_out = _VDIMS[self.kind]
-        if space.value_dim != vd_in:
-            raise ValueError(
-                f"{self.kind} expects value dimension {vd_in}, got {space.value_dim}"
-            )
+        if space.value_dim != self.in_vdim:
+            raise ValueError(f"{self.kind} expects value dimension "
+                             f"{self.in_vdim}, got {space.value_dim}")
         out = self.apply_slots(space.degree, slots)
-        if vd_out == 1:
-            out_space = ps.scalar_space(self.cell, space.degree + 1)
-        else:
-            out_space = ps.vector_space(self.cell, space.degree + 1, vd_out)
-        return out_space, out
+        return ps.vector_space(self.cell, space.degree + 1, self.out_vdim), out
 
 
 @cache.memo
@@ -134,9 +117,9 @@ def _contractions(cell, degree, center):
 def _build_matrix(cell, kind, degree, m, center, radius):
     from math import factorial
 
-    dim = cell.dim
-    vd_in, vd_out = _VDIMS[kind]
-    w_pow = _T_POWER[kind]
+    dim, slot = OPERATORS[kind]
+    vd_in, vd_out = slot_value_dim(dim, slot + 1), slot_value_dim(dim, slot)
+    deriv = COMPLEX[dim][slot]
     nm = cell.n_modes(degree)
     nm1 = cell.n_modes(degree + 1)
     t_nodes, t_weights, C_t = _contractions(cell, degree, center)
@@ -152,7 +135,7 @@ def _build_matrix(cell, kind, degree, m, center, radius):
     for L in range(degree + 1):
         acc = np.zeros((nm, nm))
         for t, wt, C in zip(t_nodes, t_weights, C_t):
-            acc += wt * t**w_pow * (1.0 - t) ** L * C
+            acc += wt * t**slot * (1.0 - t) ** L * C  # slot k weighs t^k
         C_hat.append(acc)
 
     R = np.zeros((vd_in * nm, vd_out * nm1))
@@ -186,20 +169,20 @@ def _build_matrix(cell, kind, degree, m, center, radius):
         # K = C_hat[L] @ D^alpha, applied as slots @ (K.T)
         K = (C_hat[sum(alpha)] @ D_alpha) / fa
         KT = K.T
-        if kind in ("grad3d", "grad2d"):
+        if deriv == "grad":
             # v . [(x-c) mu - nu]
             for i in range(dim):
                 Rblock = mu * W[i].T - nu[i] * pad
                 add(i, 0, KT @ Rblock)
-        elif kind == "div3d":
+        elif deriv == "div":
             for i in range(dim):
                 Rblock = mu * W[i].T - nu[i] * pad
                 add(0, i, KT @ Rblock)
-        elif kind == "curl2d":
+        elif deriv == "curl2d_vector":
             # scalar v times rotated (-(x2-a2), x1-a1)
             add(0, 0, KT @ -(mu * W[1].T - nu[1] * pad))
             add(0, 1, KT @ (mu * W[0].T - nu[0] * pad))
-        elif kind == "curl3d":
+        else:  # curl3d
             # (v x w)_i with w = (x-c) mu - nu; KT @ -op is -(KT @ op) exactly
             KO = [KT @ (mu * W[i].T - nu[i] * pad) for i in range(3)]
             add(1, 0, KO[2])
@@ -220,49 +203,37 @@ def regularized_inverse(refcell, kind, m=6, radius_factor=0.9):
     return RegularizedInverse(refcell, kind, m, radius_factor)
 
 
-def helmholtz_curl(refcell, space, slots, tol=1e-9):
-    """Split u = grad(phi) + z with z built from the curl right inverse.
-
-    u is a 3-vector (or 2-vector) polynomial given by slot coefficients.
-    Returns (phi_space, phi, z_space, z, residual)."""
-    cell = refcell.cell
-    dim = cell.dim
-    deg = space.degree
-    curl = derivative_name("curl", dim)
-    curl_slots = diff_slots(curl, space, slots)
-    rc = regularized_inverse(refcell, f"curl{dim}d")
-    z_space, z = rc.apply(
-        ps.vector_space(cell, deg, DERIVATIVES[curl].value_dim(dim)), curl_slots)
+def _helmholtz(refcell, slot, space, slots, tol):
+    """Split u in a slot of the refcell's complex as u = D psi + z: z from the
+    right inverse of the derivative leaving the slot, psi from that of the
+    derivative D entering it. Returns (psi_space, psi, z_space, z, residual)."""
+    cell, dim, deg = refcell.cell, refcell.dim, space.degree
+    vd = slot_value_dim(dim, slot)
+    out = regularized_inverse(refcell, operator_at(dim, slot))
+    z_space, z = out.apply(
+        ps.vector_space(cell, deg, out.in_vdim),
+        diff_slots(out.derivative, space, slots))
     deg1 = z_space.degree
-    u_pad = ps.pad_slots(slots, cell, dim, deg, deg1)
-    rg = regularized_inverse(refcell, f"grad{dim}d")
-    phi_space, phi = rg.apply(ps.vector_space(cell, deg1, dim), u_pad - z)
-    gphi = diff_slots("grad", phi_space, phi)  # modal degree phi_space.degree
-    lhs = ps.pad_slots(u_pad - z, cell, dim, deg1, phi_space.degree)
-    resid_vec = lhs - gphi
-    scale = np.linalg.norm(slots) or 1.0
-    resid = float(np.linalg.norm(resid_vec) / scale)
-    if resid > tol:
-        raise ArithmeticError(f"splitting reconstruction residual {resid:.2e} > {tol}")
-    return phi_space, phi, z_space, z, resid
-
-
-def helmholtz_div(refcell, space, slots, tol=1e-9):
-    """Split u = curl(psi) + z with z from the div right inverse (3D)."""
-    cell = refcell.cell
-    deg = space.degree
-    div_slots = diff_slots("div", space, slots)
-    rd = regularized_inverse(refcell, "div3d")
-    z_space, z = rd.apply(ps.scalar_space(cell, deg), div_slots)
-    deg1 = z_space.degree
-    u_pad = ps.pad_slots(slots, cell, 3, deg, deg1)
-    rc = regularized_inverse(refcell, "curl3d")
-    psi_space, psi = rc.apply(ps.vector_space(cell, deg1, 3), u_pad - z)
-    cpsi = diff_slots("curl3d", psi_space, psi)
-    lhs = ps.pad_slots(u_pad - z, cell, 3, deg1, psi_space.degree)
-    resid_vec = lhs - cpsi
+    u_pad = ps.pad_slots(slots, cell, vd, deg, deg1)
+    into = regularized_inverse(refcell, operator_at(dim, slot - 1))
+    psi_space, psi = into.apply(ps.vector_space(cell, deg1, vd), u_pad - z)
+    lhs = ps.pad_slots(u_pad - z, cell, vd, deg1, psi_space.degree)
+    resid_vec = lhs - diff_slots(into.derivative, psi_space, psi)
     scale = np.linalg.norm(slots) or 1.0
     resid = float(np.linalg.norm(resid_vec) / scale)
     if resid > tol:
         raise ArithmeticError(f"splitting reconstruction residual {resid:.2e} > {tol}")
     return psi_space, psi, z_space, z, resid
+
+
+def helmholtz_curl(refcell, space, slots, tol=1e-9):
+    """Split u = grad(phi) + z with z built from the curl right inverse.
+
+    u is a 3-vector (or 2-vector) polynomial given by slot coefficients.
+    Returns (phi_space, phi, z_space, z, residual)."""
+    return _helmholtz(refcell, 1, space, slots, tol)
+
+
+def helmholtz_div(refcell, space, slots, tol=1e-9):
+    """Split u = curl(psi) + z with z from the div right inverse (3D)."""
+    return _helmholtz(refcell, 2, space, slots, tol)

@@ -357,11 +357,17 @@ def subspace_from_constraints(space, constraint_rows):
 
 
 def gradient_rows(cell, scalar_space_obj, out_degree):
-    """Slot rows of the gradients of a scalar space's basis, at out_degree."""
+    """Slot rows of the gradients of a scalar space's basis, at out_degree.
+
+    An out_degree below the space's keeps each component's leading modes:
+    the gradients of P_{p+1} on an interval are P_p, so the rest is roundoff.
+    """
     deg = scalar_space_obj.degree
+    keep = cell.n_modes(min(deg, out_degree))
     D = [deriv_matrix(cell, deg, i) for i in range(cell.dim)]
-    rows = np.hstack([scalar_space_obj.basis @ D[i].T for i in range(cell.dim)])
-    return pad_slots(rows, cell, cell.dim, deg, out_degree)
+    rows = np.hstack([(scalar_space_obj.basis @ D[i].T)[:, :keep]
+                      for i in range(cell.dim)])
+    return pad_slots(rows, cell, cell.dim, min(deg, out_degree), out_degree)
 
 
 # ---------------------------------------------------------------------------
@@ -381,6 +387,8 @@ def build_space(cell, kind, p):
         raise ValueError(f"unsupported kind {kind!r}")
     if p < 0:
         raise ValueError(f"complex degree must be >= 0, got {p}")
+    if cell.dim == 3 and not isinstance(cell, ReferenceCell) and _traced(kind):
+        raise ValueError(f"{kind} on a tetrahedron needs its ReferenceCell")
     vd, deg, basis = _space_basis(cell, kind, p)
     if isinstance(cell, ReferenceCell):
         cell = cell.cell
@@ -420,6 +428,15 @@ _CUTS = {
     "hcurl_orth": ("hcurl", "h1"),
     "hcurl_bubble_orth": ("hcurl_bubble", "h1_bubble"),
 }
+
+
+def _traced(kind):
+    """Whether a kind is cut by boundary traces, itself or through its parent
+    or its gradient kind."""
+    if kind not in _CUTS:
+        return False
+    base, cut = _CUTS[kind]
+    return cut not in KINDS + ("mean",) or _traced(base) or _traced(cut)
 
 
 @cache.memo

@@ -43,19 +43,9 @@ from numpy.polynomial.legendre import leggauss
 
 from . import cache
 from . import polyspace as ps
-from .calculus import DERIVATIVES, derivative_name, diff_rows, diff_slots
+from .calculus import (COMPLEX, DERIVATIVES, FAMILIES, OPERATORS, diff_rows,
+                       diff_slots, operator_at)
 from .refsimplex import make_reference_cell, quadrature
-
-OPERATORS = (
-    "grad3d",
-    "curl3d",
-    "div3d",
-    "l2_3d",
-    "grad2d",
-    "curl2d",
-    "l2_2d",
-    "grad1d",
-)
 
 
 def _pinv(mat):
@@ -480,14 +470,6 @@ def _l2_stages(plan, rc, p):
     return ps.scalar_space(rc.cell, p)
 
 
-_FAMILIES = {
-    "grad": _grad_stages,
-    "curl": _curl_stages,
-    "div": _div_stages,
-    "l2": _l2_stages,
-}
-
-
 class ProjectorPlan:
     """Staged solver for one interpolation operator at one degree.
 
@@ -506,8 +488,11 @@ class ProjectorPlan:
         self.quad_degree = min(2 * (p + 2) + 14, 40)
         self.sample_points = {}
         self.stages = []
-        family, dim = operator[:-2].rstrip("_"), int(operator[-2])
-        self.target = _FAMILIES[family](self, make_reference_cell(dim), p)
+        dim, slot = OPERATORS[operator]
+        # H1, H(curl) and H(div) below the top slot, which is L2 on any cell
+        stages = (_grad_stages, _curl_stages, _div_stages, _l2_stages)
+        self.target = stages[slot if slot < dim else -1](
+            self, make_reference_cell(dim), p)
         self.stage_conditions = {}
         for st in self.stages:
             self.stage_conditions[st.group] = (
@@ -592,21 +577,23 @@ def projection_max_error(operator, p, n_samples, rng):
 
 
 def check_commuting(p, fields_by_op):
-    """Residuals of the five commuting identities on supplied fields.
+    """Residuals of the five commuting identities on supplied fields: the
+    operator of each slot chained, by the derivative that leaves the slot, to
+    the next slot's operator (the interval's L2 slot has none).
 
     fields_by_op: {"grad3d": [scalar fields], "curl3d": [...], "div3d": [...],
     "grad2d": [...], "curl2d": [...]}; missing keys are skipped. Fields must
     provide first-derivative jets so the chained input can be formed.
     Returns a list of {identity, field, residual, scale} records.
     """
-    chains = {"grad3d": "curl3d", "curl3d": "div3d", "div3d": "l2_3d",
-              "grad2d": "curl2d", "curl2d": "l2_2d"}
     out = []
-    for operator, next_op in chains.items():
-        family, dim = operator[:-2], operator[-2:]
-        deriv = derivative_name(family, int(dim[0]))
+    for operator, (dim, slot) in OPERATORS.items():
+        chained = operator_at(dim, slot + 1)
+        if chained is None:
+            continue
+        deriv = COMPLEX[dim][slot]
         for f in fields_by_op.get(operator, ()):
-            plan, nxt = build_plan(operator, p), build_plan(next_op, p)
+            plan, nxt = build_plan(operator, p), build_plan(chained, p)
             a_slots = plan.apply(f)
             t = plan.target
             a = diff_slots(deriv, t, a_slots)
@@ -616,7 +603,7 @@ def check_commuting(p, fields_by_op):
             scale = max(float(np.linalg.norm(a_slots)), 1e-30)
             out.append(
                 {
-                    "identity": f"{family}_chain_{dim}",
+                    "identity": f"{FAMILIES[slot]}_chain_{dim}d",
                     "field": f.name,
                     "residual": residual,
                     "scale": scale,

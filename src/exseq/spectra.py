@@ -13,17 +13,20 @@ import numpy as np
 import scipy.linalg
 
 from . import polyspace as ps
-from .calculus import diff_rows, diff_slots
+from .calculus import COMPLEX, OPERATORS, diff_rows, diff_slots
 from .refsimplex import make_reference_cell
 
-FRIEDRICHS_CASES = (
-    "curl2d_full",
-    "curl2d_bubble",
-    "curl3d_full",
-    "curl3d_bubble",
-    "div3d_full",
-    "div3d_bubble",
-)
+# case -> (operator whose slot holds the members, the members' space kind,
+# the kind whose images under the derivative entering the slot they are
+# L2-orthogonal to)
+FRIEDRICHS_CASES = {
+    "curl2d_full": ("curl2d", "hcurl", "h1"),
+    "curl2d_bubble": ("curl2d", "hcurl_bubble", "h1_bubble"),
+    "curl3d_full": ("curl3d", "hcurl", "h1"),
+    "curl3d_bubble": ("curl3d", "hcurl_bubble", "h1_bubble"),
+    "div3d_full": ("div3d", "hdiv", "hcurl"),
+    "div3d_bubble": ("div3d", "hdiv_bubble", "hcurl_bubble_orth"),
+}
 
 
 @dataclass
@@ -49,29 +52,16 @@ def constrained_subspace(case, p):
     """The orthogonality-constrained space of one Friedrichs inequality."""
     if case not in FRIEDRICHS_CASES:
         raise ValueError(f"unknown case {case!r}")
-    dim = 2 if case.startswith("curl2d") else 3
+    op, kind, constraint_kind = FRIEDRICHS_CASES[case]
+    dim, slot = OPERATORS[op]
     rc = make_reference_cell(dim)
-    bubble = case.endswith("bubble")
-    if case.startswith(("curl2d", "curl3d")):
-        parent = ps.build_space(rc, "hcurl_bubble" if bubble else "hcurl", p)
-        scalar = ps.build_space(rc, "h1_bubble" if bubble else "h1", p)
-        rows = (
-            diff_rows("grad", scalar)
-            if scalar.dim
-            else np.zeros((0, dim * parent.n_modes))
-        )
-    else:
-        parent = ps.build_space(rc, "hdiv_bubble" if bubble else "hdiv", p)
-        if bubble:
-            vec = ps.build_space(rc, "hcurl_bubble_orth", p)
-        else:
-            vec = ps.build_space(rc, "hcurl", p)
-        rows = (
-            diff_rows("curl3d", vec)
-            if vec.dim
-            else np.zeros((0, 3 * parent.n_modes))
-        )
-        rows = ps.pad_slots(rows, rc.cell, 3, vec.degree, parent.degree)
+    parent = ps.build_space(rc, kind, p)
+    vec = ps.build_space(rc, constraint_kind, p)
+    rows = (
+        diff_rows(COMPLEX[dim][slot - 1], vec)
+        if vec.dim
+        else np.zeros((0, parent.value_dim * parent.n_modes))
+    )
     sub = ps.subspace_from_constraints(parent, rows)
     return ConstrainedSubspace(case, p, parent, sub.basis, rows)
 
@@ -85,12 +75,8 @@ def friedrichs_constant(case, p):
     sub = constrained_subspace(case, p)
     if sub.dim == 0:
         return 0.0, np.inf, 0
-    if case.startswith("curl2d"):
-        rows = diff_slots("curl2d_vector", sub.parent, sub.basis)
-    elif case.startswith("curl3d"):
-        rows = diff_slots("curl3d", sub.parent, sub.basis)
-    else:
-        rows = diff_slots("div", sub.parent, sub.basis)
+    dim, slot = OPERATORS[FRIEDRICHS_CASES[case][0]]
+    rows = diff_slots(COMPLEX[dim][slot], sub.parent, sub.basis)
     A = rows @ rows.T
     lam = scipy.linalg.eigvalsh(A)
     lam_min = float(lam[0])

@@ -21,17 +21,6 @@ from . import sobolev as sb
 from . import spectra as spc
 from .refsimplex import MAX_QUAD_DEGREE, make_reference_cell, quadrature
 
-OPERATOR_SHAPE = {
-    "grad3d": (3, 1),
-    "curl3d": (3, 3),
-    "div3d": (3, 3),
-    "l2_3d": (3, 1),
-    "grad2d": (2, 1),
-    "curl2d": (2, 2),
-    "l2_2d": (2, 1),
-    "grad1d": (1, 1),
-}
-
 P_CAP = {1: 20, 2: 10, 3: 10}
 
 DENOMINATOR_NORM = {
@@ -58,9 +47,9 @@ class StudyConfig:
 
     def validate(self):
         for op in self.operators:
-            if op not in OPERATOR_SHAPE:
+            if op not in ca.OPERATORS:
                 raise ValueError(f"unknown operator {op!r}")
-            dim = OPERATOR_SHAPE[op][0]
+            dim = ca.OPERATORS[op][0]
             if self.p_max > P_CAP[dim]:
                 raise ValueError(
                     f"p_max {self.p_max} beyond cap {P_CAP[dim]} for {op}"
@@ -90,7 +79,8 @@ def _gram_degrees(op, p, s, dual_offset):
     """Degrees of the Sobolev Grams that the records of (op, p, s) build:
     the denominator's in `sobolev.best_approx` and the numerator's in
     `_records_for`, whose dual degree is P."""
-    target = p if op == "grad1d" else p + 1  # an L2 target needs no Gram
+    dim, slot = ca.OPERATORS[op]
+    target = p if dim == 1 else p + 1  # an L2 target needs no Gram
     P = p + 1 + dual_offset
     norm, den_s = DENOMINATOR_NORM[op]
     out = set()
@@ -98,12 +88,12 @@ def _gram_degrees(op, p, s, dual_offset):
         out.add(target + dual_offset)  # the rich space of the surrogate
     elif norm != "L2":
         out.add(target)
-    if op.startswith("grad"):
+    if slot == 0:
         if 0.0 < s < 1.0:
             out.add(P)  # the fractional norm of the value
-        if op != "grad1d":
+        if dim > 1:
             out |= {P, P + 2}  # the gradient's dual norm and its P-stability
-    elif not op.startswith("l2") and s > 0.0:
+    elif slot < dim and s > 0.0:
         out.add(P)
     return out
 
@@ -135,7 +125,8 @@ class StudyRecord:
 
 
 def fields_for(operator, suite_name):
-    dim, vd = OPERATOR_SHAPE[operator]
+    dim, slot = ca.OPERATORS[operator]
+    vd = ca.slot_value_dim(dim, slot)
     return tuple(f for f in fl.suite(suite_name, dim) if f.value_dim == vd)
 
 
@@ -147,7 +138,8 @@ def _error_l2_parts(plan, field, slots):
     """
     target = plan.target
     cell = target.cell
-    if plan.operator == "grad1d":
+    dim, slot = ca.OPERATORS[plan.operator]
+    if dim == 1:
         pts, w = pj._graded_interval_rule()
         pts = pts[:, None]
     else:
@@ -162,10 +154,9 @@ def _error_l2_parts(plan, field, slots):
 
     e = error(field, target.value_dim, slots)
     l2 = float(np.sqrt(sb._l2sq(w, e)))
-    family = plan.operator[:-2].rstrip("_")
-    if family == "l2":
+    if slot == dim:
         return l2, None, (e, None, pts, w)
-    name = ca.derivative_name(family, cell.dim)
+    name = ca.COMPLEX[dim][slot]
     d = ca.DERIVATIVES[name]
     de = error(d.field(field), d.value_dim(cell.dim),
                ca.diff_slots(name, target, slots))
@@ -189,8 +180,7 @@ def run_convergence(cfg):
     cfg.validate()
     records = []
     for op in sorted(cfg.operators):
-        dim, vd = OPERATOR_SHAPE[op]
-        cell = make_reference_cell(dim).cell
+        cell = make_reference_cell(ca.OPERATORS[op][0]).cell
         flds = fields_for(op, cfg.suite)
         den_norm, den_s = DENOMINATOR_NORM[op]
         for f in flds:
@@ -215,59 +205,39 @@ def run_convergence(cfg):
 
 
 def _records_for(op, p, f, s, parts, den, dual_offset, cell):
-    out = []
-    if op.startswith("l2"):
-        l2, _, _ = parts
-        err = l2
-        out.append(
-            StudyRecord(op, p, f.name, s, "L2", err, den,
-                        err / den if den > 0 else float("inf"))
-        )
-        return out
+    dim, slot = ca.OPERATORS[op]
+
+    def record(norm_id, err, pstab=float("nan")):
+        return StudyRecord(op, p, f.name, s, norm_id, err, den,
+                           err / den if den > 0 else float("inf"), pstab)
+
+    l2, dl2, (e, de, pts, w) = parts
+    if slot == dim:
+        return [record("L2", l2)]
     P = p + 1 + dual_offset
-    if op.startswith("grad"):
-        l2, h1p, (e, ge, pts, w) = parts
+    if slot == 0:
         # pairings of e (row 0) and grad e against the degree-(P+2) modes;
         # the table is freed before the Grams below are built
-        b = sb.mode_pairings(cell.tabulate(P + 2, pts), w, np.column_stack([e, ge]))
+        b = sb.mode_pairings(cell.tabulate(P + 2, pts), w, np.column_stack([e, de]))
         if s <= 0.0:
-            err = float(np.sqrt(l2**2 + h1p**2))
-            norm_id = "H1"
+            out = [record("H1", float(np.sqrt(l2**2 + dl2**2)))]
         elif s >= 1.0:
-            err = l2
-            norm_id = "L2"
+            out = [record("L2", l2)]
         else:
             g = sb.gram(cell, P)
-            err = sb.fractional_norm(g, b[0, : g.n], 1.0 - s)
-            norm_id = f"H{1 - s:g}"
-        out.append(
-            StudyRecord(op, p, f.name, s, norm_id, err, den,
-                        err / den if den > 0 else float("inf"))
-        )
-        if op != "grad1d":
+            out = [record(f"H{1 - s:g}",
+                          sb.fractional_norm(g, b[0, : g.n], 1.0 - s))]
+        if dim > 1:
             dn = _dual_norm(cell, P, s, b[1:])
             dn2 = _dual_norm(cell, P + 2, s, b[1:])
-            rec = StudyRecord(
-                op, p, f.name, s, "grad_dual", dn, den,
-                dn / den if den > 0 else float("inf"),
-            )
-            rec.pstab = abs(dn2 - dn) / dn if dn > 0 else 0.0
-            out.append(rec)
+            out.append(record("grad_dual", dn,
+                              abs(dn2 - dn) / dn if dn > 0 else 0.0))
         return out
     # curl / div graph norms
-    l2, dl2, (e, de, pts, w) = parts
     if s <= 0.0:
-        err = float(np.sqrt(l2**2 + dl2**2))
-        norm_id = "Hgraph"
-    else:
-        b = sb.mode_pairings(cell.tabulate(P, pts), w, np.column_stack([e, de]))
-        err = _dual_norm(cell, P, s, b)
-        norm_id = f"Hdual{s:g}"
-    out.append(
-        StudyRecord(op, p, f.name, s, norm_id, err, den,
-                    err / den if den > 0 else float("inf"))
-    )
-    return out
+        return [record("Hgraph", float(np.sqrt(l2**2 + dl2**2)))]
+    b = sb.mode_pairings(cell.tabulate(P, pts), w, np.column_stack([e, de]))
+    return [record(f"Hdual{s:g}", _dual_norm(cell, P, s, b))]
 
 
 def fit_slopes(records, cfg):
@@ -364,7 +334,7 @@ def run_verification(p_max=6, seed=0, n_projection=40, n_poincare=6):
     }
 
     proj = {}
-    for op in pj.OPERATORS:
+    for op in ca.OPERATORS:
         if op == "grad1d":
             continue
         worst = 0.0
@@ -471,6 +441,15 @@ def _commuting_suite(p, rng):
     }
 
 
+def _identity_residual(inverse, space, u):
+    """Max entry residual of D R u = u, relative to u, for the right inverse R
+    of the derivative D applied to the element u of `space`."""
+    osp, o = inverse.apply(space, u)
+    du = ca.diff_slots(inverse.derivative, osp, o)
+    pad = ps.pad_slots(u, space.cell, space.value_dim, space.degree, osp.degree)
+    return np.abs(du - pad).max() / max(np.abs(u).max(), 1e-30)
+
+
 def _poincare_checks(p_max, rng, n_samples):
     rc3, rc2 = make_reference_cell(3), make_reference_cell(2)
     worst_identity = 0.0
@@ -481,45 +460,34 @@ def _poincare_checks(p_max, rng, n_samples):
         rg = pc.regularized_inverse(rc3, "grad3d")
         rcu = pc.regularized_inverse(rc3, "curl3d")
         rd = pc.regularized_inverse(rc3, "div3d")
+        vs = ps.vector_space(cell, p + 1, 3)
         # (iii) div o R_div = id on scalars
         sc = ps.scalar_space(cell, p)
         for u in sc.random_elements(n_samples, rng):
-            osp, o = rd.apply(sc, u)
-            dv = ca.diff_slots("div", osp, o)
-            res = np.abs(dv - ps.pad_slots(u, cell, 1, p, osp.degree)).max()
-            worst_identity = max(worst_identity, res / max(np.abs(u).max(), 1e-30))
+            worst_identity = max(worst_identity, _identity_residual(rd, sc, u))
         # (ii) grad o R_grad = id on gradients
         scp = ps.scalar_space(cell, p + 1)
         for phi in scp.random_elements(n_samples, rng):
-            g = ca.diff_rows("grad", ps.PolySpace(cell, 1, p + 1, phi[None, :]))[0]
-            vs = ps.vector_space(cell, p + 1, 3)
-            osp, o = rg.apply(vs, g)
-            gg = ca.diff_slots("grad", osp, o)
-            res = np.abs(gg - ps.pad_slots(g, cell, 3, p + 1, osp.degree)).max()
-            worst_identity = max(worst_identity, res / max(np.abs(g).max(), 1e-30))
+            g = ca.diff_slots("grad", scp, phi)
+            worst_identity = max(worst_identity, _identity_residual(rg, vs, g))
         # (i) curl o R_curl = id on divergence-free fields
         Q = ps.build_space(rc3, "hcurl", p)
         V = ps.build_space(rc3, "hdiv", p)
         cmat = ca.diff_op("curl3d", Q, V)
         for c in Q.random_elements(n_samples, rng):
             w = (Q.basis @ c) @ cmat.matrix @ V.basis  # divergence-free field
-            vs = ps.vector_space(cell, p + 1, 3)
-            osp, o = rcu.apply(vs, w)
-            cw = ca.diff_slots("curl3d", osp, o)
-            res = np.abs(cw - ps.pad_slots(w, cell, 3, p + 1, osp.degree)).max()
-            worst_identity = max(worst_identity, res / max(np.abs(w).max(), 1e-30))
+            worst_identity = max(worst_identity, _identity_residual(rcu, vs, w))
         # memberships (iv)-(vi)
         W = ps.build_space(rc3, "h1", p)
-        for rows, op_, tgt, vd, din in (
-            (Q.basis, rg, W, 3, p + 1),
-            (V.basis, rcu, Q, 3, p + 1),
-            (ps.scalar_space(cell, p).basis, rd, V, 1, p),
+        for rows, op_, tgt, din in (
+            (Q.basis, rg, W, p + 1),
+            (V.basis, rcu, Q, p + 1),
+            (ps.scalar_space(cell, p).basis, rd, V, p),
         ):
             img = rows @ op_.matrix(din)
             _, resid = ca._expand_in(tgt, img, cell, op_.out_vdim, din + 1)
             worst_member = max(worst_member, resid)
         # Helmholtz splittings
-        vs = ps.vector_space(cell, p + 1, 3)
         for u in vs.random_elements(max(2, n_samples // 2), rng):
             *_, res = pc.helmholtz_curl(rc3, vs, u)
             worst_split = max(worst_split, res)
@@ -530,19 +498,12 @@ def _poincare_checks(p_max, rng, n_samples):
         rc2u = pc.regularized_inverse(rc2, "curl2d")
         sc2 = ps.scalar_space(rc2.cell, p)
         for u in sc2.random_elements(n_samples, rng):
-            osp, o = rc2u.apply(sc2, u)
-            cr = ca.diff_slots("curl2d_vector", osp, o)
-            res = np.abs(cr - ps.pad_slots(u, rc2.cell, 1, p, osp.degree)).max()
-            worst_identity = max(worst_identity, res / max(np.abs(u).max(), 1e-30))
+            worst_identity = max(worst_identity, _identity_residual(rc2u, sc2, u))
         sc2p = ps.scalar_space(rc2.cell, p + 1)
+        vs2 = ps.vector_space(rc2.cell, p + 1, 2)
         for phi in sc2p.random_elements(n_samples, rng):
-            g = ca.diff_rows("grad", ps.PolySpace(rc2.cell, 1, p + 1,
-                                           phi[None, :]))[0]
-            vs2 = ps.vector_space(rc2.cell, p + 1, 2)
-            osp, o = rg2.apply(vs2, g)
-            gg = ca.diff_slots("grad", osp, o)
-            res = np.abs(gg - ps.pad_slots(g, rc2.cell, 2, p + 1, osp.degree)).max()
-            worst_identity = max(worst_identity, res / max(np.abs(g).max(), 1e-30))
+            g = ca.diff_slots("grad", sc2p, phi)
+            worst_identity = max(worst_identity, _identity_residual(rg2, vs2, g))
     return {
         "ok": worst_identity <= 1e-10 and worst_member <= 1e-10
         and worst_split <= 1e-9,

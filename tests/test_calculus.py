@@ -4,8 +4,11 @@ import sympy as sp
 
 from exseq import calculus as ca
 from exseq import fields as fl
+from exseq import poincare as pc
 from exseq import polyspace as ps
+from exseq import projectors as pj
 from exseq import sobolev as sb
+from exseq import studies as st
 from exseq.refsimplex import make_reference_cell, quadrature
 
 
@@ -86,7 +89,7 @@ def test_surf_curl_identity(rc3, rng):
     for face in rc3.faces:
         fcell = face.cell
         scal = ps.scalar_space(fcell, p + 1)
-        sc = ca.trace_op("surf_curl", Q, face, scal, rc3)
+        sc = ca.trace_op("surf_curl", Q, face, scal)
         slots = Q.random_elements(1, rng)[0]
         coords = Q.basis @ slots
         q = quadrature(fcell, 2 * p + 4)
@@ -105,7 +108,7 @@ def test_surf_curl_of_gradient_vanishes(rc3, rng):
     grad_slots = ((W.basis @ slots) @ g.matrix) @ Q.basis
     for face in rc3.faces:
         scal = ps.scalar_space(face.cell, p + 1)
-        sc = ca.trace_op("surf_curl", Q, face, scal, rc3)
+        sc = ca.trace_op("surf_curl", Q, face, scal)
         out = (Q.basis @ grad_slots) @ sc.matrix
         assert np.abs(out).max() < 1e-10
 
@@ -117,9 +120,9 @@ def test_trace_target_cell_matched_by_content(rc2, rc3):
     face = rc3.faces[1]
     target = ps.build_space(rc2.cell, "h1", 2)
     assert target.cell.key != face.cell.key
-    assert ca.trace_op("restrict", W, face, target, rc3).matrix.shape[0] == W.dim
+    assert ca.trace_op("restrict", W, face, target).matrix.shape[0] == W.dim
     with pytest.raises(ValueError):
-        ca.trace_op("restrict", W, rc3.faces[0], target, rc3)
+        ca.trace_op("restrict", W, rc3.faces[0], target)
 
 
 def test_gamma_tau_is_rotated_tangential_trace(rc3, rng):
@@ -132,7 +135,7 @@ def test_gamma_tau_is_rotated_tangential_trace(rc3, rng):
         vals = Q.evaluate(slots, amb)
         tang = vals @ face.frame
         vec2 = ps.vector_space(face.cell, p + 1, 2)
-        gt = ca.trace_op("gamma_tau", Q, face, vec2, rc3)
+        gt = ca.trace_op("gamma_tau", Q, face, vec2)
         gvals = vec2.evaluate((Q.basis @ slots) @ gt.matrix @ vec2.basis, q.points)
         expect = np.stack([-tang[:, 1], tang[:, 0]], axis=1)
         assert np.abs(gvals - expect).max() < 1e-11
@@ -214,3 +217,40 @@ def test_deriv_alpha_second_order_jet(rc3):
         slots @ ps.deriv_alpha(cell, 4, alpha).T, q.points)
     exact = f.jet(q.points, alpha)
     assert np.abs(vals - exact).max() <= 1e-10 * np.abs(exact).max()
+
+
+# the complex table against the spaces, inverses and chains it describes
+
+
+@pytest.mark.parametrize("operator", ca.OPERATORS)
+def test_operator_slot_value_dims(operator):
+    dim, slot = ca.OPERATORS[operator]
+    vd = ca.slot_value_dim(dim, slot)
+    kind = ("h1", "hcurl", "hdiv")[slot] if slot < dim else "l2"
+    assert pj.build_plan(operator, 1).target.value_dim == vd
+    assert ps.build_space(make_reference_cell(dim), kind, 1).value_dim == vd
+
+
+def test_right_inverse_shapes_follow_the_table():
+    kinds = [op for op, (dim, slot) in ca.OPERATORS.items()
+             if dim > 1 and slot < dim]
+    assert kinds == ["grad3d", "curl3d", "div3d", "grad2d", "curl2d"]
+    for kind in kinds:
+        dim, slot = ca.OPERATORS[kind]
+        rc = make_reference_cell(dim)
+        vd_in, vd_out = (ca.slot_value_dim(dim, k) for k in (slot + 1, slot))
+        R = pc.regularized_inverse(rc, kind).matrix(2)
+        assert R.shape == (vd_in * rc.cell.n_modes(2),
+                           vd_out * rc.cell.n_modes(3))
+    for op in ("l2_3d", "l2_2d", "grad1d"):
+        with pytest.raises(ValueError, match="unknown kind"):
+            pc.RegularizedInverse(make_reference_cell(ca.OPERATORS[op][0]), op)
+
+
+def test_commuting_chains_follow_the_table():
+    fields = {op: st.fields_for(op, "entire")[:1] for op in ca.OPERATORS}
+    rows = pj.check_commuting(1, fields)
+    assert [r["identity"] for r in rows] == [
+        "grad_chain_3d", "curl_chain_3d", "div_chain_3d", "grad_chain_2d",
+        "curl_chain_2d"]
+    assert max(r["rel_residual"] for r in rows) <= 1e-9

@@ -102,20 +102,20 @@ def test_3d_bubble_dims(rc3):
 
 def test_trace_space_dimensions(rc3):
     W3 = ps.build_space(rc3, "h1", 2)  # polynomial degree 3
-    tr = ca.trace_space(W3, rc3.faces[0], "h1", rc3)
+    tr = ca.trace_space(W3, rc3.faces[0], "h1")
     assert tr.dim == 10
     V1 = ps.build_space(rc3, "hdiv", 1)
-    trn = ca.trace_space(V1, rc3.faces[1], "hdiv", rc3)
+    trn = ca.trace_space(V1, rc3.faces[1], "hdiv")
     assert trn.dim == 3
     Q0 = ps.build_space(rc3, "hcurl", 0)
-    tre = ca.trace_space(Q0, rc3.edges[0], "hcurl", rc3)
+    tre = ca.trace_space(Q0, rc3.edges[0], "hcurl")
     assert tre.dim == 1
 
 
 def test_face_tangential_trace_is_2d_nedelec(rc3, rc2):
     p = 2
     Q = ps.build_space(rc3, "hcurl", p)
-    tr = ca.trace_space(Q, rc3.faces[0], "hcurl", rc3)
+    tr = ca.trace_space(Q, rc3.faces[0], "hcurl")
     assert tr.dim == (p + 1) * (p + 3)
     # same span as the intrinsically-built edge elements on the planar face
     Q2 = ps.nedelec_space(rc3.faces[0].cell, p)
@@ -326,3 +326,18 @@ def test_triangle_and_interval_bubbles_are_trace_free(rc1, rc2, rc3):
     rule = quadrature(rc1.cell, 2 * p)
     means = q.evaluate(q.basis, rule.points) @ rule.weights
     assert q.dim == p and np.abs(means).max() < 1e-12
+
+
+def test_interval_grad_orthogonal_kinds_are_empty(rc1):
+    # the gradients of P_{p+1} on an interval fill P_p
+    for p in range(6):
+        for kind in ("hcurl_orth", "hcurl_bubble_orth"):
+            assert ps.build_space(rc1, kind, p).dim == 0
+
+
+def test_tetrahedron_trace_free_kinds_need_the_reference_cell(rc3):
+    ps.build_space(rc3, "h1_bubble", 2)  # a memoised basis does not mask it
+    for kind in ("h1_bubble", "hcurl_bubble", "hdiv_bubble", "hcurl_bubble_orth"):
+        with pytest.raises(ValueError, match="ReferenceCell"):
+            ps.build_space(rc3.cell, kind, 2)
+    assert ps.build_space(rc3.cell, "hcurl_orth", 2).dim

@@ -62,3 +62,44 @@ def test_memo_is_the_only_cache():
                     if name in ("lru_cache", "cache"):
                         found.append(f"{path.name}:{node.lineno} {node.name}")
     assert found == []
+
+
+# words of the operator, family and Friedrichs case names
+_NAME_WORDS = ("grad", "curl", "div", "l2", "bubble", "full", "1d", "2d", "3d")
+_NAME_HOLDERS = ("operator", "op", "kind", "case")
+
+
+def _strings(node):
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        yield node.value
+    elif isinstance(node, ast.Tuple):
+        for elt in node.elts:
+            yield from _strings(elt)
+
+
+def _negative(node):
+    return (isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub)
+            or isinstance(node, ast.Constant) and isinstance(node.value, int)
+            and node.value < 0)
+
+
+def test_operator_names_are_not_parsed():
+    # operators, families and cases are read from the complex table by key,
+    # never parsed out of their names
+    found = []
+    for path, tree in _trees(PACKAGE).items():
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in ("startswith", "endswith")
+                    and any(word in s for arg in node.args
+                            for s in _strings(arg) for word in _NAME_WORDS)):
+                found.append(f"{path.name}:{node.lineno}")
+            if isinstance(node, ast.Subscript):
+                held = getattr(node.value, "id", getattr(node.value, "attr", ""))
+                index = node.slice
+                bounds = ((index.lower, index.upper, index.step)
+                          if isinstance(index, ast.Slice) else (index,))
+                if held in _NAME_HOLDERS and any(_negative(b) for b in bounds):
+                    found.append(f"{path.name}:{node.lineno}")
+    assert found == []

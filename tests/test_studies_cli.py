@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from exseq import calculus as ca
 from exseq import cli
 from exseq import studies as st
 
@@ -279,7 +280,7 @@ def test_config_rejects_degrees_beyond_the_quadrature_cap():
                        dual_offset=16).validate()
 
 
-@pytest.mark.parametrize("op", sorted(st.OPERATOR_SHAPE))
+@pytest.mark.parametrize("op", sorted(ca.OPERATORS))
 def test_gram_degrees_are_the_grams_a_sweep_builds(op, monkeypatch):
     from exseq import sobolev as sb
 
