@@ -3,11 +3,18 @@
 Operators act on modal coefficients (integer-free but exact: the modal
 derivative/trace matrices are computed with quadrature that is exact for the
 polynomial integrands), never by numerical differentiation of point samples.
+
+Each derivative is one coefficient tensor per cell dimension,
+(D u)_k = sum_{i,c} C[k, i, c] d_i u_c (Arnold, Falk and Winther, Acta
+Numerica 2006): the identity for grad, the Levi-Civita symbol for the 3D curl,
+the two 2D rotations for the 2D curls and the trace for div. The slot rows of
+polynomials, the derivatives of fields, the Koszul contractions of the right
+inverses in `poincare` and the source check of `diff_op` all read it.
 """
 
 from dataclasses import dataclass
 from itertools import pairwise
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,59 +47,45 @@ def _expand_in(target, rows, src_cell, src_vd, src_degree):
     return coords, float(np.linalg.norm(resid) / scale)
 
 
-def _curl3d_rows(space):
-    cell = space.cell
-    D = [ps.deriv_matrix(cell, space.degree, i) for i in range(3)]
-    c = space.components(space.basis)
-    u1, u2, u3 = c[:, 0], c[:, 1], c[:, 2]
-    w1 = u3 @ D[1].T - u2 @ D[2].T
-    w2 = u1 @ D[2].T - u3 @ D[0].T
-    w3 = u2 @ D[0].T - u1 @ D[1].T
-    return np.concatenate([w1, w2, w3], axis=1)
-
-
-def _curl2d_scalar_rows(space):
-    cell = space.cell
-    D = [ps.deriv_matrix(cell, space.degree, i) for i in range(2)]
-    b = space.basis
-    return np.concatenate([b @ D[1].T, -(b @ D[0].T)], axis=1)
-
-
-def _curl2d_vector_rows(space):
-    cell = space.cell
-    D = [ps.deriv_matrix(cell, space.degree, i) for i in range(2)]
-    c = space.components(space.basis)
-    return c[:, 1] @ D[0].T - c[:, 0] @ D[1].T
-
-
-def _div_rows(space):
-    cell = space.cell
-    D = [ps.deriv_matrix(cell, space.degree, i) for i in range(cell.dim)]
-    c = space.components(space.basis)
-    return sum(c[:, i] @ D[i].T for i in range(cell.dim))
-
-
 class Derivative(NamedTuple):
-    """One derivative of the complex, on polynomials and on fields.
+    """One derivative of the complex as its coefficient tensors: on a d-cell,
+    (D u)_k = sum_{i,c} C[d][k, i, c] d_i u_c, with entries +-1 and 0.
 
     rows(space): slot rows of the images of the space's basis; value_dim(d):
     the image's value dimension on a d-dimensional cell; field(f): the same
-    derivative of an analytic field, or None where none is needed.
+    derivative of an analytic field.
     """
 
-    rows: Callable
-    value_dim: Callable
-    field: Callable | None
+    name: str
+    C: dict  # cell dimension -> read-only tensor (value_dim, d, source dim)
+
+    def rows(self, space):
+        return ps.derivative_rows(self.C[space.cell.dim], space)
+
+    def value_dim(self, d):
+        return len(self.C[d])
+
+    def field(self, f):
+        return fl.derivative_field(self.name, self.C[f.dim], f)
 
 
-DERIVATIVES = {
-    "grad": Derivative(lambda s: ps.gradient_rows(s.cell, s, s.degree),
-                       lambda d: d, fl.grad_field),
-    "curl3d": Derivative(_curl3d_rows, lambda d: 3, fl.curl_field),
-    "curl2d_scalar": Derivative(_curl2d_scalar_rows, lambda d: 2, None),
-    "curl2d_vector": Derivative(_curl2d_vector_rows, lambda d: 1, fl.curl_field),
-    "div": Derivative(_div_rows, lambda d: 1, fl.div_field),
+def _read_only(C):
+    C = np.array(C, dtype=float)
+    C.flags.writeable = False
+    return C
+
+
+_ROT = np.array([[0.0, 1.0], [-1.0, 0.0]])  # the quarter turn (a, b) -> (b, -a)
+_TENSORS = {
+    "grad": {d: np.eye(d)[:, :, None] for d in (1, 2, 3)},  # the identity
+    "curl3d": {3: np.fromfunction(  # the Levi-Civita symbol
+        lambda k, i, c: (k - i) * (i - c) * (c - k) / 2, (3, 3, 3))},
+    "curl2d_scalar": {2: _ROT[:, :, None]},  # (d_1 u, -d_0 u)
+    "curl2d_vector": {2: _ROT[None]},  # d_0 u_1 - d_1 u_0
+    "div": {d: np.eye(d)[None] for d in (2, 3)},  # the trace
 }
+DERIVATIVES = {name: Derivative(name, {d: _read_only(C) for d, C in Cs.items()})
+               for name, Cs in _TENSORS.items()}
 
 
 def derivative_name(family, dim):
@@ -144,16 +137,10 @@ def diff_op(name, source, target):
     """
     if name not in DERIVATIVES:
         raise ValueError(f"unknown differential operator {name!r}")
-    if name == "grad" and source.value_dim != 1:
-        raise ValueError("grad needs a scalar source")
-    if name == "curl3d" and (source.cell.dim != 3 or source.value_dim != 3):
-        raise ValueError("curl3d needs a 3-component source on the 3D cell")
-    if name == "curl2d_scalar" and (source.cell.dim != 2 or source.value_dim != 1):
-        raise ValueError("curl2d_scalar needs a scalar source on a 2D cell")
-    if name == "curl2d_vector" and (source.cell.dim != 2 or source.value_dim != 2):
-        raise ValueError("curl2d_vector needs a 2-component source on a 2D cell")
-    if name == "div" and source.value_dim != source.cell.dim:
-        raise ValueError("div needs a full vector source")
+    shapes = [C.shape[1:] for C in DERIVATIVES[name].C.values()]
+    if (source.cell.dim, source.value_dim) not in shapes:
+        raise ValueError(f"{name} needs a source of (cell dimension, value "
+                         f"dimension) in {shapes}")
     rows = diff_rows(name, source)
     out_vd = DERIVATIVES[name].value_dim(source.cell.dim)
     coords, resid = _expand_in(target, rows, source.cell, out_vd, source.degree)
@@ -268,14 +255,6 @@ def _arrows(refcell, p):
                for k, D in enumerate(COMPLEX[refcell.dim])]
 
 
-def _image(name, space):
-    """Orthonormal rows spanning the image of a space under a derivative."""
-    if not space.dim:
-        vd = DERIVATIVES[name].value_dim(space.cell.dim)
-        return np.zeros((0, vd * space.n_modes))
-    return ps.span_from_rows(diff_rows(name, space))
-
-
 def check_exact_sequence(p, refcell3, refcell2, refcell1):
     """Rank/kernel report for the full and trace-free sequences, 3D and 2D,
     and the trace-free sequence of the interval.
@@ -307,7 +286,8 @@ def check_exact_sequence(p, refcell3, refcell2, refcell1):
             record(f"{d}d.{fam[d - 1]}_onto_l2", rank == S[d].dim,
                    rank=int(rank), expected=S[d].dim)
         B = _sequence(rc, p, _TRACE_FREE)
-        img = [_image(D, B[k]) for k, D in enumerate(COMPLEX[d])]
+        # orthonormal rows spanning the images of the bubbles
+        img = [ps.span_from_rows(diff_rows(D, B[k])) for k, D in enumerate(COMPLEX[d])]
         if d > 1:
             record(f"{d}d.bubble.dim_split", B[1].dim == len(img[0]) + len(img[1]),
                    dim_bubble_hcurl=B[1].dim, dim_grad=len(img[0]),
@@ -337,7 +317,10 @@ def complex_property_residual(refcell3, refcell2, p):
                for a, b in pairwise(_arrows(rc, p)[1]))
 
 
-def integration_by_parts_residual(refcell, p, rng, n_samples=5):
+_GREEN_SAMPLES = 5  # random pairs per Green's-formula check
+
+
+def integration_by_parts_residual(refcell, p, rng):
     """Residual of (curl u, v) = (curl v, u) - (Pi_tau u, gamma_tau v)_boundary."""
     cell = refcell.cell
     Q = ps.build_space(refcell, "hcurl", p)
@@ -345,7 +328,7 @@ def integration_by_parts_residual(refcell, p, rng, n_samples=5):
     c = diff_op("curl3d", Q, V)
     q = quadrature(cell, 2 * Q.degree + 2)
     worst = 0.0
-    for _ in range(n_samples):
+    for _ in range(_GREEN_SAMPLES):
         cu = Q.random_elements(1, rng)[0]
         cv = Q.random_elements(1, rng)[0]
         u_q = Q.evaluate(cu, q.points)
@@ -371,28 +354,22 @@ def integration_by_parts_residual(refcell, p, rng, n_samples=5):
     return worst
 
 
-def stokes_2d_residual(refcell2, p, rng, n_samples=5):
+def stokes_2d_residual(refcell2, p, rng):
     """Residual of the 2D formula: (curl v, F) = (v, curl F) - (v, F.t)_boundary."""
     cell = refcell2.cell
     W = ps.build_space(refcell2, "h1", p)
     F = ps.vector_space(cell, p + 1, 2)
     q = quadrature(cell, 2 * (p + 2))
-    D = [ps.deriv_matrix(cell, W.degree, i) for i in range(2)]
+    curls_v = ps.vector_space(cell, W.degree, 2)
+    curls_F = ps.scalar_space(cell, F.degree)
     worst = 0.0
-    for _ in range(n_samples):
+    for _ in range(_GREEN_SAMPLES):
         cv = W.random_elements(1, rng)[0]
         cf = F.random_elements(1, rng)[0]
         v_q = W.evaluate(cv, q.points)
         F_q = F.evaluate(cf, q.points)
-        vc = W.components(cv)[0]
-        curl_v = np.stack(
-            [W.cell.tabulate(W.degree, q.points).T @ (D[1] @ vc),
-             -(W.cell.tabulate(W.degree, q.points).T @ (D[0] @ vc))],
-            axis=1,
-        )
-        fc = F.components(cf)
-        DF = [ps.deriv_matrix(cell, F.degree, i) for i in range(2)]
-        curl_F = F.cell.tabulate(F.degree, q.points).T @ (DF[0] @ fc[1] - DF[1] @ fc[0])
+        curl_v = curls_v.evaluate(diff_slots("curl2d_scalar", W, cv), q.points)
+        curl_F = curls_F.evaluate(diff_slots("curl2d_vector", F, cf), q.points)
         lhs = np.einsum("q,qi,qi->", q.weights, curl_v, F_q)
         rhs = np.einsum("q,q,q->", q.weights, v_q, curl_F)
         bnd = 0.0

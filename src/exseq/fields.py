@@ -3,7 +3,9 @@
 Named suite fields are defined symbolically and compiled lazily, so strong
 norms and best-approximation denominators pair against exact derivatives.
 Polynomial fields wrap modal coefficients and differentiate exactly, reading
-their values and jets from one modal table per point set.
+their values and jets from one modal table per point set. The derivative of a
+field is read off the derivative's coefficient tensor in
+`calculus.DERIVATIVES`, jet by jet.
 """
 
 import numpy as np
@@ -21,14 +23,13 @@ class AnalyticField:
     of any order, sampled black boxes only order zero.
     """
 
-    def __init__(self, name, dim, value_dim, func, jet_factory=None, smoothness="smooth"):
+    def __init__(self, name, dim, value_dim, func, jet_factory=None):
         self.name = name
         self.dim = dim
         self.value_dim = value_dim
         self._func = func
         self._jet_factory = jet_factory
         self._jet_cache = {}
-        self.smoothness = smoothness
 
     def __call__(self, pts):
         vals = self._func(np.asarray(pts, dtype=float))
@@ -51,7 +52,7 @@ class AnalyticField:
 _XYZ = sp.symbols("x y z")
 
 
-def from_sympy(name, exprs, dim, smoothness="smooth"):
+def from_sympy(name, exprs, dim):
     """Field from sympy expressions in x, y(, z); exprs is a list per component."""
     if not isinstance(exprs, (list, tuple)):
         exprs = [exprs]
@@ -76,13 +77,13 @@ def from_sympy(name, exprs, dim, smoothness="smooth"):
                for e in exprs]
         return compile_exprs(des)
 
-    return AnalyticField(name, dim, vd, compile_exprs(exprs), jet_factory, smoothness)
+    return AnalyticField(name, dim, vd, compile_exprs(exprs), jet_factory)
 
 
-def from_polynomial(name, space, slots, smoothness="entire"):
+def from_polynomial(name, space, slots):
     """Field wrapping modal slot coefficients of a PolySpace element; its
     values and every jet read one modal table per point set."""
-    return polynomial_fields()(name, space, slots, smoothness)
+    return polynomial_fields()(name, space, slots)
 
 
 def polynomial_fields():
@@ -100,7 +101,7 @@ def polynomial_fields():
             tables[key] = cell.tabulate(degree, pts)
         return tables[key]
 
-    def make(name, space, slots, smoothness="entire"):
+    def make(name, space, slots):
         slots = np.asarray(slots, dtype=float)
         cell = space.cell
 
@@ -117,95 +118,29 @@ def polynomial_fields():
             return evaluate_d
 
         return AnalyticField(name, cell.dim, space.value_dim, evaluate,
-                             jet_factory, smoothness)
+                             jet_factory)
 
     return make
 
 
-def _unit(dim, i):
-    a = [0] * dim
-    a[i] = 1
-    return tuple(a)
-
-
-def _raise_order(base_alpha, extra):
-    return tuple(a + b for a, b in zip(base_alpha, extra))
-
-
-def grad_field(f):
-    """Gradient of a scalar field, as a vector field with shifted jets."""
-    if f.value_dim != 1:
-        raise ValueError("grad_field needs a scalar field")
-    dim = f.dim
-
-    def evaluate(pts):
-        return np.stack([f.jet(pts, _unit(dim, i)) for i in range(dim)], axis=1)
-
-    def jet_factory(alpha):
-        def evaluate_d(pts):
-            return np.stack(
-                [f.jet(pts, _raise_order(alpha, _unit(dim, i))) for i in range(dim)],
-                axis=1,
-            )
-
-        return evaluate_d
-
-    return AnalyticField(f"grad({f.name})", dim, dim, evaluate, jet_factory,
-                         f.smoothness)
-
-
-def curl_field(f):
-    """Curl of a vector field (3D vector or 2D scalar result)."""
-    dim = f.dim
-
-    def parts(pts, alpha):
-        return [f.jet(pts, _raise_order(alpha, _unit(dim, i))) for i in range(dim)]
-
-    if dim == 3:
-        def evaluate_at(alpha):
-            def evaluate(pts):
-                d = parts(pts, alpha)
-                return np.stack(
-                    [
-                        d[1][:, 2] - d[2][:, 1],
-                        d[2][:, 0] - d[0][:, 2],
-                        d[0][:, 1] - d[1][:, 0],
-                    ],
-                    axis=1,
-                )
-
-            return evaluate
-
-        zero = (0, 0, 0)
-        return AnalyticField(f"curl({f.name})", 3, 3, evaluate_at(zero),
-                             evaluate_at, f.smoothness)
+def derivative_field(name, C, f):
+    """The field (D f)_k = sum_{i,c} C[k, i, c] d_i f_c of a derivative's
+    coefficient tensor C, with shifted jets. The image is a scalar field when
+    it is one component of a vector field, a vector field otherwise (the
+    gradient on an interval too)."""
+    scalar = len(C) == 1 < C.shape[2]
 
     def evaluate_at(alpha):
         def evaluate(pts):
-            d = parts(pts, alpha)
-            return d[0][:, 1] - d[1][:, 0]
+            d = [np.reshape(f.jet(pts, [a + (j == i) for j, a in enumerate(alpha)]),
+                            (len(pts), -1)) for i in range(f.dim)]
+            parts = [ps.signed_sum(Ck, lambda i, c: d[i][:, c]) for Ck in C]
+            return parts[0] if scalar else np.stack(parts, axis=1)
 
         return evaluate
 
-    return AnalyticField(f"curl({f.name})", 2, 1, evaluate_at((0, 0)),
-                         evaluate_at, f.smoothness)
-
-
-def div_field(f):
-    dim = f.dim
-
-    def evaluate_at(alpha):
-        def evaluate(pts):
-            return sum(
-                f.jet(pts, _raise_order(alpha, _unit(dim, i)))[:, i]
-                for i in range(dim)
-            )
-
-        return evaluate
-
-    zero = (0,) * dim
-    return AnalyticField(f"div({f.name})", dim, 1, evaluate_at(zero),
-                         evaluate_at, f.smoothness)
+    return AnalyticField(f"{name}({f.name})", f.dim, len(C),
+                         evaluate_at((0,) * f.dim), evaluate_at)
 
 
 def shifted(field, delta):
@@ -221,7 +156,7 @@ def shifted(field, delta):
         return evaluate_d
 
     return AnalyticField(f"{field.name}+{delta.name}", field.dim, field.value_dim,
-                         evaluate, jet_factory, field.smoothness)
+                         evaluate, jet_factory)
 
 
 # ---------------------------------------------------------------------------
@@ -259,13 +194,12 @@ def suite(name, dim):
         elif name == "singular":
             alpha = sp.Rational(5, 2)
             fields = [
-                from_sympy("r_alpha", r2 ** (alpha / 2), 3, smoothness="H^{4-eps}"),
+                from_sympy("r_alpha", r2 ** (alpha / 2), 3),  # H^{4-eps}
                 from_sympy(
                     "vec_r_alpha",
                     [r2 ** (alpha / 2), x * r2 ** ((alpha - 1) / 2), 0],
                     3,
-                    smoothness="H^{3-eps}",
-                ),
+                ),  # H^{3-eps}
             ]
         elif name == "poly":
             fields = [
@@ -283,10 +217,10 @@ def suite(name, dim):
         elif name == "singular":
             alpha = sp.Rational(5, 2)
             fields = [
-                from_sympy("r_alpha", r2 ** (alpha / 2), 2, smoothness="H^{3.5-eps}"),
+                from_sympy("r_alpha", r2 ** (alpha / 2), 2),  # H^{3.5-eps}
                 from_sympy(
-                    "vec_r_alpha", [r2 ** (alpha / 2), x * y], 2, smoothness="H^{3.5-eps}"
-                ),
+                    "vec_r_alpha", [r2 ** (alpha / 2), x * y], 2
+                ),  # H^{3.5-eps}
             ]
         elif name == "poly":
             fields = [
@@ -301,10 +235,10 @@ def suite(name, dim):
             ]
         elif name == "singular":
             fields = [
-                from_sympy("edge_pow_3_2", (1 + x) ** sp.Rational(3, 2), 1,
-                           smoothness="H^{2-eps}"),
-                from_sympy("edge_pow_5_2", (1 + x) ** sp.Rational(5, 2), 1,
-                           smoothness="H^{3-eps}"),
+                # H^{2-eps}
+                from_sympy("edge_pow_3_2", (1 + x) ** sp.Rational(3, 2), 1),
+                # H^{3-eps}
+                from_sympy("edge_pow_5_2", (1 + x) ** sp.Rational(5, 2), 1),
             ]
         elif name == "poly":
             fields = [from_sympy("cubic", x**3 - x, 1)]

@@ -10,6 +10,11 @@ are exact modal projections. The bump is polynomial rather than C-infinity:
 every identity checked here is algebraic and needs only supp(theta) in B
 with unit mass; smoothness only enters the continuous mapping bounds, which
 are out of numerical reach anyway.
+
+The integrand is the Koszul contraction of the input v with w = x - a
+(Costabel and McIntosh, Math. Z. 2010), read off the coefficient tensor C of
+the inverted derivative in `calculus.DERIVATIVES`:
+(kappa_w v)_c = sum_{k,i} C[k, i, c] v_k w_i.
 """
 
 from fractions import Fraction
@@ -20,8 +25,13 @@ from numpy.polynomial.legendre import leggauss
 
 from . import cache
 from . import polyspace as ps
-from .calculus import COMPLEX, OPERATORS, diff_slots, operator_at, slot_value_dim
+from .calculus import (COMPLEX, DERIVATIVES, OPERATORS, diff_slots, operator_at,
+                       slot_value_dim)
 from .refsimplex import quadrature
+
+
+BUMP_POWER = 6  # m of the bump (1 - |x-c|^2/r^2)^m
+RADIUS_FACTOR = 0.9  # the bump's radius over the cell's inradius
 
 
 class RegularizedInverse:
@@ -29,11 +39,12 @@ class RegularizedInverse:
 
     kind names the slot (OPERATORS) whose outgoing derivative is inverted,
     on a 2D or 3D cell: the inverse maps the next slot into it. The bump is
-    (1 - |x-c|^2/r^2)^m on the ball of radius `radius_factor * inradius`
-    about the centroid, normalized to unit mass in closed form.
+    (1 - |x-c|^2/r^2)^BUMP_POWER on the ball of radius
+    `RADIUS_FACTOR * inradius` about the centroid, normalized to unit mass in
+    closed form.
     """
 
-    def __init__(self, refcell, kind, m=6, radius_factor=0.9):
+    def __init__(self, refcell, kind):
         dim, slot = OPERATORS.get(kind, (0, 0))
         if dim < 2 or slot == dim:  # neither on the interval nor from L2
             raise ValueError(f"unknown kind {kind!r}")
@@ -45,26 +56,20 @@ class RegularizedInverse:
         self.derivative = COMPLEX[dim][slot]
         self.in_vdim = slot_value_dim(dim, slot + 1)
         self.out_vdim = slot_value_dim(dim, slot)
-        self.m = m
         self.center = self.cell.centroid
-        self.radius = radius_factor * self.cell.inradius
+        self.radius = RADIUS_FACTOR * self.cell.inradius
 
     def bump_mass(self):
         """Integral of the normalized bump; 1 by construction."""
         return float(self._moment((0,) * self.cell.dim))
 
     def _moment(self, alpha):
-        return _bump_moment_scaled(self.cell.dim, self.m, tuple(alpha), self.radius)
+        return _bump_moment_scaled(self.cell.dim, tuple(alpha), self.radius)
 
     def matrix(self, degree):
         """Slot matrix (vd_in*nm_deg) -> (vd_out*nm_{deg+1}); rows act as
         out_slots = in_slots @ matrix."""
-        return _build_matrix(
-            self.cell, self.kind, degree, self.m, self.center, self.radius
-        )
-
-    def apply_slots(self, degree, slots):
-        return np.asarray(slots) @ self.matrix(degree)
+        return _build_matrix(self.cell, self.kind, degree, self.center, self.radius)
 
     def apply(self, space, slots):
         """Apply to an element given by slot coefficients of `space`.
@@ -75,12 +80,12 @@ class RegularizedInverse:
         if space.value_dim != self.in_vdim:
             raise ValueError(f"{self.kind} expects value dimension "
                              f"{self.in_vdim}, got {space.value_dim}")
-        out = self.apply_slots(space.degree, slots)
+        out = np.asarray(slots) @ self.matrix(space.degree)
         return ps.vector_space(self.cell, space.degree + 1, self.out_vdim), out
 
 
 @cache.memo
-def _bump_moment_scaled(dim, m, alpha, radius):
+def _bump_moment_scaled(dim, alpha, radius):
     """Centered moment of the unit-mass bump over the radius-r ball."""
     if any(a % 2 for a in alpha):
         return 0.0
@@ -92,7 +97,7 @@ def _bump_moment_scaled(dim, m, alpha, radius):
             val *= Fraction(2 * k - 1, 2)
     den = Fraction(1)
     for k in range(total):
-        den *= Fraction(dim, 2) + m + 1 + k
+        den *= Fraction(dim, 2) + BUMP_POWER + 1 + k
     return float(val / den) * radius ** (2 * total)
 
 
@@ -114,12 +119,11 @@ def _contractions(cell, degree, center):
 
 
 @cache.memo
-def _build_matrix(cell, kind, degree, m, center, radius):
+def _build_matrix(cell, kind, degree, center, radius):
     from math import factorial
 
     dim, slot = OPERATORS[kind]
-    vd_in, vd_out = slot_value_dim(dim, slot + 1), slot_value_dim(dim, slot)
-    deriv = COMPLEX[dim][slot]
+    C = DERIVATIVES[COMPLEX[dim][slot]].C[dim]
     nm = cell.n_modes(degree)
     nm1 = cell.n_modes(degree + 1)
     t_nodes, t_weights, C_t = _contractions(cell, degree, center)
@@ -134,18 +138,14 @@ def _build_matrix(cell, kind, degree, m, center, radius):
     C_hat = []
     for L in range(degree + 1):
         acc = np.zeros((nm, nm))
-        for t, wt, C in zip(t_nodes, t_weights, C_t):
-            acc += wt * t**slot * (1.0 - t) ** L * C  # slot k weighs t^k
+        for t, wt, Ct in zip(t_nodes, t_weights, C_t):
+            acc += wt * t**slot * (1.0 - t) ** L * Ct  # slot k weighs t^k
         C_hat.append(acc)
 
-    R = np.zeros((vd_in * nm, vd_out * nm1))
-
-    def add(in_comp, out_comp, block):
-        R[in_comp * nm : (in_comp + 1) * nm,
-          out_comp * nm1 : (out_comp + 1) * nm1] += block
+    R = np.zeros((len(C) * nm, C.shape[2] * nm1))
 
     def moment(alpha):
-        return _bump_moment_scaled(dim, m, tuple(alpha), radius)
+        return _bump_moment_scaled(dim, tuple(alpha), radius)
 
     terms = []
     for alpha in product(range(degree + 1), repeat=dim):
@@ -169,28 +169,15 @@ def _build_matrix(cell, kind, degree, m, center, radius):
         # K = C_hat[L] @ D^alpha, applied as slots @ (K.T)
         K = (C_hat[sum(alpha)] @ D_alpha) / fa
         KT = K.T
-        if deriv == "grad":
-            # v . [(x-c) mu - nu]
-            for i in range(dim):
-                Rblock = mu * W[i].T - nu[i] * pad
-                add(i, 0, KT @ Rblock)
-        elif deriv == "div":
-            for i in range(dim):
-                Rblock = mu * W[i].T - nu[i] * pad
-                add(0, i, KT @ Rblock)
-        elif deriv == "curl2d_vector":
-            # scalar v times rotated (-(x2-a2), x1-a1)
-            add(0, 0, KT @ -(mu * W[1].T - nu[1] * pad))
-            add(0, 1, KT @ (mu * W[0].T - nu[0] * pad))
-        else:  # curl3d
-            # (v x w)_i with w = (x-c) mu - nu; KT @ -op is -(KT @ op) exactly
-            KO = [KT @ (mu * W[i].T - nu[i] * pad) for i in range(3)]
-            add(1, 0, KO[2])
-            add(2, 0, -KO[1])
-            add(2, 1, KO[0])
-            add(0, 1, -KO[2])
-            add(0, 2, KO[1])
-            add(1, 2, -KO[0])
+        # the Koszul contraction with w = (x-c) mu - nu: block (k, c) of R
+        # adds or subtracts the product KT @ w_i of each nonzero C[k, i, c]
+        KW = [KT @ (mu * W[i].T - nu[i] * pad) for i in range(dim)]
+        for k, i, c in zip(*np.nonzero(C)):
+            block = R[k * nm : (k + 1) * nm, c * nm1 : (c + 1) * nm1]
+            if C[k, i, c] > 0:
+                block += KW[i]
+            else:
+                block -= KW[i]
     return R
 
 
@@ -199,8 +186,8 @@ def _build_matrix(cell, kind, degree, m, center, radius):
 
 
 @cache.memo
-def regularized_inverse(refcell, kind, m=6, radius_factor=0.9):
-    return RegularizedInverse(refcell, kind, m, radius_factor)
+def regularized_inverse(refcell, kind):
+    return RegularizedInverse(refcell, kind)
 
 
 def _helmholtz(refcell, slot, space, slots, tol):

@@ -80,10 +80,9 @@ class PolySpace:
             return comp[..., 0, :]
         return np.moveaxis(comp, -2, -1)
 
-    def random_elements(self, n, rng, unit=True):
+    def random_elements(self, n, rng):
         c = rng.standard_normal((n, self.dim))
-        if unit:
-            c /= np.linalg.norm(c, axis=1, keepdims=True)
+        c /= np.linalg.norm(c, axis=1, keepdims=True)
         return c @ self.basis
 
 
@@ -106,17 +105,17 @@ def pad_slots(coeffs, cell, value_dim, deg_from, deg_to):
     return out.reshape(shape + (value_dim * n2,))
 
 
-def span_from_rows(rows, cutoff=SVD_CUTOFF):
+def span_from_rows(rows):
     """Orthonormal basis of the row span, rank decided by relative SVD cutoff."""
     rows = np.atleast_2d(rows)
     u, s, vt = np.linalg.svd(rows, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         return np.zeros((0, rows.shape[1]))
-    rank = int(np.sum(s > cutoff * s[0]))
+    rank = int(np.sum(s > SVD_CUTOFF * s[0]))
     return vt[:rank]
 
 
-def null_space_of(constraints, n_cols=None, cutoff=SVD_CUTOFF):
+def null_space_of(constraints, n_cols=None):
     """Orthonormal basis of {x : A x = 0} for a constraint matrix A."""
     A = np.atleast_2d(constraints)
     if A.shape[0] == 0:
@@ -125,7 +124,7 @@ def null_space_of(constraints, n_cols=None, cutoff=SVD_CUTOFF):
     if s.size == 0 or s[0] == 0.0:
         rank = 0
     else:
-        rank = int(np.sum(s > cutoff * s[0]))
+        rank = int(np.sum(s > SVD_CUTOFF * s[0]))
     return vt[rank:]
 
 
@@ -356,18 +355,43 @@ def subspace_from_constraints(space, constraint_rows):
     return PolySpace(space.cell, space.value_dim, space.degree, N @ space.basis)
 
 
+def signed_sum(C, term):
+    """sum_{i,c} C[i, c] term(i, c) over the nonzero entries of a matrix of
+    +-1 and 0, in index order, each term added or subtracted."""
+    total = None
+    for i, c in zip(*np.nonzero(C)):
+        t = term(i, c)
+        if total is None:
+            total = t if C[i, c] > 0 else -t
+        else:
+            total = total + t if C[i, c] > 0 else total - t
+    return total
+
+
+def derivative_rows(C, space):
+    """Slot rows of the derivative (D u)_k = sum_{i,c} C[k, i, c] d_i u_c of
+    each basis element u of `space`, for the coefficient tensor C of a
+    derivative (`calculus.DERIVATIVES`); C reads the space's first
+    C.shape[2] components."""
+    D = _deriv_matrices(space.cell, space.degree)
+    comps = space.components(space.basis)
+    return np.hstack([signed_sum(Ck, lambda i, c: comps[:, c] @ D[i].T)
+                      for Ck in C])
+
+
 def gradient_rows(cell, scalar_space_obj, out_degree):
     """Slot rows of the gradients of a scalar space's basis, at out_degree.
 
     An out_degree below the space's keeps each component's leading modes:
     the gradients of P_{p+1} on an interval are P_p, so the rest is roundoff.
     """
-    deg = scalar_space_obj.degree
-    keep = cell.n_modes(min(deg, out_degree))
-    D = [deriv_matrix(cell, deg, i) for i in range(cell.dim)]
-    rows = np.hstack([(scalar_space_obj.basis @ D[i].T)[:, :keep]
-                      for i in range(cell.dim)])
-    return pad_slots(rows, cell, cell.dim, min(deg, out_degree), out_degree)
+    low = min(scalar_space_obj.degree, out_degree)
+    keep = cell.n_modes(low)
+    # the gradient's coefficient tensor is the identity
+    rows = derivative_rows(np.eye(cell.dim)[:, :, None], scalar_space_obj)
+    rows = rows.reshape(-1, cell.dim, scalar_space_obj.n_modes)[:, :, :keep]
+    return pad_slots(rows.reshape(-1, cell.dim * keep), cell, cell.dim, low,
+                     out_degree)
 
 
 # ---------------------------------------------------------------------------

@@ -94,17 +94,18 @@ def _flip(n_modes, sigma):
     return np.diag(float(sigma) ** np.arange(n_modes))
 
 
-def _graded_interval_rule(nodes_per_panel=16, levels=18, ratio=0.22):
-    """Composite Gauss rule on (-1,1), geometrically graded into both ends.
+def _graded_interval_rule():
+    """Composite Gauss rule on (-1,1), geometrically graded into both ends:
+    16 nodes per panel, 18 levels, each panel 0.22 times the one before.
 
-    Exact for polynomials up to degree 2*nodes_per_panel-1 and accurate for
-    endpoint-singular integrands of |1 -+ x|^gamma type.
+    Exact for polynomials up to degree 31 and accurate for endpoint-singular
+    integrands of |1 -+ x|^gamma type.
     """
-    xg, wg = leggauss(nodes_per_panel)
+    xg, wg = leggauss(16)
     breaks = [0.0]
     h = 1.0
-    for _ in range(levels):
-        h *= ratio
+    for _ in range(18):
+        h *= 0.22
         breaks.append(1.0 - h)
     breaks.append(1.0)
     pts, wts = [], []
@@ -558,11 +559,6 @@ class ProjectorPlan:
 @cache.memo
 def build_plan(operator, p):
     return ProjectorPlan(operator, p)
-
-
-def apply_1d(p, field):
-    """The interval operator: endpoint interpolation + seminorm projection."""
-    return build_plan("grad1d", p).apply(field)
 
 
 def projection_max_error(operator, p, n_samples, rng):

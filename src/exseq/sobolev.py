@@ -8,10 +8,11 @@ computable surrogates; equivalence constants are never asserted, only
 measured by the studies.
 
 Every derivative comes from one table: a graph norm's family derivative (curl
-or div, and grad) from `calculus.DERIVATIVES`, which pairs the slot rows of a
-polynomial's derivative with the same derivative of a field, and each d^alpha
-of the norms' multi-indices from `polyspace.deriv_alpha` on the polynomial
-side and the field's jets on the other.
+or div, and grad) from `calculus.DERIVATIVES`, whose coefficient tensor gives
+both the slot rows of a polynomial's derivative and the same derivative of a
+field, and each d^alpha of the norms' multi-indices from
+`polyspace.deriv_alpha` on the polynomial side and the field's jets on the
+other.
 """
 
 import numpy as np

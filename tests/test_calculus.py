@@ -1,3 +1,5 @@
+from itertools import pairwise
+
 import numpy as np
 import pytest
 import sympy as sp
@@ -186,7 +188,7 @@ def test_bubble_sequence_dimension_identity(rc3, rc2, rc1):
 @pytest.mark.parametrize("dim,family,name", [
     (3, "grad", "grad"), (3, "curl", "curl3d"), (3, "div", "div"),
     (2, "grad", "grad"), (2, "curl", "curl2d_vector"), (2, "div", "div"),
-    (1, "grad", "grad"),
+    (1, "grad", "grad"), (2, "curl2d_scalar", "curl2d_scalar"),
 ])
 def test_derivative_table_pairs_field_and_slots(dim, family, name, rng):
     # the field side of each entry, applied to a polynomial field, equals the
@@ -204,6 +206,38 @@ def test_derivative_table_pairs_field_and_slots(dim, family, name, rng):
         # grad on an interval is a 1-vector field: (n, 1), never (n,)
         assert fv.shape == (len(q.weights), 1)
     assert np.abs(fv - pv.reshape(fv.shape)).max() <= 1e-10 * np.abs(pv).max()
+
+
+@pytest.mark.parametrize("dim,first,then", [
+    (dim, first, then) for dim, names in ca.COMPLEX.items()
+    for first, then in pairwise(names)] + [(2, "curl2d_scalar", "div")])
+def test_derivative_tensors_square_to_zero(dim, first, then):
+    # then(first(u))_m = sum A[m, j, i, n] d_j d_i u_n vanishes for every u
+    # exactly when A is antisymmetric in (i, j); the same A, read as the
+    # Koszul contractions kappa_w kappa_w, vanishes then too
+    A = np.einsum("mjc,cin->mjin", ca.DERIVATIVES[then].C[dim],
+                  ca.DERIVATIVES[first].C[dim])
+    assert np.abs(A + A.transpose(0, 2, 1, 3)).max() == 0.0
+
+
+# the (cell dimension, value dimension) of each derivative's sources
+_SOURCES = {"grad": {(1, 1), (2, 1), (3, 1)}, "curl3d": {(3, 3)},
+            "curl2d_scalar": {(2, 1)}, "curl2d_vector": {(2, 2)},
+            "div": {(2, 2), (3, 3)}}
+
+
+@pytest.mark.parametrize("name", ca.DERIVATIVES)
+def test_diff_op_rejects_a_wrong_source(name):
+    for dim in (1, 2, 3):
+        cell = make_reference_cell(dim).cell
+        for vd in (1, 2, 3):
+            source = ps.vector_space(cell, 1, vd)
+            if (dim, vd) in _SOURCES[name]:
+                image = ps.vector_space(cell, 1, ca.DERIVATIVES[name].value_dim(dim))
+                assert ca.diff_op(name, source, image).residual < 1e-12
+            else:
+                with pytest.raises(ValueError, match="needs a source"):
+                    ca.diff_op(name, source, source)
 
 
 def test_deriv_alpha_second_order_jet(rc3):

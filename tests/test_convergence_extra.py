@@ -1,6 +1,7 @@
 import numpy as np
 import sympy as sp
 
+from exseq import calculus as ca
 from exseq import fields as fl
 from exseq import polyspace as ps
 from exseq import projectors as pj
@@ -46,7 +47,7 @@ def test_split_error_oracle_polynomial_curl_part():
     w = fl.from_polynomial("w", ps.vector_space(rc3.cell, p + 1, 3), w_slots)
     x, y, z = sp.symbols("x y z")
     phi = fl.from_sympy("phi", sp.exp(x / 2 + y / 3 + z / 5), 3)
-    gphi = fl.grad_field(phi)
+    gphi = ca.DERIVATIVES["grad"].field(phi)
     u = fl.shifted(gphi, w)
     plan = pj.build_plan("curl3d", p)
     err_u = plan.apply(u) - _exactify(plan, u)

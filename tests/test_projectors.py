@@ -172,7 +172,7 @@ def test_grad_of_potential_is_curl_interpolant():
     rc3 = make_reference_cell(3)
     grad_gi = ca.diff_rows("grad", ps.PolySpace(rc3.cell, 1, p + 1,
                                                 gi[None, :]))[0]
-    ci = cplan.apply(fl.grad_field(phi))
+    ci = cplan.apply(ca.DERIVATIVES["grad"].field(phi))
     assert np.abs(grad_gi - ci).max() < 1e-11
 
 
@@ -235,13 +235,13 @@ def test_lift_invariance_grad2d(rng):
 
 def test_apply_1d_linear_and_endpoints():
     lin = fl.from_sympy("lin", "2*x + 1", 1)
-    slots = pj.apply_1d(4, lin)
+    slots = pj.build_plan("grad1d", 4).apply(lin)
     t = pj.build_plan("grad1d", 4).target
     q = quadrature(t.cell, 8)
     vals = t.evaluate(slots, q.points)
     assert np.abs(vals - (2 * q.points[:, 0] + 1)).max() < 1e-12
     f = fl.suite("entire", 1)[0]
-    slots = pj.apply_1d(6, f)
+    slots = pj.build_plan("grad1d", 6).apply(f)
     ends = t.cell.vertices
     assert np.abs(pj.build_plan("grad1d", 6).target.evaluate(slots, ends)
                   - f(ends)).max() < 1e-12
@@ -344,7 +344,7 @@ def test_condition_residual_rechecks_every_stage(operator, rng):
     plan = pj.build_plan(operator, p)
     f = fl.suite("entire", plan.target.cell.dim)[0]
     if plan.target.value_dim > 1:
-        f = fl.grad_field(f)
+        f = ca.DERIVATIVES["grad"].field(f)
     samples = {k: np.asarray(f(pts)).reshape(-1, 1)
                for k, pts in plan.sample_points.items()}
     slots = plan.apply(f)

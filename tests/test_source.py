@@ -1,9 +1,11 @@
 """Static checks of the package source, with the standard library's ast:
-no dead code and no duplicate helpers."""
+no dead code, no duplicate helpers, and no names parsed or branched on."""
 
 import ast
 from collections import defaultdict
 from pathlib import Path
+
+from exseq.calculus import DERIVATIVES
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "exseq"
@@ -102,4 +104,17 @@ def test_operator_names_are_not_parsed():
                           if isinstance(index, ast.Slice) else (index,))
                 if held in _NAME_HOLDERS and any(_negative(b) for b in bounds):
                     found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
+def test_derivatives_are_not_branched_on():
+    # what differs between derivatives is read from their coefficient
+    # tensors, never from a comparison with a derivative's name
+    found = []
+    for path, tree in _trees(PACKAGE).items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Compare) and any(
+                    s in DERIVATIVES for operand in (node.left, *node.comparators)
+                    for s in _strings(operand)):
+                found.append(f"{path.name}:{node.lineno}")
     assert found == []
