@@ -53,20 +53,31 @@ class Derivative(NamedTuple):
 
     rows(space): slot rows of the images of the space's basis; value_dim(d):
     the image's value dimension on a d-dimensional cell; field(f): the same
-    derivative of an analytic field.
+    derivative of an analytic field. rows and field raise ValueError for a
+    source whose (cell dimension, value dimension) no tensor reads.
     """
 
     name: str
     C: dict  # cell dimension -> read-only tensor (value_dim, d, source dim)
 
     def rows(self, space):
-        return ps.derivative_rows(self.C[space.cell.dim], space)
+        return ps.derivative_rows(self._tensor(space.cell.dim, space.value_dim),
+                                  space)
 
     def value_dim(self, d):
         return len(self.C[d])
 
     def field(self, f):
-        return fl.derivative_field(self.name, self.C[f.dim], f)
+        return fl.derivative_field(self.name, self._tensor(f.dim, f.value_dim), f)
+
+    def _tensor(self, d, value_dim):
+        """The tensor that reads a source of `value_dim` components on a
+        d-cell."""
+        shapes = [C.shape[1:] for C in self.C.values()]
+        if (d, value_dim) not in shapes:
+            raise ValueError(f"{self.name} needs a source of (cell dimension, "
+                             f"value dimension) in {shapes}")
+        return self.C[d]
 
 
 def _read_only(C):
@@ -137,10 +148,6 @@ def diff_op(name, source, target):
     """
     if name not in DERIVATIVES:
         raise ValueError(f"unknown differential operator {name!r}")
-    shapes = [C.shape[1:] for C in DERIVATIVES[name].C.values()]
-    if (source.cell.dim, source.value_dim) not in shapes:
-        raise ValueError(f"{name} needs a source of (cell dimension, value "
-                         f"dimension) in {shapes}")
     rows = diff_rows(name, source)
     out_vd = DERIVATIVES[name].value_dim(source.cell.dim)
     coords, resid = _expand_in(target, rows, source.cell, out_vd, source.degree)

@@ -157,16 +157,12 @@ def tabulate(dim, degree, pts):
     return vals
 
 
-def tabulate_grad(dim, degree, pts):
-    """Gradients of the modal basis, shape (n_modes, n_pts, dim)."""
+def tabulate_grad(dim, degree, pts, direction):
+    """d/dx_direction of the modal basis on the reference simplex, shape
+    (n_modes, n_pts)."""
     pts = np.asarray(pts, dtype=float)
     if pts.ndim == 1:
         pts = pts[:, None]
-    nm = n_modes(dim, degree)
-    out = np.empty((nm, pts.shape[0], dim))
-    for k in range(dim):
-        shifted = pts.astype(complex)
-        shifted[:, k] += 1j * _COMPLEX_STEP
-        np.divide(tabulate(dim, degree, shifted).imag, _COMPLEX_STEP,
-                  out=out[:, :, k])
-    return out
+    shifted = pts.astype(complex)
+    shifted[:, direction] += 1j * _COMPLEX_STEP
+    return np.divide(tabulate(dim, degree, shifted).imag, _COMPLEX_STEP)

@@ -170,26 +170,36 @@ _POINT_BLOCK = 512  # points per gradient tabulation of _deriv_matrices
 
 @cache.memo
 def _deriv_matrices(cell, degree):
-    # the gradient table is tabulated a block of points at a time, each
-    # direction into its own contiguous plane
+    # one direction at a time, a block of points at a time, into one reused
+    # plane: only the weighted values and one gradient plane are live
     q = quadrature(cell, 2 * degree)
     V = cell.tabulate(degree, q.points)
     V *= q.weights
-    G = np.empty((cell.dim,) + V.shape)
-    for start in range(0, len(q.weights), _POINT_BLOCK):
-        block = slice(start, start + _POINT_BLOCK)
-        G[:, :, block] = np.moveaxis(
-            cell.tabulate_grad(degree, q.points[block]), -1, 0)
-    return tuple(V @ Gi.T for Gi in G)
+    plane = np.empty_like(V)
+    D = []
+    for direction in range(cell.dim):
+        for start in range(0, len(q.weights), _POINT_BLOCK):
+            block = slice(start, start + _POINT_BLOCK)
+            plane[:, block] = cell.tabulate_grad(degree, q.points[block],
+                                                 direction)
+        D.append(V @ plane.T)
+    return tuple(D)
+
+
+def coord_matrix(cell, degree, direction):
+    """Apply-matrix of multiplication by x_i (degree -> degree+1)."""
+    return _coord_matrices(cell, degree)[direction]
 
 
 @cache.memo
-def coord_matrix(cell, degree, direction):
-    """Apply-matrix of multiplication by x_i (degree -> degree+1)."""
+def _coord_matrices(cell, degree):
+    # the modes are hierarchical: the degree table is the leading rows of the
+    # degree+1 table
     q = quadrature(cell, 2 * degree + 2)
-    V1 = cell.tabulate(degree, q.points)
     V2 = cell.tabulate(degree + 1, q.points)
-    return (V2 * (q.weights * q.points[:, direction])) @ V1.T
+    V1 = V2[: cell.n_modes(degree)]
+    return tuple((V2 * (q.weights * q.points[:, i])) @ V1.T
+                 for i in range(cell.dim))
 
 
 def mean_row(cell, value_dim, degree):
@@ -371,8 +381,8 @@ def signed_sum(C, term):
 def derivative_rows(C, space):
     """Slot rows of the derivative (D u)_k = sum_{i,c} C[k, i, c] d_i u_c of
     each basis element u of `space`, for the coefficient tensor C of a
-    derivative (`calculus.DERIVATIVES`); C reads the space's first
-    C.shape[2] components."""
+    derivative (`calculus.DERIVATIVES`), whose C.shape[2] components are
+    the space's (`calculus.Derivative.rows` checks them)."""
     D = _deriv_matrices(space.cell, space.degree)
     comps = space.components(space.basis)
     return np.hstack([signed_sum(Ck, lambda i, c: comps[:, c] @ D[i].T)

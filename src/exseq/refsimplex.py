@@ -90,10 +90,25 @@ class Cell:
         vals /= np.sqrt(self._detA)
         return vals
 
-    def tabulate_grad(self, degree, pts):
-        g = orthopoly.tabulate_grad(self.dim, degree, self.to_reference(pts))
-        g /= np.sqrt(self._detA)
-        return np.einsum("mpk,kl->mpl", g, self._Ainv)
+    def tabulate_grad(self, degree, pts, direction=None):
+        """d/dx_direction of the modal basis at cell points, (n_modes, n_pts);
+        direction=None stacks every direction, (n_modes, n_pts, dim).
+
+        The chain rule adds g_k * Ainv[k, direction] onto zeros in k order,
+        differentiating only along the reference directions k whose entry is
+        nonzero: the terms it skips would add zeros.
+        """
+        if direction is None:
+            return np.stack([self.tabulate_grad(degree, pts, l)
+                             for l in range(self.dim)], axis=-1)
+        ref = self.to_reference(pts)
+        out = np.zeros((self.n_modes(degree), len(ref)))
+        for k in np.flatnonzero(self._Ainv[:, direction]):
+            g = orthopoly.tabulate_grad(self.dim, degree, ref, k)
+            g /= np.sqrt(self._detA)
+            g *= self._Ainv[k, direction]
+            out += g
+        return out
 
     def __repr__(self):
         return f"Cell({self.key}, dim={self.dim})"

@@ -361,7 +361,8 @@ def _h1curl_minimizer(space, field, q):
 def _fractional_matrices(space, norm, s, P):
     """Field-independent structures of the rich-space fractional minimizer:
     the factored form and, per block (the value, then for graph norms the
-    derivative), the rich-degree rows and their H_s images."""
+    derivative), the rows and the H_s images of their rich-degree copies,
+    (dim, value_dim, n_modes(P))."""
     cell = space.cell
     g = gram(cell, P)
     blocks = [(space.basis, space.value_dim)]
@@ -375,7 +376,7 @@ def _fractional_matrices(space, norm, s, P):
         R = R.reshape(space.dim, vd, cell.n_modes(P))
         Hs = np.stack([_apply_hs(g, R[:, c], s) for c in range(vd)], axis=1)
         A = A + sum(Hs[:, c] @ R[:, c].T for c in range(vd))
-        parts.append((R, Hs))
+        parts.append((rows, Hs))
     return scipy.linalg.cho_factor(A), parts
 
 
@@ -397,8 +398,9 @@ def _fractional_best_approx(space, field, norm, s, rich_degree, q):
     slots = coords @ space.basis
     # surrogate error: H_s distance inside the rich space
     err2 = 0
-    for (R, _), bk in zip(parts, b):
-        diff = bk - np.tensordot(coords, R, axes=(0, 0))
+    for (rows, Hs), bk in zip(parts, b):
+        R = ps.pad_slots(rows, cell, Hs.shape[1], space.degree, P)
+        diff = bk - np.tensordot(coords, R.reshape(Hs.shape), axes=(0, 0))
         err2 += sum(g.fractional_quadform(diff[c], s) for c in range(len(diff)))
     return slots, float(np.sqrt(max(err2, 0.0)))
 

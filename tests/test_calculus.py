@@ -196,7 +196,7 @@ def test_derivative_table_pairs_field_and_slots(dim, family, name, rng):
     assert ca.derivative_name(family, dim) == name
     cell = make_reference_cell(dim).cell
     entry = ca.DERIVATIVES[name]
-    space = ps.vector_space(cell, 4, 1 if family == "grad" else dim)
+    space = ps.vector_space(cell, 4, entry.C[dim].shape[2])
     slots = space.random_elements(1, rng)[0]
     q = quadrature(cell, 8)
     fv = entry.field(fl.from_polynomial("u", space, slots))(q.points)
@@ -238,6 +238,24 @@ def test_diff_op_rejects_a_wrong_source(name):
             else:
                 with pytest.raises(ValueError, match="needs a source"):
                     ca.diff_op(name, source, source)
+
+
+@pytest.mark.parametrize("name", ca.DERIVATIVES)
+def test_derivative_rows_and_field_reject_a_wrong_source(name, rng):
+    # a source the tensor does not read is refused, not differentiated in
+    # its leading components
+    entry = ca.DERIVATIVES[name]
+    for dim in (1, 2, 3):
+        cell = make_reference_cell(dim).cell
+        for vd in (1, 2, 3):
+            if (dim, vd) in _SOURCES[name]:
+                continue
+            source = ps.vector_space(cell, 2, vd)
+            u = fl.from_polynomial("u", source, source.random_elements(1, rng)[0])
+            with pytest.raises(ValueError, match="needs a source"):
+                ca.diff_rows(name, source)
+            with pytest.raises(ValueError, match="needs a source"):
+                entry.field(u)
 
 
 def test_deriv_alpha_second_order_jet(rc3):

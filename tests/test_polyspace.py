@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from exseq import cache
 from exseq import calculus as ca
+from exseq import orthopoly
 from exseq import polyspace as ps
 from exseq import sobolev as sb
 from exseq.refsimplex import Cell, quadrature
@@ -244,22 +247,72 @@ def test_prefix_chains_equal_deriv_alpha_bitwise(dim, rc2, rc3):
 
 
 @pytest.mark.parametrize("block", [30, 300, ps._POINT_BLOCK])
-def test_streamed_deriv_matrices_equal_one_shot_bitwise(block, rc3,
+def test_streamed_deriv_matrices_equal_one_shot_bitwise(block, rc3, rc2, rc1,
                                                         monkeypatch):
-    # the gradient table is built a block of points at a time; the tet at
-    # degree 9 has 1,000 points, face 0 100 and a non-identity chain rule
+    # the gradient planes are built a direction and a block of points at a
+    # time, differentiating only along the reference directions the chain
+    # rule reads; the one-shot side differentiates along every reference
+    # direction and applies the full chain rule. At degree 9 the tet has
+    # 1,000 points and the triangles 100; face 0's chain rule is full, face
+    # 1's and the reference triangle's the identity, the edges' a scale
     monkeypatch.setattr(ps, "_POINT_BLOCK", block)
-    for cell in (rc3.cell, rc3.faces[0].cell):
+    cells = (rc3.cell, rc3.faces[0].cell, rc3.faces[1].cell, rc2.cell,
+             rc3.edges[3].cell, rc1.cell)
+    for cell in cells:
         q = quadrature(cell, 18)
-        V = cell.tabulate(9, q.points)
-        G = cell.tabulate_grad(9, q.points)
-        Vw = V * q.weights
+        ref = cell.to_reference(q.points)
+        g = np.stack([orthopoly.tabulate_grad(cell.dim, 9, ref, k)
+                      for k in range(cell.dim)], axis=-1)
+        g /= np.sqrt(cell._detA)
+        G = np.einsum("mpk,kl->mpl", g, cell._Ainv)
+        assert np.array_equal(cell.tabulate_grad(9, q.points), G)
+        Vw = cell.tabulate(9, q.points) * q.weights
         one_shot = [Vw @ np.ascontiguousarray(G[:, :, i]).T
                     for i in range(cell.dim)]
         streamed = ps._deriv_matrices.__wrapped__(cell, 9)
         assert len(streamed) == cell.dim
         for a, b in zip(streamed, one_shot):
             assert np.array_equal(a, b)
+
+
+def test_deriv_matrices_hold_one_gradient_plane(rc3):
+    # the build holds the weighted values and one gradient plane, not the
+    # three planes of a full gradient table
+    cell, degree = rc3.cell, 15
+    table = cell.n_modes(degree) * len(quadrature(cell, 2 * degree).weights) * 8
+    tracemalloc.start()
+    try:
+        ps._deriv_matrices.__wrapped__(cell, degree)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * table
+
+
+def test_coord_matrices_slice_the_higher_degree_table(rc3, rc2, rc1,
+                                                     monkeypatch):
+    # one tabulation per (cell, degree): the degree table is the leading rows
+    # of the degree+1 table, bit for bit, because the modes are hierarchical
+    degrees = []
+    tabulate = Cell.tabulate
+    monkeypatch.setattr(Cell, "tabulate", lambda self, degree, pts: (
+        degrees.append(degree) or tabulate(self, degree, pts)))
+    cache.clear()
+    for i in range(3):
+        ps.coord_matrix(rc3.cell, 4, i)
+    assert degrees == [5]
+    monkeypatch.undo()
+    for cell in (rc3.cell, rc3.faces[0].cell, rc2.cell, rc3.edges[3].cell,
+                 rc1.cell):
+        for degree in (0, 3, 8):
+            q = quadrature(cell, 2 * degree + 2)
+            V1 = cell.tabulate(degree, q.points)
+            V2 = cell.tabulate(degree + 1, q.points)
+            assert np.array_equal(V2[: len(V1)], V1)
+            for i in range(cell.dim):
+                assert np.array_equal(
+                    ps.coord_matrix(cell, degree, i),
+                    (V2 * (q.weights * q.points[:, i])) @ V1.T)
 
 
 def _frame_blocks(T, frame):
