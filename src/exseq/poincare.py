@@ -6,19 +6,18 @@ a polynomial bump weight. For polynomial inputs everything is evaluated
 exactly: the path parameter is integrated by Gauss quadrature of sufficient
 order, the ball average reduces to closed-form bump moments via a finite
 Taylor expansion, and compositions with the contraction x -> t x + (1-t) c
-are exact modal projections. The bump is polynomial rather than C-infinity:
-every identity checked here is algebraic and needs only supp(theta) in B
-with unit mass; smoothness only enters the continuous mapping bounds, which
-are out of numerical reach anyway.
+are exact modal projections. The bump is radial, so the expansion collapses
+to powers of the modal Laplacian: each Taylor level costs a few products of
+modal matrices, not one per multi-index. The bump is polynomial rather than
+C-infinity: every identity checked here is algebraic and needs only
+supp(theta) in B with unit mass; smoothness only enters the continuous
+mapping bounds, which are out of numerical reach anyway.
 
 The integrand is the Koszul contraction of the input v with w = x - a
 (Costabel and McIntosh, Math. Z. 2010), read off the coefficient tensor C of
 the inverted derivative in `calculus.DERIVATIVES`:
 (kappa_w v)_c = sum_{k,i} C[k, i, c] v_k w_i.
 """
-
-from fractions import Fraction
-from itertools import product
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -59,13 +58,6 @@ class RegularizedInverse:
         self.center = self.cell.centroid
         self.radius = RADIUS_FACTOR * self.cell.inradius
 
-    def bump_mass(self):
-        """Integral of the normalized bump; 1 by construction."""
-        return float(self._moment((0,) * self.cell.dim))
-
-    def _moment(self, alpha):
-        return _bump_moment_scaled(self.cell.dim, tuple(alpha), self.radius)
-
     def matrix(self, degree):
         """Slot matrix (vd_in*nm_deg) -> (vd_out*nm_{deg+1}); rows act as
         out_slots = in_slots @ matrix."""
@@ -84,21 +76,14 @@ class RegularizedInverse:
         return ps.vector_space(self.cell, space.degree + 1, self.out_vdim), out
 
 
-@cache.memo
-def _bump_moment_scaled(dim, alpha, radius):
-    """Centered moment of the unit-mass bump over the radius-r ball."""
-    if any(a % 2 for a in alpha):
-        return 0.0
-    eta = [a // 2 for a in alpha]
-    total = sum(eta)
-    val = Fraction(1)
-    for e in eta:
-        for k in range(1, e + 1):
-            val *= Fraction(2 * k - 1, 2)
-    den = Fraction(1)
-    for k in range(total):
-        den *= Fraction(dim, 2) + BUMP_POWER + 1 + k
-    return float(val / den) * radius ** (2 * total)
+def _laplacian_moment(dim, n, radius):
+    """c_n, with sum_{|alpha|=2n} mu_alpha d^alpha / alpha! = c_n Laplacian^n
+    for the centered moments mu_alpha of the unit-mass bump on the radius-r
+    ball: c_n = r^2n / (4^n n! (dim/2 + BUMP_POWER + 1)_n)."""
+    c = 1.0
+    for k in range(n):
+        c *= radius**2 / (4 * (k + 1) * (dim / 2 + BUMP_POWER + 1 + k))
+    return c
 
 
 @cache.memo
@@ -120,64 +105,49 @@ def _contractions(cell, degree, center):
 
 @cache.memo
 def _build_matrix(cell, kind, degree, center, radius):
-    from math import factorial
-
     dim, slot = OPERATORS[kind]
     C = DERIVATIVES[COMPLEX[dim][slot]].C[dim]
     nm = cell.n_modes(degree)
     nm1 = cell.n_modes(degree + 1)
     t_nodes, t_weights, C_t = _contractions(cell, degree, center)
     # shifted coordinate multiplication (x_i - c_i): degree -> degree+1
-    W = []
-    pad = np.zeros((nm, nm1))
-    pad[:, : nm] = np.eye(nm)
-    for i in range(dim):
-        W.append(ps.coord_matrix(cell, degree, i) - center[i] * pad.T)
+    pad = np.eye(nm, nm1)
+    W = [ps.coord_matrix(cell, degree, i) - center[i] * pad.T for i in range(dim)]
+    D = [ps.deriv_matrix(cell, degree, i) for i in range(dim)]
+    lap = sum(Di @ Di for Di in D)
 
-    # level-summed contraction matrices: C_hat[L] = sum_t w_t t^w (1-t)^L C_t
-    C_hat = []
+    # The ball average's Taylor levels L = |alpha|, by the radial collapse
+    #   sum_{|alpha|=2n} mu_alpha d^alpha / alpha! = c_n Lap^n,
+    #   sum_{|alpha|=2n+1} mu_{alpha+e_i} d^alpha / alpha!
+    #       = 2(n+1) c_{n+1} Lap^n d_i,
+    # each weighted by its level-summed contraction
+    # C_hat[L] = sum_t w_t t^k (1-t)^L C_t on slot k.
+    even = np.zeros((nm, nm))
+    odd = np.zeros((nm, nm))
+    lap_n = np.eye(nm)  # Lap^n
     for L in range(degree + 1):
-        acc = np.zeros((nm, nm))
-        for t, wt, Ct in zip(t_nodes, t_weights, C_t):
-            acc += wt * t**slot * (1.0 - t) ** L * Ct  # slot k weighs t^k
-        C_hat.append(acc)
+        n = L // 2
+        C_hat = sum(wt * t**slot * (1.0 - t) ** L * Ct
+                    for t, wt, Ct in zip(t_nodes, t_weights, C_t))
+        term = C_hat @ lap_n
+        if L % 2 == 0:
+            even += _laplacian_moment(dim, n, radius) * term
+        else:
+            odd += 2 * (n + 1) * _laplacian_moment(dim, n + 1, radius) * term
+            lap_n = lap @ lap_n
+    # the moments of even levels multiply x_i - c_i, those of odd levels e_i;
+    # transposed to act on slots
+    KW = [(W[i] @ even - pad.T @ (odd @ D[i])).T for i in range(dim)]
 
+    # the Koszul contraction with w: block (k, c) of R adds or subtracts
+    # KW[i] for each nonzero C[k, i, c]
     R = np.zeros((len(C) * nm, C.shape[2] * nm1))
-
-    def moment(alpha):
-        return _bump_moment_scaled(dim, tuple(alpha), radius)
-
-    terms = []
-    for alpha in product(range(degree + 1), repeat=dim):
-        if sum(alpha) > degree:
-            continue
-        mu = moment(alpha)
-        nu = np.array(
-            [moment(tuple(a + (1 if i == j else 0) for j, a in enumerate(alpha)))
-             for i in range(dim)]
-        )
-        if mu == 0.0 and not nu.any():
-            continue
-        terms.append((alpha, mu, nu))
-    # each D^alpha continues the chain of its prefix, in the walk's order
-    chains = ps.deriv_alphas(cell, degree, [alpha for alpha, _, _ in terms])
-    for (alpha, mu, nu), D_alpha in zip(terms, chains):
-        fa = 1.0
-        for a in alpha:
-            fa *= factorial(a)
-        # modal transform of each input component for this alpha:
-        # K = C_hat[L] @ D^alpha, applied as slots @ (K.T)
-        K = (C_hat[sum(alpha)] @ D_alpha) / fa
-        KT = K.T
-        # the Koszul contraction with w = (x-c) mu - nu: block (k, c) of R
-        # adds or subtracts the product KT @ w_i of each nonzero C[k, i, c]
-        KW = [KT @ (mu * W[i].T - nu[i] * pad) for i in range(dim)]
-        for k, i, c in zip(*np.nonzero(C)):
-            block = R[k * nm : (k + 1) * nm, c * nm1 : (c + 1) * nm1]
-            if C[k, i, c] > 0:
-                block += KW[i]
-            else:
-                block -= KW[i]
+    for k, i, c in zip(*np.nonzero(C)):
+        block = R[k * nm : (k + 1) * nm, c * nm1 : (c + 1) * nm1]
+        if C[k, i, c] > 0:
+            block += KW[i]
+        else:
+            block -= KW[i]
     return R
 
 

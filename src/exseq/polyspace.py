@@ -137,32 +137,17 @@ def deriv_matrix(cell, degree, direction):
 
 
 def deriv_alpha(cell, degree, alpha):
-    """Apply-matrix of d^alpha, the product of the first-order matrices."""
-    return next(deriv_alphas(cell, degree, [alpha]))
-
-
-def deriv_alphas(cell, degree, alphas):
-    """Yield the apply-matrix of d^alpha for each multi-index of `alphas`.
+    """Apply-matrix of d^alpha, the product of the first-order matrices.
 
     The chain applies D_0 first, then D_1, and so on; its first factor is a
-    D_i itself, and d^0 is the identity. A matrix continues the partial
-    product held from the multi-indices before it, so a walk in
-    itertools.product order forms each d^alpha from its prefix with one
-    product, and every matrix equals the chain formed from scratch bit for
-    bit.
+    D_i itself, and d^0 is the identity.
     """
     D = _deriv_matrices(cell, degree)
-    held = [None] * cell.dim  # held[k]: (alpha[:k+1], its product)
-    for alpha in map(tuple, alphas):
-        mat = None  # the identity
-        for k, a in enumerate(alpha):
-            done = 0
-            if held[k] and held[k][0][:k] == alpha[:k] and held[k][0][k] <= a:
-                done, mat = held[k][0][k], held[k][1]
-            for _ in range(a - done):
-                mat = D[k] if mat is None else D[k] @ mat
-            held[k] = (alpha[: k + 1], mat)
-        yield np.eye(cell.n_modes(degree)) if mat is None else mat
+    mat = None  # the identity
+    for k, a in enumerate(alpha):
+        for _ in range(a):
+            mat = D[k] if mat is None else D[k] @ mat
+    return np.eye(cell.n_modes(degree)) if mat is None else mat
 
 
 _POINT_BLOCK = 512  # points per gradient tabulation of _deriv_matrices

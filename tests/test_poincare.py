@@ -1,5 +1,10 @@
+from fractions import Fraction
+from itertools import product
+from math import factorial, prod
+
 import numpy as np
 import pytest
+from scipy.special import roots_jacobi
 
 from exseq import calculus as ca
 from exseq import poincare as pc
@@ -16,12 +21,65 @@ def _project_field(cell, degree, fn, vd):
     return np.concatenate([(V * q.weights) @ vals[:, i] for i in range(vd)])
 
 
-def test_bump_normalization(rc3, rc2):
+def test_laplacian_moments_match_radial_quadrature(rc3, rc2):
+    # f = |y|^2n is homogeneous, so the bump's Taylor expansion gives
+    # int theta f = c_n Lap^n f = c_n prod_k 2k (2k + d - 2). The left side is
+    # radial: a 1-D Gauss-Jacobi rule in t = |y|^2 / r^2 with weight
+    # (1 - t)^m t^(d/2 - 1). n = 0 is the unit mass.
     for rc, kind in ((rc3, "div3d"), (rc2, "curl2d")):
         inv = pc.regularized_inverse(rc, kind)
-        assert inv.bump_mass() == pytest.approx(1.0, abs=1e-12)
+        d, r = rc.dim, inv.radius
+        x, w = roots_jacobi(8, pc.BUMP_POWER, d / 2 - 1)
+        t = (1 + x) / 2
+        for n in range(5):
+            radial = r ** (2 * n) * (w @ t**n) / w.sum()
+            lap_n = prod(2 * k * (2 * k + d - 2) for k in range(1, n + 1))
+            assert pc._laplacian_moment(d, n, r) * lap_n == pytest.approx(
+                radial, rel=1e-13)
         # support inside the cell
         assert inv.radius < rc.cell.inradius
+
+
+def _multi_index_moment(dim, alpha, radius):
+    # centered moment mu_alpha of the unit-mass bump over the radius-r ball
+    if any(a % 2 for a in alpha):
+        return 0.0
+    val = Fraction(1)
+    for a in alpha:
+        for k in range(1, a // 2 + 1):
+            val *= Fraction(2 * k - 1, 2)
+    for k in range(sum(alpha) // 2):
+        val /= Fraction(dim, 2) + pc.BUMP_POWER + 1 + k
+    return float(val) * radius ** sum(alpha)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_taylor_levels_collapse_to_laplacian_powers(dim, rc2, rc3):
+    # each level of sum_alpha mu_alpha d^alpha / alpha! on the modal matrices
+    # equals the power of the modal Laplacian the right inverses are built from
+    cell, degree = {2: rc2, 3: rc3}[dim].cell, 5
+    r = pc.RADIUS_FACTOR * cell.inradius
+    D = [ps.deriv_matrix(cell, degree, i) for i in range(dim)]
+    lap = sum(Di @ Di for Di in D)
+
+    def level(L, shift):
+        return sum(
+            _multi_index_moment(dim, tuple(np.add(alpha, shift)), r)
+            * ps.deriv_alpha(cell, degree, alpha) / prod(map(factorial, alpha))
+            for alpha in product(range(L + 1), repeat=dim) if sum(alpha) == L)
+
+    for L in range(degree + 1):
+        n = L // 2
+        lap_n = np.linalg.matrix_power(lap, n)
+        if L % 2 == 0:
+            pairs = [(level(L, [0] * dim),
+                      pc._laplacian_moment(dim, n, r) * lap_n)]
+        else:
+            c = 2 * (n + 1) * pc._laplacian_moment(dim, n + 1, r)
+            pairs = [(level(L, np.eye(dim, dtype=int)[i]), c * D[i] @ lap_n)
+                     for i in range(dim)]
+        for got, want in pairs:
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_div_inverse_of_one(rc3):

@@ -218,34 +218,6 @@ def test_spaces_and_edges_bound_to_requested_cell(rc2, rc3):
         assert ledge.cell.key.startswith("tet.face1.edge")
 
 
-def _chain_from_scratch(cell, degree, alpha):
-    # D_0 first, then D_1, ...; the first factor is a D_i itself
-    mat = None
-    for i, a in enumerate(alpha):
-        for _ in range(a):
-            D = ps.deriv_matrix(cell, degree, i)
-            mat = D if mat is None else D @ mat
-    return np.eye(cell.n_modes(degree)) if mat is None else mat
-
-
-@pytest.mark.parametrize("dim", [2, 3])
-def test_prefix_chains_equal_deriv_alpha_bitwise(dim, rc2, rc3):
-    from itertools import product
-
-    cell = {2: rc2, 3: rc3}[dim].cell
-    degree = 6
-    walk = [a for a in product(range(degree + 1), repeat=dim)
-            if sum(a) <= degree]
-    # every multi-index, and a walk that skips some prefixes (as the
-    # Poincare matrices do), so the held products are continued
-    for alphas in (walk, [a for a in walk if sum(x % 2 for x in a) <= 1]):
-        chains = list(ps.deriv_alphas(cell, degree, alphas))
-        assert len(chains) == len(alphas)
-        for alpha, mat in zip(alphas, chains):
-            assert np.array_equal(mat, ps.deriv_alpha(cell, degree, alpha))
-            assert np.array_equal(mat, _chain_from_scratch(cell, degree, alpha))
-
-
 @pytest.mark.parametrize("block", [30, 300, ps._POINT_BLOCK])
 def test_streamed_deriv_matrices_equal_one_shot_bitwise(block, rc3, rc2, rc1,
                                                         monkeypatch):
