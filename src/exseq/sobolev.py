@@ -140,15 +140,6 @@ def mode_pairings(V, weights, values):
     return (V @ (weights[:, None] * vals)).T
 
 
-def field_mode_pairings(cell, degree, quad, values):
-    """L2 pairings of sampled field values with the modal basis.
-
-    values: (n_pts,) or (n_pts, vd); returns (vd*nm,) slot covector.
-    """
-    V = cell.tabulate(degree, quad.points)
-    return mode_pairings(V, quad.weights, values).ravel()
-
-
 def dual_norm(g, pairings, s):
     """Discrete dual norm sup_{v in P_degree} (e, v)/||v||_{H^s}, from the
     component-stacked covector of L2 pairings of e with the modes."""
@@ -196,13 +187,13 @@ def _derivative_multiindices(dim, order):
     return out
 
 
-def _jet_pairings(space, field, quad, order):
+def _jet_pairings(space, field, quad, order, V):
     """Sum over the H^order multi-indices of the L2 pairings of d^alpha of the
-    field against d^alpha of the basis, in space coordinates."""
+    field against d^alpha of the basis, in space coordinates; V is the modal
+    table of the space's degree at the rule's points."""
     cell = space.cell
     alphas = _derivative_multiindices(cell.dim, order)
     comps = space.components(space.basis)
-    V = cell.tabulate(space.degree, quad.points)
     jets = [field.jet(quad.points, alpha) for alpha, _ in alphas]
     b = mode_pairings(V, quad.weights, np.column_stack(jets))
     b = b.reshape(-1, space.value_dim, space.n_modes)
@@ -219,18 +210,19 @@ def _l2sq(weights, diff):
     return float(np.einsum("q,qi->", weights, diff**2))
 
 
-def error_in_norm(space, field, slots, quad, norm):
+def error_in_norm(space, field, slots, quad, norm, table=None):
     """Quadrature error ||field - polynomial|| in the requested integer norm.
 
     Sums the squared L2 errors of d^alpha, over the multi-indices of the
     norm's order, of the value and, for graph norms, of the family derivative
     of field and polynomial alike; fractional norms are handled by their
-    surrogate forms elsewhere.
+    surrogate forms elsewhere. `table`, if given, is the modal table of the
+    space's degree at the rule's points.
     """
     if norm not in _ORDER:
         raise ValueError(f"no direct error formula for norm {norm!r}")
     cell, pts = space.cell, quad.points
-    V = cell.tabulate(space.degree, pts)
+    V = cell.tabulate(space.degree, pts) if table is None else table
     parts = [(field, space.value_dim, slots)]
     name = _graph_derivative(norm, cell.dim)
     if name:
@@ -247,7 +239,8 @@ def error_in_norm(space, field, slots, quad, norm):
     return float(np.sqrt(total))
 
 
-def best_approx(space, field, norm="L2", rich_degree=None, s=0.5, quad=None):
+def best_approx(space, field, norm="L2", rich_degree=None, s=0.5, quad=None,
+                table=None):
     """Best approximation of an analytic field in `space`.
 
     norm:
@@ -263,12 +256,22 @@ def best_approx(space, field, norm="L2", rich_degree=None, s=0.5, quad=None):
     Returns (slot coefficients, error) where the error is the quadrature
     error in the full norm for integer norms (H1full for H1) and the
     surrogate-form error for the fractional ones.
+
+    quad defaults to the rule of degree min(2 * degree + 14, 40). The integer
+    norms read one modal table of the space's degree at its points, for the
+    pairings and the error alike: `table` if given, else a fresh one. The
+    fractional norms pair with the rich modes and read no such table.
     """
     cell = space.cell
     q = quadrature(cell, min(2 * space.degree + 14, 40)) if quad is None else quad
+    if norm in ("Hhalf", "Hhalf_div", "Hhalf_curl"):
+        return _fractional_best_approx(space, field, norm, s, rich_degree, q)
+    if norm not in _ORDER:
+        raise ValueError(f"unknown norm {norm!r}")
+    V = cell.tabulate(space.degree, q.points) if table is None else table
 
     if norm == "L2":
-        b = field_mode_pairings(cell, space.degree, q, field(q.points))
+        b = mode_pairings(V, q.weights, field(q.points)).ravel()
         coords = space.basis @ b
     elif norm == "H1":
         if space.value_dim != 1:
@@ -276,7 +279,7 @@ def best_approx(space, field, norm="L2", rich_degree=None, s=0.5, quad=None):
         grad_rows = diff_rows("grad", space)
         A = grad_rows @ grad_rows.T
         gvals = DERIVATIVES["grad"].field(field)(q.points)
-        b = field_mode_pairings(cell, space.degree, q, gvals)
+        b = mode_pairings(V, q.weights, gvals).ravel()
         rhs = grad_rows @ b
         mean = ps.mean_row(cell, 1, space.degree)[0] @ space.basis.T
         A = np.vstack([A, mean[None, :]])
@@ -286,22 +289,18 @@ def best_approx(space, field, norm="L2", rich_degree=None, s=0.5, quad=None):
     elif norm in ("H1full", "H2"):
         g = gram(cell, space.degree)
         A = _form_on(space, g.A1 if norm == "H1full" else g.A2)
-        rhs = _jet_pairings(space, field, q, _ORDER[norm])
+        rhs = _jet_pairings(space, field, q, _ORDER[norm], V)
         coords = np.linalg.solve(A, rhs)
     elif norm == "Hcurl":
-        coords = _two_block_projector(space, field, q)
-    elif norm == "H1curl":
-        coords = _h1curl_minimizer(space, field, q)
-    elif norm in ("Hhalf", "Hhalf_div", "Hhalf_curl"):
-        return _fractional_best_approx(space, field, norm, s, rich_degree, q)
+        coords = _two_block_projector(space, field, q, V)
     else:
-        raise ValueError(f"unknown norm {norm!r}")
+        coords = _h1curl_minimizer(space, field, q, V)
 
     slots = coords @ space.basis
-    return slots, error_in_norm(space, field, slots, q, norm)
+    return slots, error_in_norm(space, field, slots, q, norm, V)
 
 
-def _two_block_projector(space, field, q):
+def _two_block_projector(space, field, q, V):
     """The Hcurl projector: the curl block tested on the complement of the
     gradients, plus orthogonality to the gradients."""
     cell = space.cell
@@ -317,7 +316,6 @@ def _two_block_projector(space, field, q):
         raise ValueError("field/value-dim mismatch")
     du = DERIVATIVES[name].field(field)(q.points)
     # pair D u and u with the modes in one product
-    V = cell.tabulate(space.degree, q.points)
     du = du.reshape(len(q.weights), -1)
     b = mode_pairings(V, q.weights, np.column_stack([du, field(q.points)]))
     k = du.shape[1]
@@ -337,14 +335,13 @@ def _h1curl_matrices(space):
     return scipy.linalg.cho_factor(A), curls.components(curls.basis)
 
 
-def _h1curl_minimizer(space, field, q):
+def _h1curl_minimizer(space, field, q, V):
     cell = space.cell
     d, vd = cell.dim, space.value_dim
     comps = space.components(space.basis)
     cho, dcomp = _h1curl_matrices(space)
     curl = DERIVATIVES[derivative_name("curl", d)].field(field)
     # rhs: (u, phi)_{H1} + (curl u, curl phi)_{H1}, all pairings in one product
-    V = cell.tabulate(space.degree, q.points)
     alphas = [alpha for alpha, _ in _derivative_multiindices(d, 1)]
     b = mode_pairings(V, q.weights, np.column_stack(
         [f.jet(q.points, alpha) for f in (field, curl) for alpha in alphas]))

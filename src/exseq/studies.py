@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import cache
 from . import calculus as ca
 from . import fields as fl
 from . import poincare as pc
@@ -130,8 +131,10 @@ def fields_for(operator, suite_name):
     return tuple(f for f in fl.suite(suite_name, dim) if f.value_dim == vd)
 
 
-def _error_l2_parts(plan, field, slots):
-    """L2 norms of (e, De) for the operator's graph norm, by quadrature.
+def _error_l2_parts(plan, field, slots, pts, w, V):
+    """L2 norms of (e, De) for the operator's graph norm, by the rule (pts, w)
+    and the target's modal table V at its points, which serves the target's
+    values and those of its derivative.
 
     Returns (||e||, ||De||, (e, De, points, weights)); the L2 operators have
     no derivative part, and None in its places.
@@ -139,14 +142,6 @@ def _error_l2_parts(plan, field, slots):
     target = plan.target
     cell = target.cell
     dim, slot = ca.OPERATORS[plan.operator]
-    if dim == 1:
-        pts, w = pj._graded_interval_rule()
-        pts = pts[:, None]
-    else:
-        q = quadrature(cell, min(2 * target.degree + 14, 40))
-        pts, w = q.points, q.weights
-    # one table serves the target's values and those of its derivative
-    V = cell.tabulate(target.degree, pts)
 
     def error(f, vd, rows):
         fv = f(pts)  # in the field's own shape: grad on an interval is (n, 1)
@@ -172,7 +167,12 @@ def _dual_norm(cell, P, s, pairings):
 
 
 def run_convergence(cfg):
-    """Sweep (operator, field, s, p); returns (records, slopes).
+    """Sweep (operator, p, field, s); returns (records, slopes).
+
+    Each (operator, p) builds its plan once, unmemoised, for all its fields,
+    and tabulates its target's modes once on the study rule; both live for
+    that degree only, so a sweep holds one plan at a time. Records are sorted
+    at the end, so the loop order does not reach the output.
 
     slopes: list of {operator, field, s, slope} fitted on log(ratio) against
     log(p) over the upper half of the degree range.
@@ -180,28 +180,42 @@ def run_convergence(cfg):
     cfg.validate()
     records = []
     for op in sorted(cfg.operators):
-        cell = make_reference_cell(ca.OPERATORS[op][0]).cell
         flds = fields_for(op, cfg.suite)
-        den_norm, den_s = DENOMINATOR_NORM[op]
-        for f in flds:
-            for p in range(cfg.p_min, cfg.p_max + 1):
-                plan = pj.build_plan(op, p)
-                target = plan.target
-                slots = plan.apply(f)
-                den_space = target
-                kwargs = {}
-                if den_s is not None:
-                    kwargs["s"] = den_s
-                    kwargs["rich_degree"] = target.degree + cfg.dual_offset
-                _, den = sb.best_approx(den_space, f, den_norm, **kwargs)
-                parts = _error_l2_parts(plan, f, slots)
-                for s in cfg.s_values:
-                    records += _records_for(
-                        op, p, f, s, parts, den, cfg.dual_offset, cell
-                    )
+        for p in range(cfg.p_min, cfg.p_max + 1):
+            records += _degree_records(op, p, flds, cfg)
     records.sort(key=lambda r: (r.operator, r.field, r.s, r.norm_id, r.p))
     slopes = fit_slopes(records, cfg)
     return records, slopes
+
+
+def _degree_records(op, p, flds, cfg):
+    """The records of one (operator, p); its plan and target table are locals,
+    freed on return."""
+    plan = pj.ProjectorPlan(op, p)
+    target = plan.target
+    cell = target.cell
+    study = quadrature(cell, min(2 * target.degree + 14, 40))
+    table = cache.freeze(cell.tabulate(target.degree, study.points))
+    if cell.dim == 1:  # the interval's errors keep the graded rule
+        pts, w = pj._graded_interval_rule()
+        errors = (pts[:, None], w, cell.tabulate(target.degree, pts[:, None]))
+    else:
+        errors = (study.points, study.weights, table)
+    den_norm, den_s = DENOMINATOR_NORM[op]
+    kwargs = {}
+    if den_s is not None:
+        kwargs["s"] = den_s
+        kwargs["rich_degree"] = target.degree + cfg.dual_offset
+    records = []
+    for f in flds:
+        slots = plan.apply(f)
+        _, den = sb.best_approx(target, f, den_norm, quad=study, table=table,
+                                **kwargs)
+        parts = _error_l2_parts(plan, f, slots, *errors)
+        for s in cfg.s_values:
+            records += _records_for(op, p, f, s, parts, den, cfg.dual_offset,
+                                    cell)
+    return records
 
 
 def _records_for(op, p, f, s, parts, den, dual_offset, cell):

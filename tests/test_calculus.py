@@ -264,7 +264,8 @@ def test_deriv_alpha_second_order_jet(rc3):
     cell, alpha = rc3.cell, (1, 0, 1)
     q = quadrature(cell, 10)
     # a member of the degree-4 space: its L2 pairings are its coefficients
-    slots = sb.field_mode_pairings(cell, 4, q, f(q.points))
+    slots = sb.mode_pairings(cell.tabulate(4, q.points), q.weights,
+                             f(q.points))[0]
     vals = ps.scalar_space(cell, 4).evaluate(
         slots @ ps.deriv_alpha(cell, 4, alpha).T, q.points)
     exact = f.jet(q.points, alpha)

@@ -64,7 +64,8 @@ def test_dual_norm_s0_is_l2_of_projection(rc3):
     g = sb.gram(rc3.cell, 8)
     f = fl.suite("entire", 3)[0]
     q = quadrature(rc3.cell, 26)
-    b = sb.field_mode_pairings(rc3.cell, 8, q, f(q.points))
+    b = sb.mode_pairings(rc3.cell.tabulate(8, q.points), q.weights,
+                        f(q.points))[0]
     assert sb.dual_norm(g, b, 0.0) == pytest.approx(np.linalg.norm(b), rel=1e-12)
 
 
@@ -72,7 +73,8 @@ def test_dual_norm_weakens_with_s(rc3):
     g = sb.gram(rc3.cell, 8)
     f = fl.suite("entire", 3)[1]
     q = quadrature(rc3.cell, 26)
-    b = sb.field_mode_pairings(rc3.cell, 8, q, f(q.points))
+    b = sb.mode_pairings(rc3.cell.tabulate(8, q.points), q.weights,
+                        f(q.points))[0]
     vals = [sb.dual_norm(g, b, s) for s in (0.0, 0.25, 0.5, 1.0)]
     assert all(vals[i + 1] <= vals[i] + 1e-13 for i in range(len(vals) - 1))
 
@@ -83,7 +85,8 @@ def test_dual_norm_stable_under_richer_test_space(rc3):
 
     def dual_at(P):
         g = sb.gram(rc3.cell, P)
-        b = sb.field_mode_pairings(rc3.cell, P, q, f(q.points))
+        b = sb.mode_pairings(rc3.cell.tabulate(P, q.points), q.weights,
+                            f(q.points))[0]
         return sb.dual_norm(g, b, 0.5)
 
     d8, d10 = dual_at(8), dual_at(10)

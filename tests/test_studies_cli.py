@@ -297,3 +297,60 @@ def test_gram_degrees_are_the_grams_a_sweep_builds(op, monkeypatch):
                                       s_values=s_values, dual_offset=2))
     assert built == set().union(
         *(st._gram_degrees(op, 1, s, 2) for s in s_values))
+
+
+_SWEEP_OPS = ("grad3d", "curl3d", "div3d")
+
+
+def _small_sweep(ops=_SWEEP_OPS):
+    return st.StudyConfig(operators=ops, p_min=1, p_max=2, s_values=(0.0,))
+
+
+def test_sweep_keeps_no_plan_in_the_memo():
+    from exseq import cache
+
+    cache.clear()
+    st.run_convergence(_small_sweep(("grad3d", "curl3d")))
+    assert not [k for k in cache._entries
+                if k[0] == "exseq.projectors.build_plan"]
+
+
+def test_sweep_tabulates_each_target_once_on_the_study_rule(monkeypatch):
+    from exseq.refsimplex import Cell, make_reference_cell, quadrature
+
+    calls = []
+    tabulate = Cell.tabulate
+
+    def spy(self, degree, pts):
+        calls.append((degree, np.array(pts)))
+        return tabulate(self, degree, pts)
+
+    monkeypatch.setattr(Cell, "tabulate", spy)
+    cell = make_reference_cell(3).cell
+    for op in _SWEEP_OPS:
+        cfg = _small_sweep((op,))
+        assert len(st.fields_for(op, cfg.suite)) == 2
+        calls.clear()
+        st.run_convergence(cfg)
+        for p in range(cfg.p_min, cfg.p_max + 1):
+            degree = p + 1  # the degree of every 3D target
+            pts = quadrature(cell, min(2 * degree + 14, 40)).points
+            n = sum(d == degree and x.shape == pts.shape
+                    and np.array_equal(x, pts) for d, x in calls)
+            assert n == 1, (op, p, n)
+
+
+def test_sweep_bits_do_not_depend_on_memoised_plans():
+    from exseq import cache
+    from exseq import projectors as pj
+
+    cfg = _small_sweep()
+    cache.clear()
+    cold, _ = st.run_convergence(cfg)
+    cache.clear()
+    for op in cfg.operators:
+        for p in range(cfg.p_min, cfg.p_max + 1):
+            pj.build_plan(op, p)
+    warm, _ = st.run_convergence(cfg)
+    assert st.format_rows(st.records_to_rows(cold), "csv") == st.format_rows(
+        st.records_to_rows(warm), "csv")
