@@ -86,29 +86,17 @@ class Cell:
 
     def tabulate(self, degree, pts):
         """Orthonormal modal basis values at cell points, (n_modes, n_pts)."""
-        vals = orthopoly.tabulate(self.dim, degree, self.to_reference(pts))
-        vals /= np.sqrt(self._detA)
-        return vals
+        return orthopoly.tabulate(self.dim, degree, self.to_reference(pts),
+                                  self._detA)
 
     def tabulate_grad(self, degree, pts, direction=None):
         """d/dx_direction of the modal basis at cell points, (n_modes, n_pts);
-        direction=None stacks every direction, (n_modes, n_pts, dim).
-
-        The chain rule adds g_k * Ainv[k, direction] onto zeros in k order,
-        differentiating only along the reference directions k whose entry is
-        nonzero: the terms it skips would add zeros.
-        """
+        direction=None stacks every direction, (n_modes, n_pts, dim)."""
         if direction is None:
             return np.stack([self.tabulate_grad(degree, pts, l)
                              for l in range(self.dim)], axis=-1)
-        ref = self.to_reference(pts)
-        out = np.zeros((self.n_modes(degree), len(ref)))
-        for k in np.flatnonzero(self._Ainv[:, direction]):
-            g = orthopoly.tabulate_grad(self.dim, degree, ref, k)
-            g /= np.sqrt(self._detA)
-            g *= self._Ainv[k, direction]
-            out += g
-        return out
+        return orthopoly.tabulate_grad(self.dim, degree, self.to_reference(pts),
+                                       direction, self._detA, self._Ainv)
 
     def __repr__(self):
         return f"Cell({self.key}, dim={self.dim})"

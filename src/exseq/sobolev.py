@@ -34,7 +34,8 @@ class SobolevGram:
 
     The spectrum of A1 is computed only for fractional orders: order 0 is the
     Euclidean form, and order 1 is the A1 form (a Cholesky solve with A1 for
-    the dual form). Orders above 1 use the (A2, A1) pencil. Each lazily built
+    the dual form). Orders above 1 use the (A2, A1) pencil, whose spectrum is
+    computed only for them: the H2 form reads A2 alone. Each lazily built
     table is read-only, like the memoised Gram that shares it.
     """
 
@@ -48,6 +49,7 @@ class SobolevGram:
         self.A1 = np.eye(self.n) + S
         self._first = None
         self._cho = None
+        self._A2 = None
         self._second = None
 
     def _first_data(self):
@@ -62,8 +64,10 @@ class SobolevGram:
             self._cho = cache.freeze(scipy.linalg.cho_factor(self.A1))
         return scipy.linalg.cho_solve(self._cho, b)
 
-    def _second_data(self):
-        if self._second is None:
+    @property
+    def A2(self):
+        """A1 plus the multinomial-weighted second-derivative Gram."""
+        if self._A2 is None:
             d = self.cell.dim
             A2 = self.A1.copy()
             for i in range(d):
@@ -71,13 +75,16 @@ class SobolevGram:
                     w = 1.0 if i == j else 2.0
                     Mij = self._D[i] @ self._D[j]
                     A2 += w * (Mij.T @ Mij)
-            mu, V = scipy.linalg.eigh(A2, self.A1)
-            self._second = cache.freeze((A2, np.clip(mu, 1.0, None), V))
-        return self._second
+            self._A2 = cache.freeze(A2)
+        return self._A2
 
-    @property
-    def A2(self):
-        return self._second_data()[0]
+    def _second_data(self):
+        """(clipped eigenvalues, A1-orthonormal eigenvectors) of the (A2, A1)
+        pencil; only orders above 1 read them."""
+        if self._second is None:
+            mu, V = scipy.linalg.eigh(self.A2, self.A1)
+            self._second = cache.freeze((np.clip(mu, 1.0, None), V))
+        return self._second
 
     def fractional_quadform(self, coeffs, s):
         """<H_s c, c> for scalar modal coefficients; exact at s in {0,1,2}."""
@@ -92,7 +99,7 @@ class SobolevGram:
             lam, U = self._first_data()
             y = U.T @ c
             return float(np.sum(lam**s * y**2))
-        _, mu, V = self._second_data()
+        mu, V = self._second_data()
         # V is A1-orthonormal: V^{-1} = V^T A1, H_s = V^{-T} mu^{s-1} V^{-1}
         y = V.T @ (self.A1 @ c)
         return float(np.sum(mu ** (s - 1.0) * y**2))
@@ -110,7 +117,7 @@ class SobolevGram:
             lam, U = self._first_data()
             y = U.T @ b
             return float(np.sum(lam ** (-s) * y**2))
-        _, mu, V = self._second_data()
+        mu, V = self._second_data()
         y = V.T @ b
         return float(np.sum(mu ** (1.0 - s) * y**2))
 
@@ -411,7 +418,7 @@ def _apply_hs(g, X, s):
     if s < 1.0:
         lam, U = g._first_data()
         return ((X @ U) * lam**s) @ U.T
-    _, mu, V = g._second_data()
+    mu, V = g._second_data()
     Vi = V.T @ g.A1  # V is A1-orthonormal, so V^{-1} = V^T A1
     Y = X @ Vi.T
     return (Y * mu ** (s - 1.0)) @ Vi

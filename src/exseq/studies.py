@@ -170,9 +170,10 @@ def run_convergence(cfg):
     """Sweep (operator, p, field, s); returns (records, slopes).
 
     Each (operator, p) builds its plan once, unmemoised, for all its fields,
-    and tabulates its target's modes once on the study rule; both live for
-    that degree only, so a sweep holds one plan at a time. Records are sorted
-    at the end, so the loop order does not reach the output.
+    and tabulates its target's modes and its dual test modes once each on the
+    study rule; all live for that degree only, so a sweep holds one plan at a
+    time. Records are sorted at the end, so the loop order does not reach the
+    output.
 
     slopes: list of {operator, field, s, slope} fitted on log(ratio) against
     log(p) over the upper half of the degree range.
@@ -189,7 +190,7 @@ def run_convergence(cfg):
 
 
 def _degree_records(op, p, flds, cfg):
-    """The records of one (operator, p); its plan and target table are locals,
+    """The records of one (operator, p); its plan and tables are locals,
     freed on return."""
     plan = pj.ProjectorPlan(op, p)
     target = plan.target
@@ -206,33 +207,51 @@ def _degree_records(op, p, flds, cfg):
     if den_s is not None:
         kwargs["s"] = den_s
         kwargs["rich_degree"] = target.degree + cfg.dual_offset
+    parts = [_error_l2_parts(plan, f, plan.apply(f), *errors) for f in flds]
     records = []
-    for f in flds:
-        slots = plan.apply(f)
+    for f, part, b in zip(flds, parts, _dual_pairings(op, p, cfg, cell, parts)):
         _, den = sb.best_approx(target, f, den_norm, quad=study, table=table,
                                 **kwargs)
-        parts = _error_l2_parts(plan, f, slots, *errors)
         for s in cfg.s_values:
-            records += _records_for(op, p, f, s, parts, den, cfg.dual_offset,
+            records += _records_for(op, p, f, s, part, den, b, cfg.dual_offset,
                                     cell)
     return records
 
 
-def _records_for(op, p, f, s, parts, den, dual_offset, cell):
+def _dual_pairings(op, p, cfg, cell, parts):
+    """Per field, the pairings of its errors (e, De) with the dual test
+    modes, or None where no record reads them: degree P + 2 for the
+    gradient's dual norm and its P-stability, degree P for the curl/div dual
+    norms at s > 0. One table serves every field, one GEMM each; it is freed
+    on return, before the records build their Grams."""
+    dim, slot = ca.OPERATORS[op]
+    P = p + 1 + cfg.dual_offset
+    if slot == 0:
+        degree = P + 2
+    elif slot < dim and any(s > 0.0 for s in cfg.s_values):
+        degree = P
+    else:
+        return [None] * len(parts)
+    _, _, (_, _, pts, w) = parts[0]
+    V = cell.tabulate(degree, pts)
+    return [sb.mode_pairings(V, w, np.column_stack([e, de]))
+            for _, _, (e, de, _, _) in parts]
+
+
+def _records_for(op, p, f, s, parts, den, b, dual_offset, cell):
+    """The records of one (field, s); b is the field's `_dual_pairings`."""
     dim, slot = ca.OPERATORS[op]
 
     def record(norm_id, err, pstab=float("nan")):
         return StudyRecord(op, p, f.name, s, norm_id, err, den,
                            err / den if den > 0 else float("inf"), pstab)
 
-    l2, dl2, (e, de, pts, w) = parts
+    l2, dl2, _ = parts
     if slot == dim:
         return [record("L2", l2)]
     P = p + 1 + dual_offset
     if slot == 0:
-        # pairings of e (row 0) and grad e against the degree-(P+2) modes;
-        # the table is freed before the Grams below are built
-        b = sb.mode_pairings(cell.tabulate(P + 2, pts), w, np.column_stack([e, de]))
+        # b: row 0 pairs e, the rest grad e, with the degree-(P+2) modes
         if s <= 0.0:
             out = [record("H1", float(np.sqrt(l2**2 + dl2**2)))]
         elif s >= 1.0:
@@ -250,7 +269,6 @@ def _records_for(op, p, f, s, parts, den, dual_offset, cell):
     # curl / div graph norms
     if s <= 0.0:
         return [record("Hgraph", float(np.sqrt(l2**2 + dl2**2)))]
-    b = sb.mode_pairings(cell.tabulate(P, pts), w, np.column_stack([e, de]))
     return [record(f"Hdual{s:g}", _dual_norm(cell, P, s, b))]
 
 

@@ -158,12 +158,18 @@ def test_edge_orientation_lowest_vertex_first(rc3):
 
 def test_tabulated_rows_do_not_depend_on_degree(rc3, rc2, rc1):
     # modes nest by degree: a degree-P table is the leading rows of the
-    # degree-(P+2) table, bit for bit
+    # degree-(P+2) table, bit for bit, for the values and the gradient in
+    # every direction
     rng = np.random.default_rng(7)
-    for cell in (rc3.cell, rc2.cell, rc3.faces[2].cell, rc1.cell):
+    for cell in (rc3.cell, rc2.cell, rc3.faces[2].cell, rc3.faces[0].cell,
+                 rc1.cell):
         pts = rs.quadrature(cell, 9).points
         pts = np.vstack([pts, cell.vertices, cell.centroid[None, :]])
         pts = np.vstack([pts, pts[rng.permutation(len(pts))[:5]] * 0.9])
         for P in (0, 3, 8):
             small = cell.tabulate(P, pts)
             assert np.array_equal(small, cell.tabulate(P + 2, pts)[: len(small)])
+            for l in range(cell.dim):
+                small = cell.tabulate_grad(P, pts, l)
+                big = cell.tabulate_grad(P + 2, pts, l)
+                assert np.array_equal(small, big[: len(small)])

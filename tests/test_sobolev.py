@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
@@ -25,6 +26,26 @@ def test_gram_spd_and_endpoints(rc3, rng):
     assert sb.fractional_norm(g, c, 2.0) == pytest.approx(
         float(np.sqrt(c @ g.A2 @ c)), rel=1e-10
     )
+
+
+def test_a2_is_built_without_the_pencil_spectrum(rc3, monkeypatch):
+    # the H2 form reads A2 alone; the (A2, A1) spectrum waits for an order
+    # above 1. A2 is A1 plus the multinomial-weighted second-derivative Gram
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("eigh called")
+
+    monkeypatch.setattr(scipy.linalg, "eigh", no_eigh)
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    g = sb.SobolevGram(rc3.cell, 6)
+    A2 = g.A1.copy()
+    for i in range(3):
+        for j in range(i, 3):
+            Mij = g._D[i] @ g._D[j]
+            A2 += (1.0 if i == j else 2.0) * (Mij.T @ Mij)
+    assert g.A2.tobytes() == A2.tobytes()
+    assert g.A2 is g.A2 and not g.A2.flags.writeable
+    assert sb.gram(rc3.cell, 6).A2.tobytes() == A2.tobytes()
+    assert g._second is None
 
 
 def test_fractional_gram_matrix_endpoints(rc2):
@@ -149,7 +170,7 @@ def test_h1curl_solver_cache_keyed_by_content(rc3):
 def test_order_above_one_matches_explicit_inverse(dim, rng):
     # V from eigh(A2, A1) is A1-orthonormal, so V^T A1 stands in for inv(V)
     g = sb.gram(make_reference_cell(dim).cell, 8)
-    _, mu, V = g._second_data()
+    mu, V = g._second_data()
     Vi = np.linalg.inv(V)
     s = 1.5
     c = rng.standard_normal(g.n)

@@ -340,6 +340,34 @@ def test_sweep_tabulates_each_target_once_on_the_study_rule(monkeypatch):
             assert n == 1, (op, p, n)
 
 
+@pytest.mark.parametrize("op, s_values, offset", [
+    ("grad3d", (0.0, 0.5), 2),  # the gradient's dual modes, degree P + 2
+    ("curl3d", (0.5, 1.0), 0),  # the curl's dual modes at s > 0, degree P
+])
+def test_sweep_tabulates_dual_modes_once_per_degree(monkeypatch, op, s_values,
+                                                    offset):
+    from exseq.refsimplex import Cell, make_reference_cell, quadrature
+
+    calls = []
+    tabulate = Cell.tabulate
+
+    def spy(self, degree, pts):
+        calls.append((degree, np.array(pts)))
+        return tabulate(self, degree, pts)
+
+    monkeypatch.setattr(Cell, "tabulate", spy)
+    cell = make_reference_cell(3).cell
+    cfg = st.StudyConfig(operators=(op,), p_min=1, p_max=2, s_values=s_values)
+    assert len(st.fields_for(op, cfg.suite)) == 2
+    st.run_convergence(cfg)
+    for p in range(cfg.p_min, cfg.p_max + 1):
+        degree = p + 1 + cfg.dual_offset + offset
+        pts = quadrature(cell, min(2 * (p + 1) + 14, 40)).points
+        n = sum(d == degree and x.shape == pts.shape and np.array_equal(x, pts)
+                for d, x in calls)
+        assert n == 1, (p, n)
+
+
 def test_sweep_bits_do_not_depend_on_memoised_plans():
     from exseq import cache
     from exseq import projectors as pj
