@@ -1,4 +1,4 @@
-"""One content-keyed memo for the package's fixed tables, plus a disk tier.
+"""One content-keyed memo for the package's fixed tables.
 
 `memo` computes a decorated function once per content of its arguments. The
 key is the function's qualified name and a content fingerprint of the
@@ -7,29 +7,15 @@ table; an argument without one raises TypeError. Every lookup goes through
 `get`. Results are shared, so the memo makes their arrays read-only, also
 inside tuples, lists, dicts and package objects: writing into a shared table
 raises ValueError instead of corrupting later results.
-
-With EXSEQ_CACHE_DIR set, `save` and `load` keep entries on disk as .npz files
-named by a label and a content digest. Each file carries `STAMP`, a blake2b of
-the package's source files; `load` ignores an entry saved by other source.
-Only the base spaces of `polyspace.build_space` (h1, l2, hcurl, hdiv) persist;
-it recomputes and overwrites an entry whose basis is not orthonormal rows of
-the closed-form shape.
 """
 
 import dataclasses
 import functools
 import hashlib
-import os
-from pathlib import Path
 
 import numpy as np
 
 _entries: dict = {}  # memo key -> shared result
-
-STAMP = hashlib.blake2b(
-    b"".join(f.read_bytes() for f in sorted(Path(__file__).parent.glob("*.py"))),
-    digest_size=16,
-).hexdigest()
 
 
 def _fingerprint(x):
@@ -80,7 +66,7 @@ def get(key):
 
 
 def clear():
-    """Forget every memoised result; disk entries stay."""
+    """Forget every memoised result."""
     _entries.clear()
 
 
@@ -98,30 +84,3 @@ def memo(fn):
 
     return memoised
 
-
-def _disk_path(label, content):
-    root = os.environ.get("EXSEQ_CACHE_DIR")
-    if not root:
-        return None
-    digest = hashlib.blake2b(repr(_fingerprint(content)).encode(), digest_size=8)
-    return os.path.join(root, f"exseq-{label}-{digest.hexdigest()}.npz")
-
-
-def load(label, content):
-    """Arrays saved under `label` for `content` by this source, or None."""
-    path = _disk_path(label, content)
-    if path is None or not os.path.exists(path):
-        return None
-    with np.load(path) as data:
-        arrays = {k: data[k] for k in data.files}
-    return arrays if str(arrays.pop("stamp", "")) == STAMP else None
-
-
-def save(label, content, **arrays):
-    """Store `arrays` under `label` for `content` if EXSEQ_CACHE_DIR is set."""
-    path = _disk_path(label, content)
-    if path:
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        with open(path + ".tmp", "wb") as fh:
-            np.savez(fh, stamp=STAMP, **arrays)
-        os.replace(path + ".tmp", path)

@@ -414,20 +414,6 @@ def build_space(cell, kind, p):
     return PolySpace(cell, vd, deg, basis, name=f"{kind}[p={p}]")
 
 
-def _base_shape(cell, kind, p):
-    """(value_dim, degree, dimension) of a base kind ("h1", "l2", "hcurl" or
-    "hdiv"), in closed form; the other kinds are cut from these."""
-    d = cell.dim
-    if kind == "h1":
-        return 1, p + 1, h1_dimension(p, d)
-    if kind == "hcurl" and d > 1:
-        return d, p + 1, hcurl_dimension(p, d)
-    if kind == "hdiv" and d == 3:
-        return 3, p + 1, hdiv_dimension(p)
-    # l2, and the 1D edge and 2D face families, which are the scalar L2 slot
-    return 1, p, cell.n_modes(p)
-
-
 # the base kinds' builders, at complex degree p
 _BASES = {
     "h1": lambda cell, p: scalar_space(cell, p + 1),
@@ -460,10 +446,8 @@ def _traced(kind):
 
 @cache.memo
 def _space_basis(cell, kind, p):
-    """(value_dim, degree, basis) of build_space. With EXSEQ_CACHE_DIR set the
-    bases of the base kinds persist on disk; an entry that is not orthonormal
-    rows of the closed-form shape is recomputed. Other kinds are cut from
-    their (possibly loaded) bases."""
+    """(value_dim, degree, basis) of build_space. The base kinds are built by
+    `_BASES`; the other kinds are cut from their bases."""
     source = cell
     refcell = cell if isinstance(cell, ReferenceCell) else None
     if refcell is not None:
@@ -481,17 +465,7 @@ def _space_basis(cell, kind, p):
             rows = boundary_traces(cell, parent.degree, cut, refcell)
         sp = subspace_from_constraints(parent, rows)
         return sp.value_dim, sp.degree, sp.basis
-    label = f"space-{kind}-{p}"
-    stored = cache.load(label, cell)
-    if stored is not None:
-        vd, deg, dim = _base_shape(cell, kind, p)
-        B = stored["basis"]
-        if B.shape == (dim, slot_count(cell, vd, deg)) and np.allclose(
-            B @ B.T, np.eye(dim), rtol=0.0, atol=1e-10
-        ):
-            return vd, deg, B
     sp = _BASES[kind](cell, p)
-    cache.save(label, cell, basis=sp.basis)
     return sp.value_dim, sp.degree, sp.basis
 
 

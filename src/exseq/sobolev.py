@@ -8,7 +8,7 @@ computable surrogates; equivalence constants are never asserted, only
 measured by the studies.
 
 Every derivative comes from one table: a graph norm's family derivative (curl
-or div, and grad) from `calculus.DERIVATIVES`, whose coefficient tensor gives
+or div) from `calculus.DERIVATIVES`, whose coefficient tensor gives
 both the slot rows of a polynomial's derivative and the same derivative of a
 field, and each d^alpha of the norms' multi-indices from
 `polyspace.deriv_alpha` on the polynomial side and the field's jets on the
@@ -159,9 +159,8 @@ def dual_norm(g, pairings, s):
 
 # order of the multi-indices of each integer norm, and the derivative family
 # whose graph norm it is (if any)
-_ORDER = {"L2": 0, "H1": 1, "H1full": 1, "H2": 2, "Hcurl": 0, "H1curl": 1}
-_FAMILY = {"Hcurl": "curl", "H1curl": "curl", "Hhalf_curl": "curl",
-           "Hhalf_div": "div"}
+_ORDER = {"L2": 0, "H1full": 1, "H2": 2, "H1curl": 1}
+_FAMILY = {"H1curl": "curl", "Hhalf_curl": "curl", "Hhalf_div": "div"}
 
 
 def _graph_derivative(norm, dim):
@@ -252,17 +251,15 @@ def best_approx(space, field, norm="L2", rich_degree=None, s=0.5, quad=None,
 
     norm:
       L2       plain L2 projection
-      H1       gradient orthogonality plus zero-mean matching
       H1full   full H1-norm minimization
       H2       full H2-norm minimization
-      Hcurl    curl-curl orthogonality plus orthogonality to gradients
       H1curl   full (H1, curl-H1) norm minimization
       Hhalf    fractional H^s minimization through a rich-space surrogate
       Hhalf_div, Hhalf_curl   graph-norm surrogates ||.||_{H^s}^2 + ||D.||_{H^s}^2
 
     Returns (slot coefficients, error) where the error is the quadrature
-    error in the full norm for integer norms (H1full for H1) and the
-    surrogate-form error for the fractional ones.
+    error in the norm for integer norms and the surrogate-form error for the
+    fractional ones.
 
     quad defaults to the rule of degree min(2 * degree + 14, 40). The integer
     norms read one modal table of the space's degree at its points, for the
@@ -280,55 +277,16 @@ def best_approx(space, field, norm="L2", rich_degree=None, s=0.5, quad=None,
     if norm == "L2":
         b = mode_pairings(V, q.weights, field(q.points)).ravel()
         coords = space.basis @ b
-    elif norm == "H1":
-        if space.value_dim != 1:
-            raise ValueError("the gradient-orthogonal projector is scalar")
-        grad_rows = diff_rows("grad", space)
-        A = grad_rows @ grad_rows.T
-        gvals = DERIVATIVES["grad"].field(field)(q.points)
-        b = mode_pairings(V, q.weights, gvals).ravel()
-        rhs = grad_rows @ b
-        mean = ps.mean_row(cell, 1, space.degree)[0] @ space.basis.T
-        A = np.vstack([A, mean[None, :]])
-        target_mean = float(np.sum(q.weights * field(q.points)))
-        rhs = np.concatenate([rhs, [target_mean]])
-        coords, *_ = np.linalg.lstsq(A, rhs, rcond=None)
     elif norm in ("H1full", "H2"):
         g = gram(cell, space.degree)
         A = _form_on(space, g.A1 if norm == "H1full" else g.A2)
         rhs = _jet_pairings(space, field, q, _ORDER[norm], V)
         coords = np.linalg.solve(A, rhs)
-    elif norm == "Hcurl":
-        coords = _two_block_projector(space, field, q, V)
     else:
         coords = _h1curl_minimizer(space, field, q, V)
 
     slots = coords @ space.basis
     return slots, error_in_norm(space, field, slots, q, norm, V)
-
-
-def _two_block_projector(space, field, q, V):
-    """The Hcurl projector: the curl block tested on the complement of the
-    gradients, plus orthogonality to the gradients."""
-    cell = space.cell
-    name = _graph_derivative("Hcurl", cell.dim)
-    d_rows = diff_rows(name, space)
-    scalar = ps.scalar_space(cell, space.degree)
-    test_b = ps.span_from_rows(diff_rows("grad", scalar))
-    compl = ps.subspace_from_constraints(space, test_b)
-    d_compl = diff_rows(name, compl)
-    rows_a = d_compl @ d_rows.T  # D-D conditions against the complement
-    rows_b = test_b @ space.basis.T  # orthogonality to the test rows
-    if field.value_dim != space.value_dim:
-        raise ValueError("field/value-dim mismatch")
-    du = DERIVATIVES[name].field(field)(q.points)
-    # pair D u and u with the modes in one product
-    du = du.reshape(len(q.weights), -1)
-    b = mode_pairings(V, q.weights, np.column_stack([du, field(q.points)]))
-    k = du.shape[1]
-    A = np.vstack([rows_a, rows_b])
-    rhs = np.concatenate([d_compl @ b[:k].ravel(), test_b @ b[k:].ravel()])
-    return np.linalg.solve(A, rhs)
 
 
 @cache.memo

@@ -221,14 +221,15 @@ def _degree_records(op, p, flds, cfg):
 def _dual_pairings(op, p, cfg, cell, parts):
     """Per field, the pairings of its errors (e, De) with the dual test
     modes, or None where no record reads them: degree P + 2 for the
-    gradient's dual norm and its P-stability, degree P for the curl/div dual
-    norms at s > 0. One table serves every field, one GEMM each; it is freed
-    on return, before the records build their Grams."""
+    gradient's dual norm and its P-stability (dim > 1) and for the
+    fractional value norm (0 < s < 1), degree P for the curl/div dual norms
+    at s > 0. One table serves every field, one GEMM each; it is freed on
+    return, before the records build their Grams."""
     dim, slot = ca.OPERATORS[op]
     P = p + 1 + cfg.dual_offset
-    if slot == 0:
+    if slot == 0 and (dim > 1 or any(0.0 < s < 1.0 for s in cfg.s_values)):
         degree = P + 2
-    elif slot < dim and any(s > 0.0 for s in cfg.s_values):
+    elif 0 < slot < dim and any(s > 0.0 for s in cfg.s_values):
         degree = P
     else:
         return [None] * len(parts)

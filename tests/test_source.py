@@ -118,3 +118,17 @@ def test_derivatives_are_not_branched_on():
                     for s in _strings(operand)):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_package_reads_no_environment():
+    # behaviour is set by arguments alone: no os.environ, os.getenv or
+    # environ.get anywhere in the package
+    found = []
+    for path, tree in _trees(PACKAGE).items():
+        for node in ast.walk(tree):
+            name = (node.attr if isinstance(node, ast.Attribute)
+                    else node.id if isinstance(node, ast.Name)
+                    else node.name if isinstance(node, ast.alias) else "")
+            if name in ("environ", "environb", "getenv", "getenvb"):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []

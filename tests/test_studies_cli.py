@@ -1,5 +1,4 @@
 import json
-import os
 
 import numpy as np
 import pytest
@@ -162,75 +161,6 @@ def test_cli_flags_override_config_file(tmp_path):
         "0", "1", "2", "3"}
 
 
-def test_cache_roundtrip(tmp_path, monkeypatch):
-    from exseq import cache
-    from exseq import polyspace as ps
-    from exseq.refsimplex import make_reference_cell
-
-    monkeypatch.setenv("EXSEQ_CACHE_DIR", str(tmp_path))
-    cache.clear()
-    rc2 = make_reference_cell(2)
-    sp1 = ps.build_space(rc2, "hcurl", 1)
-    files = os.listdir(tmp_path)
-    assert any("hcurl" in f for f in files)
-    cache.clear()
-    sp2 = ps.build_space(rc2, "hcurl", 1)
-    assert np.array_equal(sp1.basis, sp2.basis)
-
-
-def _tamper_space_entry(tmp_path, monkeypatch, edit):
-    """Build tri hcurl p=1 with a disk cache, rewrite its entry with `edit`,
-    and build it again from a cleared memo; returns (first, second, entry)."""
-    from exseq import cache
-    from exseq import polyspace as ps
-    from exseq.refsimplex import make_reference_cell
-
-    monkeypatch.setenv("EXSEQ_CACHE_DIR", str(tmp_path))
-    cache.clear()
-    rc2 = make_reference_cell(2)
-    sp1 = ps.build_space(rc2, "hcurl", 1)
-    (path,) = [tmp_path / f for f in os.listdir(tmp_path) if "hcurl-1" in f]
-    with np.load(path) as data:
-        arrays = dict(data)
-    edit(arrays)
-    np.savez(path, **arrays)
-    cache.clear()
-    sp2 = ps.build_space(rc2, "hcurl", 1)
-    with np.load(path) as data:
-        return sp1, sp2, dict(data)
-
-
-def test_cache_malformed_entry_recomputed(tmp_path, monkeypatch):
-    def truncate(arrays):
-        arrays["basis"] = arrays["basis"][:2, :5]
-
-    sp1, sp2, entry = _tamper_space_entry(tmp_path, monkeypatch, truncate)
-    assert sp2.basis.shape == (8, 12)
-    assert np.array_equal(sp1.basis, sp2.basis)
-    assert np.array_equal(entry["basis"], sp1.basis)
-
-
-def test_cache_entry_of_other_source_ignored(tmp_path, monkeypatch):
-    def restamp(arrays):
-        # still orthonormal rows of the right width: only the stamp tells
-        arrays["basis"] = -arrays["basis"]
-        arrays["stamp"] = np.array("other source")
-
-    sp1, sp2, _ = _tamper_space_entry(tmp_path, monkeypatch, restamp)
-    assert np.array_equal(sp1.basis, sp2.basis)
-
-
-def test_cache_entry_with_missing_rows_recomputed(tmp_path, monkeypatch):
-    def drop_rows(arrays):
-        # still orthonormal rows of the full width: only the count tells
-        arrays["basis"] = arrays["basis"][:2]
-
-    sp1, sp2, entry = _tamper_space_entry(tmp_path, monkeypatch, drop_rows)
-    assert sp2.basis.shape == (8, 12)
-    assert np.array_equal(sp1.basis, sp2.basis)
-    assert np.array_equal(entry["basis"], sp1.basis)
-
-
 def test_cli_config_repeatable_operator(tmp_path):
     # a repeatable flag in the file is a comma list, not a string iterated
     # per character ("unknown operator 'g'")
@@ -366,6 +296,26 @@ def test_sweep_tabulates_dual_modes_once_per_degree(monkeypatch, op, s_values,
         n = sum(d == degree and x.shape == pts.shape and np.array_equal(x, pts)
                 for d, x in calls)
         assert n == 1, (p, n)
+
+
+def test_grad1d_sweep_tabulates_no_dual_modes_at_integer_s(monkeypatch):
+    # on the interval only the fractional value norm (0 < s < 1) reads the
+    # degree-(P + 2) modes; there is no gradient dual norm
+    from exseq.refsimplex import Cell
+
+    degrees = []
+    tabulate = Cell.tabulate
+
+    def spy(self, degree, pts):
+        degrees.append(degree)
+        return tabulate(self, degree, pts)
+
+    monkeypatch.setattr(Cell, "tabulate", spy)
+    cfg = st.StudyConfig(operators=("grad1d",), p_min=2, p_max=3,
+                         s_values=(0.0, 1.0))
+    st.run_convergence(cfg)
+    assert degrees
+    assert max(degrees) < cfg.p_min + 1 + cfg.dual_offset
 
 
 def test_sweep_bits_do_not_depend_on_memoised_plans():
