@@ -150,7 +150,7 @@ def deriv_alpha(cell, degree, alpha):
     return np.eye(cell.n_modes(degree)) if mat is None else mat
 
 
-_POINT_BLOCK = 512  # points per gradient tabulation of _deriv_matrices
+_POINT_BLOCK = 512  # points per gradient block: _deriv_matrices, sobolev._stiffness
 
 
 @cache.memo

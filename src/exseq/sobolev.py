@@ -32,30 +32,55 @@ class SobolevGram:
     generalized eigenvalues are >= 1 and fractional powers interpolate the
     integer-order norms exactly at s in {0, 1, 2}.
 
-    The spectrum of A1 is computed only for fractional orders: order 0 is the
-    Euclidean form, and order 1 is the A1 form (a Cholesky solve with A1 for
-    the dual form). Orders above 1 use the (A2, A1) pencil, whose spectrum is
-    computed only for them: the H2 form reads A2 alone. Each lazily built
-    table is read-only, like the memoised Gram that shares it.
+    The modes are hierarchical, so the stiffness of this degree is the
+    leading n x n block of the stiffness of any higher one. With a `top`, A1
+    is I plus that block of `_stiffness(cell, top)`; without one, it is
+    I + sum D_i^T D_i from this degree's derivative matrices. The two agree
+    to roundoff only (see `gram` for who reads which).
+
+    Every table is built on first read and is read-only, like the memoised
+    Gram that shares it, so a form that reads only `n` (order 0) builds
+    nothing. The spectrum of A1 is computed only for fractional orders:
+    order 1 is the A1 form (a Cholesky solve with A1 for the dual form).
+    Orders above 1 use the (A2, A1) pencil, whose spectrum is computed only
+    for them: the H2 form reads A2 alone. A2 always reads this degree's
+    derivative matrices.
     """
 
-    def __init__(self, cell, degree):
+    def __init__(self, cell, degree, top=None):
+        if top is not None and top < degree:
+            raise ValueError(f"stiffness degree {top} below the Gram's {degree}")
         self.cell = cell
         self.degree = degree
+        self.top = top
         self.n = cell.n_modes(degree)
-        D = [ps.deriv_matrix(cell, degree, i) for i in range(cell.dim)]
-        self._D = D
-        S = sum(Di.T @ Di for Di in D)
-        self.A1 = np.eye(self.n) + S
+        self._A1 = None
         self._first = None
         self._cho = None
         self._A2 = None
         self._second = None
 
+    @property
+    def _D(self):
+        """The first-order derivative matrices of this degree."""
+        return [ps.deriv_matrix(self.cell, self.degree, i)
+                for i in range(self.cell.dim)]
+
+    @property
+    def A1(self):
+        """I plus the modal stiffness: the H1 Gram of the modes."""
+        if self._A1 is None:
+            if self.top is None:
+                S = sum(Di.T @ Di for Di in self._D)
+            else:
+                S = _stiffness(self.cell, self.top)[: self.n, : self.n]
+            self._A1 = cache.freeze(np.eye(self.n) + S)
+        return self._A1
+
     def _first_data(self):
         """(clipped eigenvalues, eigenvectors) of A1."""
         if self._first is None:
-            lam, U = scipy.linalg.eigh(self.A1)
+            lam, U = scipy.linalg.eigh(self.A1, driver="evd")
             self._first = cache.freeze((np.clip(lam, 1.0, None), U))
         return self._first
 
@@ -68,12 +93,12 @@ class SobolevGram:
     def A2(self):
         """A1 plus the multinomial-weighted second-derivative Gram."""
         if self._A2 is None:
-            d = self.cell.dim
+            d, D = self.cell.dim, self._D
             A2 = self.A1.copy()
             for i in range(d):
                 for j in range(i, d):
                     w = 1.0 if i == j else 2.0
-                    Mij = self._D[i] @ self._D[j]
+                    Mij = D[i] @ D[j]
                     A2 += w * (Mij.T @ Mij)
             self._A2 = cache.freeze(A2)
         return self._A2
@@ -123,8 +148,34 @@ class SobolevGram:
 
 
 @cache.memo
-def gram(cell, degree):
-    return SobolevGram(cell, degree)
+def gram(cell, degree, top=None):
+    """The memoised `SobolevGram` of (cell, degree); with `top`, its A1 is
+    the leading block of the degree-`top` stiffness table.
+
+    The rate sweep reads its dual and fractional norms this way, from one
+    table per cell. The best-approximation forms (the H1full, H2 and H1curl
+    denominators) keep the per-degree Gram: at high degree their values sit
+    on a roundoff floor, which the two routes place differently.
+    """
+    return SobolevGram(cell, degree, top)
+
+
+@cache.memo
+def _stiffness(cell, top):
+    """The modal stiffness sum_i G_i W G_i^T of degree `top`, straight from
+    the gradient tables: the degree-(2 top - 2) rule is exact for products
+    of gradients of degree top - 1, and the points are summed a block at a
+    time. No derivative matrix or value table is formed."""
+    q = quadrature(cell, max(2 * top - 2, 0))
+    root = np.sqrt(q.weights)
+    S = np.zeros((cell.n_modes(top), cell.n_modes(top)))
+    for start in range(0, len(root), ps._POINT_BLOCK):
+        block = slice(start, start + ps._POINT_BLOCK)
+        for direction in range(cell.dim):
+            G = cell.tabulate_grad(top, q.points[block], direction)
+            G *= root[block]
+            S += G @ G.T
+    return S
 
 
 def fractional_norm(g, coeffs, s):
@@ -246,7 +297,7 @@ def error_in_norm(space, field, slots, quad, norm, table=None):
 
 
 def best_approx(space, field, norm="L2", rich_degree=None, s=0.5, quad=None,
-                table=None):
+                table=None, top=None):
     """Best approximation of an analytic field in `space`.
 
     norm:
@@ -264,12 +315,15 @@ def best_approx(space, field, norm="L2", rich_degree=None, s=0.5, quad=None,
     quad defaults to the rule of degree min(2 * degree + 14, 40). The integer
     norms read one modal table of the space's degree at its points, for the
     pairings and the error alike: `table` if given, else a fresh one. The
-    fractional norms pair with the rich modes and read no such table.
+    fractional norms pair with the rich modes and read no such table; their
+    rich-degree Gram is `gram(cell, rich_degree, top)`. The integer norms
+    always read the per-degree Gram (see `gram`).
     """
     cell = space.cell
     q = quadrature(cell, min(2 * space.degree + 14, 40)) if quad is None else quad
     if norm in ("Hhalf", "Hhalf_div", "Hhalf_curl"):
-        return _fractional_best_approx(space, field, norm, s, rich_degree, q)
+        return _fractional_best_approx(space, field, norm, s, rich_degree, q,
+                                       top)
     if norm not in _ORDER:
         raise ValueError(f"unknown norm {norm!r}")
     V = cell.tabulate(space.degree, q.points) if table is None else table
@@ -320,13 +374,13 @@ def _h1curl_minimizer(space, field, q, V):
 
 
 @cache.memo
-def _fractional_matrices(space, norm, s, P):
-    """Field-independent structures of the rich-space fractional minimizer:
-    the factored form and, per block (the value, then for graph norms the
-    derivative), the rows and the H_s images of their rich-degree copies,
-    (dim, value_dim, n_modes(P))."""
+def _fractional_matrices(space, norm, s, P, top):
+    """Field-independent structures of the rich-space fractional minimizer
+    on `gram(cell, P, top)`: the factored form and, per block (the value,
+    then for graph norms the derivative), the rows and the H_s images of
+    their rich-degree copies, (dim, value_dim, n_modes(P))."""
     cell = space.cell
-    g = gram(cell, P)
+    g = gram(cell, P, top)
     blocks = [(space.basis, space.value_dim)]
     name = _graph_derivative(norm, cell.dim)
     if name:
@@ -342,11 +396,11 @@ def _fractional_matrices(space, norm, s, P):
     return scipy.linalg.cho_factor(A), parts
 
 
-def _fractional_best_approx(space, field, norm, s, rich_degree, q):
+def _fractional_best_approx(space, field, norm, s, rich_degree, q, top):
     cell = space.cell
     P = rich_degree or (space.degree + 6)
-    g = gram(cell, P)
-    cho, parts = _fractional_matrices(space, norm, s, P)
+    g = gram(cell, P, top)
+    cho, parts = _fractional_matrices(space, norm, s, P, top)
     name = _graph_derivative(norm, cell.dim)
     fields = [field] + ([DERIVATIVES[name].field(field)] if name else [])
     cols = [f(q.points).reshape(len(q.weights), -1) for f in fields]

@@ -63,17 +63,31 @@ class StudyConfig:
             raise ValueError("invalid degree range")
         if self.dual_offset < 2:
             raise ValueError("dual-test offset must be at least 2")
+        for op, p, s, top in self._gram_tops():
+            # a Gram's derivative matrices use a rule of twice its degree
+            if 2 * top > MAX_QUAD_DEGREE:
+                raise ValueError(
+                    f"{op} at p={p}, s={s:g} needs a degree-{top} "
+                    f"Sobolev Gram, whose rule of degree {2 * top} is "
+                    f"beyond the quadrature cap {MAX_QUAD_DEGREE}")
+
+    def _gram_tops(self):
+        """(op, p, s, the highest degree of the Grams its records build)."""
         for op in self.operators:
             for s in self.s_values:
                 for p in range(self.p_min, self.p_max + 1):
-                    # a Gram's derivative matrices use a rule of twice its degree
-                    top = max(_gram_degrees(op, p, s, self.dual_offset),
-                              default=0)
-                    if 2 * top > MAX_QUAD_DEGREE:
-                        raise ValueError(
-                            f"{op} at p={p}, s={s:g} needs a degree-{top} "
-                            f"Sobolev Gram, whose rule of degree {2 * top} is "
-                            f"beyond the quadrature cap {MAX_QUAD_DEGREE}")
+                    yield op, p, s, max(
+                        _gram_degrees(op, p, s, self.dual_offset), default=0)
+
+    def stiffness_tops(self):
+        """Per cell dimension, the highest Gram degree of the sweep: the
+        degree of the one stiffness table its dual and fractional norms
+        slice (see `sobolev.gram`)."""
+        tops = {}
+        for op, _, _, top in self._gram_tops():
+            dim = ca.OPERATORS[op][0]
+            tops[dim] = max(tops.get(dim, 0), top)
+        return tops
 
 
 def _gram_degrees(op, p, s, dual_offset):
@@ -158,11 +172,12 @@ def _error_l2_parts(plan, field, slots, pts, w, V):
     return l2, float(np.sqrt(sb._l2sq(w, de))), (e, de, pts, w)
 
 
-def _dual_norm(cell, P, s, pairings):
+def _dual_norm(cell, P, s, pairings, top):
     """Dual H^s norm over P_P(cell) of modal pairings (k, nm) taken with a
     table of degree >= P. Modes nest by degree, so the leading n_modes(P)
-    columns are the degree-P pairings."""
-    g = sb.gram(cell, P)
+    columns are the degree-P pairings, and the Gram is the leading block of
+    the degree-`top` stiffness."""
+    g = sb.gram(cell, P, top)
     return sb.dual_norm(g, pairings[:, : g.n], s)
 
 
@@ -175,23 +190,34 @@ def run_convergence(cfg):
     time. Records are sorted at the end, so the loop order does not reach the
     output.
 
+    The dual norms, the fractional value norms and the fractional
+    denominators read their Grams as leading blocks of one stiffness table
+    per cell, built once at the sweep's highest Gram degree for that cell's
+    dimension (`StudyConfig.stiffness_tops`). The integer denominators (H2,
+    H1curl, H1full) keep their per-degree Grams: at p = 9 and 10 their
+    values sit on the roundoff floor that criterion 08 reads, and the two
+    routes agree to roundoff only.
+
     slopes: list of {operator, field, s, slope} fitted on log(ratio) against
     log(p) over the upper half of the degree range.
     """
     cfg.validate()
+    tops = cfg.stiffness_tops()
     records = []
     for op in sorted(cfg.operators):
         flds = fields_for(op, cfg.suite)
+        top = tops[ca.OPERATORS[op][0]]
         for p in range(cfg.p_min, cfg.p_max + 1):
-            records += _degree_records(op, p, flds, cfg)
+            records += _degree_records(op, p, flds, cfg, top)
     records.sort(key=lambda r: (r.operator, r.field, r.s, r.norm_id, r.p))
     slopes = fit_slopes(records, cfg)
     return records, slopes
 
 
-def _degree_records(op, p, flds, cfg):
+def _degree_records(op, p, flds, cfg, top):
     """The records of one (operator, p); its plan and tables are locals,
-    freed on return."""
+    freed on return. `top` is the degree of the stiffness table that the
+    dual and fractional Grams slice."""
     plan = pj.ProjectorPlan(op, p)
     target = plan.target
     cell = target.cell
@@ -207,6 +233,7 @@ def _degree_records(op, p, flds, cfg):
     if den_s is not None:
         kwargs["s"] = den_s
         kwargs["rich_degree"] = target.degree + cfg.dual_offset
+        kwargs["top"] = top
     parts = [_error_l2_parts(plan, f, plan.apply(f), *errors) for f in flds]
     records = []
     for f, part, b in zip(flds, parts, _dual_pairings(op, p, cfg, cell, parts)):
@@ -214,7 +241,7 @@ def _degree_records(op, p, flds, cfg):
                                 **kwargs)
         for s in cfg.s_values:
             records += _records_for(op, p, f, s, part, den, b, cfg.dual_offset,
-                                    cell)
+                                    cell, top)
     return records
 
 
@@ -239,8 +266,9 @@ def _dual_pairings(op, p, cfg, cell, parts):
             for _, _, (e, de, _, _) in parts]
 
 
-def _records_for(op, p, f, s, parts, den, b, dual_offset, cell):
-    """The records of one (field, s); b is the field's `_dual_pairings`."""
+def _records_for(op, p, f, s, parts, den, b, dual_offset, cell, top):
+    """The records of one (field, s); b is the field's `_dual_pairings`, and
+    the norms' Grams are leading blocks of the degree-`top` stiffness."""
     dim, slot = ca.OPERATORS[op]
 
     def record(norm_id, err, pstab=float("nan")):
@@ -258,19 +286,19 @@ def _records_for(op, p, f, s, parts, den, b, dual_offset, cell):
         elif s >= 1.0:
             out = [record("L2", l2)]
         else:
-            g = sb.gram(cell, P)
+            g = sb.gram(cell, P, top)
             out = [record(f"H{1 - s:g}",
                           sb.fractional_norm(g, b[0, : g.n], 1.0 - s))]
         if dim > 1:
-            dn = _dual_norm(cell, P, s, b[1:])
-            dn2 = _dual_norm(cell, P + 2, s, b[1:])
+            dn = _dual_norm(cell, P, s, b[1:], top)
+            dn2 = _dual_norm(cell, P + 2, s, b[1:], top)
             out.append(record("grad_dual", dn,
                               abs(dn2 - dn) / dn if dn > 0 else 0.0))
         return out
     # curl / div graph norms
     if s <= 0.0:
         return [record("Hgraph", float(np.sqrt(l2**2 + dl2**2)))]
-    return [record(f"Hdual{s:g}", _dual_norm(cell, P, s, b))]
+    return [record(f"Hdual{s:g}", _dual_norm(cell, P, s, b, top))]
 
 
 def fit_slopes(records, cfg):

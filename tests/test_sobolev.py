@@ -223,3 +223,55 @@ def test_integer_orders_need_no_spectrum(dim, rng, monkeypatch):
             float(np.sum(lam**s * y**2)), rel=1e-12)
         assert got["dual_quadform", s] == pytest.approx(
             float(np.sum(lam ** (-s) * y**2)), rel=1e-12)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_stiffness_leading_blocks_match_per_degree(dim):
+    # the modes nest, so the degree-4 and degree-8 stiffness are leading
+    # blocks of the degree-12 table; measured margin: at most 2.5e-14 of the
+    # largest entry, against the 1e-12 asserted
+    cell = make_reference_cell(dim).cell
+    S = sb._stiffness(cell, 12)
+    assert not S.flags.writeable
+    for degree in (4, 8):
+        n = cell.n_modes(degree)
+        D = [ps.deriv_matrix(cell, degree, i) for i in range(dim)]
+        ref = sum(Di.T @ Di for Di in D)
+        assert np.abs(S[:n, :n] - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_leading_block_gram_norms_match_per_degree(dim, rng):
+    # measured margin: at most 4.8e-15 relative, against the 1e-10 asserted
+    cell = make_reference_cell(dim).cell
+    P, top = 6, 12
+    g, gt = sb.gram(cell, P), sb.gram(cell, P, top)
+    assert gt is not g and gt.n == g.n
+    q = quadrature(cell, 2 * top)
+    f = [f for f in fl.suite("entire", dim) if f.value_dim == 1][0]
+    b = sb.mode_pairings(cell.tabulate(P, q.points), q.weights, f(q.points))
+    c = rng.standard_normal(g.n)
+    for s in (0.25, 0.5, 1.0):
+        assert sb.dual_norm(gt, b, s) == pytest.approx(sb.dual_norm(g, b, s),
+                                                       rel=1e-10)
+        assert sb.fractional_norm(gt, c, s) == pytest.approx(
+            sb.fractional_norm(g, c, s), rel=1e-10)
+
+
+def test_gram_builds_its_tables_on_first_read(rc3, monkeypatch):
+    # order 0 reads only the mode count; A1 and the stiffness wait for a
+    # form that reads them
+    calls = []
+    stiffness = sb._stiffness
+    monkeypatch.setattr(sb, "_stiffness",
+                        lambda *a: calls.append(a) or stiffness(*a))
+    g = sb.SobolevGram(rc3.cell, 5, 7)
+    c = np.ones(g.n)
+    assert sb.dual_norm(g, c, 0.0) == pytest.approx(np.sqrt(g.n), rel=1e-14)
+    assert g._A1 is None and not calls
+    n = g.n
+    assert g.A1 is g.A1 and not g.A1.flags.writeable
+    assert np.array_equal(g.A1, np.eye(n) + stiffness(rc3.cell, 7)[:n, :n])
+    assert len(calls) == 1
+    with pytest.raises(ValueError, match="below"):
+        sb.SobolevGram(rc3.cell, 5, 4)

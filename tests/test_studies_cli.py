@@ -217,9 +217,9 @@ def test_gram_degrees_are_the_grams_a_sweep_builds(op, monkeypatch):
     built = set()
     gram = sb.gram
 
-    def spy(cell, degree):
+    def spy(cell, degree, top=None):
         built.add(degree)
-        return gram(cell, degree)
+        return gram(cell, degree, top)
 
     monkeypatch.setattr(sb, "gram", spy)
     s_values = (0.0, 0.5, 1.0)
@@ -332,3 +332,55 @@ def test_sweep_bits_do_not_depend_on_memoised_plans():
     warm, _ = st.run_convergence(cfg)
     assert st.format_rows(st.records_to_rows(cold), "csv") == st.format_rows(
         st.records_to_rows(warm), "csv")
+
+
+def _spy_gram_tables(monkeypatch):
+    """Record the (dim, degree) of every derivative-matrix set and stiffness
+    table the package asks for, memo hits included."""
+    from exseq import polyspace as ps
+    from exseq import sobolev as sb
+
+    deriv, stiff = [], []
+    deriv_matrices, stiffness = ps._deriv_matrices, sb._stiffness
+
+    def deriv_spy(cell, degree):
+        deriv.append((cell.dim, degree))
+        return deriv_matrices(cell, degree)
+
+    def stiffness_spy(cell, top):
+        stiff.append((cell.dim, top))
+        return stiffness(cell, top)
+
+    monkeypatch.setattr(ps, "_deriv_matrices", deriv_spy)
+    monkeypatch.setattr(sb, "_stiffness", stiffness_spy)
+    return deriv, stiff
+
+
+def test_sweep_at_s0_builds_no_dual_gram_tables(monkeypatch):
+    # at s = 0 the gradient's dual norm and its P-stability read only the
+    # Grams' sizes: only the H2 denominators' target degrees are built
+    deriv, stiff = _spy_gram_tables(monkeypatch)
+    cfg = st.StudyConfig(operators=("grad3d",), p_min=2, p_max=3,
+                         s_values=(0.0,))
+    st.run_convergence(cfg)
+    assert {d for dim, d in deriv if dim == 3} == {3, 4}
+    assert not stiff
+
+
+def test_sweep_slices_one_stiffness_table_at_its_top(monkeypatch):
+    # the dual norms at s = 1 and the div3d fractional surrogate read leading
+    # blocks of one stiffness table at the config's top; the tet derivative
+    # matrices serve only the target degrees
+    from exseq import cache
+
+    deriv, stiff = _spy_gram_tables(monkeypatch)
+    cfg = st.StudyConfig(operators=("grad3d", "div3d"), p_min=1, p_max=2,
+                         s_values=(0.0, 1.0))
+    top = cfg.p_max + 1 + cfg.dual_offset + 2  # grad3d's P + 2 at p_max
+    assert cfg.stiffness_tops() == {3: top}
+    cache.clear()
+    st.run_convergence(cfg)
+    assert {d for dim, d in deriv if dim == 3} == {2, 3}
+    assert set(stiff) == {(3, top)}
+    assert len([k for k in cache._entries
+                if k[0] == "exseq.sobolev._stiffness"]) == 1
