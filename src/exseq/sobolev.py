@@ -153,9 +153,13 @@ def gram(cell, degree, top=None):
     the leading block of the degree-`top` stiffness table.
 
     The rate sweep reads its dual and fractional norms this way, from one
-    table per cell. The best-approximation forms (the H1full, H2 and H1curl
-    denominators) keep the per-degree Gram: at high degree their values sit
-    on a roundoff floor, which the two routes place differently.
+    table per cell; they stay memoised across degrees, since the P + 2 Gram
+    of degree p is the P Gram of degree p + 2. The best-approximation forms
+    (the H1full, H2 and H1curl denominators) keep the per-degree Gram: at
+    high degree their values sit on a roundoff floor, which the two routes
+    place differently. The fractional denominators' rich Gram is not read
+    from here: `best_approx` builds its own for each call, so its spectrum
+    lives for one degree.
     """
     return SobolevGram(cell, degree, top)
 
@@ -296,9 +300,9 @@ def error_in_norm(space, field, slots, quad, norm, table=None):
     return float(np.sqrt(total))
 
 
-def best_approx(space, field, norm="L2", rich_degree=None, s=0.5, quad=None,
+def best_approx(space, fields, norm="L2", rich_degree=None, s=0.5, quad=None,
                 table=None, top=None):
-    """Best approximation of an analytic field in `space`.
+    """Best approximations of a sequence of analytic fields in `space`.
 
     norm:
       L2       plain L2 projection
@@ -308,43 +312,54 @@ def best_approx(space, field, norm="L2", rich_degree=None, s=0.5, quad=None,
       Hhalf    fractional H^s minimization through a rich-space surrogate
       Hhalf_div, Hhalf_curl   graph-norm surrogates ||.||_{H^s}^2 + ||D.||_{H^s}^2
 
-    Returns (slot coefficients, error) where the error is the quadrature
-    error in the norm for integer norms and the surrogate-form error for the
-    fractional ones.
+    Returns one (slot coefficients, error) pair per field, where the error is
+    the quadrature error in the norm for integer norms and the surrogate-form
+    error for the fractional ones.
 
     quad defaults to the rule of degree min(2 * degree + 14, 40). The integer
     norms read one modal table of the space's degree at its points, for the
     pairings and the error alike: `table` if given, else a fresh one. The
-    fractional norms pair with the rich modes and read no such table; their
-    rich-degree Gram is `gram(cell, rich_degree, top)`. The integer norms
-    always read the per-degree Gram (see `gram`).
+    fractional norms pair with the rich modes and read no such table.
+
+    The field-independent forms live for this call only and serve every
+    field: the H2/H1full Gram of the basis, the H1curl Cholesky factor, and
+    the fractional surrogate's rich `SobolevGram(cell, rich_degree, top)`,
+    its factor, H_s images and rich modal table. Only the integer norms'
+    per-degree Gram is memoised (see `gram`). Each field still has its own
+    pairings, solve and error.
     """
     cell = space.cell
     q = quadrature(cell, min(2 * space.degree + 14, 40)) if quad is None else quad
     if norm in ("Hhalf", "Hhalf_div", "Hhalf_curl"):
-        return _fractional_best_approx(space, field, norm, s, rich_degree, q,
+        return _fractional_best_approx(space, fields, norm, s, rich_degree, q,
                                        top)
     if norm not in _ORDER:
         raise ValueError(f"unknown norm {norm!r}")
     V = cell.tabulate(space.degree, q.points) if table is None else table
 
-    if norm == "L2":
-        b = mode_pairings(V, q.weights, field(q.points)).ravel()
-        coords = space.basis @ b
-    elif norm in ("H1full", "H2"):
+    if norm in ("H1full", "H2"):
         g = gram(cell, space.degree)
         A = _form_on(space, g.A1 if norm == "H1full" else g.A2)
-        rhs = _jet_pairings(space, field, q, _ORDER[norm], V)
-        coords = np.linalg.solve(A, rhs)
-    else:
-        coords = _h1curl_minimizer(space, field, q, V)
+    elif norm == "H1curl":
+        cho, dcomp = _h1curl_form(space)
+    out = []
+    for field in fields:
+        if norm == "L2":
+            b = mode_pairings(V, q.weights, field(q.points)).ravel()
+            coords = space.basis @ b
+        elif norm == "H1curl":
+            coords = _h1curl_minimizer(space, field, q, V, cho, dcomp)
+        else:
+            rhs = _jet_pairings(space, field, q, _ORDER[norm], V)
+            coords = np.linalg.solve(A, rhs)
+        slots = coords @ space.basis
+        out.append((slots, error_in_norm(space, field, slots, q, norm, V)))
+    return out
 
-    slots = coords @ space.basis
-    return slots, error_in_norm(space, field, slots, q, norm, V)
 
-
-@cache.memo
-def _h1curl_matrices(space):
+def _h1curl_form(space):
+    """The Cholesky factor of the (H1, curl-H1) Gram of the space's basis,
+    and the component rows of the basis's curls."""
     cell = space.cell
     g = gram(cell, space.degree)
     curl = derivative_name("curl", cell.dim)
@@ -354,11 +369,10 @@ def _h1curl_matrices(space):
     return scipy.linalg.cho_factor(A), curls.components(curls.basis)
 
 
-def _h1curl_minimizer(space, field, q, V):
+def _h1curl_minimizer(space, field, q, V, cho, dcomp):
     cell = space.cell
     d, vd = cell.dim, space.value_dim
     comps = space.components(space.basis)
-    cho, dcomp = _h1curl_matrices(space)
     curl = DERIVATIVES[derivative_name("curl", d)].field(field)
     # rhs: (u, phi)_{H1} + (curl u, curl phi)_{H1}, all pairings in one product
     alphas = [alpha for alpha, _ in _derivative_multiindices(d, 1)]
@@ -373,14 +387,15 @@ def _h1curl_minimizer(space, field, q, V):
     return scipy.linalg.cho_solve(cho, rhs)
 
 
-@cache.memo
-def _fractional_matrices(space, norm, s, P, top):
-    """Field-independent structures of the rich-space fractional minimizer
-    on `gram(cell, P, top)`: the factored form and, per block (the value,
-    then for graph norms the derivative), the rows and the H_s images of
-    their rich-degree copies, (dim, value_dim, n_modes(P))."""
+def _fractional_best_approx(space, fields, norm, s, rich_degree, q, top):
+    """The rich-space fractional minimizers of the fields, on one
+    `SobolevGram(cell, P, top)` built for this call: the factored form and,
+    per block (the value, then for graph norms the derivative), the rows and
+    the H_s images of their rich-degree copies, (dim, value_dim, n_modes(P)),
+    serve every field, and so does one rich modal table on the rule."""
     cell = space.cell
-    g = gram(cell, P, top)
+    P = rich_degree or (space.degree + 6)
+    g = SobolevGram(cell, P, top)
     blocks = [(space.basis, space.value_dim)]
     name = _graph_derivative(norm, cell.dim)
     if name:
@@ -393,32 +408,29 @@ def _fractional_matrices(space, norm, s, P, top):
         Hs = np.stack([_apply_hs(g, R[:, c], s) for c in range(vd)], axis=1)
         A = A + sum(Hs[:, c] @ R[:, c].T for c in range(vd))
         parts.append((rows, Hs))
-    return scipy.linalg.cho_factor(A), parts
-
-
-def _fractional_best_approx(space, field, norm, s, rich_degree, q, top):
-    cell = space.cell
-    P = rich_degree or (space.degree + 6)
-    g = gram(cell, P, top)
-    cho, parts = _fractional_matrices(space, norm, s, P, top)
-    name = _graph_derivative(norm, cell.dim)
-    fields = [field] + ([DERIVATIVES[name].field(field)] if name else [])
-    cols = [f(q.points).reshape(len(q.weights), -1) for f in fields]
-    # pairings of u (and of D u) with the rich modes in one product
-    b = mode_pairings(cell.tabulate(P, q.points), q.weights, np.column_stack(cols))
-    b = np.split(b, np.cumsum([c.shape[1] for c in cols])[:-1])
-    rhs = 0
-    for (_, Hs), bk in zip(parts, b):
-        rhs = rhs + sum(Hs[:, c] @ bk[c] for c in range(len(bk)))
-    coords = scipy.linalg.cho_solve(cho, rhs)
-    slots = coords @ space.basis
-    # surrogate error: H_s distance inside the rich space
-    err2 = 0
-    for (rows, Hs), bk in zip(parts, b):
-        R = ps.pad_slots(rows, cell, Hs.shape[1], space.degree, P)
-        diff = bk - np.tensordot(coords, R.reshape(Hs.shape), axes=(0, 0))
-        err2 += sum(g.fractional_quadform(diff[c], s) for c in range(len(diff)))
-    return slots, float(np.sqrt(max(err2, 0.0)))
+    cho = scipy.linalg.cho_factor(A)
+    V = cell.tabulate(P, q.points)
+    out = []
+    for field in fields:
+        fs = [field] + ([DERIVATIVES[name].field(field)] if name else [])
+        cols = [f(q.points).reshape(len(q.weights), -1) for f in fs]
+        # pairings of u (and of D u) with the rich modes in one product
+        b = mode_pairings(V, q.weights, np.column_stack(cols))
+        b = np.split(b, np.cumsum([c.shape[1] for c in cols])[:-1])
+        rhs = 0
+        for (_, Hs), bk in zip(parts, b):
+            rhs = rhs + sum(Hs[:, c] @ bk[c] for c in range(len(bk)))
+        coords = scipy.linalg.cho_solve(cho, rhs)
+        slots = coords @ space.basis
+        # surrogate error: H_s distance inside the rich space
+        err2 = 0
+        for (rows, Hs), bk in zip(parts, b):
+            R = ps.pad_slots(rows, cell, Hs.shape[1], space.degree, P)
+            diff = bk - np.tensordot(coords, R.reshape(Hs.shape), axes=(0, 0))
+            err2 += sum(g.fractional_quadform(diff[c], s)
+                        for c in range(len(diff)))
+        out.append((slots, float(np.sqrt(max(err2, 0.0)))))
+    return out
 
 
 def _apply_hs(g, X, s):

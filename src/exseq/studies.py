@@ -187,8 +187,10 @@ def run_convergence(cfg):
     Each (operator, p) builds its plan once, unmemoised, for all its fields,
     and tabulates its target's modes and its dual test modes once each on the
     study rule; all live for that degree only, so a sweep holds one plan at a
-    time. Records are sorted at the end, so the loop order does not reach the
-    output.
+    time, and frees it before the denominators. The denominators' forms (the
+    H1curl factor, the fractional surrogate's rich Gram, factor and table)
+    are built once per degree for all its fields and freed with it. Records
+    are sorted at the end, so the loop order does not reach the output.
 
     The dual norms, the fractional value norms and the fractional
     denominators read their Grams as leading blocks of one stiffness table
@@ -215,9 +217,10 @@ def run_convergence(cfg):
 
 
 def _degree_records(op, p, flds, cfg, top):
-    """The records of one (operator, p); its plan and tables are locals,
-    freed on return. `top` is the degree of the stiffness table that the
-    dual and fractional Grams slice."""
+    """The records of one (operator, p). Its plan lives until the fields are
+    interpolated; only its target is read after that. The tables and the
+    denominators' forms are locals, freed on return. `top` is the degree of
+    the stiffness table that the dual and fractional Grams slice."""
     plan = pj.ProjectorPlan(op, p)
     target = plan.target
     cell = target.cell
@@ -235,10 +238,12 @@ def _degree_records(op, p, flds, cfg, top):
         kwargs["rich_degree"] = target.degree + cfg.dual_offset
         kwargs["top"] = top
     parts = [_error_l2_parts(plan, f, plan.apply(f), *errors) for f in flds]
+    del plan
+    pairings = _dual_pairings(op, p, cfg, cell, parts)
+    dens = [den for _, den in sb.best_approx(target, flds, den_norm, quad=study,
+                                             table=table, **kwargs)]
     records = []
-    for f, part, b in zip(flds, parts, _dual_pairings(op, p, cfg, cell, parts)):
-        _, den = sb.best_approx(target, f, den_norm, quad=study, table=table,
-                                **kwargs)
+    for f, part, den, b in zip(flds, parts, dens, pairings):
         for s in cfg.s_values:
             records += _records_for(op, p, f, s, part, den, b, cfg.dual_offset,
                                     cell, top)

@@ -307,7 +307,7 @@ def test_criterion_09_interval_operator(capsys):
                 np.abs(plan.target.evaluate(slots, ends) - f(ends)).max(),
             )
             err = sb.error_in_norm(plan.target, f, slots, gq, "H1full")
-            _, den = sb.best_approx(plan.target, f, "H1full", quad=gq)
+            [(_, den)] = sb.best_approx(plan.target, [f], "H1full", quad=gq)
             if err <= 1e-11 * scale:
                 continue  # both sides converged to the roundoff floor
             worst_ratio = max(worst_ratio, err / den)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -376,6 +378,53 @@ def test_eval_rows_of_no_rows(rc3):
     for vd in (1, 3):
         rows = np.zeros((0, vd * rc3.cell.n_modes(3)))
         assert pj._eval_rows(rc3.cell, vd, 3, rows, pts).shape == (0, len(pts), vd)
+
+
+def _three_table_moments(V, weights, rows, frame=None):
+    """Stage moments as `_weighted(_rows_at(V, vd, rows), weights)` forms
+    them: the product, a weighted copy in the moved layout, and a C-order
+    copy of that."""
+    vd = rows.shape[1] // len(V)
+    vals = (rows.reshape(-1, len(V)) @ V).reshape(len(rows), vd, V.shape[1])
+    vals = np.moveaxis(vals, 1, 2)
+    if frame is not None:
+        vals = np.einsum("mpl,kl->mpk", vals, frame)
+    w = vals * weights[None, :, None]
+    return w.reshape(len(rows), int(np.prod(vals.shape[1:])))
+
+
+@pytest.mark.parametrize("case", ["volume", "face frame", "no rows"])
+def test_moments_equal_the_three_table_formula_bitwise(case, rc3, rng):
+    if case == "face frame":
+        face = rc3.faces[2]
+        cell, vd, frame = face.cell, 2, face.frame
+    else:
+        cell, vd, frame = rc3.cell, 3, None
+    q = quadrature(cell, 9)
+    V = cell.tabulate(4, q.points)
+    rows = rng.standard_normal((0 if case == "no rows" else 7, vd * len(V)))
+    ref = _three_table_moments(V, q.weights, rows, frame)
+    got = pj._moments(V, q.weights, rows, frame)
+    assert got.shape == ref.shape
+    assert got.dtype == ref.dtype
+    assert np.array_equal(got, ref)
+
+
+def test_moments_hold_two_tables(rc3, rng):
+    # the parent's product, weighted copy and reshape copy peaked at about
+    # three output tables; in-place weighting and one transposed copy at two
+    cell = rc3.cell
+    q = quadrature(cell, 16)
+    V = cell.tabulate(6, q.points)
+    rows = rng.standard_normal((60, 3 * len(V)))
+    table = len(rows) * 3 * len(q.weights) * 8
+    tracemalloc.start()
+    try:
+        pj._moments(V, q.weights, rows)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.2 * table
 
 
 

@@ -212,16 +212,20 @@ def test_config_rejects_degrees_beyond_the_quadrature_cap():
 
 @pytest.mark.parametrize("op", sorted(ca.OPERATORS))
 def test_gram_degrees_are_the_grams_a_sweep_builds(op, monkeypatch):
+    # every Gram is constructed here, memoised or built for one
+    # `best_approx` call; a cleared memo makes each memoised one new
+    from exseq import cache
     from exseq import sobolev as sb
 
     built = set()
-    gram = sb.gram
+    init = sb.SobolevGram.__init__
 
-    def spy(cell, degree, top=None):
+    def spy(self, cell, degree, top=None):
         built.add(degree)
-        return gram(cell, degree, top)
+        init(self, cell, degree, top)
 
-    monkeypatch.setattr(sb, "gram", spy)
+    monkeypatch.setattr(sb.SobolevGram, "__init__", spy)
+    cache.clear()
     s_values = (0.0, 0.5, 1.0)
     st.run_convergence(st.StudyConfig(operators=(op,), p_min=1, p_max=1,
                                       s_values=s_values, dual_offset=2))
@@ -245,8 +249,9 @@ def test_sweep_keeps_no_plan_in_the_memo():
                 if k[0] == "exseq.projectors.build_plan"]
 
 
-def test_sweep_tabulates_each_target_once_on_the_study_rule(monkeypatch):
-    from exseq.refsimplex import Cell, make_reference_cell, quadrature
+def _spy_tabulate(monkeypatch):
+    """Record the (degree, points) of every `Cell.tabulate` call."""
+    from exseq.refsimplex import Cell
 
     calls = []
     tabulate = Cell.tabulate
@@ -256,6 +261,19 @@ def test_sweep_tabulates_each_target_once_on_the_study_rule(monkeypatch):
         return tabulate(self, degree, pts)
 
     monkeypatch.setattr(Cell, "tabulate", spy)
+    return calls
+
+
+def _calls_on(calls, degree, pts):
+    """How many recorded calls tabulate `degree` on exactly `pts`."""
+    return sum(d == degree and x.shape == pts.shape and np.array_equal(x, pts)
+               for d, x in calls)
+
+
+def test_sweep_tabulates_each_target_once_on_the_study_rule(monkeypatch):
+    from exseq.refsimplex import make_reference_cell, quadrature
+
+    calls = _spy_tabulate(monkeypatch)
     cell = make_reference_cell(3).cell
     for op in _SWEEP_OPS:
         cfg = _small_sweep((op,))
@@ -265,8 +283,7 @@ def test_sweep_tabulates_each_target_once_on_the_study_rule(monkeypatch):
         for p in range(cfg.p_min, cfg.p_max + 1):
             degree = p + 1  # the degree of every 3D target
             pts = quadrature(cell, min(2 * degree + 14, 40)).points
-            n = sum(d == degree and x.shape == pts.shape
-                    and np.array_equal(x, pts) for d, x in calls)
+            n = _calls_on(calls, degree, pts)
             assert n == 1, (op, p, n)
 
 
@@ -276,16 +293,9 @@ def test_sweep_tabulates_each_target_once_on_the_study_rule(monkeypatch):
 ])
 def test_sweep_tabulates_dual_modes_once_per_degree(monkeypatch, op, s_values,
                                                     offset):
-    from exseq.refsimplex import Cell, make_reference_cell, quadrature
+    from exseq.refsimplex import make_reference_cell, quadrature
 
-    calls = []
-    tabulate = Cell.tabulate
-
-    def spy(self, degree, pts):
-        calls.append((degree, np.array(pts)))
-        return tabulate(self, degree, pts)
-
-    monkeypatch.setattr(Cell, "tabulate", spy)
+    calls = _spy_tabulate(monkeypatch)
     cell = make_reference_cell(3).cell
     cfg = st.StudyConfig(operators=(op,), p_min=1, p_max=2, s_values=s_values)
     assert len(st.fields_for(op, cfg.suite)) == 2
@@ -293,9 +303,61 @@ def test_sweep_tabulates_dual_modes_once_per_degree(monkeypatch, op, s_values,
     for p in range(cfg.p_min, cfg.p_max + 1):
         degree = p + 1 + cfg.dual_offset + offset
         pts = quadrature(cell, min(2 * (p + 1) + 14, 40)).points
-        n = sum(d == degree and x.shape == pts.shape and np.array_equal(x, pts)
-                for d, x in calls)
+        n = _calls_on(calls, degree, pts)
         assert n == 1, (p, n)
+
+
+def test_div3d_sweep_tabulates_its_rich_modes_once_per_degree(monkeypatch):
+    # the fractional denominator pairs every field with one degree-(p + 7)
+    # table on the study rule; at s = 0 no dual norm reads that degree
+    from exseq.refsimplex import make_reference_cell, quadrature
+
+    calls = _spy_tabulate(monkeypatch)
+    cell = make_reference_cell(3).cell
+    cfg = st.StudyConfig(operators=("div3d",), p_min=2, p_max=3,
+                         s_values=(0.0,))
+    assert len(st.fields_for("div3d", cfg.suite)) == 2
+    st.run_convergence(cfg)
+    for p in range(cfg.p_min, cfg.p_max + 1):
+        pts = quadrature(cell, min(2 * (p + 1) + 14, 40)).points
+        n = _calls_on(calls, p + 1 + cfg.dual_offset, pts)
+        assert n == 1, (p, n)
+
+
+def test_sweep_keeps_one_degree_alive_around_its_denominators(monkeypatch):
+    # each degree's plan is dead once its fields are interpolated, before
+    # its denominators; and no memo entry keeps the spectrum of a
+    # denominator's rich Gram, which is built for one `best_approx` call
+    import weakref
+
+    from exseq import cache
+    from exseq import projectors as pj
+    from exseq import sobolev as sb
+
+    plans, calls = [], []
+    ProjectorPlan, best_approx = pj.ProjectorPlan, sb.best_approx
+
+    def plan_spy(op, p):
+        plan = ProjectorPlan(op, p)
+        plans.append(weakref.ref(plan))
+        return plan
+
+    def best_approx_spy(*args, **kwargs):
+        calls.append([ref() is None for ref in plans])
+        return best_approx(*args, **kwargs)
+
+    monkeypatch.setattr(pj, "ProjectorPlan", plan_spy)
+    monkeypatch.setattr(sb, "best_approx", best_approx_spy)
+    cfg = st.StudyConfig(operators=("curl3d", "div3d"), p_min=2, p_max=3,
+                         s_values=(0.0,))
+    cache.clear()
+    st.run_convergence(cfg)
+    assert len(plans) == 4
+    assert calls and all(all(dead) for dead in calls)
+    rich = {p + 1 + cfg.dual_offset for p in range(cfg.p_min, cfg.p_max + 1)}
+    spectra = [g.degree for g in cache._entries.values()
+               if isinstance(g, sb.SobolevGram) and g._first is not None]
+    assert not rich & set(spectra)
 
 
 def test_grad1d_sweep_tabulates_no_dual_modes_at_integer_s(monkeypatch):
