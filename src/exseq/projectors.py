@@ -76,26 +76,48 @@ def _weighted(values, weights):
     return w.reshape(values.shape[0], n_chan)
 
 
-def _moments(V, weights, rows, frame=None):
+def _moments(V, weights, rows, frame=None, out=None, negate=False):
     """Covectors pairing samples with the rows' values over a rule, from the
     modal table V of the rule's points.
 
     frame, if given, maps the rows' vector values into the frame of the
-    samples (the columns of a face chart).
+    samples (the columns of a face chart). out, if given, is the
+    (rows, points*components) block to write into; `negate` writes the
+    negated covectors (negation is exact).
 
-    Equal bit for bit to `_weighted` of the values, but without a frame it
-    weights the GEMM output in place and makes one transposed copy into the
-    (rows, points, components) layout, so at most two tables are live.
+    Equal bit for bit to `_weighted` of the values. Without a frame it
+    weights the GEMM output in place and writes it into `out` with one
+    transposed copy; with one, the einsum writes into `out` and is weighted
+    there. Only `out` and one GEMM output are live.
     """
     vd = rows.shape[1] // len(V)
+    n_comp = vd if frame is None else len(frame)
+    if out is None:
+        out = np.empty((len(rows), V.shape[1] * n_comp))
+    dst = out.reshape(len(rows), V.shape[1], n_comp)
     if frame is not None:
-        vals = np.einsum("mpl,kl->mpk", _rows_at(V, vd, rows), frame)
-        vals *= weights[:, None]
+        np.einsum("mpl,kl->mpk", _rows_at(V, vd, rows), frame, out=dst)
+        dst *= weights[:, None]
     else:
         vals = rows.reshape(-1, len(V)) @ V
         vals *= weights
-        vals = np.moveaxis(vals.reshape(len(rows), vd, V.shape[1]), 1, 2)
-    return vals.reshape(len(rows), vals.shape[1] * vals.shape[2])
+        dst[...] = np.moveaxis(vals.reshape(len(rows), vd, V.shape[1]), 1, 2)
+    if negate:
+        np.negative(dst, out=dst)
+    return out
+
+
+def _stacked_moments(V, weights, blocks, frame=None):
+    """The `_moments` of several row blocks, stacked in order in one matrix
+    that each block is written into; blocks: (rows, negate) pairs. Each block
+    keeps its own GEMM, so the rows equal those of the blocks built apart."""
+    n_comp = blocks[0][0].shape[1] // len(V) if frame is None else len(frame)
+    out = np.empty((sum(len(rows) for rows, _ in blocks), V.shape[1] * n_comp))
+    start = 0
+    for rows, negate in blocks:
+        _moments(V, weights, rows, frame, out[start:start + len(rows)], negate)
+        start += len(rows)
+    return out
 
 
 def _flip(n_modes, sigma):
@@ -268,18 +290,15 @@ def _triangle_stage(plan, name, group, rc, cell, vertex_ids, deg, restrict,
 
 
 def _mixed_stage(name, group, space, bubble, restrict, trace, parents, gauge,
-                 gauge_rhs, energy, op, energy_rhs):
+                 energy, op, rhs):
     """Stage in the coordinates of a vector space.
 
     The bubble part is fixed by an energy block, (op u, e) for the rows e of
     `energy`, and a gauge block, the pairings (u, g) with the rows g of
-    `gauge`. energy_rhs lists one (region, matrix) per region, including the
-    region of the single gauge_rhs term; the other regions feed only the
-    energy block, which comes first.
+    `gauge`. rhs lists one (region, matrix) per region: the gauge's region
+    stacks the energy moments over the gauge moments in one matrix, and the
+    other regions feed only the energy block, which comes first.
     """
-    region, G = gauge_rhs
-    rhs = [(key, np.vstack([E, G]) if key == region else E)
-           for key, E in energy_rhs]
     K = np.vstack([energy @ diff_rows(op, space).T, gauge @ space.basis.T])
     return _stage(name, group, restrict, bubble.basis @ space.basis.T, K, rhs,
                   trace @ space.basis.T, parents, space.basis.T)
@@ -301,7 +320,9 @@ def _edge_element_stage(plan, name, group, rc, cell, vertex_ids, p,
                     ps.build_space(cell, "hcurl_bubble_orth", p))
     rot = diff_slots("curl2d_scalar", ps.scalar_space(cell, deg), psi)
     Vq = cell.tabulate(deg, rule[0])
-    energy = [(region, _moments(Vq, rule[1], rot, frame))]
+    # the gauge's region stacks the energy moments over the gauge moments
+    energy = [(region, _stacked_moments(Vq, rule[1], [(rot, False),
+                                                      (grads, False)], frame))]
     parents = []
     for ledge, g, sigma, ccw in _sides(rc, cell, vertex_ids):
         parents.append((f"edge{g}", sigma * _flip(ledge.cell.n_modes(p), sigma)))
@@ -314,8 +335,7 @@ def _edge_element_stage(plan, name, group, rc, cell, vertex_ids, p,
     return _mixed_stage(
         name, group, Q, ps.build_space(cell, "hcurl_bubble", p), restrict,
         ps.boundary_traces(cell, deg, "tangential", keep=p), parents,
-        grads, (region, _moments(Vq, rule[1], grads, frame)),
-        psi, "curl2d_vector", energy,
+        grads, psi, "curl2d_vector", energy,
     )
 
 
@@ -324,8 +344,7 @@ def _edge_element_stage(plan, name, group, rc, cell, vertex_ids, p,
 
 
 def _grad_stages(plan, rc, p):
-    cell = rc.cell
-    deg = p if rc.dim == 1 else p + 1
+    cell, deg = rc.cell, plan.target.degree
     eye = np.eye(len(rc.vertices))
     plan.sample_points["vertices"] = rc.vertices
     plan.stages.append(_stage("vertices", "vertices",
@@ -338,7 +357,7 @@ def _grad_stages(plan, rc, p):
         plan.stages.append(_segment_stage("interior", "interior", cell, deg,
                                           interior, (0, 1), "vol", rule,
                                           rc.vertices[:, 0]))
-        return ps.scalar_space(cell, deg)
+        return
     for edge in rc.edges:
         key = f"edge{edge.index}"
         q1 = quadrature(edge.cell, plan.quad_degree)
@@ -355,7 +374,7 @@ def _grad_stages(plan, rc, p):
             plan, "interior", "interior", rc, cell, (0, 1, 2), deg, interior,
             "vol", (q.points, q.weights),
         ))
-        return ps.scalar_space(cell, deg)
+        return
     fluxes = []
     for face in rc.faces:
         key = f"face{face.index}"
@@ -376,7 +395,6 @@ def _grad_stages(plan, rc, p):
         ps.boundary_traces(cell, deg, refcell=rc), parents,
         ("vol", q.points, q.weights), fluxes,
     ))
-    return ps.scalar_space(cell, deg)
 
 
 def _curl_stages(plan, rc, p):
@@ -389,7 +407,7 @@ def _curl_stages(plan, rc, p):
         plan.stages.append(_l2_stage(key, "edges", edge.cell, p,
                                      T[: edge.cell.n_modes(p)], key,
                                      (q1.points, q1.weights), edge.tangent))
-    Q = ps.build_space(rc, "hcurl", p)
+    Q = plan.target
     q = quadrature(cell, plan.quad_degree)
     if rc.dim == 2:
         plan.sample_points["vol"] = q.points
@@ -397,7 +415,7 @@ def _curl_stages(plan, rc, p):
             plan, "interior", "interior", rc, cell, (0, 1, 2), p, None,
             np.eye(2), "vol", (q.points, q.weights),
         ))
-        return Q
+        return
     face_rules = []
     for face in rc.faces:
         key = f"face{face.index}"
@@ -413,8 +431,10 @@ def _curl_stages(plan, rc, p):
     # (curl u, curl W) = (u, curl curl W) - (Pi_tau u, gamma_tau curl W)
     W = diff_rows("curl3d", ps.build_space(rc, "hcurl_bubble_orth", p))
     curl_W = diff_rows("curl3d", ps.PolySpace(cell, 3, deg, W))
+    grads = diff_rows("grad", ps.build_space(rc, "h1_bubble", p))
     Vq = cell.tabulate(deg, q.points)
-    energy = [("vol", _moments(Vq, q.weights, curl_W))]
+    energy = [("vol", _stacked_moments(Vq, q.weights, [(curl_W, False),
+                                                       (grads, False)]))]
     for face, q2 in zip(rc.faces, face_rules):
         amb = face.embed(q2.points)
         tang = np.einsum("mpk,kl->mpl", _eval_rows(cell, 3, deg, W, amb),
@@ -422,16 +442,13 @@ def _curl_stages(plan, rc, p):
         gamma = np.stack([-tang[..., 1], tang[..., 0]], axis=-1)
         back = np.einsum("mpl,kl->mpk", gamma, face.frame)
         energy.append((f"face{face.index}", -_weighted(back, q2.weights)))
-    grads = diff_rows("grad", ps.build_space(rc, "h1_bubble", p))
     parents = [(f"face{f.index}", np.eye(2 * f.cell.n_modes(deg)))
                for f in rc.faces]
     plan.stages.append(_mixed_stage(
         "interior", "interior", Q, ps.build_space(rc, "hcurl_bubble", p),
         Q.basis, ps.boundary_traces(cell, deg, "tangential", rc), parents,
-        grads, ("vol", _moments(Vq, q.weights, grads)),
-        W, "curl3d", energy,
+        grads, W, "curl3d", energy,
     ))
-    return Q
 
 
 def _div_stages(plan, rc, p):
@@ -448,7 +465,7 @@ def _div_stages(plan, rc, p):
                                      (q2.points, q2.weights), face.normal))
     q = quadrature(cell, plan.quad_degree)
     plan.sample_points["vol"] = q.points
-    V = ps.build_space(rc, "hdiv", p)
+    V = plan.target
     Vb = ps.build_space(rc, "hdiv_bubble", p)
     curls = ps.span_from_rows(
         diff_rows("curl3d", ps.build_space(rc, "hcurl_bubble", p)))
@@ -456,7 +473,8 @@ def _div_stages(plan, rc, p):
     # (div u, div v) = -(u, grad div v) + (u.n, div v)_boundary
     grad_div = diff_slots("grad", ps.scalar_space(cell, deg), divs)
     Vq = cell.tabulate(deg, q.points)
-    energy = [("vol", -_moments(Vq, q.weights, grad_div))]
+    energy = [("vol", _stacked_moments(Vq, q.weights, [(grad_div, True),
+                                                       (curls, False)]))]
     for face, q2 in zip(rc.faces, face_rules):
         dvals = _eval_rows(cell, 1, deg, divs, face.embed(q2.points))[:, :, 0]
         nvals = dvals[:, :, None] * face.normal[None, None, :]
@@ -465,10 +483,8 @@ def _div_stages(plan, rc, p):
     plan.stages.append(_mixed_stage(
         "interior", "interior", V, Vb, V.basis,
         ps.boundary_traces(cell, deg, "normal", rc, keep=p), parents,
-        curls, ("vol", _moments(Vq, q.weights, curls)),
-        divs, "div", energy,
+        curls, divs, "div", energy,
     ))
-    return V
 
 
 def _l2_stages(plan, rc, p):
@@ -477,22 +493,41 @@ def _l2_stages(plan, rc, p):
     plan.stages.append(_l2_stage("interior", "interior", rc.cell, p,
                                  np.eye(rc.cell.n_modes(p)), "vol",
                                  (q.points, q.weights)))
-    return ps.scalar_space(rc.cell, p)
+
+
+def target_space(operator, p):
+    """The space that the operator's plan at complex degree p interpolates
+    into: P_{p+1} in the H1 slot (P_p on the interval), the complex's H(curl)
+    or H(div) space, and P_p in the top slot, which is L2 on any cell."""
+    if operator not in OPERATORS:
+        raise ValueError(f"unknown operator {operator!r}")
+    if p < 0:
+        raise ValueError("complex degree must be >= 0")
+    dim, slot = OPERATORS[operator]
+    rc = make_reference_cell(dim)
+    if slot == dim:
+        return ps.scalar_space(rc.cell, p)
+    if slot == 0:
+        return ps.scalar_space(rc.cell, p if dim == 1 else p + 1)
+    return ps.build_space(rc, ("hcurl", "hdiv")[slot - 1], p)
 
 
 class ProjectorPlan:
     """Staged solver for one interpolation operator at one degree.
 
-    `stages` is the ordered stage list; the last stage's output is the target
-    slot vector. Immutable after construction; `apply` allocates no shared
-    state and may run concurrently on different fields.
+    `target` is `target_space(operator, p)`, read by the stage builders;
+    `stages` is the ordered stage list, and the last stage's output is the
+    target slot vector. Immutable after construction; `apply` allocates no
+    shared state and may run concurrently on different fields.
+
+    A degree-10 plan holds up to about 150 MB (div3d), so the rate sweep and
+    `run_verification` build their plans here and drop each degree's before
+    the next; `build_plan` is the memoised constructor for callers that
+    reuse plans.
     """
 
     def __init__(self, operator, p):
-        if operator not in OPERATORS:
-            raise ValueError(f"unknown operator {operator!r}")
-        if p < 0:
-            raise ValueError("complex degree must be >= 0")
+        self.target = target_space(operator, p)
         self.operator = operator
         self.p = p
         self.quad_degree = min(2 * (p + 2) + 14, 40)
@@ -501,8 +536,7 @@ class ProjectorPlan:
         dim, slot = OPERATORS[operator]
         # H1, H(curl) and H(div) below the top slot, which is L2 on any cell
         stages = (_grad_stages, _curl_stages, _div_stages, _l2_stages)
-        self.target = stages[slot if slot < dim else -1](
-            self, make_reference_cell(dim), p)
+        stages[slot if slot < dim else -1](self, make_reference_cell(dim), p)
         self.stage_conditions = {}
         for st in self.stages:
             self.stage_conditions[st.group] = (
@@ -570,18 +604,22 @@ def build_plan(operator, p):
     return ProjectorPlan(operator, p)
 
 
-def projection_max_error(operator, p, n_samples, rng):
-    """Max relative L2 error of re-interpolating random target elements."""
-    plan = build_plan(operator, p)
-    target = plan.target
-    slots = target.random_elements(n_samples, rng)
-    out = plan.apply_polynomials(target, slots)
+def projection_error(plan, slots):
+    """Max relative L2 error of re-interpolating the target elements given by
+    the slot rows `slots` through `plan`."""
+    out = plan.apply_polynomials(plan.target, slots)
     num = np.linalg.norm(out - slots, axis=1)
     den = np.linalg.norm(slots, axis=1)
     return float((num / den).max())
 
 
-def check_commuting(p, fields_by_op):
+def projection_max_error(operator, p, n_samples, rng):
+    """Max relative L2 error of re-interpolating random target elements."""
+    slots = target_space(operator, p).random_elements(n_samples, rng)
+    return projection_error(build_plan(operator, p), slots)
+
+
+def check_commuting(p, fields_by_op, plans=None):
     """Residuals of the five commuting identities on supplied fields: the
     operator of each slot chained, by the derivative that leaves the slot, to
     the next slot's operator (the interval's L2 slot has none).
@@ -589,8 +627,14 @@ def check_commuting(p, fields_by_op):
     fields_by_op: {"grad3d": [scalar fields], "curl3d": [...], "div3d": [...],
     "grad2d": [...], "curl2d": [...]}; missing keys are skipped. Fields must
     provide first-derivative jets so the chained input can be formed.
+    plans: {operator: its plan at degree p} for every operator applied,
+    chained ones included; by default the memoised `build_plan`.
     Returns a list of {identity, field, residual, scale} records.
     """
+
+    def plan_of(operator):
+        return build_plan(operator, p) if plans is None else plans[operator]
+
     out = []
     for operator, (dim, slot) in OPERATORS.items():
         chained = operator_at(dim, slot + 1)
@@ -598,7 +642,7 @@ def check_commuting(p, fields_by_op):
             continue
         deriv = COMPLEX[dim][slot]
         for f in fields_by_op.get(operator, ()):
-            plan, nxt = build_plan(operator, p), build_plan(chained, p)
+            plan, nxt = plan_of(operator), plan_of(chained)
             a_slots = plan.apply(f)
             t = plan.target
             a = diff_slots(deriv, t, a_slots)

@@ -427,6 +427,51 @@ def test_moments_hold_two_tables(rc3, rng):
     assert peak < 2.2 * table
 
 
+@pytest.mark.parametrize("case", ["volume", "negated block", "face frame"])
+def test_stacked_moments_equal_the_stacked_blocks_bitwise(case, rc3, rng):
+    # each block keeps its own GEMM and is written into its row slice, so
+    # the matrix equals the blocks built apart and stacked with np.vstack
+    if case == "face frame":
+        face = rc3.faces[1]
+        cell, vd, frame = face.cell, 2, face.frame
+    else:
+        cell, vd, frame = rc3.cell, 3, None
+    negate = case == "negated block"
+    q = quadrature(cell, 9)
+    V = cell.tabulate(4, q.points)
+    first = rng.standard_normal((7, vd * len(V)))
+    second = rng.standard_normal((5, vd * len(V)))
+    head = _three_table_moments(V, q.weights, first, frame)
+    ref = np.vstack([-head if negate else head,
+                     _three_table_moments(V, q.weights, second, frame)])
+    got = pj._stacked_moments(V, q.weights, [(first, negate), (second, False)],
+                              frame)
+    assert got.shape == ref.shape
+    assert got.dtype == ref.dtype
+    assert np.array_equal(got, ref)
+
+
+def test_stacked_moments_hold_the_matrix_and_one_product(rc3, rng):
+    # np.vstack of separately built blocks holds every block and the stacked
+    # copy, about twice the matrix; writing each block into its slice holds
+    # the matrix and one block's GEMM output, plus the 64 KiB buffer of
+    # numpy's strided copy
+    cell = rc3.cell
+    q = quadrature(cell, 16)
+    V = cell.tabulate(6, q.points)
+    blocks = [(rng.standard_normal((60, 3 * len(V))), True),
+              (rng.standard_normal((40, 3 * len(V))), False)]
+    product = 60 * 3 * len(q.weights) * 8
+    matrix = 100 * 3 * len(q.weights) * 8
+    tracemalloc.start()
+    try:
+        pj._stacked_moments(V, q.weights, blocks)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < matrix + product + 2 * 8192 * 8
+
+
 
 def test_shared_table_fields_match_space_evaluate(rc3, rc2, rng):
     # fields sharing one table store return the values and jets of

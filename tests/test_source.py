@@ -132,3 +132,22 @@ def test_package_reads_no_environment():
             if name in ("environ", "environb", "getenv", "getenvb"):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_studies_never_reach_the_plan_memo():
+    # the rate sweep and `verify` hold one degree's plans at a time: studies
+    # build their plans with `ProjectorPlan`, never name the memoised
+    # `build_plan` or `projection_max_error` (which reads it), and pass
+    # `check_commuting` the plans it would otherwise take from the memo
+    found = []
+    for node in ast.walk(ast.parse((PACKAGE / "studies.py").read_text())):
+        name = (node.attr if isinstance(node, ast.Attribute)
+                else node.id if isinstance(node, ast.Name) else "")
+        if name in ("build_plan", "projection_max_error"):
+            found.append(f"studies.py:{node.lineno} {name}")
+        if (isinstance(node, ast.Call)
+                and getattr(node.func, "attr", "") == "check_commuting"
+                and len(node.args) < 3
+                and "plans" not in {k.arg for k in node.keywords}):
+            found.append(f"studies.py:{node.lineno} check_commuting")
+    assert found == []

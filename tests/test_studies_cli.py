@@ -396,6 +396,74 @@ def test_sweep_bits_do_not_depend_on_memoised_plans():
         st.records_to_rows(warm), "csv")
 
 
+def _small_verification():
+    return st.run_verification(p_max=2, seed=1, n_projection=8, n_poincare=2)
+
+
+# every operator but the interval's gradient, whose projection nothing checks
+_VERIFY_OPS = [op for op in ca.OPERATORS if op != "grad1d"]
+
+
+def test_verification_keeps_no_plan_in_the_memo():
+    from exseq import cache
+
+    cache.clear()
+    _small_verification()
+    assert not [k for k in cache._entries
+                if k[0] == "exseq.projectors.build_plan"]
+
+
+def _spy_plans(monkeypatch):
+    """Record the (operator, p) of every `ProjectorPlan` built, and the
+    (operator, p) of every lower-degree plan still alive at each build."""
+    import weakref
+
+    from exseq import projectors as pj
+
+    built, alive = [], []
+    ProjectorPlan = pj.ProjectorPlan
+
+    def spy(op, p):
+        alive.extend((o, q) for o, q, ref in built if q < p and ref())
+        plan = ProjectorPlan(op, p)
+        built.append((op, p, weakref.ref(plan)))
+        return plan
+
+    monkeypatch.setattr(pj, "ProjectorPlan", spy)
+    return built, alive
+
+
+def test_verification_builds_each_plan_once(monkeypatch):
+    from collections import Counter
+
+    built, _ = _spy_plans(monkeypatch)
+    _small_verification()
+    assert Counter((op, p) for op, p, _ in built) == Counter(
+        (op, p) for op in _VERIFY_OPS for p in range(3))
+
+
+def test_verification_keeps_one_degree_of_plans_alive(monkeypatch):
+    # every plan of degree p is dead before the first of degree p + 1 is built
+    built, alive = _spy_plans(monkeypatch)
+    _small_verification()
+    assert {p for _, p, _ in built} == {0, 1, 2}
+    assert alive == []
+
+
+def test_verification_bits_do_not_depend_on_memoised_plans():
+    from exseq import cache
+    from exseq import projectors as pj
+
+    cache.clear()
+    cold = st.format_report(_small_verification(), "json")
+    cache.clear()
+    for op in _VERIFY_OPS:
+        for p in range(3):
+            pj.build_plan(op, p)
+    warm = st.format_report(_small_verification(), "json")
+    assert cold == warm
+
+
 def _spy_gram_tables(monkeypatch):
     """Record the (dim, degree) of every derivative-matrix set and stiffness
     table the package asks for, memo hits included."""
