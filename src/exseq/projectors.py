@@ -85,23 +85,35 @@ def _moments(V, weights, rows, frame=None, out=None, negate=False):
     (rows, points*components) block to write into; `negate` writes the
     negated covectors (negation is exact).
 
-    Equal bit for bit to `_weighted` of the values. Without a frame it
-    weights the GEMM output in place and writes it into `out` with one
-    transposed copy; with one, the einsum writes into `out` and is weighted
-    there. Only `out` and one GEMM output are live.
+    It runs one point block of `ps._POINT_BLOCK` columns of V at a time:
+    without a frame it weights the block's GEMM output in place and writes
+    it into the block's columns of `out` with one transposed copy; with one,
+    the einsum writes into those columns and is weighted there. Only `out`
+    and one point block's GEMM output are live.
+
+    Each block is equal bit for bit to `_weighted` of its values. A block's
+    GEMM keeps the whole product's bits where the BLAS runs both with one
+    kernel, as OpenBLAS does for 512-point blocks of the large interior
+    products; a short last block may fall to its small-matrix kernel and
+    move entries in the last bit.
     """
     vd = rows.shape[1] // len(V)
     n_comp = vd if frame is None else len(frame)
     if out is None:
         out = np.empty((len(rows), V.shape[1] * n_comp))
     dst = out.reshape(len(rows), V.shape[1], n_comp)
-    if frame is not None:
-        np.einsum("mpl,kl->mpk", _rows_at(V, vd, rows), frame, out=dst)
-        dst *= weights[:, None]
-    else:
-        vals = rows.reshape(-1, len(V)) @ V
-        vals *= weights
-        dst[...] = np.moveaxis(vals.reshape(len(rows), vd, V.shape[1]), 1, 2)
+    for start in range(0, V.shape[1], ps._POINT_BLOCK):
+        block = slice(start, start + ps._POINT_BLOCK)
+        Vb, wb, db = V[:, block], weights[block], dst[:, block]
+        if frame is not None:
+            np.einsum("mpl,kl->mpk", _rows_at(Vb, vd, rows), frame, out=db)
+            db *= wb[:, None]
+        else:
+            vals = rows.reshape(-1, len(V)) @ Vb
+            vals *= wb
+            vals = vals.reshape(len(rows), vd, Vb.shape[1])
+            db[...] = np.moveaxis(vals, 1, 2)
+            del vals  # before the next block's product
     if negate:
         np.negative(dst, out=dst)
     return out
@@ -110,7 +122,8 @@ def _moments(V, weights, rows, frame=None, out=None, negate=False):
 def _stacked_moments(V, weights, blocks, frame=None):
     """The `_moments` of several row blocks, stacked in order in one matrix
     that each block is written into; blocks: (rows, negate) pairs. Each block
-    keeps its own GEMM, so the rows equal those of the blocks built apart."""
+    keeps its own GEMMs, so the rows equal those of the blocks built apart,
+    and only the matrix and one point block's GEMM output are live."""
     n_comp = blocks[0][0].shape[1] // len(V) if frame is None else len(frame)
     out = np.empty((sum(len(rows) for rows, _ in blocks), V.shape[1] * n_comp))
     start = 0

@@ -184,13 +184,18 @@ def _dual_norm(cell, P, s, pairings, top):
 def run_convergence(cfg):
     """Sweep (operator, p, field, s); returns (records, slopes).
 
-    Each (operator, p) builds its plan once, unmemoised, for all its fields,
-    and tabulates its target's modes and its dual test modes once each on the
-    study rule; all live for that degree only, so a sweep holds one plan at a
-    time, and frees it before the denominators. The denominators' forms (the
-    H1curl factor, the fractional surrogate's rich Gram, factor and table)
-    are built once per degree for all its fields and freed with it. Records
-    are sorted at the end, so the loop order does not reach the output.
+    For one degree: each (operator, p) builds its plan once, unmemoised, for
+    all its fields, and tabulates its target's modes and its dual test modes
+    once each on the study rule; the plan is freed before the denominators,
+    and the tables and the denominators' forms (the H1curl factor, the
+    fractional surrogate's rich Gram, factor and table) with the degree.
+
+    For the process: what a degree yields for every s, its fields' L2 error
+    parts, denominators and dual pairings, is memoised by `_degree_data`, so
+    a later sweep of the same (operator, p) at other s, such as the gate's
+    grad3d s = 1 pass after its s = 0 pass, builds none of it again. That is
+    floats and one (k, n_modes) pairing row block per field. Records are
+    sorted at the end, so the loop order does not reach the output.
 
     The dual norms, the fractional value norms and the fractional
     denominators read their Grams as leading blocks of one stiffness table
@@ -207,20 +212,34 @@ def run_convergence(cfg):
     tops = cfg.stiffness_tops()
     records = []
     for op in sorted(cfg.operators):
+        dim = ca.OPERATORS[op][0]
+        cell = make_reference_cell(dim).cell
         flds = fields_for(op, cfg.suite)
-        top = tops[ca.OPERATORS[op][0]]
+        top = tops[dim]
+        # only the fractional denominators read the stiffness table
+        den_top = None if DENOMINATOR_NORM[op][1] is None else top
         for p in range(cfg.p_min, cfg.p_max + 1):
-            records += _degree_records(op, p, flds, cfg, top)
+            data = _degree_data(op, p, cfg.suite, cfg.dual_offset,
+                                _pairing_degree(op, p, cfg), den_top)
+            for f, fdata in zip(flds, data):
+                for s in cfg.s_values:
+                    records += _records_for(op, p, f, s, fdata,
+                                            cfg.dual_offset, cell, top)
     records.sort(key=lambda r: (r.operator, r.field, r.s, r.norm_id, r.p))
     slopes = fit_slopes(records, cfg)
     return records, slopes
 
 
-def _degree_records(op, p, flds, cfg, top):
-    """The records of one (operator, p). Its plan lives until the fields are
-    interpolated; only its target is read after that. The tables and the
-    denominators' forms are locals, freed on return. `top` is the degree of
-    the stiffness table that the dual and fractional Grams slice."""
+@cache.memo
+def _degree_data(op, p, suite, dual_offset, pairing_degree, top):
+    """Per field of (operator, p) on `suite`: (||e||, ||De|| or None,
+    denominator, dual pairings or None), which every s reads alike. Its
+    plan lives until the fields are interpolated and only its target is
+    read after that; the tables and the denominators' forms are locals,
+    freed on return. `pairing_degree` is `_pairing_degree`'s, and `top` the
+    degree of the stiffness table that a fractional denominator slices
+    (None for the others, which read none)."""
+    flds = fields_for(op, suite)
     plan = pj.ProjectorPlan(op, p)
     target = plan.target
     cell = target.cell
@@ -235,35 +254,36 @@ def _degree_records(op, p, flds, cfg, top):
     kwargs = {}
     if den_s is not None:
         kwargs["s"] = den_s
-        kwargs["rich_degree"] = target.degree + cfg.dual_offset
+        kwargs["rich_degree"] = target.degree + dual_offset
         kwargs["top"] = top
     parts = [_error_l2_parts(plan, f, plan.apply(f), *errors) for f in flds]
     del plan
-    pairings = _dual_pairings(op, p, cfg, cell, parts)
+    pairings = _dual_pairings(cell, pairing_degree, parts)
     dens = [den for _, den in sb.best_approx(target, flds, den_norm, quad=study,
                                              table=table, **kwargs)]
-    records = []
-    for f, part, den, b in zip(flds, parts, dens, pairings):
-        for s in cfg.s_values:
-            records += _records_for(op, p, f, s, part, den, b, cfg.dual_offset,
-                                    cell, top)
-    return records
+    return tuple((l2, dl2, den, b)
+                 for (l2, dl2, _), den, b in zip(parts, dens, pairings))
 
 
-def _dual_pairings(op, p, cfg, cell, parts):
-    """Per field, the pairings of its errors (e, De) with the dual test
-    modes, or None where no record reads them: degree P + 2 for the
-    gradient's dual norm and its P-stability (dim > 1) and for the
-    fractional value norm (0 < s < 1), degree P for the curl/div dual norms
-    at s > 0. One table serves every field, one GEMM each; it is freed on
-    return, before the records build their Grams."""
+def _pairing_degree(op, p, cfg):
+    """The degree of the dual test modes that the records of (op, p) read,
+    or None where none does: P + 2 for the gradient's dual norm and its
+    P-stability (dim > 1) and for the fractional value norm (0 < s < 1), P
+    for the curl/div dual norms at s > 0."""
     dim, slot = ca.OPERATORS[op]
     P = p + 1 + cfg.dual_offset
     if slot == 0 and (dim > 1 or any(0.0 < s < 1.0 for s in cfg.s_values)):
-        degree = P + 2
-    elif 0 < slot < dim and any(s > 0.0 for s in cfg.s_values):
-        degree = P
-    else:
+        return P + 2
+    if 0 < slot < dim and any(s > 0.0 for s in cfg.s_values):
+        return P
+    return None
+
+
+def _dual_pairings(cell, degree, parts):
+    """Per field, the pairings of its errors (e, De) with the degree-`degree`
+    modes, or None if `degree` is None. One table serves every field, one
+    GEMM each; it is freed on return, before the denominators."""
+    if degree is None:
         return [None] * len(parts)
     _, _, (_, _, pts, w) = parts[0]
     V = cell.tabulate(degree, pts)
@@ -271,16 +291,17 @@ def _dual_pairings(op, p, cfg, cell, parts):
             for _, _, (e, de, _, _) in parts]
 
 
-def _records_for(op, p, f, s, parts, den, b, dual_offset, cell, top):
-    """The records of one (field, s); b is the field's `_dual_pairings`, and
-    the norms' Grams are leading blocks of the degree-`top` stiffness."""
+def _records_for(op, p, f, s, fdata, dual_offset, cell, top):
+    """The records of one (field, s) from the field's `_degree_data`, whose
+    pairings b are with the `_pairing_degree` modes; the norms' Grams are
+    leading blocks of the degree-`top` stiffness."""
     dim, slot = ca.OPERATORS[op]
+    l2, dl2, den, b = fdata
 
     def record(norm_id, err, pstab=float("nan")):
         return StudyRecord(op, p, f.name, s, norm_id, err, den,
                            err / den if den > 0 else float("inf"), pstab)
 
-    l2, dl2, _ = parts
     if slot == dim:
         return [record("L2", l2)]
     P = p + 1 + dual_offset

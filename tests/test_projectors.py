@@ -393,18 +393,38 @@ def _three_table_moments(V, weights, rows, frame=None):
     return w.reshape(len(rows), int(np.prod(vals.shape[1:])))
 
 
-@pytest.mark.parametrize("case", ["volume", "face frame", "no rows"])
-def test_moments_equal_the_three_table_formula_bitwise(case, rc3, rng):
+# (case, rule degree, table degree): rule degree 9 has 125 points, one
+# point block; the interior rules of p = 7 and p = 10 (degrees 32 and 38)
+# have 4,913 points, whose last block holds 305, and 8,000
+_MOMENT_CASES = [
+    pytest.param(case, rule, degree,
+                 id=case if rule == 9 else f"{case}, {points} points")
+    for rule, degree, points in [(9, 4, 125), (32, 8, 4913), (38, 11, 8000)]
+    for case in ["volume", "negated", "face frame", "no rows"]]
+
+
+@pytest.mark.parametrize("case, rule, degree", _MOMENT_CASES)
+def test_moments_equal_the_three_table_formula_bitwise(case, rule, degree,
+                                                       rc3, rng):
+    # each point block equals the formula on that block's points; a BLAS
+    # may run a short block's product with another kernel than the whole
+    # product's, so the formula is applied block by block
+    cell, vd, frame = rc3.cell, 3, None
     if case == "face frame":
         face = rc3.faces[2]
-        cell, vd, frame = face.cell, 2, face.frame
-    else:
-        cell, vd, frame = rc3.cell, 3, None
-    q = quadrature(cell, 9)
-    V = cell.tabulate(4, q.points)
+        vd, frame = 2, face.frame
+        if rule == 9:  # a face's own rule; one holds at most 441 points
+            cell = face.cell
+    q = quadrature(cell, rule)
+    V = cell.tabulate(degree, q.points)
     rows = rng.standard_normal((0 if case == "no rows" else 7, vd * len(V)))
-    ref = _three_table_moments(V, q.weights, rows, frame)
-    got = pj._moments(V, q.weights, rows, frame)
+    blocks = [slice(start, start + ps._POINT_BLOCK)
+              for start in range(0, len(q.weights), ps._POINT_BLOCK)]
+    ref = np.concatenate([_three_table_moments(V[:, b], q.weights[b], rows,
+                                               frame) for b in blocks], axis=1)
+    if case == "negated":
+        ref = -ref
+    got = pj._moments(V, q.weights, rows, frame, negate=case == "negated")
     assert got.shape == ref.shape
     assert got.dtype == ref.dtype
     assert np.array_equal(got, ref)
@@ -453,15 +473,15 @@ def test_stacked_moments_equal_the_stacked_blocks_bitwise(case, rc3, rng):
 
 def test_stacked_moments_hold_the_matrix_and_one_product(rc3, rng):
     # np.vstack of separately built blocks holds every block and the stacked
-    # copy, about twice the matrix; writing each block into its slice holds
-    # the matrix and one block's GEMM output, plus the 64 KiB buffer of
-    # numpy's strided copy
+    # copy, about twice the matrix; writing each block into its slice, one
+    # point block at a time, holds the matrix and one point block's GEMM
+    # output, plus the 64 KiB buffer of numpy's strided copy
     cell = rc3.cell
-    q = quadrature(cell, 16)
+    q = quadrature(cell, 16)  # 729 points: two point blocks
     V = cell.tabulate(6, q.points)
     blocks = [(rng.standard_normal((60, 3 * len(V))), True),
               (rng.standard_normal((40, 3 * len(V))), False)]
-    product = 60 * 3 * len(q.weights) * 8
+    product = 60 * 3 * ps._POINT_BLOCK * 8
     matrix = 100 * 3 * len(q.weights) * 8
     tracemalloc.start()
     try:
@@ -470,7 +490,6 @@ def test_stacked_moments_hold_the_matrix_and_one_product(rc3, rng):
     finally:
         tracemalloc.stop()
     assert peak < matrix + product + 2 * 8192 * 8
-
 
 
 def test_shared_table_fields_match_space_evaluate(rc3, rc2, rng):

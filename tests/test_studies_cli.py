@@ -271,8 +271,10 @@ def _calls_on(calls, degree, pts):
 
 
 def test_sweep_tabulates_each_target_once_on_the_study_rule(monkeypatch):
+    from exseq import cache
     from exseq.refsimplex import make_reference_cell, quadrature
 
+    cache.clear()
     calls = _spy_tabulate(monkeypatch)
     cell = make_reference_cell(3).cell
     for op in _SWEEP_OPS:
@@ -293,8 +295,10 @@ def test_sweep_tabulates_each_target_once_on_the_study_rule(monkeypatch):
 ])
 def test_sweep_tabulates_dual_modes_once_per_degree(monkeypatch, op, s_values,
                                                     offset):
+    from exseq import cache
     from exseq.refsimplex import make_reference_cell, quadrature
 
+    cache.clear()
     calls = _spy_tabulate(monkeypatch)
     cell = make_reference_cell(3).cell
     cfg = st.StudyConfig(operators=(op,), p_min=1, p_max=2, s_values=s_values)
@@ -310,8 +314,10 @@ def test_sweep_tabulates_dual_modes_once_per_degree(monkeypatch, op, s_values,
 def test_div3d_sweep_tabulates_its_rich_modes_once_per_degree(monkeypatch):
     # the fractional denominator pairs every field with one degree-(p + 7)
     # table on the study rule; at s = 0 no dual norm reads that degree
+    from exseq import cache
     from exseq.refsimplex import make_reference_cell, quadrature
 
+    cache.clear()
     calls = _spy_tabulate(monkeypatch)
     cell = make_reference_cell(3).cell
     cfg = st.StudyConfig(operators=("div3d",), p_min=2, p_max=3,
@@ -363,8 +369,10 @@ def test_sweep_keeps_one_degree_alive_around_its_denominators(monkeypatch):
 def test_grad1d_sweep_tabulates_no_dual_modes_at_integer_s(monkeypatch):
     # on the interval only the fractional value norm (0 < s < 1) reads the
     # degree-(P + 2) modes; there is no gradient dual norm
+    from exseq import cache
     from exseq.refsimplex import Cell
 
+    cache.clear()
     degrees = []
     tabulate = Cell.tabulate
 
@@ -394,6 +402,65 @@ def test_sweep_bits_do_not_depend_on_memoised_plans():
     warm, _ = st.run_convergence(cfg)
     assert st.format_rows(st.records_to_rows(cold), "csv") == st.format_rows(
         st.records_to_rows(warm), "csv")
+
+
+def _gate_sweep(ops, s_values):
+    """The acceptance gate's criterion-08 config, at p = 2..3."""
+    return st.StudyConfig(operators=ops, p_min=2, p_max=3, suite="entire",
+                          s_values=s_values, dual_offset=6)
+
+
+def _csv(cfg):
+    return st.format_rows(st.records_to_rows(st.run_convergence(cfg)[0]),
+                          "csv")
+
+
+def test_gate_s1_pass_reuses_the_s0_degree_data(monkeypatch):
+    # the gate's grad3d s = 1 pass reads each degree's errors, denominators
+    # and dual pairings from its s = 0 pass: it builds no plan and tabulates
+    # no dual modes, and its records equal those of a cold run
+    from exseq import cache
+    from exseq import projectors as pj
+
+    dual = _gate_sweep(("grad3d",), (1.0,))
+    cache.clear()
+    cold = _csv(dual)
+    cache.clear()
+    st.run_convergence(_gate_sweep(_SWEEP_OPS, (0.0,)))
+    plans = []
+    ProjectorPlan = pj.ProjectorPlan
+
+    def plan_spy(op, p):
+        plans.append((op, p))
+        return ProjectorPlan(op, p)
+
+    monkeypatch.setattr(pj, "ProjectorPlan", plan_spy)
+    calls = _spy_tabulate(monkeypatch)
+    warm = _csv(dual)
+    assert not plans
+    dual_degrees = {p + 1 + dual.dual_offset + 2
+                    for p in range(dual.p_min, dual.p_max + 1)}
+    assert not dual_degrees & {d for d, _ in calls}
+    assert warm == cold
+
+
+@pytest.mark.parametrize("first, second", [
+    # the pairing degree goes from None (curl3d at s = 0) to P
+    pytest.param(_gate_sweep(("curl3d",), (0.0,)),
+                 _gate_sweep(("curl3d",), (0.5,)), id="pairing degree"),
+    # the stiffness top of div3d's fractional denominator goes from its own
+    # rich degree to grad3d's P + 2
+    pytest.param(_gate_sweep(("div3d",), (0.0,)),
+                 _gate_sweep(("div3d", "grad3d"), (0.0,)), id="stiffness top"),
+])
+def test_memoised_degree_data_is_keyed_by_what_it_reads(first, second):
+    from exseq import cache
+
+    cache.clear()
+    cold = _csv(second)
+    cache.clear()
+    st.run_convergence(first)
+    assert _csv(second) == cold
 
 
 def _small_verification():
@@ -489,6 +556,9 @@ def _spy_gram_tables(monkeypatch):
 def test_sweep_at_s0_builds_no_dual_gram_tables(monkeypatch):
     # at s = 0 the gradient's dual norm and its P-stability read only the
     # Grams' sizes: only the H2 denominators' target degrees are built
+    from exseq import cache
+
+    cache.clear()
     deriv, stiff = _spy_gram_tables(monkeypatch)
     cfg = st.StudyConfig(operators=("grad3d",), p_min=2, p_max=3,
                          s_values=(0.0,))
