@@ -1,7 +1,7 @@
-"""Exact differential and trace operators between polynomial spaces.
+"""Exact differential operators between polynomial spaces.
 
 Operators act on modal coefficients (integer-free but exact: the modal
-derivative/trace matrices are computed with quadrature that is exact for the
+derivative matrices are computed with quadrature that is exact for the
 polynomial integrands), never by numerical differentiation of point samples.
 
 Each derivative is one coefficient tensor per cell dimension,
@@ -169,62 +169,6 @@ def diff_slots(name, space, slots):
                           np.atleast_2d(slots))
     rows = diff_rows(name, holder)
     return rows[0] if np.asarray(slots).ndim == 1 else rows
-
-
-# ---------------------------------------------------------------------------
-# trace operators
-
-
-# trace operator -> (trace part of `polyspace.trace_matrix`, derivative of the
-# traced rows on the trace cell)
-_TRACES = {
-    "restrict": (None, None),
-    "Pi_tau": ("tangential", None),
-    "gamma_tau": ("tangential", None),  # Pi_tau rotated: n x u
-    "normal": ("normal", None),
-    "edge_tangential": ("tangential", None),
-    "surf_grad": (None, "grad"),
-    "surf_curl": ("tangential", "curl2d_vector"),
-}
-
-
-def _trace_rows(name, source, sub):
-    """Slot rows on `sub.cell` of the traced basis, and their value dimension."""
-    if name not in _TRACES:
-        raise ValueError(f"unknown trace operator {name!r}")
-    part, deriv = _TRACES[name]
-    deg = source.degree
-    rows = source.basis @ ps.trace_matrix(source.cell, deg, sub, part).T
-    nm = sub.cell.n_modes(deg)
-    if name == "gamma_tau":
-        rows = np.concatenate([-rows[:, nm:], rows[:, :nm]], axis=1)
-    if deriv:
-        rows = diff_rows(deriv, ps.PolySpace(sub.cell, rows.shape[1] // nm, deg,
-                                             rows))
-    return rows, rows.shape[1] // nm
-
-
-def trace_op(name, source, sub, target):
-    """Trace operator expanded in a target space living on the trace cell;
-    the trace reads its frame from the Face or Edge `sub`."""
-    rows, vd = _trace_rows(name, source, sub)
-    if not np.array_equal(target.cell.vertices, sub.cell.vertices):  # by content
-        raise ValueError("target space does not live on the trace cell")
-    coords, resid = _expand_in(target, rows, sub.cell, vd, source.degree)
-    if resid > 1e-11:
-        raise ValueError(f"trace image not contained in target: residual {resid:.2e}")
-    return LinearOpMatrix(source, target, coords, resid)
-
-
-def trace_space(space, sub, family):
-    """Image space of a trace: restriction (h1), tangential (hcurl), normal
-    (hdiv)."""
-    names = {"h1": "restrict", "hcurl": "Pi_tau", "hdiv": "normal"}
-    if family not in names:
-        raise ValueError(f"unknown family {family!r}")
-    rows, vd = _trace_rows(names[family], space, sub)
-    return ps.PolySpace(sub.cell, vd, space.degree, ps.span_from_rows(rows),
-                        name=f"trace_{family}[{space.name}]")
 
 
 # ---------------------------------------------------------------------------

@@ -62,11 +62,15 @@ def _emit(text, out_path):
         sys.stdout.write(text)
 
 
-def _common_flags(sub, p_min=0, p_max=6):
+def _common_flags(sub, p_max, p_min=None, seed=False):
+    """The flags every subcommand takes, plus --p-min and --seed for those
+    that read them."""
     sub.add_argument("--config", help="flat key = value file mirroring the flags")
-    sub.add_argument("--p-min", type=int, default=p_min, dest="p_min")
+    if p_min is not None:
+        sub.add_argument("--p-min", type=int, default=p_min, dest="p_min")
     sub.add_argument("--p-max", type=int, default=p_max, dest="p_max")
-    sub.add_argument("--seed", type=int, default=0)
+    if seed:
+        sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--out", default=None)
     sub.add_argument("--format", choices=("csv", "json"), default="csv",
                      dest="fmt")
@@ -80,14 +84,14 @@ def main(argv=None):
     subs = parser.add_subparsers(dest="command", required=True)
 
     p_verify = subs.add_parser("verify", help="run the verification suite")
-    _common_flags(p_verify)
+    _common_flags(p_verify, p_max=6, seed=True)
     p_verify.set_defaults(fmt="json")
 
     p_dims = subs.add_parser("dims", help="dimension table vs closed forms")
     _common_flags(p_dims, p_max=8)
 
     p_conv = subs.add_parser("convergence", help="p-convergence sweep")
-    _common_flags(p_conv, p_min=2, p_max=6)
+    _common_flags(p_conv, p_max=6, p_min=2, seed=True)
     p_conv.add_argument("--operator", action="append", default=None,
                         choices=sorted(pj.OPERATORS))
     p_conv.add_argument("--suite", default="entire",
@@ -97,7 +101,7 @@ def main(argv=None):
                         dest="dual_offset")
 
     p_fried = subs.add_parser("friedrichs", help="discrete Friedrichs sweep")
-    _common_flags(p_fried, p_min=1, p_max=8)
+    _common_flags(p_fried, p_max=8, p_min=1)
 
     p_proj = subs.add_parser("project", help="interpolate suite fields, export")
     _common_flags(p_proj, p_max=3)
@@ -186,7 +190,10 @@ def _dispatch(args):
     if args.command == "project":
         op = args.operator
         dim = pj.OPERATORS[op][0]
-        plan = pj.build_plan(op, args.p_max)
+        # the sweep's degree checks, before the plan is built
+        st.StudyConfig(operators=(op,), p_min=args.p_max,
+                       p_max=args.p_max).validate()
+        plan = pj.ProjectorPlan(op, args.p_max)
         docs = []
         rows = []
         for f in st.fields_for(op, args.suite):

@@ -80,14 +80,9 @@ def from_sympy(name, exprs, dim):
     return AnalyticField(name, dim, vd, compile_exprs(exprs), jet_factory)
 
 
-def from_polynomial(name, space, slots):
-    """Field wrapping modal slot coefficients of a PolySpace element; its
-    values and every jet read one modal table per point set."""
-    return polynomial_fields()(name, space, slots)
-
-
 def polynomial_fields():
-    """A `from_polynomial` whose fields share one store of modal tables.
+    """A maker of fields from PolySpace elements, make(name, space, slots),
+    whose fields share one store of modal tables.
 
     The store is keyed by content (cell vertices, degree and point bytes), so
     each point set is tabulated once for the values and jets of all its
@@ -141,22 +136,6 @@ def derivative_field(name, C, f):
 
     return AnalyticField(f"{name}({f.name})", f.dim, len(C),
                          evaluate_at((0,) * f.dim), evaluate_at)
-
-
-def shifted(field, delta):
-    """field + delta with a delta sharing the jet interface (for locality tests)."""
-
-    def evaluate(pts):
-        return field(pts) + delta(pts)
-
-    def jet_factory(alpha):
-        def evaluate_d(pts):
-            return field.jet(pts, alpha) + delta.jet(pts, alpha)
-
-        return evaluate_d
-
-    return AnalyticField(f"{field.name}+{delta.name}", field.dim, field.value_dim,
-                         evaluate, jet_factory)
 
 
 # ---------------------------------------------------------------------------

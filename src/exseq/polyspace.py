@@ -496,55 +496,3 @@ def h1_condition_count(p):
     """Vertex + edge + face + interior condition count of the H1 interpolant."""
     return p * (p - 1) * (p - 2) // 6 + 4 * p * (p - 1) // 2 + 6 * p + 4
 
-
-# ---------------------------------------------------------------------------
-# monomial export
-
-
-def monomial_exponents(dim, degree):
-    from itertools import product
-
-    out = []
-    for total in range(degree + 1):
-        for alpha in product(range(total + 1), repeat=dim):
-            if sum(alpha) == total:
-                out.append(alpha)
-    return out
-
-
-def to_monomials(space):
-    """Monomial coefficients of each basis function, per component.
-
-    Recovery solves a projection system whose conditioning grows quickly with
-    degree; intended for external cross-checks at moderate p (accurate to
-    ~1e-12 up to degree ~7, degrading beyond).
-    """
-    cell = space.cell
-    deg = space.degree
-    expo = monomial_exponents(cell.dim, deg)
-    q = quadrature(cell, 2 * deg)
-    V = cell.tabulate(deg, q.points)
-    P = np.stack(
-        [np.prod(q.points ** np.array(a, dtype=float), axis=1) for a in expo]
-    )
-    T = (P * q.weights) @ V.T  # <x^alpha, phi_k>
-    comps = space.components(space.basis)
-    mono = np.linalg.solve(T.T, np.moveaxis(comps, -1, 0).reshape(len(expo), -1))
-    mono = mono.reshape(len(expo), space.dim, space.value_dim)
-    return expo, np.moveaxis(mono, 0, -1)  # (n_basis, value_dim, n_monomials)
-
-
-def export_json(space):
-    """JSON document of the basis in monomial form, for external cross-checks."""
-    expo, mono = to_monomials(space)
-    return {
-        "cell": space.cell.key,
-        "name": space.name,
-        "value_dim": space.value_dim,
-        "degree": space.degree,
-        "monomial_exponents": [list(a) for a in expo],
-        "basis": [
-            [[float(c) for c in mono[i, v]] for v in range(space.value_dim)]
-            for i in range(space.dim)
-        ],
-    }

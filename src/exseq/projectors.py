@@ -41,7 +41,6 @@ import numpy as np
 import scipy.linalg
 from numpy.polynomial.legendre import leggauss
 
-from . import cache
 from . import polyspace as ps
 from .calculus import (COMPLEX, DERIVATIVES, FAMILIES, OPERATORS, diff_rows,
                        diff_slots, operator_at)
@@ -533,10 +532,9 @@ class ProjectorPlan:
     target slot vector. Immutable after construction; `apply` allocates no
     shared state and may run concurrently on different fields.
 
-    A degree-10 plan holds up to about 150 MB (div3d), so the rate sweep and
-    `run_verification` build their plans here and drop each degree's before
-    the next; `build_plan` is the memoised constructor for callers that
-    reuse plans.
+    Plans are never memoised: a degree-10 plan holds up to about 150 MB
+    (div3d), so each caller builds its own and drops it when done. The rate
+    sweep and `run_verification` drop each degree's plans before the next.
     """
 
     def __init__(self, operator, p):
@@ -612,11 +610,6 @@ class ProjectorPlan:
         return float(np.abs(lhs - rhs).max() / scale)
 
 
-@cache.memo
-def build_plan(operator, p):
-    return ProjectorPlan(operator, p)
-
-
 def projection_error(plan, slots):
     """Max relative L2 error of re-interpolating the target elements given by
     the slot rows `slots` through `plan`."""
@@ -626,13 +619,7 @@ def projection_error(plan, slots):
     return float((num / den).max())
 
 
-def projection_max_error(operator, p, n_samples, rng):
-    """Max relative L2 error of re-interpolating random target elements."""
-    slots = target_space(operator, p).random_elements(n_samples, rng)
-    return projection_error(build_plan(operator, p), slots)
-
-
-def check_commuting(p, fields_by_op, plans=None):
+def check_commuting(p, fields_by_op, plans):
     """Residuals of the five commuting identities on supplied fields: the
     operator of each slot chained, by the derivative that leaves the slot, to
     the next slot's operator (the interval's L2 slot has none).
@@ -641,13 +628,9 @@ def check_commuting(p, fields_by_op, plans=None):
     "grad2d": [...], "curl2d": [...]}; missing keys are skipped. Fields must
     provide first-derivative jets so the chained input can be formed.
     plans: {operator: its plan at degree p} for every operator applied,
-    chained ones included; by default the memoised `build_plan`.
+    chained ones included.
     Returns a list of {identity, field, residual, scale} records.
     """
-
-    def plan_of(operator):
-        return build_plan(operator, p) if plans is None else plans[operator]
-
     out = []
     for operator, (dim, slot) in OPERATORS.items():
         chained = operator_at(dim, slot + 1)
@@ -655,7 +638,7 @@ def check_commuting(p, fields_by_op, plans=None):
             continue
         deriv = COMPLEX[dim][slot]
         for f in fields_by_op.get(operator, ()):
-            plan, nxt = plan_of(operator), plan_of(chained)
+            plan, nxt = plans[operator], plans[chained]
             a_slots = plan.apply(f)
             t = plan.target
             a = diff_slots(deriv, t, a_slots)

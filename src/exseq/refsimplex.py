@@ -9,8 +9,6 @@ operators computed on the planar copy coincide with the traced 3D ones.
 """
 
 from dataclasses import dataclass, field
-from fractions import Fraction
-from math import factorial
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -158,22 +156,6 @@ def quadrature(cell, degree):
     return QuadratureRule(cell.dim, pts, ref_wts * scale, degree)
 
 
-def monomial_integral(cell_name, alpha):
-    """Exact integral of x^alpha over a default reference cell, as a Fraction."""
-    if cell_name == "edge":
-        (a,) = alpha
-        return Fraction(0) if a % 2 else Fraction(2, a + 1)
-    if cell_name == "tri":
-        a, b = alpha
-        return Fraction(factorial(a) * factorial(b), factorial(a + b + 2))
-    if cell_name == "tet":
-        a, b, c = alpha
-        return Fraction(
-            factorial(a) * factorial(b) * factorial(c), factorial(a + b + c + 3)
-        )
-    raise ValueError(f"unknown reference cell {cell_name}")
-
-
 @dataclass(frozen=True)
 class Edge:
     index: int
@@ -204,9 +186,6 @@ class Face:
         """Map planar face coordinates to ambient points."""
         xi = np.asarray(xi, dtype=float)
         return self.origin[None, :] + xi @ self.frame.T
-
-    def project(self, pts):
-        return (np.asarray(pts) - self.origin[None, :]) @ self.frame
 
 
 class ReferenceCell:
@@ -344,11 +323,3 @@ class ReferenceCell:
 def make_reference_cell(dim):
     return ReferenceCell(dim)
 
-
-def face_chart(refcell, face_id):
-    """Congruence chart of a face: the Face object carrying origin/frame/planar cell."""
-    if refcell.dim != 3:
-        raise ValueError("face charts exist only for the 3D cell")
-    if not 0 <= face_id < len(refcell.faces):
-        raise ValueError(f"invalid face id {face_id}")
-    return refcell.faces[face_id]

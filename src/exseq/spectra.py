@@ -1,5 +1,5 @@
-"""Discrete Friedrichs constants, minimum-energy trace liftings with
-orthogonality constraints, and the minimal-lifting trace norm.
+"""Discrete Friedrichs constants and minimum-energy trace liftings with
+orthogonality constraints.
 
 The liftings apply the saddle-point correction to a minimum-coefficient
 discrete lifting of the trace data; they reproduce traces and satisfy the
@@ -29,27 +29,9 @@ FRIEDRICHS_CASES = {
 }
 
 
-@dataclass
-class ConstrainedSubspace:
-    case: str
-    p: int
-    parent: ps.PolySpace
-    basis: np.ndarray  # orthonormal rows in parent slot space
-    constraint_rows: np.ndarray
-
-    @property
-    def dim(self):
-        return self.basis.shape[0]
-
-    def max_constraint_residual(self):
-        if self.dim == 0 or self.constraint_rows.shape[0] == 0:
-            return 0.0
-        r = self.constraint_rows @ self.basis.T
-        return float(np.abs(r).max())
-
-
 def constrained_subspace(case, p):
-    """The orthogonality-constrained space of one Friedrichs inequality."""
+    """The orthogonality-constrained space of one Friedrichs inequality, a
+    subspace of the case's space, and its constraint rows."""
     if case not in FRIEDRICHS_CASES:
         raise ValueError(f"unknown case {case!r}")
     op, kind, constraint_kind = FRIEDRICHS_CASES[case]
@@ -62,8 +44,7 @@ def constrained_subspace(case, p):
         if vec.dim
         else np.zeros((0, parent.value_dim * parent.n_modes))
     )
-    sub = ps.subspace_from_constraints(parent, rows)
-    return ConstrainedSubspace(case, p, parent, sub.basis, rows)
+    return ps.subspace_from_constraints(parent, rows), rows
 
 
 def friedrichs_constant(case, p):
@@ -72,11 +53,11 @@ def friedrichs_constant(case, p):
     Returns (C, lam_min, dim); an empty subspace yields C = 0 flagged by
     dim = 0.
     """
-    sub = constrained_subspace(case, p)
+    sub, _ = constrained_subspace(case, p)
     if sub.dim == 0:
         return 0.0, np.inf, 0
     dim, slot = OPERATORS[FRIEDRICHS_CASES[case][0]]
-    rows = diff_slots(COMPLEX[dim][slot], sub.parent, sub.basis)
+    rows = diff_rows(COMPLEX[dim][slot], sub)
     A = rows @ rows.T
     lam = scipy.linalg.eigvalsh(A)
     lam_min = float(lam[0])
@@ -166,39 +147,6 @@ def _saddle_lifting(space, bubbles, constraints, deriv, traces, w_slots):
     energy = float(np.linalg.norm(diff_slots(deriv, space, out)))
     return LiftingResult(space, out, float(np.linalg.norm(mult)), trace_res,
                          orth, smin, energy)
-
-
-def x_minus_half_norm(p, w_slots, lift_degree=None):
-    """Minimal H(curl) energy over discrete liftings of a tangential trace.
-
-    The infimum runs over edge elements of complex degree `lift_degree`
-    (default p); nonincreasing as the lifting degree grows.
-    """
-    rc = make_reference_cell(3)
-    pl = lift_degree if lift_degree is not None else p
-    if pl < p:
-        raise ValueError("lifting degree must be at least the trace degree")
-    Q = ps.build_space(rc, "hcurl", pl)
-    Qb = ps.build_space(rc, "hcurl_bubble", pl)
-    w_pad = ps.pad_slots(np.asarray(w_slots, dtype=float), rc.cell, 3, p + 1,
-                         pl + 1)
-    traces = ps.boundary_traces(rc.cell, pl + 1, "tangential", rc)
-    stack = traces @ Q.basis.T
-    data = traces @ w_pad
-    w_E = Q.basis.T @ (np.linalg.pinv(stack, rcond=1e-10) @ data)
-
-    def energy_sq(slots):
-        c = diff_slots("curl3d", Q, slots)
-        return float(slots @ slots + c @ c)
-
-    if Qb.dim == 0:
-        return np.sqrt(energy_sq(w_E))
-    curl_b = diff_rows("curl3d", Qb)
-    A = Qb.basis @ Qb.basis.T + curl_b @ curl_b.T
-    rhs = Qb.basis @ w_E + curl_b @ diff_slots("curl3d", Q, w_E)
-    beta = np.linalg.solve(A, rhs)
-    v = w_E - beta @ Qb.basis
-    return np.sqrt(energy_sq(v))
 
 
 def inf_sup_constant(p):

@@ -67,7 +67,8 @@ def test_criterion_03_projection_property(capsys):
         for p in range(0, 9):
             n = 23 if p < 8 else 16  # 200 elements per operator overall
             n_total += n
-            w = max(w, pj.projection_max_error(op, p, n, rng))
+            slots = pj.target_space(op, p).random_elements(n, rng)
+            w = max(w, pj.projection_error(pj.ProjectorPlan(op, p), slots))
         assert n_total >= 200
         worst[op] = w
     ok = max(worst.values()) <= 1e-9
@@ -85,9 +86,12 @@ def test_criterion_04_commuting_diagrams(capsys):
         v3 = ps.vector_space(rc3.cell, deg, 3)
         sc2 = ps.scalar_space(rc2.cell, deg)
         v2 = ps.vector_space(rc2.cell, deg, 2)
+        poly = fl.polynomial_fields()
+        plans = {op: pj.ProjectorPlan(op, p) for op in pj.OPERATORS
+                 if op != "grad1d"}
 
         def pick(space, tag, n=2):
-            return [fl.from_polynomial(f"{tag}{i}", space, s)
+            return [poly(f"{tag}{i}", space, s)
                     for i, s in enumerate(space.random_elements(n, rng))]
 
         poly_suite = {
@@ -97,7 +101,7 @@ def test_criterion_04_commuting_diagrams(capsys):
             "grad2d": pick(sc2, "s2"),
             "curl2d": pick(v2, "v2"),
         }
-        recs = pj.check_commuting(p, poly_suite)
+        recs = pj.check_commuting(p, poly_suite, plans)
         worst_poly = max(worst_poly, max(r["rel_residual"] for r in recs))
 
         ent3, ent2 = fl.suite("entire", 3), fl.suite("entire", 2)
@@ -108,7 +112,7 @@ def test_criterion_04_commuting_diagrams(capsys):
             "grad2d": [f for f in ent2 if f.value_dim == 1],
             "curl2d": [f for f in ent2 if f.value_dim == 2],
         }
-        recs = pj.check_commuting(p, entire_suite)
+        recs = pj.check_commuting(p, entire_suite, plans)
         worst_entire = max(worst_entire, max(r["rel_residual"] for r in recs))
     ok = worst_poly <= 1e-9 and worst_entire <= 1e-7
     _verdict(capsys, 4, "commuting-diagrams", bool(ok),
@@ -299,7 +303,7 @@ def test_criterion_09_interval_operator(capsys):
         scale = float(np.sqrt(np.sum(w * (np.asarray(f(gq.points)) ** 2
                                           + du**2))))
         for p in range(2, 17, 2):
-            plan = pj.build_plan("grad1d", p)
+            plan = pj.ProjectorPlan("grad1d", p)
             slots = plan.apply(f)
             ends = rc1.cell.vertices
             worst_end = max(

@@ -1,6 +1,7 @@
 import numpy as np
 import sympy as sp
 
+import oracles
 from exseq import calculus as ca
 from exseq import fields as fl
 from exseq import polyspace as ps
@@ -44,12 +45,12 @@ def test_split_error_oracle_polynomial_curl_part():
     rng = np.random.default_rng(12)
     Q = ps.build_space(rc3, "hcurl", p)
     w_slots = Q.random_elements(1, rng)[0]
-    w = fl.from_polynomial("w", ps.vector_space(rc3.cell, p + 1, 3), w_slots)
+    w = fl.polynomial_fields()("w", ps.vector_space(rc3.cell, p + 1, 3), w_slots)
     x, y, z = sp.symbols("x y z")
     phi = fl.from_sympy("phi", sp.exp(x / 2 + y / 3 + z / 5), 3)
     gphi = ca.DERIVATIVES["grad"].field(phi)
-    u = fl.shifted(gphi, w)
-    plan = pj.build_plan("curl3d", p)
+    u = oracles.shifted(gphi, w)
+    plan = pj.ProjectorPlan("curl3d", p)
     err_u = plan.apply(u) - _exactify(plan, u)
     err_g = plan.apply(gphi) - _exactify(plan, gphi)
     # the two error fields coincide: the polynomial part reproduces

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+import oracles
 from exseq import calculus as ca
 from exseq import fields as fl
 from exseq import polyspace as ps
@@ -14,7 +15,7 @@ from exseq.refsimplex import make_reference_cell, quadrature
 
 def test_stage_condition_counts_grad3d():
     # p=1: interior 0, faces 0, edges 6, vertices 4 -> 10 = dim of the target
-    plan = pj.build_plan("grad3d", 1)
+    plan = pj.ProjectorPlan("grad3d", 1)
     sc = plan.stage_conditions
     assert sc["vertices"] == 4
     assert sc["edges"] == 6
@@ -22,27 +23,28 @@ def test_stage_condition_counts_grad3d():
     assert sc["interior"] == 0
     assert sum(sc.values()) == plan.target.dim == 10
     for p in (0, 2, 4):
-        plan = pj.build_plan("grad3d", p)
+        plan = pj.ProjectorPlan("grad3d", p)
         assert sum(plan.stage_conditions.values()) == plan.target.dim
 
 
 def test_stage_condition_counts_curl_div():
     for p in (0, 1, 3):
-        plan = pj.build_plan("curl3d", p)
+        plan = pj.ProjectorPlan("curl3d", p)
         assert sum(plan.stage_conditions.values()) == plan.target.dim
-        plan = pj.build_plan("div3d", p)
+        plan = pj.ProjectorPlan("div3d", p)
         assert sum(plan.stage_conditions.values()) == plan.target.dim
 
 
 @pytest.mark.parametrize("operator", pj.OPERATORS)
 def test_projection_property(operator, rng):
     for p in (0, 2, 5):
-        assert pj.projection_max_error(operator, p, 12, rng) <= 1e-9
+        slots = pj.target_space(operator, p).random_elements(12, rng)
+        assert pj.projection_error(pj.ProjectorPlan(operator, p), slots) <= 1e-9
 
 
 def test_zero_input_gives_zero_output():
     for operator in pj.OPERATORS:
-        plan = pj.build_plan(operator, 2)
+        plan = pj.ProjectorPlan(operator, 2)
         dim, vd = 3, 3
         if operator.endswith("2d"):
             dim, vd = 2, 2
@@ -76,7 +78,7 @@ def test_curl_edge_stage_is_l2_projection(rng):
     # the edge moments (mean + derivative moments) reproduce the plain
     # tangential L2 projection
     p = 4
-    plan = pj.build_plan("curl3d", p)
+    plan = pj.ProjectorPlan("curl3d", p)
     rc = make_reference_cell(3)
     f = [g for g in fl.suite("entire", 3) if g.value_dim == 3][0]
     slots = plan.apply(f)
@@ -101,7 +103,7 @@ def test_curl_edge_stage_is_l2_projection(rng):
 
 def test_div_face_stage_is_l2_projection():
     p = 3
-    plan = pj.build_plan("div3d", p)
+    plan = pj.ProjectorPlan("div3d", p)
     rc = make_reference_cell(3)
     f = [g for g in fl.suite("entire", 3) if g.value_dim == 3][1]
     slots = plan.apply(f)
@@ -111,7 +113,7 @@ def test_div_face_stage_is_l2_projection():
         _assert_l2_stage(st)
         (region, M), = st.rhs
         amb = plan.sample_points[region]
-        V2 = face.cell.tabulate(p, face.project(amb))
+        V2 = face.cell.tabulate(p, (amb - face.origin) @ face.frame)
         w = (M.reshape(len(M), len(amb), 3) @ face.normal)[0] / V2[0]
         assert np.allclose(M, np.einsum("mq,c->mqc", V2 * w, face.normal)
                            .reshape(M.shape), rtol=0, atol=1e-14)
@@ -122,28 +124,34 @@ def test_div_face_stage_is_l2_projection():
         assert np.abs(proj - own).max() < 1e-11 * max(1, np.abs(proj).max())
 
 
+def _plans(p):
+    """Every operator's plan at degree p, for `check_commuting`."""
+    return {op: pj.ProjectorPlan(op, p) for op in pj.OPERATORS}
+
+
 def test_commuting_identities_polynomials(rng):
     rc3, rc2 = make_reference_cell(3), make_reference_cell(2)
+    poly = fl.polynomial_fields()
     for p in (0, 2, 3):
         deg = p + 3
         suite = {
-            "grad3d": [fl.from_polynomial(
+            "grad3d": [poly(
                 "s", ps.scalar_space(rc3.cell, deg),
                 ps.scalar_space(rc3.cell, deg).random_elements(1, rng)[0])],
-            "curl3d": [fl.from_polynomial(
+            "curl3d": [poly(
                 "v", ps.vector_space(rc3.cell, deg, 3),
                 ps.vector_space(rc3.cell, deg, 3).random_elements(1, rng)[0])],
-            "div3d": [fl.from_polynomial(
+            "div3d": [poly(
                 "w", ps.vector_space(rc3.cell, deg, 3),
                 ps.vector_space(rc3.cell, deg, 3).random_elements(1, rng)[0])],
-            "grad2d": [fl.from_polynomial(
+            "grad2d": [poly(
                 "s2", ps.scalar_space(rc2.cell, deg),
                 ps.scalar_space(rc2.cell, deg).random_elements(1, rng)[0])],
-            "curl2d": [fl.from_polynomial(
+            "curl2d": [poly(
                 "v2", ps.vector_space(rc2.cell, deg, 2),
                 ps.vector_space(rc2.cell, deg, 2).random_elements(1, rng)[0])],
         }
-        recs = pj.check_commuting(p, suite)
+        recs = pj.check_commuting(p, suite, _plans(p))
         assert max(r["rel_residual"] for r in recs) <= 1e-9
 
 
@@ -156,7 +164,7 @@ def test_commuting_specific_fields():
         "grad3d": [fl.from_sympy("x2yz", x**2 * y * z, 3)],
         "curl3d": [fl.from_sympy("u", [y**2, x * z, x + z], 3)],
     }
-    recs = pj.check_commuting(p, suite)
+    recs = pj.check_commuting(p, suite, _plans(p))
     assert max(r["rel_residual"] for r in recs) <= 1e-9
 
 
@@ -168,8 +176,8 @@ def test_grad_of_potential_is_curl_interpolant():
     x, y, z = sp.symbols("x y z")
     p = 2
     phi = fl.from_sympy("x2y", x**2 * y, 3)
-    gplan = pj.build_plan("grad3d", p)
-    cplan = pj.build_plan("curl3d", p)
+    gplan = pj.ProjectorPlan("grad3d", p)
+    cplan = pj.ProjectorPlan("curl3d", p)
     gi = gplan.apply(phi)
     rc3 = make_reference_cell(3)
     grad_gi = ca.diff_rows("grad", ps.PolySpace(rc3.cell, 1, p + 1,
@@ -185,13 +193,13 @@ def test_trace_locality_curl():
 
     x, y, z = sp.symbols("x y z")
     p = 3
-    plan = pj.build_plan("curl3d", p)
+    plan = pj.ProjectorPlan("curl3d", p)
     rc = make_reference_cell(3)
     f = fl.from_sympy("base", [sp.sin(x + y), sp.exp(z) / 4, x * y], 3)
     bubble = x * y * z * (1 - x - y - z)
     delta = fl.from_sympy("delta", [bubble, -2 * bubble, bubble / 3], 3)
     a = plan.apply(f)
-    b = plan.apply(fl.shifted(f, delta))
+    b = plan.apply(oracles.shifted(f, delta))
     Q = plan.target
     for face in rc.faces:
         q2 = quadrature(face.cell, 2 * (p + 1))
@@ -206,13 +214,13 @@ def test_trace_locality_div():
 
     x, y, z = sp.symbols("x y z")
     p = 3
-    plan = pj.build_plan("div3d", p)
+    plan = pj.ProjectorPlan("div3d", p)
     rc = make_reference_cell(3)
     f = fl.from_sympy("base", [sp.cos(y), x * z**2, sp.exp(x / 2)], 3)
     bubble = x * y * z * (1 - x - y - z)
     delta = fl.from_sympy("delta", [bubble, bubble, -bubble], 3)
     a = plan.apply(f)
-    b = plan.apply(fl.shifted(f, delta))
+    b = plan.apply(oracles.shifted(f, delta))
     V = plan.target
     for face in rc.faces:
         q2 = quadrature(face.cell, 2 * (p + 1))
@@ -237,15 +245,15 @@ def test_lift_invariance_grad2d(rng):
 
 def test_apply_1d_linear_and_endpoints():
     lin = fl.from_sympy("lin", "2*x + 1", 1)
-    slots = pj.build_plan("grad1d", 4).apply(lin)
-    t = pj.build_plan("grad1d", 4).target
+    slots = pj.ProjectorPlan("grad1d", 4).apply(lin)
+    t = pj.ProjectorPlan("grad1d", 4).target
     q = quadrature(t.cell, 8)
     vals = t.evaluate(slots, q.points)
     assert np.abs(vals - (2 * q.points[:, 0] + 1)).max() < 1e-12
     f = fl.suite("entire", 1)[0]
-    slots = pj.build_plan("grad1d", 6).apply(f)
+    slots = pj.ProjectorPlan("grad1d", 6).apply(f)
     ends = t.cell.vertices
-    assert np.abs(pj.build_plan("grad1d", 6).target.evaluate(slots, ends)
+    assert np.abs(pj.ProjectorPlan("grad1d", 6).target.evaluate(slots, ends)
                   - f(ends)).max() < 1e-12
 
 
@@ -253,7 +261,7 @@ def test_apply_1d_linear_and_endpoints():
 @given(coef=hst.lists(hst.floats(-2, 2), min_size=3, max_size=5))
 def test_apply_1d_reproduces_polynomials(coef):
     p = 6
-    plan = pj.build_plan("grad1d", p)
+    plan = pj.ProjectorPlan("grad1d", p)
 
     def fn(pts):
         return sum(c * pts[:, 0] ** k for k, c in enumerate(coef))
@@ -270,7 +278,7 @@ def test_apply_1d_reproduces_polynomials(coef):
 def test_apply_1d_seminorm_orthogonality():
     f = fl.suite("singular", 1)[0]
     p = 8
-    plan = pj.build_plan("grad1d", p)
+    plan = pj.ProjectorPlan("grad1d", p)
     slots = plan.apply(f)
     samples = {k: np.asarray(f(pts)).reshape(-1, 1)
                for k, pts in plan.sample_points.items()}
@@ -282,7 +290,7 @@ def test_monotone_error_1d_singular():
     errs = []
     pts, w = pj._graded_interval_rule()
     for p in (2, 5, 8, 12):
-        plan = pj.build_plan("grad1d", p)
+        plan = pj.ProjectorPlan("grad1d", p)
         slots = plan.apply(f)
         vals = plan.target.evaluate(slots, pts[:, None])
         errs.append(np.sqrt(np.sum(w * (vals - f(pts[:, None])) ** 2)))
@@ -291,7 +299,7 @@ def test_monotone_error_1d_singular():
 
 def test_condition_residual_check(rng):
     p = 3
-    plan = pj.build_plan("curl3d", p)
+    plan = pj.ProjectorPlan("curl3d", p)
     f = [g for g in fl.suite("entire", 3) if g.value_dim == 3][0]
     slots = plan.apply(f, check_tol=1e-9)
     assert np.all(np.isfinite(slots))
@@ -303,7 +311,7 @@ def test_condition_residual_rechecks_interior_energy_block(operator, rng):
     # gradients, or to the curls) must still move the residual
     p = 4
     rc = make_reference_cell(3)
-    plan = pj.build_plan(operator, p)
+    plan = pj.ProjectorPlan(operator, p)
     f = [g for g in fl.suite("entire", 3) if g.value_dim == 3][0]
     samples = {k: np.asarray(f(pts)).reshape(-1, 1)
                for k, pts in plan.sample_points.items()}
@@ -343,7 +351,7 @@ def _extension(plan, name, x):
 @pytest.mark.parametrize("operator", pj.OPERATORS)
 def test_condition_residual_rechecks_every_stage(operator, rng):
     p = 3
-    plan = pj.build_plan(operator, p)
+    plan = pj.ProjectorPlan(operator, p)
     f = fl.suite("entire", plan.target.cell.dim)[0]
     if plan.target.value_dim > 1:
         f = ca.DERIVATIVES["grad"].field(f)
@@ -360,7 +368,7 @@ def test_condition_residual_rechecks_every_stage(operator, rng):
 
 
 def test_nonfinite_samples_rejected():
-    plan = pj.build_plan("l2_2d", 1)
+    plan = pj.ProjectorPlan("l2_2d", 1)
     bad = fl.AnalyticField("bad", 2, 1, lambda pts: np.full(len(pts), np.nan))
     with pytest.raises(ValueError, match="non-finite"):
         plan.apply(bad)
@@ -368,7 +376,7 @@ def test_nonfinite_samples_rejected():
 
 def test_unknown_operator_rejected():
     with pytest.raises(ValueError):
-        pj.build_plan("grad4d", 1)
+        pj.ProjectorPlan("grad4d", 1)
     with pytest.raises(ValueError):
         pj.ProjectorPlan("grad3d", -1)
 
@@ -522,8 +530,9 @@ def test_commuting_check_tabulates_each_point_set_once(monkeypatch):
 
     rng = np.random.default_rng(5)
     p = 1
-    # a first check builds the plans and every memoised table
-    pj.check_commuting(p, st._commuting_suite(p, rng))
+    plans = _plans(p)
+    # a first check builds every memoised table
+    pj.check_commuting(p, st._commuting_suite(p, rng), plans)
     seen = Counter()
     tabulate = Cell.tabulate
 
@@ -533,6 +542,6 @@ def test_commuting_check_tabulates_each_point_set_once(monkeypatch):
         return tabulate(self, degree, pts)
 
     monkeypatch.setattr(Cell, "tabulate", counting)
-    pj.check_commuting(p, st._commuting_suite(p, rng))
+    pj.check_commuting(p, st._commuting_suite(p, rng), plans)
     assert seen
     assert max(seen.values()) == 1

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+import oracles
 from exseq import refsimplex as rs
 
 
@@ -112,7 +113,7 @@ def test_quadrature_exactness_exhaustive(name, dim, degree):
         if sum(alpha) > degree:
             continue
         val = (q.weights * np.prod(q.points ** np.array(alpha, float), axis=1)).sum()
-        exact = float(rs.monomial_integral(name, alpha))
+        exact = float(oracles.monomial_integral(name, alpha))
         if exact == 0.0:
             assert abs(val) < 1e-15
         else:
@@ -132,20 +133,13 @@ def test_quadrature_exactness_high_degree(alpha):
     if sum(alpha) > q.exactness_degree:
         return
     val = (q.weights * np.prod(q.points ** np.array(alpha, float), axis=1)).sum()
-    exact = float(rs.monomial_integral("tet", alpha))
+    exact = float(oracles.monomial_integral("tet", alpha))
     assert abs(val - exact) <= 1e-12 * abs(exact)
 
 
 def test_quadrature_rejects_beyond_cap(rc3):
     with pytest.raises(ValueError, match="unsupported degree"):
         rs.quadrature(rc3.cell, rs.MAX_QUAD_DEGREE + 1)
-
-
-def test_face_chart_invalid_id(rc3):
-    with pytest.raises(ValueError):
-        rs.face_chart(rc3, 7)
-    with pytest.raises(ValueError):
-        rs.face_chart(rs.make_reference_cell(2), 0)
 
 
 def test_edge_orientation_lowest_vertex_first(rc3):

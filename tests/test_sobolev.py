@@ -118,7 +118,7 @@ def test_dual_norm_stable_under_richer_test_space(rc3):
 def test_best_approx_reproduces_members(rc3, rng):
     W = ps.build_space(rc3, "h1", 3)
     el = W.random_elements(1, rng)[0]
-    f = fl.from_polynomial("member", W, el)
+    f = fl.polynomial_fields()("member", W, el)
     for norm in ("L2", "H2"):
         [(slots, err)] = sb.best_approx(W, [f], norm)
         assert np.abs(slots - el).max() < 1e-10

@@ -7,13 +7,12 @@ from pathlib import Path
 
 from exseq.calculus import DERIVATIVES
 
-ROOT = Path(__file__).resolve().parents[1]
-PACKAGE = ROOT / "src" / "exseq"
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "exseq"
 
 
-def _trees(*dirs):
+def _trees():
     return {path: ast.parse(path.read_text())
-            for d in dirs for path in sorted(d.rglob("*.py"))}
+            for path in sorted(PACKAGE.rglob("*.py"))}
 
 
 def _is_dunder(name):
@@ -21,16 +20,18 @@ def _is_dunder(name):
 
 
 def test_every_function_is_referenced():
-    # every function, method and property of the package is named in src/ or
-    # tests/ somewhere besides its own definition
+    # every function, method and property of the package is named in src/
+    # somewhere besides its own definition: code that only tests call
+    # belongs in tests/
+    trees = _trees()
     defined = {}
-    for path, tree in _trees(PACKAGE).items():
+    for path, tree in trees.items():
         for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
                     and not _is_dunder(node.name):
                 defined.setdefault(node.name, f"{path.name}:{node.lineno}")
     used = set()
-    for tree in _trees(ROOT / "src", ROOT / "tests").values():
+    for tree in trees.values():
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 used.add(node.id)
@@ -44,7 +45,7 @@ def test_every_function_is_referenced():
 
 def test_no_top_level_function_defined_twice():
     homes = defaultdict(list)
-    for path, tree in _trees(PACKAGE).items():
+    for path, tree in _trees().items():
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 homes[node.name].append(path.name)
@@ -55,7 +56,7 @@ def test_memo_is_the_only_cache():
     # every cached table goes through cache.memo: no functools cache
     # decorator in the package
     found = []
-    for path, tree in _trees(PACKAGE).items():
+    for path, tree in _trees().items():
         for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 for dec in node.decorator_list:
@@ -89,7 +90,7 @@ def test_operator_names_are_not_parsed():
     # operators, families and cases are read from the complex table by key,
     # never parsed out of their names
     found = []
-    for path, tree in _trees(PACKAGE).items():
+    for path, tree in _trees().items():
         for node in ast.walk(tree):
             if (isinstance(node, ast.Call)
                     and isinstance(node.func, ast.Attribute)
@@ -111,7 +112,7 @@ def test_derivatives_are_not_branched_on():
     # what differs between derivatives is read from their coefficient
     # tensors, never from a comparison with a derivative's name
     found = []
-    for path, tree in _trees(PACKAGE).items():
+    for path, tree in _trees().items():
         for node in ast.walk(tree):
             if isinstance(node, ast.Compare) and any(
                     s in DERIVATIVES for operand in (node.left, *node.comparators)
@@ -124,7 +125,7 @@ def test_package_reads_no_environment():
     # behaviour is set by arguments alone: no os.environ, os.getenv or
     # environ.get anywhere in the package
     found = []
-    for path, tree in _trees(PACKAGE).items():
+    for path, tree in _trees().items():
         for node in ast.walk(tree):
             name = (node.attr if isinstance(node, ast.Attribute)
                     else node.id if isinstance(node, ast.Name)
@@ -133,21 +134,3 @@ def test_package_reads_no_environment():
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
 
-
-def test_studies_never_reach_the_plan_memo():
-    # the rate sweep and `verify` hold one degree's plans at a time: studies
-    # build their plans with `ProjectorPlan`, never name the memoised
-    # `build_plan` or `projection_max_error` (which reads it), and pass
-    # `check_commuting` the plans it would otherwise take from the memo
-    found = []
-    for node in ast.walk(ast.parse((PACKAGE / "studies.py").read_text())):
-        name = (node.attr if isinstance(node, ast.Attribute)
-                else node.id if isinstance(node, ast.Name) else "")
-        if name in ("build_plan", "projection_max_error"):
-            found.append(f"studies.py:{node.lineno} {name}")
-        if (isinstance(node, ast.Call)
-                and getattr(node.func, "attr", "") == "check_commuting"
-                and len(node.args) < 3
-                and "plans" not in {k.arg for k in node.keywords}):
-            found.append(f"studies.py:{node.lineno} check_commuting")
-    assert found == []

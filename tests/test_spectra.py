@@ -15,17 +15,18 @@ def test_case_curl2d_full_p0_dimension():
 
 def test_constraint_residuals():
     for case in spc.FRIEDRICHS_CASES:
-        sub = spc.constrained_subspace(case, 3)
-        assert sub.max_constraint_residual() < 1e-11
+        sub, rows = spc.constrained_subspace(case, 3)
+        if sub.dim and len(rows):
+            assert np.abs(rows @ sub.basis.T).max() < 1e-11
 
 
 def test_gradient_field_violates_constraint(rng, rc3):
     # inserting a gradient into the constrained space is detected
-    sub = spc.constrained_subspace("curl3d_full", 2)
+    _, rows = spc.constrained_subspace("curl3d_full", 2)
     W = ps.build_space(rc3, "h1", 2)
     phi = W.random_elements(1, rng)[0]
     g = ca.diff_rows("grad", ps.PolySpace(rc3.cell, 1, 3, phi[None, :]))[0]
-    coords = sub.constraint_rows @ g
+    coords = rows @ g
     assert np.abs(coords).max() > 1e-6  # clearly rejected
 
 
@@ -123,21 +124,6 @@ def test_kkt_full_rank(rc3):
             p, np.zeros(3 * ps.build_space(rc3, "hcurl", p).n_modes)
         )
         assert res.kkt_min_singular > 1e-8
-
-
-def test_x_minus_half_norm_properties(rng, rc3):
-    p = 3
-    Q = ps.build_space(rc3, "hcurl", p)
-    w = Q.random_elements(1, rng)[0]
-    assert spc.x_minus_half_norm(p, np.zeros_like(w)) == 0.0
-    val = spc.x_minus_half_norm(p, w)
-    curl_w = ca.diff_slots("curl3d", Q, w)
-    hcurl = np.sqrt(w @ w + curl_w @ curl_w)
-    assert val <= hcurl + 1e-12
-    richer = spc.x_minus_half_norm(p, w, lift_degree=p + 2)
-    assert richer <= val + 1e-12
-    with pytest.raises(ValueError):
-        spc.x_minus_half_norm(p, w, lift_degree=p - 1)
 
 
 def test_inf_sup_positive(rc3):

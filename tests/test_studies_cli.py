@@ -140,6 +140,30 @@ def test_cli_project_json_and_csv(tmp_path):
     assert header.startswith("field,x0,x1,value")
 
 
+@pytest.mark.parametrize("op, p_max", [("grad2d", 14), ("grad3d", 20)])
+def test_cli_project_refuses_a_degree_beyond_the_cap(op, p_max, monkeypatch,
+                                                     capsys):
+    # `convergence` refuses these degrees too (2D and 3D caps are 10); the
+    # check runs before any plan is built
+    from exseq import projectors as pj
+
+    built = []
+    monkeypatch.setattr(pj, "ProjectorPlan", lambda *args: built.append(args))
+    assert cli.main(["project", "--operator", op, "--p-max", str(p_max)]) == 1
+    assert built == []
+    assert f"beyond cap 10 for {op}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--p-min", "1"], ["dims", "--p-min", "1"],
+    ["dims", "--seed", "1"], ["friedrichs", "--seed", "1"],
+    ["project", "--p-min", "1"], ["project", "--seed", "1"]])
+def test_cli_subcommand_takes_only_the_flags_it_reads(argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+
+
 def test_cli_config_file(tmp_path):
     cfgf = tmp_path / "run.cfg"
     cfgf.write_text("p_max = 3\n# comment\nfmt = csv\n")
@@ -238,15 +262,6 @@ _SWEEP_OPS = ("grad3d", "curl3d", "div3d")
 
 def _small_sweep(ops=_SWEEP_OPS):
     return st.StudyConfig(operators=ops, p_min=1, p_max=2, s_values=(0.0,))
-
-
-def test_sweep_keeps_no_plan_in_the_memo():
-    from exseq import cache
-
-    cache.clear()
-    st.run_convergence(_small_sweep(("grad3d", "curl3d")))
-    assert not [k for k in cache._entries
-                if k[0] == "exseq.projectors.build_plan"]
 
 
 def _spy_tabulate(monkeypatch):
@@ -388,22 +403,6 @@ def test_grad1d_sweep_tabulates_no_dual_modes_at_integer_s(monkeypatch):
     assert max(degrees) < cfg.p_min + 1 + cfg.dual_offset
 
 
-def test_sweep_bits_do_not_depend_on_memoised_plans():
-    from exseq import cache
-    from exseq import projectors as pj
-
-    cfg = _small_sweep()
-    cache.clear()
-    cold, _ = st.run_convergence(cfg)
-    cache.clear()
-    for op in cfg.operators:
-        for p in range(cfg.p_min, cfg.p_max + 1):
-            pj.build_plan(op, p)
-    warm, _ = st.run_convergence(cfg)
-    assert st.format_rows(st.records_to_rows(cold), "csv") == st.format_rows(
-        st.records_to_rows(warm), "csv")
-
-
 def _gate_sweep(ops, s_values):
     """The acceptance gate's criterion-08 config, at p = 2..3."""
     return st.StudyConfig(operators=ops, p_min=2, p_max=3, suite="entire",
@@ -471,13 +470,49 @@ def _small_verification():
 _VERIFY_OPS = [op for op in ca.OPERATORS if op != "grad1d"]
 
 
+def _holds_plan(x, seen=None):
+    """Whether `x` is a `ProjectorPlan` or holds one in a tuple, list, dict
+    or package object, at any depth."""
+    from exseq import projectors as pj
+
+    seen = set() if seen is None else seen
+    if id(x) in seen:
+        return False
+    seen.add(id(x))
+    if isinstance(x, pj.ProjectorPlan):
+        return True
+    if isinstance(x, (tuple, list)):
+        return any(_holds_plan(v, seen) for v in x)
+    if isinstance(x, dict):
+        return any(_holds_plan(v, seen) for v in (*x.keys(), *x.values()))
+    if type(x).__module__.startswith("exseq.") and hasattr(x, "__dict__"):
+        return _holds_plan(vars(x), seen)
+    return False
+
+
+def _memoised_plans():
+    """The memo names under which a plan is held, checked by type, so a plan
+    memoised under any name is found."""
+    from exseq import cache
+
+    assert cache._entries
+    return [k[0] for k, v in cache._entries.items() if _holds_plan(v)]
+
+
+def test_sweep_keeps_no_plan_in_the_memo():
+    from exseq import cache
+
+    cache.clear()
+    st.run_convergence(_small_sweep())
+    assert _memoised_plans() == []
+
+
 def test_verification_keeps_no_plan_in_the_memo():
     from exseq import cache
 
     cache.clear()
     _small_verification()
-    assert not [k for k in cache._entries
-                if k[0] == "exseq.projectors.build_plan"]
+    assert _memoised_plans() == []
 
 
 def _spy_plans(monkeypatch):
@@ -515,20 +550,6 @@ def test_verification_keeps_one_degree_of_plans_alive(monkeypatch):
     _small_verification()
     assert {p for _, p, _ in built} == {0, 1, 2}
     assert alive == []
-
-
-def test_verification_bits_do_not_depend_on_memoised_plans():
-    from exseq import cache
-    from exseq import projectors as pj
-
-    cache.clear()
-    cold = st.format_report(_small_verification(), "json")
-    cache.clear()
-    for op in _VERIFY_OPS:
-        for p in range(3):
-            pj.build_plan(op, p)
-    warm = st.format_report(_small_verification(), "json")
-    assert cold == warm
 
 
 def _spy_gram_tables(monkeypatch):
