@@ -124,6 +124,8 @@ def main(argv=None):
 
 
 def _dispatch(args):
+    # the commands without --p-min start at degree 0
+    st.check_degree_range(getattr(args, "p_min", 0), args.p_max)
     if args.command == "verify":
         report = st.run_verification(p_max=args.p_max, seed=args.seed)
         _emit(st.format_report(report, args.fmt), args.out)
@@ -170,7 +172,7 @@ def _dispatch(args):
         rows = []
         ok = True
         for case in spc.FRIEDRICHS_CASES:
-            for p in range(max(args.p_min, 0), args.p_max + 1):
+            for p in range(args.p_min, args.p_max + 1):
                 C, lam, dim = spc.friedrichs_constant(case, p)
                 if dim == 0:
                     continue

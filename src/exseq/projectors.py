@@ -447,6 +447,7 @@ def _curl_stages(plan, rc, p):
     Vq = cell.tabulate(deg, q.points)
     energy = [("vol", _stacked_moments(Vq, q.weights, [(curl_W, False),
                                                        (grads, False)]))]
+    del Vq  # the largest table; freed before the stage's own peak
     for face, q2 in zip(rc.faces, face_rules):
         amb = face.embed(q2.points)
         tang = np.einsum("mpk,kl->mpl", _eval_rows(cell, 3, deg, W, amb),
@@ -487,6 +488,7 @@ def _div_stages(plan, rc, p):
     Vq = cell.tabulate(deg, q.points)
     energy = [("vol", _stacked_moments(Vq, q.weights, [(grad_div, True),
                                                        (curls, False)]))]
+    del Vq  # the largest table; freed before the stage's own peak
     for face, q2 in zip(rc.faces, face_rules):
         dvals = _eval_rows(cell, 1, deg, divs, face.embed(q2.points))[:, :, 0]
         nvals = dvals[:, :, None] * face.normal[None, None, :]
@@ -534,7 +536,7 @@ class ProjectorPlan:
 
     Plans are never memoised: a degree-10 plan holds up to about 150 MB
     (div3d), so each caller builds its own and drops it when done. The rate
-    sweep and `run_verification` drop each degree's plans before the next.
+    sweep and `run_verification` drop each plan before the next is built.
     """
 
     def __init__(self, operator, p):
@@ -627,25 +629,40 @@ def check_commuting(p, fields_by_op, plans):
     fields_by_op: {"grad3d": [scalar fields], "curl3d": [...], "div3d": [...],
     "grad2d": [...], "curl2d": [...]}; missing keys are skipped. Fields must
     provide first-derivative jets so the chained input can be formed.
-    plans: {operator: its plan at degree p} for every operator applied,
-    chained ones included.
-    Returns a list of {identity, field, residual, scale} records.
+    plans: an iterable of plans at degree p, in any order, for every operator
+    applied, chained ones included. It is read once: each plan interpolates
+    the fields of the chains that start at its operator and the derivatives
+    of the fields of the operator chained into it, and only the slot vectors
+    and targets are kept, so a caller may drop each plan as soon as the next
+    one is asked for.
+    Returns a list of {identity, field, residual, scale} records, in the
+    order of `OPERATORS` and then of the fields.
     """
-    out = []
+    chains = {}  # operator -> (chained operator, derivative leaving its slot)
     for operator, (dim, slot) in OPERATORS.items():
         chained = operator_at(dim, slot + 1)
-        if chained is None:
-            continue
-        deriv = COMPLEX[dim][slot]
-        for f in fields_by_op.get(operator, ()):
-            plan, nxt = plans[operator], plans[chained]
-            a_slots = plan.apply(f)
-            t = plan.target
-            a = diff_slots(deriv, t, a_slots)
-            b = ps.pad_slots(nxt.apply(DERIVATIVES[deriv].field(f)), t.cell,
-                             nxt.target.value_dim, nxt.target.degree, t.degree)
+        if chained is not None and fields_by_op.get(operator):
+            chains[operator] = (chained, COMPLEX[dim][slot])
+    starts, ends = {}, {}  # operator -> (target, slot vectors of its chain)
+    for plan in plans:
+        for operator, (chained, deriv) in chains.items():
+            fields = fields_by_op[operator]
+            if plan.operator == operator:
+                starts[operator] = (plan.target,
+                                    [plan.apply(f) for f in fields])
+            if plan.operator == chained:
+                ends[operator] = (plan.target, [
+                    plan.apply(DERIVATIVES[deriv].field(f)) for f in fields])
+        del plan  # not held while the iterable makes the next one
+    out = []
+    for operator, (chained, deriv) in chains.items():
+        dim, slot = OPERATORS[operator]
+        (t, a_slots), (nt, b_slots) = starts[operator], ends[operator]
+        for f, a_s, b_s in zip(fields_by_op[operator], a_slots, b_slots):
+            a = diff_slots(deriv, t, a_s)
+            b = ps.pad_slots(b_s, t.cell, nt.value_dim, nt.degree, t.degree)
             residual = float(np.linalg.norm(a - b))
-            scale = max(float(np.linalg.norm(a_slots)), 1e-30)
+            scale = max(float(np.linalg.norm(a_s)), 1e-30)
             out.append(
                 {
                     "identity": f"{FAMILIES[slot]}_chain_{dim}d",

@@ -36,6 +36,13 @@ DENOMINATOR_NORM = {
 }
 
 
+def check_degree_range(p_min, p_max):
+    """Refuse a degree range p_min..p_max that is empty or starts below 0."""
+    if not 0 <= p_min <= p_max:
+        raise ValueError(f"invalid degree range: p_min {p_min}, p_max "
+                         f"{p_max}; need 0 <= p_min <= p_max")
+
+
 @dataclass
 class StudyConfig:
     operators: tuple = ("curl3d",)
@@ -59,8 +66,7 @@ class StudyConfig:
             for s in self.s_values:
                 if not 0.0 <= s <= smax + 1e-12:
                     raise ValueError(f"s={s} outside [0, {smax}] for {op}")
-        if self.p_min < 0 or self.p_min > self.p_max:
-            raise ValueError("invalid degree range")
+        check_degree_range(self.p_min, self.p_max)
         if self.dual_offset < 2:
             raise ValueError("dual-test offset must be at least 2")
         for op, p, s, top in self._gram_tops():
@@ -384,10 +390,10 @@ def run_verification(p_max=6, seed=0, n_projection=40, n_poincare=6):
     """Dimension counts, sequence checks, projections, commuting, right
     inverses, splittings and the Friedrichs sweep; pass/fail plus residuals.
 
-    The projection and commuting checks run one degree at a time on plans
-    built for that degree alone (`_degree_checks`), so only one degree's
-    plans are alive; their random draws are all made first, in section
-    order, so the report does not depend on that schedule."""
+    The projection and commuting checks run one degree at a time, one plan
+    at a time (`_degree_checks`), so only one plan is alive; their random
+    draws are all made first, in section order, so the report does not
+    depend on that schedule."""
     rng = np.random.default_rng(seed)
     rc3, rc2, rc1 = (make_reference_cell(d) for d in (3, 2, 1))
     report = {
@@ -515,10 +521,20 @@ def run_verification(p_max=6, seed=0, n_projection=40, n_poincare=6):
 def _degree_checks(p, samples, suite):
     """Degree p's projection errors, {operator: max relative error} over the
     slot rows `samples[operator]`, and its commuting records on `suite`.
-    Each operator's plan is built once here and freed on return."""
-    plans = {op: pj.ProjectorPlan(op, p) for op in samples}
-    errors = {op: pj.projection_error(plans[op], s) for op, s in samples.items()}
-    return errors, pj.check_commuting(p, suite, plans)
+    Each operator's plan is built, takes its projection error and feeds the
+    commuting check on one pass, and is freed before the next is built, so
+    only one plan is alive at a time."""
+    errors = {}
+
+    def plans():
+        for op, s in samples.items():
+            plan = pj.ProjectorPlan(op, p)
+            errors[op] = pj.projection_error(plan, s)
+            yield plan
+            del plan  # before the next build
+
+    rows = pj.check_commuting(p, suite, plans())
+    return errors, rows
 
 
 def _commuting_suite(p, rng):

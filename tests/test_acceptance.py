@@ -87,8 +87,8 @@ def test_criterion_04_commuting_diagrams(capsys):
         sc2 = ps.scalar_space(rc2.cell, deg)
         v2 = ps.vector_space(rc2.cell, deg, 2)
         poly = fl.polynomial_fields()
-        plans = {op: pj.ProjectorPlan(op, p) for op in pj.OPERATORS
-                 if op != "grad1d"}
+        plans = [pj.ProjectorPlan(op, p) for op in pj.OPERATORS
+                 if op != "grad1d"]
 
         def pick(space, tag, n=2):
             return [poly(f"{tag}{i}", space, s)

@@ -303,7 +303,7 @@ def test_right_inverse_shapes_follow_the_table():
 
 def test_commuting_chains_follow_the_table():
     fields = {op: st.fields_for(op, "entire")[:1] for op in ca.OPERATORS}
-    plans = {op: pj.ProjectorPlan(op, 1) for op in ca.OPERATORS}
+    plans = [pj.ProjectorPlan(op, 1) for op in ca.OPERATORS]
     rows = pj.check_commuting(1, fields, plans)
     assert [r["identity"] for r in rows] == [
         "grad_chain_3d", "curl_chain_3d", "div_chain_3d", "grad_chain_2d",

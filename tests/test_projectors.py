@@ -126,7 +126,55 @@ def test_div_face_stage_is_l2_projection():
 
 def _plans(p):
     """Every operator's plan at degree p, for `check_commuting`."""
-    return {op: pj.ProjectorPlan(op, p) for op in pj.OPERATORS}
+    return [pj.ProjectorPlan(op, p) for op in pj.OPERATORS]
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_commuting_check_reads_a_one_shot_iterable(p):
+    # a generator of the plans, read once and in another order, gives the
+    # records of a list of the same plans, bit for bit and in the same order
+    from exseq import studies as st
+
+    suite = st._commuting_suite(p, np.random.default_rng(11))
+    plans = _plans(p)
+    ref = pj.check_commuting(p, suite, plans)
+    stream = (plan for plan in reversed(plans))
+    got = pj.check_commuting(p, suite, stream)
+    assert next(stream, None) is None
+    assert got == ref
+
+
+@pytest.mark.parametrize("operator, stages", [("curl3d", pj._curl_stages),
+                                              ("div3d", pj._div_stages)])
+def test_interior_table_is_freed_before_the_interior_stage(operator, stages,
+                                                           monkeypatch):
+    # the interior rule's modal table Vq is read only by the stacked
+    # moments: no block allocated at its line as large as the table is alive
+    # when the interior stage, the last `_mixed_stage` of the build, is made
+    import inspect
+
+    lines, start = inspect.getsourcelines(stages)
+    at = start + next(i for i, line in enumerate(lines)
+                      if line.strip().startswith("Vq = "))
+    held = []
+    mixed_stage = pj._mixed_stage
+
+    def spy(*args):
+        snap = tracemalloc.take_snapshot().filter_traces(
+            [tracemalloc.Filter(True, pj.__file__, at, all_frames=True)])
+        held.append(max((t.size for t in snap.traces), default=0))
+        return mixed_stage(*args)
+
+    pj.ProjectorPlan(operator, 2)  # the memoised spaces, untraced
+    monkeypatch.setattr(pj, "_mixed_stage", spy)
+    tracemalloc.start(30)
+    try:
+        plan = pj.ProjectorPlan(operator, 2)
+    finally:
+        tracemalloc.stop()
+    # (modes of degree p + 1, interior points) doubles
+    table = plan.target.cell.n_modes(3) * len(plan.sample_points["vol"]) * 8
+    assert held and held[-1] < table
 
 
 def test_commuting_identities_polynomials(rng):

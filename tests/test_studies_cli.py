@@ -155,6 +155,19 @@ def test_cli_project_refuses_a_degree_beyond_the_cap(op, p_max, monkeypatch,
 
 
 @pytest.mark.parametrize("argv", [
+    ["verify", "--p-max", "-1"], ["dims", "--p-max", "-1"],
+    ["friedrichs", "--p-min", "3", "--p-max", "1"],
+    ["friedrichs", "--p-min", "-1", "--p-max", "1"]])
+def test_cli_refuses_an_empty_or_negative_degree_range(argv, capsys):
+    # exit 1 with one message before any work, not an empty table or a
+    # traceback from deep inside the run
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: invalid degree range" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
     ["verify", "--p-min", "1"], ["dims", "--p-min", "1"],
     ["dims", "--seed", "1"], ["friedrichs", "--seed", "1"],
     ["project", "--p-min", "1"], ["project", "--seed", "1"]])
@@ -517,7 +530,7 @@ def test_verification_keeps_no_plan_in_the_memo():
 
 def _spy_plans(monkeypatch):
     """Record the (operator, p) of every `ProjectorPlan` built, and the
-    (operator, p) of every lower-degree plan still alive at each build."""
+    (operator, p) of every plan still alive at each build."""
     import weakref
 
     from exseq import projectors as pj
@@ -526,7 +539,7 @@ def _spy_plans(monkeypatch):
     ProjectorPlan = pj.ProjectorPlan
 
     def spy(op, p):
-        alive.extend((o, q) for o, q, ref in built if q < p and ref())
+        alive.extend((o, q) for o, q, ref in built if ref())
         plan = ProjectorPlan(op, p)
         built.append((op, p, weakref.ref(plan)))
         return plan
@@ -544,12 +557,50 @@ def test_verification_builds_each_plan_once(monkeypatch):
         (op, p) for op in _VERIFY_OPS for p in range(3))
 
 
-def test_verification_keeps_one_degree_of_plans_alive(monkeypatch):
-    # every plan of degree p is dead before the first of degree p + 1 is built
+def test_verification_keeps_one_plan_alive(monkeypatch):
+    # every plan is dead before the next one is built, within a degree too
     built, alive = _spy_plans(monkeypatch)
     _small_verification()
     assert {p for _, p, _ in built} == {0, 1, 2}
     assert alive == []
+
+
+def _all_plans_at_once(p, samples, suite):
+    """`_degree_checks` as it was when every plan of the degree was built
+    first and each commuting chain read its two plans from one dict."""
+    from exseq import polyspace as ps
+    from exseq import projectors as pj
+
+    plans = {op: pj.ProjectorPlan(op, p) for op in samples}
+    errors = {op: pj.projection_error(plans[op], s) for op, s in samples.items()}
+    rows = []
+    for operator, (dim, slot) in ca.OPERATORS.items():
+        chained = ca.operator_at(dim, slot + 1)
+        if chained is None:
+            continue
+        deriv = ca.COMPLEX[dim][slot]
+        for f in suite.get(operator, ()):
+            plan, nxt = plans[operator], plans[chained]
+            a_slots = plan.apply(f)
+            t = plan.target
+            a = ca.diff_slots(deriv, t, a_slots)
+            b = ps.pad_slots(nxt.apply(ca.DERIVATIVES[deriv].field(f)),
+                             t.cell, nxt.target.value_dim, nxt.target.degree,
+                             t.degree)
+            residual = float(np.linalg.norm(a - b))
+            scale = max(float(np.linalg.norm(a_slots)), 1e-30)
+            rows.append({"identity": f"{ca.FAMILIES[slot]}_chain_{dim}d",
+                         "field": f.name, "residual": residual,
+                         "scale": scale, "rel_residual": residual / scale,
+                         "p": p})
+    return errors, rows
+
+
+def test_verification_streaming_plans_keeps_the_report(monkeypatch):
+    # one plan at a time gives the report of all of a degree's plans at once
+    report = st.format_report(_small_verification(), "json")
+    monkeypatch.setattr(st, "_degree_checks", _all_plans_at_once)
+    assert report == st.format_report(_small_verification(), "json")
 
 
 def _spy_gram_tables(monkeypatch):
