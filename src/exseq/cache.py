@@ -30,8 +30,7 @@ def _fingerprint(x):
         return x
     if isinstance(x, (tuple, list)):
         return tuple(_fingerprint(v) for v in x)
-    # imported here: both modules memoise with this one
-    from .polyspace import PolySpace
+    # imported here: refsimplex memoises with this module
     from .refsimplex import Cell, ReferenceCell
 
     if isinstance(x, Cell):
@@ -41,9 +40,6 @@ def _fingerprint(x):
     if dataclasses.is_dataclass(x) and not isinstance(x, type):
         return (type(x).__name__,) + tuple(
             _fingerprint(getattr(x, f.name)) for f in dataclasses.fields(x))
-    if isinstance(x, PolySpace):
-        return ("PolySpace", _fingerprint(x.cell), x.value_dim, x.degree,
-                _fingerprint(x.basis))
     raise TypeError(f"no content fingerprint for {type(x).__name__}")
 
 

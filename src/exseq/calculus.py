@@ -12,7 +12,6 @@ polynomials, the derivatives of fields, the Koszul contractions of the right
 inverses in `poincare` and the source check of `diff_op` all read it.
 """
 
-from dataclasses import dataclass
 from itertools import pairwise
 from typing import NamedTuple
 
@@ -21,19 +20,6 @@ import numpy as np
 from . import fields as fl
 from . import polyspace as ps
 from .refsimplex import quadrature
-
-
-@dataclass
-class LinearOpMatrix:
-    """Coordinates of an operator's image: out_coords = in_coords @ matrix."""
-
-    source: ps.PolySpace
-    target: ps.PolySpace
-    matrix: np.ndarray
-    residual: float
-
-    def __call__(self, coeffs):
-        return np.asarray(coeffs) @ self.matrix
 
 
 def _expand_in(target, rows, src_cell, src_vd, src_degree):
@@ -142,7 +128,8 @@ def operator_at(dim, slot):
 
 
 def diff_op(name, source, target):
-    """Exact differential operator from `source` expanded in `target`.
+    """Exact differential operator from `source` expanded in `target`: the
+    coordinate matrix with target_coords = source_coords @ matrix.
 
     Raises if the image does not embed in the declared target space.
     """
@@ -155,7 +142,7 @@ def diff_op(name, source, target):
         raise ValueError(
             f"image of {name} does not lie in target {target.name}: residual {resid:.2e}"
         )
-    return LinearOpMatrix(source, target, coords, resid)
+    return coords
 
 
 def diff_rows(name, space):
@@ -202,7 +189,7 @@ def _arrows(refcell, p):
     """The full sequence's spaces and the matrices of the derivatives between
     consecutive slots."""
     S = _sequence(refcell, p)
-    return S, [diff_op(D, S[k], S[k + 1]).matrix
+    return S, [diff_op(D, S[k], S[k + 1])
                for k, D in enumerate(COMPLEX[refcell.dim])]
 
 
@@ -286,8 +273,8 @@ def integration_by_parts_residual(refcell, p, rng):
         v_q = Q.evaluate(cv, q.points)
         au = cu @ Q.basis.T
         av = cv @ Q.basis.T
-        curl_u = V.evaluate((au @ c.matrix) @ V.basis, q.points)
-        curl_v = V.evaluate((av @ c.matrix) @ V.basis, q.points)
+        curl_u = V.evaluate((au @ c) @ V.basis, q.points)
+        curl_v = V.evaluate((av @ c) @ V.basis, q.points)
         lhs = np.einsum("q,qi,qi->", q.weights, curl_u, v_q)
         rhs_vol = np.einsum("q,qi,qi->", q.weights, curl_v, u_q)
         bnd = 0.0

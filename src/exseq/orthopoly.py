@@ -61,39 +61,25 @@ def _collapsed_3d(r, s, t):
     return a, b, t
 
 
-def _jacobi_scalars(nmax, alpha, beta=0):
-    """Scalars of the orthonormal Jacobi recurrence up to order nmax: order
-    0's value, order 1's (slope, offset, divisor), and for i = 1..nmax-1 the
-    (b, a_old, a_new) of order i+1 = ((x - b) P_i - a_old P_{i-1}) / a_new."""
+def _jacobi_scalars(nmax, alpha):
+    """Scalars of the orthonormal Jacobi recurrence (beta = 0) up to order
+    nmax: order 0's value, order 1's (slope, offset, divisor), and for
+    i = 1..nmax-1 the (b, a_old, a_new) of order i+1 =
+    ((x - b) P_i - a_old P_{i-1}) / a_new. Every beta term of the general
+    recurrence is an exact +0 or *1 here, so the scalars are its own."""
     from math import gamma, sqrt
 
-    gamma0 = (
-        2.0 ** (alpha + beta + 1)
-        / (alpha + beta + 1)
-        * gamma(alpha + 1)
-        * gamma(beta + 1)
-        / gamma(alpha + beta + 1)
-    )
-    gamma1 = (alpha + 1) * (beta + 1) / (alpha + beta + 3) * gamma0
-    first = (alpha + beta + 2, (alpha - beta) / 2, sqrt(gamma1))
-    aold = 2.0 / (2 + alpha + beta) * sqrt(
-        (alpha + 1) * (beta + 1) / (alpha + beta + 3)
-    )
+    g = gamma(alpha + 1)
+    gamma0 = 2.0 ** (alpha + 1) / (alpha + 1) * g / g
+    gamma1 = (alpha + 1) / (alpha + 3) * gamma0
+    first = (alpha + 2, alpha / 2, sqrt(gamma1))
+    aold = 2.0 / (2 + alpha) * sqrt((alpha + 1) / (alpha + 3))
     steps = []
     for i in range(1, nmax):
-        h1 = 2 * i + alpha + beta
-        anew = (
-            2.0
-            / (h1 + 2)
-            * sqrt(
-                (i + 1)
-                * (i + 1 + alpha + beta)
-                * (i + 1 + alpha)
-                * (i + 1 + beta)
-                / ((h1 + 1) * (h1 + 3))
-            )
-        )
-        bnew = -(alpha**2 - beta**2) / (h1 * (h1 + 2))
+        h1 = 2 * i + alpha
+        anew = 2.0 / (h1 + 2) * sqrt(
+            ((i + 1) * (i + 1 + alpha)) ** 2 / ((h1 + 1) * (h1 + 3)))
+        bnew = -(alpha**2) / (h1 * (h1 + 2))
         steps.append((bnew, aold, anew))
         aold = anew
     return 1.0 / sqrt(gamma0), first, steps

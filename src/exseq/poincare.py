@@ -31,6 +31,7 @@ from .refsimplex import quadrature
 
 BUMP_POWER = 6  # m of the bump (1 - |x-c|^2/r^2)^m
 RADIUS_FACTOR = 0.9  # the bump's radius over the cell's inradius
+SPLIT_TOL = 1e-9  # largest relative reconstruction residual of a splitting
 
 
 class RegularizedInverse:
@@ -49,7 +50,6 @@ class RegularizedInverse:
             raise ValueError(f"unknown kind {kind!r}")
         if refcell.dim != dim:
             raise ValueError(f"{kind} needs a {dim}D cell")
-        self.refcell = refcell
         self.cell = refcell.cell
         self.kind = kind
         self.derivative = COMPLEX[dim][slot]
@@ -160,7 +160,7 @@ def regularized_inverse(refcell, kind):
     return RegularizedInverse(refcell, kind)
 
 
-def _helmholtz(refcell, slot, space, slots, tol):
+def _helmholtz(refcell, slot, space, slots):
     """Split u in a slot of the refcell's complex as u = D psi + z: z from the
     right inverse of the derivative leaving the slot, psi from that of the
     derivative D entering it. Returns (psi_space, psi, z_space, z, residual)."""
@@ -178,19 +178,20 @@ def _helmholtz(refcell, slot, space, slots, tol):
     resid_vec = lhs - diff_slots(into.derivative, psi_space, psi)
     scale = np.linalg.norm(slots) or 1.0
     resid = float(np.linalg.norm(resid_vec) / scale)
-    if resid > tol:
-        raise ArithmeticError(f"splitting reconstruction residual {resid:.2e} > {tol}")
+    if resid > SPLIT_TOL:
+        raise ArithmeticError(
+            f"splitting reconstruction residual {resid:.2e} > {SPLIT_TOL}")
     return psi_space, psi, z_space, z, resid
 
 
-def helmholtz_curl(refcell, space, slots, tol=1e-9):
+def helmholtz_curl(refcell, space, slots):
     """Split u = grad(phi) + z with z built from the curl right inverse.
 
     u is a 3-vector (or 2-vector) polynomial given by slot coefficients.
     Returns (phi_space, phi, z_space, z, residual)."""
-    return _helmholtz(refcell, 1, space, slots, tol)
+    return _helmholtz(refcell, 1, space, slots)
 
 
-def helmholtz_div(refcell, space, slots, tol=1e-9):
+def helmholtz_div(refcell, space, slots):
     """Split u = curl(psi) + z with z from the div right inverse (3D)."""
-    return _helmholtz(refcell, 2, space, slots, tol)
+    return _helmholtz(refcell, 2, space, slots)

@@ -280,7 +280,6 @@ def _triangle_edges(cell, key):
                     index=k,
                     vertex_ids=(lo, hi),
                     tangent=(vb - va) / length,
-                    length=length,
                     midpoint=0.5 * (va + vb),
                     cell=ecell,
                 ),

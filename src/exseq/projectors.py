@@ -75,60 +75,51 @@ def _weighted(values, weights):
     return w.reshape(values.shape[0], n_chan)
 
 
-def _moments(V, weights, rows, frame=None, out=None, negate=False):
-    """Covectors pairing samples with the rows' values over a rule, from the
-    modal table V of the rule's points.
+def _stacked_moments(V, weights, blocks, frame=None):
+    """Covectors pairing samples with the values of several row blocks over
+    a rule, from the modal table V of the rule's points, stacked in order in
+    one matrix; blocks: (rows, negate) pairs, `negate` writing the negated
+    covectors (negation is exact).
 
     frame, if given, maps the rows' vector values into the frame of the
-    samples (the columns of a face chart). out, if given, is the
-    (rows, points*components) block to write into; `negate` writes the
-    negated covectors (negation is exact).
+    samples (the columns of a face chart).
 
-    It runs one point block of `ps._POINT_BLOCK` columns of V at a time:
-    without a frame it weights the block's GEMM output in place and writes
-    it into the block's columns of `out` with one transposed copy; with one,
-    the einsum writes into those columns and is weighted there. Only `out`
-    and one point block's GEMM output are live.
+    Each row block runs over one point block of `ps._POINT_BLOCK` columns of
+    V at a time: without a frame it weights the point block's GEMM output in
+    place and writes it into that block's columns of its rows with one
+    transposed copy; with one, the einsum writes into those columns and is
+    weighted there. Each row block keeps its own GEMMs, so its rows equal
+    those of the block built alone, and only the matrix and one point
+    block's GEMM output are live.
 
-    Each block is equal bit for bit to `_weighted` of its values. A block's
-    GEMM keeps the whole product's bits where the BLAS runs both with one
-    kernel, as OpenBLAS does for 512-point blocks of the large interior
-    products; a short last block may fall to its small-matrix kernel and
-    move entries in the last bit.
+    Each point block is equal bit for bit to `_weighted` of its values. A
+    point block's GEMM keeps the whole product's bits where the BLAS runs
+    both with one kernel, as OpenBLAS does for 512-point blocks of the large
+    interior products; a short last block may fall to its small-matrix
+    kernel and move entries in the last bit.
     """
-    vd = rows.shape[1] // len(V)
-    n_comp = vd if frame is None else len(frame)
-    if out is None:
-        out = np.empty((len(rows), V.shape[1] * n_comp))
-    dst = out.reshape(len(rows), V.shape[1], n_comp)
-    for start in range(0, V.shape[1], ps._POINT_BLOCK):
-        block = slice(start, start + ps._POINT_BLOCK)
-        Vb, wb, db = V[:, block], weights[block], dst[:, block]
-        if frame is not None:
-            np.einsum("mpl,kl->mpk", _rows_at(Vb, vd, rows), frame, out=db)
-            db *= wb[:, None]
-        else:
-            vals = rows.reshape(-1, len(V)) @ Vb
-            vals *= wb
-            vals = vals.reshape(len(rows), vd, Vb.shape[1])
-            db[...] = np.moveaxis(vals, 1, 2)
-            del vals  # before the next block's product
-    if negate:
-        np.negative(dst, out=dst)
-    return out
-
-
-def _stacked_moments(V, weights, blocks, frame=None):
-    """The `_moments` of several row blocks, stacked in order in one matrix
-    that each block is written into; blocks: (rows, negate) pairs. Each block
-    keeps its own GEMMs, so the rows equal those of the blocks built apart,
-    and only the matrix and one point block's GEMM output are live."""
     n_comp = blocks[0][0].shape[1] // len(V) if frame is None else len(frame)
     out = np.empty((sum(len(rows) for rows, _ in blocks), V.shape[1] * n_comp))
     start = 0
     for rows, negate in blocks:
-        _moments(V, weights, rows, frame, out[start:start + len(rows)], negate)
+        vd = rows.shape[1] // len(V)
+        dst = out[start:start + len(rows)]
+        dst = dst.reshape(len(rows), V.shape[1], n_comp)
         start += len(rows)
+        for first in range(0, V.shape[1], ps._POINT_BLOCK):
+            block = slice(first, first + ps._POINT_BLOCK)
+            Vb, wb, db = V[:, block], weights[block], dst[:, block]
+            if frame is not None:
+                np.einsum("mpl,kl->mpk", _rows_at(Vb, vd, rows), frame, out=db)
+                db *= wb[:, None]
+            else:
+                vals = rows.reshape(-1, len(V)) @ Vb
+                vals *= wb
+                vals = vals.reshape(len(rows), vd, Vb.shape[1])
+                db[...] = np.moveaxis(vals, 1, 2)
+                del vals  # before the next block's product
+        if negate:
+            np.negative(dst, out=dst)
     return out
 
 
@@ -171,13 +162,10 @@ def _graded_interval_rule():
 class Stage:
     """One constrained solve of a plan; see the module docstring.
 
-    `name` keys the stage's output for later stages' `parents`; `group`
-    (vertices, edges, faces or interior) sums its conditions into the plan's
-    `stage_conditions`.
+    `name` keys the stage's output for later stages' `parents`.
     """
 
     name: str
-    group: str
     trace: np.ndarray
     lift: np.ndarray
     parents: list
@@ -189,14 +177,13 @@ class Stage:
     factor: tuple | None
 
 
-def _stage(name, group, restrict, bubbles, conditions, rhs, trace=None,
+def _stage(name, restrict, bubbles, conditions, rhs, trace=None,
            parents=(), out=None):
     n = bubbles.shape[1]
     trace = np.zeros((0, n)) if trace is None else trace
     square = conditions @ bubbles.T
     return Stage(
         name=name,
-        group=group,
         trace=trace,
         lift=_pinv(trace),
         parents=list(parents),
@@ -224,18 +211,17 @@ def _data(stage, samples, nb):
     return r
 
 
-def _l2_stage(name, group, cell, p, restrict, region, rule, direction=None):
+def _l2_stage(name, cell, p, restrict, region, rule, direction=None):
     """L2 projection onto P_p(cell) of the samples, or of their component
     along `direction`; rule: (points in cell coordinates, weights)."""
     M = cell.tabulate(p, rule[0]) * rule[1]
     if direction is not None:
         M = np.einsum("mq,c->mqc", M, direction).reshape(len(M), -1)
     eye = np.eye(len(M))
-    return _stage(name, group, restrict, eye, eye, [(region, M)])
+    return _stage(name, restrict, eye, eye, [(region, M)])
 
 
-def _stiffness_stage(name, group, cell, deg, restrict, trace, parents, vol,
-                     fluxes):
+def _stiffness_stage(name, cell, deg, restrict, trace, parents, vol, fluxes):
     """Scalar stage: lift the trace data, then fix the bubbles b by the
     seminorm conditions (grad b, grad u) = -(lap b, u) + (db/dn, u)_boundary.
 
@@ -251,11 +237,10 @@ def _stiffness_stage(name, group, cell, deg, restrict, trace, parents, vol,
         dn = np.einsum("mpk,pk->mp", cell.tabulate_grad(deg, pts), conormal)
         rhs.append((region, _weighted(B @ dn, w)))
     K = sum(B @ Di.T @ Di for Di in D)
-    return _stage(name, group, restrict, B, K, rhs, trace, parents)
+    return _stage(name, restrict, B, K, rhs, trace, parents)
 
 
-def _segment_stage(name, group, cell, deg, restrict, ends, region, rule,
-                   vertex_s):
+def _segment_stage(name, cell, deg, restrict, ends, region, rule, vertex_s):
     """Endpoint values plus seminorm projection on an interval cell.
 
     ends: the vertex ids at the cell's two endpoints; vertex_s: the interval
@@ -266,7 +251,7 @@ def _segment_stage(name, group, cell, deg, restrict, ends, region, rule,
     eye = np.eye(n_verts)
     conormal = (eye[ends[1]] - eye[ends[0]])[:, None]
     return _stiffness_stage(
-        name, group, cell, deg, restrict,
+        name, cell, deg, restrict,
         ps.boundary_traces(cell, deg), [("vertices", eye[list(ends)])],
         (region, rule[0][:, None], rule[1]),
         [("vertices", vertex_s[:, None], np.ones(n_verts), conormal)],
@@ -286,8 +271,8 @@ def _sides(rc, cell, vertex_ids):
         yield ledge, g, (1.0 if a < b else -1.0), ccw
 
 
-def _triangle_stage(plan, name, group, rc, cell, vertex_ids, deg, restrict,
-                    region, rule):
+def _triangle_stage(plan, name, rc, cell, vertex_ids, deg, restrict, region,
+                    rule):
     """Scalar stiffness stage on a triangle fed by its sides' edge stages."""
     parents, fluxes = [], []
     for ledge, g, sigma, ccw in _sides(rc, cell, vertex_ids):
@@ -296,13 +281,13 @@ def _triangle_stage(plan, name, group, rc, cell, vertex_ids, deg, restrict,
         outward = ccw * np.array([ledge.tangent[1], -ledge.tangent[0]])
         fluxes.append((f"edge{g}", ledge.embed(sigma * q1.points[:, 0]),
                        q1.weights, np.broadcast_to(outward, (len(q1.weights), 2))))
-    return _stiffness_stage(name, group, cell, deg, restrict,
+    return _stiffness_stage(name, cell, deg, restrict,
                             ps.boundary_traces(cell, deg), parents,
                             (region, rule[0], rule[1]), fluxes)
 
 
-def _mixed_stage(name, group, space, bubble, restrict, trace, parents, gauge,
-                 energy, op, rhs):
+def _mixed_stage(name, space, bubble, restrict, trace, parents, gauge, energy,
+                 op, rhs):
     """Stage in the coordinates of a vector space.
 
     The bubble part is fixed by an energy block, (op u, e) for the rows e of
@@ -312,12 +297,12 @@ def _mixed_stage(name, group, space, bubble, restrict, trace, parents, gauge,
     other regions feed only the energy block, which comes first.
     """
     K = np.vstack([energy @ diff_rows(op, space).T, gauge @ space.basis.T])
-    return _stage(name, group, restrict, bubble.basis @ space.basis.T, K, rhs,
+    return _stage(name, restrict, bubble.basis @ space.basis.T, K, rhs,
                   trace @ space.basis.T, parents, space.basis.T)
 
 
-def _edge_element_stage(plan, name, group, rc, cell, vertex_ids, p,
-                        slot_restrict, frame, region, rule):
+def _edge_element_stage(plan, name, rc, cell, vertex_ids, p, slot_restrict,
+                        frame, region, rule):
     """Edge-element stage on a triangle: the curl2d cell or a curl3d face.
 
     Lifts the sides' tangential data, then fixes the bubbles by (u, grad v)
@@ -345,7 +330,7 @@ def _edge_element_stage(plan, name, group, rc, cell, vertex_ids, p,
         energy.append((f"edge{g}", ccw * _weighted(tvals, q1.weights)))
     restrict = Q.basis if slot_restrict is None else Q.basis @ slot_restrict
     return _mixed_stage(
-        name, group, Q, ps.build_space(cell, "hcurl_bubble", p), restrict,
+        name, Q, ps.build_space(cell, "hcurl_bubble", p), restrict,
         ps.boundary_traces(cell, deg, "tangential", keep=p), parents,
         grads, psi, "curl2d_vector", energy,
     )
@@ -359,15 +344,14 @@ def _grad_stages(plan, rc, p):
     cell, deg = rc.cell, plan.target.degree
     eye = np.eye(len(rc.vertices))
     plan.sample_points["vertices"] = rc.vertices
-    plan.stages.append(_stage("vertices", "vertices",
-                              cell.tabulate(deg, rc.vertices).T,
+    plan.stages.append(_stage("vertices", cell.tabulate(deg, rc.vertices).T,
                               eye, eye, [("vertices", eye)]))
     interior = np.eye(cell.n_modes(deg))
     if rc.dim == 1:
         rule = _graded_interval_rule()
         plan.sample_points["vol"] = rule[0][:, None]
-        plan.stages.append(_segment_stage("interior", "interior", cell, deg,
-                                          interior, (0, 1), "vol", rule,
+        plan.stages.append(_segment_stage("interior", cell, deg, interior,
+                                          (0, 1), "vol", rule,
                                           rc.vertices[:, 0]))
         return
     for edge in rc.edges:
@@ -375,7 +359,7 @@ def _grad_stages(plan, rc, p):
         q1 = quadrature(edge.cell, plan.quad_degree)
         plan.sample_points[key] = edge.embed(q1.points)
         plan.stages.append(_segment_stage(
-            key, "edges", edge.cell, deg, ps.trace_matrix(cell, deg, edge),
+            key, edge.cell, deg, ps.trace_matrix(cell, deg, edge),
             edge.vertex_ids, key, (q1.points[:, 0], q1.weights),
             (rc.vertices - edge.midpoint) @ edge.tangent,
         ))
@@ -383,7 +367,7 @@ def _grad_stages(plan, rc, p):
     if rc.dim == 2:
         plan.sample_points["vol"] = q.points
         plan.stages.append(_triangle_stage(
-            plan, "interior", "interior", rc, cell, (0, 1, 2), deg, interior,
+            plan, "interior", rc, cell, (0, 1, 2), deg, interior,
             "vol", (q.points, q.weights),
         ))
         return
@@ -393,7 +377,7 @@ def _grad_stages(plan, rc, p):
         q2 = quadrature(face.cell, plan.quad_degree)
         plan.sample_points[key] = face.embed(q2.points)
         plan.stages.append(_triangle_stage(
-            plan, key, "faces", rc, face.cell, face.vertex_ids, deg,
+            plan, key, rc, face.cell, face.vertex_ids, deg,
             ps.trace_matrix(cell, deg, face), key,
             (q2.points, q2.weights),
         ))
@@ -403,7 +387,7 @@ def _grad_stages(plan, rc, p):
     parents = [(f"face{f.index}", np.eye(f.cell.n_modes(deg)))
                for f in rc.faces]
     plan.stages.append(_stiffness_stage(
-        "interior", "interior", cell, deg, interior,
+        "interior", cell, deg, interior,
         ps.boundary_traces(cell, deg, refcell=rc), parents,
         ("vol", q.points, q.weights), fluxes,
     ))
@@ -416,7 +400,7 @@ def _curl_stages(plan, rc, p):
         q1 = quadrature(edge.cell, plan.quad_degree)
         plan.sample_points[key] = edge.embed(q1.points)
         T = ps.trace_matrix(cell, deg, edge, "tangential")
-        plan.stages.append(_l2_stage(key, "edges", edge.cell, p,
+        plan.stages.append(_l2_stage(key, edge.cell, p,
                                      T[: edge.cell.n_modes(p)], key,
                                      (q1.points, q1.weights), edge.tangent))
     Q = plan.target
@@ -424,7 +408,7 @@ def _curl_stages(plan, rc, p):
     if rc.dim == 2:
         plan.sample_points["vol"] = q.points
         plan.stages.append(_edge_element_stage(
-            plan, "interior", "interior", rc, cell, (0, 1, 2), p, None,
+            plan, "interior", rc, cell, (0, 1, 2), p, None,
             np.eye(2), "vol", (q.points, q.weights),
         ))
         return
@@ -435,7 +419,7 @@ def _curl_stages(plan, rc, p):
         face_rules.append(q2)
         plan.sample_points[key] = face.embed(q2.points)
         plan.stages.append(_edge_element_stage(
-            plan, key, "faces", rc, face.cell, face.vertex_ids, p,
+            plan, key, rc, face.cell, face.vertex_ids, p,
             ps.trace_matrix(cell, deg, face, "tangential"), face.frame, key,
             (q2.points, q2.weights),
         ))
@@ -458,7 +442,7 @@ def _curl_stages(plan, rc, p):
     parents = [(f"face{f.index}", np.eye(2 * f.cell.n_modes(deg)))
                for f in rc.faces]
     plan.stages.append(_mixed_stage(
-        "interior", "interior", Q, ps.build_space(rc, "hcurl_bubble", p),
+        "interior", Q, ps.build_space(rc, "hcurl_bubble", p),
         Q.basis, ps.boundary_traces(cell, deg, "tangential", rc), parents,
         grads, W, "curl3d", energy,
     ))
@@ -473,7 +457,7 @@ def _div_stages(plan, rc, p):
         face_rules.append(q2)
         plan.sample_points[key] = face.embed(q2.points)
         T = ps.trace_matrix(cell, deg, face, "normal")
-        plan.stages.append(_l2_stage(key, "faces", face.cell, p,
+        plan.stages.append(_l2_stage(key, face.cell, p,
                                      T[: face.cell.n_modes(p)], key,
                                      (q2.points, q2.weights), face.normal))
     q = quadrature(cell, plan.quad_degree)
@@ -495,7 +479,7 @@ def _div_stages(plan, rc, p):
         energy.append((f"face{face.index}", _weighted(nvals, q2.weights)))
     parents = [(f"face{f.index}", np.eye(f.cell.n_modes(p))) for f in rc.faces]
     plan.stages.append(_mixed_stage(
-        "interior", "interior", V, Vb, V.basis,
+        "interior", V, Vb, V.basis,
         ps.boundary_traces(cell, deg, "normal", rc, keep=p), parents,
         curls, divs, "div", energy,
     ))
@@ -504,7 +488,7 @@ def _div_stages(plan, rc, p):
 def _l2_stages(plan, rc, p):
     q = quadrature(rc.cell, plan.quad_degree)
     plan.sample_points["vol"] = q.points
-    plan.stages.append(_l2_stage("interior", "interior", rc.cell, p,
+    plan.stages.append(_l2_stage("interior", rc.cell, p,
                                  np.eye(rc.cell.n_modes(p)), "vol",
                                  (q.points, q.weights)))
 
@@ -550,11 +534,6 @@ class ProjectorPlan:
         # H1, H(curl) and H(div) below the top slot, which is L2 on any cell
         stages = (_grad_stages, _curl_stages, _div_stages, _l2_stages)
         stages[slot if slot < dim else -1](self, make_reference_cell(dim), p)
-        self.stage_conditions = {}
-        for st in self.stages:
-            self.stage_conditions[st.group] = (
-                self.stage_conditions.get(st.group, 0) + len(st.conditions)
-            )
 
     def apply(self, field, check_tol=None):
         """Interpolate an evaluable field; returns target slot coefficients."""

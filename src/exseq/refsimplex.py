@@ -102,10 +102,8 @@ class Cell:
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    dim: int
     points: np.ndarray
     weights: np.ndarray
-    exactness_degree: int
 
 
 @cache.memo
@@ -153,7 +151,7 @@ def quadrature(cell, degree):
     ref_pts, ref_wts = _reference_rule(cell.dim, degree)
     pts = cell.from_reference(ref_pts)
     scale = cell.measure / {1: 2.0, 2: 0.5, 3: 1.0 / 6.0}[cell.dim]
-    return QuadratureRule(cell.dim, pts, ref_wts * scale, degree)
+    return QuadratureRule(pts, ref_wts * scale)
 
 
 @dataclass(frozen=True)
@@ -161,7 +159,6 @@ class Edge:
     index: int
     vertex_ids: tuple
     tangent: np.ndarray
-    length: float
     midpoint: np.ndarray
     cell: Cell = field(repr=False)
 
@@ -179,8 +176,6 @@ class Face:
     origin: np.ndarray
     frame: np.ndarray  # (3, 2), orthonormal columns, frame[:,0] x frame[:,1] = normal
     cell: Cell = field(repr=False)
-    edge_ids: tuple = ()
-    edge_signs: tuple = ()  # +1 if the edge tangent runs counterclockwise around normal
 
     def embed(self, xi):
         """Map planar face coordinates to ambient points."""
@@ -214,9 +209,9 @@ class ReferenceCell:
             [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
         )
         self.cell = Cell(self.vertices, "tet")
-        pairs = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
-        self.edges = self._build_edges(pairs, "tet")
-        self.faces = self._build_faces(pairs)
+        self.edges = self._build_edges(
+            [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)], "tet")
+        self.faces = self._build_faces()
 
     def _build_edges(self, pairs, prefix):
         edges = []
@@ -231,14 +226,13 @@ class ReferenceCell:
                     index=k,
                     vertex_ids=(i, j),
                     tangent=(b - a) / length,
-                    length=length,
                     midpoint=0.5 * (a + b),
                     cell=cell,
                 )
             )
         return tuple(edges)
 
-    def _build_faces(self, edge_pairs):
+    def _build_faces(self):
         centroid = self.vertices.mean(axis=0)
         faces = []
         for k in range(4):
@@ -256,13 +250,6 @@ class ReferenceCell:
             e2 /= np.linalg.norm(e2)
             frame = np.stack([e1, e2], axis=1)
             planar = (v - v[0]) @ frame
-            cell = Cell(planar, f"tet.face{k}")
-            edge_ids = []
-            edge_signs = []
-            for a, b in ((ids[0], ids[1]), (ids[1], ids[2]), (ids[2], ids[0])):
-                lo, hi = min(a, b), max(a, b)
-                edge_ids.append(edge_pairs.index((lo, hi)))
-                edge_signs.append(1 if (a, b) == (lo, hi) else -1)
             faces.append(
                 Face(
                     index=k,
@@ -270,16 +257,10 @@ class ReferenceCell:
                     normal=n,
                     origin=v[0].copy(),
                     frame=frame,
-                    cell=cell,
-                    edge_ids=tuple(edge_ids),
-                    edge_signs=tuple(edge_signs),
+                    cell=Cell(planar, f"tet.face{k}"),
                 )
             )
         return tuple(faces)
-
-    @property
-    def measure(self):
-        return self.cell.measure
 
     def interior_angles(self):
         """Interior angles of the cell (2D) or of each face (3D), in radians."""

@@ -78,7 +78,6 @@ class LiftingResult:
     trace_residual: float
     orthogonality_residual: float
     kkt_min_singular: float
-    energy: float
 
 
 def discrete_lifting_curl(p, w_slots):
@@ -122,11 +121,10 @@ def _saddle_lifting(space, bubbles, constraints, deriv, traces, w_slots):
     data = traces @ np.asarray(w_slots, dtype=float)
     w_E = space.basis.T @ (np.linalg.pinv(stack, rcond=1e-10) @ data)
     if bubbles.dim == 0:
-        energy = float(np.linalg.norm(diff_slots(deriv, space, w_E)))
         return LiftingResult(
             space, w_E, 0.0,
             float(np.abs(stack @ (space.basis @ w_E) - data).max()),
-            0.0, np.inf, energy,
+            0.0, np.inf,
         )
     d_b = diff_rows(deriv, bubbles)
     A = d_b @ d_b.T
@@ -144,9 +142,8 @@ def _saddle_lifting(space, bubbles, constraints, deriv, traces, w_slots):
     trace_res = float(np.abs(stack @ (space.basis @ out) - data).max())
     orth = float(np.abs(constraints @ out).max()) if m else 0.0
     smin = float(np.linalg.svd(K, compute_uv=False)[-1]) if n + m else np.inf
-    energy = float(np.linalg.norm(diff_slots(deriv, space, out)))
     return LiftingResult(space, out, float(np.linalg.norm(mult)), trace_res,
-                         orth, smin, energy)
+                         orth, smin)
 
 
 def inf_sup_constant(p):

@@ -360,6 +360,7 @@ def fit_slopes(records, cfg):
 
 
 def _dims_table(p_max):
+    check_degree_range(0, p_max)
     rows = []
     rc3 = make_reference_cell(3)
     rc2 = make_reference_cell(2)
@@ -386,7 +387,11 @@ def _dims_table(p_max):
     return rows
 
 
-def run_verification(p_max=6, seed=0, n_projection=40, n_poincare=6):
+_PROJECTION_SAMPLES = 40  # target elements per operator, over all degrees
+_POINCARE_SAMPLES = 6  # random elements per right-inverse identity
+
+
+def run_verification(p_max=6, seed=0):
     """Dimension counts, sequence checks, projections, commuting, right
     inverses, splittings and the Friedrichs sweep; pass/fail plus residuals.
 
@@ -394,6 +399,7 @@ def run_verification(p_max=6, seed=0, n_projection=40, n_poincare=6):
     at a time (`_degree_checks`), so only one plan is alive; their random
     draws are all made first, in section order, so the report does not
     depend on that schedule."""
+    check_degree_range(0, p_max)
     rng = np.random.default_rng(seed)
     rc3, rc2, rc1 = (make_reference_cell(d) for d in (3, 2, 1))
     report = {
@@ -434,7 +440,7 @@ def run_verification(p_max=6, seed=0, n_projection=40, n_poincare=6):
     # every draw first, in the order of the sections: the projection samples
     # operator by operator, then each degree's commuting suite
     degrees = range(p_max + 1)
-    n = max(2, n_projection // (p_max + 1))
+    n = max(2, _PROJECTION_SAMPLES // (p_max + 1))
     samples = [{} for _ in degrees]
     for op in ca.OPERATORS:
         if op == "grad1d":
@@ -461,7 +467,7 @@ def run_verification(p_max=6, seed=0, n_projection=40, n_poincare=6):
         "n_cases": len(comm_rows),
     }
 
-    poin = _poincare_checks(min(p_max, 8), rng, n_poincare)
+    poin = _poincare_checks(min(p_max, 8), rng, _POINCARE_SAMPLES)
     report["sections"]["poincare"] = poin
 
     lift_rows = []
@@ -597,7 +603,7 @@ def _poincare_checks(p_max, rng, n_samples):
         V = ps.build_space(rc3, "hdiv", p)
         cmat = ca.diff_op("curl3d", Q, V)
         for c in Q.random_elements(n_samples, rng):
-            w = (Q.basis @ c) @ cmat.matrix @ V.basis  # divergence-free field
+            w = (Q.basis @ c) @ cmat @ V.basis  # divergence-free field
             worst_identity = max(worst_identity, _identity_residual(rcu, vs, w))
         # memberships (iv)-(vi)
         W = ps.build_space(rc3, "h1", p)

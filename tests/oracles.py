@@ -54,15 +54,16 @@ def _trace_rows(name, source, sub):
 
 
 def trace_op(name, source, sub, target):
-    """Trace operator expanded in a target space living on the trace cell;
-    the trace reads its frame from the Face or Edge `sub`."""
+    """Trace operator expanded in a target space living on the trace cell,
+    as its coordinate matrix (target_coords = source_coords @ matrix); the
+    trace reads its frame from the Face or Edge `sub`."""
     rows, vd = _trace_rows(name, source, sub)
     if not np.array_equal(target.cell.vertices, sub.cell.vertices):  # by content
         raise ValueError("target space does not live on the trace cell")
     coords, resid = ca._expand_in(target, rows, sub.cell, vd, source.degree)
     if resid > 1e-11:
         raise ValueError(f"trace image not contained in target: residual {resid:.2e}")
-    return ca.LinearOpMatrix(source, target, coords, resid)
+    return coords
 
 
 def trace_space(space, sub, family):

@@ -148,7 +148,7 @@ def test_criterion_05_poincare_identities(capsys):
         V = ps.build_space(rc3, "hdiv", p)
         cmat = ca.diff_op("curl3d", Q, V)
         for c in Q.random_elements(4, rng):
-            w = ((Q.basis @ c) @ cmat.matrix) @ V.basis
+            w = ((Q.basis @ c) @ cmat) @ V.basis
             osp, o = rcu.apply(ps.vector_space(cell, p + 1, 3), w)
             cw = ca.diff_slots("curl3d", osp, o)
             worst = max(worst, np.abs(

@@ -21,20 +21,28 @@ def _project_scalar(cell, degree, fn, quad_degree=None):
     return (V * q.weights) @ fn(q.points), q
 
 
+def _residual(name, source, target):
+    """diff_op's relative residual of the image of `source` expanded in
+    `target`."""
+    vd = ca.DERIVATIVES[name].value_dim(source.cell.dim)
+    return ca._expand_in(target, ca.diff_rows(name, source), source.cell, vd,
+                         source.degree)[1]
+
+
 def test_grad_of_xyz(rc3):
     W = ps.build_space(rc3, "h1", 2)
     Q = ps.build_space(rc3, "hcurl", 2)
     g = ca.diff_op("grad", W, Q)
     slots, q = _project_scalar(rc3.cell, 3, lambda x: x[:, 0] * x[:, 1] * x[:, 2])
     coords = slots @ W.basis.T
-    vals = Q.evaluate((coords @ g.matrix) @ Q.basis, q.points)
+    vals = Q.evaluate((coords @ g) @ Q.basis, q.points)
     exact = np.stack(
         [q.points[:, 1] * q.points[:, 2], q.points[:, 0] * q.points[:, 2],
          q.points[:, 0] * q.points[:, 1]],
         axis=1,
     )
     assert np.abs(vals - exact).max() < 1e-13
-    assert g.residual < 1e-11
+    assert _residual("grad", W, Q) < 1e-11
 
 
 def test_curl_and_div_hand_examples(rc3):
@@ -48,7 +56,7 @@ def test_curl_and_div_hand_examples(rc3):
          np.zeros(V1.shape[0])]
     )
     coords = slots @ Q0.basis.T
-    vals = V0.evaluate((coords @ c.matrix) @ V0.basis, q.points)
+    vals = V0.evaluate((coords @ c) @ V0.basis, q.points)
     assert np.abs(vals - np.array([0.0, 0.0, 2.0])).max() < 1e-13
 
     V1s = ps.build_space(rc3, "hdiv", 1)
@@ -57,7 +65,7 @@ def test_curl_and_div_hand_examples(rc3):
     V2 = rc3.cell.tabulate(2, q.points)
     slots = np.concatenate([(V2 * q.weights) @ q.points[:, i] for i in range(3)])
     coords = slots @ V1s.basis.T
-    vals = L1.evaluate((coords @ d.matrix) @ L1.basis, q.points)
+    vals = L1.evaluate((coords @ d) @ L1.basis, q.points)
     assert np.abs(vals - 3.0).max() < 1e-13
 
 
@@ -96,8 +104,8 @@ def test_surf_curl_identity(rc3, rng):
         slots = Q.random_elements(1, rng)[0]
         coords = Q.basis @ slots
         q = quadrature(fcell, 2 * p + 4)
-        lhs = scal.evaluate((coords @ sc.matrix) @ scal.basis, q.points)
-        curl_slots = (coords @ cmat.matrix) @ V.basis
+        lhs = scal.evaluate((coords @ sc) @ scal.basis, q.points)
+        curl_slots = (coords @ cmat) @ V.basis
         rhs = V.evaluate(curl_slots, face.embed(q.points)) @ face.normal
         assert np.abs(lhs - rhs).max() < 1e-10
 
@@ -108,11 +116,11 @@ def test_surf_curl_of_gradient_vanishes(rc3, rng):
     Q = ps.build_space(rc3, "hcurl", p)
     g = ca.diff_op("grad", W, Q)
     slots = W.random_elements(1, rng)[0]
-    grad_slots = ((W.basis @ slots) @ g.matrix) @ Q.basis
+    grad_slots = ((W.basis @ slots) @ g) @ Q.basis
     for face in rc3.faces:
         scal = ps.scalar_space(face.cell, p + 1)
         sc = oracles.trace_op("surf_curl", Q, face, scal)
-        out = (Q.basis @ grad_slots) @ sc.matrix
+        out = (Q.basis @ grad_slots) @ sc
         assert np.abs(out).max() < 1e-10
 
 
@@ -123,7 +131,7 @@ def test_trace_target_cell_matched_by_content(rc2, rc3):
     face = rc3.faces[1]
     target = ps.build_space(rc2.cell, "h1", 2)
     assert target.cell.key != face.cell.key
-    assert oracles.trace_op("restrict", W, face, target).matrix.shape[0] == W.dim
+    assert oracles.trace_op("restrict", W, face, target).shape[0] == W.dim
     with pytest.raises(ValueError):
         oracles.trace_op("restrict", W, rc3.faces[0], target)
 
@@ -139,7 +147,7 @@ def test_gamma_tau_is_rotated_tangential_trace(rc3, rng):
         tang = vals @ face.frame
         vec2 = ps.vector_space(face.cell, p + 1, 2)
         gt = oracles.trace_op("gamma_tau", Q, face, vec2)
-        gvals = vec2.evaluate((Q.basis @ slots) @ gt.matrix @ vec2.basis, q.points)
+        gvals = vec2.evaluate((Q.basis @ slots) @ gt @ vec2.basis, q.points)
         expect = np.stack([-tang[:, 1], tang[:, 0]], axis=1)
         assert np.abs(gvals - expect).max() < 1e-11
         # gamma_tau u = n x u in ambient coordinates
@@ -235,7 +243,8 @@ def test_diff_op_rejects_a_wrong_source(name):
             source = ps.vector_space(cell, 1, vd)
             if (dim, vd) in _SOURCES[name]:
                 image = ps.vector_space(cell, 1, ca.DERIVATIVES[name].value_dim(dim))
-                assert ca.diff_op(name, source, image).residual < 1e-12
+                ca.diff_op(name, source, image)
+                assert _residual(name, source, image) < 1e-12
             else:
                 with pytest.raises(ValueError, match="needs a source"):
                     ca.diff_op(name, source, source)

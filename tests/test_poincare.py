@@ -144,7 +144,7 @@ def test_right_inverse_identities_random(rc3, rng, p):
     V = ps.build_space(rc3, "hdiv", p)
     cmat = ca.diff_op("curl3d", Q, V)
     for c in Q.random_elements(3, rng):
-        w = ((Q.basis @ c) @ cmat.matrix) @ V.basis
+        w = ((Q.basis @ c) @ cmat) @ V.basis
         osp, o = rcu.apply(ps.vector_space(cell, p + 1, 3), w)
         cw = ca.diff_slots("curl3d", osp, o)
         scale = max(np.abs(w).max(), 1e-30)

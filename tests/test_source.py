@@ -52,18 +52,21 @@ def test_no_top_level_function_defined_twice():
     assert {n: m for n, m in homes.items() if len(m) > 1} == {}
 
 
+def _decorator_names(node):
+    for dec in node.decorator_list:
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        yield getattr(target, "attr", getattr(target, "id", ""))
+
+
 def test_memo_is_the_only_cache():
     # every cached table goes through cache.memo: no functools cache
     # decorator in the package
     found = []
     for path, tree in _trees().items():
         for node in ast.walk(tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                for dec in node.decorator_list:
-                    target = dec.func if isinstance(dec, ast.Call) else dec
-                    name = getattr(target, "attr", getattr(target, "id", ""))
-                    if name in ("lru_cache", "cache"):
-                        found.append(f"{path.name}:{node.lineno} {node.name}")
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and {"lru_cache", "cache"} & set(_decorator_names(node))):
+                found.append(f"{path.name}:{node.lineno} {node.name}")
     assert found == []
 
 
@@ -134,3 +137,77 @@ def test_package_reads_no_environment():
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
 
+
+# values the package sets for its callers to read
+_UNREAD_FIELDS = {
+    "LiftingResult.space": "the lifting itself: the space of its slots",
+    "LiftingResult.slots": "the lifting itself: its slot coefficients",
+}
+
+
+def test_every_field_is_read():
+    # every dataclass field and every self attribute that the package sets
+    # is read somewhere in src/: a value that only tests read belongs in
+    # tests/
+    trees = _trees()
+    fields = set()
+    for tree in trees.values():
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            if "dataclass" in _decorator_names(cls):
+                fields |= {(node.target.id, cls.name) for node in cls.body
+                           if isinstance(node, ast.AnnAssign)}
+            fields |= {(node.attr, cls.name) for node in ast.walk(cls)
+                       if isinstance(node, ast.Attribute)
+                       and isinstance(node.ctx, ast.Store)
+                       and getattr(node.value, "id", "") == "self"}
+    read = {node.attr for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+    unread = {f"{cls}.{attr}" for attr, cls in fields if attr not in read}
+    assert sorted(unread - set(_UNREAD_FIELDS)) == []
+
+
+# defaults that no package call sets, each kept for callers outside src/
+_UNSET_DEFAULTS = {
+    "main(argv)": "the console script's input seam: None reads sys.argv",
+}
+
+
+def _passes(call, index, name):
+    """Whether `call` passes the parameter at position `index` named
+    `name`: by position, by keyword or through ** (a *args passes every
+    position from its own on)."""
+    if index is not None and any(
+            i == index or isinstance(arg, ast.Starred) and i <= index
+            for i, arg in enumerate(call.args)):
+        return True
+    return any(kw.arg in (name, None) for kw in call.keywords)
+
+
+def test_every_default_is_set_by_a_caller():
+    # every defaulted parameter of a top-level function is passed by some
+    # call in src/: a default that no package caller overrides is a
+    # constant, and a knob that only tests turn belongs in tests/
+    trees = _trees()
+    calls = defaultdict(list)
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", ""))
+                calls[name].append(node)
+    unset = set()
+    for tree in trees.values():
+        for fn in tree.body:
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            a = fn.args
+            positional = a.posonlyargs + a.args
+            defaulted = [(i, arg.arg) for i, arg in enumerate(positional)
+                         if i >= len(positional) - len(a.defaults)]
+            defaulted += [(None, arg.arg) for arg, default
+                          in zip(a.kwonlyargs, a.kw_defaults) if default]
+            unset |= {f"{fn.name}({name})" for i, name in defaulted
+                      if not any(_passes(c, i, name) for c in calls[fn.name])}
+    assert sorted(unset - set(_UNSET_DEFAULTS)) == []

@@ -67,7 +67,7 @@ def test_csv_format_roundtrip(tmp_path):
 
 
 def test_verification_report_small():
-    rep = st.run_verification(p_max=2, seed=1, n_projection=8, n_poincare=2)
+    rep = st.run_verification(p_max=2, seed=1)
     assert rep["ok"], {k: v["ok"] for k, v in rep["sections"].items()}
     text = st.format_report(rep, "json")
     parsed = json.loads(text)
@@ -165,6 +165,15 @@ def test_cli_refuses_an_empty_or_negative_degree_range(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error: invalid degree range" in captured.err
+
+
+@pytest.mark.parametrize("run", [st.run_verification, st._dims_table],
+                         ids=["run_verification", "dims table"])
+def test_python_api_refuses_a_negative_degree(run):
+    # the range check of the CLI, before any work: not an error from deep
+    # inside the run, nor an empty table
+    with pytest.raises(ValueError, match="invalid degree range"):
+        run(-1)
 
 
 @pytest.mark.parametrize("argv", [
@@ -476,7 +485,7 @@ def test_memoised_degree_data_is_keyed_by_what_it_reads(first, second):
 
 
 def _small_verification():
-    return st.run_verification(p_max=2, seed=1, n_projection=8, n_poincare=2)
+    return st.run_verification(p_max=2, seed=1)
 
 
 # every operator but the interval's gradient, whose projection nothing checks
