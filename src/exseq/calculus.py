@@ -19,7 +19,7 @@ import numpy as np
 
 from . import fields as fl
 from . import polyspace as ps
-from .refsimplex import quadrature
+from .refsimplex import quadrature, triangle_edges
 
 
 def _expand_in(target, rows, src_cell, src_vd, src_degree):
@@ -311,7 +311,7 @@ def stokes_2d_residual(refcell2, p, rng):
         lhs = np.einsum("q,qi,qi->", q.weights, curl_v, F_q)
         rhs = np.einsum("q,q,q->", q.weights, v_q, curl_F)
         bnd = 0.0
-        for edge, sign in ps.triangle_edges(cell):
+        for edge, sign in triangle_edges(cell):
             eq = quadrature(edge.cell, 2 * (p + 2))
             amb = edge.embed(eq.points[:, 0])
             ve = W.evaluate(cv, amb)

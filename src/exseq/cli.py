@@ -41,9 +41,7 @@ def _config_values(args, parser):
         if key not in actions:
             parser.error(f"unknown config key {key!r}")
         cur = getattr(args, key)
-        if isinstance(cur, bool):
-            val = val.lower() in ("1", "true", "yes")
-        elif isinstance(cur, int):
+        if isinstance(cur, int):
             val = int(val)
         elif isinstance(cur, float):
             val = float(val)
@@ -72,8 +70,7 @@ def _common_flags(sub, p_max, p_min=None, seed=False):
     if seed:
         sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--out", default=None)
-    sub.add_argument("--format", choices=("csv", "json"), default="csv",
-                     dest="fmt")
+    sub.add_argument("--format", choices=("csv", "json"), default="csv")
 
 
 def main(argv=None):
@@ -85,7 +82,7 @@ def main(argv=None):
 
     p_verify = subs.add_parser("verify", help="run the verification suite")
     _common_flags(p_verify, p_max=6, seed=True)
-    p_verify.set_defaults(fmt="json")
+    p_verify.set_defaults(format="json")
 
     p_dims = subs.add_parser("dims", help="dimension table vs closed forms")
     _common_flags(p_dims, p_max=8)
@@ -128,12 +125,12 @@ def _dispatch(args):
     st.check_degree_range(getattr(args, "p_min", 0), args.p_max)
     if args.command == "verify":
         report = st.run_verification(p_max=args.p_max, seed=args.seed)
-        _emit(st.format_report(report, args.fmt), args.out)
+        _emit(st.format_report(report, args.format), args.out)
         return 0 if report["ok"] else 1
 
     if args.command == "dims":
         rows = st._dims_table(args.p_max)
-        _emit(st.format_rows(rows, args.fmt), args.out)
+        _emit(st.format_rows(rows, args.format), args.out)
         return 0 if all(r["match"] for r in rows) else 1
 
     if args.command == "convergence":
@@ -150,21 +147,10 @@ def _dispatch(args):
         )
         records, slopes = st.run_convergence(cfg)
         rows = st.records_to_rows(records)
-        for s in slopes:
-            rows.append(
-                {
-                    "operator": s["operator"],
-                    "p": -1,
-                    "field": s["field"],
-                    "s": s["s"],
-                    "norm": s["norm"],
-                    "error": float("nan"),
-                    "denominator": float("nan"),
-                    "ratio": s["slope"],
-                    "pstab": float("nan"),
-                }
-            )
-        _emit(st.format_rows(rows, args.fmt), args.out)
+        rows += [st.StudyRecord(s["operator"], -1, s["field"], s["s"],
+                                s["norm"], np.nan, np.nan, s["slope"]).row()
+                 for s in slopes]
+        _emit(st.format_rows(rows, args.format), args.out)
         finite = all(np.isfinite(r.error) for r in records)
         return 0 if finite else 1
 
@@ -186,7 +172,7 @@ def _dispatch(args):
                         "dim": dim,
                     }
                 )
-        _emit(st.format_rows(rows, args.fmt), args.out)
+        _emit(st.format_rows(rows, args.format), args.out)
         return 0 if ok else 1
 
     if args.command == "project":
@@ -200,7 +186,7 @@ def _dispatch(args):
         rows = []
         for f in st.fields_for(op, args.suite):
             slots = plan.apply(f)
-            if args.fmt == "json":
+            if args.format == "json":
                 docs.append(
                     {
                         "operator": op,
@@ -223,7 +209,7 @@ def _dispatch(args):
                     for k in range(len(v)):
                         row[f"value{k}"] = float(v[k])
                     rows.append(row)
-        if args.fmt == "json":
+        if args.format == "json":
             _emit(json.dumps(docs, indent=1) + "\n", args.out)
         else:
             _emit(st.format_rows(rows, "csv"), args.out)

@@ -22,13 +22,12 @@ column is i, with head 2^(i+0.5) * ta[i] and block (head * tb[i]) * pow_b[i],
 and in 1D the table is the Legendre table itself. Each Jacobi family (tb with
 alpha = 2i+1, tc with alpha = 2l+2) runs one three-term recurrence for all its
 members, whose rows step together with each member's own scalars. Each block
-then takes its epilogues in a fixed order: the factor 2^(d/2) of the unit
-simplex, the division by sqrt(|det A|) of a cell x = A xi + v0, and for a
-gradient the imaginary part over the step, that division, the chain-rule
-weight Ainv[k, l] and the sum over k onto zeros. Every value is the same
-left-to-right product, to the bit, as the mode-by-mode formula; neither the
-products nor the epilogues may be regrouped (folding 2^1.5 into the head's
-constant, say), because each regrouping rounds differently.
+then takes the factor 2^(d/2) of the unit simplex, and for a gradient the
+imaginary part over the step. Every value is the same left-to-right product,
+to the bit, as the mode-by-mode formula; neither the products nor the
+epilogues may be regrouped (folding 2^1.5 into the head's constant, say),
+because each regrouping rounds differently. The tables are those of the
+reference simplex only: a cell's affine map is applied by `refsimplex.Cell`.
 """
 
 import math
@@ -231,57 +230,26 @@ def _points(pts, dtype):
     return pts[:, None] if pts.ndim == 1 else pts
 
 
-def tabulate(dim, degree, pts, det=None):
+def tabulate(dim, degree, pts):
     """Values of the orthonormal modal basis on the reference simplex.
 
     Reference domains: [-1,1] in 1D, the unit triangle in 2D, the unit
-    tetrahedron in 3D. Returns an array of shape (n_modes, n_pts). With
-    `det` = |det A| of a cell x = A xi + v0 the values are divided by
-    sqrt(det): the cell's orthonormal basis at the reference points xi.
+    tetrahedron in 3D. Returns an array of shape (n_modes, n_pts).
     """
     pts = _points(pts, np.result_type(np.float64, np.asarray(pts).dtype))
     out = np.empty((n_modes(dim, degree), len(pts)), dtype=pts.dtype)
-    root = 1.0 if det is None else np.sqrt(det)
     for rows, block in _columns(dim, degree, pts):
-        if root != 1.0:  # dividing by 1 is exact: the reference cells skip it
-            block /= root
         out[rows] = block
     return out
 
 
-def tabulate_grad(dim, degree, pts, direction, det=None, Ainv=None):
+def tabulate_grad(dim, degree, pts, direction):
     """d/dxi_direction of the modal basis on the reference simplex, shape
-    (n_modes, n_pts).
-
-    With a cell's `det` and `Ainv`, the derivative is along the cell's
-    direction x_direction instead, of the cell's basis (see `tabulate`): the
-    chain rule adds Ainv[k, direction] * d/dxi_k onto zeros in k order,
-    differentiating only along the reference directions k whose entry is
-    nonzero, since the terms it skips would add zeros.
-    """
-    pts = _points(pts, float)
-    if Ainv is None:
-        terms = [(direction, None)]
-    else:
-        terms = [(k, Ainv[k, direction])
-                 for k in np.flatnonzero(Ainv[:, direction])]
-    out = (np.empty if terms else np.zeros)((n_modes(dim, degree), len(pts)))
-    root = 1.0 if det is None else np.sqrt(det)
-    buf = np.empty((degree + 1, len(pts)))
-    for t, (k, weight) in enumerate(terms):
-        shifted = pts.astype(complex)
-        shifted[:, k] += 1j * _COMPLEX_STEP
-        for rows, block in _columns(dim, degree, shifted):
-            g = np.divide(block.imag, _COMPLEX_STEP, out=buf[: len(block)])
-            if root != 1.0:  # as in `tabulate`; so is a unit weight
-                g /= root
-            if weight is None:
-                out[rows] = g
-                continue
-            if weight != 1.0:
-                g *= weight
-            if t == 0:  # the sum starts at 0 + g, which clears signed zeros
-                out[rows] = np.add(0.0, g, out=g)
-            else:
-                out[rows] += g
+    (n_modes, n_pts)."""
+    shifted = _points(pts, float).astype(complex)
+    shifted[:, direction] += 1j * _COMPLEX_STEP
+    out = np.empty((n_modes(dim, degree), len(shifted)))
+    buf = np.empty((degree + 1, len(shifted)))
+    for rows, block in _columns(dim, degree, shifted):
+        out[rows] = np.divide(block.imag, _COMPLEX_STEP, out=buf[: len(block)])
     return out

@@ -18,7 +18,7 @@ stack annihilates.
 import numpy as np
 
 from . import cache
-from .refsimplex import Cell, Edge, ReferenceCell, quadrature
+from .refsimplex import ReferenceCell, quadrature, tet_faces, triangle_edges
 
 SVD_CUTOFF = 1e-10
 
@@ -229,64 +229,20 @@ def _trace_table(cell, degree, sub):
     return (V2 * q.weights) @ V3.T
 
 
-def boundary_traces(cell, degree, part=None, refcell=None, keep=None):
-    """`trace_matrix` stacked over the boundary of `cell`: the faces of the
-    tetrahedron `refcell`, or a triangle's sides; on an interval, the values
-    at its ends. keep: a trace degree whose leading modes each piece keeps.
+def boundary_traces(cell, degree, part=None, keep=None):
+    """`trace_matrix` stacked over the boundary of `cell`: a tetrahedron's
+    faces or a triangle's sides; on an interval, the values at its ends.
+    keep: a trace degree whose leading modes each piece keeps.
     """
     if cell.dim == 1:
         return cell.tabulate(degree, cell.vertices).T
-    subs = refcell.faces if cell.dim == 3 else [e for e, _ in triangle_edges(cell)]
+    subs = (tet_faces(cell) if cell.dim == 3
+            else [e for e, _ in triangle_edges(cell)])
     return np.vstack([
         trace_matrix(cell, degree, sub, part)[
             : None if keep is None else sub.cell.n_modes(keep)]
         for sub in subs
     ])
-
-
-def triangle_edges(cell):
-    """Oriented edge data for any 2D triangle cell.
-
-    Returns a tuple of (Edge, ccw_sign); tangents run from the lower to the
-    higher vertex index, ccw_sign relates that to counterclockwise traversal.
-    The edge cells are named after `cell`; tables keyed by an edge see only
-    its content, so triangles with equal vertices still share them.
-    """
-    return _triangle_edges(cell, cell.key)
-
-
-@cache.memo
-def _triangle_edges(cell, key):
-    # keyed by the display name too, so the edge cells carry the right one
-    v = cell.vertices
-    d1, d2 = v[1] - v[0], v[2] - v[0]
-    det = d1[0] * d2[1] - d1[1] * d2[0]
-    ccw = (0, 1), (1, 2), (2, 0)
-    if det < 0:
-        ccw = (0, 2), (2, 1), (1, 0)
-    edges = []
-    for k, (a, b) in enumerate(ccw):
-        lo, hi = min(a, b), max(a, b)
-        sign = 1 if (a, b) == (lo, hi) else -1
-        va, vb = v[lo], v[hi]
-        length = float(np.linalg.norm(vb - va))
-        ecell = Cell(
-            np.array([[-0.5 * length], [0.5 * length]]),
-            f"{key}.edge{lo}{hi}",
-        )
-        edges.append(
-            (
-                Edge(
-                    index=k,
-                    vertex_ids=(lo, hi),
-                    tangent=(vb - va) / length,
-                    midpoint=0.5 * (va + vb),
-                    cell=ecell,
-                ),
-                sign,
-            )
-        )
-    return tuple(edges)
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +351,7 @@ def gradient_rows(cell, scalar_space_obj, out_degree):
 def build_space(cell, kind, p):
     """Build one of the complex's spaces at complex degree p.
 
-    `cell` is a Cell or a ReferenceCell (3D bubble kinds need its faces). kind:
+    `cell` is a Cell or a ReferenceCell, which stands for its cell. kind:
     one of KINDS. The H1 family ("h1*") has polynomial degree p+1; all others
     have degree p. On 2D cells the face family degenerates to the scalar L2
     slot, per the trace-space identifications. The space is bound to `cell`,
@@ -405,11 +361,9 @@ def build_space(cell, kind, p):
         raise ValueError(f"unsupported kind {kind!r}")
     if p < 0:
         raise ValueError(f"complex degree must be >= 0, got {p}")
-    if cell.dim == 3 and not isinstance(cell, ReferenceCell) and _traced(kind):
-        raise ValueError(f"{kind} on a tetrahedron needs its ReferenceCell")
-    vd, deg, basis = _space_basis(cell, kind, p)
     if isinstance(cell, ReferenceCell):
         cell = cell.cell
+    vd, deg, basis = _space_basis(cell, kind, p)
     return PolySpace(cell, vd, deg, basis, name=f"{kind}[p={p}]")
 
 
@@ -434,34 +388,21 @@ _CUTS = {
 }
 
 
-def _traced(kind):
-    """Whether a kind is cut by boundary traces, itself or through its parent
-    or its gradient kind."""
-    if kind not in _CUTS:
-        return False
-    base, cut = _CUTS[kind]
-    return cut not in KINDS + ("mean",) or _traced(base) or _traced(cut)
-
-
 @cache.memo
 def _space_basis(cell, kind, p):
     """(value_dim, degree, basis) of build_space. The base kinds are built by
     `_BASES`; the other kinds are cut from their bases."""
-    source = cell
-    refcell = cell if isinstance(cell, ReferenceCell) else None
-    if refcell is not None:
-        cell = refcell.cell
     if kind in _CUTS:
         base, cut = _CUTS[kind]
-        parent = build_space(source, base, p)
+        parent = build_space(cell, base, p)
         if cut in KINDS:
-            rows = gradient_rows(cell, build_space(source, cut, p), parent.degree)
+            rows = gradient_rows(cell, build_space(cell, cut, p), parent.degree)
         elif cut == "mean" or parent.degree == p:
             # a parent of degree p is the L2 slot (the interval's edge family,
             # the triangle's face family), whose bubbles have zero mean
             rows = mean_row(cell, parent.value_dim, parent.degree)
         else:
-            rows = boundary_traces(cell, parent.degree, cut, refcell)
+            rows = boundary_traces(cell, parent.degree, cut)
         sp = subspace_from_constraints(parent, rows)
         return sp.value_dim, sp.degree, sp.basis
     sp = _BASES[kind](cell, p)

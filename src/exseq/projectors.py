@@ -44,7 +44,7 @@ from numpy.polynomial.legendre import leggauss
 from . import polyspace as ps
 from .calculus import (COMPLEX, DERIVATIVES, FAMILIES, OPERATORS, diff_rows,
                        diff_slots, operator_at)
-from .refsimplex import make_reference_cell, quadrature
+from .refsimplex import make_reference_cell, quadrature, triangle_edges
 
 
 def _pinv(mat):
@@ -265,7 +265,7 @@ def _sides(rc, cell, vertex_ids):
     parameter s sits at local parameter sigma*s, and ccw is +1 when the local
     tangent runs counterclockwise.
     """
-    for ledge, ccw in ps.triangle_edges(cell):
+    for ledge, ccw in triangle_edges(cell):
         a, b = (vertex_ids[i] for i in ledge.vertex_ids)
         g = next(e.index for e in rc.edges if set(e.vertex_ids) == {a, b})
         yield ledge, g, (1.0 if a < b else -1.0), ccw
@@ -388,7 +388,7 @@ def _grad_stages(plan, rc, p):
                for f in rc.faces]
     plan.stages.append(_stiffness_stage(
         "interior", cell, deg, interior,
-        ps.boundary_traces(cell, deg, refcell=rc), parents,
+        ps.boundary_traces(cell, deg), parents,
         ("vol", q.points, q.weights), fluxes,
     ))
 
@@ -443,7 +443,7 @@ def _curl_stages(plan, rc, p):
                for f in rc.faces]
     plan.stages.append(_mixed_stage(
         "interior", Q, ps.build_space(rc, "hcurl_bubble", p),
-        Q.basis, ps.boundary_traces(cell, deg, "tangential", rc), parents,
+        Q.basis, ps.boundary_traces(cell, deg, "tangential"), parents,
         grads, W, "curl3d", energy,
     ))
 
@@ -480,7 +480,7 @@ def _div_stages(plan, rc, p):
     parents = [(f"face{f.index}", np.eye(f.cell.n_modes(p))) for f in rc.faces]
     plan.stages.append(_mixed_stage(
         "interior", V, Vb, V.basis,
-        ps.boundary_traces(cell, deg, "normal", rc, keep=p), parents,
+        ps.boundary_traces(cell, deg, "normal", keep=p), parents,
         curls, divs, "div", energy,
     ))
 

@@ -1,4 +1,10 @@
-"""Reference simplices: geometry, orientation data, and quadrature.
+"""Cells and their geometry: affine maps, boundaries, orientation data,
+and quadrature.
+
+This is the one module that knows cell geometry. A `Cell` maps its points
+to the reference simplex, where `orthopoly` tabulates, and applies its own
+affine map to the tables; `tet_faces` and `triangle_edges` find a cell's
+oriented boundary, whose edges all come from one constructor.
 
 The 3D reference cell is the unit tetrahedron, whose four faces have all
 interior angles below 2*pi/3; the 2D cell is the unit right triangle
@@ -83,18 +89,37 @@ class Cell:
         return orthopoly.n_modes(self.dim, degree)
 
     def tabulate(self, degree, pts):
-        """Orthonormal modal basis values at cell points, (n_modes, n_pts)."""
-        return orthopoly.tabulate(self.dim, degree, self.to_reference(pts),
-                                  self._detA)
+        """Orthonormal modal basis values at cell points, (n_modes, n_pts):
+        the reference table over sqrt(|det A|)."""
+        vals = orthopoly.tabulate(self.dim, degree, self.to_reference(pts))
+        if self._detA != 1.0:  # dividing by 1 is exact: reference cells skip it
+            vals /= np.sqrt(self._detA)
+        return vals
 
     def tabulate_grad(self, degree, pts, direction=None):
         """d/dx_direction of the modal basis at cell points, (n_modes, n_pts);
-        direction=None stacks every direction, (n_modes, n_pts, dim)."""
+        direction=None stacks every direction, (n_modes, n_pts, dim).
+
+        The chain rule sums Ainv[k, direction] d/dxi_k from zero in k order,
+        differentiating only along the reference directions k whose entry is
+        nonzero, since the terms it skips would add zeros.
+        """
         if direction is None:
             return np.stack([self.tabulate_grad(degree, pts, l)
                              for l in range(self.dim)], axis=-1)
-        return orthopoly.tabulate_grad(self.dim, degree, self.to_reference(pts),
-                                       direction, self._detA, self._Ainv)
+        ref = self.to_reference(pts)
+        out = None  # Ainv is invertible: every column has a nonzero entry
+        for k in np.flatnonzero(self._Ainv[:, direction]):
+            g = orthopoly.tabulate_grad(self.dim, degree, ref, k)
+            if self._detA != 1.0:  # as in `tabulate`; so is a unit weight
+                g /= np.sqrt(self._detA)
+            if self._Ainv[k, direction] != 1.0:
+                g *= self._Ainv[k, direction]
+            if out is None:  # the sum starts at 0 + g, which clears signed zeros
+                out = np.add(0.0, g, out=g)
+            else:
+                out += g
+        return out
 
     def __repr__(self):
         return f"Cell({self.key}, dim={self.dim})"
@@ -183,6 +208,77 @@ class Face:
         return self.origin[None, :] + xi @ self.frame.T
 
 
+def _edge(index, vertices, ids, key):
+    """The Edge `index` from vertices[ids[0]] to vertices[ids[1]], whose
+    interval cell, centered and of the edge's length, is named `key`."""
+    a, b = vertices[ids[0]], vertices[ids[1]]
+    length = float(np.linalg.norm(b - a))
+    return Edge(index=index, vertex_ids=ids, tangent=(b - a) / length,
+                midpoint=0.5 * (a + b),
+                cell=Cell(np.array([[-0.5 * length], [0.5 * length]]), key))
+
+
+def triangle_edges(cell):
+    """Oriented edge data for any 2D triangle cell.
+
+    Returns a tuple of (Edge, ccw_sign); tangents run from the lower to the
+    higher vertex index, ccw_sign relates that to counterclockwise traversal.
+    The edge cells are named after `cell`; tables keyed by an edge see only
+    its content, so triangles with equal vertices still share them.
+    """
+    return _triangle_edges(cell, cell.key)
+
+
+@cache.memo
+def _triangle_edges(cell, key):
+    # keyed by the display name too, so the edge cells carry the right one
+    v = cell.vertices
+    d1, d2 = v[1] - v[0], v[2] - v[0]
+    det = d1[0] * d2[1] - d1[1] * d2[0]
+    ccw = (0, 1), (1, 2), (2, 0)
+    if det < 0:
+        ccw = (0, 2), (2, 1), (1, 0)
+    edges = []
+    for k, (a, b) in enumerate(ccw):
+        lo, hi = min(a, b), max(a, b)
+        edges.append((_edge(k, v, (lo, hi), f"{key}.edge{lo}{hi}"),
+                      1 if (a, b) == (lo, hi) else -1))
+    return tuple(edges)
+
+
+def tet_faces(cell):
+    """The four outward-oriented faces of a tetrahedron cell, face k opposite
+    vertex k, each with its congruence chart into the plane. The face cells
+    are named after `cell`, as `triangle_edges` names its edge cells."""
+    return _tet_faces(cell, cell.key)
+
+
+@cache.memo
+def _tet_faces(cell, key):
+    vertices = cell.vertices
+    centroid = vertices.mean(axis=0)
+    faces = []
+    for k in range(4):
+        ids = tuple(i for i in range(4) if i != k)
+        v = vertices[list(ids)]
+        n = np.cross(v[1] - v[0], v[2] - v[0])
+        n /= np.linalg.norm(n)
+        if np.dot(n, v[0] - centroid) < 0:
+            ids = (ids[0], ids[2], ids[1])
+            v = vertices[list(ids)]
+            n = -n
+        e1 = v[1] - v[0]
+        e1 /= np.linalg.norm(e1)
+        e2 = v[2] - v[0] - np.dot(v[2] - v[0], e1) * e1
+        e2 /= np.linalg.norm(e2)
+        frame = np.stack([e1, e2], axis=1)
+        planar = (v - v[0]) @ frame
+        faces.append(Face(index=k, vertex_ids=ids, normal=n,
+                          origin=v[0].copy(), frame=frame,
+                          cell=Cell(planar, f"{key}.face{k}")))
+    return tuple(faces)
+
+
 class ReferenceCell:
     """Reference simplex with oriented edge/face data.
 
@@ -201,7 +297,7 @@ class ReferenceCell:
             self.vertices = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
             self.cell = Cell(self.vertices, "tri")
             self.faces = ()
-            self.edges = self._build_edges([(0, 1), (0, 2), (1, 2)], "tri")
+            self.edges = self._edges([(0, 1), (0, 2), (1, 2)], "tri")
             return
         if dim != 3:
             raise ValueError(f"unsupported dimension {dim}")
@@ -209,58 +305,13 @@ class ReferenceCell:
             [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
         )
         self.cell = Cell(self.vertices, "tet")
-        self.edges = self._build_edges(
+        self.edges = self._edges(
             [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)], "tet")
-        self.faces = self._build_faces()
+        self.faces = tet_faces(self.cell)
 
-    def _build_edges(self, pairs, prefix):
-        edges = []
-        for k, (i, j) in enumerate(pairs):
-            a, b = self.vertices[i], self.vertices[j]
-            length = float(np.linalg.norm(b - a))
-            cell = Cell(
-                np.array([[-0.5 * length], [0.5 * length]]), f"{prefix}.edge{k}"
-            )
-            edges.append(
-                Edge(
-                    index=k,
-                    vertex_ids=(i, j),
-                    tangent=(b - a) / length,
-                    midpoint=0.5 * (a + b),
-                    cell=cell,
-                )
-            )
-        return tuple(edges)
-
-    def _build_faces(self):
-        centroid = self.vertices.mean(axis=0)
-        faces = []
-        for k in range(4):
-            ids = tuple(i for i in range(4) if i != k)
-            v = self.vertices[list(ids)]
-            n = np.cross(v[1] - v[0], v[2] - v[0])
-            n /= np.linalg.norm(n)
-            if np.dot(n, v[0] - centroid) < 0:
-                ids = (ids[0], ids[2], ids[1])
-                v = self.vertices[list(ids)]
-                n = -n
-            e1 = v[1] - v[0]
-            e1 /= np.linalg.norm(e1)
-            e2 = v[2] - v[0] - np.dot(v[2] - v[0], e1) * e1
-            e2 /= np.linalg.norm(e2)
-            frame = np.stack([e1, e2], axis=1)
-            planar = (v - v[0]) @ frame
-            faces.append(
-                Face(
-                    index=k,
-                    vertex_ids=ids,
-                    normal=n,
-                    origin=v[0].copy(),
-                    frame=frame,
-                    cell=Cell(planar, f"tet.face{k}"),
-                )
-            )
-        return tuple(faces)
+    def _edges(self, pairs, prefix):
+        return tuple(_edge(k, self.vertices, ids, f"{prefix}.edge{k}")
+                     for k, ids in enumerate(pairs))
 
     def interior_angles(self):
         """Interior angles of the cell (2D) or of each face (3D), in radians."""

@@ -92,7 +92,7 @@ def discrete_lifting_curl(p, w_slots):
     Qb = ps.build_space(rc, "hcurl_bubble", p)
     Wb = ps.build_space(rc, "h1_bubble", p)
     grads = diff_rows("grad", Wb) if Wb.dim else np.zeros((0, Qb.basis.shape[1]))
-    traces = ps.boundary_traces(rc.cell, p + 1, "tangential", rc)
+    traces = ps.boundary_traces(rc.cell, p + 1, "tangential")
     return _saddle_lifting(ps.build_space(rc, "hcurl", p), Qb, grads, "curl3d",
                            traces, w_slots)
 
@@ -108,7 +108,7 @@ def discrete_lifting_div(p, w_slots):
         if Qperp.dim
         else np.zeros((0, Vb.basis.shape[1]))
     )
-    traces = ps.boundary_traces(rc.cell, p + 1, "normal", rc, keep=p)
+    traces = ps.boundary_traces(rc.cell, p + 1, "normal", keep=p)
     return _saddle_lifting(ps.build_space(rc, "hdiv", p), Vb, curls, "div",
                            traces, w_slots)
 

@@ -9,7 +9,7 @@ from exseq import calculus as ca
 from exseq import orthopoly
 from exseq import polyspace as ps
 from exseq import sobolev as sb
-from exseq.refsimplex import Cell, quadrature
+from exseq.refsimplex import Cell, quadrature, triangle_edges
 
 
 def test_closed_form_dimensions(rc3):
@@ -193,8 +193,8 @@ def test_spaces_and_edges_bound_to_requested_cell(rc2, rc3):
     assert sp.cell is face and sp.cell.key == "tet.face1"
     assert tri_space.cell.key == "tri"
     assert sp.basis is tri_space.basis
-    ps.triangle_edges(rc2.cell)
-    for ledge, _ in ps.triangle_edges(face):
+    triangle_edges(rc2.cell)
+    for ledge, _ in triangle_edges(face):
         assert ledge.cell.key.startswith("tet.face1.edge")
 
 
@@ -280,7 +280,7 @@ def _frame_blocks(T, frame):
 
 def _triangles(rc2, rc3):
     # the triangle and the four face cells, each with its sides
-    return [(cell, [side for side, _ in ps.triangle_edges(cell)])
+    return [(cell, [side for side, _ in triangle_edges(cell)])
             for cell in [rc2.cell] + [f.cell for f in rc3.faces]]
 
 
@@ -300,17 +300,17 @@ def test_trace_matrix_parts_are_frame_blocks_of_the_scalar_trace(rc2, rc3):
 
 def test_boundary_traces_keep_leading_modes(rc2, rc3):
     deg = 4
-    cases = [(rc3.cell, rc3, rc3.faces, part)
+    cases = [(rc3.cell, rc3.faces, part)
              for part in (None, "tangential", "normal")]
-    cases += [(cell, None, sides, part) for cell, sides in _triangles(rc2, rc3)
+    cases += [(cell, sides, part) for cell, sides in _triangles(rc2, rc3)
               for part in (None, "tangential")]
-    for cell, rc, subs, part in cases:
+    for cell, subs, part in cases:
         full = [ps.trace_matrix(cell, deg, sub, part) for sub in subs]
-        assert np.array_equal(ps.boundary_traces(cell, deg, part, rc),
+        assert np.array_equal(ps.boundary_traces(cell, deg, part),
                               np.vstack(full))
         for keep in range(deg + 1):
             assert np.array_equal(
-                ps.boundary_traces(cell, deg, part, rc, keep=keep),
+                ps.boundary_traces(cell, deg, part, keep=keep),
                 np.vstack([T[: sub.cell.n_modes(keep)]
                            for sub, T in zip(subs, full)]))
 
@@ -340,9 +340,15 @@ def test_interval_grad_orthogonal_kinds_are_empty(rc1):
             assert ps.build_space(rc1, kind, p).dim == 0
 
 
-def test_tetrahedron_trace_free_kinds_need_the_reference_cell(rc3):
-    ps.build_space(rc3, "h1_bubble", 2)  # a memoised basis does not mask it
-    for kind in ("h1_bubble", "hcurl_bubble", "hdiv_bubble", "hcurl_bubble_orth"):
-        with pytest.raises(ValueError, match="ReferenceCell"):
-            ps.build_space(rc3.cell, kind, 2)
-    assert ps.build_space(rc3.cell, "hcurl_orth", 2).dim
+def test_tetrahedron_trace_free_kinds_from_the_cell_alone(rc3):
+    # a tetrahedron finds its own faces: its cell gives the bases that its
+    # ReferenceCell gives, each built afresh
+    for p in (1, 2, 3):
+        for kind in ("h1_bubble", "hcurl_bubble", "hdiv_bubble",
+                     "hcurl_bubble_orth"):
+            cache.clear()
+            from_cell = ps.build_space(rc3.cell, kind, p)
+            cache.clear()
+            from_refcell = ps.build_space(rc3, kind, p)
+            assert from_cell.cell is rc3.cell and from_refcell.cell is rc3.cell
+            assert np.array_equal(from_cell.basis, from_refcell.basis)

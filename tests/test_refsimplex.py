@@ -79,7 +79,7 @@ def test_boundary_orientation_right_hand_rule(rc3):
 
 def test_pulled_back_edge_tangents_match(rc3):
     # 2D tangents induced by the chart equal the 3D ones mapped through it
-    from exseq.polyspace import triangle_edges
+    from exseq.refsimplex import triangle_edges
 
     for face in rc3.faces:
         for ledge, _sign in triangle_edges(face.cell):

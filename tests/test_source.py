@@ -211,3 +211,18 @@ def test_every_default_is_set_by_a_caller():
             unset |= {f"{fn.name}({name})" for i, name in defaulted
                       if not any(_passes(c, i, name) for c in calls[fn.name])}
     assert sorted(unset - set(_UNSET_DEFAULTS)) == []
+
+
+def test_only_refsimplex_builds_cells():
+    # cell geometry has one home: cells, edges and faces are constructed in
+    # refsimplex alone, and every other module asks a cell for its boundary
+    found = []
+    for path, tree in _trees().items():
+        if path.name == "refsimplex.py":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", ""))
+                if name in ("Cell", "Edge", "Face"):
+                    found.append(f"{path.name}:{node.lineno} {name}")
+    assert found == []

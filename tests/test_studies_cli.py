@@ -188,12 +188,26 @@ def test_cli_subcommand_takes_only_the_flags_it_reads(argv):
 
 def test_cli_config_file(tmp_path):
     cfgf = tmp_path / "run.cfg"
-    cfgf.write_text("p_max = 3\n# comment\nfmt = csv\n")
+    cfgf.write_text("p_max = 3\n# comment\nformat = csv\n")
     out = tmp_path / "dims.csv"
     code = cli.main(["dims", "--config", str(cfgf), "--out", str(out)])
     assert code == 0
     rows = out.read_text().splitlines()
     assert rows[-1].startswith("3,")
+
+
+def test_cli_config_format_key_is_the_flag_name(tmp_path):
+    # config keys mirror the flags: "format" sets --format, and "fmt", which
+    # names no flag, is refused like any unknown key
+    cfgf = tmp_path / "run.cfg"
+    out = tmp_path / "dims.json"
+    cfgf.write_text("p_max = 1\nformat = json\n")
+    assert cli.main(["dims", "--config", str(cfgf), "--out", str(out)]) == 0
+    assert {r["p"] for r in json.loads(out.read_text())} == {0, 1}
+    cfgf.write_text("p_max = 1\nfmt = json\n")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["dims", "--config", str(cfgf), "--out", str(out)])
+    assert exc.value.code == 2
 
 
 def test_cli_flags_override_config_file(tmp_path):
