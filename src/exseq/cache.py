@@ -31,12 +31,10 @@ def _fingerprint(x):
     if isinstance(x, (tuple, list)):
         return tuple(_fingerprint(v) for v in x)
     # imported here: refsimplex memoises with this module
-    from .refsimplex import Cell, ReferenceCell
+    from .refsimplex import Cell
 
     if isinstance(x, Cell):
         return ("Cell", x.dim, _fingerprint(x.vertices))
-    if isinstance(x, ReferenceCell):  # built from its cell's vertices alone
-        return _fingerprint(x.cell)
     if dataclasses.is_dataclass(x) and not isinstance(x, type):
         return (type(x).__name__,) + tuple(
             _fingerprint(getattr(x, f.name)) for f in dataclasses.fields(x))

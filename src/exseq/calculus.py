@@ -19,7 +19,7 @@ import numpy as np
 
 from . import fields as fl
 from . import polyspace as ps
-from .refsimplex import quadrature, triangle_edges
+from .refsimplex import quadrature, tet_faces, triangle_edges
 
 
 def _expand_in(target, rows, src_cell, src_vd, src_degree):
@@ -179,21 +179,21 @@ _FULL = ("h1", "hcurl", "hdiv", "l2")
 _TRACE_FREE = ("h1_bubble", "hcurl_bubble", "hdiv_bubble", "l2_zero_mean")
 
 
-def _sequence(refcell, p, kinds=_FULL):
-    """The spaces of the refcell's complex, slot by slot."""
-    d = refcell.dim
-    return [ps.build_space(refcell, kind, p) for kind in kinds[:d] + kinds[-1:]]
+def _sequence(cell, p, kinds=_FULL):
+    """The spaces of the cell's complex, slot by slot."""
+    d = cell.dim
+    return [ps.build_space(cell, kind, p) for kind in kinds[:d] + kinds[-1:]]
 
 
-def _arrows(refcell, p):
+def _arrows(cell, p):
     """The full sequence's spaces and the matrices of the derivatives between
     consecutive slots."""
-    S = _sequence(refcell, p)
+    S = _sequence(cell, p)
     return S, [diff_op(D, S[k], S[k + 1])
-               for k, D in enumerate(COMPLEX[refcell.dim])]
+               for k, D in enumerate(COMPLEX[cell.dim])]
 
 
-def check_exact_sequence(p, refcell3, refcell2, refcell1):
+def check_exact_sequence(p, tet, tri, interval):
     """Rank/kernel report for the full and trace-free sequences, 3D and 2D,
     and the trace-free sequence of the interval.
 
@@ -206,10 +206,10 @@ def check_exact_sequence(p, refcell3, refcell2, refcell1):
         rep["checks"].append({"label": label, "ok": bool(ok), **data})
 
     fam = FAMILIES
-    for rc in (refcell3, refcell2, refcell1):
-        d = rc.dim
+    for cell in (tet, tri, interval):
+        d = cell.dim
         if d > 1:
-            S, A = _arrows(rc, p)
+            S, A = _arrows(cell, p)
             if d == 3:
                 kernel = S[0].dim - np.linalg.matrix_rank(A[0], tol=1e-8)
                 record("3d.grad.kernel", kernel == 1, kernel=int(kernel),
@@ -223,7 +223,7 @@ def check_exact_sequence(p, refcell3, refcell2, refcell1):
             rank = np.linalg.matrix_rank(A[-1], tol=1e-8)
             record(f"{d}d.{fam[d - 1]}_onto_l2", rank == S[d].dim,
                    rank=int(rank), expected=S[d].dim)
-        B = _sequence(rc, p, _TRACE_FREE)
+        B = _sequence(cell, p, _TRACE_FREE)
         # orthonormal rows spanning the images of the bubbles
         img = [ps.span_from_rows(diff_rows(D, B[k])) for k, D in enumerate(COMPLEX[d])]
         if d > 1:
@@ -247,22 +247,21 @@ def _composite_residual(a, b):
     return np.abs(a @ b).max() / scale
 
 
-def complex_property_residual(refcell3, refcell2, p):
+def complex_property_residual(tet, tri, p):
     """Max matrix residual of the composite identities curl o grad = 0 and
     div o curl = 0 (3D) and curl o grad = 0 (2D), relative to operator scale."""
     return max(float(_composite_residual(a, b))
-               for rc in (refcell3, refcell2)
-               for a, b in pairwise(_arrows(rc, p)[1]))
+               for cell in (tet, tri)
+               for a, b in pairwise(_arrows(cell, p)[1]))
 
 
 _GREEN_SAMPLES = 5  # random pairs per Green's-formula check
 
 
-def integration_by_parts_residual(refcell, p, rng):
+def integration_by_parts_residual(cell, p, rng):
     """Residual of (curl u, v) = (curl v, u) - (Pi_tau u, gamma_tau v)_boundary."""
-    cell = refcell.cell
-    Q = ps.build_space(refcell, "hcurl", p)
-    V = ps.build_space(refcell, "hdiv", p)
+    Q = ps.build_space(cell, "hcurl", p)
+    V = ps.build_space(cell, "hdiv", p)
     c = diff_op("curl3d", Q, V)
     q = quadrature(cell, 2 * Q.degree + 2)
     worst = 0.0
@@ -278,7 +277,7 @@ def integration_by_parts_residual(refcell, p, rng):
         lhs = np.einsum("q,qi,qi->", q.weights, curl_u, v_q)
         rhs_vol = np.einsum("q,qi,qi->", q.weights, curl_v, u_q)
         bnd = 0.0
-        for face in refcell.faces:
+        for face in tet_faces(cell):
             fq = quadrature(face.cell, 2 * Q.degree + 2)
             amb = face.embed(fq.points)
             uf = Q.evaluate(cu, amb)
@@ -292,10 +291,9 @@ def integration_by_parts_residual(refcell, p, rng):
     return worst
 
 
-def stokes_2d_residual(refcell2, p, rng):
+def stokes_2d_residual(cell, p, rng):
     """Residual of the 2D formula: (curl v, F) = (v, curl F) - (v, F.t)_boundary."""
-    cell = refcell2.cell
-    W = ps.build_space(refcell2, "h1", p)
+    W = ps.build_space(cell, "h1", p)
     F = ps.vector_space(cell, p + 1, 2)
     q = quadrature(cell, 2 * (p + 2))
     curls_v = ps.vector_space(cell, W.degree, 2)

@@ -17,39 +17,35 @@ from . import studies as st
 from .refsimplex import quadrature
 
 
-def _load_config(path):
-    out = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"bad config line: {line!r}")
-            key, val = (part.strip() for part in line.split("=", 1))
-            out[key.replace("-", "_")] = val
-    return out
-
-
 def _config_values(args, parser):
-    """The config file's values, typed like the parsed flags they mirror; a
-    repeatable flag takes a comma list."""
+    """The config file's values, parsed by the subcommand's own parser as the
+    flags they mirror; a repeatable flag takes a comma list, which the flag
+    given on the command line replaces. Any fault is a usage error."""
     actions = {a.dest: a for a in parser._actions
                if a.dest not in ("help", "config")}
-    out = {}
-    for key, val in _load_config(args.config).items():
-        if key not in actions:
+    try:
+        with open(args.config) as fh:
+            lines = fh.read().splitlines()
+    except OSError as exc:
+        parser.error(f"cannot read config file: {exc}")
+    flags = []
+    for line in lines:
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            parser.error(f"bad config line: {line!r}")
+        key, val = (part.strip() for part in line.split("=", 1))
+        action = actions.get(key.replace("-", "_"))
+        if action is None:
             parser.error(f"unknown config key {key!r}")
-        cur = getattr(args, key)
-        if isinstance(cur, int):
-            val = int(val)
-        elif isinstance(cur, float):
-            val = float(val)
-        elif isinstance(actions[key], argparse._AppendAction):
-            convert = actions[key].type or str
-            val = [convert(v.strip()) for v in val.split(",")]
-        out[key] = val
-    return out
+        vals = [val]
+        if isinstance(action, argparse._AppendAction):
+            if getattr(args, action.dest) is not None:  # the flag's list wins
+                continue
+            vals = [v.strip() for v in val.split(",")]
+        flags += [f"{action.option_strings[0]}={v}" for v in vals]
+    return vars(parser.parse_args(flags))
 
 
 def _emit(text, out_path):

@@ -44,13 +44,13 @@ class RegularizedInverse:
     closed form.
     """
 
-    def __init__(self, refcell, kind):
+    def __init__(self, cell, kind):
         dim, slot = OPERATORS.get(kind, (0, 0))
         if dim < 2 or slot == dim:  # neither on the interval nor from L2
             raise ValueError(f"unknown kind {kind!r}")
-        if refcell.dim != dim:
+        if cell.dim != dim:
             raise ValueError(f"{kind} needs a {dim}D cell")
-        self.cell = refcell.cell
+        self.cell = cell
         self.kind = kind
         self.derivative = COMPLEX[dim][slot]
         self.in_vdim = slot_value_dim(dim, slot + 1)
@@ -156,23 +156,23 @@ def _build_matrix(cell, kind, degree, center, radius):
 
 
 @cache.memo
-def regularized_inverse(refcell, kind):
-    return RegularizedInverse(refcell, kind)
+def regularized_inverse(cell, kind):
+    return RegularizedInverse(cell, kind)
 
 
-def _helmholtz(refcell, slot, space, slots):
-    """Split u in a slot of the refcell's complex as u = D psi + z: z from the
+def _helmholtz(cell, slot, space, slots):
+    """Split u in a slot of the cell's complex as u = D psi + z: z from the
     right inverse of the derivative leaving the slot, psi from that of the
     derivative D entering it. Returns (psi_space, psi, z_space, z, residual)."""
-    cell, dim, deg = refcell.cell, refcell.dim, space.degree
+    dim, deg = cell.dim, space.degree
     vd = slot_value_dim(dim, slot)
-    out = regularized_inverse(refcell, operator_at(dim, slot))
+    out = regularized_inverse(cell, operator_at(dim, slot))
     z_space, z = out.apply(
         ps.vector_space(cell, deg, out.in_vdim),
         diff_slots(out.derivative, space, slots))
     deg1 = z_space.degree
     u_pad = ps.pad_slots(slots, cell, vd, deg, deg1)
-    into = regularized_inverse(refcell, operator_at(dim, slot - 1))
+    into = regularized_inverse(cell, operator_at(dim, slot - 1))
     psi_space, psi = into.apply(ps.vector_space(cell, deg1, vd), u_pad - z)
     lhs = ps.pad_slots(u_pad - z, cell, vd, deg1, psi_space.degree)
     resid_vec = lhs - diff_slots(into.derivative, psi_space, psi)
@@ -184,14 +184,14 @@ def _helmholtz(refcell, slot, space, slots):
     return psi_space, psi, z_space, z, resid
 
 
-def helmholtz_curl(refcell, space, slots):
+def helmholtz_curl(cell, space, slots):
     """Split u = grad(phi) + z with z built from the curl right inverse.
 
     u is a 3-vector (or 2-vector) polynomial given by slot coefficients.
     Returns (phi_space, phi, z_space, z, residual)."""
-    return _helmholtz(refcell, 1, space, slots)
+    return _helmholtz(cell, 1, space, slots)
 
 
-def helmholtz_div(refcell, space, slots):
+def helmholtz_div(cell, space, slots):
     """Split u = curl(psi) + z with z from the div right inverse (3D)."""
-    return _helmholtz(refcell, 2, space, slots)
+    return _helmholtz(cell, 2, space, slots)

@@ -18,7 +18,7 @@ stack annihilates.
 import numpy as np
 
 from . import cache
-from .refsimplex import ReferenceCell, quadrature, tet_faces, triangle_edges
+from .refsimplex import quadrature, tet_faces, triangle_edges
 
 SVD_CUTOFF = 1e-10
 
@@ -349,20 +349,18 @@ def gradient_rows(cell, scalar_space_obj, out_degree):
 
 
 def build_space(cell, kind, p):
-    """Build one of the complex's spaces at complex degree p.
+    """Build one of the complex's spaces on a `Cell` at complex degree p.
 
-    `cell` is a Cell or a ReferenceCell, which stands for its cell. kind:
-    one of KINDS. The H1 family ("h1*") has polynomial degree p+1; all others
-    have degree p. On 2D cells the face family degenerates to the scalar L2
-    slot, per the trace-space identifications. The space is bound to `cell`,
-    and shares one read-only basis with every cell of equal vertices.
+    kind: one of KINDS. The H1 family ("h1*") has polynomial degree p+1; all
+    others have degree p. On 2D cells the face family degenerates to the
+    scalar L2 slot, per the trace-space identifications. The space is bound
+    to `cell`, and shares one read-only basis with every cell of equal
+    vertices.
     """
     if kind not in KINDS:
         raise ValueError(f"unsupported kind {kind!r}")
     if p < 0:
         raise ValueError(f"complex degree must be >= 0, got {p}")
-    if isinstance(cell, ReferenceCell):
-        cell = cell.cell
     vd, deg, basis = _space_basis(cell, kind, p)
     return PolySpace(cell, vd, deg, basis, name=f"{kind}[p={p}]")
 

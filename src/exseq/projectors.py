@@ -44,7 +44,8 @@ from numpy.polynomial.legendre import leggauss
 from . import polyspace as ps
 from .calculus import (COMPLEX, DERIVATIVES, FAMILIES, OPERATORS, diff_rows,
                        diff_slots, operator_at)
-from .refsimplex import make_reference_cell, quadrature, triangle_edges
+from .refsimplex import (cell_edges, make_reference_cell, quadrature, tet_faces,
+                         triangle_edges)
 
 
 def _pinv(mat):
@@ -258,8 +259,8 @@ def _segment_stage(name, cell, deg, restrict, ends, region, rule, vertex_s):
     )
 
 
-def _sides(rc, cell, vertex_ids):
-    """Sides of a triangle `cell` whose vertices are rc's `vertex_ids`.
+def _sides(whole, cell, vertex_ids):
+    """Sides of a triangle `cell` whose vertices are `whole`'s `vertex_ids`.
 
     Yields (local edge, global edge index, sigma, ccw): the global edge's
     parameter s sits at local parameter sigma*s, and ccw is +1 when the local
@@ -267,15 +268,15 @@ def _sides(rc, cell, vertex_ids):
     """
     for ledge, ccw in triangle_edges(cell):
         a, b = (vertex_ids[i] for i in ledge.vertex_ids)
-        g = next(e.index for e in rc.edges if set(e.vertex_ids) == {a, b})
+        g = next(e.index for e in cell_edges(whole)
+                 if set(e.vertex_ids) == {a, b})
         yield ledge, g, (1.0 if a < b else -1.0), ccw
 
 
-def _triangle_stage(plan, name, rc, cell, vertex_ids, deg, restrict, region,
-                    rule):
+def _triangle_stage(plan, name, cell, vertex_ids, deg, restrict, region, rule):
     """Scalar stiffness stage on a triangle fed by its sides' edge stages."""
     parents, fluxes = [], []
-    for ledge, g, sigma, ccw in _sides(rc, cell, vertex_ids):
+    for ledge, g, sigma, ccw in _sides(plan.target.cell, cell, vertex_ids):
         q1 = quadrature(ledge.cell, plan.quad_degree)
         parents.append((f"edge{g}", _flip(ledge.cell.n_modes(deg), sigma)))
         outward = ccw * np.array([ledge.tangent[1], -ledge.tangent[0]])
@@ -301,8 +302,8 @@ def _mixed_stage(name, space, bubble, restrict, trace, parents, gauge, energy,
                   trace @ space.basis.T, parents, space.basis.T)
 
 
-def _edge_element_stage(plan, name, rc, cell, vertex_ids, p, slot_restrict,
-                        frame, region, rule):
+def _edge_element_stage(plan, name, cell, vertex_ids, p, slot_restrict, frame,
+                        region, rule):
     """Edge-element stage on a triangle: the curl2d cell or a curl3d face.
 
     Lifts the sides' tangential data, then fixes the bubbles by (u, grad v)
@@ -321,7 +322,7 @@ def _edge_element_stage(plan, name, rc, cell, vertex_ids, p, slot_restrict,
     energy = [(region, _stacked_moments(Vq, rule[1], [(rot, False),
                                                       (grads, False)], frame))]
     parents = []
-    for ledge, g, sigma, ccw in _sides(rc, cell, vertex_ids):
+    for ledge, g, sigma, ccw in _sides(plan.target.cell, cell, vertex_ids):
         parents.append((f"edge{g}", sigma * _flip(ledge.cell.n_modes(p), sigma)))
         q1 = quadrature(ledge.cell, plan.quad_degree)
         pv = _eval_rows(cell, 1, deg, psi,
@@ -340,52 +341,52 @@ def _edge_element_stage(plan, name, rc, cell, vertex_ids, p, slot_restrict,
 # stage lists of the operator families
 
 
-def _grad_stages(plan, rc, p):
-    cell, deg = rc.cell, plan.target.degree
-    eye = np.eye(len(rc.vertices))
-    plan.sample_points["vertices"] = rc.vertices
-    plan.stages.append(_stage("vertices", cell.tabulate(deg, rc.vertices).T,
+def _grad_stages(plan, cell, p):
+    deg = plan.target.degree
+    eye = np.eye(len(cell.vertices))
+    plan.sample_points["vertices"] = cell.vertices
+    plan.stages.append(_stage("vertices", cell.tabulate(deg, cell.vertices).T,
                               eye, eye, [("vertices", eye)]))
     interior = np.eye(cell.n_modes(deg))
-    if rc.dim == 1:
+    if cell.dim == 1:
         rule = _graded_interval_rule()
         plan.sample_points["vol"] = rule[0][:, None]
         plan.stages.append(_segment_stage("interior", cell, deg, interior,
                                           (0, 1), "vol", rule,
-                                          rc.vertices[:, 0]))
+                                          cell.vertices[:, 0]))
         return
-    for edge in rc.edges:
+    for edge in cell_edges(cell):
         key = f"edge{edge.index}"
         q1 = quadrature(edge.cell, plan.quad_degree)
         plan.sample_points[key] = edge.embed(q1.points)
         plan.stages.append(_segment_stage(
             key, edge.cell, deg, ps.trace_matrix(cell, deg, edge),
             edge.vertex_ids, key, (q1.points[:, 0], q1.weights),
-            (rc.vertices - edge.midpoint) @ edge.tangent,
+            (cell.vertices - edge.midpoint) @ edge.tangent,
         ))
     q = quadrature(cell, plan.quad_degree)
-    if rc.dim == 2:
+    if cell.dim == 2:
         plan.sample_points["vol"] = q.points
         plan.stages.append(_triangle_stage(
-            plan, "interior", rc, cell, (0, 1, 2), deg, interior,
+            plan, "interior", cell, (0, 1, 2), deg, interior,
             "vol", (q.points, q.weights),
         ))
         return
     fluxes = []
-    for face in rc.faces:
+    faces = tet_faces(cell)
+    for face in faces:
         key = f"face{face.index}"
         q2 = quadrature(face.cell, plan.quad_degree)
         plan.sample_points[key] = face.embed(q2.points)
         plan.stages.append(_triangle_stage(
-            plan, key, rc, face.cell, face.vertex_ids, deg,
+            plan, key, face.cell, face.vertex_ids, deg,
             ps.trace_matrix(cell, deg, face), key,
             (q2.points, q2.weights),
         ))
         fluxes.append((key, face.embed(q2.points), q2.weights,
                        np.broadcast_to(face.normal, (len(q2.weights), 3))))
     plan.sample_points["vol"] = q.points
-    parents = [(f"face{f.index}", np.eye(f.cell.n_modes(deg)))
-               for f in rc.faces]
+    parents = [(f"face{f.index}", np.eye(f.cell.n_modes(deg))) for f in faces]
     plan.stages.append(_stiffness_stage(
         "interior", cell, deg, interior,
         ps.boundary_traces(cell, deg), parents,
@@ -393,9 +394,9 @@ def _grad_stages(plan, rc, p):
     ))
 
 
-def _curl_stages(plan, rc, p):
-    cell, deg = rc.cell, p + 1
-    for edge in rc.edges:
+def _curl_stages(plan, cell, p):
+    deg = p + 1
+    for edge in cell_edges(cell):
         key = f"edge{edge.index}"
         q1 = quadrature(edge.cell, plan.quad_degree)
         plan.sample_points[key] = edge.embed(q1.points)
@@ -405,34 +406,35 @@ def _curl_stages(plan, rc, p):
                                      (q1.points, q1.weights), edge.tangent))
     Q = plan.target
     q = quadrature(cell, plan.quad_degree)
-    if rc.dim == 2:
+    if cell.dim == 2:
         plan.sample_points["vol"] = q.points
         plan.stages.append(_edge_element_stage(
-            plan, "interior", rc, cell, (0, 1, 2), p, None,
+            plan, "interior", cell, (0, 1, 2), p, None,
             np.eye(2), "vol", (q.points, q.weights),
         ))
         return
     face_rules = []
-    for face in rc.faces:
+    faces = tet_faces(cell)
+    for face in faces:
         key = f"face{face.index}"
         q2 = quadrature(face.cell, plan.quad_degree)
         face_rules.append(q2)
         plan.sample_points[key] = face.embed(q2.points)
         plan.stages.append(_edge_element_stage(
-            plan, key, rc, face.cell, face.vertex_ids, p,
+            plan, key, face.cell, face.vertex_ids, p,
             ps.trace_matrix(cell, deg, face, "tangential"), face.frame, key,
             (q2.points, q2.weights),
         ))
     plan.sample_points["vol"] = q.points
     # (curl u, curl W) = (u, curl curl W) - (Pi_tau u, gamma_tau curl W)
-    W = diff_rows("curl3d", ps.build_space(rc, "hcurl_bubble_orth", p))
+    W = diff_rows("curl3d", ps.build_space(cell, "hcurl_bubble_orth", p))
     curl_W = diff_rows("curl3d", ps.PolySpace(cell, 3, deg, W))
-    grads = diff_rows("grad", ps.build_space(rc, "h1_bubble", p))
+    grads = diff_rows("grad", ps.build_space(cell, "h1_bubble", p))
     Vq = cell.tabulate(deg, q.points)
     energy = [("vol", _stacked_moments(Vq, q.weights, [(curl_W, False),
                                                        (grads, False)]))]
     del Vq  # the largest table; freed before the stage's own peak
-    for face, q2 in zip(rc.faces, face_rules):
+    for face, q2 in zip(faces, face_rules):
         amb = face.embed(q2.points)
         tang = np.einsum("mpk,kl->mpl", _eval_rows(cell, 3, deg, W, amb),
                          face.frame)
@@ -440,18 +442,19 @@ def _curl_stages(plan, rc, p):
         back = np.einsum("mpl,kl->mpk", gamma, face.frame)
         energy.append((f"face{face.index}", -_weighted(back, q2.weights)))
     parents = [(f"face{f.index}", np.eye(2 * f.cell.n_modes(deg)))
-               for f in rc.faces]
+               for f in faces]
     plan.stages.append(_mixed_stage(
-        "interior", Q, ps.build_space(rc, "hcurl_bubble", p),
+        "interior", Q, ps.build_space(cell, "hcurl_bubble", p),
         Q.basis, ps.boundary_traces(cell, deg, "tangential"), parents,
         grads, W, "curl3d", energy,
     ))
 
 
-def _div_stages(plan, rc, p):
-    cell, deg = rc.cell, p + 1
+def _div_stages(plan, cell, p):
+    deg = p + 1
     face_rules = []
-    for face in rc.faces:
+    faces = tet_faces(cell)
+    for face in faces:
         key = f"face{face.index}"
         q2 = quadrature(face.cell, plan.quad_degree)
         face_rules.append(q2)
@@ -463,9 +466,9 @@ def _div_stages(plan, rc, p):
     q = quadrature(cell, plan.quad_degree)
     plan.sample_points["vol"] = q.points
     V = plan.target
-    Vb = ps.build_space(rc, "hdiv_bubble", p)
+    Vb = ps.build_space(cell, "hdiv_bubble", p)
     curls = ps.span_from_rows(
-        diff_rows("curl3d", ps.build_space(rc, "hcurl_bubble", p)))
+        diff_rows("curl3d", ps.build_space(cell, "hcurl_bubble", p)))
     divs = diff_rows("div", ps.subspace_from_constraints(Vb, curls))
     # (div u, div v) = -(u, grad div v) + (u.n, div v)_boundary
     grad_div = diff_slots("grad", ps.scalar_space(cell, deg), divs)
@@ -473,11 +476,11 @@ def _div_stages(plan, rc, p):
     energy = [("vol", _stacked_moments(Vq, q.weights, [(grad_div, True),
                                                        (curls, False)]))]
     del Vq  # the largest table; freed before the stage's own peak
-    for face, q2 in zip(rc.faces, face_rules):
+    for face, q2 in zip(faces, face_rules):
         dvals = _eval_rows(cell, 1, deg, divs, face.embed(q2.points))[:, :, 0]
         nvals = dvals[:, :, None] * face.normal[None, None, :]
         energy.append((f"face{face.index}", _weighted(nvals, q2.weights)))
-    parents = [(f"face{f.index}", np.eye(f.cell.n_modes(p))) for f in rc.faces]
+    parents = [(f"face{f.index}", np.eye(f.cell.n_modes(p))) for f in faces]
     plan.stages.append(_mixed_stage(
         "interior", V, Vb, V.basis,
         ps.boundary_traces(cell, deg, "normal", keep=p), parents,
@@ -485,11 +488,11 @@ def _div_stages(plan, rc, p):
     ))
 
 
-def _l2_stages(plan, rc, p):
-    q = quadrature(rc.cell, plan.quad_degree)
+def _l2_stages(plan, cell, p):
+    q = quadrature(cell, plan.quad_degree)
     plan.sample_points["vol"] = q.points
-    plan.stages.append(_l2_stage("interior", rc.cell, p,
-                                 np.eye(rc.cell.n_modes(p)), "vol",
+    plan.stages.append(_l2_stage("interior", cell, p,
+                                 np.eye(cell.n_modes(p)), "vol",
                                  (q.points, q.weights)))
 
 
@@ -502,12 +505,12 @@ def target_space(operator, p):
     if p < 0:
         raise ValueError("complex degree must be >= 0")
     dim, slot = OPERATORS[operator]
-    rc = make_reference_cell(dim)
+    cell = make_reference_cell(dim).cell
     if slot == dim:
-        return ps.scalar_space(rc.cell, p)
+        return ps.scalar_space(cell, p)
     if slot == 0:
-        return ps.scalar_space(rc.cell, p if dim == 1 else p + 1)
-    return ps.build_space(rc, ("hcurl", "hdiv")[slot - 1], p)
+        return ps.scalar_space(cell, p if dim == 1 else p + 1)
+    return ps.build_space(cell, ("hcurl", "hdiv")[slot - 1], p)
 
 
 class ProjectorPlan:
@@ -533,7 +536,7 @@ class ProjectorPlan:
         dim, slot = OPERATORS[operator]
         # H1, H(curl) and H(div) below the top slot, which is L2 on any cell
         stages = (_grad_stages, _curl_stages, _div_stages, _l2_stages)
-        stages[slot if slot < dim else -1](self, make_reference_cell(dim), p)
+        stages[slot if slot < dim else -1](self, self.target.cell, p)
 
     def apply(self, field, check_tol=None):
         """Interpolate an evaluable field; returns target slot coefficients."""

@@ -3,17 +3,20 @@ and quadrature.
 
 This is the one module that knows cell geometry. A `Cell` maps its points
 to the reference simplex, where `orthopoly` tabulates, and applies its own
-affine map to the tables; `tet_faces` and `triangle_edges` find a cell's
-oriented boundary, whose edges all come from one constructor.
+affine map to the tables; `cell_edges`, `tet_faces` and `triangle_edges`
+find a cell's oriented boundary, and every edge comes from `cell_edges`.
+The rest of the package takes `Cell`s only.
 
-The 3D reference cell is the unit tetrahedron, whose four faces have all
-interior angles below 2*pi/3; the 2D cell is the unit right triangle
-(maximal angle pi/2, regularity index 2); the 1D cell is (-1, 1).
+The reference cells are `make_reference_cell(dim).cell`: the unit
+tetrahedron, whose four faces have all interior angles below 2*pi/3, the
+unit right triangle (maximal angle pi/2, regularity index 2) and (-1, 1).
+`ReferenceCell` adds only the angle data that the reports read.
 
 Faces carry congruence charts into the plane so that surface differential
 operators computed on the planar copy coincide with the traced 3D ones.
 """
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -208,48 +211,47 @@ class Face:
         return self.origin[None, :] + xi @ self.frame.T
 
 
-def _edge(index, vertices, ids, key):
-    """The Edge `index` from vertices[ids[0]] to vertices[ids[1]], whose
-    interval cell, centered and of the edge's length, is named `key`."""
-    a, b = vertices[ids[0]], vertices[ids[1]]
-    length = float(np.linalg.norm(b - a))
-    return Edge(index=index, vertex_ids=ids, tangent=(b - a) / length,
-                midpoint=0.5 * (a + b),
-                cell=Cell(np.array([[-0.5 * length], [0.5 * length]]), key))
-
-
-def triangle_edges(cell):
-    """Oriented edge data for any 2D triangle cell.
-
-    Returns a tuple of (Edge, ccw_sign); tangents run from the lower to the
-    higher vertex index, ccw_sign relates that to counterclockwise traversal.
-    The edge cells are named after `cell`; tables keyed by an edge see only
-    its content, so triangles with equal vertices still share them.
-    """
-    return _triangle_edges(cell, cell.key)
+def cell_edges(cell):
+    """The edges of a triangle or tetrahedron cell, one per vertex pair in
+    lexicographic order, each with its tangent from the lower to the higher
+    vertex. Edge k's interval cell, centered and of the edge's length, is
+    named `{cell.key}.edge{k}`; tables keyed by an edge see only its content,
+    so cells with equal vertices still share them."""
+    return _cell_edges(cell, cell.key)
 
 
 @cache.memo
-def _triangle_edges(cell, key):
+def _cell_edges(cell, key):
     # keyed by the display name too, so the edge cells carry the right one
+    edges = []
+    for k, ids in enumerate(itertools.combinations(range(cell.dim + 1), 2)):
+        a, b = cell.vertices[list(ids)]
+        length = float(np.linalg.norm(b - a))
+        edges.append(Edge(index=k, vertex_ids=ids, tangent=(b - a) / length,
+                          midpoint=0.5 * (a + b),
+                          cell=Cell([[-0.5 * length], [0.5 * length]],
+                                    f"{key}.edge{k}")))
+    return tuple(edges)
+
+
+def triangle_edges(cell):
+    """The sides of a triangle cell in counterclockwise order, as
+    (Edge, ccw_sign): the edges are `cell_edges(cell)`'s, and ccw_sign is +1
+    where the edge's tangent runs counterclockwise."""
     v = cell.vertices
     d1, d2 = v[1] - v[0], v[2] - v[0]
-    det = d1[0] * d2[1] - d1[1] * d2[0]
     ccw = (0, 1), (1, 2), (2, 0)
-    if det < 0:
+    if d1[0] * d2[1] - d1[1] * d2[0] < 0:
         ccw = (0, 2), (2, 1), (1, 0)
-    edges = []
-    for k, (a, b) in enumerate(ccw):
-        lo, hi = min(a, b), max(a, b)
-        edges.append((_edge(k, v, (lo, hi), f"{key}.edge{lo}{hi}"),
-                      1 if (a, b) == (lo, hi) else -1))
-    return tuple(edges)
+    edges = {e.vertex_ids: e for e in cell_edges(cell)}
+    return tuple((edges[min(a, b), max(a, b)], 1 if a < b else -1)
+                 for a, b in ccw)
 
 
 def tet_faces(cell):
     """The four outward-oriented faces of a tetrahedron cell, face k opposite
     vertex k, each with its congruence chart into the plane. The face cells
-    are named after `cell`, as `triangle_edges` names its edge cells."""
+    are named after `cell`, as `cell_edges` names its edge cells."""
     return _tet_faces(cell, cell.key)
 
 
@@ -279,71 +281,36 @@ def _tet_faces(cell, key):
     return tuple(faces)
 
 
+_REFERENCE_CELLS = {
+    1: ([[-1.0], [1.0]], "edge"),
+    2: ([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], "tri"),
+    3: ([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+        "tet"),
+}
+
+
 class ReferenceCell:
-    """Reference simplex with oriented edge/face data.
+    """The reference simplex `cell` of one dimension, with its angle data.
 
     dim 3: unit tetrahedron; dim 2: unit right triangle; dim 1: (-1, 1).
     """
 
     def __init__(self, dim):
-        self.dim = dim
-        if dim == 1:
-            self.vertices = np.array([[-1.0], [1.0]])
-            self.cell = Cell(self.vertices, "edge")
-            self.edges = ()
-            self.faces = ()
-            return
-        if dim == 2:
-            self.vertices = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-            self.cell = Cell(self.vertices, "tri")
-            self.faces = ()
-            self.edges = self._edges([(0, 1), (0, 2), (1, 2)], "tri")
-            return
-        if dim != 3:
+        if dim not in _REFERENCE_CELLS:
             raise ValueError(f"unsupported dimension {dim}")
-        self.vertices = np.array(
-            [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
-        )
-        self.cell = Cell(self.vertices, "tet")
-        self.edges = self._edges(
-            [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)], "tet")
-        self.faces = tet_faces(self.cell)
-
-    def _edges(self, pairs, prefix):
-        return tuple(_edge(k, self.vertices, ids, f"{prefix}.edge{k}")
-                     for k, ids in enumerate(pairs))
-
-    def interior_angles(self):
-        """Interior angles of the cell (2D) or of each face (3D), in radians."""
-        def tri_angles(v):
-            out = []
-            for i in range(3):
-                a = v[(i + 1) % 3] - v[i]
-                b = v[(i + 2) % 3] - v[i]
-                out.append(
-                    float(
-                        np.arccos(
-                            np.clip(
-                                np.dot(a, b)
-                                / (np.linalg.norm(a) * np.linalg.norm(b)),
-                                -1,
-                                1,
-                            )
-                        )
-                    )
-                )
-            return out
-
-        if self.dim == 2:
-            return [tri_angles(self.vertices)]
-        if self.dim == 3:
-            return [tri_angles(self.vertices[list(f.vertex_ids)]) for f in self.faces]
-        return []
+        self.cell = Cell(*_REFERENCE_CELLS[dim])
 
     @property
     def max_angle(self):
-        angles = self.interior_angles()
-        return max(max(a) for a in angles) if angles else 0.0
+        """The largest interior angle of the triangle or of the
+        tetrahedron's faces, in radians; 0 on the interval."""
+        angles = [0.0]
+        for v in itertools.combinations(self.cell.vertices, 3):
+            for i in range(3):
+                a, b = v[(i + 1) % 3] - v[i], v[(i + 2) % 3] - v[i]
+                cos = np.dot(a, b) / (np.linalg.norm(a) * np.linalg.norm(b))
+                angles.append(float(np.arccos(np.clip(cos, -1, 1))))
+        return max(angles)
 
     @property
     def regularity_index(self):
@@ -354,4 +321,3 @@ class ReferenceCell:
 @cache.memo
 def make_reference_cell(dim):
     return ReferenceCell(dim)
-

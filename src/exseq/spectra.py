@@ -36,9 +36,9 @@ def constrained_subspace(case, p):
         raise ValueError(f"unknown case {case!r}")
     op, kind, constraint_kind = FRIEDRICHS_CASES[case]
     dim, slot = OPERATORS[op]
-    rc = make_reference_cell(dim)
-    parent = ps.build_space(rc, kind, p)
-    vec = ps.build_space(rc, constraint_kind, p)
+    cell = make_reference_cell(dim).cell
+    parent = ps.build_space(cell, kind, p)
+    vec = ps.build_space(cell, constraint_kind, p)
     rows = (
         diff_rows(COMPLEX[dim][slot - 1], vec)
         if vec.dim
@@ -88,28 +88,28 @@ def discrete_lifting_curl(p, w_slots):
     L2-orthogonal to gradients of interior scalar bubbles, and its saddle
     multiplier vanishes.
     """
-    rc = make_reference_cell(3)
-    Qb = ps.build_space(rc, "hcurl_bubble", p)
-    Wb = ps.build_space(rc, "h1_bubble", p)
+    tet = make_reference_cell(3).cell
+    Qb = ps.build_space(tet, "hcurl_bubble", p)
+    Wb = ps.build_space(tet, "h1_bubble", p)
     grads = diff_rows("grad", Wb) if Wb.dim else np.zeros((0, Qb.basis.shape[1]))
-    traces = ps.boundary_traces(rc.cell, p + 1, "tangential")
-    return _saddle_lifting(ps.build_space(rc, "hcurl", p), Qb, grads, "curl3d",
+    traces = ps.boundary_traces(tet, p + 1, "tangential")
+    return _saddle_lifting(ps.build_space(tet, "hcurl", p), Qb, grads, "curl3d",
                            traces, w_slots)
 
 
 def discrete_lifting_div(p, w_slots):
     """Minimum-div-energy lifting of the facewise normal trace of w."""
-    rc = make_reference_cell(3)
-    Vb = ps.build_space(rc, "hdiv_bubble", p)
-    Qperp = ps.build_space(rc, "hcurl_bubble_orth", p)
+    tet = make_reference_cell(3).cell
+    Vb = ps.build_space(tet, "hdiv_bubble", p)
+    Qperp = ps.build_space(tet, "hcurl_bubble_orth", p)
     curls = (
-        ps.pad_slots(diff_rows("curl3d", Qperp), rc.cell, 3, Qperp.degree,
+        ps.pad_slots(diff_rows("curl3d", Qperp), tet, 3, Qperp.degree,
                      Vb.degree)
         if Qperp.dim
         else np.zeros((0, Vb.basis.shape[1]))
     )
-    traces = ps.boundary_traces(rc.cell, p + 1, "normal", keep=p)
-    return _saddle_lifting(ps.build_space(rc, "hdiv", p), Vb, curls, "div",
+    traces = ps.boundary_traces(tet, p + 1, "normal", keep=p)
+    return _saddle_lifting(ps.build_space(tet, "hdiv", p), Vb, curls, "div",
                            traces, w_slots)
 
 
@@ -148,9 +148,9 @@ def _saddle_lifting(space, bubbles, constraints, deriv, traces, w_slots):
 
 def inf_sup_constant(p):
     """Measured inf-sup constant of the gradient coupling in the curl lifting."""
-    rc = make_reference_cell(3)
-    Qb = ps.build_space(rc, "hcurl_bubble", p)
-    Wb = ps.build_space(rc, "h1_bubble", p)
+    tet = make_reference_cell(3).cell
+    Qb = ps.build_space(tet, "hcurl_bubble", p)
+    Wb = ps.build_space(tet, "h1_bubble", p)
     if Qb.dim == 0 or Wb.dim == 0:
         return np.inf
     grads = diff_rows("grad", Wb)

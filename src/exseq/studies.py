@@ -54,6 +54,10 @@ class StudyConfig:
     seed: int = 0
 
     def validate(self):
+        for name, values in (("operator", self.operators),
+                             ("s value", self.s_values)):
+            if len(set(values)) < len(values):
+                raise ValueError(f"repeated {name} in {list(values)}")
         for op in self.operators:
             if op not in ca.OPERATORS:
                 raise ValueError(f"unknown operator {op!r}")
@@ -362,21 +366,20 @@ def fit_slopes(records, cfg):
 def _dims_table(p_max):
     check_degree_range(0, p_max)
     rows = []
-    rc3 = make_reference_cell(3)
-    rc2 = make_reference_cell(2)
+    tet, tri = make_reference_cell(3).cell, make_reference_cell(2).cell
     for p in range(0, p_max + 1):
         entries = [
-            ("h1_3d", ps.build_space(rc3, "h1", p).dim, ps.h1_dimension(p, 3)),
-            ("hcurl_3d", ps.build_space(rc3, "hcurl", p).dim,
+            ("h1_3d", ps.build_space(tet, "h1", p).dim, ps.h1_dimension(p, 3)),
+            ("hcurl_3d", ps.build_space(tet, "hcurl", p).dim,
              ps.hcurl_dimension(p, 3)),
-            ("hdiv_3d", ps.build_space(rc3, "hdiv", p).dim, ps.hdiv_dimension(p)),
+            ("hdiv_3d", ps.build_space(tet, "hdiv", p).dim, ps.hdiv_dimension(p)),
             ("h1_conditions_3d", ps.h1_condition_count(p), ps.h1_dimension(p, 3)),
             ("hdiv_conditions_3d",
-             ps.build_space(rc3, "hdiv_bubble", p).dim
+             ps.build_space(tet, "hdiv_bubble", p).dim
              + 4 * ((p + 1) * (p + 2) // 2),
              ps.hdiv_dimension(p)),
-            ("h1_2d", ps.build_space(rc2, "h1", p).dim, ps.h1_dimension(p, 2)),
-            ("hcurl_2d", ps.build_space(rc2, "hcurl", p).dim,
+            ("h1_2d", ps.build_space(tri, "h1", p).dim, ps.h1_dimension(p, 2)),
+            ("hcurl_2d", ps.build_space(tri, "hcurl", p).dim,
              ps.hcurl_dimension(p, 2)),
         ]
         for name, dim, closed in entries:
@@ -401,14 +404,15 @@ def run_verification(p_max=6, seed=0):
     depend on that schedule."""
     check_degree_range(0, p_max)
     rng = np.random.default_rng(seed)
-    rc3, rc2, rc1 = (make_reference_cell(d) for d in (3, 2, 1))
+    tet, tri, interval = (make_reference_cell(d).cell for d in (3, 2, 1))
+    max_angle = make_reference_cell(3).max_angle
     report = {
         "p_max": p_max,
         "seed": seed,
         "geometry": {
-            "max_face_angle_3d": float(rc3.max_angle),
-            "face_angle_hypothesis_2pi3": bool(rc3.max_angle < 2 * np.pi / 3),
-            "regularity_index_2d": float(rc2.regularity_index),
+            "max_face_angle_3d": float(max_angle),
+            "face_angle_hypothesis_2pi3": bool(max_angle < 2 * np.pi / 3),
+            "regularity_index_2d": float(make_reference_cell(2).regularity_index),
         },
         "sections": {},
     }
@@ -419,9 +423,10 @@ def run_verification(p_max=6, seed=0):
         "rows": dims,
     }
 
-    seq = [ca.check_exact_sequence(p, rc3, rc2, rc1) for p in range(p_max + 1)]
+    seq = [ca.check_exact_sequence(p, tet, tri, interval)
+           for p in range(p_max + 1)]
     complex_res = max(
-        ca.complex_property_residual(rc3, rc2, p) for p in range(p_max + 1)
+        ca.complex_property_residual(tet, tri, p) for p in range(p_max + 1)
     )
     report["sections"]["sequences"] = {
         "ok": all(r["ok"] for r in seq) and complex_res <= 1e-12,
@@ -429,8 +434,8 @@ def run_verification(p_max=6, seed=0):
         "per_p": [{"p": r["p"], "ok": r["ok"]} for r in seq],
     }
 
-    ibp = ca.integration_by_parts_residual(rc3, min(p_max, 4), rng)
-    stokes = ca.stokes_2d_residual(rc2, min(p_max, 4), rng)
+    ibp = ca.integration_by_parts_residual(tet, min(p_max, 4), rng)
+    stokes = ca.stokes_2d_residual(tri, min(p_max, 4), rng)
     report["sections"]["integration_by_parts"] = {
         "ok": ibp <= 1e-10 and stokes <= 1e-10,
         "residual_3d": ibp,
@@ -474,8 +479,8 @@ def run_verification(p_max=6, seed=0):
     ok_lift = True
     rngl = np.random.default_rng(seed + 1)
     for p in range(1, min(p_max, 6) + 1):
-        Q = ps.build_space(rc3, "hcurl", p)
-        V = ps.build_space(rc3, "hdiv", p)
+        Q = ps.build_space(tet, "hcurl", p)
+        V = ps.build_space(tet, "hdiv", p)
         res_c = spc.discrete_lifting_curl(p, Q.random_elements(1, rngl)[0])
         res_d = spc.discrete_lifting_div(p, V.random_elements(1, rngl)[0])
         beta = spc.inf_sup_constant(p)
@@ -544,12 +549,12 @@ def _degree_checks(p, samples, suite):
 
 
 def _commuting_suite(p, rng):
-    rc3, rc2 = make_reference_cell(3), make_reference_cell(2)
+    tet, tri = make_reference_cell(3).cell, make_reference_cell(2).cell
     deg = p + 3
-    sc3 = ps.scalar_space(rc3.cell, deg)
-    vec3 = ps.vector_space(rc3.cell, deg, 3)
-    sc2 = ps.scalar_space(rc2.cell, deg)
-    vec2 = ps.vector_space(rc2.cell, deg, 2)
+    sc3 = ps.scalar_space(tet, deg)
+    vec3 = ps.vector_space(tet, deg, 3)
+    sc2 = ps.scalar_space(tri, deg)
+    vec2 = ps.vector_space(tri, deg, 2)
     poly = fl.polynomial_fields()  # one table store for the whole suite
 
     def polys(space, tag, n=2):
@@ -579,15 +584,14 @@ def _identity_residual(inverse, space, u):
 
 
 def _poincare_checks(p_max, rng, n_samples):
-    rc3, rc2 = make_reference_cell(3), make_reference_cell(2)
+    cell, tri = make_reference_cell(3).cell, make_reference_cell(2).cell
     worst_identity = 0.0
     worst_member = 0.0
     worst_split = 0.0
     for p in range(1, p_max + 1, 2):
-        cell = rc3.cell
-        rg = pc.regularized_inverse(rc3, "grad3d")
-        rcu = pc.regularized_inverse(rc3, "curl3d")
-        rd = pc.regularized_inverse(rc3, "div3d")
+        rg = pc.regularized_inverse(cell, "grad3d")
+        rcu = pc.regularized_inverse(cell, "curl3d")
+        rd = pc.regularized_inverse(cell, "div3d")
         vs = ps.vector_space(cell, p + 1, 3)
         # (iii) div o R_div = id on scalars
         sc = ps.scalar_space(cell, p)
@@ -599,14 +603,14 @@ def _poincare_checks(p_max, rng, n_samples):
             g = ca.diff_slots("grad", scp, phi)
             worst_identity = max(worst_identity, _identity_residual(rg, vs, g))
         # (i) curl o R_curl = id on divergence-free fields
-        Q = ps.build_space(rc3, "hcurl", p)
-        V = ps.build_space(rc3, "hdiv", p)
+        Q = ps.build_space(cell, "hcurl", p)
+        V = ps.build_space(cell, "hdiv", p)
         cmat = ca.diff_op("curl3d", Q, V)
         for c in Q.random_elements(n_samples, rng):
             w = (Q.basis @ c) @ cmat @ V.basis  # divergence-free field
             worst_identity = max(worst_identity, _identity_residual(rcu, vs, w))
         # memberships (iv)-(vi)
-        W = ps.build_space(rc3, "h1", p)
+        W = ps.build_space(cell, "h1", p)
         for rows, op_, tgt, din in (
             (Q.basis, rg, W, p + 1),
             (V.basis, rcu, Q, p + 1),
@@ -617,18 +621,18 @@ def _poincare_checks(p_max, rng, n_samples):
             worst_member = max(worst_member, resid)
         # Helmholtz splittings
         for u in vs.random_elements(max(2, n_samples // 2), rng):
-            *_, res = pc.helmholtz_curl(rc3, vs, u)
+            *_, res = pc.helmholtz_curl(cell, vs, u)
             worst_split = max(worst_split, res)
-            *_, res = pc.helmholtz_div(rc3, vs, u)
+            *_, res = pc.helmholtz_div(cell, vs, u)
             worst_split = max(worst_split, res)
         # 2D identities
-        rg2 = pc.regularized_inverse(rc2, "grad2d")
-        rc2u = pc.regularized_inverse(rc2, "curl2d")
-        sc2 = ps.scalar_space(rc2.cell, p)
+        rg2 = pc.regularized_inverse(tri, "grad2d")
+        rc2u = pc.regularized_inverse(tri, "curl2d")
+        sc2 = ps.scalar_space(tri, p)
         for u in sc2.random_elements(n_samples, rng):
             worst_identity = max(worst_identity, _identity_residual(rc2u, sc2, u))
-        sc2p = ps.scalar_space(rc2.cell, p + 1)
-        vs2 = ps.vector_space(rc2.cell, p + 1, 2)
+        sc2p = ps.scalar_space(tri, p + 1)
+        vs2 = ps.vector_space(tri, p + 1, 2)
         for phi in sc2p.random_elements(n_samples, rng):
             g = ca.diff_slots("grad", sc2p, phi)
             worst_identity = max(worst_identity, _identity_residual(rg2, vs2, g))

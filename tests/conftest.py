@@ -35,17 +35,17 @@ def pytest_report_header(config):
 
 @pytest.fixture(scope="session")
 def rc3():
-    return make_reference_cell(3)
+    return make_reference_cell(3).cell
 
 
 @pytest.fixture(scope="session")
 def rc2():
-    return make_reference_cell(2)
+    return make_reference_cell(2).cell
 
 
 @pytest.fixture(scope="session")
 def rc1():
-    return make_reference_cell(1)
+    return make_reference_cell(1).cell
 
 
 @pytest.fixture()

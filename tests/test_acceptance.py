@@ -31,7 +31,7 @@ def _verdict(capsys, num, name, ok, detail=""):
 
 
 def test_criterion_01_dimension_counts(capsys):
-    rc3 = make_reference_cell(3)
+    rc3 = make_reference_cell(3).cell
     ok = True
     for p in range(0, 9):
         dim_w = ps.build_space(rc3, "h1", p).dim
@@ -45,7 +45,7 @@ def test_criterion_01_dimension_counts(capsys):
 
 
 def test_criterion_02_exact_sequences(capsys):
-    rc3, rc2, rc1 = (make_reference_cell(d) for d in (3, 2, 1))
+    rc3, rc2, rc1 = (make_reference_cell(d).cell for d in (3, 2, 1))
     worst = max(
         ca.complex_property_residual(rc3, rc2, p) for p in range(0, 9)
     )
@@ -78,14 +78,14 @@ def test_criterion_03_projection_property(capsys):
 
 def test_criterion_04_commuting_diagrams(capsys):
     rng = np.random.default_rng(RNG_SEED + 1)
-    rc3, rc2 = make_reference_cell(3), make_reference_cell(2)
+    rc3, rc2 = make_reference_cell(3).cell, make_reference_cell(2).cell
     worst_poly, worst_entire = 0.0, 0.0
     for p in range(0, 7):
         deg = p + 3
-        sc3 = ps.scalar_space(rc3.cell, deg)
-        v3 = ps.vector_space(rc3.cell, deg, 3)
-        sc2 = ps.scalar_space(rc2.cell, deg)
-        v2 = ps.vector_space(rc2.cell, deg, 2)
+        sc3 = ps.scalar_space(rc3, deg)
+        v3 = ps.vector_space(rc3, deg, 3)
+        sc2 = ps.scalar_space(rc2, deg)
+        v2 = ps.vector_space(rc2, deg, 2)
         poly = fl.polynomial_fields()
         plans = [pj.ProjectorPlan(op, p) for op in pj.OPERATORS
                  if op != "grad1d"]
@@ -121,10 +121,10 @@ def test_criterion_04_commuting_diagrams(capsys):
 
 def test_criterion_05_poincare_identities(capsys):
     rng = np.random.default_rng(RNG_SEED + 2)
-    rc3, rc2 = make_reference_cell(3), make_reference_cell(2)
+    rc3, rc2 = make_reference_cell(3).cell, make_reference_cell(2).cell
     worst = 0.0
     for p in (1, 2, 4, 6, 8):
-        cell = rc3.cell
+        cell = rc3
         rd = pc.regularized_inverse(rc3, "div3d")
         rg = pc.regularized_inverse(rc3, "grad3d")
         rcu = pc.regularized_inverse(rc3, "curl3d")
@@ -167,20 +167,20 @@ def test_criterion_05_poincare_identities(capsys):
         # 2D analogs, including the rotated kernel
         rg2 = pc.regularized_inverse(rc2, "grad2d")
         rcu2 = pc.regularized_inverse(rc2, "curl2d")
-        sc2 = ps.scalar_space(rc2.cell, p)
+        sc2 = ps.scalar_space(rc2, p)
         for u in sc2.random_elements(3, rng):
             osp, o = rcu2.apply(sc2, u)
             cr = ca.diff_slots("curl2d_vector", osp, o)
             worst = max(worst, np.abs(
-                cr - ps.pad_slots(u, rc2.cell, 1, p, osp.degree)).max()
+                cr - ps.pad_slots(u, rc2, 1, p, osp.degree)).max()
                 / max(np.abs(u).max(), 1.0))
         Q2 = ps.build_space(rc2, "hcurl", p)
         W2 = ps.build_space(rc2, "h1", p)
         img = Q2.basis @ rg2.matrix(p + 1)
-        _, resid = ca._expand_in(W2, img, rc2.cell, 1, p + 2)
+        _, resid = ca._expand_in(W2, img, rc2, 1, p + 2)
         worst = max(worst, resid)
         img = sc2.basis @ rcu2.matrix(p)
-        _, resid = ca._expand_in(Q2, img, rc2.cell, 2, p + 1)
+        _, resid = ca._expand_in(Q2, img, rc2, 2, p + 1)
         worst = max(worst, resid)
     ok = worst <= 1e-10
     _verdict(capsys, 5, "poincare-identities", bool(ok), f"worst {worst:.2e}")
@@ -188,10 +188,10 @@ def test_criterion_05_poincare_identities(capsys):
 
 def test_criterion_06_helmholtz_reconstruction(capsys):
     rng = np.random.default_rng(RNG_SEED + 3)
-    rc3 = make_reference_cell(3)
+    rc3 = make_reference_cell(3).cell
     worst = 0.0
     for p in (2, 4, 6):
-        vs = ps.vector_space(rc3.cell, p, 3)
+        vs = ps.vector_space(rc3, p, 3)
         for u in vs.random_elements(4, rng):
             *_, res = pc.helmholtz_curl(rc3, vs, u)
             worst = max(worst, res)
@@ -294,7 +294,7 @@ def test_criterion_09_interval_operator(capsys):
 
     pts, w = pj._graded_interval_rule()
     gq = GQ(pts[:, None], w)
-    rc1 = make_reference_cell(1)
+    rc1 = make_reference_cell(1).cell
     worst_end = 0.0
     worst_ratio = 0.0
     for f in fl.suite("mixed", 1):
@@ -305,7 +305,7 @@ def test_criterion_09_interval_operator(capsys):
         for p in range(2, 17, 2):
             plan = pj.ProjectorPlan("grad1d", p)
             slots = plan.apply(f)
-            ends = rc1.cell.vertices
+            ends = rc1.vertices
             worst_end = max(
                 worst_end,
                 np.abs(plan.target.evaluate(slots, ends) - f(ends)).max(),

@@ -12,7 +12,7 @@ from exseq import polyspace as ps
 from exseq import projectors as pj
 from exseq import sobolev as sb
 from exseq import studies as st
-from exseq.refsimplex import make_reference_cell, quadrature
+from exseq.refsimplex import make_reference_cell, quadrature, tet_faces
 
 
 def _project_scalar(cell, degree, fn, quad_degree=None):
@@ -33,7 +33,7 @@ def test_grad_of_xyz(rc3):
     W = ps.build_space(rc3, "h1", 2)
     Q = ps.build_space(rc3, "hcurl", 2)
     g = ca.diff_op("grad", W, Q)
-    slots, q = _project_scalar(rc3.cell, 3, lambda x: x[:, 0] * x[:, 1] * x[:, 2])
+    slots, q = _project_scalar(rc3, 3, lambda x: x[:, 0] * x[:, 1] * x[:, 2])
     coords = slots @ W.basis.T
     vals = Q.evaluate((coords @ g) @ Q.basis, q.points)
     exact = np.stack(
@@ -49,8 +49,8 @@ def test_curl_and_div_hand_examples(rc3):
     Q0 = ps.build_space(rc3, "hcurl", 0)
     V0 = ps.build_space(rc3, "hdiv", 0)
     c = ca.diff_op("curl3d", Q0, V0)
-    q = quadrature(rc3.cell, 6)
-    V1 = rc3.cell.tabulate(1, q.points)
+    q = quadrature(rc3, 6)
+    V1 = rc3.tabulate(1, q.points)
     slots = np.concatenate(
         [(V1 * q.weights) @ (-q.points[:, 1]), (V1 * q.weights) @ q.points[:, 0],
          np.zeros(V1.shape[0])]
@@ -62,7 +62,7 @@ def test_curl_and_div_hand_examples(rc3):
     V1s = ps.build_space(rc3, "hdiv", 1)
     L1 = ps.build_space(rc3, "l2", 1)
     d = ca.diff_op("div", V1s, L1)
-    V2 = rc3.cell.tabulate(2, q.points)
+    V2 = rc3.tabulate(2, q.points)
     slots = np.concatenate([(V2 * q.weights) @ q.points[:, i] for i in range(3)])
     coords = slots @ V1s.basis.T
     vals = L1.evaluate((coords @ d) @ L1.basis, q.points)
@@ -97,7 +97,7 @@ def test_surf_curl_identity(rc3, rng):
     Q = ps.build_space(rc3, "hcurl", p)
     V = ps.build_space(rc3, "hdiv", p)
     cmat = ca.diff_op("curl3d", Q, V)
-    for face in rc3.faces:
+    for face in tet_faces(rc3):
         fcell = face.cell
         scal = ps.scalar_space(fcell, p + 1)
         sc = oracles.trace_op("surf_curl", Q, face, scal)
@@ -117,7 +117,7 @@ def test_surf_curl_of_gradient_vanishes(rc3, rng):
     g = ca.diff_op("grad", W, Q)
     slots = W.random_elements(1, rng)[0]
     grad_slots = ((W.basis @ slots) @ g) @ Q.basis
-    for face in rc3.faces:
+    for face in tet_faces(rc3):
         scal = ps.scalar_space(face.cell, p + 1)
         sc = oracles.trace_op("surf_curl", Q, face, scal)
         out = (Q.basis @ grad_slots) @ sc
@@ -128,19 +128,19 @@ def test_trace_target_cell_matched_by_content(rc2, rc3):
     # faces 1-3 and the 2D reference cell have equal vertices, so a space
     # built on "tri" lives on face 1 too: the cell's name must not matter
     W = ps.build_space(rc3, "h1", 2)
-    face = rc3.faces[1]
-    target = ps.build_space(rc2.cell, "h1", 2)
+    face = tet_faces(rc3)[1]
+    target = ps.build_space(rc2, "h1", 2)
     assert target.cell.key != face.cell.key
     assert oracles.trace_op("restrict", W, face, target).shape[0] == W.dim
     with pytest.raises(ValueError):
-        oracles.trace_op("restrict", W, rc3.faces[0], target)
+        oracles.trace_op("restrict", W, tet_faces(rc3)[0], target)
 
 
 def test_gamma_tau_is_rotated_tangential_trace(rc3, rng):
     p = 2
     Q = ps.build_space(rc3, "hcurl", p)
     slots = Q.random_elements(1, rng)[0]
-    for face in rc3.faces:
+    for face in tet_faces(rc3):
         q = quadrature(face.cell, 2 * p + 4)
         amb = face.embed(q.points)
         vals = Q.evaluate(slots, amb)
@@ -161,13 +161,13 @@ def test_tangential_trace_of_constant_field(rc3):
     p = 0
     Q = ps.build_space(rc3, "hcurl", p)
     const = np.array([0.3, -0.2, 0.5])
-    q = quadrature(rc3.cell, 4)
-    V = rc3.cell.tabulate(1, q.points)
+    q = quadrature(rc3, 4)
+    V = rc3.tabulate(1, q.points)
     slots = np.concatenate([(V * q.weights) @ np.full(len(q.weights), c)
                             for c in const])
-    for face in rc3.faces:
+    for face in tet_faces(rc3):
         q2 = quadrature(face.cell, 4)
-        vals = ps.vector_space(rc3.cell, 1, 3).evaluate(slots, face.embed(q2.points))
+        vals = ps.vector_space(rc3, 1, 3).evaluate(slots, face.embed(q2.points))
         tang_amb = (vals @ face.frame) @ face.frame.T
         expect = const - np.dot(const, face.normal) * face.normal
         assert np.abs(tang_amb - expect).max() < 1e-12
@@ -271,7 +271,7 @@ def test_derivative_rows_and_field_reject_a_wrong_source(name, rng):
 def test_deriv_alpha_second_order_jet(rc3):
     x, y, z = sp.symbols("x y z")
     f = fl.from_sympy("quartic", x**2 * y * z + y**3 - x * z**2, 3)
-    cell, alpha = rc3.cell, (1, 0, 1)
+    cell, alpha = rc3, (1, 0, 1)
     q = quadrature(cell, 10)
     # a member of the degree-4 space: its L2 pairings are its coefficients
     slots = sb.mode_pairings(cell.tabulate(4, q.points), q.weights,
@@ -291,7 +291,7 @@ def test_operator_slot_value_dims(operator):
     vd = ca.slot_value_dim(dim, slot)
     kind = ("h1", "hcurl", "hdiv")[slot] if slot < dim else "l2"
     assert pj.ProjectorPlan(operator, 1).target.value_dim == vd
-    assert ps.build_space(make_reference_cell(dim), kind, 1).value_dim == vd
+    assert ps.build_space(make_reference_cell(dim).cell, kind, 1).value_dim == vd
 
 
 def test_right_inverse_shapes_follow_the_table():
@@ -300,14 +300,14 @@ def test_right_inverse_shapes_follow_the_table():
     assert kinds == ["grad3d", "curl3d", "div3d", "grad2d", "curl2d"]
     for kind in kinds:
         dim, slot = ca.OPERATORS[kind]
-        rc = make_reference_cell(dim)
+        rc = make_reference_cell(dim).cell
         vd_in, vd_out = (ca.slot_value_dim(dim, k) for k in (slot + 1, slot))
         R = pc.regularized_inverse(rc, kind).matrix(2)
-        assert R.shape == (vd_in * rc.cell.n_modes(2),
-                           vd_out * rc.cell.n_modes(3))
+        assert R.shape == (vd_in * rc.n_modes(2),
+                           vd_out * rc.n_modes(3))
     for op in ("l2_3d", "l2_2d", "grad1d"):
         with pytest.raises(ValueError, match="unknown kind"):
-            pc.RegularizedInverse(make_reference_cell(ca.OPERATORS[op][0]), op)
+            pc.RegularizedInverse(make_reference_cell(ca.OPERATORS[op][0]).cell, op)
 
 
 def test_commuting_chains_follow_the_table():

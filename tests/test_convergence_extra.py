@@ -41,11 +41,11 @@ def test_split_error_oracle_polynomial_curl_part():
     # when the rotational part of the input already lies in the target
     # space, the interpolation error is carried by the potential part alone
     p = 3
-    rc3 = make_reference_cell(3)
+    rc3 = make_reference_cell(3).cell
     rng = np.random.default_rng(12)
     Q = ps.build_space(rc3, "hcurl", p)
     w_slots = Q.random_elements(1, rng)[0]
-    w = fl.polynomial_fields()("w", ps.vector_space(rc3.cell, p + 1, 3), w_slots)
+    w = fl.polynomial_fields()("w", ps.vector_space(rc3, p + 1, 3), w_slots)
     x, y, z = sp.symbols("x y z")
     phi = fl.from_sympy("phi", sp.exp(x / 2 + y / 3 + z / 5), 3)
     gphi = ca.DERIVATIVES["grad"].field(phi)

@@ -37,7 +37,7 @@ def test_laplacian_moments_match_radial_quadrature(rc3, rc2):
             assert pc._laplacian_moment(d, n, r) * lap_n == pytest.approx(
                 radial, rel=1e-13)
         # support inside the cell
-        assert inv.radius < rc.cell.inradius
+        assert inv.radius < rc.inradius
 
 
 def _multi_index_moment(dim, alpha, radius):
@@ -57,7 +57,7 @@ def _multi_index_moment(dim, alpha, radius):
 def test_taylor_levels_collapse_to_laplacian_powers(dim, rc2, rc3):
     # each level of sum_alpha mu_alpha d^alpha / alpha! on the modal matrices
     # equals the power of the modal Laplacian the right inverses are built from
-    cell, degree = {2: rc2, 3: rc3}[dim].cell, 5
+    cell, degree = {2: rc2, 3: rc3}[dim], 5
     r = pc.RADIUS_FACTOR * cell.inradius
     D = [ps.deriv_matrix(cell, degree, i) for i in range(dim)]
     lap = sum(Di @ Di for Di in D)
@@ -84,7 +84,7 @@ def test_taylor_levels_collapse_to_laplacian_powers(dim, rc2, rc3):
 
 def test_div_inverse_of_one(rc3):
     rd = pc.regularized_inverse(rc3, "div3d")
-    cell = rc3.cell
+    cell = rc3
     one = ps.scalar_space(cell, 0)
     slots = np.array([np.sqrt(cell.measure)])
     osp, out = rd.apply(one, slots)
@@ -100,7 +100,7 @@ def test_div_inverse_of_one(rc3):
 
 def test_grad_inverse_on_gradient(rc3):
     rg = pc.regularized_inverse(rc3, "grad3d")
-    cell = rc3.cell
+    cell = rc3
     vs = ps.vector_space(cell, 1, 3)
     slots = _project_field(cell, 1, lambda x: np.stack(
         [2 * x[:, 0], np.zeros(len(x)), np.zeros(len(x))], axis=1), 3)
@@ -111,7 +111,7 @@ def test_grad_inverse_on_gradient(rc3):
 
 def test_curl_inverse_on_divfree(rc3):
     rcu = pc.regularized_inverse(rc3, "curl3d")
-    cell = rc3.cell
+    cell = rc3
     vs = ps.vector_space(cell, 1, 3)
     slots = _project_field(cell, 1, lambda x: np.stack(
         [-x[:, 1], x[:, 0], np.zeros(len(x))], axis=1), 3)
@@ -122,7 +122,7 @@ def test_curl_inverse_on_divfree(rc3):
 
 @pytest.mark.parametrize("p", [1, 3, 5, 8])
 def test_right_inverse_identities_random(rc3, rng, p):
-    cell = rc3.cell
+    cell = rc3
     rg = pc.regularized_inverse(rc3, "grad3d")
     rcu = pc.regularized_inverse(rc3, "curl3d")
     rd = pc.regularized_inverse(rc3, "div3d")
@@ -154,7 +154,7 @@ def test_right_inverse_identities_random(rc3, rng, p):
 
 @pytest.mark.parametrize("p", [0, 2, 5, 8])
 def test_polynomial_preservation(rc3, p):
-    cell = rc3.cell
+    cell = rc3
     rg = pc.regularized_inverse(rc3, "grad3d")
     rcu = pc.regularized_inverse(rc3, "curl3d")
     rd = pc.regularized_inverse(rc3, "div3d")
@@ -174,7 +174,7 @@ def test_polynomial_preservation(rc3, p):
 
 def test_2d_identities_and_preservation(rc2, rng):
     p = 4
-    cell = rc2.cell
+    cell = rc2
     rg = pc.regularized_inverse(rc2, "grad2d")
     rcu = pc.regularized_inverse(rc2, "curl2d")
     # curl of the curl-inverse reproduces any scalar
@@ -203,7 +203,7 @@ def test_2d_identities_and_preservation(rc2, rng):
 
 def test_helmholtz_curl_gradient_branch(rc3):
     # curl-free input: z vanishes and grad(phi) reproduces u
-    cell = rc3.cell
+    cell = rc3
     p = 3
     phi = ps.scalar_space(cell, p + 1).random_elements(
         1, np.random.default_rng(0))[0]
@@ -215,7 +215,7 @@ def test_helmholtz_curl_gradient_branch(rc3):
 
 
 def test_helmholtz_div_divfree_branch(rc3):
-    cell = rc3.cell
+    cell = rc3
     slots = _project_field(cell, 1, lambda x: np.stack(
         [-x[:, 1], x[:, 0], np.zeros(len(x))], axis=1), 3)
     vs = ps.vector_space(cell, 1, 3)
@@ -225,7 +225,7 @@ def test_helmholtz_div_divfree_branch(rc3):
 
 
 def test_helmholtz_reconstruction_random(rc3, rng):
-    cell = rc3.cell
+    cell = rc3
     for p in (3, 4):
         vs = ps.vector_space(cell, p, 3)
         for u in vs.random_elements(3, rng):
@@ -242,17 +242,17 @@ def test_helmholtz_discrete_preservation(rc3, rng):
     Q = ps.build_space(rc3, "hcurl", p)
     W = ps.build_space(rc3, "h1", p)
     u = Q.random_elements(1, rng)[0]
-    vs = ps.vector_space(rc3.cell, p + 1, 3)
+    vs = ps.vector_space(rc3, p + 1, 3)
     phi_s, phi, z_s, z, _ = pc.helmholtz_curl(rc3, vs, u)
-    _, resid = ca._expand_in(W, phi[None, :], rc3.cell, 1, phi_s.degree)
+    _, resid = ca._expand_in(W, phi[None, :], rc3, 1, phi_s.degree)
     assert resid < 1e-9
-    _, resid = ca._expand_in(Q, z[None, :], rc3.cell, 3, z_s.degree)
+    _, resid = ca._expand_in(Q, z[None, :], rc3, 3, z_s.degree)
     assert resid < 1e-9
 
 
 def test_constant_divergence_case(rc3):
     # u = (x, y, z): div u = 3, remainder z = x - c with unit divergence x3
-    cell = rc3.cell
+    cell = rc3
     slots = _project_field(cell, 1, lambda x: x, 3)
     vs = ps.vector_space(cell, 1, 3)
     _, _, z_s, z, _ = pc.helmholtz_div(rc3, vs, slots)

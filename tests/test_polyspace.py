@@ -9,7 +9,8 @@ from exseq import calculus as ca
 from exseq import orthopoly
 from exseq import polyspace as ps
 from exseq import sobolev as sb
-from exseq.refsimplex import Cell, quadrature, triangle_edges
+from exseq.refsimplex import (Cell, cell_edges, make_reference_cell,
+                              quadrature, tet_faces, triangle_edges)
 
 
 def test_closed_form_dimensions(rc3):
@@ -63,7 +64,7 @@ def test_bubble_spaces_annihilate_traces(rc3, rng):
     ]
     for kind, trace, vd in cases:
         sp = ps.build_space(rc3, kind, p)
-        for face in rc3.faces:
+        for face in tet_faces(rc3):
             q = quadrature(face.cell, 2 * deg)
             amb = face.embed(q.points)
             vals = sp.evaluate(sp.basis, amb)
@@ -81,7 +82,7 @@ def test_zero_mean_spaces(rc3, rc2):
     # scalar space with zero average, one dimension below its parent
     zm = ps.build_space(rc3, "h1_zero_mean", 2)
     assert zm.dim == ps.h1_dimension(2, 3) - 1
-    means = zm.basis @ ps.mean_row(rc3.cell, 1, 3).T
+    means = zm.basis @ ps.mean_row(rc3, 1, 3).T
     assert np.abs(means).max() < 1e-12
     vz = ps.build_space(rc2, "hdiv_bubble", 2)  # zero-mean scalars on faces
     assert vz.dim == (2 + 1) * (2 + 2) // 2 - 1
@@ -106,23 +107,23 @@ def test_3d_bubble_dims(rc3):
 
 def test_trace_space_dimensions(rc3):
     W3 = ps.build_space(rc3, "h1", 2)  # polynomial degree 3
-    tr = oracles.trace_space(W3, rc3.faces[0], "h1")
+    tr = oracles.trace_space(W3, tet_faces(rc3)[0], "h1")
     assert tr.dim == 10
     V1 = ps.build_space(rc3, "hdiv", 1)
-    trn = oracles.trace_space(V1, rc3.faces[1], "hdiv")
+    trn = oracles.trace_space(V1, tet_faces(rc3)[1], "hdiv")
     assert trn.dim == 3
     Q0 = ps.build_space(rc3, "hcurl", 0)
-    tre = oracles.trace_space(Q0, rc3.edges[0], "hcurl")
+    tre = oracles.trace_space(Q0, cell_edges(rc3)[0], "hcurl")
     assert tre.dim == 1
 
 
 def test_face_tangential_trace_is_2d_nedelec(rc3, rc2):
     p = 2
     Q = ps.build_space(rc3, "hcurl", p)
-    tr = oracles.trace_space(Q, rc3.faces[0], "hcurl")
+    tr = oracles.trace_space(Q, tet_faces(rc3)[0], "hcurl")
     assert tr.dim == (p + 1) * (p + 3)
     # same span as the intrinsically-built edge elements on the planar face
-    Q2 = ps.nedelec_space(rc3.faces[0].cell, p)
+    Q2 = ps.nedelec_space(tet_faces(rc3)[0].cell, p)
     assert Q2.dim == tr.dim
     assert ca.subspace_distance(tr.basis, Q2.basis) < 1e-10
 
@@ -133,7 +134,7 @@ def test_grad_orthogonal_subspace(rc3):
     full = ps.build_space(rc3, "hcurl", p)
     scalar = ps.build_space(rc3, "h1", p)
     assert perp.dim == full.dim - (scalar.dim - 1)
-    rows = ps.gradient_rows(rc3.cell, scalar, full.degree)
+    rows = ps.gradient_rows(rc3, scalar, full.degree)
     assert np.abs(rows @ perp.basis.T).max() < 1e-10
 
 
@@ -162,14 +163,14 @@ def test_cells_named_alike_get_distinct_matrices():
 
 
 def test_memoised_tables_are_read_only(rc3):
-    D = ps.deriv_matrix(rc3.cell, 2, 0)
+    D = ps.deriv_matrix(rc3, 2, 0)
     with pytest.raises(ValueError):
         D[0, 0] = 1.0
     sp = ps.build_space(rc3, "hcurl", 1)
     with pytest.raises(ValueError):
         sp.basis[0, 0] = 1.0
     # the Gram's lazily built tables are shared with every later caller too
-    g = sb.gram(rc3.cell, 2)
+    g = sb.gram(rc3, 2)
     g.dual_quadform(np.ones(g.n), 1.0)  # builds the Cholesky factor of A1
     tables = [g.A1, g.A2, *g._first_data(), *g._second_data(), g._cho[0]]
     for table in tables:
@@ -180,20 +181,23 @@ def test_memoised_tables_are_read_only(rc3):
 def test_memo_rejects_arguments_without_content_key():
     with pytest.raises(TypeError):
         ps.deriv_matrix(object(), 1, 0)
+    # package code takes a Cell: the wrapper around one has no content key
+    with pytest.raises(TypeError):
+        ps.build_space(make_reference_cell(3), "h1", 1)
 
 
 def test_spaces_and_edges_bound_to_requested_cell(rc2, rc3):
     # face 1 of the tetrahedron and the triangle have equal vertices, so they
     # share the memoised basis, but each space and edge names its own cell
-    face = rc3.faces[1].cell
-    assert np.array_equal(face.vertices, rc2.cell.vertices)
+    face = tet_faces(rc3)[1].cell
+    assert np.array_equal(face.vertices, rc2.vertices)
     cache.clear()
-    tri_space = ps.build_space(rc2.cell, "h1", 2)
+    tri_space = ps.build_space(rc2, "h1", 2)
     sp = ps.build_space(face, "h1", 2)
     assert sp.cell is face and sp.cell.key == "tet.face1"
     assert tri_space.cell.key == "tri"
     assert sp.basis is tri_space.basis
-    triangle_edges(rc2.cell)
+    triangle_edges(rc2)
     for ledge, _ in triangle_edges(face):
         assert ledge.cell.key.startswith("tet.face1.edge")
 
@@ -208,8 +212,8 @@ def test_streamed_deriv_matrices_equal_one_shot_bitwise(block, rc3, rc2, rc1,
     # 1,000 points and the triangles 100; face 0's chain rule is full, face
     # 1's and the reference triangle's the identity, the edges' a scale
     monkeypatch.setattr(ps, "_POINT_BLOCK", block)
-    cells = (rc3.cell, rc3.faces[0].cell, rc3.faces[1].cell, rc2.cell,
-             rc3.edges[3].cell, rc1.cell)
+    cells = (rc3, tet_faces(rc3)[0].cell, tet_faces(rc3)[1].cell, rc2,
+             cell_edges(rc3)[3].cell, rc1)
     for cell in cells:
         q = quadrature(cell, 18)
         ref = cell.to_reference(q.points)
@@ -230,7 +234,7 @@ def test_streamed_deriv_matrices_equal_one_shot_bitwise(block, rc3, rc2, rc1,
 def test_deriv_matrices_hold_one_gradient_plane(rc3):
     # the build holds the weighted values and one gradient plane, not the
     # three planes of a full gradient table
-    cell, degree = rc3.cell, 15
+    cell, degree = rc3, 15
     table = cell.n_modes(degree) * len(quadrature(cell, 2 * degree).weights) * 8
     tracemalloc.start()
     try:
@@ -251,11 +255,11 @@ def test_coord_matrices_slice_the_higher_degree_table(rc3, rc2, rc1,
         degrees.append(degree) or tabulate(self, degree, pts)))
     cache.clear()
     for i in range(3):
-        ps.coord_matrix(rc3.cell, 4, i)
+        ps.coord_matrix(rc3, 4, i)
     assert degrees == [5]
     monkeypatch.undo()
-    for cell in (rc3.cell, rc3.faces[0].cell, rc2.cell, rc3.edges[3].cell,
-                 rc1.cell):
+    for cell in (rc3, tet_faces(rc3)[0].cell, rc2, cell_edges(rc3)[3].cell,
+                 rc1):
         for degree in (0, 3, 8):
             q = quadrature(cell, 2 * degree + 2)
             V1 = cell.tabulate(degree, q.points)
@@ -281,14 +285,14 @@ def _frame_blocks(T, frame):
 def _triangles(rc2, rc3):
     # the triangle and the four face cells, each with its sides
     return [(cell, [side for side, _ in triangle_edges(cell)])
-            for cell in [rc2.cell] + [f.cell for f in rc3.faces]]
+            for cell in [rc2] + [f.cell for f in tet_faces(rc3)]]
 
 
 def test_trace_matrix_parts_are_frame_blocks_of_the_scalar_trace(rc2, rc3):
     deg = 3
-    cases = [(rc3.cell, f, "tangential", f.frame) for f in rc3.faces]
-    cases += [(rc3.cell, f, "normal", f.normal[:, None]) for f in rc3.faces]
-    cases += [(rc3.cell, e, "tangential", e.tangent[:, None]) for e in rc3.edges]
+    cases = [(rc3, f, "tangential", f.frame) for f in tet_faces(rc3)]
+    cases += [(rc3, f, "normal", f.normal[:, None]) for f in tet_faces(rc3)]
+    cases += [(rc3, e, "tangential", e.tangent[:, None]) for e in cell_edges(rc3)]
     cases += [(cell, e, "tangential", e.tangent[:, None])
               for cell, sides in _triangles(rc2, rc3) for e in sides]
     for cell, sub, part, frame in cases:
@@ -300,7 +304,7 @@ def test_trace_matrix_parts_are_frame_blocks_of_the_scalar_trace(rc2, rc3):
 
 def test_boundary_traces_keep_leading_modes(rc2, rc3):
     deg = 4
-    cases = [(rc3.cell, rc3.faces, part)
+    cases = [(rc3, tet_faces(rc3), part)
              for part in (None, "tangential", "normal")]
     cases += [(cell, sides, part) for cell, sides in _triangles(rc2, rc3)
               for part in (None, "tangential")]
@@ -328,7 +332,7 @@ def test_triangle_and_interval_bubbles_are_trace_free(rc1, rc2, rc3):
     w = ps.build_space(rc1, "h1_bubble", p)
     assert np.abs(w.evaluate(w.basis, rc1.vertices)).max() < 1e-12
     q = ps.build_space(rc1, "hcurl_bubble", p)
-    rule = quadrature(rc1.cell, 2 * p)
+    rule = quadrature(rc1, 2 * p)
     means = q.evaluate(q.basis, rule.points) @ rule.weights
     assert q.dim == p and np.abs(means).max() < 1e-12
 
@@ -341,14 +345,15 @@ def test_interval_grad_orthogonal_kinds_are_empty(rc1):
 
 
 def test_tetrahedron_trace_free_kinds_from_the_cell_alone(rc3):
-    # a tetrahedron finds its own faces: its cell gives the bases that its
-    # ReferenceCell gives, each built afresh
+    # a tetrahedron finds its own faces: a fresh cell of the reference
+    # vertices gives the reference cell's bases, each built afresh
+    fresh = Cell(rc3.vertices.copy(), "fresh")
     for p in (1, 2, 3):
         for kind in ("h1_bubble", "hcurl_bubble", "hdiv_bubble",
                      "hcurl_bubble_orth"):
             cache.clear()
-            from_cell = ps.build_space(rc3.cell, kind, p)
+            from_cell = ps.build_space(rc3, kind, p)
             cache.clear()
-            from_refcell = ps.build_space(rc3, kind, p)
-            assert from_cell.cell is rc3.cell and from_refcell.cell is rc3.cell
-            assert np.array_equal(from_cell.basis, from_refcell.basis)
+            from_fresh = ps.build_space(fresh, kind, p)
+            assert from_cell.cell is rc3 and from_fresh.cell is fresh
+            assert np.array_equal(from_cell.basis, from_fresh.basis)

@@ -10,7 +10,8 @@ from exseq import calculus as ca
 from exseq import fields as fl
 from exseq import polyspace as ps
 from exseq import projectors as pj
-from exseq.refsimplex import make_reference_cell, quadrature
+from exseq.refsimplex import (cell_edges, make_reference_cell, quadrature,
+                              tet_faces)
 
 
 def _stage_conditions(plan):
@@ -89,11 +90,11 @@ def test_curl_edge_stage_is_l2_projection(rng):
     # tangential L2 projection
     p = 4
     plan = pj.ProjectorPlan("curl3d", p)
-    rc = make_reference_cell(3)
+    rc = make_reference_cell(3).cell
     f = [g for g in fl.suite("entire", 3) if g.value_dim == 3][0]
     slots = plan.apply(f)
     Q = plan.target
-    for k, edge in enumerate(rc.edges):
+    for k, edge in enumerate(cell_edges(rc)):
         st = _stage(plan, f"edge{k}")
         _assert_l2_stage(st)
         (region, M), = st.rhs
@@ -114,11 +115,11 @@ def test_curl_edge_stage_is_l2_projection(rng):
 def test_div_face_stage_is_l2_projection():
     p = 3
     plan = pj.ProjectorPlan("div3d", p)
-    rc = make_reference_cell(3)
+    rc = make_reference_cell(3).cell
     f = [g for g in fl.suite("entire", 3) if g.value_dim == 3][1]
     slots = plan.apply(f)
     V = plan.target
-    for k, face in enumerate(rc.faces):
+    for k, face in enumerate(tet_faces(rc)):
         st = _stage(plan, f"face{k}")
         _assert_l2_stage(st)
         (region, M), = st.rhs
@@ -189,26 +190,26 @@ def test_interior_table_is_freed_before_the_interior_stage(operator, stages,
 
 
 def test_commuting_identities_polynomials(rng):
-    rc3, rc2 = make_reference_cell(3), make_reference_cell(2)
+    rc3, rc2 = make_reference_cell(3).cell, make_reference_cell(2).cell
     poly = fl.polynomial_fields()
     for p in (0, 2, 3):
         deg = p + 3
         suite = {
             "grad3d": [poly(
-                "s", ps.scalar_space(rc3.cell, deg),
-                ps.scalar_space(rc3.cell, deg).random_elements(1, rng)[0])],
+                "s", ps.scalar_space(rc3, deg),
+                ps.scalar_space(rc3, deg).random_elements(1, rng)[0])],
             "curl3d": [poly(
-                "v", ps.vector_space(rc3.cell, deg, 3),
-                ps.vector_space(rc3.cell, deg, 3).random_elements(1, rng)[0])],
+                "v", ps.vector_space(rc3, deg, 3),
+                ps.vector_space(rc3, deg, 3).random_elements(1, rng)[0])],
             "div3d": [poly(
-                "w", ps.vector_space(rc3.cell, deg, 3),
-                ps.vector_space(rc3.cell, deg, 3).random_elements(1, rng)[0])],
+                "w", ps.vector_space(rc3, deg, 3),
+                ps.vector_space(rc3, deg, 3).random_elements(1, rng)[0])],
             "grad2d": [poly(
-                "s2", ps.scalar_space(rc2.cell, deg),
-                ps.scalar_space(rc2.cell, deg).random_elements(1, rng)[0])],
+                "s2", ps.scalar_space(rc2, deg),
+                ps.scalar_space(rc2, deg).random_elements(1, rng)[0])],
             "curl2d": [poly(
-                "v2", ps.vector_space(rc2.cell, deg, 2),
-                ps.vector_space(rc2.cell, deg, 2).random_elements(1, rng)[0])],
+                "v2", ps.vector_space(rc2, deg, 2),
+                ps.vector_space(rc2, deg, 2).random_elements(1, rng)[0])],
         }
         recs = pj.check_commuting(p, suite, _plans(p))
         assert max(r["rel_residual"] for r in recs) <= 1e-9
@@ -238,8 +239,8 @@ def test_grad_of_potential_is_curl_interpolant():
     gplan = pj.ProjectorPlan("grad3d", p)
     cplan = pj.ProjectorPlan("curl3d", p)
     gi = gplan.apply(phi)
-    rc3 = make_reference_cell(3)
-    grad_gi = ca.diff_rows("grad", ps.PolySpace(rc3.cell, 1, p + 1,
+    rc3 = make_reference_cell(3).cell
+    grad_gi = ca.diff_rows("grad", ps.PolySpace(rc3, 1, p + 1,
                                                 gi[None, :]))[0]
     ci = cplan.apply(ca.DERIVATIVES["grad"].field(phi))
     assert np.abs(grad_gi - ci).max() < 1e-11
@@ -253,14 +254,14 @@ def test_trace_locality_curl():
     x, y, z = sp.symbols("x y z")
     p = 3
     plan = pj.ProjectorPlan("curl3d", p)
-    rc = make_reference_cell(3)
+    rc = make_reference_cell(3).cell
     f = fl.from_sympy("base", [sp.sin(x + y), sp.exp(z) / 4, x * y], 3)
     bubble = x * y * z * (1 - x - y - z)
     delta = fl.from_sympy("delta", [bubble, -2 * bubble, bubble / 3], 3)
     a = plan.apply(f)
     b = plan.apply(oracles.shifted(f, delta))
     Q = plan.target
-    for face in rc.faces:
+    for face in tet_faces(rc):
         q2 = quadrature(face.cell, 2 * (p + 1))
         amb = face.embed(q2.points)
         ta = Q.evaluate(a, amb) @ face.frame
@@ -274,14 +275,14 @@ def test_trace_locality_div():
     x, y, z = sp.symbols("x y z")
     p = 3
     plan = pj.ProjectorPlan("div3d", p)
-    rc = make_reference_cell(3)
+    rc = make_reference_cell(3).cell
     f = fl.from_sympy("base", [sp.cos(y), x * z**2, sp.exp(x / 2)], 3)
     bubble = x * y * z * (1 - x - y - z)
     delta = fl.from_sympy("delta", [bubble, bubble, -bubble], 3)
     a = plan.apply(f)
     b = plan.apply(oracles.shifted(f, delta))
     V = plan.target
-    for face in rc.faces:
+    for face in tet_faces(rc):
         q2 = quadrature(face.cell, 2 * (p + 1))
         amb = face.embed(q2.points)
         na = V.evaluate(a, amb) @ face.normal
@@ -369,7 +370,7 @@ def test_condition_residual_rechecks_interior_energy_block(operator, rng):
     # a bubble direction that the gauge block cannot see (orthogonal to the
     # gradients, or to the curls) must still move the residual
     p = 4
-    rc = make_reference_cell(3)
+    rc = make_reference_cell(3).cell
     plan = pj.ProjectorPlan(operator, p)
     f = [g for g in fl.suite("entire", 3) if g.value_dim == 3][0]
     samples = {k: np.asarray(f(pts)).reshape(-1, 1)
@@ -441,10 +442,10 @@ def test_unknown_operator_rejected():
 
 
 def test_eval_rows_of_no_rows(rc3):
-    pts = quadrature(rc3.cell, 4).points
+    pts = quadrature(rc3, 4).points
     for vd in (1, 3):
-        rows = np.zeros((0, vd * rc3.cell.n_modes(3)))
-        assert pj._eval_rows(rc3.cell, vd, 3, rows, pts).shape == (0, len(pts), vd)
+        rows = np.zeros((0, vd * rc3.n_modes(3)))
+        assert pj._eval_rows(rc3, vd, 3, rows, pts).shape == (0, len(pts), vd)
 
 
 def _three_table_moments(V, weights, rows, frame=None):
@@ -476,9 +477,9 @@ def test_moments_equal_the_three_table_formula_bitwise(case, rule, degree,
     # each point block equals the formula on that block's points; a BLAS
     # may run a short block's product with another kernel than the whole
     # product's, so the formula is applied block by block
-    cell, vd, frame = rc3.cell, 3, None
+    cell, vd, frame = rc3, 3, None
     if case == "face frame":
-        face = rc3.faces[2]
+        face = tet_faces(rc3)[2]
         vd, frame = 2, face.frame
         if rule == 9:  # a face's own rule; one holds at most 441 points
             cell = face.cell
@@ -501,7 +502,7 @@ def test_moments_equal_the_three_table_formula_bitwise(case, rule, degree,
 def test_moments_hold_two_tables(rc3, rng):
     # the parent's product, weighted copy and reshape copy peaked at about
     # three output tables; in-place weighting and one transposed copy at two
-    cell = rc3.cell
+    cell = rc3
     q = quadrature(cell, 16)
     V = cell.tabulate(6, q.points)
     rows = rng.standard_normal((60, 3 * len(V)))
@@ -520,10 +521,10 @@ def test_stacked_moments_equal_the_stacked_blocks_bitwise(case, rc3, rng):
     # each block keeps its own GEMM and is written into its row slice, so
     # the matrix equals the blocks built apart and stacked with np.vstack
     if case == "face frame":
-        face = rc3.faces[1]
+        face = tet_faces(rc3)[1]
         cell, vd, frame = face.cell, 2, face.frame
     else:
-        cell, vd, frame = rc3.cell, 3, None
+        cell, vd, frame = rc3, 3, None
     negate = case == "negated block"
     q = quadrature(cell, 9)
     V = cell.tabulate(4, q.points)
@@ -544,7 +545,7 @@ def test_stacked_moments_hold_the_matrix_and_one_product(rc3, rng):
     # copy, about twice the matrix; writing each block into its slice, one
     # point block at a time, holds the matrix and one point block's GEMM
     # output, plus the 64 KiB buffer of numpy's strided copy
-    cell = rc3.cell
+    cell = rc3
     q = quadrature(cell, 16)  # 729 points: two point blocks
     V = cell.tabulate(6, q.points)
     blocks = [(rng.standard_normal((60, 3 * len(V))), True),
@@ -564,8 +565,8 @@ def test_shared_table_fields_match_space_evaluate(rc3, rc2, rng):
     # fields sharing one table store return the values and jets of
     # space.evaluate, bit for bit, also for a point set seen before
     poly = fl.polynomial_fields()
-    spaces = [ps.scalar_space(rc3.cell, 4), ps.vector_space(rc3.cell, 4, 3),
-              ps.scalar_space(rc2.cell, 4), ps.vector_space(rc2.cell, 4, 2)]
+    spaces = [ps.scalar_space(rc3, 4), ps.vector_space(rc3, 4, 3),
+              ps.scalar_space(rc2, 4), ps.vector_space(rc2, 4, 2)]
     for space in spaces:
         cell = space.cell
         slots = space.random_elements(2, rng)

@@ -12,7 +12,7 @@ from exseq.refsimplex import make_reference_cell, quadrature
 
 
 def test_gram_spd_and_endpoints(rc3, rng):
-    g = sb.gram(rc3.cell, 6)
+    g = sb.gram(rc3, 6)
     lam_a1 = np.linalg.eigvalsh(g.A1)
     assert lam_a1.min() > 1e-13 * lam_a1.max()
     lam_a2 = np.linalg.eigvalsh(g.A2)
@@ -36,7 +36,7 @@ def test_a2_is_built_without_the_pencil_spectrum(rc3, monkeypatch):
 
     monkeypatch.setattr(scipy.linalg, "eigh", no_eigh)
     monkeypatch.setattr(np.linalg, "eigh", no_eigh)
-    g = sb.SobolevGram(rc3.cell, 6)
+    g = sb.SobolevGram(rc3, 6)
     A2 = g.A1.copy()
     for i in range(3):
         for j in range(i, 3):
@@ -44,14 +44,14 @@ def test_a2_is_built_without_the_pencil_spectrum(rc3, monkeypatch):
             A2 += (1.0 if i == j else 2.0) * (Mij.T @ Mij)
     assert g.A2.tobytes() == A2.tobytes()
     assert g.A2 is g.A2 and not g.A2.flags.writeable
-    assert sb.gram(rc3.cell, 6).A2.tobytes() == A2.tobytes()
+    assert sb.gram(rc3, 6).A2.tobytes() == A2.tobytes()
     assert g._second is None
 
 
 def test_fractional_gram_matrix_endpoints(rc2):
     # the interpolated quadratic form at the endpoints matches M and A1 in
     # Frobenius norm through random probing
-    g = sb.gram(rc2.cell, 5)
+    g = sb.gram(rc2, 5)
     rng = np.random.default_rng(3)
     X = rng.standard_normal((g.n, 8))
     h0 = np.stack([[g.fractional_quadform(X[:, i] + X[:, j], 0.0)
@@ -75,26 +75,26 @@ def test_fractional_norm_monotone_in_s(s1, s2, seed):
 
 
 def test_dual_norm_of_orthogonal_field_vanishes(rc3):
-    g = sb.gram(rc3.cell, 4)
+    g = sb.gram(rc3, 4)
     # pairings of a field orthogonal to the test space are zero
     b = np.zeros(g.n)
     assert sb.dual_norm(g, b, 0.5) == 0.0
 
 
 def test_dual_norm_s0_is_l2_of_projection(rc3):
-    g = sb.gram(rc3.cell, 8)
+    g = sb.gram(rc3, 8)
     f = fl.suite("entire", 3)[0]
-    q = quadrature(rc3.cell, 26)
-    b = sb.mode_pairings(rc3.cell.tabulate(8, q.points), q.weights,
+    q = quadrature(rc3, 26)
+    b = sb.mode_pairings(rc3.tabulate(8, q.points), q.weights,
                         f(q.points))[0]
     assert sb.dual_norm(g, b, 0.0) == pytest.approx(np.linalg.norm(b), rel=1e-12)
 
 
 def test_dual_norm_weakens_with_s(rc3):
-    g = sb.gram(rc3.cell, 8)
+    g = sb.gram(rc3, 8)
     f = fl.suite("entire", 3)[1]
-    q = quadrature(rc3.cell, 26)
-    b = sb.mode_pairings(rc3.cell.tabulate(8, q.points), q.weights,
+    q = quadrature(rc3, 26)
+    b = sb.mode_pairings(rc3.tabulate(8, q.points), q.weights,
                         f(q.points))[0]
     vals = [sb.dual_norm(g, b, s) for s in (0.0, 0.25, 0.5, 1.0)]
     assert all(vals[i + 1] <= vals[i] + 1e-13 for i in range(len(vals) - 1))
@@ -102,11 +102,11 @@ def test_dual_norm_weakens_with_s(rc3):
 
 def test_dual_norm_stable_under_richer_test_space(rc3):
     f = fl.suite("entire", 3)[0]
-    q = quadrature(rc3.cell, 36)
+    q = quadrature(rc3, 36)
 
     def dual_at(P):
-        g = sb.gram(rc3.cell, P)
-        b = sb.mode_pairings(rc3.cell.tabulate(P, q.points), q.weights,
+        g = sb.gram(rc3, P)
+        b = sb.mode_pairings(rc3.tabulate(P, q.points), q.weights,
                             f(q.points))[0]
         return sb.dual_norm(g, b, 0.5)
 
@@ -142,7 +142,7 @@ def test_h1curl_solver_cache_keyed_by_content(rc3):
     # two unnamed spaces of one dimension must not share a cached factor
     rng = np.random.default_rng(3)
     A, B = (
-        ps.PolySpace(rc3.cell, 3, 3, ps.span_from_rows(rng.standard_normal((45, 60))))
+        ps.PolySpace(rc3, 3, 3, ps.span_from_rows(rng.standard_normal((45, 60))))
         for _ in range(2)
     )
     f = [g for g in fl.suite("entire", 3) if g.value_dim == 3][0]
@@ -188,7 +188,7 @@ def test_fractional_best_approx_between_integer_orders(rc3):
 
 
 def test_fractional_norm_rejects_out_of_range(rc3):
-    g = sb.gram(rc3.cell, 3)
+    g = sb.gram(rc3, 3)
     with pytest.raises(ValueError):
         g.fractional_quadform(np.zeros(g.n), 2.5)
     with pytest.raises(ValueError):
@@ -265,13 +265,13 @@ def test_gram_builds_its_tables_on_first_read(rc3, monkeypatch):
     stiffness = sb._stiffness
     monkeypatch.setattr(sb, "_stiffness",
                         lambda *a: calls.append(a) or stiffness(*a))
-    g = sb.SobolevGram(rc3.cell, 5, 7)
+    g = sb.SobolevGram(rc3, 5, 7)
     c = np.ones(g.n)
     assert sb.dual_norm(g, c, 0.0) == pytest.approx(np.sqrt(g.n), rel=1e-14)
     assert g._A1 is None and not calls
     n = g.n
     assert g.A1 is g.A1 and not g.A1.flags.writeable
-    assert np.array_equal(g.A1, np.eye(n) + stiffness(rc3.cell, 7)[:n, :n])
+    assert np.array_equal(g.A1, np.eye(n) + stiffness(rc3, 7)[:n, :n])
     assert len(calls) == 1
     with pytest.raises(ValueError, match="below"):
-        sb.SobolevGram(rc3.cell, 5, 4)
+        sb.SobolevGram(rc3, 5, 4)

@@ -226,3 +226,38 @@ def test_only_refsimplex_builds_cells():
                 if name in ("Cell", "Edge", "Face"):
                     found.append(f"{path.name}:{node.lineno} {name}")
     assert found == []
+
+
+def test_only_refsimplex_names_the_reference_cell_wrapper():
+    # package code takes a Cell: no other module imports, calls or reads
+    # ReferenceCell
+    found = []
+    for path, tree in _trees().items():
+        if path.name == "refsimplex.py":
+            continue
+        for node in ast.walk(tree):
+            names = [getattr(node, "id", None), getattr(node, "attr", None)]
+            names += [a.name for a in getattr(node, "names", [])
+                      if isinstance(a, ast.alias)]
+            if "ReferenceCell" in names:
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
+_REFERENCE_CELL_READS = ("cell", "max_angle", "regularity_index")
+
+
+def test_reference_cells_are_read_at_once():
+    # every make_reference_cell(...) call is read for its cell or its angle
+    # data on the spot, so the wrapper itself never travels
+    found = []
+    for path, tree in _trees().items():
+        read = {id(node.value) for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute)
+                and node.attr in _REFERENCE_CELL_READS}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call)
+                    and getattr(node.func, "id", None) == "make_reference_cell"
+                    and id(node) not in read):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []

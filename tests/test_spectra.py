@@ -4,7 +4,7 @@ import pytest
 from exseq import calculus as ca
 from exseq import polyspace as ps
 from exseq import spectra as spc
-from exseq.refsimplex import quadrature
+from exseq.refsimplex import quadrature, tet_faces
 
 
 def test_case_curl2d_full_p0_dimension():
@@ -25,7 +25,7 @@ def test_gradient_field_violates_constraint(rng, rc3):
     _, rows = spc.constrained_subspace("curl3d_full", 2)
     W = ps.build_space(rc3, "h1", 2)
     phi = W.random_elements(1, rng)[0]
-    g = ca.diff_rows("grad", ps.PolySpace(rc3.cell, 1, 3, phi[None, :]))[0]
+    g = ca.diff_rows("grad", ps.PolySpace(rc3, 1, 3, phi[None, :]))[0]
     coords = rows @ g
     assert np.abs(coords).max() > 1e-6  # clearly rejected
 
@@ -65,7 +65,7 @@ def test_lifting_curl_zero_and_gradient_data(rng, rc3):
     assert np.linalg.norm(res0.slots) == 0.0
     W = ps.build_space(rc3, "h1", p)
     phi = W.random_elements(1, rng)[0]
-    g = ca.diff_rows("grad", ps.PolySpace(rc3.cell, 1, p + 1, phi[None, :]))[0]
+    g = ca.diff_rows("grad", ps.PolySpace(rc3, 1, p + 1, phi[None, :]))[0]
     res = spc.discrete_lifting_curl(p, g)
     # a curl-free lifting of gradient boundary data exists, so the
     # minimum-energy lifting has (numerically) zero curl
@@ -99,9 +99,9 @@ def test_lifting_div_mean_equals_boundary_flux(rng, rc3):
     w = V.random_elements(1, rng)[0]
     res = spc.discrete_lifting_div(p, w)
     div_rows = ca.diff_slots("div", V, res.slots)
-    mean_div = div_rows[0] * np.sqrt(rc3.cell.measure)
+    mean_div = div_rows[0] * np.sqrt(rc3.measure)
     flux = 0.0
-    for face in rc3.faces:
+    for face in tet_faces(rc3):
         q2 = quadrature(face.cell, 2 * p + 6)
         vals = V.evaluate(w, face.embed(q2.points)) @ face.normal
         flux += float(np.sum(q2.weights * vals))

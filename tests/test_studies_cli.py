@@ -255,6 +255,50 @@ def test_cli_config_key_must_be_a_flag_of_the_subcommand(tmp_path):
     assert exc.value.code == 2
 
 
+def test_cli_flag_replaces_the_config_files_list(tmp_path):
+    # flags override the file: --operator replaces the file's operator list
+    # instead of being appended to it
+    cfgf = tmp_path / "run.cfg"
+    cfgf.write_text("operator = curl2d\ns = 0.5\n")
+    out = tmp_path / "conv.csv"
+    assert cli.main(["convergence", "--config", str(cfgf), "--operator",
+                     "grad1d", "--s", "0", "--p-min", "2", "--p-max", "2",
+                     "--out", str(out)]) == 0
+    rows = [r.split(",") for r in out.read_text().splitlines()[1:]]
+    assert {(r[0], r[3]) for r in rows} == {("grad1d", "0.0")}
+
+
+@pytest.mark.parametrize("text, message", [
+    ("p-max 3\n", "bad config line: 'p-max 3'"),
+    ("p-max = x\n", "argument --p-max: invalid int value: 'x'"),
+    ("operator = bogus\n", "argument --operator: invalid choice: 'bogus'"),
+    (None, "cannot read config file"),
+])
+def test_cli_config_errors_are_usage_errors(text, message, tmp_path, capsys):
+    # a bad config file is a usage error like a bad flag: exit 2 with
+    # argparse's message and no traceback
+    cfgf = tmp_path / "run.cfg"
+    if text is not None:
+        cfgf.write_text(text)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["convergence", "--config", str(cfgf), "--p-max", "2"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"exseq convergence: error: {message}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("config", [
+    {"operators": ("grad1d", "grad1d")},
+    {"operators": ("grad1d",), "s_values": (0.0, 0.0)},
+    {"operators": ("grad1d",), "s_values": (0, 0.0)},
+])
+def test_config_refuses_a_repeated_operator_or_order(config):
+    # a repeat would write each record twice and weigh it twice in the fits
+    with pytest.raises(ValueError, match="repeated"):
+        st.StudyConfig(p_min=2, p_max=2, **config).validate()
+
+
 def test_config_rejects_degrees_beyond_the_quadrature_cap():
     # grad1d at s in (0, 1) builds a degree-(p + 7) Gram, so p = 14 needs a
     # degree-42 rule; the config is refused before any work is done
