@@ -151,23 +151,8 @@ def _dispatch(args):
         return 0 if finite else 1
 
     if args.command == "friedrichs":
-        rows = []
-        ok = True
-        for case in spc.FRIEDRICHS_CASES:
-            for p in range(args.p_min, args.p_max + 1):
-                C, lam, dim = spc.friedrichs_constant(case, p)
-                if dim == 0:
-                    continue
-                ok = ok and C > 0 and np.isfinite(C)
-                rows.append(
-                    {
-                        "case": case,
-                        "p": p,
-                        "constant": float(C),
-                        "min_singular_value": float(np.sqrt(max(lam, 0.0))),
-                        "dim": dim,
-                    }
-                )
+        rows = list(spc.friedrichs_rows(args.p_min, args.p_max))
+        ok = all(0 < r["constant"] < np.inf for r in rows)
         _emit(st.format_rows(rows, args.format), args.out)
         return 0 if ok else 1
 

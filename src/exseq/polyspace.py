@@ -115,11 +115,11 @@ def span_from_rows(rows):
     return vt[:rank]
 
 
-def null_space_of(constraints, n_cols=None):
+def null_space_of(constraints, n_cols):
     """Orthonormal basis of {x : A x = 0} for a constraint matrix A."""
     A = np.atleast_2d(constraints)
     if A.shape[0] == 0:
-        return np.eye(n_cols if n_cols is not None else A.shape[1])
+        return np.eye(n_cols)
     u, s, vt = np.linalg.svd(A, full_matrices=True)
     if s.size == 0 or s[0] == 0.0:
         rank = 0
@@ -200,7 +200,7 @@ def mean_row(cell, value_dim, degree):
 # traces (into planar/interval trace cells)
 
 
-def trace_matrix(cell, degree, sub, part=None):
+def trace_matrix(cell, degree, sub, part):
     """The one trace: modal coefficients on `cell` -> coefficients of the same
     degree on the Face or Edge `sub`'s own cell, `sub.cell`.
 
@@ -329,12 +329,13 @@ def derivative_rows(C, space):
                       for Ck in C])
 
 
-def gradient_rows(cell, scalar_space_obj, out_degree):
+def gradient_rows(scalar_space_obj, out_degree):
     """Slot rows of the gradients of a scalar space's basis, at out_degree.
 
     An out_degree below the space's keeps each component's leading modes:
     the gradients of P_{p+1} on an interval are P_p, so the rest is roundoff.
     """
+    cell = scalar_space_obj.cell
     low = min(scalar_space_obj.degree, out_degree)
     keep = cell.n_modes(low)
     # the gradient's coefficient tensor is the identity
@@ -394,7 +395,7 @@ def _space_basis(cell, kind, p):
         base, cut = _CUTS[kind]
         parent = build_space(cell, base, p)
         if cut in KINDS:
-            rows = gradient_rows(cell, build_space(cell, cut, p), parent.degree)
+            rows = gradient_rows(build_space(cell, cut, p), parent.degree)
         elif cut == "mean" or parent.degree == p:
             # a parent of degree p is the L2 slot (the interval's edge family,
             # the triangle's face family), whose bubbles have zero mean
@@ -407,7 +408,7 @@ def _space_basis(cell, kind, p):
     return sp.value_dim, sp.degree, sp.basis
 
 
-def h1_dimension(p, dim=3):
+def h1_dimension(p, dim):
     """Closed-form dimension of the H1 space at complex degree p."""
     if dim == 3:
         return (p + 2) * (p + 3) * (p + 4) // 6
@@ -416,7 +417,7 @@ def h1_dimension(p, dim=3):
     return p + 2
 
 
-def hcurl_dimension(p, dim=3):
+def hcurl_dimension(p, dim):
     """Closed-form dimension of the edge-element space at complex degree p."""
     if dim == 3:
         return (p + 1) * (p + 3) * (p + 4) // 2

@@ -1,8 +1,12 @@
 """Projection-based interpolation operators as one list of staged solves.
 
-Each operator fixes its interpolant hierarchically: vertices, then edges,
-then faces, then the interior. A plan is the ordered list of those stages,
-and every stage is one `Stage`:
+Each operator fixes its interpolant hierarchically. An operator of slot k
+on a d-cell builds one stage per piece of dimension m = k..d: the vertices
+(one piece), the edges of `cell_edges`, the faces of `tet_faces`, then the
+cell itself. `_STAGES[k][m - k]` builds each piece's stage, which is the
+stage of the same slot's operator on the piece's own cell: on a face the
+2D operator's, on an edge the interval's, and at m = k an L2 projection.
+A plan is the ordered list of those stages, and every stage is one `Stage`:
 
 - `trace` T maps the stage's coordinates to the data fixed by earlier
   stages, and `lift` L = pinv(T) extends that data with minimal
@@ -39,13 +43,12 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from numpy.polynomial.legendre import leggauss
 
 from . import polyspace as ps
 from .calculus import (COMPLEX, DERIVATIVES, FAMILIES, OPERATORS, diff_rows,
                        diff_slots, operator_at)
-from .refsimplex import (cell_edges, make_reference_cell, quadrature, tet_faces,
-                         triangle_edges)
+from .refsimplex import (cell_edges, graded_interval_rule, make_reference_cell,
+                         quadrature, tet_faces, triangle_edges)
 
 
 def _pinv(mat):
@@ -129,32 +132,6 @@ def _flip(n_modes, sigma):
     return np.diag(float(sigma) ** np.arange(n_modes))
 
 
-def _graded_interval_rule():
-    """Composite Gauss rule on (-1,1), geometrically graded into both ends:
-    16 nodes per panel, 18 levels, each panel 0.22 times the one before.
-
-    Exact for polynomials up to degree 31 and accurate for endpoint-singular
-    integrands of |1 -+ x|^gamma type.
-    """
-    xg, wg = leggauss(16)
-    breaks = [0.0]
-    h = 1.0
-    for _ in range(18):
-        h *= 0.22
-        breaks.append(1.0 - h)
-    breaks.append(1.0)
-    pts, wts = [], []
-    for a, b in zip(breaks[:-1], breaks[1:]):
-        for lo, hi in ((a, b), (-b, -a)):
-            mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-            pts.append(mid + half * xg)
-            wts.append(half * wg)
-    pts = np.concatenate(pts)
-    wts = np.concatenate(wts)
-    order = np.argsort(pts)
-    return pts[order], wts[order]
-
-
 # ---------------------------------------------------------------------------
 # the stage primitive
 
@@ -212,79 +189,170 @@ def _data(stage, samples, nb):
     return r
 
 
-def _l2_stage(name, cell, p, restrict, region, rule, direction=None):
-    """L2 projection onto P_p(cell) of the samples, or of their component
-    along `direction`; rule: (points in cell coordinates, weights)."""
-    M = cell.tabulate(p, rule[0]) * rule[1]
-    if direction is not None:
+# ---------------------------------------------------------------------------
+# pieces and their stage builders
+
+
+@dataclass
+class Piece:
+    """One piece of a plan's cell, whose stage the plan builds.
+
+    `name` keys its stage and `region` its samples, at `points` in the plan
+    cell's coordinates. `cell` is the piece's own cell (the plan's for the
+    vertices), `vertex_ids` its vertices among the plan cell's, and `rule`
+    its (points, weights) in `cell`'s coordinates. `boundary` is the `Edge`
+    or `Face` that the piece is, None for the vertices and the cell itself.
+    """
+
+    name: str
+    region: str
+    points: np.ndarray
+    cell: object
+    vertex_ids: tuple
+    rule: tuple | None
+    boundary: object
+
+
+def _pieces(cell, m, quad_degree):
+    """The pieces of dimension m of `cell`, in stage order: the vertices as
+    one piece, the edges of `cell_edges` or the faces of `tet_faces`, or the
+    cell itself, whose rule on the interval is the graded one."""
+    ids = tuple(range(cell.dim + 1))
+    if m == 0:
+        return [Piece("vertices", "vertices", cell.vertices, cell, ids, None,
+                      None)]
+    if m == cell.dim:
+        if m == 1:
+            pts, w = graded_interval_rule()
+            pts = pts[:, None]
+        else:
+            q = quadrature(cell, quad_degree)
+            pts, w = q.points, q.weights
+        return [Piece("interior", "vol", pts, cell, ids, (pts, w), None)]
+    kind, subs = {1: ("edge", cell_edges), 2: ("face", tet_faces)}[m]
+    out = []
+    for sub in subs(cell):
+        key = f"{kind}{sub.index}"
+        q = quadrature(sub.cell, quad_degree)
+        out.append(Piece(key, key, sub.embed(q.points), sub.cell,
+                         sub.vertex_ids, (q.points, q.weights), sub))
+    return out
+
+
+_TRACE_PARTS = (None, "tangential", "normal")  # the trace each slot fixes
+
+
+def _trace(plan, piece):
+    """The target's slots to their trace on a piece, the part of it that the
+    plan's slot fixes; the identity on the cell itself."""
+    cell, deg = plan.target.cell, plan.target.degree
+    if piece.boundary is None:
+        return np.eye(cell.n_modes(deg))
+    part = _TRACE_PARTS[OPERATORS[plan.operator][1]]
+    return ps.trace_matrix(cell, deg, piece.boundary, part)
+
+
+def _l2_stage(plan, piece):
+    """L2 projection onto P_p(piece) of the samples' trace on the piece: the
+    component along an edge's tangent or a face's normal, or the samples
+    themselves on the cell."""
+    p, cell, sub = plan.p, piece.cell, piece.boundary
+    M = cell.tabulate(p, piece.rule[0]) * piece.rule[1]
+    if sub is not None:
+        direction = sub.tangent if cell.dim == 1 else sub.normal
         M = np.einsum("mq,c->mqc", M, direction).reshape(len(M), -1)
     eye = np.eye(len(M))
-    return _stage(name, restrict, eye, eye, [(region, M)])
+    return _stage(piece.name, _trace(plan, piece)[: cell.n_modes(p)], eye,
+                  eye, [(piece.region, M)])
 
 
-def _stiffness_stage(name, cell, deg, restrict, trace, parents, vol, fluxes):
-    """Scalar stage: lift the trace data, then fix the bubbles b by the
-    seminorm conditions (grad b, grad u) = -(lap b, u) + (db/dn, u)_boundary.
+def _stiffness_stage(plan, piece, parents, fluxes):
+    """Scalar stage on a piece: lift the trace data, then fix the bubbles b
+    by the seminorm conditions (grad b, grad u) = -(lap b, u) + (db/dn,
+    u)_boundary.
 
-    vol: (region, points, weights) in cell coordinates; fluxes: one
-    (region, points, weights, conormals) per boundary piece.
+    fluxes: one (region, points, weights, conormals) per boundary piece, in
+    the piece's cell coordinates.
     """
+    cell, deg = piece.cell, plan.target.degree
+    trace = ps.boundary_traces(cell, deg)
     B = ps.null_space_of(trace, n_cols=cell.n_modes(deg))
     D = [ps.deriv_matrix(cell, deg, i) for i in range(cell.dim)]
-    region, pts, w = vol
+    pts, w = piece.rule
     lap = B @ sum(Di @ Di for Di in D).T
-    rhs = [(region, -_weighted(lap @ cell.tabulate(deg, pts), w))]
+    rhs = [(piece.region, -_weighted(lap @ cell.tabulate(deg, pts), w))]
     for region, pts, w, conormal in fluxes:
         dn = np.einsum("mpk,pk->mp", cell.tabulate_grad(deg, pts), conormal)
         rhs.append((region, _weighted(B @ dn, w)))
     K = sum(B @ Di.T @ Di for Di in D)
-    return _stage(name, restrict, B, K, rhs, trace, parents)
+    return _stage(piece.name, _trace(plan, piece), B, K, rhs, trace, parents)
 
 
-def _segment_stage(name, cell, deg, restrict, ends, region, rule, vertex_s):
-    """Endpoint values plus seminorm projection on an interval cell.
+def _vertex_stage(plan, piece):
+    """The values at the vertices."""
+    eye = np.eye(len(piece.points))
+    restrict = plan.target.cell.tabulate(plan.target.degree, piece.points).T
+    return _stage(piece.name, restrict, eye, eye, [(piece.region, eye)])
 
-    ends: the vertex ids at the cell's two endpoints; vertex_s: the interval
-    parameter of every vertex of the plan. The endpoint flux is a rule on the
-    "vertices" region whose conormal is -1 and +1 at the ends and 0 elsewhere.
+
+def _segment_stage(plan, piece):
+    """Endpoint values plus seminorm projection on an interval piece: an
+    edge, or the interval itself.
+
+    The endpoint flux is a rule on the "vertices" region at every vertex's
+    parameter on the piece, whose conormal is -1 and +1 at the piece's ends
+    and 0 elsewhere.
     """
-    n_verts = len(vertex_s)
-    eye = np.eye(n_verts)
+    vertices, edge = plan.target.cell.vertices, piece.boundary
+    vertex_s = (vertices[:, 0] if edge is None
+                else (vertices - edge.midpoint) @ edge.tangent)
+    eye = np.eye(len(vertex_s))
+    ends = piece.vertex_ids
     conormal = (eye[ends[1]] - eye[ends[0]])[:, None]
-    return _stiffness_stage(
-        name, cell, deg, restrict,
-        ps.boundary_traces(cell, deg), [("vertices", eye[list(ends)])],
-        (region, rule[0][:, None], rule[1]),
-        [("vertices", vertex_s[:, None], np.ones(n_verts), conormal)],
-    )
+    return _stiffness_stage(plan, piece, [("vertices", eye[list(ends)])], [
+        ("vertices", vertex_s[:, None], np.ones(len(vertex_s)), conormal)])
 
 
-def _sides(whole, cell, vertex_ids):
+def _sides(whole, cell, vertex_ids, quad_degree):
     """Sides of a triangle `cell` whose vertices are `whole`'s `vertex_ids`.
 
-    Yields (local edge, global edge index, sigma, ccw): the global edge's
-    parameter s sits at local parameter sigma*s, and ccw is +1 when the local
-    tangent runs counterclockwise.
+    Yields (local edge, region key, sigma, ccw, points, weights): the
+    global edge's parameter s sits at local parameter sigma*s, ccw is +1
+    when the local tangent runs counterclockwise, and points and weights
+    are the side's rule in `cell`'s coordinates, read at sigma*s.
     """
     for ledge, ccw in triangle_edges(cell):
         a, b = (vertex_ids[i] for i in ledge.vertex_ids)
         g = next(e.index for e in cell_edges(whole)
                  if set(e.vertex_ids) == {a, b})
-        yield ledge, g, (1.0 if a < b else -1.0), ccw
+        sigma = 1.0 if a < b else -1.0
+        q1 = quadrature(ledge.cell, quad_degree)
+        yield (ledge, f"edge{g}", sigma, ccw,
+               ledge.embed(sigma * q1.points[:, 0]), q1.weights)
 
 
-def _triangle_stage(plan, name, cell, vertex_ids, deg, restrict, region, rule):
-    """Scalar stiffness stage on a triangle fed by its sides' edge stages."""
+def _triangle_stage(plan, piece):
+    """Scalar stiffness stage on a triangle piece, a face or the triangle
+    itself, fed by its sides' edge stages."""
+    deg = plan.target.degree
     parents, fluxes = [], []
-    for ledge, g, sigma, ccw in _sides(plan.target.cell, cell, vertex_ids):
-        q1 = quadrature(ledge.cell, plan.quad_degree)
-        parents.append((f"edge{g}", _flip(ledge.cell.n_modes(deg), sigma)))
+    for ledge, key, sigma, ccw, pts, w in _sides(
+            plan.target.cell, piece.cell, piece.vertex_ids, plan.quad_degree):
+        parents.append((key, _flip(ledge.cell.n_modes(deg), sigma)))
         outward = ccw * np.array([ledge.tangent[1], -ledge.tangent[0]])
-        fluxes.append((f"edge{g}", ledge.embed(sigma * q1.points[:, 0]),
-                       q1.weights, np.broadcast_to(outward, (len(q1.weights), 2))))
-    return _stiffness_stage(name, cell, deg, restrict,
-                            ps.boundary_traces(cell, deg), parents,
-                            (region, rule[0], rule[1]), fluxes)
+        fluxes.append((key, pts, w, np.broadcast_to(outward, (len(w), 2))))
+    return _stiffness_stage(plan, piece, parents, fluxes)
+
+
+def _grad_interior(plan, piece):
+    """Scalar stiffness stage on the tetrahedron, fed by its faces' stages."""
+    faces = plan.pieces[2]
+    fluxes = [(f.region, f.points, f.rule[1],
+               np.broadcast_to(f.boundary.normal, (len(f.rule[1]), 3)))
+              for f in faces]
+    parents = [(f.name, np.eye(f.cell.n_modes(plan.target.degree)))
+               for f in faces]
+    return _stiffness_stage(plan, piece, parents, fluxes)
 
 
 def _mixed_stage(name, space, bubble, restrict, trace, parents, gauge, energy,
@@ -302,198 +370,106 @@ def _mixed_stage(name, space, bubble, restrict, trace, parents, gauge, energy,
                   trace @ space.basis.T, parents, space.basis.T)
 
 
-def _edge_element_stage(plan, name, cell, vertex_ids, p, slot_restrict, frame,
-                        region, rule):
-    """Edge-element stage on a triangle: the curl2d cell or a curl3d face.
+def _edge_element_stage(plan, piece):
+    """Edge-element stage on a triangle piece: a curl3d face or the curl2d
+    cell.
 
     Lifts the sides' tangential data, then fixes the bubbles by (u, grad v)
     for the H1 bubbles v and by (curl u, curl w) for the bubbles w
     orthogonal to those gradients, the latter by the surface Stokes formula.
-    `frame` maps the triangle's vectors into the frame of the samples.
+    A face's chart frame maps the triangle's vectors into the frame of the
+    samples.
     """
+    p, cell, face = plan.p, piece.cell, piece.boundary
     deg = p + 1
+    frame = np.eye(2) if face is None else face.frame
     Q = ps.build_space(cell, "hcurl", p)
     grads = diff_rows("grad", ps.build_space(cell, "h1_bubble", p))
     psi = diff_rows("curl2d_vector",
                     ps.build_space(cell, "hcurl_bubble_orth", p))
     rot = diff_slots("curl2d_scalar", ps.scalar_space(cell, deg), psi)
-    Vq = cell.tabulate(deg, rule[0])
+    Vq = cell.tabulate(deg, piece.rule[0])
     # the gauge's region stacks the energy moments over the gauge moments
-    energy = [(region, _stacked_moments(Vq, rule[1], [(rot, False),
-                                                      (grads, False)], frame))]
+    energy = [(piece.region, _stacked_moments(
+        Vq, piece.rule[1], [(rot, False), (grads, False)], frame))]
     parents = []
-    for ledge, g, sigma, ccw in _sides(plan.target.cell, cell, vertex_ids):
-        parents.append((f"edge{g}", sigma * _flip(ledge.cell.n_modes(p), sigma)))
-        q1 = quadrature(ledge.cell, plan.quad_degree)
-        pv = _eval_rows(cell, 1, deg, psi,
-                        ledge.embed(sigma * q1.points[:, 0]))[:, :, 0]
+    for ledge, key, sigma, ccw, pts, w in _sides(
+            plan.target.cell, cell, piece.vertex_ids, plan.quad_degree):
+        parents.append((key, sigma * _flip(ledge.cell.n_modes(p), sigma)))
+        pv = _eval_rows(cell, 1, deg, psi, pts)[:, :, 0]
         tvals = pv[:, :, None] * (frame @ ledge.tangent)[None, None, :]
-        energy.append((f"edge{g}", ccw * _weighted(tvals, q1.weights)))
-    restrict = Q.basis if slot_restrict is None else Q.basis @ slot_restrict
+        energy.append((key, ccw * _weighted(tvals, w)))
+    # Q.basis alone on the cell: an identity product can flip a zero's sign
+    restrict = Q.basis if face is None else Q.basis @ _trace(plan, piece)
     return _mixed_stage(
-        name, Q, ps.build_space(cell, "hcurl_bubble", p), restrict,
+        piece.name, Q, ps.build_space(cell, "hcurl_bubble", p), restrict,
         ps.boundary_traces(cell, deg, "tangential", keep=p), parents,
         grads, psi, "curl2d_vector", energy,
     )
 
 
-# ---------------------------------------------------------------------------
-# stage lists of the operator families
-
-
-def _grad_stages(plan, cell, p):
-    deg = plan.target.degree
-    eye = np.eye(len(cell.vertices))
-    plan.sample_points["vertices"] = cell.vertices
-    plan.stages.append(_stage("vertices", cell.tabulate(deg, cell.vertices).T,
-                              eye, eye, [("vertices", eye)]))
-    interior = np.eye(cell.n_modes(deg))
-    if cell.dim == 1:
-        rule = _graded_interval_rule()
-        plan.sample_points["vol"] = rule[0][:, None]
-        plan.stages.append(_segment_stage("interior", cell, deg, interior,
-                                          (0, 1), "vol", rule,
-                                          cell.vertices[:, 0]))
-        return
-    for edge in cell_edges(cell):
-        key = f"edge{edge.index}"
-        q1 = quadrature(edge.cell, plan.quad_degree)
-        plan.sample_points[key] = edge.embed(q1.points)
-        plan.stages.append(_segment_stage(
-            key, edge.cell, deg, ps.trace_matrix(cell, deg, edge),
-            edge.vertex_ids, key, (q1.points[:, 0], q1.weights),
-            (cell.vertices - edge.midpoint) @ edge.tangent,
-        ))
-    q = quadrature(cell, plan.quad_degree)
-    if cell.dim == 2:
-        plan.sample_points["vol"] = q.points
-        plan.stages.append(_triangle_stage(
-            plan, "interior", cell, (0, 1, 2), deg, interior,
-            "vol", (q.points, q.weights),
-        ))
-        return
-    fluxes = []
-    faces = tet_faces(cell)
-    for face in faces:
-        key = f"face{face.index}"
-        q2 = quadrature(face.cell, plan.quad_degree)
-        plan.sample_points[key] = face.embed(q2.points)
-        plan.stages.append(_triangle_stage(
-            plan, key, face.cell, face.vertex_ids, deg,
-            ps.trace_matrix(cell, deg, face), key,
-            (q2.points, q2.weights),
-        ))
-        fluxes.append((key, face.embed(q2.points), q2.weights,
-                       np.broadcast_to(face.normal, (len(q2.weights), 3))))
-    plan.sample_points["vol"] = q.points
-    parents = [(f"face{f.index}", np.eye(f.cell.n_modes(deg))) for f in faces]
-    plan.stages.append(_stiffness_stage(
-        "interior", cell, deg, interior,
-        ps.boundary_traces(cell, deg), parents,
-        ("vol", q.points, q.weights), fluxes,
-    ))
-
-
-def _curl_stages(plan, cell, p):
+def _curl_interior(plan, piece):
+    """Edge-element stage on the tetrahedron, fed by its faces' stages:
+    (curl u, curl W) = (u, curl curl W) - (Pi_tau u, gamma_tau curl W)."""
+    cell, p, Q = piece.cell, plan.p, plan.target
     deg = p + 1
-    for edge in cell_edges(cell):
-        key = f"edge{edge.index}"
-        q1 = quadrature(edge.cell, plan.quad_degree)
-        plan.sample_points[key] = edge.embed(q1.points)
-        T = ps.trace_matrix(cell, deg, edge, "tangential")
-        plan.stages.append(_l2_stage(key, edge.cell, p,
-                                     T[: edge.cell.n_modes(p)], key,
-                                     (q1.points, q1.weights), edge.tangent))
-    Q = plan.target
-    q = quadrature(cell, plan.quad_degree)
-    if cell.dim == 2:
-        plan.sample_points["vol"] = q.points
-        plan.stages.append(_edge_element_stage(
-            plan, "interior", cell, (0, 1, 2), p, None,
-            np.eye(2), "vol", (q.points, q.weights),
-        ))
-        return
-    face_rules = []
-    faces = tet_faces(cell)
-    for face in faces:
-        key = f"face{face.index}"
-        q2 = quadrature(face.cell, plan.quad_degree)
-        face_rules.append(q2)
-        plan.sample_points[key] = face.embed(q2.points)
-        plan.stages.append(_edge_element_stage(
-            plan, key, face.cell, face.vertex_ids, p,
-            ps.trace_matrix(cell, deg, face, "tangential"), face.frame, key,
-            (q2.points, q2.weights),
-        ))
-    plan.sample_points["vol"] = q.points
-    # (curl u, curl W) = (u, curl curl W) - (Pi_tau u, gamma_tau curl W)
     W = diff_rows("curl3d", ps.build_space(cell, "hcurl_bubble_orth", p))
     curl_W = diff_rows("curl3d", ps.PolySpace(cell, 3, deg, W))
     grads = diff_rows("grad", ps.build_space(cell, "h1_bubble", p))
-    Vq = cell.tabulate(deg, q.points)
-    energy = [("vol", _stacked_moments(Vq, q.weights, [(curl_W, False),
-                                                       (grads, False)]))]
+    Vq = cell.tabulate(deg, piece.rule[0])
+    energy = [(piece.region, _stacked_moments(
+        Vq, piece.rule[1], [(curl_W, False), (grads, False)]))]
     del Vq  # the largest table; freed before the stage's own peak
-    for face, q2 in zip(faces, face_rules):
-        amb = face.embed(q2.points)
-        tang = np.einsum("mpk,kl->mpl", _eval_rows(cell, 3, deg, W, amb),
-                         face.frame)
-        gamma = np.stack([-tang[..., 1], tang[..., 0]], axis=-1)
-        back = np.einsum("mpl,kl->mpk", gamma, face.frame)
-        energy.append((f"face{face.index}", -_weighted(back, q2.weights)))
-    parents = [(f"face{f.index}", np.eye(2 * f.cell.n_modes(deg)))
-               for f in faces]
-    plan.stages.append(_mixed_stage(
-        "interior", Q, ps.build_space(cell, "hcurl_bubble", p),
-        Q.basis, ps.boundary_traces(cell, deg, "tangential"), parents,
-        grads, W, "curl3d", energy,
-    ))
-
-
-def _div_stages(plan, cell, p):
-    deg = p + 1
-    face_rules = []
-    faces = tet_faces(cell)
+    faces = plan.pieces[2]
     for face in faces:
-        key = f"face{face.index}"
-        q2 = quadrature(face.cell, plan.quad_degree)
-        face_rules.append(q2)
-        plan.sample_points[key] = face.embed(q2.points)
-        T = ps.trace_matrix(cell, deg, face, "normal")
-        plan.stages.append(_l2_stage(key, face.cell, p,
-                                     T[: face.cell.n_modes(p)], key,
-                                     (q2.points, q2.weights), face.normal))
-    q = quadrature(cell, plan.quad_degree)
-    plan.sample_points["vol"] = q.points
-    V = plan.target
+        frame = face.boundary.frame
+        tang = np.einsum("mpk,kl->mpl",
+                         _eval_rows(cell, 3, deg, W, face.points), frame)
+        gamma = np.stack([-tang[..., 1], tang[..., 0]], axis=-1)
+        back = np.einsum("mpl,kl->mpk", gamma, frame)
+        energy.append((face.region, -_weighted(back, face.rule[1])))
+    parents = [(f.name, np.eye(2 * f.cell.n_modes(deg))) for f in faces]
+    return _mixed_stage(
+        piece.name, Q, ps.build_space(cell, "hcurl_bubble", p), Q.basis,
+        ps.boundary_traces(cell, deg, "tangential"), parents,
+        grads, W, "curl3d", energy,
+    )
+
+
+def _div_interior(plan, piece):
+    """Face-element stage on the tetrahedron, fed by its faces' stages:
+    (div u, div v) = -(u, grad div v) + (u.n, div v)_boundary."""
+    cell, p, V = piece.cell, plan.p, plan.target
+    deg = p + 1
     Vb = ps.build_space(cell, "hdiv_bubble", p)
     curls = ps.span_from_rows(
         diff_rows("curl3d", ps.build_space(cell, "hcurl_bubble", p)))
     divs = diff_rows("div", ps.subspace_from_constraints(Vb, curls))
-    # (div u, div v) = -(u, grad div v) + (u.n, div v)_boundary
     grad_div = diff_slots("grad", ps.scalar_space(cell, deg), divs)
-    Vq = cell.tabulate(deg, q.points)
-    energy = [("vol", _stacked_moments(Vq, q.weights, [(grad_div, True),
-                                                       (curls, False)]))]
+    Vq = cell.tabulate(deg, piece.rule[0])
+    energy = [(piece.region, _stacked_moments(
+        Vq, piece.rule[1], [(grad_div, True), (curls, False)]))]
     del Vq  # the largest table; freed before the stage's own peak
-    for face, q2 in zip(faces, face_rules):
-        dvals = _eval_rows(cell, 1, deg, divs, face.embed(q2.points))[:, :, 0]
-        nvals = dvals[:, :, None] * face.normal[None, None, :]
-        energy.append((f"face{face.index}", _weighted(nvals, q2.weights)))
-    parents = [(f"face{f.index}", np.eye(f.cell.n_modes(p))) for f in faces]
-    plan.stages.append(_mixed_stage(
-        "interior", V, Vb, V.basis,
+    faces = plan.pieces[2]
+    for face in faces:
+        dvals = _eval_rows(cell, 1, deg, divs, face.points)[:, :, 0]
+        nvals = dvals[:, :, None] * face.boundary.normal[None, None, :]
+        energy.append((face.region, _weighted(nvals, face.rule[1])))
+    parents = [(f.name, np.eye(f.cell.n_modes(p))) for f in faces]
+    return _mixed_stage(
+        piece.name, V, Vb, V.basis,
         ps.boundary_traces(cell, deg, "normal", keep=p), parents,
         curls, divs, "div", energy,
-    ))
+    )
 
 
-def _l2_stages(plan, cell, p):
-    q = quadrature(cell, plan.quad_degree)
-    plan.sample_points["vol"] = q.points
-    plan.stages.append(_l2_stage("interior", cell, p,
-                                 np.eye(cell.n_modes(p)), "vol",
-                                 (q.points, q.weights)))
+# the stage builders of a piece of dimension m: _STAGES[slot][m - slot]
+_STAGES = (
+    (_vertex_stage, _segment_stage, _triangle_stage, _grad_interior),
+    (_l2_stage, _edge_element_stage, _curl_interior),
+    (_l2_stage, _div_interior),
+    (_l2_stage,),
+)
 
 
 def target_space(operator, p):
@@ -516,7 +492,8 @@ def target_space(operator, p):
 class ProjectorPlan:
     """Staged solver for one interpolation operator at one degree.
 
-    `target` is `target_space(operator, p)`, read by the stage builders;
+    `target` is `target_space(operator, p)` and `pieces` maps each piece
+    dimension m to `_pieces`' list, both read by the stage builders;
     `stages` is the ordered stage list, and the last stage's output is the
     target slot vector. Immutable after construction; `apply` allocates no
     shared state and may run concurrently on different fields.
@@ -533,10 +510,13 @@ class ProjectorPlan:
         self.quad_degree = min(2 * (p + 2) + 14, 40)
         self.sample_points = {}
         self.stages = []
+        self.pieces = {}
         dim, slot = OPERATORS[operator]
-        # H1, H(curl) and H(div) below the top slot, which is L2 on any cell
-        stages = (_grad_stages, _curl_stages, _div_stages, _l2_stages)
-        stages[slot if slot < dim else -1](self, self.target.cell, p)
+        for m in range(slot, dim + 1):
+            self.pieces[m] = _pieces(self.target.cell, m, self.quad_degree)
+            for piece in self.pieces[m]:
+                self.sample_points[piece.region] = piece.points
+                self.stages.append(_STAGES[slot][m - slot](self, piece))
 
     def apply(self, field, check_tol=None):
         """Interpolate an evaluable field; returns target slot coefficients."""

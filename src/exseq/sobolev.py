@@ -271,19 +271,18 @@ def _l2sq(weights, diff):
     return float(np.einsum("q,qi->", weights, diff**2))
 
 
-def error_in_norm(space, field, slots, quad, norm, table=None):
+def error_in_norm(space, field, slots, quad, norm, table):
     """Quadrature error ||field - polynomial|| in the requested integer norm.
 
     Sums the squared L2 errors of d^alpha, over the multi-indices of the
     norm's order, of the value and, for graph norms, of the family derivative
     of field and polynomial alike; fractional norms are handled by their
-    surrogate forms elsewhere. `table`, if given, is the modal table of the
-    space's degree at the rule's points.
+    surrogate forms elsewhere. `table` is the modal table of the space's
+    degree at the rule's points.
     """
     if norm not in _ORDER:
         raise ValueError(f"no direct error formula for norm {norm!r}")
     cell, pts = space.cell, quad.points
-    V = cell.tabulate(space.degree, pts) if table is None else table
     parts = [(field, space.value_dim, slots)]
     name = _graph_derivative(norm, cell.dim)
     if name:
@@ -295,13 +294,13 @@ def error_in_norm(space, field, slots, quad, norm, table=None):
         comps = np.reshape(sl, (vd, -1))
         for alpha, weight in _derivative_multiindices(cell.dim, _ORDER[norm]):
             fv = f.jet(pts, alpha)
-            pv = (comps @ ps.deriv_alpha(cell, space.degree, alpha).T) @ V
+            pv = (comps @ ps.deriv_alpha(cell, space.degree, alpha).T) @ table
             total += weight * _l2sq(quad.weights, fv - pv.T.reshape(fv.shape))
     return float(np.sqrt(total))
 
 
-def best_approx(space, fields, norm="L2", rich_degree=None, s=0.5, quad=None,
-                table=None, top=None):
+def best_approx(space, fields, norm, quad, table, rich_degree=None, s=0.5,
+                top=None):
     """Best approximations of a sequence of analytic fields in `space`.
 
     norm:
@@ -316,10 +315,10 @@ def best_approx(space, fields, norm="L2", rich_degree=None, s=0.5, quad=None,
     the quadrature error in the norm for integer norms and the surrogate-form
     error for the fractional ones.
 
-    quad defaults to the rule of degree min(2 * degree + 14, 40). The integer
-    norms read one modal table of the space's degree at its points, for the
-    pairings and the error alike: `table` if given, else a fresh one. The
-    fractional norms pair with the rich modes and read no such table.
+    quad is the rule of the pairings and the errors. The integer norms read
+    `table`, the modal table of the space's degree at its points, for the
+    pairings and the error alike. The fractional norms pair with the rich
+    modes of degree `rich_degree` and read no such table.
 
     The field-independent forms live for this call only and serve every
     field: the H2/H1full Gram of the basis, the H1curl Cholesky factor, and
@@ -329,13 +328,11 @@ def best_approx(space, fields, norm="L2", rich_degree=None, s=0.5, quad=None,
     pairings, solve and error.
     """
     cell = space.cell
-    q = quadrature(cell, min(2 * space.degree + 14, 40)) if quad is None else quad
     if norm in ("Hhalf", "Hhalf_div", "Hhalf_curl"):
-        return _fractional_best_approx(space, fields, norm, s, rich_degree, q,
-                                       top)
+        return _fractional_best_approx(space, fields, norm, s, rich_degree,
+                                       quad, top)
     if norm not in _ORDER:
         raise ValueError(f"unknown norm {norm!r}")
-    V = cell.tabulate(space.degree, q.points) if table is None else table
 
     if norm in ("H1full", "H2"):
         g = gram(cell, space.degree)
@@ -345,15 +342,16 @@ def best_approx(space, fields, norm="L2", rich_degree=None, s=0.5, quad=None,
     out = []
     for field in fields:
         if norm == "L2":
-            b = mode_pairings(V, q.weights, field(q.points)).ravel()
+            b = mode_pairings(table, quad.weights, field(quad.points)).ravel()
             coords = space.basis @ b
         elif norm == "H1curl":
-            coords = _h1curl_minimizer(space, field, q, V, cho, dcomp)
+            coords = _h1curl_minimizer(space, field, quad, table, cho, dcomp)
         else:
-            rhs = _jet_pairings(space, field, q, _ORDER[norm], V)
+            rhs = _jet_pairings(space, field, quad, _ORDER[norm], table)
             coords = np.linalg.solve(A, rhs)
         slots = coords @ space.basis
-        out.append((slots, error_in_norm(space, field, slots, q, norm, V)))
+        err = error_in_norm(space, field, slots, quad, norm, table)
+        out.append((slots, err))
     return out
 
 
@@ -387,14 +385,13 @@ def _h1curl_minimizer(space, field, q, V, cho, dcomp):
     return scipy.linalg.cho_solve(cho, rhs)
 
 
-def _fractional_best_approx(space, fields, norm, s, rich_degree, q, top):
+def _fractional_best_approx(space, fields, norm, s, P, q, top):
     """The rich-space fractional minimizers of the fields, on one
     `SobolevGram(cell, P, top)` built for this call: the factored form and,
     per block (the value, then for graph norms the derivative), the rows and
     the H_s images of their rich-degree copies, (dim, value_dim, n_modes(P)),
     serve every field, and so does one rich modal table on the rule."""
     cell = space.cell
-    P = rich_degree or (space.degree + 6)
     g = SobolevGram(cell, P, top)
     blocks = [(space.basis, space.value_dim)]
     name = _graph_derivative(norm, cell.dim)

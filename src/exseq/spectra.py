@@ -66,6 +66,18 @@ def friedrichs_constant(case, p):
     return 1.0 / np.sqrt(lam_min), lam_min, sub.dim
 
 
+def friedrichs_rows(p_min, p_max):
+    """The Friedrichs sweep, case by case and then degree by degree: one row
+    per (case, p) whose constrained subspace is not empty."""
+    for case in FRIEDRICHS_CASES:
+        for p in range(p_min, p_max + 1):
+            C, lam, dim = friedrichs_constant(case, p)
+            if dim:
+                yield {"case": case, "p": p, "constant": float(C),
+                       "min_singular_value": float(np.sqrt(max(lam, 0.0))),
+                       "dim": dim}
+
+
 # ---------------------------------------------------------------------------
 # discrete liftings
 

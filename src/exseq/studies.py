@@ -20,7 +20,8 @@ from . import polyspace as ps
 from . import projectors as pj
 from . import sobolev as sb
 from . import spectra as spc
-from .refsimplex import MAX_QUAD_DEGREE, make_reference_cell, quadrature
+from .refsimplex import (MAX_QUAD_DEGREE, graded_interval_rule,
+                         make_reference_cell, quadrature)
 
 P_CAP = {1: 20, 2: 10, 3: 10}
 
@@ -256,7 +257,7 @@ def _degree_data(op, p, suite, dual_offset, pairing_degree, top):
     study = quadrature(cell, min(2 * target.degree + 14, 40))
     table = cache.freeze(cell.tabulate(target.degree, study.points))
     if cell.dim == 1:  # the interval's errors keep the graded rule
-        pts, w = pj._graded_interval_rule()
+        pts, w = graded_interval_rule()
         errors = (pts[:, None], w, cell.tabulate(target.degree, pts[:, None]))
     else:
         errors = (study.points, study.weights, table)
@@ -394,7 +395,7 @@ _PROJECTION_SAMPLES = 40  # target elements per operator, over all degrees
 _POINCARE_SAMPLES = 6  # random elements per right-inverse identity
 
 
-def run_verification(p_max=6, seed=0):
+def run_verification(p_max, seed):
     """Dimension counts, sequence checks, projections, commuting, right
     inverses, splittings and the Friedrichs sweep; pass/fail plus residuals.
 
@@ -504,26 +505,18 @@ def run_verification(p_max=6, seed=0):
         )
     report["sections"]["liftings"] = {"ok": ok_lift, "per_p": lift_rows}
 
+    fried_rows = list(spc.friedrichs_rows(1, min(p_max, 8)))
     fried = []
-    ok_fried = True
     for case in spc.FRIEDRICHS_CASES:
-        Cs = []
-        for p in range(1, min(p_max, 8) + 1):
-            C, lam, dim = spc.friedrichs_constant(case, p)
-            if dim:
-                Cs.append((p, C))
-        if Cs:
-            vals = [c for _, c in Cs]
-            ratio = max(vals) / min(vals)
-            ok = bool(ratio <= 2.0 and min(vals) > 0)
-            empty = False
-        else:
-            # no degree in range populates the subspace; vacuously true
-            ratio, ok, empty = float("nan"), True, True
-        ok_fried = ok_fried and ok
-        fried.append({"case": case, "ok": ok, "empty": empty, "ratio": ratio,
-                      "constants": [[p, c] for p, c in Cs]})
-    report["sections"]["friedrichs"] = {"ok": ok_fried, "cases": fried}
+        Cs = [[r["p"], r["constant"]] for r in fried_rows if r["case"] == case]
+        vals = [c for _, c in Cs]
+        # a case that no degree in range populates is vacuously true
+        ratio = max(vals) / min(vals) if vals else float("nan")
+        ok = not vals or bool(ratio <= 2.0 and min(vals) > 0)
+        fried.append({"case": case, "ok": ok, "empty": not vals,
+                      "ratio": ratio, "constants": Cs})
+    report["sections"]["friedrichs"] = {
+        "ok": all(c["ok"] for c in fried), "cases": fried}
 
     report["ok"] = all(s["ok"] for s in report["sections"].values())
     return report

@@ -134,7 +134,7 @@ def test_grad_orthogonal_subspace(rc3):
     full = ps.build_space(rc3, "hcurl", p)
     scalar = ps.build_space(rc3, "h1", p)
     assert perp.dim == full.dim - (scalar.dim - 1)
-    rows = ps.gradient_rows(rc3, scalar, full.degree)
+    rows = ps.gradient_rows(scalar, full.degree)
     assert np.abs(rows @ perp.basis.T).max() < 1e-10
 
 
@@ -296,7 +296,7 @@ def test_trace_matrix_parts_are_frame_blocks_of_the_scalar_trace(rc2, rc3):
     cases += [(cell, e, "tangential", e.tangent[:, None])
               for cell, sides in _triangles(rc2, rc3) for e in sides]
     for cell, sub, part, frame in cases:
-        T = ps.trace_matrix(cell, deg, sub)
+        T = ps.trace_matrix(cell, deg, sub, None)
         assert T.shape == (sub.cell.n_modes(deg), cell.n_modes(deg))
         assert np.array_equal(ps.trace_matrix(cell, deg, sub, part),
                               _frame_blocks(T, frame))

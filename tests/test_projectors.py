@@ -10,8 +10,8 @@ from exseq import calculus as ca
 from exseq import fields as fl
 from exseq import polyspace as ps
 from exseq import projectors as pj
-from exseq.refsimplex import (cell_edges, make_reference_cell, quadrature,
-                              tet_faces)
+from exseq.refsimplex import (cell_edges, graded_interval_rule,
+                              make_reference_cell, quadrature, tet_faces)
 
 
 def _stage_conditions(plan):
@@ -155,8 +155,24 @@ def test_commuting_check_reads_a_one_shot_iterable(p):
     assert got == ref
 
 
-@pytest.mark.parametrize("operator, stages", [("curl3d", pj._curl_stages),
-                                              ("div3d", pj._div_stages)])
+@pytest.mark.parametrize("p", [0, 1, 3, 5])
+@pytest.mark.parametrize("op3, op2", [("grad3d", "grad2d"),
+                                      ("curl3d", "curl2d")])
+def test_face_stage_is_the_triangle_interior_stage(op3, op2, p):
+    # the 3D operator restricted to a face is the 2D operator of its slot:
+    # faces 1-3 chart exactly onto the reference triangle, so their stages
+    # are the triangle's interior stage bit for bit
+    stages3 = {st.name: st for st in pj.ProjectorPlan(op3, p).stages}
+    interior = pj.ProjectorPlan(op2, p).stages[-1]
+    for k in (1, 2, 3):
+        face = stages3[f"face{k}"]
+        for field in ("conditions", "bubbles", "trace", "lift"):
+            assert np.array_equal(getattr(face, field),
+                                  getattr(interior, field)), (k, field)
+
+
+@pytest.mark.parametrize("operator, stages", [("curl3d", pj._curl_interior),
+                                              ("div3d", pj._div_interior)])
 def test_interior_table_is_freed_before_the_interior_stage(operator, stages,
                                                            monkeypatch):
     # the interior rule's modal table Vq is read only by the stacked
@@ -348,7 +364,7 @@ def test_apply_1d_seminorm_orthogonality():
 def test_monotone_error_1d_singular():
     f = fl.suite("singular", 1)[0]
     errs = []
-    pts, w = pj._graded_interval_rule()
+    pts, w = graded_interval_rule()
     for p in (2, 5, 8, 12):
         plan = pj.ProjectorPlan("grad1d", p)
         slots = plan.apply(f)

@@ -65,8 +65,9 @@ def test_boundary_orientation_right_hand_rule(rc3):
     for face in rs.tet_faces(rc3):
         centroid = rc3.vertices[list(face.vertex_ids)].mean(axis=0)
         pieces = []
-        for _, g, sigma, ccw in pj._sides(rc3, face.cell, face.vertex_ids):
-            edge = rs.cell_edges(rc3)[g]
+        for _, key, sigma, ccw, _, _ in pj._sides(rc3, face.cell,
+                                                  face.vertex_ids, 4):
+            edge = rs.cell_edges(rc3)[int(key.removeprefix("edge"))]
             side = ccw * sigma * edge.tangent * edge.cell.measure
             pieces.append(side)
             # each oriented side runs counterclockwise about the normal

@@ -186,10 +186,9 @@ def _passes(call, index, name):
     return any(kw.arg in (name, None) for kw in call.keywords)
 
 
-def test_every_default_is_set_by_a_caller():
-    # every defaulted parameter of a top-level function is passed by some
-    # call in src/: a default that no package caller overrides is a
-    # constant, and a knob that only tests turn belongs in tests/
+def _defaults_and_calls():
+    """Every defaulted parameter of a top-level function, as (function,
+    position or None, name), and the package's calls by the name called."""
     trees = _trees()
     calls = defaultdict(list)
     for tree in trees.values():
@@ -197,20 +196,47 @@ def test_every_default_is_set_by_a_caller():
             if isinstance(node, ast.Call):
                 name = getattr(node.func, "id", getattr(node.func, "attr", ""))
                 calls[name].append(node)
-    unset = set()
+    defaults = []
     for tree in trees.values():
         for fn in tree.body:
             if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
             a = fn.args
             positional = a.posonlyargs + a.args
-            defaulted = [(i, arg.arg) for i, arg in enumerate(positional)
+            defaults += [(fn.name, i, arg.arg)
+                         for i, arg in enumerate(positional)
                          if i >= len(positional) - len(a.defaults)]
-            defaulted += [(None, arg.arg) for arg, default
-                          in zip(a.kwonlyargs, a.kw_defaults) if default]
-            unset |= {f"{fn.name}({name})" for i, name in defaulted
-                      if not any(_passes(c, i, name) for c in calls[fn.name])}
+            defaults += [(fn.name, None, arg.arg) for arg, default
+                         in zip(a.kwonlyargs, a.kw_defaults) if default]
+    return defaults, calls
+
+
+def test_every_default_is_set_by_a_caller():
+    # every defaulted parameter of a top-level function is passed by some
+    # call in src/: a default that no package caller overrides is a
+    # constant, and a knob that only tests turn belongs in tests/
+    defaults, calls = _defaults_and_calls()
+    unset = {f"{fn}({name})" for fn, i, name in defaults
+             if not any(_passes(c, i, name) for c in calls[fn])}
     assert sorted(unset - set(_UNSET_DEFAULTS)) == []
+
+
+def test_every_default_is_relied_on():
+    # every defaulted parameter of a top-level function is left out by some
+    # call in src/: a default that every package caller overrides is a
+    # required parameter. A call through ** may leave out any keyword, so
+    # it relies on every default it could carry
+    defaults, calls = _defaults_and_calls()
+
+    def sets(call, index, name):
+        return (index is not None and any(
+            i == index or isinstance(arg, ast.Starred) and i <= index
+            for i, arg in enumerate(call.args))
+            or any(kw.arg == name for kw in call.keywords))
+
+    always = {f"{fn}({name})" for fn, i, name in defaults
+              if all(sets(c, i, name) for c in calls[fn])}
+    assert sorted(always) == []
 
 
 def test_only_refsimplex_builds_cells():
