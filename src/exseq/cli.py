@@ -6,7 +6,6 @@ usage errors (argparse's convention).
 """
 
 import argparse
-import json
 import sys
 
 import numpy as np
@@ -190,10 +189,8 @@ def _dispatch(args):
                     for k in range(len(v)):
                         row[f"value{k}"] = float(v[k])
                     rows.append(row)
-        if args.format == "json":
-            _emit(json.dumps(docs, indent=1) + "\n", args.out)
-        else:
-            _emit(st.format_rows(rows, "csv"), args.out)
+        _emit(st.format_rows(docs if args.format == "json" else rows,
+                             args.format), args.out)
         return 0
 
     raise ValueError(f"unknown command {args.command!r}")

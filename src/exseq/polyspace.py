@@ -22,20 +22,6 @@ from .refsimplex import quadrature, tet_faces, triangle_edges
 
 SVD_CUTOFF = 1e-10
 
-KINDS = (
-    "h1",
-    "l2",
-    "hcurl",
-    "hdiv",
-    "h1_bubble",
-    "hcurl_bubble",
-    "hdiv_bubble",
-    "h1_zero_mean",
-    "l2_zero_mean",
-    "hcurl_orth",
-    "hcurl_bubble_orth",
-)
-
 
 class PolySpace:
     """A finite-dimensional polynomial space on a simplex cell.
@@ -385,6 +371,7 @@ _CUTS = {
     "hcurl_orth": ("hcurl", "h1"),
     "hcurl_bubble_orth": ("hcurl_bubble", "h1_bubble"),
 }
+KINDS = (*_BASES, *_CUTS)
 
 
 @cache.memo

@@ -54,7 +54,7 @@ from .refsimplex import (cell_edges, graded_interval_rule, make_reference_cell,
 def _pinv(mat):
     # rank decisions must match the package-wide SVD cutoff; numpy's
     # default rcond can keep null-space noise at higher degrees
-    return np.linalg.pinv(mat, rcond=1e-10)
+    return np.linalg.pinv(mat, rcond=ps.SVD_CUTOFF)
 
 
 def _eval_rows(cell, vd, degree, rows, pts):

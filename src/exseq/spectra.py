@@ -39,11 +39,7 @@ def constrained_subspace(case, p):
     cell = make_reference_cell(dim).cell
     parent = ps.build_space(cell, kind, p)
     vec = ps.build_space(cell, constraint_kind, p)
-    rows = (
-        diff_rows(COMPLEX[dim][slot - 1], vec)
-        if vec.dim
-        else np.zeros((0, parent.value_dim * parent.n_modes))
-    )
+    rows = diff_rows(COMPLEX[dim][slot - 1], vec)
     return ps.subspace_from_constraints(parent, rows), rows
 
 
@@ -103,7 +99,7 @@ def discrete_lifting_curl(p, w_slots):
     tet = make_reference_cell(3).cell
     Qb = ps.build_space(tet, "hcurl_bubble", p)
     Wb = ps.build_space(tet, "h1_bubble", p)
-    grads = diff_rows("grad", Wb) if Wb.dim else np.zeros((0, Qb.basis.shape[1]))
+    grads = diff_rows("grad", Wb)
     traces = ps.boundary_traces(tet, p + 1, "tangential")
     return _saddle_lifting(ps.build_space(tet, "hcurl", p), Qb, grads, "curl3d",
                            traces, w_slots)
@@ -114,12 +110,8 @@ def discrete_lifting_div(p, w_slots):
     tet = make_reference_cell(3).cell
     Vb = ps.build_space(tet, "hdiv_bubble", p)
     Qperp = ps.build_space(tet, "hcurl_bubble_orth", p)
-    curls = (
-        ps.pad_slots(diff_rows("curl3d", Qperp), tet, 3, Qperp.degree,
-                     Vb.degree)
-        if Qperp.dim
-        else np.zeros((0, Vb.basis.shape[1]))
-    )
+    curls = ps.pad_slots(diff_rows("curl3d", Qperp), tet, 3, Qperp.degree,
+                         Vb.degree)
     traces = ps.boundary_traces(tet, p + 1, "normal", keep=p)
     return _saddle_lifting(ps.build_space(tet, "hdiv", p), Vb, curls, "div",
                            traces, w_slots)
@@ -131,7 +123,7 @@ def _saddle_lifting(space, bubbles, constraints, deriv, traces, w_slots):
     `constraints @ u = 0` by one saddle-point solve."""
     stack = traces @ space.basis.T
     data = traces @ np.asarray(w_slots, dtype=float)
-    w_E = space.basis.T @ (np.linalg.pinv(stack, rcond=1e-10) @ data)
+    w_E = space.basis.T @ (np.linalg.pinv(stack, rcond=ps.SVD_CUTOFF) @ data)
     if bubbles.dim == 0:
         return LiftingResult(
             space, w_E, 0.0,
@@ -147,13 +139,13 @@ def _saddle_lifting(space, bubbles, constraints, deriv, traces, w_slots):
     K[:n, n:] = B.T
     K[n:, :n] = B
     rhs = np.concatenate([d_b @ diff_slots(deriv, space, w_E), constraints @ w_E])
-    sol = np.linalg.solve(K, rhs) if n + m else np.zeros(0)
+    sol = np.linalg.solve(K, rhs)
     w0 = sol[:n] @ bubbles.basis
     mult = sol[n:]
     out = w_E - w0
     trace_res = float(np.abs(stack @ (space.basis @ out) - data).max())
     orth = float(np.abs(constraints @ out).max()) if m else 0.0
-    smin = float(np.linalg.svd(K, compute_uv=False)[-1]) if n + m else np.inf
+    smin = float(np.linalg.svd(K, compute_uv=False)[-1])
     return LiftingResult(space, out, float(np.linalg.norm(mult)), trace_res,
                          orth, smin)
 

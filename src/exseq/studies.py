@@ -4,7 +4,8 @@ Rate sweeps measure the quasi-optimality ratio (interpolation error over the
 matching best-approximation infimum) so unknown stability constants drop
 out; slopes are fitted on the upper half of the degree range to skip
 preasymptotics. Records are merged in a deterministic sort order so fixed
-seeds give byte-identical output files.
+seeds give byte-identical output files. `_numerators` alone declares each
+slot's records, with their norms, Grams and dual test modes.
 """
 
 import json
@@ -103,8 +104,8 @@ class StudyConfig:
 
 def _gram_degrees(op, p, s, dual_offset):
     """Degrees of the Sobolev Grams that the records of (op, p, s) build:
-    the denominator's in `sobolev.best_approx` and the numerator's in
-    `_records_for`, whose dual degree is P."""
+    the denominator's in `sobolev.best_approx` and the numerators' that
+    `_numerators` declares, over the dual degree P."""
     dim, slot = ca.OPERATORS[op]
     target = p if dim == 1 else p + 1  # an L2 target needs no Gram
     P = p + 1 + dual_offset
@@ -114,13 +115,33 @@ def _gram_degrees(op, p, s, dual_offset):
         out.add(target + dual_offset)  # the rich space of the surrogate
     elif norm != "L2":
         out.add(target)
-    if slot == 0:
-        if 0.0 < s < 1.0:
-            out.add(P)  # the fractional norm of the value
-        if dim > 1:
-            out |= {P, P + 2}  # the gradient's dual norm and its P-stability
-    elif slot < dim and s > 0.0:
-        out.add(P)
+    # the s = 0 dual Grams too: read for their size only, they still set the
+    # stiffness top, which a later s = 1 pass of the process reuses
+    return out | {P + k for _, reading in _numerators(dim, slot, s)
+                  if not isinstance(reading, str) for k in reading[3]}
+
+
+def _numerators(dim, slot, s):
+    """The records of a slot at s in output order, as (norm id, reading):
+    the error's "l2" part, its "graph" part, or (form, order, rows, offsets),
+    the norm `form(g, b[rows, :g.n], order)` of pairing rows (row 0 pairs
+    e, the rest De) with the Gram g of each degree P + offset, a second
+    offset giving pstab. The forms are looked up on each call, so wrappers
+    installed on `sobolev` see them."""
+    if slot == dim:
+        return [("L2", "l2")]
+    if slot > 0:  # the curl / div graph norms
+        if s <= 0.0:
+            return [("Hgraph", "graph")]
+        return [(f"Hdual{s:g}", (sb.dual_norm, s, slice(None), (0,)))]
+    if s <= 0.0:
+        out = [("H1", "graph")]
+    elif s >= 1.0:
+        out = [("L2", "l2")]
+    else:
+        out = [(f"H{1 - s:g}", (sb.fractional_norm, 1.0 - s, 0, (0,)))]
+    if dim > 1:
+        out.append(("grad_dual", (sb.dual_norm, s, slice(1, None), (0, 2))))
     return out
 
 
@@ -161,8 +182,8 @@ def _error_l2_parts(plan, field, slots, pts, w, V):
     and the target's modal table V at its points, which serves the target's
     values and those of its derivative.
 
-    Returns (||e||, ||De||, (e, De, points, weights)); the L2 operators have
-    no derivative part, and None in its places.
+    Returns (||e||, ||De||, e, De) with e and De sampled at `pts`; the L2
+    operators have no derivative part, and None in its places.
     """
     target = plan.target
     cell = target.cell
@@ -175,21 +196,12 @@ def _error_l2_parts(plan, field, slots, pts, w, V):
     e = error(field, target.value_dim, slots)
     l2 = float(np.sqrt(sb._l2sq(w, e)))
     if slot == dim:
-        return l2, None, (e, None, pts, w)
+        return l2, None, e, None
     name = ca.COMPLEX[dim][slot]
     d = ca.DERIVATIVES[name]
     de = error(d.field(field), d.value_dim(cell.dim),
                ca.diff_slots(name, target, slots))
-    return l2, float(np.sqrt(sb._l2sq(w, de))), (e, de, pts, w)
-
-
-def _dual_norm(cell, P, s, pairings, top):
-    """Dual H^s norm over P_P(cell) of modal pairings (k, nm) taken with a
-    table of degree >= P. Modes nest by degree, so the leading n_modes(P)
-    columns are the degree-P pairings, and the Gram is the leading block of
-    the degree-`top` stiffness."""
-    g = sb.gram(cell, P, top)
-    return sb.dual_norm(g, pairings[:, : g.n], s)
+    return l2, float(np.sqrt(sb._l2sq(w, de))), e, de
 
 
 def run_convergence(cfg):
@@ -269,73 +281,57 @@ def _degree_data(op, p, suite, dual_offset, pairing_degree, top):
         kwargs["top"] = top
     parts = [_error_l2_parts(plan, f, plan.apply(f), *errors) for f in flds]
     del plan
-    pairings = _dual_pairings(cell, pairing_degree, parts)
+    pairings = [None] * len(flds)
+    if pairing_degree is not None:
+        # one table of dual test modes serves every field, one GEMM each
+        pts, w, _ = errors
+        V = cell.tabulate(pairing_degree, pts)
+        pairings = [sb.mode_pairings(V, w, np.column_stack([e, de]))
+                    for _, _, e, de in parts]
+        del V  # before the denominators
     dens = [den for _, den in sb.best_approx(target, flds, den_norm, quad=study,
                                              table=table, **kwargs)]
     return tuple((l2, dl2, den, b)
-                 for (l2, dl2, _), den, b in zip(parts, dens, pairings))
+                 for (l2, dl2, _, _), den, b in zip(parts, dens, pairings))
 
 
 def _pairing_degree(op, p, cfg):
-    """The degree of the dual test modes that the records of (op, p) read,
-    or None where none does: P + 2 for the gradient's dual norm and its
-    P-stability (dim > 1) and for the fractional value norm (0 < s < 1), P
-    for the curl/div dual norms at s > 0."""
+    """The degree of the dual test modes that the records of (op, p) read
+    at the config's s values, or None where no `_numerators` record reads
+    pairings: P + 2 in the H1 slot, P in the others."""
     dim, slot = ca.OPERATORS[op]
+    if all(isinstance(reading, str) for s in cfg.s_values
+           for _, reading in _numerators(dim, slot, s)):
+        return None
     P = p + 1 + cfg.dual_offset
-    if slot == 0 and (dim > 1 or any(0.0 < s < 1.0 for s in cfg.s_values)):
-        return P + 2
-    if 0 < slot < dim and any(s > 0.0 for s in cfg.s_values):
-        return P
-    return None
-
-
-def _dual_pairings(cell, degree, parts):
-    """Per field, the pairings of its errors (e, De) with the degree-`degree`
-    modes, or None if `degree` is None. One table serves every field, one
-    GEMM each; it is freed on return, before the denominators."""
-    if degree is None:
-        return [None] * len(parts)
-    _, _, (_, _, pts, w) = parts[0]
-    V = cell.tabulate(degree, pts)
-    return [sb.mode_pairings(V, w, np.column_stack([e, de]))
-            for _, _, (e, de, _, _) in parts]
+    # P + 2 in the H1 slot even where no Gram above P is read (grad1d at
+    # 0 < s < 1): pairings with the degree-P modes differ in roundoff from
+    # the leading columns of those with the degree-(P + 2) modes
+    return P + 2 if slot == 0 else P
 
 
 def _records_for(op, p, f, s, fdata, dual_offset, cell, top):
-    """The records of one (field, s) from the field's `_degree_data`, whose
-    pairings b are with the `_pairing_degree` modes; the norms' Grams are
-    leading blocks of the degree-`top` stiffness."""
-    dim, slot = ca.OPERATORS[op]
+    """The records of one (field, s) that `_numerators` declares, from the
+    field's `_degree_data`, whose pairings b are with the `_pairing_degree`
+    modes; the Grams are leading blocks of the degree-`top` stiffness."""
     l2, dl2, den, b = fdata
-
-    def record(norm_id, err, pstab=float("nan")):
-        return StudyRecord(op, p, f.name, s, norm_id, err, den,
-                           err / den if den > 0 else float("inf"), pstab)
-
-    if slot == dim:
-        return [record("L2", l2)]
     P = p + 1 + dual_offset
-    if slot == 0:
-        # b: row 0 pairs e, the rest grad e, with the degree-(P+2) modes
-        if s <= 0.0:
-            out = [record("H1", float(np.sqrt(l2**2 + dl2**2)))]
-        elif s >= 1.0:
-            out = [record("L2", l2)]
+    out = []
+    for norm_id, reading in _numerators(*ca.OPERATORS[op], s):
+        pstab = float("nan")
+        if reading == "l2":
+            err = l2
+        elif reading == "graph":
+            err = float(np.sqrt(l2**2 + dl2**2))
         else:
-            g = sb.gram(cell, P, top)
-            out = [record(f"H{1 - s:g}",
-                          sb.fractional_norm(g, b[0, : g.n], 1.0 - s))]
-        if dim > 1:
-            dn = _dual_norm(cell, P, s, b[1:], top)
-            dn2 = _dual_norm(cell, P + 2, s, b[1:], top)
-            out.append(record("grad_dual", dn,
-                              abs(dn2 - dn) / dn if dn > 0 else 0.0))
-        return out
-    # curl / div graph norms
-    if s <= 0.0:
-        return [record("Hgraph", float(np.sqrt(l2**2 + dl2**2)))]
-    return [record(f"Hdual{s:g}", _dual_norm(cell, P, s, b, top))]
+            form, order, rows, offsets = reading
+            err, *stab = [form(g, b[rows, : g.n], order) for g in
+                          (sb.gram(cell, P + k, top) for k in offsets)]
+            if stab:  # the relative change at the P-stability Gram
+                pstab = abs(stab[0] - err) / err if err > 0 else 0.0
+        out.append(StudyRecord(op, p, f.name, s, norm_id, err, den,
+                               err / den if den > 0 else float("inf"), pstab))
+    return out
 
 
 def fit_slopes(records, cfg):
@@ -648,12 +644,7 @@ def records_to_rows(records):
 
 def format_rows(rows, fmt):
     if fmt == "json":
-        clean = [
-            {k: (None if isinstance(v, float) and not np.isfinite(v) else v)
-             for k, v in r.items()}
-            for r in rows
-        ]
-        return json.dumps(clean, indent=1) + "\n"
+        return json.dumps(_json_values(rows), indent=1) + "\n"
     if fmt != "csv":
         raise ValueError(f"unknown format {fmt!r}")
     import csv
@@ -678,7 +669,7 @@ def _fmt_value(v):
 
 def format_report(report, fmt):
     if fmt == "json":
-        return json.dumps(report, indent=1, default=_json_default) + "\n"
+        return json.dumps(_json_values(report), indent=1) + "\n"
     lines = [f"verification p_max={report['p_max']} seed={report['seed']}"]
     for name, sec in report["sections"].items():
         lines.append(f"[{'PASS' if sec['ok'] else 'FAIL'}] {name}")
@@ -686,9 +677,15 @@ def format_report(report, fmt):
     return "\n".join(lines) + "\n"
 
 
-def _json_default(o):
-    if isinstance(o, (np.floating, np.integer, np.bool_)):
-        return o.item()
-    if isinstance(o, np.ndarray):
-        return o.tolist()
-    raise TypeError(f"cannot serialize {type(o)}")
+def _json_values(x):
+    """`x` with numpy values as Python ones and non-finite floats as None:
+    strict JSON (RFC 8259) has no token for them, so they are written null."""
+    if isinstance(x, (np.ndarray, np.generic)):
+        x = x.tolist()
+    if isinstance(x, dict):
+        return {k: _json_values(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_json_values(v) for v in x]
+    if isinstance(x, float) and not np.isfinite(x):
+        return None
+    return x

@@ -287,3 +287,19 @@ def test_reference_cells_are_read_at_once():
                     and id(node) not in read):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_every_pinv_reads_the_svd_cutoff():
+    # one rank cutoff: every pseudo-inverse decides rank by
+    # polyspace.SVD_CUTOFF, as the package's own SVD rank decisions do
+    found = []
+    for path, tree in _trees().items():
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call)
+                    and getattr(node.func, "attr",
+                                getattr(node.func, "id", "")) == "pinv"):
+                rcond = {k.arg: k.value for k in node.keywords}.get("rcond")
+                name = getattr(rcond, "attr", getattr(rcond, "id", None))
+                if name != "SVD_CUTOFF":
+                    found.append(f"{path.name}:{node.lineno}")
+    assert found == []

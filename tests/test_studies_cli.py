@@ -70,8 +70,13 @@ def test_verification_report_small():
     rep = st.run_verification(p_max=2, seed=1)
     assert rep["ok"], {k: v["ok"] for k, v in rep["sections"].items()}
     text = st.format_report(rep, "json")
-    parsed = json.loads(text)
+    parsed = json.loads(text, parse_constant=_refuse_constant)
     assert parsed["ok"] is True
+
+
+def _refuse_constant(token):
+    # strict JSON (RFC 8259) has no Infinity, -Infinity or NaN token
+    raise ValueError(f"non-standard JSON constant {token}")
 
 
 def test_full_verification_p6():
@@ -336,6 +341,43 @@ def test_gram_degrees_are_the_grams_a_sweep_builds(op, monkeypatch):
                                       s_values=s_values, dual_offset=2))
     assert built == set().union(
         *(st._gram_degrees(op, 1, s, 2) for s in s_values))
+
+
+@pytest.mark.parametrize("op", sorted(ca.OPERATORS))
+def test_records_read_no_gram_above_the_pairing_degree(op, monkeypatch):
+    # a record slices the leading g.n columns of its field's pairings, so no
+    # Gram it reads may be of a higher degree than the pairings' modes; and
+    # the pairings are built exactly when some record reads a Gram
+    from exseq import cache
+    from exseq import sobolev as sb
+
+    dim = ca.OPERATORS[op][0]
+    cfg = st.StudyConfig(operators=(op,), p_min=1, p_max=2, dual_offset=2,
+                         s_values=(0.0, 0.5, 1.0) + ((1.5, 2.0) if dim == 2
+                                                     else ()))
+    records_for, gram = st._records_for, sb.gram
+    inside, read = [], []
+
+    def records_spy(op, p, *args):
+        inside.append(p)
+        try:
+            return records_for(op, p, *args)
+        finally:
+            inside.pop()
+
+    def gram_spy(cell, degree, top=None):
+        if inside:
+            read.append((inside[-1], degree))
+        return gram(cell, degree, top)
+
+    monkeypatch.setattr(st, "_records_for", records_spy)
+    monkeypatch.setattr(sb, "gram", gram_spy)
+    cache.clear()
+    st.run_convergence(cfg)
+    pairing = {p: st._pairing_degree(op, p, cfg) for p in (1, 2)}
+    assert {p for p, _ in read} == {p for p, d in pairing.items()
+                                    if d is not None}
+    assert [(p, d) for p, d in read if d > pairing[p]] == []
 
 
 _SWEEP_OPS = ("grad3d", "curl3d", "div3d")
