@@ -20,10 +20,11 @@ class AnalyticField:
 
     `jets[alpha]` returns the derivative d^alpha of every component; fields
     built from symbolic expressions or polynomial coefficients provide jets
-    of any order, sampled black boxes only order zero.
+    of any order, sampled black boxes (a `jet_factory` of None) only order
+    zero.
     """
 
-    def __init__(self, name, dim, value_dim, func, jet_factory=None):
+    def __init__(self, name, dim, value_dim, func, jet_factory):
         self.name = name
         self.dim = dim
         self.value_dim = value_dim

@@ -368,7 +368,6 @@ _CUTS = {
     "hdiv_bubble": ("hdiv", "normal"),
     "h1_zero_mean": ("h1", "mean"),
     "l2_zero_mean": ("l2", "mean"),
-    "hcurl_orth": ("hcurl", "h1"),
     "hcurl_bubble_orth": ("hcurl_bubble", "h1_bubble"),
 }
 KINDS = (*_BASES, *_CUTS)

@@ -34,7 +34,7 @@ class SobolevGram:
 
     The modes are hierarchical, so the stiffness of this degree is the
     leading n x n block of the stiffness of any higher one. With a `top`, A1
-    is I plus that block of `_stiffness(cell, top)`; without one, it is
+    is I plus that block of `_stiffness(cell, top)`; with None, it is
     I + sum D_i^T D_i from this degree's derivative matrices. The two agree
     to roundoff only (see `gram` for who reads which).
 
@@ -47,7 +47,7 @@ class SobolevGram:
     derivative matrices.
     """
 
-    def __init__(self, cell, degree, top=None):
+    def __init__(self, cell, degree, top):
         if top is not None and top < degree:
             raise ValueError(f"stiffness degree {top} below the Gram's {degree}")
         self.cell = cell

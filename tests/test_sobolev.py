@@ -36,7 +36,7 @@ def test_a2_is_built_without_the_pencil_spectrum(rc3, monkeypatch):
 
     monkeypatch.setattr(scipy.linalg, "eigh", no_eigh)
     monkeypatch.setattr(np.linalg, "eigh", no_eigh)
-    g = sb.SobolevGram(rc3, 6)
+    g = sb.SobolevGram(rc3, 6, None)
     A2 = g.A1.copy()
     for i in range(3):
         for j in range(i, 3):
@@ -205,7 +205,7 @@ def test_fractional_norm_rejects_out_of_range(rc3):
 
 
 def test_field_without_jets_raises():
-    f = fl.AnalyticField("raw", 3, 1, lambda pts: pts[:, 0])
+    f = fl.AnalyticField("raw", 3, 1, lambda pts: pts[:, 0], None)
     with pytest.raises(ValueError, match="derivatives"):
         f.jet(np.zeros((2, 3)), (1, 0, 0))
 
@@ -219,7 +219,7 @@ def test_integer_orders_need_no_spectrum(dim, rng, monkeypatch):
     eigh = scipy.linalg.eigh
     monkeypatch.setattr(scipy.linalg, "eigh",
                         lambda *a, **k: calls.append(1) or eigh(*a, **k))
-    g = sb.SobolevGram(make_reference_cell(dim).cell, 6)
+    g = sb.SobolevGram(make_reference_cell(dim).cell, 6, None)
     c = rng.standard_normal(g.n)
     got = {(form, s): getattr(g, form)(c, s)
            for form in ("fractional_quadform", "dual_quadform") for s in (0.0, 1.0)}

@@ -186,9 +186,27 @@ def _passes(call, index, name):
     return any(kw.arg in (name, None) for kw in call.keywords)
 
 
+def _defaulted(fn, shown, called, shift):
+    """The defaulted parameters of a function definition, as (name shown,
+    name called, position in a call or None, name); `shift` positions are
+    filled before the call's first argument (a method's self)."""
+    a = fn.args
+    positional = a.posonlyargs + a.args
+    out = [(shown, called, i - shift, arg.arg)
+           for i, arg in enumerate(positional)
+           if i >= len(positional) - len(a.defaults)]
+    return out + [(shown, called, None, arg.arg) for arg, default
+                  in zip(a.kwonlyargs, a.kw_defaults) if default]
+
+
 def _defaults_and_calls():
-    """Every defaulted parameter of a top-level function, as (function,
-    position or None, name), and the package's calls by the name called."""
+    """Every defaulted parameter of a top-level function or of a method of a
+    top-level class, and the package's calls by the name called.
+
+    A constructor is called by its class name and any other method by its
+    attribute name, both with positions shifted past self. Methods of two
+    classes that share a name share their calls, which can only hide a
+    finding."""
     trees = _trees()
     calls = defaultdict(list)
     for tree in trees.values():
@@ -196,34 +214,35 @@ def _defaults_and_calls():
             if isinstance(node, ast.Call):
                 name = getattr(node.func, "id", getattr(node.func, "attr", ""))
                 calls[name].append(node)
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
     defaults = []
     for tree in trees.values():
-        for fn in tree.body:
-            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        for node in tree.body:
+            if isinstance(node, functions):
+                defaults += _defaulted(node, node.name, node.name, 0)
+            if not isinstance(node, ast.ClassDef):
                 continue
-            a = fn.args
-            positional = a.posonlyargs + a.args
-            defaults += [(fn.name, i, arg.arg)
-                         for i, arg in enumerate(positional)
-                         if i >= len(positional) - len(a.defaults)]
-            defaults += [(fn.name, None, arg.arg) for arg, default
-                         in zip(a.kwonlyargs, a.kw_defaults) if default]
+            for fn in node.body:
+                if isinstance(fn, functions):
+                    called = node.name if fn.name == "__init__" else fn.name
+                    shown = f"{node.name}.{fn.name}"
+                    defaults += _defaulted(fn, shown, called, 1)
     return defaults, calls
 
 
 def test_every_default_is_set_by_a_caller():
-    # every defaulted parameter of a top-level function is passed by some
-    # call in src/: a default that no package caller overrides is a
+    # every defaulted parameter of a top-level function or method is passed
+    # by some call in src/: a default that no package caller overrides is a
     # constant, and a knob that only tests turn belongs in tests/
     defaults, calls = _defaults_and_calls()
-    unset = {f"{fn}({name})" for fn, i, name in defaults
+    unset = {f"{shown}({name})" for shown, fn, i, name in defaults
              if not any(_passes(c, i, name) for c in calls[fn])}
     assert sorted(unset - set(_UNSET_DEFAULTS)) == []
 
 
 def test_every_default_is_relied_on():
-    # every defaulted parameter of a top-level function is left out by some
-    # call in src/: a default that every package caller overrides is a
+    # every defaulted parameter of a top-level function or method is left out
+    # by some call in src/: a default that every package caller overrides is a
     # required parameter. A call through ** may leave out any keyword, so
     # it relies on every default it could carry
     defaults, calls = _defaults_and_calls()
@@ -234,7 +253,7 @@ def test_every_default_is_relied_on():
             for i, arg in enumerate(call.args))
             or any(kw.arg == name for kw in call.keywords))
 
-    always = {f"{fn}({name})" for fn, i, name in defaults
+    always = {f"{shown}({name})" for shown, fn, i, name in defaults
               if all(sets(c, i, name) for c in calls[fn])}
     assert sorted(always) == []
 
