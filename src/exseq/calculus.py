@@ -17,6 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import cache
 from . import fields as fl
 from . import polyspace as ps
 from .refsimplex import quadrature, tet_faces, triangle_edges
@@ -179,6 +180,18 @@ _FULL = ("h1", "hcurl", "hdiv", "l2")
 _TRACE_FREE = ("h1_bubble", "hcurl_bubble", "hdiv_bubble", "l2_zero_mean")
 
 
+@cache.memo
+def bubble_images(cell, slot, p):
+    """Orthonormal rows spanning the image of the slot's trace-free kind at
+    complex degree p under the derivative leaving the slot,
+    COMPLEX[d][slot]: the test rows of the energy block of the slot's
+    interpolant and of the gauge block of the next slot's. The span drops
+    the bubbles whose derivative vanishes, the gradients among the curl's."""
+    bubbles = ps.build_space(cell, _TRACE_FREE[slot], p)
+    # a copy, so that the memo keeps the span's rows and not all of the SVD's
+    return ps.span_from_rows(diff_rows(COMPLEX[cell.dim][slot], bubbles)).copy()
+
+
 def _sequence(cell, p, kinds=_FULL):
     """The spaces of the cell's complex, slot by slot."""
     d = cell.dim
@@ -224,8 +237,7 @@ def check_exact_sequence(p, tet, tri, interval):
             record(f"{d}d.{fam[d - 1]}_onto_l2", rank == S[d].dim,
                    rank=int(rank), expected=S[d].dim)
         B = _sequence(cell, p, _TRACE_FREE)
-        # orthonormal rows spanning the images of the bubbles
-        img = [ps.span_from_rows(diff_rows(D, B[k])) for k, D in enumerate(COMPLEX[d])]
+        img = [bubble_images(cell, k, p) for k in range(d)]
         if d > 1:
             record(f"{d}d.bubble.dim_split", B[1].dim == len(img[0]) + len(img[1]),
                    dim_bubble_hcurl=B[1].dim, dim_grad=len(img[0]),

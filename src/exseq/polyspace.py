@@ -248,10 +248,11 @@ def vector_space(cell, degree, value_dim):
 
 def nedelec_space(cell, p):
     """Edge elements of the first type at complex degree p (3D or 2D cell)."""
-    if cell.dim == 1:
-        return scalar_space(cell, p)
     if cell.dim == 2:  # the rotated x phi
         return _with_products(cell, p, lambda X, O: [[X[1], -X[0]]])
+    if cell.dim != 3:
+        raise ValueError("the edge-element family needs a triangle or a "
+                         "tetrahedron")
     # x cross (phi e_c): e_1 -> (0, x3 phi, -x2 phi), cyclic
     return _with_products(cell, p, lambda X, O: [
         [O, X[2], -X[1]], [-X[2], O, X[0]], [X[1], -X[0], O]])
@@ -259,10 +260,8 @@ def nedelec_space(cell, p):
 
 def raviart_thomas_space(cell, p):
     """Face elements (normal-conforming) at complex degree p on a 3D cell."""
-    if cell.dim == 2:
-        return scalar_space(cell, p)
-    if cell.dim == 1:
-        raise ValueError("the face-element family is not defined on intervals")
+    if cell.dim != 3:
+        raise ValueError("the face-element family needs a tetrahedron")
     return _with_products(cell, p, lambda X, O: [X])  # x phi
 
 
@@ -315,22 +314,6 @@ def derivative_rows(C, space):
                       for Ck in C])
 
 
-def gradient_rows(scalar_space_obj, out_degree):
-    """Slot rows of the gradients of a scalar space's basis, at out_degree.
-
-    An out_degree below the space's keeps each component's leading modes:
-    the gradients of P_{p+1} on an interval are P_p, so the rest is roundoff.
-    """
-    cell = scalar_space_obj.cell
-    low = min(scalar_space_obj.degree, out_degree)
-    keep = cell.n_modes(low)
-    # the gradient's coefficient tensor is the identity
-    rows = derivative_rows(np.eye(cell.dim)[:, :, None], scalar_space_obj)
-    rows = rows.reshape(-1, cell.dim, scalar_space_obj.n_modes)[:, :, :keep]
-    return pad_slots(rows.reshape(-1, cell.dim * keep), cell, cell.dim, low,
-                     out_degree)
-
-
 # ---------------------------------------------------------------------------
 # public dispatcher with caching
 
@@ -339,10 +322,9 @@ def build_space(cell, kind, p):
     """Build one of the complex's spaces on a `Cell` at complex degree p.
 
     kind: one of KINDS. The H1 family ("h1*") has polynomial degree p+1; all
-    others have degree p. On 2D cells the face family degenerates to the
-    scalar L2 slot, per the trace-space identifications. The space is bound
-    to `cell`, and shares one read-only basis with every cell of equal
-    vertices.
+    others have degree p. The edge family needs a triangle or a tetrahedron,
+    and the face family a tetrahedron. The space is bound to `cell`, and
+    shares one read-only basis with every cell of equal vertices.
     """
     if kind not in KINDS:
         raise ValueError(f"unsupported kind {kind!r}")
@@ -359,16 +341,15 @@ _BASES = {
     "hcurl": nedelec_space,
     "hdiv": raviart_thomas_space,
 }
-# every other kind is cut from a parent kind: (parent, cut) for the elements
-# whose trace of the part `cut` vanishes (`trace_matrix`'s part), whose mean
-# vanishes ("mean"), or that are L2-orthogonal to the gradients of a kind
+# every other kind is cut from a base kind: (base, cut) for the elements
+# whose trace of the part `cut` vanishes on the cell's boundary
+# (`trace_matrix`'s part), the trace-free kinds, or whose mean vanishes
+# ("mean"), the top slot's
 _CUTS = {
     "h1_bubble": ("h1", None),
     "hcurl_bubble": ("hcurl", "tangential"),
     "hdiv_bubble": ("hdiv", "normal"),
-    "h1_zero_mean": ("h1", "mean"),
     "l2_zero_mean": ("l2", "mean"),
-    "hcurl_bubble_orth": ("hcurl_bubble", "h1_bubble"),
 }
 KINDS = (*_BASES, *_CUTS)
 
@@ -380,11 +361,7 @@ def _space_basis(cell, kind, p):
     if kind in _CUTS:
         base, cut = _CUTS[kind]
         parent = build_space(cell, base, p)
-        if cut in KINDS:
-            rows = gradient_rows(build_space(cell, cut, p), parent.degree)
-        elif cut == "mean" or parent.degree == p:
-            # a parent of degree p is the L2 slot (the interval's edge family,
-            # the triangle's face family), whose bubbles have zero mean
+        if cut == "mean":
             rows = mean_row(cell, parent.value_dim, parent.degree)
         else:
             rows = boundary_traces(cell, parent.degree, cut)
@@ -404,12 +381,11 @@ def h1_dimension(p, dim):
 
 
 def hcurl_dimension(p, dim):
-    """Closed-form dimension of the edge-element space at complex degree p."""
+    """Closed-form dimension of the edge-element space at complex degree p
+    on a tetrahedron (dim 3) or a triangle."""
     if dim == 3:
         return (p + 1) * (p + 3) * (p + 4) // 2
-    if dim == 2:
-        return (p + 1) * (p + 3)
-    return p + 1
+    return (p + 1) * (p + 3)
 
 
 def hdiv_dimension(p):

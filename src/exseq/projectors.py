@@ -29,8 +29,13 @@ their derivative form, independently of the plan.
 
 Derivative conditions are rewritten by integration by parts, so all stage
 data is read through point values of the input field at the plan's
-quadrature nodes. The operators accept any evaluable field with finite
-traces.
+quadrature nodes. For a derivative with coefficient tensor C
+(`calculus.DERIVATIVES`) and outward normal n,
+
+    (D u, e) = (u, D* e) + (u, F e)_boundary,
+    (D* e)_c = -sum_{k,i} C[k, i, c] d_i e_k,  F[c, k] = sum_i C[k, i, c] n_i.
+
+The operators accept any evaluable field with finite traces.
 
 The edge stages of the edge elements and the face stages of the face
 elements impose moments: the mean and the derivative moments on each edge,
@@ -46,8 +51,8 @@ import numpy as np
 import scipy.linalg
 
 from . import polyspace as ps
-from .calculus import (COMPLEX, DERIVATIVES, FAMILIES, OPERATORS, diff_rows,
-                       diff_slots, operator_at)
+from .calculus import (COMPLEX, DERIVATIVES, FAMILIES, OPERATORS,
+                       bubble_images, diff_rows, diff_slots, operator_at)
 from .refsimplex import (cell_edges, graded_interval_rule, make_reference_cell,
                          quadrature, tet_faces, triangle_edges)
 
@@ -83,8 +88,7 @@ def _weighted(values, weights):
 def _stacked_moments(V, weights, blocks, frame=None):
     """Covectors pairing samples with the values of several row blocks over
     a rule, from the modal table V of the rule's points, stacked in order in
-    one matrix; blocks: (rows, negate) pairs, `negate` writing the negated
-    covectors (negation is exact).
+    one matrix.
 
     frame, if given, maps the rows' vector values into the frame of the
     samples (the columns of a face chart).
@@ -103,10 +107,10 @@ def _stacked_moments(V, weights, blocks, frame=None):
     interior products; a short last block may fall to its small-matrix
     kernel and move entries in the last bit.
     """
-    n_comp = blocks[0][0].shape[1] // len(V) if frame is None else len(frame)
-    out = np.empty((sum(len(rows) for rows, _ in blocks), V.shape[1] * n_comp))
+    n_comp = blocks[0].shape[1] // len(V) if frame is None else len(frame)
+    out = np.empty((sum(len(rows) for rows in blocks), V.shape[1] * n_comp))
     start = 0
-    for rows, negate in blocks:
+    for rows in blocks:
         vd = rows.shape[1] // len(V)
         dst = out[start:start + len(rows)]
         dst = dst.reshape(len(rows), V.shape[1], n_comp)
@@ -123,8 +127,6 @@ def _stacked_moments(V, weights, blocks, frame=None):
                 vals = vals.reshape(len(rows), vd, Vb.shape[1])
                 db[...] = np.moveaxis(vals, 1, 2)
                 del vals  # before the next block's product
-        if negate:
-            np.negative(dst, out=dst)
     return out
 
 
@@ -355,23 +357,20 @@ def _edge_element_stage(plan, piece):
     cell.
 
     Lifts the sides' tangential data, then fixes the bubbles by (u, grad v)
-    for the H1 bubbles v and by (curl u, curl w) for the bubbles w
-    orthogonal to those gradients, the latter by the surface Stokes formula.
-    A face's chart frame maps the triangle's vectors into the frame of the
-    samples.
+    and (curl u, curl w) over the `bubble_images` of the H1 and the edge
+    bubbles, the latter by the surface Stokes formula. A face's chart frame
+    maps the triangle's vectors into the frame of the samples.
     """
     p, cell, face = plan.p, piece.cell, piece.boundary
     deg = p + 1
     frame = np.eye(2) if face is None else face.frame
     Q = ps.build_space(cell, "hcurl", p)
-    grads = diff_rows("grad", ps.build_space(cell, "h1_bubble", p))
-    psi = diff_rows("curl2d_vector",
-                    ps.build_space(cell, "hcurl_bubble_orth", p))
+    grads, psi = bubble_images(cell, 0, p), bubble_images(cell, 1, p)
     rot = diff_slots("curl2d_scalar", ps.scalar_space(cell, deg), psi)
     Vq = cell.tabulate(deg, piece.rule[0])
     # the gauge's region stacks the energy moments over the gauge moments
     energy = [(piece.region, _stacked_moments(
-        Vq, piece.rule[1], [(rot, False), (grads, False)], frame))]
+        Vq, piece.rule[1], [rot, grads], frame))]
     parents = []
     for ledge, key, sigma, ccw, pts, w in _sides(
             plan.target.cell, cell, piece.vertex_ids, plan.quad_degree):
@@ -386,65 +385,48 @@ def _edge_element_stage(plan, piece):
     )
 
 
-def _curl_interior(plan, piece):
-    """Edge-element stage on the tetrahedron, fed by its faces' stages:
-    (curl u, curl W) = (u, curl curl W) - (Pi_tau u, gamma_tau curl W)."""
-    cell, p, Q = piece.cell, plan.p, plan.target
-    deg = p + 1
-    W = diff_rows("curl3d", ps.build_space(cell, "hcurl_bubble_orth", p))
-    curl_W = diff_rows("curl3d", ps.PolySpace(cell, 3, deg, W))
-    grads = diff_rows("grad", ps.build_space(cell, "h1_bubble", p))
+def _mixed_interior(plan, piece):
+    """Edge- or face-element stage on the tetrahedron, fed by its faces'
+    stages.
+
+    The energy rows e are the slot's `bubble_images` under the derivative D
+    that leaves it, and the gauge rows the previous slot's. (D u, e) is
+    integrated by parts as the module docstring says, from D's tensor: the
+    adjoint D* is the curl itself for curl3d and minus the gradient for div,
+    and the face flux F e is -(n x e) for curl3d and e n for div.
+    """
+    cell, p, space = piece.cell, plan.p, plan.target
+    deg, slot = p + 1, OPERATORS[plan.operator][1]
+    deriv = COMPLEX[3][slot]
+    C = DERIVATIVES[deriv].C[3]
+    energy, gauge = bubble_images(cell, slot, p), bubble_images(cell, slot - 1, p)
+    adjoint = ps.derivative_rows(-C.transpose(2, 1, 0),
+                                 ps.PolySpace(cell, len(C), deg, energy))
     Vq = cell.tabulate(deg, piece.rule[0])
-    energy = [(piece.region, _stacked_moments(
-        Vq, piece.rule[1], [(curl_W, False), (grads, False)]))]
+    rhs = [(piece.region, _stacked_moments(
+        Vq, piece.rule[1], [adjoint, gauge]))]
     del Vq  # the largest table; freed before the stage's own peak
     faces = plan.pieces[2]
     for face in faces:
-        frame = face.boundary.frame
-        tang = np.einsum("mpk,kl->mpl",
-                         _eval_rows(cell, 3, deg, W, face.points), frame)
-        gamma = np.stack([-tang[..., 1], tang[..., 0]], axis=-1)
-        back = np.einsum("mpl,kl->mpk", gamma, frame)
-        energy.append((face.region, -_weighted(back, face.rule[1])))
-    parents = [(f.name, np.eye(2 * f.cell.n_modes(deg))) for f in faces]
-    return _mixed_stage(
-        piece.name, Q, ps.build_space(cell, "hcurl_bubble", p),
-        ps.boundary_traces(cell, deg, "tangential"), parents,
-        grads, W, "curl3d", energy,
-    )
-
-
-def _div_interior(plan, piece):
-    """Face-element stage on the tetrahedron, fed by its faces' stages:
-    (div u, div v) = -(u, grad div v) + (u.n, div v)_boundary."""
-    cell, p, V = piece.cell, plan.p, plan.target
-    deg = p + 1
-    Vb = ps.build_space(cell, "hdiv_bubble", p)
-    curls = ps.span_from_rows(
-        diff_rows("curl3d", ps.build_space(cell, "hcurl_bubble", p)))
-    divs = diff_rows("div", ps.subspace_from_constraints(Vb, curls))
-    grad_div = diff_slots("grad", ps.scalar_space(cell, deg), divs)
-    Vq = cell.tabulate(deg, piece.rule[0])
-    energy = [(piece.region, _stacked_moments(
-        Vq, piece.rule[1], [(grad_div, True), (curls, False)]))]
-    del Vq  # the largest table; freed before the stage's own peak
-    faces = plan.pieces[2]
-    for face in faces:
-        dvals = _eval_rows(cell, 1, deg, divs, face.points)[:, :, 0]
-        nvals = dvals[:, :, None] * face.boundary.normal[None, None, :]
-        energy.append((face.region, _weighted(nvals, face.rule[1])))
-    parents = [(f.name, np.eye(f.cell.n_modes(p))) for f in faces]
-    return _mixed_stage(
-        piece.name, V, Vb, ps.boundary_traces(cell, deg, "normal", keep=p),
-        parents, curls, divs, "div", energy,
-    )
+        flux = np.einsum("kic,i->ck", C, face.boundary.normal)
+        vals = _eval_rows(cell, len(C), deg, energy, face.points)
+        rhs.append((face.region, _weighted(
+            np.einsum("mpk,ck->mpc", vals, flux), face.rule[1])))
+    # the face stages pass on the whole tangential trace, or the P_p modes of
+    # the normal one
+    part, keep, kind = (("tangential", None, "hcurl_bubble"),
+                        ("normal", p, "hdiv_bubble"))[slot - 1]
+    trace = ps.boundary_traces(cell, deg, part, keep=keep)
+    parents = [(f.name, np.eye(len(trace) // len(faces))) for f in faces]
+    return _mixed_stage(piece.name, space, ps.build_space(cell, kind, p),
+                        trace, parents, gauge, energy, deriv, rhs)
 
 
 # the stage builders of a piece of dimension m: _STAGES[slot][m - slot]
 _STAGES = (
     (_vertex_stage, _segment_stage, _triangle_stage, _grad_interior),
-    (_l2_stage, _edge_element_stage, _curl_interior),
-    (_l2_stage, _div_interior),
+    (_l2_stage, _edge_element_stage, _mixed_interior),
+    (_l2_stage, _mixed_interior),
     (_l2_stage,),
 )
 

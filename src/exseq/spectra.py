@@ -13,7 +13,7 @@ import numpy as np
 import scipy.linalg
 
 from . import polyspace as ps
-from .calculus import COMPLEX, OPERATORS, diff_rows, diff_slots
+from .calculus import COMPLEX, OPERATORS, bubble_images, diff_rows, diff_slots
 from .refsimplex import make_reference_cell
 
 # case -> (operator whose slot holds the members, the members' space kind,
@@ -25,7 +25,7 @@ FRIEDRICHS_CASES = {
     "curl3d_full": ("curl3d", "hcurl", "h1"),
     "curl3d_bubble": ("curl3d", "hcurl_bubble", "h1_bubble"),
     "div3d_full": ("div3d", "hdiv", "hcurl"),
-    "div3d_bubble": ("div3d", "hdiv_bubble", "hcurl_bubble_orth"),
+    "div3d_bubble": ("div3d", "hdiv_bubble", "hcurl_bubble"),
 }
 
 
@@ -109,12 +109,9 @@ def discrete_lifting_div(p, w_slots):
     """Minimum-div-energy lifting of the facewise normal trace of w."""
     tet = make_reference_cell(3).cell
     Vb = ps.build_space(tet, "hdiv_bubble", p)
-    Qperp = ps.build_space(tet, "hcurl_bubble_orth", p)
-    curls = ps.pad_slots(diff_rows("curl3d", Qperp), tet, 3, Qperp.degree,
-                         Vb.degree)
     traces = ps.boundary_traces(tet, p + 1, "normal", keep=p)
-    return _saddle_lifting(ps.build_space(tet, "hdiv", p), Vb, curls, "div",
-                           traces, w_slots)
+    return _saddle_lifting(ps.build_space(tet, "hdiv", p), Vb,
+                           bubble_images(tet, 1, p), "div", traces, w_slots)
 
 
 def _saddle_lifting(space, bubbles, constraints, deriv, traces, w_slots):

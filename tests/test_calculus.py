@@ -194,6 +194,32 @@ def test_bubble_sequence_dimension_identity(rc3, rc2, rc1):
         assert s2["dim_curl"] == s2["dim_zero_mean"]
 
 
+@pytest.mark.parametrize("dim", [3, 2])
+def test_bubble_images_split_the_edge_bubbles(dim):
+    # orthonormal rows; the curls drop exactly the bubbles' gradients, which
+    # are as many as the H1 bubbles
+    cell = make_reference_cell(dim).cell
+    for p in range(7):
+        grads, curls = ca.bubble_images(cell, 0, p), ca.bubble_images(cell, 1, p)
+        for rows in (grads, curls):
+            assert np.allclose(rows @ rows.T, np.eye(len(rows)), rtol=0, atol=1e-12)
+        h1 = ps.build_space(cell, "h1_bubble", p).dim
+        assert len(grads) == h1
+        assert len(curls) == ps.build_space(cell, "hcurl_bubble", p).dim - h1
+    assert ca.bubble_images(cell, 1, 3) is ca.bubble_images(cell, 1, 3)
+    assert not curls.flags.writeable
+
+
+def test_bubble_images_span_the_divergences(rc3):
+    # div maps the face bubbles onto the zero-mean scalars
+    for p in range(7):
+        rows = ca.bubble_images(rc3, 2, p)
+        divs = ca.diff_rows("div", ps.build_space(rc3, "hdiv_bubble", p))
+        assert np.allclose(rows @ rows.T, np.eye(len(rows)), rtol=0, atol=1e-12)
+        assert len(rows) == np.linalg.matrix_rank(divs) == rc3.n_modes(p) - 1
+        assert ca.subspace_distance(divs, rows) < 1e-10
+
+
 @pytest.mark.parametrize("dim,family,name", [
     (3, "grad", "grad"), (3, "curl", "curl3d"), (3, "div", "div"),
     (2, "grad", "grad"), (2, "curl", "curl2d_vector"), (2, "div", "div"),

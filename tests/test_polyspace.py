@@ -79,13 +79,12 @@ def test_bubble_spaces_annihilate_traces(rc3, rng):
 
 
 def test_zero_mean_spaces(rc3, rc2):
-    # scalar space with zero average, one dimension below its parent
-    zm = ps.build_space(rc3, "h1_zero_mean", 2)
-    assert zm.dim == ps.h1_dimension(2, 3) - 1
-    means = zm.basis @ ps.mean_row(rc3, 1, 3).T
-    assert np.abs(means).max() < 1e-12
-    vz = ps.build_space(rc2, "hdiv_bubble", 2)  # zero-mean scalars on faces
-    assert vz.dim == (2 + 1) * (2 + 2) // 2 - 1
+    # the top slot's zero-mean scalars, one dimension below P_p
+    for rc in (rc3, rc2):
+        zm = ps.build_space(rc, "l2_zero_mean", 2)
+        assert zm.dim == rc.n_modes(2) - 1
+        means = zm.basis @ ps.mean_row(rc, 1, 2).T
+        assert np.abs(means).max() < 1e-12
 
 
 def test_triangle_bubble_dims(rc2):
@@ -130,15 +129,20 @@ def test_face_tangential_trace_is_2d_nedelec(rc3, rc2):
 
 def test_grad_orthogonal_subspace(rc3):
     # p = 4: the H1 bubbles of degree 5 are the first with more than one
-    # element (none at p = 2)
+    # element (none at p = 2). The edge bubbles orthogonal to the bubbles'
+    # gradients are as many as the bubbles' curls, and their curls span
+    # those of all edge bubbles
     p = 4
-    perp = ps.build_space(rc3, "hcurl_bubble_orth", p)
     full = ps.build_space(rc3, "hcurl_bubble", p)
     scalar = ps.build_space(rc3, "h1_bubble", p)
-    assert scalar.dim > 1
+    grads = ca.bubble_images(rc3, 0, p)
+    assert scalar.dim > 1 and len(grads) == scalar.dim
+    perp = ps.subspace_from_constraints(full, grads)
     assert perp.dim == full.dim - scalar.dim
-    rows = ps.gradient_rows(scalar, full.degree)
-    assert np.abs(rows @ perp.basis.T).max() < 1e-10
+    assert np.abs(grads @ perp.basis.T).max() < 1e-10
+    curls = ca.bubble_images(rc3, 1, p)
+    assert len(curls) == perp.dim
+    assert ca.subspace_distance(ca.diff_rows("curl3d", perp), curls) < 1e-10
 
 
 def test_invalid_inputs(rc3):
@@ -146,6 +150,14 @@ def test_invalid_inputs(rc3):
         ps.build_space(rc3, "h1", -1)
     with pytest.raises(ValueError):
         ps.build_space(rc3, "nope", 2)
+
+
+def test_no_edge_family_on_intervals_nor_face_family_on_triangles(rc1, rc2):
+    # on those cells the families would be the L2 slot, which "l2" builds
+    for cell, kind in ((rc1, "hcurl"), (rc1, "hcurl_bubble"), (rc2, "hdiv"),
+                       (rc2, "hdiv_bubble")):
+        with pytest.raises(ValueError):
+            ps.build_space(cell, kind, 2)
 
 
 def test_random_elements_deterministic(rc3):
@@ -334,16 +346,10 @@ def test_triangle_and_interval_bubbles_are_trace_free(rc1, rc2, rc3):
             assert np.abs(q.evaluate(q.basis, amb) @ side.tangent).max() < 1e-10
     w = ps.build_space(rc1, "h1_bubble", p)
     assert np.abs(w.evaluate(w.basis, rc1.vertices)).max() < 1e-12
-    q = ps.build_space(rc1, "hcurl_bubble", p)
+    q = ps.build_space(rc1, "l2_zero_mean", p)
     rule = quadrature(rc1, 2 * p)
     means = q.evaluate(q.basis, rule.points) @ rule.weights
     assert q.dim == p and np.abs(means).max() < 1e-12
-
-
-def test_interval_grad_orthogonal_kinds_are_empty(rc1):
-    # the gradients of P_{p+1} on an interval fill P_p
-    for p in range(6):
-        assert ps.build_space(rc1, "hcurl_bubble_orth", p).dim == 0
 
 
 def test_tetrahedron_trace_free_kinds_from_the_cell_alone(rc3):
@@ -351,11 +357,13 @@ def test_tetrahedron_trace_free_kinds_from_the_cell_alone(rc3):
     # vertices gives the reference cell's bases, each built afresh
     fresh = Cell(rc3.vertices.copy(), "fresh")
     for p in (1, 2, 3):
-        for kind in ("h1_bubble", "hcurl_bubble", "hdiv_bubble",
-                     "hcurl_bubble_orth"):
+        for slot, kind in enumerate(("h1_bubble", "hcurl_bubble",
+                                     "hdiv_bubble")):
             cache.clear()
             from_cell = ps.build_space(rc3, kind, p)
+            images = ca.bubble_images(rc3, slot, p)
             cache.clear()
             from_fresh = ps.build_space(fresh, kind, p)
             assert from_cell.cell is rc3 and from_fresh.cell is fresh
             assert np.array_equal(from_cell.basis, from_fresh.basis)
+            assert np.array_equal(images, ca.bubble_images(fresh, slot, p))

@@ -172,16 +172,15 @@ def test_face_stage_is_the_triangle_interior_stage(op3, op2, p):
                                   getattr(interior, field)), (k, field)
 
 
-@pytest.mark.parametrize("operator, stages", [("curl3d", pj._curl_interior),
-                                              ("div3d", pj._div_interior)])
-def test_interior_table_is_freed_before_the_interior_stage(operator, stages,
+@pytest.mark.parametrize("operator", ["curl3d", "div3d"])
+def test_interior_table_is_freed_before_the_interior_stage(operator,
                                                            monkeypatch):
     # the interior rule's modal table Vq is read only by the stacked
     # moments: no block allocated at its line as large as the table is alive
     # when the interior stage, the last `_mixed_stage` of the build, is made
     import inspect
 
-    lines, start = inspect.getsourcelines(stages)
+    lines, start = inspect.getsourcelines(pj._mixed_interior)
     at = start + next(i for i, line in enumerate(lines)
                       if line.strip().startswith("Vq = "))
     held = []
@@ -204,6 +203,37 @@ def test_interior_table_is_freed_before_the_interior_stage(operator, stages,
     # (modes of degree p + 1, interior points) doubles
     table = plan.target.cell.n_modes(3) * len(plan.sample_points["vol"]) * 8
     assert held and held[-1] < table
+
+
+@pytest.mark.parametrize("operator", ["curl3d", "div3d"])
+def test_interior_reads_adjoint_and_flux_off_the_tensor(operator, rc3):
+    # the tensor adjoint -C[c, i, k] is the curl itself for curl3d and minus
+    # the gradient for div, bit for bit; the face flux sum_i C[k, i, c] n_i
+    # is -(n x e) for curl3d and e n for div
+    p, deg = 3, 4
+    slot = ca.OPERATORS[operator][1]
+    plan = pj.ProjectorPlan(operator, p)
+    rhs = dict(plan.stages[-1].rhs)
+    e = ca.bubble_images(rc3, slot, p)
+    vd = e.shape[1] // rc3.n_modes(deg)
+    if operator == "curl3d":
+        adjoint = ca.diff_rows("curl3d", ps.PolySpace(rc3, vd, deg, e))
+    else:
+        adjoint = -ca.diff_rows("grad", ps.PolySpace(rc3, vd, deg, e))
+    pts, w = plan.pieces[3][0].rule
+    ref = pj._stacked_moments(rc3.tabulate(deg, pts), w,
+                              [adjoint, ca.bubble_images(rc3, slot - 1, p)])
+    assert np.array_equal(rhs["vol"], ref)
+    for face in plan.pieces[2]:
+        n = face.boundary.normal
+        vals = pj._eval_rows(rc3, vd, deg, e, face.points)
+        if operator == "curl3d":
+            ref = pj._weighted(-np.cross(n, vals), face.rule[1])
+            scale = np.abs(ref).max()
+            assert np.abs(rhs[face.region] - ref).max() < 1e-14 * scale
+        else:
+            ref = pj._weighted(vals * n, face.rule[1])
+            assert np.array_equal(rhs[face.region], ref)
 
 
 def test_commuting_identities_polynomials(rng):
@@ -390,13 +420,11 @@ def test_condition_residual_rechecks_interior_energy_block(operator, rng):
     plan = pj.ProjectorPlan(operator, p)
     f = [g for g in fl.suite("entire", 3) if g.value_dim == 3][0]
     slots = plan.apply(f)
-    if operator == "curl3d":
-        unseen = ps.build_space(rc, "hcurl_bubble_orth", p)
-    else:
-        curls = ps.span_from_rows(
-            ca.diff_rows("curl3d", ps.build_space(rc, "hcurl_bubble", p)))
-        unseen = ps.subspace_from_constraints(
-            ps.build_space(rc, "hdiv_bubble", p), curls)
+    below, kind, deriv = {"curl3d": ("h1_bubble", "hcurl_bubble", "grad"),
+                          "div3d": ("hcurl_bubble", "hdiv_bubble", "curl3d")}[
+                              operator]
+    images = ps.span_from_rows(ca.diff_rows(deriv, ps.build_space(rc, below, p)))
+    unseen = ps.subspace_from_constraints(ps.build_space(rc, kind, p), images)
     e = unseen.random_elements(1, rng)[0]
     perturbed = slots + 1e-3 * np.linalg.norm(slots) * e
     assert max(oracles.stage_residuals(plan, f, slots).values()) <= 1e-9
@@ -504,10 +532,9 @@ def test_moments_equal_the_three_table_formula_bitwise(case, rule, degree,
               for start in range(0, len(q.weights), ps._POINT_BLOCK)]
     ref = np.concatenate([_three_table_moments(V[:, b], q.weights[b], rows,
                                                frame) for b in blocks], axis=1)
-    if case == "negated":
-        ref = -ref
-    got = pj._stacked_moments(V, q.weights, [(rows, case == "negated")],
-                              frame)
+    if case == "negated":  # negated rows give the negated covectors
+        ref, rows = -ref, -rows
+    got = pj._stacked_moments(V, q.weights, [rows], frame)
     assert got.shape == ref.shape
     assert got.dtype == ref.dtype
     assert np.array_equal(got, ref)
@@ -523,7 +550,7 @@ def test_moments_hold_two_tables(rc3, rng):
     table = len(rows) * 3 * len(q.weights) * 8
     tracemalloc.start()
     try:
-        pj._stacked_moments(V, q.weights, [(rows, False)])
+        pj._stacked_moments(V, q.weights, [rows])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -547,8 +574,8 @@ def test_stacked_moments_equal_the_stacked_blocks_bitwise(case, rc3, rng):
     head = _three_table_moments(V, q.weights, first, frame)
     ref = np.vstack([-head if negate else head,
                      _three_table_moments(V, q.weights, second, frame)])
-    got = pj._stacked_moments(V, q.weights, [(first, negate), (second, False)],
-                              frame)
+    got = pj._stacked_moments(V, q.weights, [-first if negate else first,
+                                             second], frame)
     assert got.shape == ref.shape
     assert got.dtype == ref.dtype
     assert np.array_equal(got, ref)
@@ -562,8 +589,8 @@ def test_stacked_moments_hold_the_matrix_and_one_product(rc3, rng):
     cell = rc3
     q = quadrature(cell, 16)  # 729 points: two point blocks
     V = cell.tabulate(6, q.points)
-    blocks = [(rng.standard_normal((60, 3 * len(V))), True),
-              (rng.standard_normal((40, 3 * len(V))), False)]
+    blocks = [rng.standard_normal((60, 3 * len(V))),
+              rng.standard_normal((40, 3 * len(V)))]
     product = 60 * 3 * ps._POINT_BLOCK * 8
     matrix = 100 * 3 * len(q.weights) * 8
     tracemalloc.start()

@@ -6,6 +6,7 @@ from collections import defaultdict
 from pathlib import Path
 
 from exseq.calculus import DERIVATIVES
+from exseq.polyspace import KINDS
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "exseq"
 
@@ -56,6 +57,22 @@ def _decorator_names(node):
     for dec in node.decorator_list:
         target = dec.func if isinstance(dec, ast.Call) else dec
         yield getattr(target, "attr", getattr(target, "id", ""))
+
+
+def test_every_space_kind_is_built():
+    # every kind of polyspace.KINDS is named in src/ outside the two tables
+    # that define the kinds: a kind that no package code builds is dead
+    named = set()
+    for path, tree in _trees().items():
+        tables = {id(node) for top in tree.body if isinstance(top, ast.Assign)
+                  and path.name == "polyspace.py"
+                  and {getattr(t, "id", "") for t in top.targets}
+                  & {"_BASES", "_CUTS"}
+                  for node in ast.walk(top)}
+        named |= {node.value for node in ast.walk(tree)
+                  if isinstance(node, ast.Constant) and id(node) not in tables
+                  and isinstance(node.value, str)}
+    assert sorted(set(KINDS) - named) == []
 
 
 def test_memo_is_the_only_cache():

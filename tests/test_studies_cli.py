@@ -5,6 +5,7 @@ import pytest
 
 from exseq import calculus as ca
 from exseq import cli
+from exseq import poincare as pc
 from exseq import studies as st
 
 
@@ -72,6 +73,22 @@ def test_verification_report_small():
     text = st.format_report(rep, "json")
     parsed = json.loads(text, parse_constant=_refuse_constant)
     assert parsed["ok"] is True
+
+
+def test_splitting_fault_is_reported_not_raised(monkeypatch):
+    # a splitting that does not reconstruct its input fails the poincare
+    # section of the report, as every other residual does
+    apply = pc.RegularizedInverse.apply
+
+    def scaled(self, space, slots):
+        out_space, out = apply(self, space, slots)
+        return out_space, 2.0 * out
+
+    monkeypatch.setattr(pc.RegularizedInverse, "apply", scaled)
+    rep = st.run_verification(p_max=1, seed=1)
+    poincare = rep["sections"]["poincare"]
+    assert not poincare["ok"] and poincare["splitting_residual"] > 1e-9
+    assert "[FAIL] poincare" in st.format_report(rep, "csv").splitlines()
 
 
 def _refuse_constant(token):
