@@ -3,9 +3,14 @@
 Each operator fixes its interpolant hierarchically. An operator of slot k
 on a d-cell builds one stage per piece of dimension m = k..d: the vertices
 (one piece), the edges of `cell_edges`, the faces of `tet_faces`, then the
-cell itself. `_STAGES[k][m - k]` builds each piece's stage, which is the
-stage of the same slot's operator on the piece's own cell: on a face the
-2D operator's, on an edge the interval's, and at m = k an L2 projection.
+cell itself. A piece of the slot's own dimension, m = k, takes the slot's
+data: `_vertex_stage` the values at the vertices and `_l2_stage` an L2
+projection. Every piece above it takes the stage of the same slot's
+operator on the piece's own cell, so a face's stage is the 2D operator's
+and an edge's the interval's: energy conditions, plus gauge conditions for
+curl and div, built by `_stiffness_stage` in the H1 slot and `_mixed_stage`
+in the edge- and face-element slots. Both read the piece's parents and
+boundary fluxes from one `_boundary`, in the order of the piece's trace.
 A plan is the ordered list of those stages, and every stage is one `Stage`:
 
 - `lift` L = pinv(T) extends the data fixed by earlier stages with minimal
@@ -35,6 +40,9 @@ quadrature nodes. For a derivative with coefficient tensor C
     (D u, e) = (u, D* e) + (u, F e)_boundary,
     (D* e)_c = -sum_{k,i} C[k, i, c] d_i e_k,  F[c, k] = sum_i C[k, i, c] n_i.
 
+The flux F e is e t for the 2D curl, with t the counterclockwise tangent,
+-(n x e) for the 3D curl and e n for div.
+
 The operators accept any evaluable field with finite traces.
 
 The edge stages of the edge elements and the face stages of the face
@@ -63,11 +71,6 @@ def _pinv(mat):
     return np.linalg.pinv(mat, rcond=ps.SVD_CUTOFF)
 
 
-def _eval_rows(cell, vd, degree, rows, pts):
-    """Values of slot-coefficient rows at points, (n_rows, n_pts, vd)."""
-    return _rows_at(cell.tabulate(degree, pts), vd, rows)
-
-
 def _rows_at(V, vd, rows):
     """Values of slot-coefficient rows from the modal table V (nm, n_pts) of
     their points, (n_rows, n_pts, vd), by one (n_rows*vd, nm) @ V product."""
@@ -85,13 +88,14 @@ def _weighted(values, weights):
     return w.reshape(values.shape[0], n_chan)
 
 
-def _stacked_moments(V, weights, blocks, frame=None):
+def _stacked_moments(V, weights, blocks, frame):
     """Covectors pairing samples with the values of several row blocks over
     a rule, from the modal table V of the rule's points, stacked in order in
     one matrix.
 
-    frame, if given, maps the rows' vector values into the frame of the
-    samples (the columns of a face chart).
+    frame maps the rows' vector values into the frame of the samples (the
+    columns of a face chart), or is None where the rows' values are already
+    in it, as on the cell itself.
 
     Each row block runs over one point block of `ps._POINT_BLOCK` columns of
     V at a time: without a frame it weights the point block's GEMM output in
@@ -250,16 +254,56 @@ def _l2_stage(plan, piece):
     return _stage(piece.name, eye, eye, [(piece.region, M)])
 
 
-def _stiffness_stage(plan, piece, parents, fluxes):
-    """Scalar stage on a piece: lift the trace data, then fix the bubbles b
-    by the seminorm conditions (grad b, grad u) = -(lap b, u) + (db/dn,
-    u)_boundary.
+def _boundary(plan, piece, n):
+    """A piece's parents and boundary fluxes, in the order of its trace
+    (`ps.boundary_traces`), with n trace rows per boundary piece.
 
-    fluxes: one (region, points, weights, conormals) per boundary piece, in
-    the piece's cell coordinates.
+    Each flux is (region, points, weights, conormals), one outward conormal
+    per point in the piece's cell coordinates. An interval gives its two
+    ends as one rule on the "vertices" region: every vertex at its parameter
+    on the piece, with conormal -1 and +1 at the piece's ends and 0
+    elsewhere. A triangle gives its sides counterclockwise, each read at the
+    global edge's parameter s through its local one sigma*s; a tangential
+    trace changes sign with the parameter, so the side's parent map is
+    sigma**slot times the flip. The tetrahedron gives its face pieces.
     """
+    cell, whole = piece.cell, plan.target.cell
+    if cell.dim == 1:
+        edge, (a, b) = piece.boundary, piece.vertex_ids
+        s = (whole.vertices[:, 0] if edge is None
+             else (whole.vertices - edge.midpoint) @ edge.tangent)
+        eye = np.eye(len(s))
+        conormal = (eye[b] - eye[a])[:, None]
+        return [("vertices", eye[[a, b]])], [
+            ("vertices", s[:, None], np.ones(len(s)), conormal)]
+    if cell.dim == 3:
+        faces = plan.pieces[2]
+        return [(f.name, np.eye(n)) for f in faces], [
+            (f.region, f.points, f.rule[1],
+             np.broadcast_to(f.boundary.normal, (len(f.points), 3)))
+            for f in faces]
+    slot = OPERATORS[plan.operator][1]
+    parents, fluxes = [], []
+    for ledge, ccw in triangle_edges(cell):
+        a, b = (piece.vertex_ids[i] for i in ledge.vertex_ids)
+        key = next(f"edge{e.index}" for e in cell_edges(whole)
+                   if set(e.vertex_ids) == {a, b})
+        sigma = 1.0 if a < b else -1.0
+        q = quadrature(ledge.cell, plan.quad_degree)
+        outward = ccw * np.array([ledge.tangent[1], -ledge.tangent[0]])
+        parents.append((key, sigma**slot * _flip(n, sigma)))
+        fluxes.append((key, ledge.embed(sigma * q.points[:, 0]), q.weights,
+                       np.broadcast_to(outward, (len(q.weights), 2))))
+    return parents, fluxes
+
+
+def _stiffness_stage(plan, piece):
+    """Scalar stage on an edge, a face or the cell: lift the trace data, then
+    fix the bubbles b by the seminorm conditions (grad b, grad u) =
+    -(lap b, u) + (db/dn, u)_boundary."""
     cell, deg = piece.cell, plan.target.degree
     trace = ps.boundary_traces(cell, deg)
+    parents, fluxes = _boundary(plan, piece, len(trace) // (cell.dim + 1))
     B = ps.null_space_of(trace, n_cols=cell.n_modes(deg))
     D = [ps.deriv_matrix(cell, deg, i) for i in range(cell.dim)]
     pts, w = piece.rule
@@ -278,157 +322,53 @@ def _vertex_stage(plan, piece):
     return _stage(piece.name, eye, eye, [(piece.region, eye)])
 
 
-def _segment_stage(plan, piece):
-    """Endpoint values plus seminorm projection on an interval piece: an
-    edge, or the interval itself.
+def _mixed_stage(plan, piece):
+    """Edge- or face-element stage on a piece of dimension >= 2: a curl3d
+    face, the curl2d triangle, or the curl3d or div3d tetrahedron.
 
-    The endpoint flux is a rule on the "vertices" region at every vertex's
-    parameter on the piece, whose conormal is -1 and +1 at the piece's ends
-    and 0 elsewhere.
+    Lifts the boundary's data, then fixes the bubbles by an energy block,
+    (D u, e) over the slot's `bubble_images` e under the derivative D that
+    leaves the slot, and a gauge block, (u, g) over the previous slot's.
+    (D u, e) is integrated by parts as the module docstring says, from D's
+    tensor: the adjoint D* is the 2D scalar curl for curl2d, the curl itself
+    for curl3d and minus the gradient for div. A face's chart frame maps the
+    triangle's vectors into the frame of the samples.
     """
-    vertices, edge = plan.target.cell.vertices, piece.boundary
-    vertex_s = (vertices[:, 0] if edge is None
-                else (vertices - edge.midpoint) @ edge.tangent)
-    eye = np.eye(len(vertex_s))
-    ends = piece.vertex_ids
-    conormal = (eye[ends[1]] - eye[ends[0]])[:, None]
-    return _stiffness_stage(plan, piece, [("vertices", eye[list(ends)])], [
-        ("vertices", vertex_s[:, None], np.ones(len(vertex_s)), conormal)])
-
-
-def _sides(whole, cell, vertex_ids, quad_degree):
-    """Sides of a triangle `cell` whose vertices are `whole`'s `vertex_ids`.
-
-    Yields (local edge, region key, sigma, ccw, points, weights): the
-    global edge's parameter s sits at local parameter sigma*s, ccw is +1
-    when the local tangent runs counterclockwise, and points and weights
-    are the side's rule in `cell`'s coordinates, read at sigma*s.
-    """
-    for ledge, ccw in triangle_edges(cell):
-        a, b = (vertex_ids[i] for i in ledge.vertex_ids)
-        g = next(e.index for e in cell_edges(whole)
-                 if set(e.vertex_ids) == {a, b})
-        sigma = 1.0 if a < b else -1.0
-        q1 = quadrature(ledge.cell, quad_degree)
-        yield (ledge, f"edge{g}", sigma, ccw,
-               ledge.embed(sigma * q1.points[:, 0]), q1.weights)
-
-
-def _triangle_stage(plan, piece):
-    """Scalar stiffness stage on a triangle piece, a face or the triangle
-    itself, fed by its sides' edge stages."""
-    deg = plan.target.degree
-    parents, fluxes = [], []
-    for ledge, key, sigma, ccw, pts, w in _sides(
-            plan.target.cell, piece.cell, piece.vertex_ids, plan.quad_degree):
-        parents.append((key, _flip(ledge.cell.n_modes(deg), sigma)))
-        outward = ccw * np.array([ledge.tangent[1], -ledge.tangent[0]])
-        fluxes.append((key, pts, w, np.broadcast_to(outward, (len(w), 2))))
-    return _stiffness_stage(plan, piece, parents, fluxes)
-
-
-def _grad_interior(plan, piece):
-    """Scalar stiffness stage on the tetrahedron, fed by its faces' stages."""
-    faces = plan.pieces[2]
-    fluxes = [(f.region, f.points, f.rule[1],
-               np.broadcast_to(f.boundary.normal, (len(f.rule[1]), 3)))
-              for f in faces]
-    parents = [(f.name, np.eye(f.cell.n_modes(plan.target.degree)))
-               for f in faces]
-    return _stiffness_stage(plan, piece, parents, fluxes)
-
-
-def _mixed_stage(name, space, bubble, trace, parents, gauge, energy, op, rhs):
-    """Stage in the coordinates of a vector space.
-
-    The bubble part is fixed by an energy block, (op u, e) for the rows e of
-    `energy`, and a gauge block, the pairings (u, g) with the rows g of
-    `gauge`. rhs lists one (region, matrix) per region: the gauge's region
-    stacks the energy moments over the gauge moments in one matrix, and the
-    other regions feed only the energy block, which comes first.
-    """
-    K = np.vstack([energy @ diff_rows(op, space).T, gauge @ space.basis.T])
-    return _stage(name, bubble.basis @ space.basis.T, K, rhs,
-                  trace @ space.basis.T, parents, space.basis.T)
-
-
-def _edge_element_stage(plan, piece):
-    """Edge-element stage on a triangle piece: a curl3d face or the curl2d
-    cell.
-
-    Lifts the sides' tangential data, then fixes the bubbles by (u, grad v)
-    and (curl u, curl w) over the `bubble_images` of the H1 and the edge
-    bubbles, the latter by the surface Stokes formula. A face's chart frame
-    maps the triangle's vectors into the frame of the samples.
-    """
-    p, cell, face = plan.p, piece.cell, piece.boundary
-    deg = p + 1
-    frame = np.eye(2) if face is None else face.frame
-    Q = ps.build_space(cell, "hcurl", p)
-    grads, psi = bubble_images(cell, 0, p), bubble_images(cell, 1, p)
-    rot = diff_slots("curl2d_scalar", ps.scalar_space(cell, deg), psi)
-    Vq = cell.tabulate(deg, piece.rule[0])
-    # the gauge's region stacks the energy moments over the gauge moments
-    energy = [(piece.region, _stacked_moments(
-        Vq, piece.rule[1], [rot, grads], frame))]
-    parents = []
-    for ledge, key, sigma, ccw, pts, w in _sides(
-            plan.target.cell, cell, piece.vertex_ids, plan.quad_degree):
-        parents.append((key, sigma * _flip(ledge.cell.n_modes(p), sigma)))
-        pv = _eval_rows(cell, 1, deg, psi, pts)[:, :, 0]
-        tvals = pv[:, :, None] * (frame @ ledge.tangent)[None, None, :]
-        energy.append((key, ccw * _weighted(tvals, w)))
-    return _mixed_stage(
-        piece.name, Q, ps.build_space(cell, "hcurl_bubble", p),
-        ps.boundary_traces(cell, deg, "tangential", keep=p), parents,
-        grads, psi, "curl2d_vector", energy,
-    )
-
-
-def _mixed_interior(plan, piece):
-    """Edge- or face-element stage on the tetrahedron, fed by its faces'
-    stages.
-
-    The energy rows e are the slot's `bubble_images` under the derivative D
-    that leaves it, and the gauge rows the previous slot's. (D u, e) is
-    integrated by parts as the module docstring says, from D's tensor: the
-    adjoint D* is the curl itself for curl3d and minus the gradient for div,
-    and the face flux F e is -(n x e) for curl3d and e n for div.
-    """
-    cell, p, space = piece.cell, plan.p, plan.target
+    cell, p = piece.cell, plan.p
     deg, slot = p + 1, OPERATORS[plan.operator][1]
-    deriv = COMPLEX[3][slot]
-    C = DERIVATIVES[deriv].C[3]
-    energy, gauge = bubble_images(cell, slot, p), bubble_images(cell, slot - 1, p)
+    deriv = COMPLEX[cell.dim][slot]
+    C = DERIVATIVES[deriv].C[cell.dim]
+    energy = bubble_images(cell, slot, p)
+    gauge = bubble_images(cell, slot - 1, p)
     adjoint = ps.derivative_rows(-C.transpose(2, 1, 0),
                                  ps.PolySpace(cell, len(C), deg, energy))
+    # the cell's own samples take the GEMM path, with no frame: an identity
+    # frame's einsum doubles the p = 10 tetrahedron's moments (0.25 s to
+    # 0.55 s for curl3d on 2 vCPUs with one BLAS thread)
+    frame = None if piece.boundary is None else piece.boundary.frame
     Vq = cell.tabulate(deg, piece.rule[0])
+    # the gauge's region stacks the energy moments over the gauge moments
     rhs = [(piece.region, _stacked_moments(
-        Vq, piece.rule[1], [adjoint, gauge]))]
+        Vq, piece.rule[1], [adjoint, gauge], frame))]
     del Vq  # the largest table; freed before the stage's own peak
-    faces = plan.pieces[2]
-    for face in faces:
-        flux = np.einsum("kic,i->ck", C, face.boundary.normal)
-        vals = _eval_rows(cell, len(C), deg, energy, face.points)
-        rhs.append((face.region, _weighted(
-            np.einsum("mpk,ck->mpc", vals, flux), face.rule[1])))
-    # the face stages pass on the whole tangential trace, or the P_p modes of
-    # the normal one
-    part, keep, kind = (("tangential", None, "hcurl_bubble"),
-                        ("normal", p, "hdiv_bubble"))[slot - 1]
-    trace = ps.boundary_traces(cell, deg, part, keep=keep)
-    parents = [(f.name, np.eye(len(trace) // len(faces))) for f in faces]
-    return _mixed_stage(piece.name, space, ps.build_space(cell, kind, p),
-                        trace, parents, gauge, energy, deriv, rhs)
-
-
-# the stage builders of a piece of dimension m: _STAGES[slot][m - slot]
-_STAGES = (
-    (_vertex_stage, _segment_stage, _triangle_stage, _grad_interior),
-    (_l2_stage, _edge_element_stage, _mixed_interior),
-    (_l2_stage, _mixed_interior),
-    (_l2_stage,),
-)
+    # the boundary's L2 stages pass on the P_p modes of the trace, and the
+    # curl3d faces the whole tangential trace
+    part, kind = (("tangential", "hcurl"), ("normal", "hdiv"))[slot - 1]
+    trace = ps.boundary_traces(cell, deg, part,
+                               keep=p if slot == cell.dim - 1 else None)
+    parents, fluxes = _boundary(plan, piece, len(trace) // (cell.dim + 1))
+    for region, pts, w, conormal in fluxes:
+        flux = np.einsum("kic,pi->pck", C, conormal)
+        if frame is not None:
+            flux = frame @ flux
+        vals = _rows_at(cell.tabulate(deg, pts), len(C), energy)
+        rhs.append((region, _weighted(
+            np.einsum("mpk,pck->mpc", vals, flux), w)))
+    space = ps.build_space(cell, kind, p)
+    bubbles = ps.build_space(cell, f"{kind}_bubble", p).basis @ space.basis.T
+    K = np.vstack([energy @ diff_rows(deriv, space).T, gauge @ space.basis.T])
+    return _stage(piece.name, bubbles, K, rhs, trace @ space.basis.T,
+                  parents, space.basis.T)
 
 
 def target_space(operator, p):
@@ -475,9 +415,13 @@ class ProjectorPlan:
         dim, slot = OPERATORS[operator]
         for m in range(slot, dim + 1):
             self.pieces[m] = _pieces(self.target.cell, m, self.quad_degree)
+            # a piece of the slot's own dimension takes the slot's data, and
+            # every piece above it the energy (and gauge) conditions
+            build = ((_vertex_stage, _l2_stage) if m == slot
+                     else (_stiffness_stage, _mixed_stage))[slot > 0]
             for piece in self.pieces[m]:
                 self.sample_points[piece.region] = piece.points
-                self.stages.append(_STAGES[slot][m - slot](self, piece))
+                self.stages.append(build(self, piece))
 
     def apply(self, field):
         """Interpolate an evaluable field; returns target slot coefficients."""

@@ -426,7 +426,7 @@ def run_verification(p_max, seed):
         ca.complex_property_residual(tet, tri, p) for p in range(p_max + 1)
     )
     report["sections"]["sequences"] = {
-        "ok": all(r["ok"] for r in seq) and complex_res <= 1e-12,
+        "ok": bool(all(r["ok"] for r in seq) and complex_res <= 1e-12),
         "complex_residual": complex_res,
         "per_p": [{"p": r["p"], "ok": r["ok"]} for r in seq],
     }
@@ -434,7 +434,7 @@ def run_verification(p_max, seed):
     ibp = ca.integration_by_parts_residual(tet, min(p_max, 4), rng)
     stokes = ca.stokes_2d_residual(tri, min(p_max, 4), rng)
     report["sections"]["integration_by_parts"] = {
-        "ok": ibp <= 1e-10 and stokes <= 1e-10,
+        "ok": bool(ibp <= 1e-10 and stokes <= 1e-10),
         "residual_3d": ibp,
         "residual_2d": stokes,
     }
@@ -459,12 +459,12 @@ def run_verification(p_max, seed):
             proj[op] = max(proj[op], err)
         comm_rows.extend(rows)
     report["sections"]["projection"] = {
-        "ok": max(proj.values()) <= 1e-9,
+        "ok": bool(max(proj.values()) <= 1e-9),
         "worst": proj,
     }
     worst_comm = max(r["rel_residual"] for r in comm_rows)
     report["sections"]["commuting"] = {
-        "ok": worst_comm <= 1e-9,
+        "ok": bool(worst_comm <= 1e-9),
         "worst": worst_comm,
         "n_cases": len(comm_rows),
     }
@@ -626,8 +626,8 @@ def _poincare_checks(p_max, rng, n_samples):
             g = ca.diff_slots("grad", sc2p, phi)
             worst_identity = max(worst_identity, _identity_residual(rg2, vs2, g))
     return {
-        "ok": worst_identity <= 1e-10 and worst_member <= 1e-10
-        and worst_split <= 1e-9,
+        "ok": bool(worst_identity <= 1e-10 and worst_member <= 1e-10
+                   and worst_split <= 1e-9),
         "identity_residual": worst_identity,
         "membership_residual": worst_member,
         "splitting_residual": worst_split,

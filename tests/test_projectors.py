@@ -11,7 +11,8 @@ from exseq import fields as fl
 from exseq import polyspace as ps
 from exseq import projectors as pj
 from exseq.refsimplex import (cell_edges, graded_interval_rule,
-                              make_reference_cell, quadrature, tet_faces)
+                              make_reference_cell, quadrature, tet_faces,
+                              triangle_edges)
 
 
 def _stage_conditions(plan):
@@ -177,24 +178,24 @@ def test_interior_table_is_freed_before_the_interior_stage(operator,
                                                            monkeypatch):
     # the interior rule's modal table Vq is read only by the stacked
     # moments: no block allocated at its line as large as the table is alive
-    # when the interior stage, the last `_mixed_stage` of the build, is made
+    # when the interior stage, the last `_stage` of the build, is made
     import inspect
 
-    lines, start = inspect.getsourcelines(pj._mixed_interior)
+    lines, start = inspect.getsourcelines(pj._mixed_stage)
     at = start + next(i for i, line in enumerate(lines)
                       if line.strip().startswith("Vq = "))
     held = []
-    mixed_stage = pj._mixed_stage
+    stage = pj._stage
 
     def spy(name, *args):
         if name == "interior":  # the face stages' snapshots go unread
             snap = tracemalloc.take_snapshot().filter_traces(
                 [tracemalloc.Filter(True, pj.__file__, at, all_frames=True)])
             held.append(max((t.size for t in snap.traces), default=0))
-        return mixed_stage(name, *args)
+        return stage(name, *args)
 
     pj.ProjectorPlan(operator, 2)  # the memoised spaces, untraced
-    monkeypatch.setattr(pj, "_mixed_stage", spy)
+    monkeypatch.setattr(pj, "_stage", spy)
     tracemalloc.start(30)
     try:
         plan = pj.ProjectorPlan(operator, 2)
@@ -205,35 +206,98 @@ def test_interior_table_is_freed_before_the_interior_stage(operator,
     assert held and held[-1] < table
 
 
-@pytest.mark.parametrize("operator", ["curl3d", "div3d"])
-def test_interior_reads_adjoint_and_flux_off_the_tensor(operator, rc3):
-    # the tensor adjoint -C[c, i, k] is the curl itself for curl3d and minus
-    # the gradient for div, bit for bit; the face flux sum_i C[k, i, c] n_i
-    # is -(n x e) for curl3d and e n for div
+@pytest.mark.parametrize("operator, name", [
+    pytest.param("curl3d", "interior", id="curl3d"),
+    pytest.param("div3d", "interior", id="div3d"),
+    pytest.param("curl2d", "interior", id="curl2d"),
+    pytest.param("curl3d", "face0", id="curl3d face0"),
+])
+def test_interior_reads_adjoint_and_flux_off_the_tensor(operator, name):
+    # the tensor adjoint -C[c, i, k] is the 2D scalar curl for curl2d, the
+    # curl itself for curl3d and minus the gradient for div, bit for bit;
+    # the boundary flux sum_i C[k, i, c] n_i is ccw e t on a triangle's
+    # side of tangent t (mapped by a face's chart frame), -(n x e) on a
+    # tetrahedron's face and e n for div
     p, deg = 3, 4
     slot = ca.OPERATORS[operator][1]
     plan = pj.ProjectorPlan(operator, p)
-    rhs = dict(plan.stages[-1].rhs)
-    e = ca.bubble_images(rc3, slot, p)
-    vd = e.shape[1] // rc3.n_modes(deg)
-    if operator == "curl3d":
-        adjoint = ca.diff_rows("curl3d", ps.PolySpace(rc3, vd, deg, e))
+    piece = next(pc for pieces in plan.pieces.values() for pc in pieces
+                 if pc.name == name)
+    rhs = dict(_stage(plan, name).rhs)
+    cell = piece.cell
+    frame = None if piece.boundary is None else piece.boundary.frame
+    e = ca.bubble_images(cell, slot, p)
+    vd = e.shape[1] // cell.n_modes(deg)
+    space = ps.PolySpace(cell, vd, deg, e)
+    if cell.dim == 2:
+        adjoint = ca.diff_rows("curl2d_scalar", space)
+    elif operator == "curl3d":
+        adjoint = ca.diff_rows("curl3d", space)
     else:
-        adjoint = -ca.diff_rows("grad", ps.PolySpace(rc3, vd, deg, e))
-    pts, w = plan.pieces[3][0].rule
-    ref = pj._stacked_moments(rc3.tabulate(deg, pts), w,
-                              [adjoint, ca.bubble_images(rc3, slot - 1, p)])
-    assert np.array_equal(rhs["vol"], ref)
-    for face in plan.pieces[2]:
-        n = face.boundary.normal
-        vals = pj._eval_rows(rc3, vd, deg, e, face.points)
-        if operator == "curl3d":
-            ref = pj._weighted(-np.cross(n, vals), face.rule[1])
-            scale = np.abs(ref).max()
-            assert np.abs(rhs[face.region] - ref).max() < 1e-14 * scale
-        else:
-            ref = pj._weighted(vals * n, face.rule[1])
-            assert np.array_equal(rhs[face.region], ref)
+        adjoint = -ca.diff_rows("grad", space)
+    pts, w = piece.rule
+    ref = pj._stacked_moments(cell.tabulate(deg, pts), w,
+                              [adjoint, ca.bubble_images(cell, slot - 1, p)],
+                              frame)
+    assert np.array_equal(rhs[piece.region], ref)
+    if cell.dim == 2:  # the sides, whose flux rules `_boundary` gives
+        _, fluxes = pj._boundary(plan, piece, p + 1)
+        for (side, ccw), (region, pts, w, _) in zip(
+                triangle_edges(cell), fluxes):
+            t = side.tangent if frame is None else frame @ side.tangent
+            vals = pj._rows_at(cell.tabulate(deg, pts), vd, e)
+            ref = pj._weighted(ccw * vals * t, w)
+            assert np.array_equal(rhs[region], ref)
+    else:
+        for face in plan.pieces[2]:
+            n = face.boundary.normal
+            vals = pj._rows_at(cell.tabulate(deg, face.points), vd, e)
+            if operator == "curl3d":
+                ref = pj._weighted(-np.cross(n, vals), face.rule[1])
+                scale = np.abs(ref).max()
+                assert np.abs(rhs[face.region] - ref).max() < 1e-14 * scale
+            else:
+                ref = pj._weighted(vals * n, face.rule[1])
+                assert np.array_equal(rhs[face.region], ref)
+
+
+def test_boundary_orientation_right_hand_rule():
+    # every piece's boundary as its stage reads it: each nonzero conormal
+    # points away from the piece's centroid and the weighted conormals sum
+    # to zero; a face's sides, each global edge signed by its parent's
+    # parameter flip and its local orientation, circle the face's outward
+    # normal counterclockwise and close
+    for operator, (_, slot) in pj.OPERATORS.items():
+        plan = pj.ProjectorPlan(operator, 2)
+        for m, pieces in plan.pieces.items():
+            if m == 0 or m == 3 and 2 not in plan.pieces:
+                continue  # the vertices, and l2_3d builds no face pieces
+            for piece in pieces:
+                parents, fluxes = pj._boundary(plan, piece, 2)
+                total = 0.0
+                for _, pts, w, conormal in fluxes:
+                    away = np.einsum("pk,pk->p", pts - piece.cell.centroid,
+                                     conormal)
+                    assert np.all(away[np.any(conormal != 0, axis=1)] > 0)
+                    total = total + w @ conormal
+                assert np.allclose(total, 0.0, rtol=0, atol=1e-14), piece.name
+                face = piece.boundary
+                if m != 2 or face is None:
+                    continue
+                centroid = plan.target.cell.vertices[list(face.vertex_ids)]
+                centroid = centroid.mean(axis=0)
+                sides = []
+                for (_, ccw), (key, P) in zip(triangle_edges(piece.cell),
+                                              parents):
+                    sigma = P[1, 1] / P[0, 0]
+                    assert P[0, 0] == sigma**slot
+                    edge = cell_edges(plan.target.cell)[
+                        int(key.removeprefix("edge"))]
+                    side = ccw * sigma * edge.tangent * edge.cell.measure
+                    arm = edge.midpoint - centroid
+                    assert np.dot(np.cross(arm, side), face.normal) > 0
+                    sides.append(side)
+                assert np.allclose(sum(sides), 0.0, rtol=0, atol=1e-14)
 
 
 def test_commuting_identities_polynomials(rng):
@@ -487,7 +551,8 @@ def test_eval_rows_of_no_rows(rc3):
     pts = quadrature(rc3, 4).points
     for vd in (1, 3):
         rows = np.zeros((0, vd * rc3.n_modes(3)))
-        assert pj._eval_rows(rc3, vd, 3, rows, pts).shape == (0, len(pts), vd)
+        vals = pj._rows_at(rc3.tabulate(3, pts), vd, rows)
+        assert vals.shape == (0, len(pts), vd)
 
 
 def _three_table_moments(V, weights, rows, frame=None):
@@ -550,7 +615,7 @@ def test_moments_hold_two_tables(rc3, rng):
     table = len(rows) * 3 * len(q.weights) * 8
     tracemalloc.start()
     try:
-        pj._stacked_moments(V, q.weights, [rows])
+        pj._stacked_moments(V, q.weights, [rows], None)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -595,7 +660,7 @@ def test_stacked_moments_hold_the_matrix_and_one_product(rc3, rng):
     matrix = 100 * 3 * len(q.weights) * 8
     tracemalloc.start()
     try:
-        pj._stacked_moments(V, q.weights, blocks)
+        pj._stacked_moments(V, q.weights, blocks, None)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -702,18 +767,19 @@ def test_stage_oracle_sees_a_negated_face_flux(monkeypatch):
     # a grad3d plan whose interior stage integrates face 0's flux with the
     # wrong sign meets its own conditions; the derivative form of the
     # interior's equations does not hold for its result
-    stiffness_stage = pj._stiffness_stage
+    boundary = pj._boundary
 
-    def negated(plan, piece, parents, fluxes):
+    def negated(plan, piece, n):
+        parents, fluxes = boundary(plan, piece, n)
         if piece.name == "interior":
             region, pts, w, conormal = fluxes[0]
             fluxes = [(region, pts, w, -conormal), *fluxes[1:]]
-        return stiffness_stage(plan, piece, parents, fluxes)
+        return parents, fluxes
 
     f = fl.suite("entire", 3)[0]
     plan = pj.ProjectorPlan("grad3d", 3)
     assert oracles.stage_residuals(plan, f, plan.apply(f))["interior"] < 1e-9
-    monkeypatch.setattr(pj, "_stiffness_stage", negated)
+    monkeypatch.setattr(pj, "_boundary", negated)
     wrong = pj.ProjectorPlan("grad3d", 3)
     residuals = oracles.stage_residuals(wrong, f, wrong.apply(f))
     assert residuals.pop("interior") > 1e-6

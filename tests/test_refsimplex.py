@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 import oracles
-from exseq import projectors as pj
 from exseq import refsimplex as rs
 
 
@@ -56,26 +55,6 @@ def test_bottom_face_chart_matches_reference_triangle(rc3):
         if 3 not in face.vertex_ids:
             area = face.cell.measure
             assert area == pytest.approx(0.5, rel=1e-14)
-
-
-def test_boundary_orientation_right_hand_rule(rc3):
-    # the sides that a face's plan stages read, each global edge signed by
-    # its parameter flip and its local orientation, circle the outward
-    # normal counterclockwise
-    for face in rs.tet_faces(rc3):
-        centroid = rc3.vertices[list(face.vertex_ids)].mean(axis=0)
-        pieces = []
-        for _, key, sigma, ccw, _, _ in pj._sides(rc3, face.cell,
-                                                  face.vertex_ids, 4):
-            edge = rs.cell_edges(rc3)[int(key.removeprefix("edge"))]
-            side = ccw * sigma * edge.tangent * edge.cell.measure
-            pieces.append(side)
-            # each oriented side runs counterclockwise about the normal
-            arm = edge.midpoint - centroid
-            assert np.dot(np.cross(arm, side), face.normal) > 0
-        # the polygon closes
-        assert len(pieces) == 3
-        assert np.allclose(sum(pieces), 0.0, atol=1e-14)
 
 
 def test_pulled_back_edge_tangents_match(rc3):

@@ -70,6 +70,9 @@ def test_csv_format_roundtrip(tmp_path):
 def test_verification_report_small():
     rep = st.run_verification(p_max=2, seed=1)
     assert rep["ok"], {k: v["ok"] for k, v in rep["sections"].items()}
+    # the flags are Python bools in process too, not only in the JSON
+    types = {k: type(v["ok"]) for k, v in rep["sections"].items()}
+    assert types == dict.fromkeys(rep["sections"], bool)
     text = st.format_report(rep, "json")
     parsed = json.loads(text, parse_constant=_refuse_constant)
     assert parsed["ok"] is True
@@ -87,7 +90,7 @@ def test_splitting_fault_is_reported_not_raised(monkeypatch):
     monkeypatch.setattr(pc.RegularizedInverse, "apply", scaled)
     rep = st.run_verification(p_max=1, seed=1)
     poincare = rep["sections"]["poincare"]
-    assert not poincare["ok"] and poincare["splitting_residual"] > 1e-9
+    assert poincare["ok"] is False and poincare["splitting_residual"] > 1e-9
     assert "[FAIL] poincare" in st.format_report(rep, "csv").splitlines()
 
 
