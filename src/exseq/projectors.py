@@ -20,17 +20,22 @@ A plan is the ordered list of those stages, and every stage is one `Stage`:
   parameter flips and signs of edges shared with another orientation;
 - `bubbles` B are the trace-free directions (T B^T = 0);
 - `conditions` K are the stage's defining functionals, and `rhs` gives
-  their values as (sample region, matrix M) pairs, so K x = sum M s (an M
-  with fewer rows than K feeds K's leading rows);
+  their values as moments of the samples s, in factored form: each entry
+  (sample region, rows, modal table V, weights w, channel map G) adds
+  rows (V (w G s)), so K x = sum rows (V (w G s)) (rows fewer than K's feed
+  K's leading rows). The rows are the test functions in modal coordinates,
+  V tabulates the modes at the region's points, and G maps the samples'
+  channels at each point to the rows' vector components: a face's chart
+  frame, a boundary flux, or a tangent or normal;
 - `out` maps the stage's coordinates to the slot coefficients on its cell
   that later stages read.
 
 Applying a plan runs one loop: x0 = L d, then
-x = x0 + B^T (K B^T)^{-1} (sum M s - K x0), with K B^T factored once when the
-plan is built. The result does not depend on the lift, because the bubble
-correction absorbs any trace-free part of it. A plan keeps only what that
-loop reads; `tests/oracles.py` checks the stage equations of a result in
-their derivative form, independently of the plan.
+x = x0 + B^T (K B^T)^{-1} (sum rows (V (w G s)) - K x0), with K B^T factored
+once when the plan is built. The result does not depend on the lift,
+because the bubble correction absorbs any trace-free part of it. A plan
+keeps only what that loop reads; `tests/oracles.py` checks the stage
+equations of a result in their derivative form, independently of the plan.
 
 Derivative conditions are rewritten by integration by parts, so all stage
 data is read through point values of the input field at the plan's
@@ -78,60 +83,12 @@ def _rows_at(V, vd, rows):
     return np.moveaxis(vals, 1, 2)
 
 
-def _weighted(values, weights):
-    """Flatten weighted test values to channel covectors (n_test, n_chan)."""
-    if values.ndim == 2:
-        w = values * weights
-    else:
-        w = values * weights[None, :, None]
-    n_chan = int(np.prod(values.shape[1:]))
-    return w.reshape(values.shape[0], n_chan)
+def _channels(G, n_pts):
+    """A constant channel map G (n_chan, n_comp) at each of n_pts points."""
+    return np.broadcast_to(G, (n_pts, *np.shape(G)))
 
 
-def _stacked_moments(V, weights, blocks, frame):
-    """Covectors pairing samples with the values of several row blocks over
-    a rule, from the modal table V of the rule's points, stacked in order in
-    one matrix.
-
-    frame maps the rows' vector values into the frame of the samples (the
-    columns of a face chart), or is None where the rows' values are already
-    in it, as on the cell itself.
-
-    Each row block runs over one point block of `ps._POINT_BLOCK` columns of
-    V at a time: without a frame it weights the point block's GEMM output in
-    place and writes it into that block's columns of its rows with one
-    transposed copy; with one, the einsum writes into those columns and is
-    weighted there. Each row block keeps its own GEMMs, so its rows equal
-    those of the block built alone, and only the matrix and one point
-    block's GEMM output are live.
-
-    Each point block is equal bit for bit to `_weighted` of its values. A
-    point block's GEMM keeps the whole product's bits where the BLAS runs
-    both with one kernel, as OpenBLAS does for 512-point blocks of the large
-    interior products; a short last block may fall to its small-matrix
-    kernel and move entries in the last bit.
-    """
-    n_comp = blocks[0].shape[1] // len(V) if frame is None else len(frame)
-    out = np.empty((sum(len(rows) for rows in blocks), V.shape[1] * n_comp))
-    start = 0
-    for rows in blocks:
-        vd = rows.shape[1] // len(V)
-        dst = out[start:start + len(rows)]
-        dst = dst.reshape(len(rows), V.shape[1], n_comp)
-        start += len(rows)
-        for first in range(0, V.shape[1], ps._POINT_BLOCK):
-            block = slice(first, first + ps._POINT_BLOCK)
-            Vb, wb, db = V[:, block], weights[block], dst[:, block]
-            if frame is not None:
-                np.einsum("mpl,kl->mpk", _rows_at(Vb, vd, rows), frame, out=db)
-                db *= wb[:, None]
-            else:
-                vals = rows.reshape(-1, len(V)) @ Vb
-                vals *= wb
-                vals = vals.reshape(len(rows), vd, Vb.shape[1])
-                db[...] = np.moveaxis(vals, 1, 2)
-                del vals  # before the next block's product
-    return out
+_SCALAR = np.ones((1, 1))  # the channel map of scalar samples and rows
 
 
 def _flip(n_modes, sigma):
@@ -147,7 +104,8 @@ def _flip(n_modes, sigma):
 class Stage:
     """One constrained solve of a plan; see the module docstring.
 
-    `name` keys the stage's output for later stages' `parents`.
+    `name` keys the stage's output for later stages' `parents`. Each `rhs`
+    entry is (region, rows, table, weights, G), which `_data` applies.
     """
 
     name: str
@@ -183,11 +141,22 @@ def _gather(stage, outs, nb):
 
 
 def _data(stage, samples, nb):
-    """Right-hand side of the stage's conditions, sum of M s; a matrix M with
-    fewer rows than the conditions feeds the leading ones."""
+    """Right-hand side of the stage's conditions, summed over its rhs
+    entries (region, rows, table, weights, G), each rows (table (w G s)).
+
+    G (n_pts, n_chan, n_comp) maps the region's sample channels at each
+    point to the components of the rows' values, w weights the points, the
+    modal table (n_modes, n_pts) pairs them with the modes, and the
+    component-major rows (n_rows, n_comp * n_modes) take the moments: one
+    product against the samples and one against the rows, so no (rows x
+    samples) matrix is formed. Rows fewer than the conditions feed the
+    leading ones.
+    """
     r = np.zeros((len(stage.conditions), nb))
-    for key, M in stage.rhs:
-        r[: len(M)] += M @ samples[key]
+    for key, rows, table, w, G in stage.rhs:
+        s = samples[key].reshape(*G.shape[:2], nb)
+        u = np.einsum("qcl,qcb->lqb", G, s) * w[:, None]
+        r[: len(rows)] += rows @ (table @ u).reshape(-1, nb)
     return r
 
 
@@ -246,12 +215,13 @@ def _l2_stage(plan, piece):
     component along an edge's tangent or a face's normal, or the samples
     themselves on the cell."""
     p, cell, sub = plan.p, piece.cell, piece.boundary
-    M = cell.tabulate(p, piece.rule[0]) * piece.rule[1]
-    if sub is not None:
-        direction = sub.tangent if cell.dim == 1 else sub.normal
-        M = np.einsum("mq,c->mqc", M, direction).reshape(len(M), -1)
-    eye = np.eye(len(M))
-    return _stage(piece.name, eye, eye, [(piece.region, M)])
+    pts, w = piece.rule
+    direction = (np.ones(1) if sub is None
+                 else sub.tangent if cell.dim == 1 else sub.normal)
+    V = cell.tabulate(p, pts)
+    eye = np.eye(len(V))
+    G = _channels(direction[:, None], len(w))
+    return _stage(piece.name, eye, eye, [(piece.region, eye, V, w, G)])
 
 
 def _boundary(plan, piece, n):
@@ -308,18 +278,21 @@ def _stiffness_stage(plan, piece):
     D = [ps.deriv_matrix(cell, deg, i) for i in range(cell.dim)]
     pts, w = piece.rule
     lap = B @ sum(Di @ Di for Di in D).T
-    rhs = [(piece.region, -_weighted(lap @ cell.tabulate(deg, pts), w))]
+    rhs = [(piece.region, -lap, cell.tabulate(deg, pts), w,
+            _channels(_SCALAR, len(w)))]
     for region, pts, w, conormal in fluxes:
         dn = np.einsum("mpk,pk->mp", cell.tabulate_grad(deg, pts), conormal)
-        rhs.append((region, _weighted(B @ dn, w)))
+        rhs.append((region, B, dn, w, _channels(_SCALAR, len(w))))
     K = sum(B @ Di.T @ Di for Di in D)
     return _stage(piece.name, B, K, rhs, trace, parents)
 
 
 def _vertex_stage(plan, piece):
     """The values at the vertices."""
-    eye = np.eye(len(piece.points))
-    return _stage(piece.name, eye, eye, [(piece.region, eye)])
+    n = len(piece.points)
+    eye = np.eye(n)
+    rhs = [(piece.region, eye, eye, np.ones(n), _channels(_SCALAR, n))]
+    return _stage(piece.name, eye, eye, rhs)
 
 
 def _mixed_stage(plan, piece):
@@ -331,8 +304,10 @@ def _mixed_stage(plan, piece):
     leaves the slot, and a gauge block, (u, g) over the previous slot's.
     (D u, e) is integrated by parts as the module docstring says, from D's
     tensor: the adjoint D* is the 2D scalar curl for curl2d, the curl itself
-    for curl3d and minus the gradient for div. A face's chart frame maps the
-    triangle's vectors into the frame of the samples.
+    for curl3d and minus the gradient for div. Each boundary flux is the
+    channel map of its region's entry. A face's chart frame maps the
+    triangle's vectors, the rows' values and the fluxes alike, into the
+    frame of the samples; on the cell the frame is the identity.
     """
     cell, p = piece.cell, plan.p
     deg, slot = p + 1, OPERATORS[plan.operator][1]
@@ -342,15 +317,12 @@ def _mixed_stage(plan, piece):
     gauge = bubble_images(cell, slot - 1, p)
     adjoint = ps.derivative_rows(-C.transpose(2, 1, 0),
                                  ps.PolySpace(cell, len(C), deg, energy))
-    # the cell's own samples take the GEMM path, with no frame: an identity
-    # frame's einsum doubles the p = 10 tetrahedron's moments (0.25 s to
-    # 0.55 s for curl3d on 2 vCPUs with one BLAS thread)
-    frame = None if piece.boundary is None else piece.boundary.frame
-    Vq = cell.tabulate(deg, piece.rule[0])
-    # the gauge's region stacks the energy moments over the gauge moments
-    rhs = [(piece.region, _stacked_moments(
-        Vq, piece.rule[1], [adjoint, gauge], frame))]
-    del Vq  # the largest table; freed before the stage's own peak
+    frame = (np.eye(cell.dim) if piece.boundary is None
+             else piece.boundary.frame)
+    # the piece's own region takes the energy rows over the gauge rows
+    pts, w = piece.rule
+    rhs = [(piece.region, np.vstack([adjoint, gauge]), cell.tabulate(deg, pts),
+            w, _channels(frame, len(w)))]
     # the boundary's L2 stages pass on the P_p modes of the trace, and the
     # curl3d faces the whole tangential trace
     part, kind = (("tangential", "hcurl"), ("normal", "hdiv"))[slot - 1]
@@ -358,12 +330,8 @@ def _mixed_stage(plan, piece):
                                keep=p if slot == cell.dim - 1 else None)
     parents, fluxes = _boundary(plan, piece, len(trace) // (cell.dim + 1))
     for region, pts, w, conormal in fluxes:
-        flux = np.einsum("kic,pi->pck", C, conormal)
-        if frame is not None:
-            flux = frame @ flux
-        vals = _rows_at(cell.tabulate(deg, pts), len(C), energy)
-        rhs.append((region, _weighted(
-            np.einsum("mpk,pck->mpc", vals, flux), w)))
+        flux = frame @ np.einsum("kic,pi->pck", C, conormal)
+        rhs.append((region, energy, cell.tabulate(deg, pts), w, flux))
     space = ps.build_space(cell, kind, p)
     bubbles = ps.build_space(cell, f"{kind}_bubble", p).basis @ space.basis.T
     K = np.vstack([energy @ diff_rows(deriv, space).T, gauge @ space.basis.T])
@@ -398,8 +366,9 @@ class ProjectorPlan:
     shared state and may run concurrently on different fields.
 
     Plans are never memoised: at p = 10 the stage arrays of a plan hold
-    13.6 MiB (grad3d), 134.7 MiB (curl3d) and 157.8 MiB (div3d), shared
-    arrays counted once, so each caller builds its own and drops it when
+    32.5 MiB (grad3d), 61.7 MiB (curl3d) and 58.0 MiB (div3d), shared
+    arrays counted once, mostly the interior's modal table of degree 11 at
+    its 8,000 points, so each caller builds its own and drops it when
     done. The rate sweep and `run_verification` drop each plan before the
     next is built.
     """

@@ -323,9 +323,9 @@ def best_approx(space, fields, norm, quad, table, rich_degree=None, s=0.5,
     The field-independent forms live for this call only and serve every
     field: the H2/H1full Gram of the basis, the H1curl Cholesky factor, and
     the fractional surrogate's rich `SobolevGram(cell, rich_degree, top)`,
-    its factor, H_s images and rich modal table. Only the integer norms'
-    per-degree Gram is memoised (see `gram`). Each field still has its own
-    pairings, solve and error.
+    its factor and H_s images; its rich modal table is freed before they
+    are built. Only the integer norms' per-degree Gram is memoised (see
+    `gram`). Each field still has its own pairings, solve and error.
     """
     cell = space.cell
     if norm in ("Hhalf", "Hhalf_div", "Hhalf_curl"):
@@ -387,14 +387,28 @@ def _h1curl_minimizer(space, field, q, V, cho, dcomp):
 
 def _fractional_best_approx(space, fields, norm, s, P, q, top):
     """The rich-space fractional minimizers of the fields, on one
-    `SobolevGram(cell, P, top)` built for this call: the factored form and,
-    per block (the value, then for graph norms the derivative), the rows and
-    the H_s images of their rich-degree copies, (dim, value_dim, n_modes(P)),
-    serve every field, and so does one rich modal table on the rule."""
+    `SobolevGram(cell, P, top)` built for this call.
+
+    Every field (and, for graph norms, its derivative) is paired with the
+    rich modes on the rule first, and the rich modal table is freed before
+    the Gram is built, so the table never sits beside the forms. Then the
+    factored form and, per block (the value, then for graph norms the
+    derivative), the rows and the H_s images of their rich-degree copies,
+    (dim, value_dim, n_modes(P)), serve every field's kept pairings."""
     cell = space.cell
+    name = _graph_derivative(norm, cell.dim)
+    V = cell.tabulate(P, q.points)
+    pairings = []
+    for field in fields:
+        fs = [field] + ([DERIVATIVES[name].field(field)] if name else [])
+        cols = [f(q.points).reshape(len(q.weights), -1) for f in fs]
+        # pairings of u (and of D u) with the rich modes in one product
+        b = mode_pairings(V, q.weights, np.column_stack(cols))
+        cuts = np.cumsum([c.shape[1] for c in cols])[:-1]
+        pairings.append(np.split(b, cuts))
+    del V
     g = SobolevGram(cell, P, top)
     blocks = [(space.basis, space.value_dim)]
-    name = _graph_derivative(norm, cell.dim)
     if name:
         blocks.append((diff_rows(name, space),
                        DERIVATIVES[name].value_dim(cell.dim)))
@@ -406,14 +420,8 @@ def _fractional_best_approx(space, fields, norm, s, P, q, top):
         A = A + sum(Hs[:, c] @ R[:, c].T for c in range(vd))
         parts.append((rows, Hs))
     cho = scipy.linalg.cho_factor(A)
-    V = cell.tabulate(P, q.points)
     out = []
-    for field in fields:
-        fs = [field] + ([DERIVATIVES[name].field(field)] if name else [])
-        cols = [f(q.points).reshape(len(q.weights), -1) for f in fs]
-        # pairings of u (and of D u) with the rich modes in one product
-        b = mode_pairings(V, q.weights, np.column_stack(cols))
-        b = np.split(b, np.cumsum([c.shape[1] for c in cols])[:-1])
+    for b in pairings:
         rhs = 0
         for (_, Hs), bk in zip(parts, b):
             rhs = rhs + sum(Hs[:, c] @ bk[c] for c in range(len(bk)))

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -87,6 +85,31 @@ def _assert_l2_stage(stage):
     assert np.array_equal(stage.conditions, np.eye(n))
 
 
+def _l2_entry(plan, st, direction, V_ref):
+    """Check an L2 stage's one rhs entry: identity rows, the modal table of
+    P_p at its samples, a constant channel map onto `direction`, and weights
+    that keep the modes orthonormal; returns (region, table, weights)."""
+    (region, rows, V, w, G), = st.rhs
+    assert np.array_equal(rows, np.eye(len(V)))
+    assert np.allclose(V, V_ref, rtol=0, atol=1e-13)
+    assert G.shape == (len(w), len(direction), 1)
+    assert np.array_equal(G, np.broadcast_to(direction[:, None], G.shape))
+    # the rule keeps the modes orthonormal: the stage's data is the L2
+    # projection of the sampled trace component
+    assert np.allclose((V * w) @ V.T, np.eye(len(V)), rtol=0, atol=1e-12)
+    return region, V, w
+
+
+def _assert_projects(plan, st, f, slots, direction, V, w, region):
+    pts = plan.sample_points[region]
+    samples = {region: np.asarray(f(pts), dtype=float).reshape(-1, 1)}
+    proj = (V * w) @ (np.asarray(f(pts)) @ direction)
+    assert np.allclose(pj._data(st, samples, 1)[:, 0], proj, rtol=0,
+                       atol=1e-14 * max(1, np.abs(proj).max()))
+    own = (V * w) @ (plan.target.evaluate(slots, pts) @ direction)
+    assert np.abs(proj - own).max() < 1e-11 * max(1, np.abs(proj).max())
+
+
 def test_curl_edge_stage_is_l2_projection(rng):
     # the edge moments (mean + derivative moments) reproduce the plain
     # tangential L2 projection
@@ -95,23 +118,14 @@ def test_curl_edge_stage_is_l2_projection(rng):
     rc = make_reference_cell(3).cell
     f = [g for g in fl.suite("entire", 3) if g.value_dim == 3][0]
     slots = plan.apply(f)
-    Q = plan.target
     for k, edge in enumerate(cell_edges(rc)):
         st = _stage(plan, f"edge{k}")
         _assert_l2_stage(st)
-        (region, M), = st.rhs
-        pts = plan.sample_points[region]
+        pts = plan.sample_points[f"edge{k}"]
         s = (pts - edge.midpoint) @ edge.tangent
-        Vs = edge.cell.tabulate(p, s[:, None])
-        w = (M.reshape(len(M), len(s), 3) @ edge.tangent)[0] / Vs[0]
-        assert np.allclose(M, np.einsum("mq,c->mqc", Vs * w, edge.tangent)
-                           .reshape(M.shape), rtol=0, atol=1e-14)
-        # the rule keeps the modes orthonormal: M s is the L2 projection
-        assert np.allclose((Vs * w) @ Vs.T, np.eye(len(Vs)), rtol=0, atol=1e-12)
-        data = np.asarray(f(pts)) @ edge.tangent
-        proj = (Vs * w) @ data
-        own = (Vs * w) @ (Q.evaluate(slots, pts) @ edge.tangent)
-        assert np.abs(proj - own).max() < 1e-11 * max(1, np.abs(proj).max())
+        region, V, w = _l2_entry(plan, st, edge.tangent,
+                                 edge.cell.tabulate(p, s[:, None]))
+        _assert_projects(plan, st, f, slots, edge.tangent, V, w, region)
 
 
 def test_div_face_stage_is_l2_projection():
@@ -120,21 +134,14 @@ def test_div_face_stage_is_l2_projection():
     rc = make_reference_cell(3).cell
     f = [g for g in fl.suite("entire", 3) if g.value_dim == 3][1]
     slots = plan.apply(f)
-    V = plan.target
     for k, face in enumerate(tet_faces(rc)):
         st = _stage(plan, f"face{k}")
         _assert_l2_stage(st)
-        (region, M), = st.rhs
-        amb = plan.sample_points[region]
-        V2 = face.cell.tabulate(p, (amb - face.origin) @ face.frame)
-        w = (M.reshape(len(M), len(amb), 3) @ face.normal)[0] / V2[0]
-        assert np.allclose(M, np.einsum("mq,c->mqc", V2 * w, face.normal)
-                           .reshape(M.shape), rtol=0, atol=1e-14)
-        assert np.allclose((V2 * w) @ V2.T, np.eye(len(V2)), rtol=0, atol=1e-12)
-        data = np.asarray(f(amb)) @ face.normal
-        proj = (V2 * w) @ data
-        own = (V2 * w) @ (V.evaluate(slots, amb) @ face.normal)
-        assert np.abs(proj - own).max() < 1e-11 * max(1, np.abs(proj).max())
+        amb = plan.sample_points[f"face{k}"]
+        region, V, w = _l2_entry(
+            plan, st, face.normal,
+            face.cell.tabulate(p, (amb - face.origin) @ face.frame))
+        _assert_projects(plan, st, f, slots, face.normal, V, w, region)
 
 
 def _plans(p):
@@ -173,39 +180,6 @@ def test_face_stage_is_the_triangle_interior_stage(op3, op2, p):
                                   getattr(interior, field)), (k, field)
 
 
-@pytest.mark.parametrize("operator", ["curl3d", "div3d"])
-def test_interior_table_is_freed_before_the_interior_stage(operator,
-                                                           monkeypatch):
-    # the interior rule's modal table Vq is read only by the stacked
-    # moments: no block allocated at its line as large as the table is alive
-    # when the interior stage, the last `_stage` of the build, is made
-    import inspect
-
-    lines, start = inspect.getsourcelines(pj._mixed_stage)
-    at = start + next(i for i, line in enumerate(lines)
-                      if line.strip().startswith("Vq = "))
-    held = []
-    stage = pj._stage
-
-    def spy(name, *args):
-        if name == "interior":  # the face stages' snapshots go unread
-            snap = tracemalloc.take_snapshot().filter_traces(
-                [tracemalloc.Filter(True, pj.__file__, at, all_frames=True)])
-            held.append(max((t.size for t in snap.traces), default=0))
-        return stage(name, *args)
-
-    pj.ProjectorPlan(operator, 2)  # the memoised spaces, untraced
-    monkeypatch.setattr(pj, "_stage", spy)
-    tracemalloc.start(30)
-    try:
-        plan = pj.ProjectorPlan(operator, 2)
-    finally:
-        tracemalloc.stop()
-    # (modes of degree p + 1, interior points) doubles
-    table = plan.target.cell.n_modes(3) * len(plan.sample_points["vol"]) * 8
-    assert held and held[-1] < table
-
-
 @pytest.mark.parametrize("operator, name", [
     pytest.param("curl3d", "interior", id="curl3d"),
     pytest.param("div3d", "interior", id="div3d"),
@@ -215,17 +189,18 @@ def test_interior_table_is_freed_before_the_interior_stage(operator,
 def test_interior_reads_adjoint_and_flux_off_the_tensor(operator, name):
     # the tensor adjoint -C[c, i, k] is the 2D scalar curl for curl2d, the
     # curl itself for curl3d and minus the gradient for div, bit for bit;
-    # the boundary flux sum_i C[k, i, c] n_i is ccw e t on a triangle's
-    # side of tangent t (mapped by a face's chart frame), -(n x e) on a
-    # tetrahedron's face and e n for div
+    # the boundary flux sum_i C[k, i, c] n_i, each flux entry's channel
+    # map, is ccw e t on a triangle's side of tangent t, -(n x e) on a
+    # tetrahedron's face and e n for div, mapped by a face's chart frame
     p, deg = 3, 4
     slot = ca.OPERATORS[operator][1]
     plan = pj.ProjectorPlan(operator, p)
     piece = next(pc for pieces in plan.pieces.values() for pc in pieces
                  if pc.name == name)
-    rhs = dict(_stage(plan, name).rhs)
+    rhs = {entry[0]: entry[1:] for entry in _stage(plan, name).rhs}
     cell = piece.cell
-    frame = None if piece.boundary is None else piece.boundary.frame
+    frame = (np.eye(cell.dim) if piece.boundary is None
+             else piece.boundary.frame)
     e = ca.bubble_images(cell, slot, p)
     vd = e.shape[1] // cell.n_modes(deg)
     space = ps.PolySpace(cell, vd, deg, e)
@@ -236,29 +211,134 @@ def test_interior_reads_adjoint_and_flux_off_the_tensor(operator, name):
     else:
         adjoint = -ca.diff_rows("grad", space)
     pts, w = piece.rule
-    ref = pj._stacked_moments(cell.tabulate(deg, pts), w,
-                              [adjoint, ca.bubble_images(cell, slot - 1, p)],
-                              frame)
-    assert np.array_equal(rhs[piece.region], ref)
-    if cell.dim == 2:  # the sides, whose flux rules `_boundary` gives
+    rows, V, weights, G = rhs[piece.region]
+    assert np.array_equal(
+        rows, np.vstack([adjoint, ca.bubble_images(cell, slot - 1, p)]))
+    assert np.array_equal(V, cell.tabulate(deg, pts))
+    assert np.array_equal(weights, w)
+    assert np.array_equal(G, np.broadcast_to(frame, (len(w), *frame.shape)))
+    if cell.dim == 2:  # the sides, whose flux rules `_boundary` gives:
+        # e -> ccw e t, into the samples' frame
         _, fluxes = pj._boundary(plan, piece, p + 1)
-        for (side, ccw), (region, pts, w, _) in zip(
-                triangle_edges(cell), fluxes):
-            t = side.tangent if frame is None else frame @ side.tangent
-            vals = pj._rows_at(cell.tabulate(deg, pts), vd, e)
-            ref = pj._weighted(ccw * vals * t, w)
-            assert np.array_equal(rhs[region], ref)
-    else:
-        for face in plan.pieces[2]:
-            n = face.boundary.normal
-            vals = pj._rows_at(cell.tabulate(deg, face.points), vd, e)
-            if operator == "curl3d":
-                ref = pj._weighted(-np.cross(n, vals), face.rule[1])
-                scale = np.abs(ref).max()
-                assert np.abs(rhs[face.region] - ref).max() < 1e-14 * scale
-            else:
-                ref = pj._weighted(vals * n, face.rule[1])
-                assert np.array_equal(rhs[face.region], ref)
+        sides = [(region, (frame @ (ccw * side.tangent))[:, None], pts, w)
+                 for (side, ccw), (region, pts, w, _) in zip(
+                     triangle_edges(cell), fluxes)]
+    else:  # e -> -(n x e) for the curl, e -> e n for div
+        sides = [(face.region,
+                  -np.cross(face.boundary.normal, np.eye(3)).T
+                  if operator == "curl3d" else face.boundary.normal[:, None],
+                  face.points, face.rule[1]) for face in plan.pieces[2]]
+    for region, flux, pts, w in sides:
+        rows, V, weights, G = rhs[region]
+        assert np.array_equal(rows, e)
+        assert np.array_equal(V, cell.tabulate(deg, pts))
+        assert np.array_equal(weights, w)
+        assert G.shape == (len(w), *flux.shape)
+        assert np.abs(G - flux).max() <= 1e-15
+
+
+def _dense_moments(rows, V, w, G):
+    """One rhs entry's sampled moment matrix, assembled densely:
+    M[m, (q, c)] = w_q sum_l G[q, c, l] sum_n rows[m, l, n] V[n, q]."""
+    n_pts, n_chan, n_comp = G.shape
+    vals = np.einsum("mln,nq->mql", rows.reshape(len(rows), n_comp, len(V)),
+                     V)
+    return np.einsum("q,qcl,mql->mqc", w, G, vals).reshape(
+        len(rows), n_pts * n_chan)
+
+
+@pytest.mark.parametrize("operator", pj.OPERATORS)
+def test_factored_data_equals_the_dense_moments(operator, rng):
+    # every stage's factored right-hand side, rows (V (w G s)), equals the
+    # sum of the dense moment matrices M s, whose leading rows each feeds
+    plan = pj.ProjectorPlan(operator, 3)
+    nb, vd = 2, plan.target.value_dim
+    samples = {key: rng.standard_normal((len(pts) * vd, nb))
+               for key, pts in plan.sample_points.items()}
+    for st in plan.stages:
+        ref = np.zeros((len(st.conditions), nb))
+        for region, *entry in st.rhs:
+            M = _dense_moments(*entry)
+            ref[: len(M)] += M @ samples[region]
+        got = pj._data(st, samples, nb)
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max(), st.name
+
+
+def _three_table_moments(rows, V, weights, G, s):
+    """An entry's moments from its three tables as `_data` forms them: the
+    samples mapped to the rows' components one channel at a time and
+    weighted, paired with the modal table, then with the rows."""
+    u = np.zeros((G.shape[2], *s.shape[::2]))
+    for c in range(G.shape[1]):
+        u += np.einsum("ql,qb->lqb", G[:, c], s[:, c])
+    u *= weights[:, None]
+    return rows @ (V @ u).reshape(-1, s.shape[2])
+
+
+# (case, rule degree, table degree): rule degree 9 has 125 points; the
+# interior rules of p = 7 and p = 10 (degrees 32 and 38) have 4,913 and
+# 8,000 points
+_MOMENT_CASES = [
+    pytest.param(case, rule, degree,
+                 id=case if rule == 9 else f"{case}, {points} points")
+    for rule, degree, points in [(9, 4, 125), (32, 8, 4913), (38, 11, 8000)]
+    for case in ["volume", "negated", "face frame", "no rows"]]
+
+
+@pytest.mark.parametrize("case, rule, degree", _MOMENT_CASES)
+def test_moments_equal_the_three_table_formula_bitwise(case, rule, degree,
+                                                       rc3, rng):
+    # a factored rhs entry's moments are the rows, the modal table and the
+    # weighted channel map applied in turn, bit for bit; they feed the
+    # leading conditions and leave the others zero
+    cell, frame, nb = rc3, np.eye(3), 2
+    if case == "face frame":
+        face = tet_faces(rc3)[2]
+        frame = face.frame  # three sample channels -> two components
+        if rule == 9:  # a face's own rule; one holds at most 441 points
+            cell = face.cell
+    q = quadrature(cell, rule)
+    V = cell.tabulate(degree, q.points)
+    G = np.broadcast_to(frame, (len(q.weights), *frame.shape))
+    rows = rng.standard_normal((0 if case == "no rows" else 7,
+                                G.shape[2] * len(V)))
+    s = rng.standard_normal((len(q.weights), G.shape[1], nb))
+    ref = _three_table_moments(rows, V, q.weights, G, s)
+    if case == "negated":  # negated rows give the negated moments
+        ref, rows = -ref, -rows
+    stage = pj.Stage(name="s", lift=None, parents=[], bubbles=None,
+                     conditions=np.zeros((len(rows) + 2, 1)),
+                     rhs=[("r", rows, V, q.weights, G)], out=None, factor=None)
+    got = pj._data(stage, {"r": s.reshape(-1, nb)}, nb)
+    assert got.shape == (len(rows) + 2, nb)
+    assert np.array_equal(got[: len(rows)], ref)
+    assert not got[len(rows):].any()
+
+
+def _stage_mib(plan):
+    """MiB of the arrays that a plan's stages hold, each buffer once."""
+    buffers = {}
+
+    def visit(obj):
+        if isinstance(obj, np.ndarray):
+            while isinstance(obj.base, np.ndarray):
+                obj = obj.base
+            buffers[id(obj)] = obj
+        elif isinstance(obj, (list, tuple)):
+            for item in obj:
+                visit(item)
+
+    for st in plan.stages:
+        visit(list(vars(st).values()))
+    return sum(b.nbytes for b in buffers.values()) / 2**20
+
+
+# about 1.25 times the 24.6 and 22.9 MiB that the factored stages hold at
+# p = 8; sampled moment matrices held 51.2 and 62.5 MiB
+@pytest.mark.parametrize("operator, bound", [("curl3d", 31.0),
+                                             ("div3d", 29.0)])
+def test_stage_arrays_hold_rows_and_tables(operator, bound):
+    assert _stage_mib(pj.ProjectorPlan(operator, 8)) <= bound
 
 
 def test_boundary_orientation_right_hand_rule():
@@ -553,118 +633,6 @@ def test_eval_rows_of_no_rows(rc3):
         rows = np.zeros((0, vd * rc3.n_modes(3)))
         vals = pj._rows_at(rc3.tabulate(3, pts), vd, rows)
         assert vals.shape == (0, len(pts), vd)
-
-
-def _three_table_moments(V, weights, rows, frame=None):
-    """Stage moments as `_weighted(_rows_at(V, vd, rows), weights)` forms
-    them: the product, a weighted copy in the moved layout, and a C-order
-    copy of that."""
-    vd = rows.shape[1] // len(V)
-    vals = (rows.reshape(-1, len(V)) @ V).reshape(len(rows), vd, V.shape[1])
-    vals = np.moveaxis(vals, 1, 2)
-    if frame is not None:
-        vals = np.einsum("mpl,kl->mpk", vals, frame)
-    w = vals * weights[None, :, None]
-    return w.reshape(len(rows), int(np.prod(vals.shape[1:])))
-
-
-# (case, rule degree, table degree): rule degree 9 has 125 points, one
-# point block; the interior rules of p = 7 and p = 10 (degrees 32 and 38)
-# have 4,913 points, whose last block holds 305, and 8,000
-_MOMENT_CASES = [
-    pytest.param(case, rule, degree,
-                 id=case if rule == 9 else f"{case}, {points} points")
-    for rule, degree, points in [(9, 4, 125), (32, 8, 4913), (38, 11, 8000)]
-    for case in ["volume", "negated", "face frame", "no rows"]]
-
-
-@pytest.mark.parametrize("case, rule, degree", _MOMENT_CASES)
-def test_moments_equal_the_three_table_formula_bitwise(case, rule, degree,
-                                                       rc3, rng):
-    # each point block equals the formula on that block's points; a BLAS
-    # may run a short block's product with another kernel than the whole
-    # product's, so the formula is applied block by block
-    cell, vd, frame = rc3, 3, None
-    if case == "face frame":
-        face = tet_faces(rc3)[2]
-        vd, frame = 2, face.frame
-        if rule == 9:  # a face's own rule; one holds at most 441 points
-            cell = face.cell
-    q = quadrature(cell, rule)
-    V = cell.tabulate(degree, q.points)
-    rows = rng.standard_normal((0 if case == "no rows" else 7, vd * len(V)))
-    blocks = [slice(start, start + ps._POINT_BLOCK)
-              for start in range(0, len(q.weights), ps._POINT_BLOCK)]
-    ref = np.concatenate([_three_table_moments(V[:, b], q.weights[b], rows,
-                                               frame) for b in blocks], axis=1)
-    if case == "negated":  # negated rows give the negated covectors
-        ref, rows = -ref, -rows
-    got = pj._stacked_moments(V, q.weights, [rows], frame)
-    assert got.shape == ref.shape
-    assert got.dtype == ref.dtype
-    assert np.array_equal(got, ref)
-
-
-def test_moments_hold_two_tables(rc3, rng):
-    # the parent's product, weighted copy and reshape copy peaked at about
-    # three output tables; in-place weighting and one transposed copy at two
-    cell = rc3
-    q = quadrature(cell, 16)
-    V = cell.tabulate(6, q.points)
-    rows = rng.standard_normal((60, 3 * len(V)))
-    table = len(rows) * 3 * len(q.weights) * 8
-    tracemalloc.start()
-    try:
-        pj._stacked_moments(V, q.weights, [rows], None)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 2.2 * table
-
-
-@pytest.mark.parametrize("case", ["volume", "negated block", "face frame"])
-def test_stacked_moments_equal_the_stacked_blocks_bitwise(case, rc3, rng):
-    # each block keeps its own GEMM and is written into its row slice, so
-    # the matrix equals the blocks built apart and stacked with np.vstack
-    if case == "face frame":
-        face = tet_faces(rc3)[1]
-        cell, vd, frame = face.cell, 2, face.frame
-    else:
-        cell, vd, frame = rc3, 3, None
-    negate = case == "negated block"
-    q = quadrature(cell, 9)
-    V = cell.tabulate(4, q.points)
-    first = rng.standard_normal((7, vd * len(V)))
-    second = rng.standard_normal((5, vd * len(V)))
-    head = _three_table_moments(V, q.weights, first, frame)
-    ref = np.vstack([-head if negate else head,
-                     _three_table_moments(V, q.weights, second, frame)])
-    got = pj._stacked_moments(V, q.weights, [-first if negate else first,
-                                             second], frame)
-    assert got.shape == ref.shape
-    assert got.dtype == ref.dtype
-    assert np.array_equal(got, ref)
-
-
-def test_stacked_moments_hold_the_matrix_and_one_product(rc3, rng):
-    # np.vstack of separately built blocks holds every block and the stacked
-    # copy, about twice the matrix; writing each block into its slice, one
-    # point block at a time, holds the matrix and one point block's GEMM
-    # output, plus the 64 KiB buffer of numpy's strided copy
-    cell = rc3
-    q = quadrature(cell, 16)  # 729 points: two point blocks
-    V = cell.tabulate(6, q.points)
-    blocks = [rng.standard_normal((60, 3 * len(V))),
-              rng.standard_normal((40, 3 * len(V)))]
-    product = 60 * 3 * ps._POINT_BLOCK * 8
-    matrix = 100 * 3 * len(q.weights) * 8
-    tracemalloc.start()
-    try:
-        pj._stacked_moments(V, q.weights, blocks, None)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < matrix + product + 2 * 8192 * 8
 
 
 def test_shared_table_fields_match_space_evaluate(rc3, rc2, rng):

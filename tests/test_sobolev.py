@@ -196,6 +196,37 @@ def test_fractional_best_approx_between_integer_orders(rc3):
     assert np.isfinite(e_half) and e_half > 0
 
 
+def test_rich_table_is_freed_before_the_spectrum(rc3, monkeypatch):
+    # the fractional surrogate pairs every field with the rich modes on the
+    # study rule and frees their table before it builds the rich Gram: when
+    # eigh runs, the table has been made and is dead
+    import weakref
+
+    from exseq.refsimplex import Cell
+
+    V = ps.build_space(rc3, "hdiv", 2)
+    rich = V.degree + 6
+    rule = quadrature(rc3, min(2 * V.degree + 14, 40)).points
+    tables, seen = [], []
+    tabulate, eigh = Cell.tabulate, scipy.linalg.eigh
+
+    def spy_tabulate(self, degree, pts):
+        out = tabulate(self, degree, pts)
+        if degree == rich and np.array_equal(pts, rule):
+            tables.append(weakref.ref(out))
+        return out
+
+    def spy_eigh(*args, **kwargs):
+        seen.append((len(tables), sum(t() is not None for t in tables)))
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(Cell, "tabulate", spy_tabulate)
+    monkeypatch.setattr(scipy.linalg, "eigh", spy_eigh)
+    fields = [g for g in fl.suite("entire", 3) if g.value_dim == 3]
+    _best_approx(V, fields, "Hhalf_div", s=0.5, rich_degree=rich)
+    assert seen and all(made == 1 and alive == 0 for made, alive in seen)
+
+
 def test_fractional_norm_rejects_out_of_range(rc3):
     g = sb.gram(rc3, 3)
     with pytest.raises(ValueError):
