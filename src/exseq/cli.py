@@ -55,15 +55,15 @@ def _emit(text, out_path):
         sys.stdout.write(text)
 
 
-def _common_flags(sub, p_max, p_min=None, seed=False):
-    """The flags every subcommand takes, plus --p-min and --seed for those
-    that read them."""
+def _common_flags(sub, p_max, p_min=None, seed=None):
+    """The flags every subcommand takes, plus --p-min and --seed (with
+    `seed` as its help) for those that take them."""
     sub.add_argument("--config", help="flat key = value file mirroring the flags")
     if p_min is not None:
         sub.add_argument("--p-min", type=int, default=p_min, dest="p_min")
     sub.add_argument("--p-max", type=int, default=p_max, dest="p_max")
     if seed:
-        sub.add_argument("--seed", type=int, default=0)
+        sub.add_argument("--seed", type=int, default=0, help=seed)
     sub.add_argument("--out", default=None)
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
 
@@ -76,14 +76,15 @@ def main(argv=None):
     subs = parser.add_subparsers(dest="command", required=True)
 
     p_verify = subs.add_parser("verify", help="run the verification suite")
-    _common_flags(p_verify, p_max=6, seed=True)
+    _common_flags(p_verify, p_max=6, seed="seed of the random elements")
     p_verify.set_defaults(format="json")
 
     p_dims = subs.add_parser("dims", help="dimension table vs closed forms")
     _common_flags(p_dims, p_max=8)
 
     p_conv = subs.add_parser("convergence", help="p-convergence sweep")
-    _common_flags(p_conv, p_max=6, p_min=2, seed=True)
+    _common_flags(p_conv, p_max=6, p_min=2,
+                  seed="unused: the rate sweep draws nothing random")
     p_conv.add_argument("--operator", action="append", default=None,
                         choices=sorted(pj.OPERATORS))
     p_conv.add_argument("--suite", default="entire",

@@ -136,7 +136,8 @@ def deriv_alpha(cell, degree, alpha):
     return np.eye(cell.n_modes(degree)) if mat is None else mat
 
 
-_POINT_BLOCK = 512  # points per gradient block: _deriv_matrices, sobolev._stiffness
+# points per block: _deriv_matrices, sobolev._stiffness, sobolev.rule_pairings
+_POINT_BLOCK = 512
 
 
 @cache.memo

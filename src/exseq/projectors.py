@@ -277,8 +277,12 @@ def _stiffness_stage(plan, piece):
     B = ps.null_space_of(trace, n_cols=cell.n_modes(deg))
     D = [ps.deriv_matrix(cell, deg, i) for i in range(cell.dim)]
     pts, w = piece.rule
-    lap = B @ sum(Di @ Di for Di in D).T
-    rhs = [(piece.region, -lap, cell.tabulate(deg, pts), w,
+    # the Laplacian of a degree-deg polynomial has degree deg - 2: only the
+    # leading columns of its rows live (the rest hold roundoff), and they
+    # read the degree-(deg - 2) table, the leading rows of the full one
+    low = max(deg - 2, 0)
+    lap = (B @ sum(Di @ Di for Di in D).T)[:, : cell.n_modes(low)].copy()
+    rhs = [(piece.region, -lap, cell.tabulate(low, pts), w,
             _channels(_SCALAR, len(w)))]
     for region, pts, w, conormal in fluxes:
         dn = np.einsum("mpk,pk->mp", cell.tabulate_grad(deg, pts), conormal)
@@ -366,11 +370,11 @@ class ProjectorPlan:
     shared state and may run concurrently on different fields.
 
     Plans are never memoised: at p = 10 the stage arrays of a plan hold
-    32.5 MiB (grad3d), 61.7 MiB (curl3d) and 58.0 MiB (div3d), shared
-    arrays counted once, mostly the interior's modal table of degree 11 at
-    its 8,000 points, so each caller builds its own and drops it when
-    done. The rate sweep and `run_verification` drop each plan before the
-    next is built.
+    23.2 MiB (grad3d), 61.7 MiB (curl3d) and 58.0 MiB (div3d), shared
+    arrays counted once, mostly the interior's modal table at its 8,000
+    points (of degree 9 in grad3d, 11 in the others), so each caller
+    builds its own and drops it when done. The rate sweep and
+    `run_verification` drop each plan before the next is built.
     """
 
     def __init__(self, operator, p):

@@ -41,10 +41,13 @@ class SobolevGram:
     Every table is built on first read and is read-only, like the memoised
     Gram that shares it, so a form that reads only `n` (order 0) builds
     nothing. The spectrum of A1 is computed only for fractional orders:
-    order 1 is the A1 form (a Cholesky solve with A1 for the dual form).
-    Orders above 1 use the (A2, A1) pencil, whose spectrum is computed only
-    for them: the H2 form reads A2 alone. A2 always reads this degree's
-    derivative matrices.
+    order 1 is the A1 form, and its dual form a Cholesky solve with A1.
+    With a `top` that solve reads the leading n x n block of the one shared
+    `_top_factor(cell, top)`, the Cholesky factor of a leading block being
+    the leading block of the whole factor, so it forms neither A1 nor a
+    factor of its own. Orders above 1 use the (A2, A1) pencil, whose
+    spectrum is computed only for them: the H2 form reads A2 alone. A2
+    always reads this degree's derivative matrices.
     """
 
     def __init__(self, cell, degree, top):
@@ -85,6 +88,10 @@ class SobolevGram:
         return self._first
 
     def _solve_a1(self, b):
+        if self.top is not None:
+            n = self.n
+            return scipy.linalg.cho_solve(
+                (_top_factor(self.cell, self.top)[:n, :n], False), b)
         if self._cho is None:
             self._cho = cache.freeze(scipy.linalg.cho_factor(self.A1))
         return scipy.linalg.cho_solve(self._cho, b)
@@ -154,12 +161,14 @@ def gram(cell, degree, top=None):
 
     The rate sweep reads its dual and fractional norms this way, from one
     table per cell; they stay memoised across degrees, since the P + 2 Gram
-    of degree p is the P Gram of degree p + 2. The best-approximation forms
-    (the H1full, H2 and H1curl denominators) keep the per-degree Gram: at
-    high degree their values sit on a roundoff floor, which the two routes
-    place differently. The fractional denominators' rich Gram is not read
-    from here: `best_approx` builds its own for each call, so its spectrum
-    lives for one degree.
+    of degree p is the P Gram of degree p + 2. Their order-1 dual forms
+    share one top Cholesky factor per cell (`_top_factor`) and slice it, so
+    these Grams keep no A1 or factor of their own. The best-approximation
+    forms (the H1full, H2 and H1curl denominators) keep the per-degree
+    Gram: at high degree their values sit on a roundoff floor, which the
+    two routes place differently. The fractional denominators' rich Gram
+    is not read from here: `best_approx` builds its own for each call, so
+    its A1 and spectrum live for one degree.
     """
     return SobolevGram(cell, degree, top)
 
@@ -182,6 +191,18 @@ def _stiffness(cell, top):
     return S
 
 
+@cache.memo
+def _top_factor(cell, top):
+    """The upper Cholesky factor U of I + `_stiffness(cell, top)`. Its
+    leading n x n block is the factor of every lower degree's A1 that the
+    stiffness table gives, so one factor serves every `gram(cell, d, top)`."""
+    n = cell.n_modes(top)
+    # the sum is symmetric, so its transpose is the same matrix in the
+    # Fortran order that LAPACK factors in place, without a copy
+    return scipy.linalg.cholesky((np.eye(n) + _stiffness(cell, top)).T,
+                                 overwrite_a=True)
+
+
 def fractional_norm(g, coeffs, s):
     """H^s norm of a scalar or component-stacked field from modal coefficients."""
     c = np.asarray(coeffs, dtype=float)
@@ -200,6 +221,22 @@ def mode_pairings(V, weights, values):
     """
     vals = np.asarray(values, dtype=float).reshape(len(weights), -1)
     return (V @ (weights[:, None] * vals)).T
+
+
+def rule_pairings(cell, degree, points, weights, samples):
+    """`mode_pairings` of each of a list of samples, (n_pts,) or (n_pts, k),
+    with the degree-`degree` modes on a rule: one (k, n_modes) block each.
+    The sums run over blocks of `ps._POINT_BLOCK` points, each tabulated
+    once for all the samples, so no table of the whole rule is formed."""
+    cols = [np.asarray(v, dtype=float).reshape(len(weights), -1)
+            for v in samples]
+    vals = np.hstack(cols)
+    out = np.zeros((cell.n_modes(degree), vals.shape[1]))
+    for start in range(0, len(weights), ps._POINT_BLOCK):
+        block = slice(start, start + ps._POINT_BLOCK)
+        out += cell.tabulate(degree, points[block]) @ (
+            weights[block, None] * vals[block])
+    return np.split(out.T, np.cumsum([c.shape[1] for c in cols])[:-1])
 
 
 def dual_norm(g, pairings, s):
@@ -318,14 +355,16 @@ def best_approx(space, fields, norm, quad, table, rich_degree=None, s=0.5,
     quad is the rule of the pairings and the errors. The integer norms read
     `table`, the modal table of the space's degree at its points, for the
     pairings and the error alike. The fractional norms pair with the rich
-    modes of degree `rich_degree` and read no such table.
+    modes of degree `rich_degree` a block of points at a time
+    (`rule_pairings`), so no rich table is formed.
 
     The field-independent forms live for this call only and serve every
     field: the H2/H1full Gram of the basis, the H1curl Cholesky factor, and
-    the fractional surrogate's rich `SobolevGram(cell, rich_degree, top)`,
-    its factor and H_s images; its rich modal table is freed before they
-    are built. Only the integer norms' per-degree Gram is memoised (see
-    `gram`). Each field still has its own pairings, solve and error.
+    the fractional surrogate's factor F of H_s = F F^T, from a rich
+    `SobolevGram(cell, rich_degree, top)` that is dropped once F is built,
+    and the Cholesky factor of its form. Only the integer norms' per-degree
+    Gram is memoised (see `gram`). Each field still has its own solve and
+    error.
     """
     cell = space.cell
     if norm in ("Hhalf", "Hhalf_div", "Hhalf_curl"):
@@ -390,64 +429,58 @@ def _fractional_best_approx(space, fields, norm, s, P, q, top):
     `SobolevGram(cell, P, top)` built for this call.
 
     Every field (and, for graph norms, its derivative) is paired with the
-    rich modes on the rule first, and the rich modal table is freed before
-    the Gram is built, so the table never sits beside the forms. Then the
-    factored form and, per block (the value, then for graph norms the
-    derivative), the rows and the H_s images of their rich-degree copies,
-    (dim, value_dim, n_modes(P)), serve every field's kept pairings."""
+    rich modes first, all fields in one `rule_pairings` pass, so no rich
+    table is formed. The Gram then gives one factor F of H_s = F F^T
+    (`_hs_factor`) and is dropped. A row of a block (the basis, then for
+    graph norms its derivative) reaches only the leading
+    k = n_modes(space.degree) rich modes, so each component c of the
+    block's rows R_c (dim, k) adds Y_c Y_c^T to the form, Y_c = R_c F[:k]
+    freed after its product. A field's right-hand side is
+    R_c F[:k] (F^T b_c) and its surrogate error ||F^T (b_c - R_c^T x)||."""
     cell = space.cell
     name = _graph_derivative(norm, cell.dim)
-    V = cell.tabulate(P, q.points)
-    pairings = []
-    for field in fields:
-        fs = [field] + ([DERIVATIVES[name].field(field)] if name else [])
-        cols = [f(q.points).reshape(len(q.weights), -1) for f in fs]
-        # pairings of u (and of D u) with the rich modes in one product
-        b = mode_pairings(V, q.weights, np.column_stack(cols))
-        cuts = np.cumsum([c.shape[1] for c in cols])[:-1]
-        pairings.append(np.split(b, cuts))
-    del V
-    g = SobolevGram(cell, P, top)
-    blocks = [(space.basis, space.value_dim)]
+    pairings = rule_pairings(cell, P, q.points, q.weights, [
+        f(q.points) for field in fields
+        for f in ([field, DERIVATIVES[name].field(field)] if name
+                  else [field])])
+    F = _hs_factor(SobolevGram(cell, P, top), s)
+    k = cell.n_modes(space.degree)
+    Fk = F[:k]
+    blocks = [space.basis.reshape(space.dim, space.value_dim, k)]
     if name:
-        blocks.append((diff_rows(name, space),
-                       DERIVATIVES[name].value_dim(cell.dim)))
-    A, parts = 0, []
-    for rows, vd in blocks:
-        R = ps.pad_slots(rows, cell, vd, space.degree, P)
-        R = R.reshape(space.dim, vd, cell.n_modes(P))
-        Hs = np.stack([_apply_hs(g, R[:, c], s) for c in range(vd)], axis=1)
-        A = A + sum(Hs[:, c] @ R[:, c].T for c in range(vd))
-        parts.append((rows, Hs))
+        blocks.append(diff_rows(name, space).reshape(space.dim, -1, k))
+    A = np.zeros((space.dim, space.dim))
+    for R in blocks:
+        for c in range(R.shape[1]):
+            Y = R[:, c] @ Fk
+            A += Y @ Y.T
+            del Y
     cho = scipy.linalg.cho_factor(A)
     out = []
-    for b in pairings:
-        rhs = 0
-        for (_, Hs), bk in zip(parts, b):
-            rhs = rhs + sum(Hs[:, c] @ bk[c] for c in range(len(bk)))
+    for i in range(0, len(pairings), len(blocks)):
+        # a field's pairings, block by block; row c of z is F^T b_c
+        zs = [bk @ F for bk in pairings[i : i + len(blocks)]]
+        rhs = sum(np.einsum("dck,ck->d", R, z @ Fk.T)
+                  for R, z in zip(blocks, zs))
         coords = scipy.linalg.cho_solve(cho, rhs)
-        slots = coords @ space.basis
-        # surrogate error: H_s distance inside the rich space
-        err2 = 0
-        for (rows, Hs), bk in zip(parts, b):
-            R = ps.pad_slots(rows, cell, Hs.shape[1], space.degree, P)
-            diff = bk - np.tensordot(coords, R.reshape(Hs.shape), axes=(0, 0))
-            err2 += sum(g.fractional_quadform(diff[c], s)
-                        for c in range(len(diff)))
-        out.append((slots, float(np.sqrt(max(err2, 0.0)))))
+        # surrogate error: the H_s distance inside the rich space
+        err2 = sum(np.sum((z - np.tensordot(coords, R, axes=(0, 0)) @ Fk) ** 2)
+                   for R, z in zip(blocks, zs))
+        out.append((coords @ space.basis, float(np.sqrt(err2))))
     return out
 
 
-def _apply_hs(g, X, s):
-    """Apply H_s to rows of X (n, nm)."""
+def _hs_factor(g, s):
+    """A factor F of the Gram's H_s = F F^T: the identity at s = 0,
+    U lam^(s/2) from the spectrum of A1 for 0 < s < 1, the lower Cholesky
+    factor of A1 at s = 1, and A1 V mu^((s-1)/2) from the A1-orthonormal
+    (A2, A1) pencil above 1, where H_s = A1 V mu^(s-1) V^T A1."""
     if s == 0.0:
-        return X
+        return np.eye(g.n)
     if s == 1.0:
-        return X @ g.A1
+        return scipy.linalg.cholesky(g.A1, lower=True)
     if s < 1.0:
         lam, U = g._first_data()
-        return ((X @ U) * lam**s) @ U.T
+        return U * lam ** (s / 2.0)
     mu, V = g._second_data()
-    Vi = V.T @ g.A1  # V is A1-orthonormal, so V^{-1} = V^T A1
-    Y = X @ Vi.T
-    return (Y * mu ** (s - 1.0)) @ Vi
+    return (g.A1 @ V) * mu ** ((s - 1.0) / 2.0)

@@ -208,10 +208,13 @@ def run_convergence(cfg):
     """Sweep (operator, p, field, s); returns (records, slopes).
 
     For one degree: each (operator, p) builds its plan once, unmemoised, for
-    all its fields, and tabulates its target's modes and its dual test modes
-    once each on the study rule; the plan is freed before the denominators,
-    and the tables and the denominators' forms (the H1curl factor, the
-    fractional surrogate's rich Gram, factor and table) with the degree.
+    all its fields, and tabulates its target's modes once on the study rule.
+    Its dual test modes, and a fractional denominator's rich modes, are
+    paired with every field in one pass over blocks of the rule's points,
+    so no table of them is formed. The plan is freed before the
+    denominators, and the target's table and the denominators' forms (the
+    H1curl factor, the fractional surrogate's H_s factor and form) with the
+    degree.
 
     For the process: what a degree yields for every s, its fields' L2 error
     parts, denominators and dual pairings, is memoised by `_degree_data`, so
@@ -223,7 +226,9 @@ def run_convergence(cfg):
     The dual norms, the fractional value norms and the fractional
     denominators read their Grams as leading blocks of one stiffness table
     per cell, built once at the sweep's highest Gram degree for that cell's
-    dimension (`StudyConfig.stiffness_tops`). The integer denominators (H2,
+    dimension (`StudyConfig.stiffness_tops`); the order-1 dual norms solve
+    with leading blocks of its one shared Cholesky factor
+    (`sobolev.gram`). The integer denominators (H2,
     H1curl, H1full) keep their per-degree Grams: at p = 9 and 10 their
     values sit on the roundoff floor that criterion 08 reads, and the two
     routes agree to roundoff only.
@@ -258,10 +263,12 @@ def _degree_data(op, p, suite, dual_offset, pairing_degree, top):
     """Per field of (operator, p) on `suite`: (||e||, ||De|| or None,
     denominator, dual pairings or None), which every s reads alike. Its
     plan lives until the fields are interpolated and only its target is
-    read after that; the tables and the denominators' forms are locals,
-    freed on return. `pairing_degree` is `_pairing_degree`'s, and `top` the
-    degree of the stiffness table that a fractional denominator slices
-    (None for the others, which read none)."""
+    read after that; the target's table and the denominators' forms are
+    locals, freed on return. The dual pairings of every field come from one
+    `sobolev.rule_pairings` pass, which forms no table of the dual test
+    modes. `pairing_degree` is `_pairing_degree`'s, and `top` the degree of
+    the stiffness table that a fractional denominator slices (None for the
+    others, which read none)."""
     flds = fields_for(op, suite)
     plan = pj.ProjectorPlan(op, p)
     target = plan.target
@@ -283,12 +290,10 @@ def _degree_data(op, p, suite, dual_offset, pairing_degree, top):
     del plan
     pairings = [None] * len(flds)
     if pairing_degree is not None:
-        # one table of dual test modes serves every field, one GEMM each
+        # every field's (e, De) in one streamed pass over the dual test modes
         pts, w, _ = errors
-        V = cell.tabulate(pairing_degree, pts)
-        pairings = [sb.mode_pairings(V, w, np.column_stack([e, de]))
-                    for _, _, e, de in parts]
-        del V  # before the denominators
+        pairings = sb.rule_pairings(cell, pairing_degree, pts, w, [
+            np.column_stack([e, de]) for _, _, e, de in parts])
     dens = [den for _, den in sb.best_approx(target, flds, den_norm, quad=study,
                                              table=table, **kwargs)]
     return tuple((l2, dl2, den, b)

@@ -174,9 +174,17 @@ def test_order_above_one_matches_explicit_inverse(dim, rng):
     assert g.fractional_quadform(c, s) == pytest.approx(
         float(np.sum(mu ** (s - 1.0) * y**2)), rel=1e-12
     )
-    X = rng.standard_normal((4, g.n))
-    ref = ((X @ Vi.T) * mu ** (s - 1.0)) @ Vi
-    assert np.abs(sb._apply_hs(g, X, s) - ref).max() <= 1e-12 * np.abs(ref).max()
+    # the fractional denominator's factor F of H_s = F F^T, against H_s
+    # from the explicit inverse above 1, numpy's spectrum below and the
+    # integer forms at 0 and 1; measured margin: at most 2.6e-15 of the
+    # largest entry
+    lam, U = np.linalg.eigh(g.A1)
+    refs = {0.0: np.eye(g.n), 1.0: g.A1,
+            1.5: (Vi.T * mu ** (s - 1.0)) @ Vi}
+    refs.update({t: (U * lam**t) @ U.T for t in (0.25, 0.5)})
+    for t, ref in refs.items():
+        F = sb._hs_factor(g, t)
+        assert np.abs(F @ F.T - ref).max() <= 1e-12 * np.abs(ref).max(), t
 
 
 def test_weaker_norm_error_smaller(rc3):
@@ -196,10 +204,39 @@ def test_fractional_best_approx_between_integer_orders(rc3):
     assert np.isfinite(e_half) and e_half > 0
 
 
+@pytest.mark.parametrize("dim, block", [(1, None), (2, 100), (3, None)])
+def test_rule_pairings_match_the_whole_table(dim, block, rng, monkeypatch):
+    # degree 19 on the graded interval rule (608 points), the 19^2 rule in
+    # blocks of 100 and the 19^3 rule in blocks of `_POINT_BLOCK`; measured
+    # margin: at most 6.7e-16 of the largest pairing, against the 1e-14
+    # asserted
+    from exseq.refsimplex import graded_interval_rule
+
+    if block is not None:
+        monkeypatch.setattr(ps, "_POINT_BLOCK", block)
+    cell = make_reference_cell(dim).cell
+    if dim == 1:
+        pts, w = graded_interval_rule()
+        pts = pts[:, None]
+    else:
+        q = quadrature(cell, 36)
+        pts, w = q.points, q.weights
+    assert len(w) > ps._POINT_BLOCK
+    values = rng.standard_normal((len(w), 4))
+    ref = sb.mode_pairings(cell.tabulate(19, pts), w, values)
+    # one pass over a list of samples splits its pairings per sample
+    got = sb.rule_pairings(cell, 19, pts, w, [values[:, 0], values[:, 1:]])
+    assert [b.shape for b in got] == [(1, cell.n_modes(19)),
+                                      (3, cell.n_modes(19))]
+    got = np.vstack(got)
+    assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
 def test_rich_table_is_freed_before_the_spectrum(rc3, monkeypatch):
     # the fractional surrogate pairs every field with the rich modes on the
-    # study rule and frees their table before it builds the rich Gram: when
-    # eigh runs, the table has been made and is dead
+    # study rule a block of points at a time: the rich degree's tables
+    # cover the rule once, in blocks of at most `_POINT_BLOCK` points, all
+    # made and dead when eigh runs
     import weakref
 
     from exseq.refsimplex import Cell
@@ -207,12 +244,14 @@ def test_rich_table_is_freed_before_the_spectrum(rc3, monkeypatch):
     V = ps.build_space(rc3, "hdiv", 2)
     rich = V.degree + 6
     rule = quadrature(rc3, min(2 * V.degree + 14, 40)).points
-    tables, seen = [], []
+    assert len(rule) > ps._POINT_BLOCK
+    blocks, tables, seen = [], [], []
     tabulate, eigh = Cell.tabulate, scipy.linalg.eigh
 
     def spy_tabulate(self, degree, pts):
         out = tabulate(self, degree, pts)
-        if degree == rich and np.array_equal(pts, rule):
+        if degree == rich:
+            blocks.append(np.array(pts))
             tables.append(weakref.ref(out))
         return out
 
@@ -223,8 +262,13 @@ def test_rich_table_is_freed_before_the_spectrum(rc3, monkeypatch):
     monkeypatch.setattr(Cell, "tabulate", spy_tabulate)
     monkeypatch.setattr(scipy.linalg, "eigh", spy_eigh)
     fields = [g for g in fl.suite("entire", 3) if g.value_dim == 3]
-    _best_approx(V, fields, "Hhalf_div", s=0.5, rich_degree=rich)
-    assert seen and all(made == 1 and alive == 0 for made, alive in seen)
+    # with a top, as the sweep calls it, the rich A1 reads the stiffness,
+    # which tabulates no values
+    _best_approx(V, fields, "Hhalf_div", s=0.5, rich_degree=rich, top=rich)
+    assert max(len(b) for b in blocks) <= ps._POINT_BLOCK
+    assert np.array_equal(np.concatenate(blocks), rule)
+    assert seen and all(made == len(blocks) and alive == 0
+                        for made, alive in seen)
 
 
 def test_fractional_norm_rejects_out_of_range(rc3):
