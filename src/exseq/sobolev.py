@@ -38,16 +38,22 @@ class SobolevGram:
     I + sum D_i^T D_i from this degree's derivative matrices. The two agree
     to roundoff only (see `gram` for who reads which).
 
+    Every form of order s in [0, 2] reads one factor F of H_s = F F^T:
+    `half` gives F^T x, whose norm is the H^s norm, and `half_inverse`
+    F^{-1} b, whose norm is the dual norm of the pairings b. F is the
+    identity at s = 0, U lam^(s/2) from the spectrum of A1 below 1, the
+    transposed upper Cholesky factor of A1 at s = 1, and A1 V mu^((s-1)/2)
+    from the A1-orthonormal (A2, A1) pencil above 1. No F is formed.
+
     Every table is built on first read and is read-only, like the memoised
     Gram that shares it, so a form that reads only `n` (order 0) builds
-    nothing. The spectrum of A1 is computed only for fractional orders:
-    order 1 is the A1 form, and its dual form a Cholesky solve with A1.
-    With a `top` that solve reads the leading n x n block of the one shared
-    `_top_factor(cell, top)`, the Cholesky factor of a leading block being
-    the leading block of the whole factor, so it forms neither A1 nor a
-    factor of its own. Orders above 1 use the (A2, A1) pencil, whose
-    spectrum is computed only for them: the H2 form reads A2 alone. A2
-    always reads this degree's derivative matrices.
+    nothing. The spectrum of A1 is computed only for fractional orders
+    below 1. At order 1 a Gram with a `top` reads the leading n x n block
+    of the one shared `_top_factor(cell, top)`, the Cholesky factor of a
+    leading block being the leading block of the whole factor, so it forms
+    neither A1 nor a factor of its own. Orders above 1 use the (A2, A1)
+    pencil, whose spectrum is computed only for them: the H2 form reads A2
+    alone. A2 always reads this degree's derivative matrices.
     """
 
     def __init__(self, cell, degree, top):
@@ -87,14 +93,14 @@ class SobolevGram:
             self._first = cache.freeze((np.clip(lam, 1.0, None), U))
         return self._first
 
-    def _solve_a1(self, b):
+    def _cholesky(self):
+        """The upper Cholesky factor of A1: the leading n x n block of the
+        shared `_top_factor` with a `top`, else this Gram's own."""
         if self.top is not None:
-            n = self.n
-            return scipy.linalg.cho_solve(
-                (_top_factor(self.cell, self.top)[:n, :n], False), b)
+            return _top_factor(self.cell, self.top)[: self.n, : self.n]
         if self._cho is None:
-            self._cho = cache.freeze(scipy.linalg.cho_factor(self.A1))
-        return scipy.linalg.cho_solve(self._cho, b)
+            self._cho = cache.freeze(scipy.linalg.cholesky(self.A1))
+        return self._cho
 
     @property
     def A2(self):
@@ -118,40 +124,42 @@ class SobolevGram:
             self._second = cache.freeze((np.clip(mu, 1.0, None), V))
         return self._second
 
-    def fractional_quadform(self, coeffs, s):
-        """<H_s c, c> for scalar modal coefficients; exact at s in {0,1,2}."""
-        if not 0.0 <= s <= 2.0:
-            raise ValueError(f"fractional order s={s} outside [0, 2]")
-        c = np.asarray(coeffs, dtype=float)
+    def half(self, x, s):
+        """F^T x for modal columns x (k, m), k <= n, read as if padded with
+        zero rows to n; exact at s in {0, 1, 2}."""
+        _check_order(s)
+        x = np.asarray(x, dtype=float)
+        k = len(x)
         if s == 0.0:
-            return float(c @ c)
+            return np.pad(x, ((0, self.n - k), (0, 0)))
         if s == 1.0:
-            return float(c @ (self.A1 @ c))
+            return self._cholesky()[:, :k] @ x
         if s < 1.0:
             lam, U = self._first_data()
-            y = U.T @ c
-            return float(np.sum(lam**s * y**2))
+            return lam[:, None] ** (s / 2.0) * (U[:k].T @ x)
         mu, V = self._second_data()
-        # V is A1-orthonormal: V^{-1} = V^T A1, H_s = V^{-T} mu^{s-1} V^{-1}
-        y = V.T @ (self.A1 @ c)
-        return float(np.sum(mu ** (s - 1.0) * y**2))
+        return mu[:, None] ** ((s - 1.0) / 2.0) * (V.T @ (self.A1[:, :k] @ x))
 
-    def dual_quadform(self, b, s):
-        """<H_s^{-1} b, b> for a covector b of L2 pairings against the modes."""
-        if not 0.0 <= s <= 2.0:
-            raise ValueError(f"fractional order s={s} outside [0, 2]")
+    def half_inverse(self, b, s):
+        """F^{-1} b for columns b (n, m) of L2 pairings with the modes."""
+        _check_order(s)
         b = np.asarray(b, dtype=float)
         if s == 0.0:
-            return float(b @ b)
+            return b
         if s == 1.0:
-            return float(b @ self._solve_a1(b))
+            return scipy.linalg.solve_triangular(self._cholesky(), b,
+                                                 trans="T")
         if s < 1.0:
             lam, U = self._first_data()
-            y = U.T @ b
-            return float(np.sum(lam ** (-s) * y**2))
+            return lam[:, None] ** (-s / 2.0) * (U.T @ b)
         mu, V = self._second_data()
-        y = V.T @ b
-        return float(np.sum(mu ** (1.0 - s) * y**2))
+        # V is A1-orthonormal: V^{-1} = V^T A1, so F^{-1} = mu^((1-s)/2) V^T
+        return mu[:, None] ** ((1.0 - s) / 2.0) * (V.T @ b)
+
+
+def _check_order(s):
+    if not 0.0 <= s <= 2.0:
+        raise ValueError(f"fractional order s={s} outside [0, 2]")
 
 
 @cache.memo
@@ -163,12 +171,14 @@ def gram(cell, degree, top=None):
     table per cell; they stay memoised across degrees, since the P + 2 Gram
     of degree p is the P Gram of degree p + 2. Their order-1 dual forms
     share one top Cholesky factor per cell (`_top_factor`) and slice it, so
-    these Grams keep no A1 or factor of their own. The best-approximation
-    forms (the H1full, H2 and H1curl denominators) keep the per-degree
-    Gram: at high degree their values sit on a roundoff floor, which the
-    two routes place differently. The fractional denominators' rich Gram
-    is not read from here: `best_approx` builds its own for each call, so
-    its A1 and spectrum live for one degree.
+    these Grams keep no A1 or factor of their own; each makes one
+    triangular solve for all the components of a record. The
+    best-approximation forms (the H1full, H2 and H1curl denominators) keep
+    the per-degree Gram: at high degree their values sit on a roundoff
+    floor, which the two routes place differently. The fractional
+    denominators' rich Gram is not read from here: `best_approx` builds
+    its own for each call, so its A1 and spectrum (or, with a `top` at
+    order 1, no table of its own) live for one degree.
     """
     return SobolevGram(cell, degree, top)
 
@@ -208,8 +218,7 @@ def fractional_norm(g, coeffs, s):
     c = np.asarray(coeffs, dtype=float)
     if c.size % g.n:
         raise ValueError("coefficient length is not a multiple of the mode count")
-    comps = c.reshape(-1, g.n)
-    return float(np.sqrt(sum(g.fractional_quadform(ci, s) for ci in comps)))
+    return float(np.linalg.norm(g.half(c.reshape(-1, g.n).T, s)))
 
 
 def mode_pairings(V, weights, values):
@@ -242,8 +251,8 @@ def rule_pairings(cell, degree, points, weights, samples):
 def dual_norm(g, pairings, s):
     """Discrete dual norm sup_{v in P_degree} (e, v)/||v||_{H^s}, from the
     component-stacked covector of L2 pairings of e with the modes."""
-    comps = np.asarray(pairings, dtype=float).reshape(-1, g.n)
-    return float(np.sqrt(sum(g.dual_quadform(bi, s) for bi in comps)))
+    b = np.asarray(pairings, dtype=float).reshape(-1, g.n)
+    return float(np.linalg.norm(g.half_inverse(b.T, s)))
 
 
 # ---------------------------------------------------------------------------
@@ -360,11 +369,10 @@ def best_approx(space, fields, norm, quad, table, rich_degree=None, s=0.5,
 
     The field-independent forms live for this call only and serve every
     field: the H2/H1full Gram of the basis, the H1curl Cholesky factor, and
-    the fractional surrogate's factor F of H_s = F F^T, from a rich
-    `SobolevGram(cell, rich_degree, top)` that is dropped once F is built,
-    and the Cholesky factor of its form. Only the integer norms' per-degree
-    Gram is memoised (see `gram`). Each field still has its own solve and
-    error.
+    the fractional surrogate's rich `SobolevGram(cell, rich_degree, top)`,
+    whose `half` gives every H_s product, and the Cholesky factor of its
+    form, one solve for all fields. Only the integer norms' per-degree Gram
+    is memoised (see `gram`). The integer norms solve field by field.
     """
     cell = space.cell
     if norm in ("Hhalf", "Hhalf_div", "Hhalf_curl"):
@@ -426,61 +434,42 @@ def _h1curl_minimizer(space, field, q, V, cho, dcomp):
 
 def _fractional_best_approx(space, fields, norm, s, P, q, top):
     """The rich-space fractional minimizers of the fields, on one
-    `SobolevGram(cell, P, top)` built for this call.
+    `SobolevGram(cell, P, top)` built for this call, with H_s = F F^T.
 
     Every field (and, for graph norms, its derivative) is paired with the
     rich modes first, all fields in one `rule_pairings` pass, so no rich
-    table is formed. The Gram then gives one factor F of H_s = F F^T
-    (`_hs_factor`) and is dropped. A row of a block (the basis, then for
-    graph norms its derivative) reaches only the leading
-    k = n_modes(space.degree) rich modes, so each component c of the
-    block's rows R_c (dim, k) adds Y_c Y_c^T to the form, Y_c = R_c F[:k]
-    freed after its product. A field's right-hand side is
-    R_c F[:k] (F^T b_c) and its surrogate error ||F^T (b_c - R_c^T x)||."""
+    table is formed, and z = F^T b for every pairing row b comes from one
+    `half`. A row of a block (the basis, then for graph norms its
+    derivative) reaches only the leading k = n_modes(space.degree) rich
+    modes, so each component c of the block's rows R_c (dim, k) gives
+    Y = `half`(R_c^T), which adds Y^T Y to the form and Y^T z_c to every
+    field's right-hand side and is freed after its products. One Cholesky
+    solve serves all fields; a field's surrogate error is
+    ||z_c - `half`((x R_c)^T)|| summed over the components."""
     cell = space.cell
     name = _graph_derivative(norm, cell.dim)
     pairings = rule_pairings(cell, P, q.points, q.weights, [
         f(q.points) for field in fields
         for f in ([field, DERIVATIVES[name].field(field)] if name
                   else [field])])
-    F = _hs_factor(SobolevGram(cell, P, top), s)
+    g = SobolevGram(cell, P, top)
     k = cell.n_modes(space.degree)
-    Fk = F[:k]
     blocks = [space.basis.reshape(space.dim, space.value_dim, k)]
     if name:
         blocks.append(diff_rows(name, space).reshape(space.dim, -1, k))
+    # one R_c per component, in the order of a field's pairing rows;
+    # z[:, i, j] is F^T of row j of field i
+    comps = [R[:, c] for R in blocks for c in range(R.shape[1])]
+    z = g.half(np.vstack(pairings).T, s).reshape(g.n, len(fields), -1)
     A = np.zeros((space.dim, space.dim))
-    for R in blocks:
-        for c in range(R.shape[1]):
-            Y = R[:, c] @ Fk
-            A += Y @ Y.T
-            del Y
-    cho = scipy.linalg.cho_factor(A)
-    out = []
-    for i in range(0, len(pairings), len(blocks)):
-        # a field's pairings, block by block; row c of z is F^T b_c
-        zs = [bk @ F for bk in pairings[i : i + len(blocks)]]
-        rhs = sum(np.einsum("dck,ck->d", R, z @ Fk.T)
-                  for R, z in zip(blocks, zs))
-        coords = scipy.linalg.cho_solve(cho, rhs)
-        # surrogate error: the H_s distance inside the rich space
-        err2 = sum(np.sum((z - np.tensordot(coords, R, axes=(0, 0)) @ Fk) ** 2)
-                   for R, z in zip(blocks, zs))
-        out.append((coords @ space.basis, float(np.sqrt(err2))))
-    return out
-
-
-def _hs_factor(g, s):
-    """A factor F of the Gram's H_s = F F^T: the identity at s = 0,
-    U lam^(s/2) from the spectrum of A1 for 0 < s < 1, the lower Cholesky
-    factor of A1 at s = 1, and A1 V mu^((s-1)/2) from the A1-orthonormal
-    (A2, A1) pencil above 1, where H_s = A1 V mu^(s-1) V^T A1."""
-    if s == 0.0:
-        return np.eye(g.n)
-    if s == 1.0:
-        return scipy.linalg.cholesky(g.A1, lower=True)
-    if s < 1.0:
-        lam, U = g._first_data()
-        return U * lam ** (s / 2.0)
-    mu, V = g._second_data()
-    return (g.A1 @ V) * mu ** ((s - 1.0) / 2.0)
+    rhs = np.zeros((space.dim, len(fields)))
+    for j, Rc in enumerate(comps):
+        Y = g.half(Rc.T, s)
+        A += Y.T @ Y
+        rhs += Y.T @ z[:, :, j]
+        del Y
+    x = scipy.linalg.cho_solve(scipy.linalg.cho_factor(A), rhs).T
+    # surrogate error: the H_s distance inside the rich space
+    err2 = sum(np.sum((z[:, :, j] - g.half((x @ Rc).T, s)) ** 2, axis=0)
+               for j, Rc in enumerate(comps))
+    return [(xi @ space.basis, float(np.sqrt(e))) for xi, e in zip(x, err2)]

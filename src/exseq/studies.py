@@ -213,7 +213,7 @@ def run_convergence(cfg):
     paired with every field in one pass over blocks of the rule's points,
     so no table of them is formed. The plan is freed before the
     denominators, and the target's table and the denominators' forms (the
-    H1curl factor, the fractional surrogate's H_s factor and form) with the
+    H1curl factor, the fractional surrogate's rich Gram and form) with the
     degree.
 
     For the process: what a degree yields for every s, its fields' L2 error
@@ -226,12 +226,12 @@ def run_convergence(cfg):
     The dual norms, the fractional value norms and the fractional
     denominators read their Grams as leading blocks of one stiffness table
     per cell, built once at the sweep's highest Gram degree for that cell's
-    dimension (`StudyConfig.stiffness_tops`); the order-1 dual norms solve
-    with leading blocks of its one shared Cholesky factor
-    (`sobolev.gram`). The integer denominators (H2,
-    H1curl, H1full) keep their per-degree Grams: at p = 9 and 10 their
-    values sit on the roundoff floor that criterion 08 reads, and the two
-    routes agree to roundoff only.
+    dimension (`StudyConfig.stiffness_tops`); an order-1 dual norm makes
+    one triangular solve, for all its components, with a leading block of
+    its one shared Cholesky factor (`sobolev.gram`). The integer
+    denominators (H2, H1curl, H1full) keep their per-degree Grams: at
+    p = 9 and 10 their values sit on the roundoff floor that criterion 08
+    reads, and the two routes agree to roundoff only.
 
     slopes: list of {operator, field, s, slope} fitted on log(ratio) against
     log(p) over the upper half of the degree range.

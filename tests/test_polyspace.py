@@ -186,8 +186,8 @@ def test_memoised_tables_are_read_only(rc3):
         sp.basis[0, 0] = 1.0
     # the Gram's lazily built tables are shared with every later caller too
     g = sb.gram(rc3, 2)
-    g.dual_quadform(np.ones(g.n), 1.0)  # builds the Cholesky factor of A1
-    tables = [g.A1, g.A2, *g._first_data(), *g._second_data(), g._cho[0]]
+    g.half_inverse(np.ones((g.n, 1)), 1.0)  # builds the Cholesky factor of A1
+    tables = [g.A1, g.A2, *g._first_data(), *g._second_data(), g._cho]
     for table in tables:
         with pytest.raises(ValueError):
             table.flat[0] = 1.0

@@ -54,7 +54,7 @@ def test_fractional_gram_matrix_endpoints(rc2):
     g = sb.gram(rc2, 5)
     rng = np.random.default_rng(3)
     X = rng.standard_normal((g.n, 8))
-    h0 = np.stack([[g.fractional_quadform(X[:, i] + X[:, j], 0.0)
+    h0 = np.stack([[np.sum(g.half((X[:, i] + X[:, j])[:, None], 0.0) ** 2)
                     for i in range(8)] for j in range(8)])
     m0 = np.stack([[float((X[:, i] + X[:, j]) @ (X[:, i] + X[:, j]))
                     for i in range(8)] for j in range(8)])
@@ -164,27 +164,59 @@ def test_h1curl_solver_cache_keyed_by_content(rc3):
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_order_above_one_matches_explicit_inverse(dim, rng):
-    # V from eigh(A2, A1) is A1-orthonormal, so V^T A1 stands in for inv(V)
+    # V from eigh(A2, A1) is A1-orthonormal, so V^T A1 stands in for inv(V).
+    # Against H_s from the explicit inverse above 1, numpy's spectrum below
+    # and the integer forms at 0 and 1: half(X)^T half(X) = X^T H_s X and
+    # half_inverse(H_s X) = half(X); measured margins over 20 seeds: at most
+    # 2.8e-15 and 3.5e-15 of the largest entry, against the 1e-13 asserted
     g = sb.gram(make_reference_cell(dim).cell, 8)
     mu, V = g._second_data()
     Vi = np.linalg.inv(V)
-    s = 1.5
-    c = rng.standard_normal(g.n)
-    y = Vi @ c
-    assert g.fractional_quadform(c, s) == pytest.approx(
-        float(np.sum(mu ** (s - 1.0) * y**2)), rel=1e-12
-    )
-    # the fractional denominator's factor F of H_s = F F^T, against H_s
-    # from the explicit inverse above 1, numpy's spectrum below and the
-    # integer forms at 0 and 1; measured margin: at most 2.6e-15 of the
-    # largest entry
     lam, U = np.linalg.eigh(g.A1)
     refs = {0.0: np.eye(g.n), 1.0: g.A1,
-            1.5: (Vi.T * mu ** (s - 1.0)) @ Vi}
+            1.5: (Vi.T * mu ** 0.5) @ Vi}
     refs.update({t: (U * lam**t) @ U.T for t in (0.25, 0.5)})
-    for t, ref in refs.items():
-        F = sb._hs_factor(g, t)
-        assert np.abs(F @ F.T - ref).max() <= 1e-12 * np.abs(ref).max(), t
+    X = rng.standard_normal((g.n, 4))
+    for t, H in refs.items():
+        Y = g.half(X, t)
+        ref = X.T @ H @ X
+        assert np.abs(Y.T @ Y - ref).max() <= 1e-13 * np.abs(ref).max(), t
+        got = g.half_inverse(H @ X, t)
+        assert np.abs(got - Y).max() <= 1e-13 * np.abs(Y).max(), t
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("top", [None, 9])
+def test_half_reads_short_blocks_as_zero_padded(dim, top, rng):
+    # the fractional surrogate hands `half` the k leading modes of a degree
+    # below the Gram's: that must be the zero-padded block's F^T x, at every
+    # order's branch; measured margin over 20 seeds: at most 8.3e-16 of the
+    # largest entry, against the 1e-14 asserted
+    cell = make_reference_cell(dim).cell
+    g = sb.SobolevGram(cell, 7, top)
+    k = cell.n_modes(4)
+    x = rng.standard_normal((k, 3))
+    padded = np.vstack([x, np.zeros((g.n - k, 3))])
+    for s in (0.0, 0.5, 1.0, 1.5):
+        short, full = g.half(x, s), g.half(padded, s)
+        assert short.shape == full.shape == (g.n, 3)
+        assert np.abs(short - full).max() <= 1e-14 * np.abs(full).max(), s
+
+
+def test_dual_norm_solves_once_for_all_components(rc3, rng, monkeypatch):
+    # an order-1 dual norm on a Gram with a top makes one triangular solve
+    # with its block of the shared factor, for all its components at once
+    calls = []
+    solve = scipy.linalg.solve_triangular
+    monkeypatch.setattr(scipy.linalg, "solve_triangular",
+                        lambda *a, **k: calls.append(1) or solve(*a, **k))
+    g = sb.SobolevGram(rc3, 5, 7)
+    b = rng.standard_normal(3 * g.n)
+    got = sb.dual_norm(g, b, 1.0)
+    assert len(calls) == 1
+    comps = b.reshape(3, g.n)
+    ref = np.sqrt(np.sum(comps * np.linalg.solve(g.A1, comps.T).T))
+    assert got == pytest.approx(ref, rel=1e-12)
 
 
 def test_weaker_norm_error_smaller(rc3):
@@ -273,10 +305,10 @@ def test_rich_table_is_freed_before_the_spectrum(rc3, monkeypatch):
 
 def test_fractional_norm_rejects_out_of_range(rc3):
     g = sb.gram(rc3, 3)
-    with pytest.raises(ValueError):
-        g.fractional_quadform(np.zeros(g.n), 2.5)
-    with pytest.raises(ValueError):
-        g.fractional_quadform(np.zeros(g.n), -0.1)
+    for form in (g.half, g.half_inverse):
+        for s in (2.5, -0.1):
+            with pytest.raises(ValueError, match="outside"):
+                form(np.zeros((g.n, 1)), s)
 
 
 def test_field_without_jets_raises():
@@ -296,16 +328,16 @@ def test_integer_orders_need_no_spectrum(dim, rng, monkeypatch):
                         lambda *a, **k: calls.append(1) or eigh(*a, **k))
     g = sb.SobolevGram(make_reference_cell(dim).cell, 6, None)
     c = rng.standard_normal(g.n)
-    got = {(form, s): getattr(g, form)(c, s)
-           for form in ("fractional_quadform", "dual_quadform") for s in (0.0, 1.0)}
+    got = {(form, s): float(np.sum(getattr(g, form)(c[:, None], s) ** 2))
+           for form in ("half", "half_inverse") for s in (0.0, 1.0)}
     assert not calls
     monkeypatch.undo()
     lam, U = np.linalg.eigh(g.A1)
     y = U.T @ c
     for s in (0.0, 1.0):
-        assert got["fractional_quadform", s] == pytest.approx(
+        assert got["half", s] == pytest.approx(
             float(np.sum(lam**s * y**2)), rel=1e-12)
-        assert got["dual_quadform", s] == pytest.approx(
+        assert got["half_inverse", s] == pytest.approx(
             float(np.sum(lam ** (-s) * y**2)), rel=1e-12)
 
 

@@ -339,3 +339,34 @@ def test_every_pinv_reads_the_svd_cutoff():
                 if name != "SVD_CUTOFF":
                     found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+# where sobolev.py may switch on the fractional order s: the two methods
+# that apply the one factor F of H_s = F F^T, and the one range check
+_ORDER_SWITCHES = ("half", "half_inverse", "_check_order")
+
+
+def _is_number(node):
+    if isinstance(node, ast.UnaryOp):
+        node = node.operand
+    return (isinstance(node, ast.Constant)
+            and isinstance(node.value, (int, float))
+            and not isinstance(node.value, bool))
+
+
+def test_fractional_order_is_switched_on_once():
+    # every fractional, dual and surrogate form reads `half` or
+    # `half_inverse`: the order s is compared with a number nowhere else
+    # in sobolev.py, so no second copy of the order's cases comes back
+    tree = ast.parse((PACKAGE / "sobolev.py").read_text())
+    allowed = {id(node) for top in ast.walk(tree)
+               if isinstance(top, ast.FunctionDef)
+               and top.name in _ORDER_SWITCHES for node in ast.walk(top)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare) and id(node) not in allowed:
+            operands = (node.left, *node.comparators)
+            if (any(getattr(o, "id", None) == "s" for o in operands)
+                    and any(_is_number(o) for o in operands)):
+                found.append(f"sobolev.py:{node.lineno}")
+    assert found == []
