@@ -188,8 +188,7 @@ def bubble_images(cell, slot, p):
     interpolant and of the gauge block of the next slot's. The span drops
     the bubbles whose derivative vanishes, the gradients among the curl's."""
     bubbles = ps.build_space(cell, _TRACE_FREE[slot], p)
-    # a copy, so that the memo keeps the span's rows and not all of the SVD's
-    return ps.span_from_rows(diff_rows(COMPLEX[cell.dim][slot], bubbles)).copy()
+    return ps.span_from_rows(diff_rows(COMPLEX[cell.dim][slot], bubbles))
 
 
 def _sequence(cell, p, kinds=_FULL):

@@ -1,7 +1,9 @@
 """Analytic input fields: black-box evaluators with optional derivative jets.
 
-Named suite fields are defined symbolically and compiled lazily, so strong
-norms and best-approximation denominators pair against exact derivatives.
+Named suite fields are numpy expressions of the coordinates whose jets
+through order 2 come from evaluating the same expression on hyper-dual
+numbers, so strong norms and best-approximation denominators pair against
+exact derivatives with no symbolic step.
 Polynomial fields wrap modal coefficients and differentiate exactly, reading
 their values and jets from one modal table per point set. The derivative of a
 field is read off the derivative's coefficient tensor in
@@ -9,7 +11,6 @@ field is read off the derivative's coefficient tensor in
 """
 
 import numpy as np
-import sympy as sp
 
 from . import cache
 from . import polyspace as ps
@@ -18,10 +19,10 @@ from . import polyspace as ps
 class AnalyticField:
     """A scalar or vector function on a cell, evaluable at quadrature points.
 
-    `jets[alpha]` returns the derivative d^alpha of every component; fields
-    built from symbolic expressions or polynomial coefficients provide jets
-    of any order, sampled black boxes (a `jet_factory` of None) only order
-    zero.
+    `jet(pts, alpha)` returns the derivative d^alpha of every component;
+    fields built from polynomial coefficients provide jets of any order,
+    expression fields through order 2, sampled black boxes (a `jet_factory`
+    of None) only order zero.
     """
 
     def __init__(self, name, dim, value_dim, func, jet_factory):
@@ -50,35 +51,123 @@ class AnalyticField:
         return f"AnalyticField({self.name}, dim={self.dim}, vdim={self.value_dim})"
 
 
-_XYZ = sp.symbols("x y z")
+class HyperDual(np.lib.mixins.NDArrayOperatorsMixin):
+    """Hyper-dual numbers a + b e1 + c e2 + d e1 e2, with e1^2 = e2^2 = 0 and
+    arrays in every part (Fike and Alonso, AIAA 2011-886).
+
+    A function evaluated at x + e1 u + e2 v carries its value, its
+    derivatives along u and v, and its second derivative along u and v, all
+    exact. Sums, differences, products, real constant powers, exp, sin and
+    cos are defined. A part may be a scalar zero, and constants and plain
+    arrays enter as numbers whose e parts are zero; a product with a zero
+    part is skipped, and f'' only formed where it is read.
+    """
+
+    def __init__(self, *parts):
+        self.parts = parts
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        u = [t.parts if isinstance(t, HyperDual) else (t, 0, 0, 0)
+             for t in inputs]
+        if ufunc in (np.add, np.subtract):
+            return HyperDual(*(_plus(p, q, ufunc) for p, q in zip(*u)))
+        if ufunc is np.multiply:
+            (a, b, c, d), (e, f, g, h) = u
+            return HyperDual(a * e, _plus(_times(a, f), _times(b, e)),
+                             _plus(_times(a, g), _times(c, e)),
+                             _plus(_plus(_times(a, h), _times(b, g)),
+                                   _plus(_times(c, f), _times(d, e))))
+        a, b, c, d = u[0]
+        if ufunc is np.power and not isinstance(inputs[1], HyperDual):
+            g = _power(a, inputs[1])
+        elif ufunc in _CHAINS:
+            g = _CHAINS[ufunc](a)
+        else:
+            return NotImplemented
+        # f(u) = f(a) + f'(a) (b e1 + c e2 + d e1 e2) + f''(a) b c e1 e2
+        bc = _times(b, c)
+        return HyperDual(g[0], _times(g[1], b), _times(g[1], c),
+                         _plus(_times(g[1], d),
+                               _times(g[2](), bc) if _live(bc) else 0))
 
 
-def from_sympy(name, exprs, dim):
-    """Field from sympy expressions in x, y(, z); exprs is a list per component."""
-    if not isinstance(exprs, (list, tuple)):
-        exprs = [exprs]
-    exprs = [sp.sympify(e) for e in exprs]
-    syms = _XYZ[:dim]
-    vd = len(exprs)
+def _live(p):
+    """Whether a hyper-dual part can be nonzero: every array, and every
+    scalar but zero."""
+    return isinstance(p, np.ndarray) or p != 0
 
-    def compile_exprs(es):
-        fns = [sp.lambdify(syms, e, modules="numpy") for e in es]
 
-        def evaluate(pts):
-            cols = [np.broadcast_to(np.asarray(f(*pts.T), dtype=float), (pts.shape[0],))
-                    for f in fns]
-            if vd == 1:
-                return np.array(cols[0])
-            return np.stack(cols, axis=1)
+def _times(p, q):
+    return p * q if _live(p) and _live(q) else 0
 
-        return evaluate
+
+def _plus(p, q, ufunc=np.add):
+    """p + q, or p - q for np.subtract, skipped for a zero q."""
+    return ufunc(p, q) if _live(q) else p
+
+
+def _power(a, r):
+    return a**r, r * a ** (r - 1), lambda: r * (r - 1) * a ** (r - 2)
+
+
+def _exp(a):
+    e = np.exp(a)
+    return e, e, lambda: e
+
+
+def _sin(a):
+    s = np.sin(a)
+    return s, np.cos(a), lambda: -s
+
+
+def _cos(a):
+    c = np.cos(a)
+    return c, -np.sin(a), lambda: -c
+
+
+# ufunc -> f(a), f'(a) and a maker of f''(a), at the value part a
+_CHAINS = {np.exp: _exp, np.sin: _sin, np.cos: _cos}
+
+
+def _samples(out, n):
+    """An expression's output, one component or a list, as (n,) or (n, vd)."""
+    comps = out if isinstance(out, list) else [out]
+    cols = [np.broadcast_to(np.asarray(c, dtype=float), (n,)) for c in comps]
+    return np.array(cols[0]) if len(cols) == 1 else np.stack(cols, axis=1)
+
+
+def expression_field(name, dim, func):
+    """Field of a numpy expression func(x, y(, z)) of the coordinate columns,
+    which returns one component or a list of them; its jets through order 2
+    evaluate the same expression on hyper-dual coordinates seeded along the
+    one or two directions of alpha."""
+    out = func(*np.full((dim, 1), 0.25))  # one inner point, for the count
+    vd = len(out) if isinstance(out, list) else 1
+
+    def evaluate(pts):
+        return _samples(func(*pts.T), len(pts))
 
     def jet_factory(alpha):
-        des = [sp.diff(e, *[s for s, a in zip(syms, alpha) for _ in range(a)])
-               for e in exprs]
-        return compile_exprs(des)
+        order = sum(alpha)
+        if order > 2:
+            raise ValueError(f"field {name!r} has jets through order 2, "
+                             f"not {order}")
+        i, j = np.repeat(np.arange(dim), alpha)[[0, -1]].tolist()
+        part = 1 if order == 1 else 3
+        # e1 along i, e2 along j for order 2; the other coordinates stay
+        # plain arrays
+        seeds = {i: [1, 0], j: [0, 1]} if i != j else {i: [1, order - 1]}
 
-    return AnalyticField(name, dim, vd, compile_exprs(exprs), jet_factory)
+        def evaluate_d(pts):
+            out = func(*(HyperDual(col, *seeds[k], 0) if k in seeds else col
+                         for k, col in enumerate(pts.T)))
+            comps = out if isinstance(out, list) else [out]
+            return _samples([c.parts[part] if isinstance(c, HyperDual) else 0.0
+                             for c in comps], len(pts))
+
+        return evaluate_d
+
+    return AnalyticField(name, dim, vd, evaluate, jet_factory)
 
 
 def polynomial_fields():
@@ -140,9 +229,54 @@ def derivative_field(name, C, f):
 
 
 # ---------------------------------------------------------------------------
-# named suites
+# named suites, each field one numpy expression of the coordinates. The
+# operand order sets the samples' last bits: these are the order in which
+# sympy's lambdify printed the suites' expressions, so keep it
 
-x, y, z = _XYZ
+_SUITES = {
+    (3, "entire"): {
+        "exp_sum": lambda x, y, z: np.exp(x + (1/2)*y + (1/3)*z),
+        "trig_mix": lambda x, y, z: np.exp((1/2)*z)*np.sin(x)*np.cos(y),
+        "vec_entire": lambda x, y, z: [np.exp(x + (1/2)*y), np.sin(x + z),
+                                       z*np.cos(y)],
+        "vec_swirl": lambda x, y, z: [np.sin(y + z), z*np.exp((1/2)*x),
+                                      x*np.cos(z)],
+    },
+    (3, "singular"): {
+        "r_alpha": lambda x, y, z: (x**2 + y**2 + z**2)**(5/4),  # H^{4-eps}
+        "vec_r_alpha": lambda x, y, z: [(x**2 + y**2 + z**2)**(5/4),
+                                        x*(x**2 + y**2 + z**2)**(3/4),
+                                        0],  # H^{3-eps}
+    },
+    (3, "poly"): {
+        "cubic": lambda x, y, z: x**2*y + x*y*z + (1/3)*z**3,
+        "vec_poly": lambda x, y, z: [y**2, x*z, x + z],
+    },
+    (2, "entire"): {
+        "exp_sum": lambda x, y: np.exp(x + (1/2)*y),
+        "trig_mix": lambda x, y: np.sin(x)*np.cos(y),
+        "vec_entire": lambda x, y: [np.exp((1/2)*x + y), np.sin(x + y)],
+    },
+    (2, "singular"): {
+        "r_alpha": lambda x, y: (x**2 + y**2)**(5/4),  # H^{3.5-eps}
+        "vec_r_alpha": lambda x, y: [(x**2 + y**2)**(5/4), x*y],  # H^{3.5-eps}
+    },
+    (2, "poly"): {
+        "cubic": lambda x, y: x**2*y + (1/3)*y**3,
+        "vec_poly": lambda x, y: [y**2, x*y],
+    },
+    (1, "entire"): {
+        "exp": lambda x: np.exp(x),
+        "cos": lambda x: np.cos(2*x),
+    },
+    (1, "singular"): {
+        "edge_pow_3_2": lambda x: (x + 1)**(3/2),  # H^{2-eps}
+        "edge_pow_5_2": lambda x: (x + 1)**(5/2),  # H^{3-eps}
+    },
+    (1, "poly"): {
+        "cubic": lambda x: x**3 - x,
+    },
+}
 
 
 @cache.memo
@@ -152,78 +286,11 @@ def suite(name, dim):
     "entire": exponential/trigonometric fields (superalgebraic decay)
     "singular": vertex-centered r^alpha families with finite Sobolev index
     "poly": fixed low-degree polynomial fields for exactness floors
+    "mixed": "entire" followed by "singular"
     """
-    fields = []
-    if dim == 3:
-        r2 = x**2 + y**2 + z**2
-        if name == "entire":
-            fields = [
-                from_sympy("exp_sum", sp.exp(x + y / 2 + z / 3), 3),
-                from_sympy("trig_mix", sp.sin(x) * sp.cos(y) * sp.exp(z / 2), 3),
-                from_sympy(
-                    "vec_entire",
-                    [sp.exp(x + y / 2), sp.sin(x + z), sp.cos(y) * z],
-                    3,
-                ),
-                from_sympy(
-                    "vec_swirl",
-                    [sp.sin(y + z), sp.exp(x / 2) * z, x * sp.cos(z)],
-                    3,
-                ),
-            ]
-        elif name == "singular":
-            alpha = sp.Rational(5, 2)
-            fields = [
-                from_sympy("r_alpha", r2 ** (alpha / 2), 3),  # H^{4-eps}
-                from_sympy(
-                    "vec_r_alpha",
-                    [r2 ** (alpha / 2), x * r2 ** ((alpha - 1) / 2), 0],
-                    3,
-                ),  # H^{3-eps}
-            ]
-        elif name == "poly":
-            fields = [
-                from_sympy("cubic", x**2 * y + z**3 / 3 + x * y * z, 3),
-                from_sympy("vec_poly", [y**2, x * z, x + z], 3),
-            ]
-    elif dim == 2:
-        r2 = x**2 + y**2
-        if name == "entire":
-            fields = [
-                from_sympy("exp_sum", sp.exp(x + y / 2), 2),
-                from_sympy("trig_mix", sp.sin(x) * sp.cos(y), 2),
-                from_sympy("vec_entire", [sp.exp(x / 2 + y), sp.sin(x + y)], 2),
-            ]
-        elif name == "singular":
-            alpha = sp.Rational(5, 2)
-            fields = [
-                from_sympy("r_alpha", r2 ** (alpha / 2), 2),  # H^{3.5-eps}
-                from_sympy(
-                    "vec_r_alpha", [r2 ** (alpha / 2), x * y], 2
-                ),  # H^{3.5-eps}
-            ]
-        elif name == "poly":
-            fields = [
-                from_sympy("cubic", x**2 * y + y**3 / 3, 2),
-                from_sympy("vec_poly", [y**2, x * y], 2),
-            ]
-    elif dim == 1:
-        if name == "entire":
-            fields = [
-                from_sympy("exp", sp.exp(x), 1),
-                from_sympy("cos", sp.cos(2 * x), 1),
-            ]
-        elif name == "singular":
-            fields = [
-                # H^{2-eps}
-                from_sympy("edge_pow_3_2", (1 + x) ** sp.Rational(3, 2), 1),
-                # H^{3-eps}
-                from_sympy("edge_pow_5_2", (1 + x) ** sp.Rational(5, 2), 1),
-            ]
-        elif name == "poly":
-            fields = [from_sympy("cubic", x**3 - x, 1)]
-    if not fields and name == "mixed":
+    if name == "mixed":
         return suite("entire", dim) + suite("singular", dim)
-    if not fields:
+    if (dim, name) not in _SUITES:
         raise ValueError(f"unknown suite {name!r} in dimension {dim}")
-    return tuple(fields)
+    return tuple(expression_field(n, dim, func)
+                 for n, func in _SUITES[dim, name].items())

@@ -92,17 +92,21 @@ def pad_slots(coeffs, cell, value_dim, deg_from, deg_to):
 
 
 def span_from_rows(rows):
-    """Orthonormal basis of the row span, rank decided by relative SVD cutoff."""
+    """Orthonormal basis of the row span, rank decided by relative SVD cutoff.
+
+    Like `null_space_of`, it returns an owned copy of the rows it keeps, so
+    that a memoised basis does not pin the SVD's whole `vt`."""
     rows = np.atleast_2d(rows)
     u, s, vt = np.linalg.svd(rows, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         return np.zeros((0, rows.shape[1]))
     rank = int(np.sum(s > SVD_CUTOFF * s[0]))
-    return vt[:rank]
+    return vt[:rank].copy()
 
 
 def null_space_of(constraints, n_cols):
-    """Orthonormal basis of {x : A x = 0} for a constraint matrix A."""
+    """Orthonormal basis of {x : A x = 0} for a constraint matrix A, as an
+    owned copy of the rows of the SVD's `vt` that it keeps."""
     A = np.atleast_2d(constraints)
     if A.shape[0] == 0:
         return np.eye(n_cols)
@@ -111,7 +115,7 @@ def null_space_of(constraints, n_cols):
         rank = 0
     else:
         rank = int(np.sum(s > SVD_CUTOFF * s[0]))
-    return vt[rank:]
+    return vt[rank:].copy()
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,15 @@
 """Independent references that the tests check the package against: exact
 monomial integrals, trace operators expanded in a space on the trace cell,
-the sum of two analytic fields, and the interpolants' stage equations."""
+fields compiled from sympy expressions with symbolic jets, the field suites
+in that form, the sum of two analytic fields, and the interpolants' stage
+equations."""
 
 from fractions import Fraction
 from itertools import pairwise
 from math import factorial
 
 import numpy as np
+import sympy as sp
 
 from exseq import calculus as ca
 from exseq import fields as fl
@@ -74,6 +77,83 @@ def trace_space(space, sub, family):
     name = {"h1": "restrict", "hcurl": "Pi_tau", "hdiv": "normal"}[family]
     rows, vd = _trace_rows(name, space, sub)
     return ps.PolySpace(sub.cell, vd, space.degree, ps.span_from_rows(rows))
+
+
+_XYZ = sp.symbols("x y z")
+
+
+def from_sympy(name, exprs, dim):
+    """Field from sympy expressions in x, y(, z); exprs is a list per
+    component. Each jet is differentiated symbolically and lambdified on
+    first use, to any order."""
+    if not isinstance(exprs, (list, tuple)):
+        exprs = [exprs]
+    exprs = [sp.sympify(e) for e in exprs]
+    syms = _XYZ[:dim]
+    vd = len(exprs)
+
+    def compile_exprs(es):
+        fns = [sp.lambdify(syms, e, modules="numpy") for e in es]
+
+        def evaluate(pts):
+            cols = [np.broadcast_to(np.asarray(f(*pts.T), dtype=float),
+                                    (pts.shape[0],)) for f in fns]
+            if vd == 1:
+                return np.array(cols[0])
+            return np.stack(cols, axis=1)
+
+        return evaluate
+
+    def jet_factory(alpha):
+        des = [sp.diff(e, *[s for s, a in zip(syms, alpha) for _ in range(a)])
+               for e in exprs]
+        return compile_exprs(des)
+
+    return fl.AnalyticField(name, dim, vd, compile_exprs(exprs), jet_factory)
+
+
+def reference_suite(name, dim):
+    """The fields of `fields.suite(name, dim)`, in its order, as sympy
+    expressions compiled by `from_sympy`."""
+    x, y, z = _XYZ
+    a = sp.Rational(5, 4)  # r^(5/2) = (r^2)^(5/4)
+    r3, r2 = x**2 + y**2 + z**2, x**2 + y**2
+    suites = {
+        (3, "entire"): [
+            ("exp_sum", sp.exp(x + y / 2 + z / 3)),
+            ("trig_mix", sp.sin(x) * sp.cos(y) * sp.exp(z / 2)),
+            ("vec_entire", [sp.exp(x + y / 2), sp.sin(x + z), sp.cos(y) * z]),
+            ("vec_swirl", [sp.sin(y + z), sp.exp(x / 2) * z, x * sp.cos(z)]),
+        ],
+        (3, "singular"): [
+            ("r_alpha", r3**a),
+            ("vec_r_alpha", [r3**a, x * r3 ** sp.Rational(3, 4), 0]),
+        ],
+        (3, "poly"): [
+            ("cubic", x**2 * y + z**3 / 3 + x * y * z),
+            ("vec_poly", [y**2, x * z, x + z]),
+        ],
+        (2, "entire"): [
+            ("exp_sum", sp.exp(x + y / 2)),
+            ("trig_mix", sp.sin(x) * sp.cos(y)),
+            ("vec_entire", [sp.exp(x / 2 + y), sp.sin(x + y)]),
+        ],
+        (2, "singular"): [
+            ("r_alpha", r2**a),
+            ("vec_r_alpha", [r2**a, x * y]),
+        ],
+        (2, "poly"): [
+            ("cubic", x**2 * y + y**3 / 3),
+            ("vec_poly", [y**2, x * y]),
+        ],
+        (1, "entire"): [("exp", sp.exp(x)), ("cos", sp.cos(2 * x))],
+        (1, "singular"): [
+            ("edge_pow_3_2", (1 + x) ** sp.Rational(3, 2)),
+            ("edge_pow_5_2", (1 + x) ** sp.Rational(5, 2)),
+        ],
+        (1, "poly"): [("cubic", x**3 - x)],
+    }
+    return [from_sympy(n, e, dim) for n, e in suites[dim, name]]
 
 
 def shifted(field, delta):

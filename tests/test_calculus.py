@@ -296,7 +296,7 @@ def test_derivative_rows_and_field_reject_a_wrong_source(name, rng):
 
 def test_deriv_alpha_second_order_jet(rc3):
     x, y, z = sp.symbols("x y z")
-    f = fl.from_sympy("quartic", x**2 * y * z + y**3 - x * z**2, 3)
+    f = oracles.from_sympy("quartic", x**2 * y * z + y**3 - x * z**2, 3)
     cell, alpha = rc3, (1, 0, 1)
     q = quadrature(cell, 10)
     # a member of the degree-4 space: its L2 pairings are its coefficients

@@ -47,7 +47,7 @@ def test_split_error_oracle_polynomial_curl_part():
     w_slots = Q.random_elements(1, rng)[0]
     w = fl.polynomial_fields()("w", ps.vector_space(rc3, p + 1, 3), w_slots)
     x, y, z = sp.symbols("x y z")
-    phi = fl.from_sympy("phi", sp.exp(x / 2 + y / 3 + z / 5), 3)
+    phi = oracles.from_sympy("phi", sp.exp(x / 2 + y / 3 + z / 5), 3)
     gphi = ca.DERIVATIVES["grad"].field(phi)
     u = oracles.shifted(gphi, w)
     plan = pj.ProjectorPlan("curl3d", p)

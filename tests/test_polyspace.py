@@ -193,6 +193,18 @@ def test_memoised_tables_are_read_only(rc3):
             table.flat[0] = 1.0
 
 
+def test_memoised_bases_own_their_data(rc3, rc2):
+    # the SVD helpers return owned copies of the rows they keep, so a
+    # memoised basis does not pin the whole of the SVD's vt
+    cache.clear()
+    bases = [ps.build_space(cell, kind, p).basis
+             for cell, kinds in ((rc3, ("hcurl", "hdiv", "hcurl_bubble",
+                                        "hdiv_bubble")), (rc2, ("hcurl",)))
+             for kind in kinds for p in (1, 3)]
+    bases += [ca.bubble_images(rc3, slot, 3) for slot in (0, 1, 2)]
+    assert all(b.base is None for b in bases)
+
+
 def test_memo_rejects_arguments_without_content_key():
     with pytest.raises(TypeError):
         ps.deriv_matrix(object(), 1, 0)

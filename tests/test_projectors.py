@@ -414,8 +414,8 @@ def test_commuting_specific_fields():
     x, y, z = sp.symbols("x y z")
     p = 2
     suite = {
-        "grad3d": [fl.from_sympy("x2yz", x**2 * y * z, 3)],
-        "curl3d": [fl.from_sympy("u", [y**2, x * z, x + z], 3)],
+        "grad3d": [oracles.from_sympy("x2yz", x**2 * y * z, 3)],
+        "curl3d": [oracles.from_sympy("u", [y**2, x * z, x + z], 3)],
     }
     recs = pj.check_commuting(p, suite, _plans(p))
     assert max(r["rel_residual"] for r in recs) <= 1e-9
@@ -428,7 +428,7 @@ def test_grad_of_potential_is_curl_interpolant():
 
     x, y, z = sp.symbols("x y z")
     p = 2
-    phi = fl.from_sympy("x2y", x**2 * y, 3)
+    phi = oracles.from_sympy("x2y", x**2 * y, 3)
     gplan = pj.ProjectorPlan("grad3d", p)
     cplan = pj.ProjectorPlan("curl3d", p)
     gi = gplan.apply(phi)
@@ -448,9 +448,9 @@ def test_trace_locality_curl():
     p = 3
     plan = pj.ProjectorPlan("curl3d", p)
     rc = make_reference_cell(3).cell
-    f = fl.from_sympy("base", [sp.sin(x + y), sp.exp(z) / 4, x * y], 3)
+    f = oracles.from_sympy("base", [sp.sin(x + y), sp.exp(z) / 4, x * y], 3)
     bubble = x * y * z * (1 - x - y - z)
-    delta = fl.from_sympy("delta", [bubble, -2 * bubble, bubble / 3], 3)
+    delta = oracles.from_sympy("delta", [bubble, -2 * bubble, bubble / 3], 3)
     a = plan.apply(f)
     b = plan.apply(oracles.shifted(f, delta))
     Q = plan.target
@@ -469,9 +469,9 @@ def test_trace_locality_div():
     p = 3
     plan = pj.ProjectorPlan("div3d", p)
     rc = make_reference_cell(3).cell
-    f = fl.from_sympy("base", [sp.cos(y), x * z**2, sp.exp(x / 2)], 3)
+    f = oracles.from_sympy("base", [sp.cos(y), x * z**2, sp.exp(x / 2)], 3)
     bubble = x * y * z * (1 - x - y - z)
-    delta = fl.from_sympy("delta", [bubble, bubble, -bubble], 3)
+    delta = oracles.from_sympy("delta", [bubble, bubble, -bubble], 3)
     a = plan.apply(f)
     b = plan.apply(oracles.shifted(f, delta))
     V = plan.target
@@ -497,7 +497,7 @@ def test_lift_invariance_grad2d(rng):
 
 
 def test_apply_1d_linear_and_endpoints():
-    lin = fl.from_sympy("lin", "2*x + 1", 1)
+    lin = oracles.from_sympy("lin", "2*x + 1", 1)
     slots = pj.ProjectorPlan("grad1d", 4).apply(lin)
     t = pj.ProjectorPlan("grad1d", 4).target
     q = quadrature(t.cell, 8)

@@ -155,6 +155,23 @@ def test_package_reads_no_environment():
     assert found == []
 
 
+def test_package_imports_no_sympy():
+    # no symbolic algebra at run time: suite fields are numpy expressions
+    # with hyper-dual jets, and sympy is a test dependency only
+    found = []
+    for path, tree in _trees().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(n.split(".")[0] == "sympy" for n in names):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 # values the package sets for its callers to read
 _UNREAD_FIELDS = {
     "LiftingResult.space": "the lifting itself: the space of its slots",
