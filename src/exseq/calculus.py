@@ -269,63 +269,49 @@ def complex_property_residual(tet, tri, p):
 _GREEN_SAMPLES = 5  # random pairs per Green's-formula check
 
 
-def integration_by_parts_residual(cell, p, rng):
-    """Residual of (curl u, v) = (curl v, u) - (Pi_tau u, gamma_tau v)_boundary."""
-    Q = ps.build_space(cell, "hcurl", p)
-    V = ps.build_space(cell, "hdiv", p)
-    c = diff_op("curl3d", Q, V)
-    q = quadrature(cell, 2 * Q.degree + 2)
-    worst = 0.0
-    for _ in range(_GREEN_SAMPLES):
-        cu = Q.random_elements(1, rng)[0]
-        cv = Q.random_elements(1, rng)[0]
-        u_q = Q.evaluate(cu, q.points)
-        v_q = Q.evaluate(cv, q.points)
-        au = cu @ Q.basis.T
-        av = cv @ Q.basis.T
-        curl_u = V.evaluate((au @ c) @ V.basis, q.points)
-        curl_v = V.evaluate((av @ c) @ V.basis, q.points)
-        lhs = np.einsum("q,qi,qi->", q.weights, curl_u, v_q)
-        rhs_vol = np.einsum("q,qi,qi->", q.weights, curl_v, u_q)
-        bnd = 0.0
+def green_residual(name, source, test, rng):
+    """Worst relative residual, over random u of `source` and w of `test`,
+    of Green's formula (D u, w) = (u, D* w) + (u, F w)_boundary for the
+    derivative D = DERIVATIVES[name]. Both sides are read off D's tensor C,
+    as `projectors._mixed_stage` reads them: the adjoint D* has the tensor
+    -C.transpose(2, 1, 0), and the flux through the outward normal n is
+    F = einsum("kic,i->ck", C, n)."""
+    cell = source.cell
+    C = DERIVATIVES[name].C[cell.dim]
+    deg = source.degree + test.degree + 2
+    q = quadrature(cell, deg)
+    rules = [(q.points, q.weights, None)]  # the cell, then its sides
+    if cell.dim == 3:
         for face in tet_faces(cell):
-            fq = quadrature(face.cell, 2 * Q.degree + 2)
-            amb = face.embed(fq.points)
-            uf = Q.evaluate(cu, amb)
-            vf = Q.evaluate(cv, amb)
-            tu = uf @ face.frame  # tangential components (Pi_tau in chart frame)
-            tv = vf @ face.frame
-            gv = np.stack([-tv[:, 1], tv[:, 0]], axis=1)  # gamma_tau = n x u
-            bnd += np.einsum("q,qi,qi->", fq.weights, tu, gv)
-        scale = max(abs(lhs), abs(rhs_vol), abs(bnd), 1e-30)
-        worst = max(worst, abs(lhs - (rhs_vol - bnd)) / scale)
-    return worst
+            fq = quadrature(face.cell, deg)
+            rules.append((face.embed(fq.points), fq.weights, face.normal))
+    else:
+        for edge, ccw in triangle_edges(cell):
+            eq = quadrature(edge.cell, deg)
+            rules.append((edge.embed(eq.points[:, 0]), eq.weights,
+                          ccw * np.array([edge.tangent[1], -edge.tangent[0]])))
+    # each rule's weights, the source's and the test's tables, and normal
+    (weights, S, T, _), *sides = [
+        (w, cell.tabulate(source.degree, pts), cell.tabulate(test.degree, pts),
+         n) for pts, w, n in rules]
 
+    def pair(rule_weights, a, b):
+        return np.einsum("q,kq,kq->", rule_weights, a, b)
 
-def stokes_2d_residual(cell, p, rng):
-    """Residual of the 2D formula: (curl v, F) = (v, curl F) - (v, F.t)_boundary."""
-    W = ps.build_space(cell, "h1", p)
-    F = ps.vector_space(cell, p + 1, 2)
-    q = quadrature(cell, 2 * (p + 2))
-    curls_v = ps.vector_space(cell, W.degree, 2)
-    curls_F = ps.scalar_space(cell, F.degree)
     worst = 0.0
     for _ in range(_GREEN_SAMPLES):
-        cv = W.random_elements(1, rng)[0]
-        cf = F.random_elements(1, rng)[0]
-        v_q = W.evaluate(cv, q.points)
-        F_q = F.evaluate(cf, q.points)
-        curl_v = curls_v.evaluate(diff_slots("curl2d_scalar", W, cv), q.points)
-        curl_F = curls_F.evaluate(diff_slots("curl2d_vector", F, cf), q.points)
-        lhs = np.einsum("q,qi,qi->", q.weights, curl_v, F_q)
-        rhs = np.einsum("q,q,q->", q.weights, v_q, curl_F)
-        bnd = 0.0
-        for edge, sign in triangle_edges(cell):
-            eq = quadrature(edge.cell, 2 * (p + 2))
-            amb = edge.embed(eq.points[:, 0])
-            ve = W.evaluate(cv, amb)
-            Fe = F.evaluate(cf, amb)
-            bnd += sign * np.einsum("q,q,q->", eq.weights, ve, Fe @ edge.tangent)
-        scale = max(abs(lhs), abs(rhs), abs(bnd), 1e-30)
-        worst = max(worst, abs(lhs - (rhs - bnd)) / scale)
+        u = source.random_elements(1, rng)[0]
+        w = test.random_elements(1, rng)[0]
+        U = np.reshape(u, (source.value_dim, -1))
+        W = np.reshape(w, (test.value_dim, -1))
+        Du = np.reshape(diff_slots(name, source, u), (len(C), -1))
+        adjoint = ps.derivative_rows(-C.transpose(2, 1, 0), ps.PolySpace(
+            cell, test.value_dim, test.degree, w[None]))
+        Dw = np.reshape(adjoint, (source.value_dim, -1))
+        lhs = pair(weights, Du @ S, W @ T)
+        vol = pair(weights, U @ S, Dw @ T)
+        bnd = sum(pair(ws, U @ Ss, np.einsum("kic,i->ck", C, n) @ (W @ Ts))
+                  for ws, Ss, Ts, n in sides)
+        scale = max(abs(lhs), abs(vol), abs(bnd), 1e-30)
+        worst = max(worst, abs(lhs - (vol + bnd)) / scale)
     return worst

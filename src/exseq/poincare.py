@@ -138,16 +138,9 @@ def _build_matrix(cell, kind, degree, center, radius):
     # transposed to act on slots
     KW = [(W[i] @ even - pad.T @ (odd @ D[i])).T for i in range(dim)]
 
-    # the Koszul contraction with w: block (k, c) of R adds or subtracts
-    # KW[i] for each nonzero C[k, i, c]
-    R = np.zeros((len(C) * nm, C.shape[2] * nm1))
-    for k, i, c in zip(*np.nonzero(C)):
-        block = R[k * nm : (k + 1) * nm, c * nm1 : (c + 1) * nm1]
-        if C[k, i, c] > 0:
-            block += KW[i]
-        else:
-            block -= KW[i]
-    return R
+    # the Koszul contraction with w: block (k, c) of R is C[k, i, c] KW[i],
+    # from the one nonzero C[k, i, c] of the block, if any
+    return sum(np.kron(C[:, i], KW[i]) for i in range(dim))
 
 
 # ---------------------------------------------------------------------------

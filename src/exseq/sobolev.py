@@ -8,9 +8,9 @@ computable surrogates; equivalence constants are never asserted, only
 measured by the studies.
 
 Every derivative comes from one table: a graph norm's family derivative (curl
-or div) from `calculus.DERIVATIVES`, whose coefficient tensor gives
-both the slot rows of a polynomial's derivative and the same derivative of a
-field, and each d^alpha of the norms' multi-indices from
+or div) from `calculus.DERIVATIVES`, read by `_parts` alone, whose coefficient
+tensor gives both the slot rows of a polynomial's derivative and the same
+derivative of a field, and each d^alpha of the norms' multi-indices from
 `polyspace.deriv_alpha` on the polynomial side and the field's jets on the
 other.
 """
@@ -20,7 +20,7 @@ import scipy.linalg
 
 from . import cache
 from . import polyspace as ps
-from .calculus import DERIVATIVES, derivative_name, diff_rows, diff_slots
+from .calculus import DERIVATIVES, derivative_name, diff_slots
 from .refsimplex import quadrature
 
 
@@ -172,10 +172,11 @@ def gram(cell, degree, top=None):
     of degree p is the P Gram of degree p + 2. Their order-1 dual forms
     share one top Cholesky factor per cell (`_top_factor`) and slice it, so
     these Grams keep no A1 or factor of their own; each makes one
-    triangular solve for all the components of a record. The
-    best-approximation forms (the H1full, H2 and H1curl denominators) keep
-    the per-degree Gram: at high degree their values sit on a roundoff
-    floor, which the two routes place differently. The fractional
+    triangular solve for all the components of a record. The integer
+    best-approximation forms (the H1full, H2 and H1curl denominators, each
+    solved by `np.linalg.solve`) keep the per-degree Gram: at high degree
+    their values sit on a roundoff floor, which the two routes place
+    differently. The fractional
     denominators' rich Gram is not read from here: `best_approx` builds
     its own for each call, so its A1 and spectrum (or, with a `top` at
     order 1, no table of its own) live for one degree.
@@ -264,10 +265,19 @@ _ORDER = {"L2": 0, "H1full": 1, "H2": 2, "H1curl": 1}
 _FAMILY = {"H1curl": "curl", "Hhalf_curl": "curl", "Hhalf_div": "div"}
 
 
-def _graph_derivative(norm, dim):
-    """The DERIVATIVES entry of a graph norm on a dim-cell, or None."""
+def _parts(space, norm):
+    """The parts of a norm on `space`, whose squares sum to its square: the
+    value and, for a graph norm, the family derivative. Each part is (value
+    dimension, map from slot rows of the space to the part's slot rows, map
+    from a field to the part's field)."""
+    parts = [(space.value_dim, lambda rows: rows, lambda f: f)]
     family = _FAMILY.get(norm)
-    return family and derivative_name(family, dim)
+    if family:
+        name = derivative_name(family, space.cell.dim)
+        d = DERIVATIVES[name]
+        parts.append((d.value_dim(space.cell.dim),
+                      lambda rows: diff_slots(name, space, rows), d.field))
+    return parts
 
 
 def _form_on(space, G):
@@ -329,15 +339,9 @@ def error_in_norm(space, field, slots, quad, norm, table):
     if norm not in _ORDER:
         raise ValueError(f"no direct error formula for norm {norm!r}")
     cell, pts = space.cell, quad.points
-    parts = [(field, space.value_dim, slots)]
-    name = _graph_derivative(norm, cell.dim)
-    if name:
-        d = DERIVATIVES[name]
-        parts.append((d.field(field), d.value_dim(cell.dim),
-                      diff_slots(name, space, slots)))
     total = 0.0
-    for f, vd, sl in parts:
-        comps = np.reshape(sl, (vd, -1))
+    for vd, rows, field_of in _parts(space, norm):
+        f, comps = field_of(field), np.reshape(rows(slots), (vd, -1))
         for alpha, weight in _derivative_multiindices(cell.dim, _ORDER[norm]):
             fv = f.jet(pts, alpha)
             pv = (comps @ ps.deriv_alpha(cell, space.degree, alpha).T) @ table
@@ -367,12 +371,17 @@ def best_approx(space, fields, norm, quad, table, rich_degree=None, s=0.5,
     modes of degree `rich_degree` a block of points at a time
     (`rule_pairings`), so no rich table is formed.
 
-    The field-independent forms live for this call only and serve every
-    field: the H2/H1full Gram of the basis, the H1curl Cholesky factor, and
-    the fractional surrogate's rich `SobolevGram(cell, rich_degree, top)`,
-    whose `half` gives every H_s product, and the Cholesky factor of its
-    form, one solve for all fields. Only the integer norms' per-degree Gram
-    is memoised (see `gram`). The integer norms solve field by field.
+    Every norm is read through `_parts`: the value and, for a graph norm,
+    its family derivative. The integer norms take one path: the form is the
+    sum over the parts of `_form_on` in the modal form G of the order (the
+    identity for L2, A1 for H1full and H1curl, A2 for H2), the right-hand
+    side the sum of their `_jet_pairings`, and each field is solved with
+    `np.linalg.solve`. The field-independent forms live for this call only
+    and serve every field: the integer norms' form, and the fractional
+    surrogate's rich `SobolevGram(cell, rich_degree, top)`, whose `half`
+    gives every H_s product, and the Cholesky factor of its form, one solve
+    for all fields. Only the integer norms' per-degree Gram is memoised
+    (see `gram`).
     """
     cell = space.cell
     if norm in ("Hhalf", "Hhalf_div", "Hhalf_curl"):
@@ -380,56 +389,23 @@ def best_approx(space, fields, norm, quad, table, rich_degree=None, s=0.5,
                                        quad, top)
     if norm not in _ORDER:
         raise ValueError(f"unknown norm {norm!r}")
-
-    if norm in ("H1full", "H2"):
+    order = _ORDER[norm]
+    if order == 0:
+        G = np.eye(space.n_modes)  # the modes are L2-orthonormal
+    else:
         g = gram(cell, space.degree)
-        A = _form_on(space, g.A1 if norm == "H1full" else g.A2)
-    elif norm == "H1curl":
-        cho, dcomp = _h1curl_form(space)
+        G = g.A1 if order == 1 else g.A2
+    parts = [(ps.PolySpace(cell, vd, space.degree, rows(space.basis)), field_of)
+             for vd, rows, field_of in _parts(space, norm)]
+    A = sum(_form_on(part, G) for part, _ in parts)
     out = []
     for field in fields:
-        if norm == "L2":
-            b = mode_pairings(table, quad.weights, field(quad.points)).ravel()
-            coords = space.basis @ b
-        elif norm == "H1curl":
-            coords = _h1curl_minimizer(space, field, quad, table, cho, dcomp)
-        else:
-            rhs = _jet_pairings(space, field, quad, _ORDER[norm], table)
-            coords = np.linalg.solve(A, rhs)
-        slots = coords @ space.basis
-        err = error_in_norm(space, field, slots, quad, norm, table)
-        out.append((slots, err))
+        rhs = sum(_jet_pairings(part, field_of(field), quad, order, table)
+                  for part, field_of in parts)
+        slots = np.linalg.solve(A, rhs) @ space.basis
+        out.append((slots, error_in_norm(space, field, slots, quad, norm,
+                                         table)))
     return out
-
-
-def _h1curl_form(space):
-    """The Cholesky factor of the (H1, curl-H1) Gram of the space's basis,
-    and the component rows of the basis's curls."""
-    cell = space.cell
-    g = gram(cell, space.degree)
-    curl = derivative_name("curl", cell.dim)
-    curls = ps.PolySpace(cell, DERIVATIVES[curl].value_dim(cell.dim),
-                         space.degree, diff_rows(curl, space))
-    A = _form_on(space, g.A1) + _form_on(curls, g.A1)
-    return scipy.linalg.cho_factor(A), curls.components(curls.basis)
-
-
-def _h1curl_minimizer(space, field, q, V, cho, dcomp):
-    cell = space.cell
-    d, vd = cell.dim, space.value_dim
-    comps = space.components(space.basis)
-    curl = DERIVATIVES[derivative_name("curl", d)].field(field)
-    # rhs: (u, phi)_{H1} + (curl u, curl phi)_{H1}, all pairings in one product
-    alphas = [alpha for alpha, _ in _derivative_multiindices(d, 1)]
-    b = mode_pairings(V, q.weights, np.column_stack(
-        [f.jet(q.points, alpha) for f in (field, curl) for alpha in alphas]))
-    bu, *bdu = np.split(b[: vd * (d + 1)], d + 1)
-    bc, *bdc = np.split(b[vd * (d + 1) :], d + 1)
-    D = [ps.deriv_matrix(cell, space.degree, i) for i in range(d)]
-    bu = bu + sum(bi @ Di for bi, Di in zip(bdu, D))
-    bc = bc + sum(bi @ Di for bi, Di in zip(bdc, D))
-    rhs = np.einsum("dcm,cm->d", comps, bu) + np.einsum("dcm,cm->d", dcomp, bc)
-    return scipy.linalg.cho_solve(cho, rhs)
 
 
 def _fractional_best_approx(space, fields, norm, s, P, q, top):
@@ -447,16 +423,14 @@ def _fractional_best_approx(space, fields, norm, s, P, q, top):
     solve serves all fields; a field's surrogate error is
     ||z_c - `half`((x R_c)^T)|| summed over the components."""
     cell = space.cell
-    name = _graph_derivative(norm, cell.dim)
+    parts = _parts(space, norm)
     pairings = rule_pairings(cell, P, q.points, q.weights, [
-        f(q.points) for field in fields
-        for f in ([field, DERIVATIVES[name].field(field)] if name
-                  else [field])])
+        field_of(field)(q.points) for field in fields
+        for _, _, field_of in parts])
     g = SobolevGram(cell, P, top)
     k = cell.n_modes(space.degree)
-    blocks = [space.basis.reshape(space.dim, space.value_dim, k)]
-    if name:
-        blocks.append(diff_rows(name, space).reshape(space.dim, -1, k))
+    blocks = [rows(space.basis).reshape(space.dim, vd, k)
+              for vd, rows, _ in parts]
     # one R_c per component, in the order of a field's pairing rows;
     # z[:, i, j] is F^T of row j of field i
     comps = [R[:, c] for R in blocks for c in range(R.shape[1])]

@@ -212,9 +212,9 @@ def run_convergence(cfg):
     Its dual test modes, and a fractional denominator's rich modes, are
     paired with every field in one pass over blocks of the rule's points,
     so no table of them is formed. The plan is freed before the
-    denominators, and the target's table and the denominators' forms (the
-    H1curl factor, the fractional surrogate's rich Gram and form) with the
-    degree.
+    denominators, and the target's table and the denominators' forms (an
+    integer norm's form, the fractional surrogate's rich Gram and form) with
+    the degree.
 
     For the process: what a degree yields for every s, its fields' L2 error
     parts, denominators and dual pairings, is memoised by `_degree_data`, so
@@ -442,8 +442,11 @@ def run_verification(p_max, seed):
         "per_p": [{"p": r["p"], "ok": r["ok"]} for r in seq],
     }
 
-    ibp = ca.integration_by_parts_residual(tet, min(p_max, 4), rng)
-    stokes = ca.stokes_2d_residual(tri, min(p_max, 4), rng)
+    p = min(p_max, 4)
+    hcurl = ps.build_space(tet, "hcurl", p)
+    ibp = ca.green_residual("curl3d", hcurl, hcurl, rng)
+    stokes = ca.green_residual("curl2d_scalar", ps.build_space(tri, "h1", p),
+                               ps.vector_space(tri, p + 1, 2), rng)
     report["sections"]["integration_by_parts"] = {
         "ok": bool(ibp <= 1e-10 and stokes <= 1e-10),
         "residual_3d": ibp,

@@ -1,14 +1,15 @@
 """Independent references that the tests check the package against: exact
 monomial integrals, trace operators expanded in a space on the trace cell,
 fields compiled from sympy expressions with symbolic jets, the field suites
-in that form, the sum of two analytic fields, and the interpolants' stage
-equations."""
+in that form, the sum of two analytic fields, the interpolants' stage
+equations, and best approximation in the integer norms by least squares."""
 
 from fractions import Fraction
-from itertools import pairwise
-from math import factorial
+from itertools import pairwise, product
+from math import factorial, prod
 
 import numpy as np
+import scipy.linalg
 import sympy as sp
 
 from exseq import calculus as ca
@@ -327,3 +328,60 @@ def _oracle_rule(cell, plan_degree):
     ws = np.concatenate([wts[::-1], wts])
     a, b = cell.vertices[:, 0]
     return ((a + b) / 2 + (b - a) / 2 * s)[:, None], (b - a) / 2 * ws
+
+
+# The integer norms of the best approximations: the order of each norm's
+# multi-indices and, for a graph norm, the family of its derivative part.
+_INTEGER_NORMS = {"L2": (0, None), "H1full": (1, None), "H2": (2, None),
+                  "H1curl": (1, "curl")}
+
+
+def least_squares_best_approx(space, field, norm, quad):
+    """The slots of the best approximation of `field` in `space` in an
+    integer norm, by QR on the least-squares form of the minimisation, with
+    no normal equations.
+
+    The modes are L2-orthonormal, so up to a term free of v the squared
+    error ||f - v||^2 is the sum over the norm's parts (the value, and the
+    derivative for a graph norm) and multi-indices alpha, |alpha| <= order,
+    of w_alpha ||b_alpha - M_alpha c||^2. Here w_alpha = |alpha|!/alpha!,
+    c holds the modal coefficients of a component of the part of v,
+    M_alpha = `ps.deriv_alpha`, and b_alpha the modal pairings on `quad` of
+    d^alpha of that component of the part's field. The design stacks
+    sqrt(w_alpha) M_alpha B_c^T over the parts, the multi-indices and the
+    components c of each part's slot rows B. A graph part's rows are
+    `ca.diff_rows` of the space; its field's jets are read off the field's
+    own through the derivative's tensor, d^alpha (D f)_k =
+    sum_{i,c} C[k, i, c] d^(alpha + e_i) f_c."""
+    cell, nm = space.cell, space.n_modes
+    order, family = _INTEGER_NORMS[norm]
+    V = cell.tabulate(space.degree, quad.points) * quad.weights
+
+    def jet(alpha):
+        return np.reshape(field.jet(quad.points, alpha), (len(quad.weights), -1))
+
+    parts = [(space.basis, jet)]
+    if family:
+        name = ca.derivative_name(family, cell.dim)
+        C = ca.DERIVATIVES[name].C[cell.dim]
+
+        def derivative_jet(alpha):
+            shifted = [jet([a + (j == i) for j, a in enumerate(alpha)])
+                       for i in range(cell.dim)]
+            return np.einsum("kic,iqc->qk", C, np.array(shifted))
+
+        parts.append((ca.diff_rows(name, space), derivative_jet))
+    design, rhs = [], []
+    for B, part_jet in parts:
+        for alpha in product(range(order + 1), repeat=cell.dim):
+            if sum(alpha) > order:
+                continue
+            root = np.sqrt(factorial(sum(alpha)) / prod(map(factorial, alpha)))
+            M = ps.deriv_alpha(cell, space.degree, alpha)
+            b = V @ part_jet(alpha)
+            for c in range(b.shape[1]):
+                design.append(root * M @ B[:, c * nm : (c + 1) * nm].T)
+                rhs.append(root * b[:, c])
+    Q, R = np.linalg.qr(np.vstack(design))
+    x = scipy.linalg.solve_triangular(R, Q.T @ np.concatenate(rhs))
+    return x @ space.basis

@@ -4,6 +4,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+import oracles
 from exseq import cache
 from exseq import fields as fl
 from exseq import polyspace as ps
@@ -147,7 +148,8 @@ def test_best_approx_l2_monotone_for_exp(rc3):
 
 
 def test_h1curl_solver_cache_keyed_by_content(rc3):
-    # two unnamed spaces of one dimension must not share a cached factor
+    # two unnamed spaces of one dimension share no memoised table: B's H1curl
+    # best approximation after A's equals B's after a cleared memo
     rng = np.random.default_rng(3)
     A, B = (
         ps.PolySpace(rc3, 3, 3, ps.span_from_rows(rng.standard_normal((45, 60))))
@@ -160,6 +162,48 @@ def test_h1curl_solver_cache_keyed_by_content(rc3):
     cache.clear()
     [(_, fresh)] = _best_approx(B, [f], "H1curl")
     assert after_a == pytest.approx(fresh, rel=1e-9)
+
+
+# the worst relative slot defect of `best_approx` against the least-squares
+# oracle over p = 1..5, the suite's fields plus random polynomials, measured
+# over seeds 0..19 at one and at two BLAS threads (in the comments); each
+# bound stands about 5x above
+_LEAST_SQUARES_BOUNDS = {
+    (2, "L2"): 1e-15,  # 2.1e-16
+    (3, "L2"): 1e-15,  # 2.0e-16
+    (2, "H1full"): 9e-14,  # 1.8e-14
+    (3, "H1full"): 3e-14,  # 7.1e-15
+    (2, "H2"): 4e-11,  # 8.1e-12
+    (3, "H2"): 5e-11,  # 1.0e-11
+    (2, "H1curl"): 2e-10,  # 3.9e-11
+    (3, "H1curl"): 1e-9,  # 2.2e-10
+}
+
+
+@pytest.mark.parametrize("dim, norm", sorted(_LEAST_SQUARES_BOUNDS))
+def test_integer_minimisers_match_least_squares(dim, norm):
+    # the normal equations of the one integer path against QR on the
+    # least-squares form, with the same rule and pairings
+    cell = make_reference_cell(dim).cell
+    make = fl.polynomial_fields()
+    worst = 0.0
+    for p in range(1, 6):
+        space = ps.build_space(cell, "hcurl" if norm == "H1curl" else "h1", p)
+        poly = ps.vector_space(cell, space.degree + 2, space.value_dim)
+        q = quadrature(cell, min(2 * space.degree + 14, 40))
+        table = cell.tabulate(space.degree, q.points)
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            for f in fl.suite("entire", dim):
+                if f.value_dim != space.value_dim:
+                    continue
+                g = oracles.shifted(f, make("poly", poly,
+                                            poly.random_elements(1, rng)[0]))
+                [(slots, _)] = sb.best_approx(space, [g], norm, q, table)
+                ref = oracles.least_squares_best_approx(space, g, norm, q)
+                worst = max(worst, np.linalg.norm(slots - ref)
+                            / np.linalg.norm(ref))
+    assert worst <= _LEAST_SQUARES_BOUNDS[dim, norm]
 
 
 @pytest.mark.parametrize("dim", [2, 3])

@@ -387,3 +387,23 @@ def test_fractional_order_is_switched_on_once():
                     and any(_is_number(o) for o in operands)):
                 found.append(f"sobolev.py:{node.lineno}")
     assert found == []
+
+
+# what builds a norm's graph part: sobolev.py reads these names in `_parts`
+# alone, so the error, the integer minimisers and the fractional surrogates
+# read one definition of every norm's parts
+_GRAPH_PART_NAMES = ("_FAMILY", "derivative_name", "DERIVATIVES")
+
+
+def test_graph_part_is_defined_once():
+    tree = ast.parse((PACKAGE / "sobolev.py").read_text())
+    allowed = {id(node) for top in tree.body
+               if isinstance(top, ast.FunctionDef) and top.name == "_parts"
+               for node in ast.walk(top)}
+    found = [f"sobolev.py:{node.lineno}" for node in ast.walk(tree)
+             if id(node) not in allowed and (
+                 isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+                 and node.id in _GRAPH_PART_NAMES
+                 or isinstance(node, ast.Attribute)
+                 and node.attr in _GRAPH_PART_NAMES)]
+    assert found == []
