@@ -273,7 +273,7 @@ def green_residual(name, source, test, rng):
     """Worst relative residual, over random u of `source` and w of `test`,
     of Green's formula (D u, w) = (u, D* w) + (u, F w)_boundary for the
     derivative D = DERIVATIVES[name]. Both sides are read off D's tensor C,
-    as `projectors._mixed_stage` reads them: the adjoint D* has the tensor
+    as `projectors._energy_stage` reads them: the adjoint D* has the tensor
     -C.transpose(2, 1, 0), and the flux through the outward normal n is
     F = einsum("kic,i->ck", C, n)."""
     cell = source.cell

@@ -220,10 +220,11 @@ def _trace_table(cell, degree, sub):
     return (V2 * q.weights) @ V3.T
 
 
-def boundary_traces(cell, degree, part=None, keep=None):
+def boundary_traces(cell, degree, part, keep=None):
     """`trace_matrix` stacked over the boundary of `cell`: a tetrahedron's
     faces or a triangle's sides; on an interval, the values at its ends.
-    keep: a trace degree whose leading modes each piece keeps.
+    part: `trace_matrix`'s part, which an interval does not read; keep: a
+    trace degree whose leading modes each piece keeps.
     """
     if cell.dim == 1:
         return cell.tabulate(degree, cell.vertices).T

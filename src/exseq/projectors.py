@@ -8,9 +8,9 @@ data: `_vertex_stage` the values at the vertices and `_l2_stage` an L2
 projection. Every piece above it takes the stage of the same slot's
 operator on the piece's own cell, so a face's stage is the 2D operator's
 and an edge's the interval's: energy conditions, plus gauge conditions for
-curl and div, built by `_stiffness_stage` in the H1 slot and `_mixed_stage`
-in the edge- and face-element slots. Both read the piece's parents and
-boundary fluxes from one `_boundary`, in the order of the piece's trace.
+curl and div, built in every slot by one `_energy_stage` from the
+derivative's coefficient tensor. It reads the piece's parents and boundary
+fluxes from one `_boundary`, in the order of the piece's trace.
 A plan is the ordered list of those stages, and every stage is one `Stage`:
 
 - `lift` L = pinv(T) extends the data fixed by earlier stages with minimal
@@ -45,8 +45,8 @@ quadrature nodes. For a derivative with coefficient tensor C
     (D u, e) = (u, D* e) + (u, F e)_boundary,
     (D* e)_c = -sum_{k,i} C[k, i, c] d_i e_k,  F[c, k] = sum_i C[k, i, c] n_i.
 
-The flux F e is e t for the 2D curl, with t the counterclockwise tangent,
--(n x e) for the 3D curl and e n for div.
+The flux F e is e . n for grad, e t for the 2D curl, with t the
+counterclockwise tangent, -(n x e) for the 3D curl and e n for div.
 
 The operators accept any evaluable field with finite traces.
 
@@ -267,30 +267,6 @@ def _boundary(plan, piece, n):
     return parents, fluxes
 
 
-def _stiffness_stage(plan, piece):
-    """Scalar stage on an edge, a face or the cell: lift the trace data, then
-    fix the bubbles b by the seminorm conditions (grad b, grad u) =
-    -(lap b, u) + (db/dn, u)_boundary."""
-    cell, deg = piece.cell, plan.target.degree
-    trace = ps.boundary_traces(cell, deg)
-    parents, fluxes = _boundary(plan, piece, len(trace) // (cell.dim + 1))
-    B = ps.null_space_of(trace, n_cols=cell.n_modes(deg))
-    D = [ps.deriv_matrix(cell, deg, i) for i in range(cell.dim)]
-    pts, w = piece.rule
-    # the Laplacian of a degree-deg polynomial has degree deg - 2: only the
-    # leading columns of its rows live (the rest hold roundoff), and they
-    # read the degree-(deg - 2) table, the leading rows of the full one
-    low = max(deg - 2, 0)
-    lap = (B @ sum(Di @ Di for Di in D).T)[:, : cell.n_modes(low)].copy()
-    rhs = [(piece.region, -lap, cell.tabulate(low, pts), w,
-            _channels(_SCALAR, len(w)))]
-    for region, pts, w, conormal in fluxes:
-        dn = np.einsum("mpk,pk->mp", cell.tabulate_grad(deg, pts), conormal)
-        rhs.append((region, B, dn, w, _channels(_SCALAR, len(w))))
-    K = sum(B @ Di.T @ Di for Di in D)
-    return _stage(piece.name, B, K, rhs, trace, parents)
-
-
 def _vertex_stage(plan, piece):
     """The values at the vertices."""
     n = len(piece.points)
@@ -299,46 +275,61 @@ def _vertex_stage(plan, piece):
     return _stage(piece.name, eye, eye, rhs)
 
 
-def _mixed_stage(plan, piece):
-    """Edge- or face-element stage on a piece of dimension >= 2: a curl3d
-    face, the curl2d triangle, or the curl3d or div3d tetrahedron.
+def _energy_stage(plan, piece):
+    """Stage of a piece above the slot's dimension: a grad3d edge or face,
+    the grad2d triangle or the interval, a curl3d face, the curl2d
+    triangle, or the curl3d or div3d tetrahedron.
 
     Lifts the boundary's data, then fixes the bubbles by an energy block,
     (D u, e) over the slot's `bubble_images` e under the derivative D that
-    leaves the slot, and a gauge block, (u, g) over the previous slot's.
-    (D u, e) is integrated by parts as the module docstring says, from D's
-    tensor: the adjoint D* is the 2D scalar curl for curl2d, the curl itself
+    leaves the slot, and in the edge- and face-element slots a gauge block,
+    (u, g) over the previous slot's. (D u, e) is integrated by parts as the
+    module docstring says, from D's tensor: the adjoint D* is minus the
+    divergence for grad, the 2D scalar curl for curl2d, the curl itself
     for curl3d and minus the gradient for div. Each boundary flux is the
     channel map of its region's entry. A face's chart frame maps the
     triangle's vectors, the rows' values and the fluxes alike, into the
-    frame of the samples; on the cell the frame is the identity.
+    frame of the samples; on the cell, and for scalar samples, the frame
+    is the identity.
     """
-    cell, p = piece.cell, plan.p
-    deg, slot = p + 1, OPERATORS[plan.operator][1]
-    deriv = COMPLEX[cell.dim][slot]
-    C = DERIVATIVES[deriv].C[cell.dim]
-    energy = bubble_images(cell, slot, p)
-    gauge = bubble_images(cell, slot - 1, p)
-    adjoint = ps.derivative_rows(-C.transpose(2, 1, 0),
-                                 ps.PolySpace(cell, len(C), deg, energy))
-    frame = (np.eye(cell.dim) if piece.boundary is None
-             else piece.boundary.frame)
-    # the piece's own region takes the energy rows over the gauge rows
-    pts, w = piece.rule
-    rhs = [(piece.region, np.vstack([adjoint, gauge]), cell.tabulate(deg, pts),
-            w, _channels(frame, len(w)))]
+    cell, deg = piece.cell, plan.target.degree
+    p, slot = deg - 1, OPERATORS[plan.operator][1]  # p: the kinds' degree
+    kind, part = (("h1", None), ("hcurl", "tangential"),
+                  ("hdiv", "normal"))[slot]
     # the boundary's L2 stages pass on the P_p modes of the trace, and the
     # curl3d faces the whole tangential trace
-    part, kind = (("tangential", "hcurl"), ("normal", "hdiv"))[slot - 1]
     trace = ps.boundary_traces(cell, deg, part,
                                keep=p if slot == cell.dim - 1 else None)
     parents, fluxes = _boundary(plan, piece, len(trace) // (cell.dim + 1))
+    if deg == 0:  # grad1d's P_0 has no bubbles: the lift is the stage
+        empty = np.zeros((0, 1))
+        return _stage(piece.name, empty, empty, [], trace, parents)
+    deriv = COMPLEX[cell.dim][slot]
+    C = DERIVATIVES[deriv].C[cell.dim]
+    energy = bubble_images(cell, slot, p)
+    gauge = [bubble_images(cell, slot - 1, p)] if slot else []
+    adjoint = ps.derivative_rows(-C.transpose(2, 1, 0),
+                                 ps.PolySpace(cell, len(C), deg, energy))
+    frame = (piece.boundary.frame if slot and piece.boundary
+             else np.eye(C.shape[2]))
+    # the piece's own region takes the energy rows over the gauge rows. The
+    # energy rows have degree deg - 1, so their adjoint has degree deg - 2
+    # and the gauge rows deg - 1: only the leading modes of that degree of
+    # each component live (the rest hold roundoff), and they read that
+    # degree's table, the leading rows of the full one
+    low = max(deg - 1 if gauge else deg - 2, 0)
+    live = (cell.n_modes(deg) * np.arange(C.shape[2])[:, None]
+            + np.arange(cell.n_modes(low))).ravel()
+    pts, w = piece.rule
+    rhs = [(piece.region, np.vstack([adjoint, *gauge])[:, live],
+            cell.tabulate(low, pts), w, _channels(frame, len(w)))]
     for region, pts, w, conormal in fluxes:
         flux = frame @ np.einsum("kic,pi->pck", C, conormal)
         rhs.append((region, energy, cell.tabulate(deg, pts), w, flux))
     space = ps.build_space(cell, kind, p)
     bubbles = ps.build_space(cell, f"{kind}_bubble", p).basis @ space.basis.T
-    K = np.vstack([energy @ diff_rows(deriv, space).T, gauge @ space.basis.T])
+    K = np.vstack([energy @ diff_rows(deriv, space).T,
+                   *(g @ space.basis.T for g in gauge)])
     return _stage(piece.name, bubbles, K, rhs, trace @ space.basis.T,
                   parents, space.basis.T)
 
@@ -370,9 +361,9 @@ class ProjectorPlan:
     shared state and may run concurrently on different fields.
 
     Plans are never memoised: at p = 10 the stage arrays of a plan hold
-    23.2 MiB (grad3d), 61.7 MiB (curl3d) and 58.0 MiB (div3d), shared
+    23.5 MiB (grad3d), 55.1 MiB (curl3d) and 50.7 MiB (div3d), shared
     arrays counted once, mostly the interior's modal table at its 8,000
-    points (of degree 9 in grad3d, 11 in the others), so each caller
+    points (of degree 9 in grad3d, 10 in the others), so each caller
     builds its own and drops it when done. The rate sweep and
     `run_verification` drop each plan before the next is built.
     """
@@ -390,8 +381,8 @@ class ProjectorPlan:
             self.pieces[m] = _pieces(self.target.cell, m, self.quad_degree)
             # a piece of the slot's own dimension takes the slot's data, and
             # every piece above it the energy (and gauge) conditions
-            build = ((_vertex_stage, _l2_stage) if m == slot
-                     else (_stiffness_stage, _mixed_stage))[slot > 0]
+            build = ((_vertex_stage, _l2_stage)[slot > 0] if m == slot
+                     else _energy_stage)
             for piece in self.pieces[m]:
                 self.sample_points[piece.region] = piece.points
                 self.stages.append(build(self, piece))

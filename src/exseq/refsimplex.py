@@ -99,17 +99,13 @@ class Cell:
             vals /= np.sqrt(self._detA)
         return vals
 
-    def tabulate_grad(self, degree, pts, direction=None):
-        """d/dx_direction of the modal basis at cell points, (n_modes, n_pts);
-        direction=None stacks every direction, (n_modes, n_pts, dim).
+    def tabulate_grad(self, degree, pts, direction):
+        """d/dx_direction of the modal basis at cell points, (n_modes, n_pts).
 
         The chain rule sums Ainv[k, direction] d/dxi_k from zero in k order,
         differentiating only along the reference directions k whose entry is
         nonzero, since the terms it skips would add zeros.
         """
-        if direction is None:
-            return np.stack([self.tabulate_grad(degree, pts, l)
-                             for l in range(self.dim)], axis=-1)
         ref = self.to_reference(pts)
         out = None  # Ainv is invertible: every column has a nonzero entry
         for k in np.flatnonzero(self._Ainv[:, direction]):

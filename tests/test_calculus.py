@@ -96,6 +96,16 @@ def test_stokes_2d(rc2, rng):
         assert ca.green_residual("curl2d_scalar", W, F, rng) < 1e-10
 
 
+def test_gradient_green_formula(rc3, rc2, rng):
+    # (grad u, e) = (u, -div e) + (u, e . n)_boundary, u scalar: the
+    # adjoint and flux that the H1 stages read off grad's tensor
+    for cell in (rc3, rc2):
+        for p in (1, 3, 5):
+            U = ps.build_space(cell, "h1", p)
+            E = ps.vector_space(cell, p + 1, cell.dim)
+            assert ca.green_residual("grad", U, E, rng) < 1e-10
+
+
 def test_surf_curl_identity(rc3, rng):
     # n_f . curl u = curl_f Pi_tau u for edge-element fields
     p = 3

@@ -197,7 +197,6 @@ def test_cell_tables_match_mode_by_mode_formula(name, kind):
                  for l in range(cell.dim)]
         for l in range(cell.dim):
             _same(cell.tabulate_grad(degree, pts, l), grads[l])
-        _same(cell.tabulate_grad(degree, pts), np.stack(grads, axis=-1))
 
 
 def test_face_zero_keeps_its_roundoff_chain_rule_term(rc3):

@@ -181,17 +181,24 @@ def test_face_stage_is_the_triangle_interior_stage(op3, op2, p):
 
 
 @pytest.mark.parametrize("operator, name", [
+    pytest.param("grad3d", "interior", id="grad3d"),
     pytest.param("curl3d", "interior", id="curl3d"),
     pytest.param("div3d", "interior", id="div3d"),
+    pytest.param("grad2d", "interior", id="grad2d"),
     pytest.param("curl2d", "interior", id="curl2d"),
+    pytest.param("grad3d", "face0", id="grad3d face0"),
     pytest.param("curl3d", "face0", id="curl3d face0"),
 ])
 def test_interior_reads_adjoint_and_flux_off_the_tensor(operator, name):
-    # the tensor adjoint -C[c, i, k] is the 2D scalar curl for curl2d, the
-    # curl itself for curl3d and minus the gradient for div, bit for bit;
-    # the boundary flux sum_i C[k, i, c] n_i, each flux entry's channel
-    # map, is ccw e t on a triangle's side of tangent t, -(n x e) on a
-    # tetrahedron's face and e n for div, mapped by a face's chart frame
+    # the tensor adjoint -C[c, i, k] is minus the divergence for grad, the
+    # 2D scalar curl for curl2d, the curl itself for curl3d and minus the
+    # gradient for div, bit for bit; the piece's own region keeps the
+    # leading modes of each component up to degree deg - 2, or deg - 1
+    # under gauge rows, and reads that degree's table, and the modes it
+    # drops hold roundoff only. The boundary flux sum_i C[k, i, c] n_i,
+    # each flux entry's channel map, is e n for grad, ccw e t on a
+    # triangle's side of tangent t, -(n x e) on a tetrahedron's face and
+    # e n for div, mapped by a face's chart frame into the samples'
     p, deg = 3, 4
     slot = ca.OPERATORS[operator][1]
     plan = pj.ProjectorPlan(operator, p)
@@ -199,33 +206,45 @@ def test_interior_reads_adjoint_and_flux_off_the_tensor(operator, name):
                  if pc.name == name)
     rhs = {entry[0]: entry[1:] for entry in _stage(plan, name).rhs}
     cell = piece.cell
-    frame = (np.eye(cell.dim) if piece.boundary is None
-             else piece.boundary.frame)
+    frame = (np.eye(1) if slot == 0 else np.eye(cell.dim)
+             if piece.boundary is None else piece.boundary.frame)
     e = ca.bubble_images(cell, slot, p)
     vd = e.shape[1] // cell.n_modes(deg)
     space = ps.PolySpace(cell, vd, deg, e)
-    if cell.dim == 2:
+    gauge = [ca.bubble_images(cell, slot - 1, p)] if slot else []
+    low = deg - 1 if slot else deg - 2
+    if slot == 0:
+        adjoint = -ca.diff_rows("div", space)
+    elif cell.dim == 2:
         adjoint = ca.diff_rows("curl2d_scalar", space)
     elif operator == "curl3d":
         adjoint = ca.diff_rows("curl3d", space)
     else:
         adjoint = -ca.diff_rows("grad", space)
+    full = np.vstack([adjoint, *gauge])
+    full = full.reshape(len(full), -1, cell.n_modes(deg))
+    n_live = cell.n_modes(low)
+    assert np.abs(full[:, :, n_live:]).max() <= 1e-12 * np.abs(full).max()
     pts, w = piece.rule
     rows, V, weights, G = rhs[piece.region]
-    assert np.array_equal(
-        rows, np.vstack([adjoint, ca.bubble_images(cell, slot - 1, p)]))
-    assert np.array_equal(V, cell.tabulate(deg, pts))
+    assert np.array_equal(rows, full[:, :, :n_live].reshape(len(full), -1))
+    assert np.array_equal(V, cell.tabulate(low, pts))
     assert np.array_equal(weights, w)
     assert np.array_equal(G, np.broadcast_to(frame, (len(w), *frame.shape)))
     if cell.dim == 2:  # the sides, whose flux rules `_boundary` gives:
-        # e -> ccw e t, into the samples' frame
+        # e -> e n for grad, ccw e t for the curl, into the samples' frame
         _, fluxes = pj._boundary(plan, piece, p + 1)
-        sides = [(region, (frame @ (ccw * side.tangent))[:, None], pts, w)
-                 for (side, ccw), (region, pts, w, _) in zip(
-                     triangle_edges(cell), fluxes)]
-    else:  # e -> -(n x e) for the curl, e -> e n for div
+        sides = []
+        for (side, ccw), (region, pts, w, _) in zip(triangle_edges(cell),
+                                                     fluxes):
+            t = ccw * side.tangent
+            flux = (np.array([[t[1], -t[0]]]) if slot == 0
+                    else (frame @ t)[:, None])
+            sides.append((region, flux, pts, w))
+    else:  # e -> e n for grad, -(n x e) for the curl, e n for div
         sides = [(face.region,
-                  -np.cross(face.boundary.normal, np.eye(3)).T
+                  face.boundary.normal[None] if slot == 0
+                  else -np.cross(face.boundary.normal, np.eye(3)).T
                   if operator == "curl3d" else face.boundary.normal[:, None],
                   face.points, face.rule[1]) for face in plan.pieces[2]]
     for region, flux, pts, w in sides:
@@ -333,12 +352,14 @@ def _stage_mib(plan):
     return sum(b.nbytes for b in buffers.values()) / 2**20
 
 
-# about 1.25 times the 9.8, 24.6 and 22.9 MiB that the factored stages hold
-# at p = 8; sampled moment matrices held 51.2 and 62.5 MiB in curl3d and
-# div3d, and grad3d's interior held 14.5 MiB with its table's dead rows
+# about 1.25 times the 21.4 and 19.3 MiB that the curl3d and div3d stages
+# hold at p = 8, whose interiors keep their rows' live modes and read the
+# degree-p table; grad3d's stages hold 9.8 MiB. Sampled moment matrices
+# held 51.2 and 62.5 MiB in curl3d and div3d, and grad3d's interior held
+# 14.5 MiB with its table's dead rows
 @pytest.mark.parametrize("operator, bound", [("grad3d", 12.0),
-                                             ("curl3d", 31.0),
-                                             ("div3d", 29.0)])
+                                             ("curl3d", 27.0),
+                                             ("div3d", 24.0)])
 def test_stage_arrays_hold_rows_and_tables(operator, bound):
     assert _stage_mib(pj.ProjectorPlan(operator, 8)) <= bound
 
@@ -733,24 +754,34 @@ def test_stage_equations_hold_in_derivative_form(operator, p):
             assert residual <= _STAGE_BOUNDS[operator, kind], (f.name, name)
 
 
-def test_stage_oracle_sees_a_negated_face_flux(monkeypatch):
-    # a grad3d plan whose interior stage integrates face 0's flux with the
-    # wrong sign meets its own conditions; the derivative form of the
-    # interior's equations does not hold for its result
+@pytest.mark.parametrize("operator, name", [
+    pytest.param("grad3d", "interior", id="grad3d face flux"),
+    pytest.param("grad3d", "edge0", id="grad3d edge end"),
+    pytest.param("grad1d", "interior", id="grad1d end"),
+])
+def test_stage_oracle_sees_a_negated_flux(operator, name, monkeypatch):
+    # a plan whose stage integrates one boundary flux with the wrong sign,
+    # face 0's on the tetrahedron or the first end's on an interval (the
+    # interval branch of `_boundary`), meets its own conditions; the
+    # derivative form of that stage's equations does not hold for its
+    # result, and every other stage's still does
     boundary = pj._boundary
 
     def negated(plan, piece, n):
         parents, fluxes = boundary(plan, piece, n)
-        if piece.name == "interior":
+        if piece.name == name:
             region, pts, w, conormal = fluxes[0]
-            fluxes = [(region, pts, w, -conormal), *fluxes[1:]]
+            sign = np.ones((len(conormal), 1))
+            end = piece.vertex_ids[0] if piece.cell.dim == 1 else slice(None)
+            sign[end] = -1
+            fluxes = [(region, pts, w, sign * conormal), *fluxes[1:]]
         return parents, fluxes
 
-    f = fl.suite("entire", 3)[0]
-    plan = pj.ProjectorPlan("grad3d", 3)
-    assert oracles.stage_residuals(plan, f, plan.apply(f))["interior"] < 1e-9
+    f = fl.suite("entire", ca.OPERATORS[operator][0])[0]
+    plan = pj.ProjectorPlan(operator, 3)
+    assert oracles.stage_residuals(plan, f, plan.apply(f))[name] < 1e-9
     monkeypatch.setattr(pj, "_boundary", negated)
-    wrong = pj.ProjectorPlan("grad3d", 3)
+    wrong = pj.ProjectorPlan(operator, 3)
     residuals = oracles.stage_residuals(wrong, f, wrong.apply(f))
-    assert residuals.pop("interior") > 1e-6
+    assert residuals.pop(name) > 1e-6
     assert max(residuals.values()) < 1e-9

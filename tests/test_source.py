@@ -407,3 +407,15 @@ def test_graph_part_is_defined_once():
                  or isinstance(node, ast.Attribute)
                  and node.attr in _GRAPH_PART_NAMES)]
     assert found == []
+
+
+def test_plans_read_value_tables_only():
+    # every stage pairs its rows with modal value tables: the adjoint and
+    # the boundary fluxes are read off the derivative's tensor, so no plan
+    # build tabulates a gradient
+    tree = ast.parse((PACKAGE / "projectors.py").read_text())
+    found = [f"projectors.py:{node.lineno}" for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute)
+             and node.attr == "tabulate_grad"
+             or isinstance(node, ast.Name) and node.id == "tabulate_grad"]
+    assert found == []
