@@ -281,15 +281,11 @@ def green_residual(name, source, test, rng):
     deg = source.degree + test.degree + 2
     q = quadrature(cell, deg)
     rules = [(q.points, q.weights, None)]  # the cell, then its sides
-    if cell.dim == 3:
-        for face in tet_faces(cell):
-            fq = quadrature(face.cell, deg)
-            rules.append((face.embed(fq.points), fq.weights, face.normal))
-    else:
-        for edge, ccw in triangle_edges(cell):
-            eq = quadrature(edge.cell, deg)
-            rules.append((edge.embed(eq.points[:, 0]), eq.weights,
-                          ccw * np.array([edge.tangent[1], -edge.tangent[0]])))
+    boundary = ([(face, face.normal) for face in tet_faces(cell)]
+                if cell.dim == 3 else triangle_edges(cell))
+    for side, outward in boundary:
+        sq = quadrature(side.cell, deg)
+        rules.append((side.embed(sq.points), sq.weights, outward))
     # each rule's weights, the source's and the test's tables, and normal
     (weights, S, T, _), *sides = [
         (w, cell.tabulate(source.degree, pts), cell.tabulate(test.degree, pts),

@@ -76,13 +76,6 @@ def _pinv(mat):
     return np.linalg.pinv(mat, rcond=ps.SVD_CUTOFF)
 
 
-def _rows_at(V, vd, rows):
-    """Values of slot-coefficient rows from the modal table V (nm, n_pts) of
-    their points, (n_rows, n_pts, vd), by one (n_rows*vd, nm) @ V product."""
-    vals = (rows.reshape(-1, len(V)) @ V).reshape(len(rows), vd, V.shape[1])
-    return np.moveaxis(vals, 1, 2)
-
-
 def _channels(G, n_pts):
     """A constant channel map G (n_chan, n_comp) at each of n_pts points."""
     return np.broadcast_to(G, (n_pts, *np.shape(G)))
@@ -254,13 +247,12 @@ def _boundary(plan, piece, n):
             for f in faces]
     slot = OPERATORS[plan.operator][1]
     parents, fluxes = [], []
-    for ledge, ccw in triangle_edges(cell):
+    for ledge, outward in triangle_edges(cell):
         a, b = (piece.vertex_ids[i] for i in ledge.vertex_ids)
         key = next(f"edge{e.index}" for e in cell_edges(whole)
                    if set(e.vertex_ids) == {a, b})
         sigma = 1.0 if a < b else -1.0
         q = quadrature(ledge.cell, plan.quad_degree)
-        outward = ccw * np.array([ledge.tangent[1], -ledge.tangent[0]])
         parents.append((key, sigma**slot * _flip(n, sigma)))
         fluxes.append((key, ledge.embed(sigma * q.points[:, 0]), q.weights,
                        np.broadcast_to(outward, (len(q.weights), 2))))

@@ -27,6 +27,9 @@ from . import cache, orthopoly
 
 MAX_QUAD_DEGREE = 40
 
+# the measure of the reference simplex of each dimension
+_REFERENCE_MEASURE = {1: 2.0, 2: 0.5, 3: 1.0 / 6.0}
+
 
 class Cell:
     """A d-simplex given by its vertices in d-dimensional coordinates.
@@ -51,8 +54,7 @@ class Cell:
 
     @property
     def measure(self):
-        ref = {1: 2.0, 2: 0.5, 3: 1.0 / 6.0}[self.dim]
-        return ref * self._detA
+        return _REFERENCE_MEASURE[self.dim] * self._detA
 
     @property
     def centroid(self):
@@ -174,7 +176,7 @@ def quadrature(cell, degree):
     """Quadrature rule on `cell` exact for polynomials of total degree `degree`."""
     ref_pts, ref_wts = _reference_rule(cell.dim, degree)
     pts = cell.from_reference(ref_pts)
-    scale = cell.measure / {1: 2.0, 2: 0.5, 3: 1.0 / 6.0}[cell.dim]
+    scale = cell.measure / _REFERENCE_MEASURE[cell.dim]
     return QuadratureRule(pts, ref_wts * scale)
 
 
@@ -258,16 +260,18 @@ def _cell_edges(cell, key):
 
 def triangle_edges(cell):
     """The sides of a triangle cell in counterclockwise order, as
-    (Edge, ccw_sign): the edges are `cell_edges(cell)`'s, and ccw_sign is +1
-    where the edge's tangent runs counterclockwise."""
+    (Edge, outward unit normal): the edges are `cell_edges(cell)`'s, and the
+    normal is the counterclockwise tangent turned clockwise."""
     v = cell.vertices
     d1, d2 = v[1] - v[0], v[2] - v[0]
     ccw = (0, 1), (1, 2), (2, 0)
     if d1[0] * d2[1] - d1[1] * d2[0] < 0:
         ccw = (0, 2), (2, 1), (1, 0)
     edges = {e.vertex_ids: e for e in cell_edges(cell)}
-    return tuple((edges[min(a, b), max(a, b)], 1 if a < b else -1)
-                 for a, b in ccw)
+    sides = [(edges[min(a, b), max(a, b)], 1 if a < b else -1)
+             for a, b in ccw]
+    return tuple((e, sign * np.array([e.tangent[1], -e.tangent[0]]))
+                 for e, sign in sides)
 
 
 def tet_faces(cell):

@@ -7,20 +7,27 @@ approximations over a rich polynomial test space. Both are the standard
 computable surrogates; equivalence constants are never asserted, only
 measured by the studies.
 
-Every derivative comes from one table: a graph norm's family derivative (curl
-or div) from `calculus.DERIVATIVES`, read by `_parts` alone, whose coefficient
-tensor gives both the slot rows of a polynomial's derivative and the same
-derivative of a field, and each d^alpha of the norms' multi-indices from
-`polyspace.deriv_alpha` on the polynomial side and the field's jets on the
-other.
+Every derivative comes from one table: a graph norm's family derivative
+(grad, curl or div) from `calculus.DERIVATIVES`, read by `_parts` alone,
+whose coefficient tensor gives both the slot rows of a polynomial's
+derivative and the same derivative of a field, and each d^alpha of the
+norms' multi-indices from `polyspace.deriv_alpha` on the polynomial side
+and the field's jets on the other.
+
+An error in an integer norm has one path, which the best-approximation
+infima and the rate sweep's interpolation errors (in each slot's graph norm,
+`GRAPH_NORMS`) share: `field_jets`, `error_parts`, then `error_in_norm`.
 """
+
+import itertools
+import math
 
 import numpy as np
 import scipy.linalg
 
 from . import cache
 from . import polyspace as ps
-from .calculus import DERIVATIVES, derivative_name, diff_slots
+from .calculus import DERIVATIVES, FAMILIES, derivative_name, diff_slots
 from .refsimplex import quadrature
 
 
@@ -259,10 +266,15 @@ def dual_norm(g, pairings, s):
 # ---------------------------------------------------------------------------
 # best approximation
 
+# the order-0 graph norm of each slot k below the top of a complex: the
+# value and the derivative leaving the slot, of family calculus.FAMILIES[k]
+GRAPH_NORMS = ("Hgrad", "Hcurl", "Hdiv")
 # order of the multi-indices of each integer norm, and the derivative family
 # whose graph norm it is (if any)
-_ORDER = {"L2": 0, "H1full": 1, "H2": 2, "H1curl": 1}
-_FAMILY = {"H1curl": "curl", "Hhalf_curl": "curl", "Hhalf_div": "div"}
+_ORDER = {"L2": 0, "H1full": 1, "H2": 2, "H1curl": 1,
+          **dict.fromkeys(GRAPH_NORMS, 0)}
+_FAMILY = {"H1curl": "curl", "Hhalf_curl": "curl", "Hhalf_div": "div",
+           **dict(zip(GRAPH_NORMS, FAMILIES))}
 
 
 def _parts(space, norm):
@@ -287,35 +299,28 @@ def _form_on(space, G):
 
 
 def _derivative_multiindices(dim, order):
-    """(multi-index, multinomial weight) pairs defining the H^order norm."""
-    out = [((0,) * dim, 1.0)]
-    if order >= 1:
-        for i in range(dim):
-            a = [0] * dim
-            a[i] = 1
-            out.append((tuple(a), 1.0))
-    if order >= 2:
-        for i in range(dim):
-            for j in range(i, dim):
-                a = [0] * dim
-                a[i] += 1
-                a[j] += 1
-                out.append((tuple(a), 1.0 if i == j else 2.0))
+    """(multi-index, multinomial weight) pairs defining the H^order norm, by
+    order and then by their sorted tuples of directions."""
+    out = []
+    for k in range(order + 1):
+        for dirs in itertools.combinations_with_replacement(range(dim), k):
+            alpha = tuple(dirs.count(i) for i in range(dim))
+            out.append((alpha, math.factorial(k)
+                        / math.prod(map(math.factorial, alpha))))
     return out
 
 
-def _jet_pairings(space, field, quad, order, V):
-    """Sum over the H^order multi-indices of the L2 pairings of d^alpha of the
-    field against d^alpha of the basis, in space coordinates; V is the modal
-    table of the space's degree at the rule's points."""
+def _jet_pairings(space, jets, quad, V):
+    """Sum over the multi-indices of the L2 pairings of d^alpha of the field
+    against d^alpha of the basis, in space coordinates, from one part's
+    `field_jets`; V is the modal table of the space's degree at the points."""
     cell = space.cell
-    alphas = _derivative_multiindices(cell.dim, order)
     comps = space.components(space.basis)
-    jets = [field.jet(quad.points, alpha) for alpha, _ in alphas]
-    b = mode_pairings(V, quad.weights, np.column_stack(jets))
+    b = mode_pairings(V, quad.weights,
+                      np.column_stack([jet for _, _, jet in jets]))
     b = b.reshape(-1, space.value_dim, space.n_modes)
     rhs = np.zeros(space.dim)
-    for (alpha, weight), b_alpha in zip(alphas, b):
+    for (alpha, weight, _), b_alpha in zip(jets, b):
         mat = ps.deriv_alpha(cell, space.degree, alpha)
         rhs += weight * np.einsum("dcm,cm->d", comps, b_alpha @ mat)
     return rhs
@@ -327,26 +332,39 @@ def _l2sq(weights, diff):
     return float(np.einsum("q,qi->", weights, diff**2))
 
 
-def error_in_norm(space, field, slots, quad, norm, table):
-    """Quadrature error ||field - polynomial|| in the requested integer norm.
-
-    Sums the squared L2 errors of d^alpha, over the multi-indices of the
-    norm's order, of the value and, for graph norms, of the family derivative
-    of field and polynomial alike; fractional norms are handled by their
-    surrogate forms elsewhere. `table` is the modal table of the space's
-    degree at the rule's points.
-    """
-    if norm not in _ORDER:
-        raise ValueError(f"no direct error formula for norm {norm!r}")
-    cell, pts = space.cell, quad.points
-    total = 0.0
+def field_jets(space, field, quad, norm):
+    """What an integer norm reads of a field on a rule, each jet evaluated
+    once: per part of the norm (`_parts`), its value dimension, slot-row map
+    and (multi-index, weight, d^alpha of the part's field at the points)."""
+    alphas = _derivative_multiindices(space.cell.dim, _ORDER[norm])
+    out = []
     for vd, rows, field_of in _parts(space, norm):
-        f, comps = field_of(field), np.reshape(rows(slots), (vd, -1))
-        for alpha, weight in _derivative_multiindices(cell.dim, _ORDER[norm]):
-            fv = f.jet(pts, alpha)
+        f = field_of(field)
+        out.append((vd, rows, [(alpha, weight, f.jet(quad.points, alpha))
+                               for alpha, weight in alphas]))
+    return out
+
+
+def error_parts(space, jets, slots, table):
+    """(weight, d^alpha of field - polynomial `slots` of `space`, sampled)
+    for each part and multi-index of the field's `field_jets`, in order;
+    `table` is the modal table of the space's degree at the rule's points."""
+    cell = space.cell
+    out = []
+    for vd, rows, part in jets:
+        comps = np.reshape(rows(slots), (vd, -1))
+        for alpha, weight, fv in part:
             pv = (comps @ ps.deriv_alpha(cell, space.degree, alpha).T) @ table
-            total += weight * _l2sq(quad.weights, fv - pv.T.reshape(fv.shape))
-    return float(np.sqrt(total))
+            out.append((weight, fv - pv.T.reshape(fv.shape)))
+    return out
+
+
+def error_in_norm(quad, parts):
+    """The error whose square is the weighted sum of the squared L2 norms of
+    sampled `error_parts` on the rule: for all of them, the error in their
+    integer norm (fractional norms have surrogate forms, see `best_approx`)."""
+    return float(np.sqrt(sum(weight * _l2sq(quad.weights, diff)
+                             for weight, diff in parts)))
 
 
 def best_approx(space, fields, norm, quad, table, rich_degree=None, s=0.5,
@@ -376,7 +394,9 @@ def best_approx(space, fields, norm, quad, table, rich_degree=None, s=0.5,
     sum over the parts of `_form_on` in the modal form G of the order (the
     identity for L2, A1 for H1full and H1curl, A2 for H2), the right-hand
     side the sum of their `_jet_pairings`, and each field is solved with
-    `np.linalg.solve`. The field-independent forms live for this call only
+    `np.linalg.solve`. Each jet of a field is evaluated once in the call
+    (`field_jets`) and read by the right-hand side and the error
+    (`error_parts`) alike. The field-independent forms live for this call only
     and serve every field: the integer norms' form, and the fractional
     surrogate's rich `SobolevGram(cell, rich_degree, top)`, whose `half`
     gives every H_s product, and the Cholesky factor of its form, one solve
@@ -395,16 +415,17 @@ def best_approx(space, fields, norm, quad, table, rich_degree=None, s=0.5,
     else:
         g = gram(cell, space.degree)
         G = g.A1 if order == 1 else g.A2
-    parts = [(ps.PolySpace(cell, vd, space.degree, rows(space.basis)), field_of)
-             for vd, rows, field_of in _parts(space, norm)]
-    A = sum(_form_on(part, G) for part, _ in parts)
+    parts = [ps.PolySpace(cell, vd, space.degree, rows(space.basis))
+             for vd, rows, _ in _parts(space, norm)]
+    A = sum(_form_on(part, G) for part in parts)
     out = []
     for field in fields:
-        rhs = sum(_jet_pairings(part, field_of(field), quad, order, table)
-                  for part, field_of in parts)
+        jets = field_jets(space, field, quad, norm)
+        rhs = sum(_jet_pairings(part, part_jets, quad, table)
+                  for part, (_, _, part_jets) in zip(parts, jets))
         slots = np.linalg.solve(A, rhs) @ space.basis
-        out.append((slots, error_in_norm(space, field, slots, quad, norm,
-                                         table)))
+        out.append((slots, error_in_norm(
+            quad, error_parts(space, jets, slots, table))))
     return out
 
 

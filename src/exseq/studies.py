@@ -5,7 +5,8 @@ matching best-approximation infimum) so unknown stability constants drop
 out; slopes are fitted on the upper half of the degree range to skip
 preasymptotics. Records are merged in a deterministic sort order so fixed
 seeds give byte-identical output files. `_numerators` alone declares each
-slot's records, with their norms, Grams and dual test modes.
+slot's records, with their norms, Grams and dual test modes. The errors
+e and De, like the denominators, come from `sobolev.error_parts`.
 """
 
 import json
@@ -21,7 +22,7 @@ from . import polyspace as ps
 from . import projectors as pj
 from . import sobolev as sb
 from . import spectra as spc
-from .refsimplex import (MAX_QUAD_DEGREE, graded_interval_rule,
+from .refsimplex import (MAX_QUAD_DEGREE, QuadratureRule, graded_interval_rule,
                          make_reference_cell, quadrature)
 
 P_CAP = {1: 20, 2: 10, 3: 10}
@@ -177,33 +178,6 @@ def fields_for(operator, suite_name):
     return tuple(f for f in fl.suite(suite_name, dim) if f.value_dim == vd)
 
 
-def _error_l2_parts(plan, field, slots, pts, w, V):
-    """L2 norms of (e, De) for the operator's graph norm, by the rule (pts, w)
-    and the target's modal table V at its points, which serves the target's
-    values and those of its derivative.
-
-    Returns (||e||, ||De||, e, De) with e and De sampled at `pts`; the L2
-    operators have no derivative part, and None in its places.
-    """
-    target = plan.target
-    cell = target.cell
-    dim, slot = ca.OPERATORS[plan.operator]
-
-    def error(f, vd, rows):
-        fv = f(pts)  # in the field's own shape: grad on an interval is (n, 1)
-        return fv - pj._rows_at(V, vd, rows[None, :])[0].reshape(fv.shape)
-
-    e = error(field, target.value_dim, slots)
-    l2 = float(np.sqrt(sb._l2sq(w, e)))
-    if slot == dim:
-        return l2, None, e, None
-    name = ca.COMPLEX[dim][slot]
-    d = ca.DERIVATIVES[name]
-    de = error(d.field(field), d.value_dim(cell.dim),
-               ca.diff_slots(name, target, slots))
-    return l2, float(np.sqrt(sb._l2sq(w, de))), e, de
-
-
 def run_convergence(cfg):
     """Sweep (operator, p, field, s); returns (records, slopes).
 
@@ -267,7 +241,9 @@ def run_convergence(cfg):
 @cache.memo
 def _degree_data(op, p, suite, dual_offset, pairing_degree, top):
     """Per field of (operator, p) on `suite`: (||e||, ||De|| or None,
-    denominator, dual pairings or None), which every s reads alike. Its
+    denominator, dual pairings or None), which every s reads alike: e and
+    De are the `sobolev.error_parts` of the slot's graph norm (`GRAPH_NORMS`,
+    L2 in the top slot, with no De), the interval's on its graded rule. Its
     plan lives until the fields are interpolated and only its target is
     read after that; the target's table and the denominators' forms are
     locals, freed on return. The dual pairings of every field come from one
@@ -283,27 +259,34 @@ def _degree_data(op, p, suite, dual_offset, pairing_degree, top):
     table = cache.freeze(cell.tabulate(target.degree, study.points))
     if cell.dim == 1:  # the interval's errors keep the graded rule
         pts, w = graded_interval_rule()
-        errors = (pts[:, None], w, cell.tabulate(target.degree, pts[:, None]))
+        rule = QuadratureRule(pts[:, None], w)
+        rule_table = cell.tabulate(target.degree, rule.points)
     else:
-        errors = (study.points, study.weights, table)
+        rule, rule_table = study, table
+    dim, slot = ca.OPERATORS[op]
+    norm = "L2" if slot == dim else sb.GRAPH_NORMS[slot]
     den_norm, den_s = DENOMINATOR_NORM[op]
     kwargs = {}
     if den_s is not None:
         kwargs["s"] = den_s
         kwargs["rich_degree"] = target.degree + dual_offset
         kwargs["top"] = top
-    parts = [_error_l2_parts(plan, f, plan.apply(f), *errors) for f in flds]
+    # per field, (weight, e) and for a graph norm (weight, De), at order 0
+    parts = [sb.error_parts(target, sb.field_jets(target, f, rule, norm),
+                            plan.apply(f), rule_table) for f in flds]
     del plan
     pairings = [None] * len(flds)
     if pairing_degree is not None:
         # every field's (e, De) in one streamed pass over the dual test modes
-        pts, w, _ = errors
-        pairings = sb.rule_pairings(cell, pairing_degree, pts, w, [
-            np.column_stack([e, de]) for _, _, e, de in parts])
+        pairings = sb.rule_pairings(
+            cell, pairing_degree, rule.points, rule.weights,
+            [np.column_stack([e for _, e in p]) for p in parts])
     dens = [den for _, den in sb.best_approx(target, flds, den_norm, quad=study,
                                              table=table, **kwargs)]
-    return tuple((l2, dl2, den, b)
-                 for (l2, dl2, _, _), den, b in zip(parts, dens, pairings))
+    return tuple(
+        (sb.error_in_norm(rule, p[:1]),
+         sb.error_in_norm(rule, p[1:]) if len(p) > 1 else None, den, b)
+        for p, den, b in zip(parts, dens, pairings))
 
 
 def _pairing_degree(op, p, cfg):

@@ -311,7 +311,9 @@ def test_criterion_09_interval_operator(capsys):
                 np.abs(plan.target.evaluate(slots, ends) - f(ends)).max(),
             )
             table = plan.target.cell.tabulate(plan.target.degree, gq.points)
-            err = sb.error_in_norm(plan.target, f, slots, gq, "H1full", table)
+            jets = sb.field_jets(plan.target, f, gq, "H1full")
+            err = sb.error_in_norm(
+                gq, sb.error_parts(plan.target, jets, slots, table))
             [(_, den)] = sb.best_approx(plan.target, [f], "H1full", gq, table)
             if err <= 1e-11 * scale:
                 continue  # both sides converged to the roundoff floor

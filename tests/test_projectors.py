@@ -235,9 +235,9 @@ def test_interior_reads_adjoint_and_flux_off_the_tensor(operator, name):
         # e -> e n for grad, ccw e t for the curl, into the samples' frame
         _, fluxes = pj._boundary(plan, piece, p + 1)
         sides = []
-        for (side, ccw), (region, pts, w, _) in zip(triangle_edges(cell),
-                                                     fluxes):
-            t = ccw * side.tangent
+        for (_, n), (region, pts, w, _) in zip(triangle_edges(cell),
+                                                fluxes):
+            t = np.array([-n[1], n[0]])  # the counterclockwise tangent
             flux = (np.array([[t[1], -t[0]]]) if slot == 0
                     else (frame @ t)[:, None])
             sides.append((region, flux, pts, w))
@@ -390,8 +390,10 @@ def test_boundary_orientation_right_hand_rule():
                 centroid = plan.target.cell.vertices[list(face.vertex_ids)]
                 centroid = centroid.mean(axis=0)
                 sides = []
-                for (_, ccw), (key, P) in zip(triangle_edges(piece.cell),
-                                              parents):
+                for (side, n), (key, P) in zip(triangle_edges(piece.cell),
+                                               parents):
+                    # +1 where the side's tangent runs counterclockwise
+                    ccw = side.tangent[1] * n[0] - side.tangent[0] * n[1]
                     sigma = P[1, 1] / P[0, 0]
                     assert P[0, 0] == sigma**slot
                     edge = cell_edges(plan.target.cell)[
@@ -648,14 +650,6 @@ def test_unknown_operator_rejected():
         pj.ProjectorPlan("grad4d", 1)
     with pytest.raises(ValueError):
         pj.ProjectorPlan("grad3d", -1)
-
-
-def test_eval_rows_of_no_rows(rc3):
-    pts = quadrature(rc3, 4).points
-    for vd in (1, 3):
-        rows = np.zeros((0, vd * rc3.n_modes(3)))
-        vals = pj._rows_at(rc3.tabulate(3, pts), vd, rows)
-        assert vals.shape == (0, len(pts), vd)
 
 
 def test_shared_table_fields_match_space_evaluate(rc3, rc2, rng):

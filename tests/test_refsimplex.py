@@ -60,7 +60,7 @@ def test_bottom_face_chart_matches_reference_triangle(rc3):
 def test_pulled_back_edge_tangents_match(rc3):
     # 2D tangents induced by the chart equal the 3D ones mapped through it
     for face in rs.tet_faces(rc3):
-        for ledge, _sign in rs.triangle_edges(face.cell):
+        for ledge, _ in rs.triangle_edges(face.cell):
             t3 = face.frame @ ledge.tangent
             found = False
             for edge in rs.cell_edges(rc3):
@@ -89,6 +89,16 @@ def test_triangle_edges_are_the_cell_edges(rc3, rc2):
         assert len(sides) == len(edges) == 3
         assert all(any(side is e for e in edges) for side in sides)
         assert len({id(side) for side in sides}) == 3
+
+
+def test_triangle_sides_have_outward_unit_normals(rc3, rc2):
+    # each side's normal has unit length, is orthogonal to the side and
+    # points away from the triangle's centroid
+    for cell in [rc2] + [f.cell for f in rs.tet_faces(rc3)]:
+        for side, n in rs.triangle_edges(cell):
+            assert np.linalg.norm(n) == pytest.approx(1.0, rel=1e-14)
+            assert abs(n @ side.tangent) <= 1e-14
+            assert n @ (side.midpoint - cell.centroid) > 0
 
 
 def test_quadrature_basic_oracles(rc3, rc2):

@@ -1,3 +1,6 @@
+import itertools
+from collections import Counter
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -8,6 +11,7 @@ import oracles
 from exseq import cache
 from exseq import fields as fl
 from exseq import polyspace as ps
+from exseq import projectors as pj
 from exseq import sobolev as sb
 from exseq.refsimplex import make_reference_cell, quadrature
 
@@ -435,3 +439,42 @@ def test_gram_builds_its_tables_on_first_read(rc3, monkeypatch):
     assert len(calls) == 1
     with pytest.raises(ValueError, match="below"):
         sb.SobolevGram(rc3, 5, 4)
+
+
+def _multiindices(order):
+    return [a for a in itertools.product(range(order + 1), repeat=3)
+            if sum(a) <= order]
+
+
+def test_best_approx_reads_each_jet_once(monkeypatch):
+    # the right-hand side and the error read one evaluation of each (part,
+    # multi-index) jet; a graph part's derivative field still reads the
+    # field's own first-order and mixed jets once more
+    calls = Counter()
+    jet = fl.AnalyticField.jet
+
+    def spy(self, pts, alpha):
+        calls[self.name, tuple(alpha)] += 1
+        return jet(self, pts, alpha)
+
+    monkeypatch.setattr(fl.AnalyticField, "jet", spy)
+    fields = {f.name: f for f in fl.suite("entire", 3)}
+
+    def approximate(op, norm, name):
+        calls.clear()
+        space = pj.target_space(op, 4)
+        quad = quadrature(space.cell, 2 * space.degree + 14)
+        table = space.cell.tabulate(space.degree, quad.points)
+        sb.best_approx(space, [fields[name]], norm, quad, table)
+        return dict(calls)
+
+    assert approximate("grad3d", "H2", "exp_sum") == {
+        ("exp_sum", a): 1 for a in _multiindices(2)}
+    expected = {("curl3d(vec_entire)", a): 1 for a in _multiindices(1)}
+    for a in _multiindices(2):
+        # the value part reads orders 0 and 1; the curl's jets of order 0
+        # and 1 read each first-order jet once, each mixed one twice and
+        # each pure second-order one once
+        expected["vec_entire", a] = (1 if sum(a) == 0 or max(a) == 2
+                                     else 2)
+    assert approximate("curl3d", "H1curl", "vec_entire") == expected

@@ -419,3 +419,19 @@ def test_plans_read_value_tables_only():
              and node.attr == "tabulate_grad"
              or isinstance(node, ast.Name) and node.id == "tabulate_grad"]
     assert found == []
+
+
+# the complex's derivative tables: the rate sweep's error parts come from
+# sobolev's norm parts, so studies.py builds no graph part of its own
+_COMPLEX_NAMES = ("DERIVATIVES", "COMPLEX", "derivative_name")
+
+
+def test_studies_reads_no_derivative_table():
+    tree = ast.parse((PACKAGE / "studies.py").read_text())
+    found = [f"studies.py:{node.lineno}" for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and node.id in _COMPLEX_NAMES
+             or isinstance(node, ast.Attribute)
+             and node.attr in _COMPLEX_NAMES
+             or isinstance(node, ast.alias)
+             and node.name.rsplit(".", 1)[-1] in _COMPLEX_NAMES]
+    assert found == []
