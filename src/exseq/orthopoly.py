@@ -6,8 +6,12 @@ Euclidean inner product of coefficient vectors equals the L2 inner product of
 the functions. Modes are ordered by total degree, hence coefficients for
 degree N embed into degree N' > N as a prefix.
 
-Gradients are obtained by complex-step differentiation of the tabulation,
-which is exact to machine precision for these rational-polynomial formulas.
+Gradient tables are obtained by complex-step differentiation of the
+tabulation, which is exact to machine precision for these rational-
+polynomial formulas. The modal stiffness (`stiffness`) reads no table of the
+modes: each Jacobi family and its complex-step derivative are tabulated on
+one 1D axis of nodes, and the integrals are products of 1D ones on the
+collapsed axes.
 
 The table is built one mode column at a time (Sherwin and Karniadakis's
 warped tensor product). In collapsed coordinates (a, b, c) on the biunit
@@ -30,9 +34,11 @@ because each regrouping rounds differently. The tables are those of the
 reference simplex only: a cell's affine map is applied by `refsimplex.Cell`.
 """
 
+import itertools
 import math
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 from . import cache
 
@@ -253,3 +259,112 @@ def tabulate_grad(dim, degree, pts, direction):
     for rows, block in _columns(dim, degree, shifted):
         out[rows] = np.divide(block.imag, _COMPLEX_STEP, out=buf[: len(block)])
     return out
+
+
+# the kinds of factor that a term of a mode's gradient takes on a collapsed
+# axis x: F, F', (1 + x)/2 F' and F / ((1 - x)/2)
+_VALUE, _DERIV, _XDERIV, _OVER = range(4)
+
+# rows of the stiffness per block of its assembly
+_ROW_BLOCK = 128
+
+
+def _gradient_terms(dim, direction):
+    """d/dxi_direction of a warped product of collapsed-axis factors on the
+    biunit simplex, as its separable terms: per term, the kind of factor on
+    each axis. Term m differentiates axis m: the axes before it keep their
+    factors, and the axes after it divide theirs by (1 - x)/2, which the
+    warping powers of those axes' factors cancel."""
+    return [tuple(_VALUE if k < m else _OVER if k > m
+                  else _DERIV if m == direction else _XDERIV
+                  for k in range(dim)) for m in range(direction + 1)]
+
+
+def _axis_factors(family, axis, x, weights):
+    """The factor kinds of a family's members on collapsed axis `axis` at
+    Gauss-Legendre nodes x, each row scaled by the square root of the
+    weight times the axis' Jacobian ((1 - x)/2)^axis: member m's orders,
+    warped by ((1 - x)/2)^m past the first axis, with the derivatives from
+    one complex step."""
+    z = x + 1j * _COMPLEX_STEP
+    members = _family(family, z)
+    if axis:
+        half = 0.5 * (1.0 - z)
+        for m, rows in enumerate(members):
+            rows *= half**m
+    table = np.concatenate(members)
+    value = table.real
+    deriv = table.imag / _COMPLEX_STEP
+    root = np.sqrt(weights * (0.5 * (1.0 - x)) ** axis)
+    return [kind * root for kind in (value, deriv, 0.5 * (1.0 + x) * deriv,
+                                     value / (0.5 * (1.0 - x)))]
+
+
+def stiffness(dim, degree, metric):
+    """sum over direction pairs (k, l) of metric[k, l] times the Gram of
+    d/dxi_k against d/dxi_l of the orthonormal modes of `degree` on the
+    reference simplex: with metric Ainv Ainv^T, a cell's modal stiffness.
+
+    Sum factorisation (Orszag 1980; Karniadakis and Sherwin 2005, section
+    4.1): a mode is the warped product of one Jacobi family member per
+    collapsed axis, so each gradient component is a sum of at most three
+    separable terms (`_gradient_terms`), and every integral is a product of
+    1D ones on one (degree + 2)-node Gauss-Legendre axis, exact for the
+    polynomial integrands. Each family and its complex-step derivative are
+    tabulated on that axis once. A mode column of `_plan` fixes the factors
+    on every axis but the last, so per pair (u, v) of last-axis kinds, Q
+    over column pairs gathers the other axes' integrals with the metric,
+    and S[m, m'] = sum Q[col m, col m'] * I[last row m, last row m'] of
+    the last axis' integrals I. S is assembled on and above its diagonal in
+    blocks of `_ROW_BLOCK` mode rows and mirrored, so it is symmetric to
+    the bit, and no other n x n array is formed. Zero metric entries are
+    skipped."""
+    families, order, bounds, heads = _plan(dim, degree, np.dtype(complex).str)
+    x, w = leggauss(degree + 2)
+    axes = [_axis_factors(f, k, x, w) for k, f in enumerate(families)]
+    # each mode's row in every axis' family (its member's first row, from
+    # `_family_plan`, plus its order), in the order of `_plan`'s rows:
+    # lexicographic in (i, j, k), member sum(index[:k]) on axis k
+    index = np.array([m for m in itertools.product(range(degree + 1),
+                                                   repeat=dim)
+                      if sum(m) <= degree])
+    rows = [f[2][index[:, :k].sum(axis=1)] + index[:, k]
+            for k, f in enumerate(families)]
+    column = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
+    head_rows = [r[bounds[:-1]] for r in rows[:-1]]
+    # the columns' mode constants, times 2^(d/2) of the unit simplex and
+    # 2 of d/dx = 2 d/dxi, over the 2^(-d/2) of its measure
+    const = (np.ones(1) if dim == 1 else
+             2.0 * np.concatenate([np.ravel(h) for h in heads]).real)
+    Q = {}
+    for (k, l), g in np.ndenumerate(metric):
+        if g == 0.0:
+            continue
+        for s, t in itertools.product(_gradient_terms(dim, k),
+                                      _gradient_terms(dim, l)):
+            term = g * np.outer(const, const)
+            for a, h in enumerate(head_rows):
+                term *= (axes[a][s[a]] @ axes[a][t[a]].T)[np.ix_(h, h)]
+            Q[s[-1], t[-1]] = Q.get((s[-1], t[-1]), 0.0) + term
+    last_axis = axes[-1]
+    pairs = [(q, last_axis[u] @ last_axis[v].T) for (u, v), q in Q.items()]
+    pos = np.empty(len(order), dtype=np.intp)
+    pos[order] = np.arange(len(order))
+    head, last = column[pos], rows[-1][pos]
+    n = len(order)
+    S = np.empty((n, n))
+    for r0 in range(0, n, _ROW_BLOCK):
+        r1 = min(r0 + _ROW_BLOCK, n)
+        out = S[r0:r1, r0:]
+        for j, (q, integ) in enumerate(pairs):
+            term = q[np.ix_(head[r0:r1], head[r0:])]
+            term *= integ[np.ix_(last[r0:r1], last[r0:])]
+            if j:
+                out += term
+            else:
+                out[...] = term
+        S[r1:, r0:r1] = S[r0:r1, r1:].T
+        diag = S[r0:r1, r0:r1]
+        below = np.tril_indices(r1 - r0, -1)
+        diag[below] = diag.T[below]
+    return S

@@ -140,7 +140,7 @@ def deriv_alpha(cell, degree, alpha):
     return np.eye(cell.n_modes(degree)) if mat is None else mat
 
 
-# points per block: _deriv_matrices, sobolev._stiffness, sobolev.rule_pairings
+# points per block: _deriv_matrices, sobolev.rule_pairings
 _POINT_BLOCK = 512
 
 

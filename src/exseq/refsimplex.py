@@ -122,6 +122,15 @@ class Cell:
                 out += g
         return out
 
+    def stiffness(self, degree):
+        """The modal stiffness sum_l (d/dx_l phi_m, d/dx_l phi_m') of the
+        degree-`degree` modes, (n_modes, n_modes): the reference Grams of
+        d/dxi_k against d/dxi_k' weighted by the metric Ainv Ainv^T, whose
+        zero entries `orthopoly.stiffness` skips (all d^2 - d off-diagonal
+        ones on a reference cell). The 1/sqrt|det A| of each mode cancels
+        against the measure."""
+        return orthopoly.stiffness(self.dim, degree, self._Ainv @ self._Ainv.T)
+
     def __repr__(self):
         return f"Cell({self.key}, dim={self.dim})"
 

@@ -28,7 +28,6 @@ import scipy.linalg
 from . import cache
 from . import polyspace as ps
 from .calculus import DERIVATIVES, FAMILIES, derivative_name, diff_slots
-from .refsimplex import quadrature
 
 
 class SobolevGram:
@@ -41,9 +40,10 @@ class SobolevGram:
 
     The modes are hierarchical, so the stiffness of this degree is the
     leading n x n block of the stiffness of any higher one. With a `top`, A1
-    is I plus that block of `_stiffness(cell, top)`; with None, it is
-    I + sum D_i^T D_i from this degree's derivative matrices. The two agree
-    to roundoff only (see `gram` for who reads which).
+    is I plus that block of `_stiffness(cell, top)`, sum-factorised from 1D
+    integrals on the collapsed axes; with None, it is I + sum D_i^T D_i
+    from this degree's derivative matrices, which read gradient tables.
+    The two agree to roundoff only (see `gram` for who reads which).
 
     Every form of order s in [0, 2] reads one factor F of H_s = F F^T:
     `half` gives F^T x, whose norm is the H^s norm, and `half_inverse`
@@ -172,7 +172,8 @@ def _check_order(s):
 @cache.memo
 def gram(cell, degree, top=None):
     """The memoised `SobolevGram` of (cell, degree); with `top`, its A1 is
-    the leading block of the degree-`top` stiffness table.
+    I plus the leading block of the degree-`top` stiffness table
+    (`_stiffness`, from 1D integrals, no gradient table).
 
     The rate sweep reads its dual and fractional norms this way, from one
     table per cell; they stay memoised across degrees, since the P + 2 Gram
@@ -193,20 +194,11 @@ def gram(cell, degree, top=None):
 
 @cache.memo
 def _stiffness(cell, top):
-    """The modal stiffness sum_i G_i W G_i^T of degree `top`, straight from
-    the gradient tables: the degree-(2 top - 2) rule is exact for products
-    of gradients of degree top - 1, and the points are summed a block at a
-    time. No derivative matrix or value table is formed."""
-    q = quadrature(cell, max(2 * top - 2, 0))
-    root = np.sqrt(q.weights)
-    S = np.zeros((cell.n_modes(top), cell.n_modes(top)))
-    for start in range(0, len(root), ps._POINT_BLOCK):
-        block = slice(start, start + ps._POINT_BLOCK)
-        for direction in range(cell.dim):
-            G = cell.tabulate_grad(top, q.points[block], direction)
-            G *= root[block]
-            S += G @ G.T
-    return S
+    """The modal stiffness of degree `top`, `Cell.stiffness`: sums of
+    products of 1D integrals on the collapsed axes, so no gradient table,
+    value table or derivative matrix is formed. Memoised, so every Gram
+    with this `top` slices the one table."""
+    return cell.stiffness(top)
 
 
 @cache.memo

@@ -190,8 +190,8 @@ def run_convergence(cfg):
     integer norm's form, the fractional surrogate's rich Gram and form) with
     the degree.
 
-    For the process: what a degree yields for every s, its fields' L2 error
-    parts, denominators and dual pairings, is memoised by `_degree_data`, so
+    For the process: what a degree yields for every s, its fields' errors,
+    denominators and dual pairings, is memoised by `_degree_data`, so
     a later sweep of the same (operator, p) at other s, such as the gate's
     grad3d s = 1 pass after its s = 0 pass, builds none of it again. That is
     floats and one (k, n_modes) pairing row block per field. Records are
@@ -240,11 +240,12 @@ def run_convergence(cfg):
 
 @cache.memo
 def _degree_data(op, p, suite, dual_offset, pairing_degree, top):
-    """Per field of (operator, p) on `suite`: (||e||, ||De|| or None,
-    denominator, dual pairings or None), which every s reads alike: e and
-    De are the `sobolev.error_parts` of the slot's graph norm (`GRAPH_NORMS`,
-    L2 in the top slot, with no De), the interval's on its graded rule. Its
-    plan lives until the fields are interpolated and only its target is
+    """Per field of (operator, p) on `suite`: (||e||, the error in the
+    slot's norm, denominator, dual pairings or None), which every s reads
+    alike: `sobolev.error_in_norm` of e alone and of all the
+    `sobolev.error_parts` of the slot's graph norm (`GRAPH_NORMS`; L2 in
+    the top slot, with no De), the interval's on its graded rule. Its plan
+    lives until the fields are interpolated and only its target is
     read after that; the target's table and the denominators' forms are
     locals, freed on return. The dual pairings of every field come from one
     `sobolev.rule_pairings` pass, which forms no table of the dual test
@@ -284,8 +285,7 @@ def _degree_data(op, p, suite, dual_offset, pairing_degree, top):
     dens = [den for _, den in sb.best_approx(target, flds, den_norm, quad=study,
                                              table=table, **kwargs)]
     return tuple(
-        (sb.error_in_norm(rule, p[:1]),
-         sb.error_in_norm(rule, p[1:]) if len(p) > 1 else None, den, b)
+        (sb.error_in_norm(rule, p[:1]), sb.error_in_norm(rule, p), den, b)
         for p, den, b in zip(parts, dens, pairings))
 
 
@@ -308,7 +308,7 @@ def _records_for(op, p, f, s, fdata, dual_offset, cell, top):
     """The records of one (field, s) that `_numerators` declares, from the
     field's `_degree_data`, whose pairings b are with the `_pairing_degree`
     modes; the Grams are leading blocks of the degree-`top` stiffness."""
-    l2, dl2, den, b = fdata
+    l2, graph, den, b = fdata
     P = p + 1 + dual_offset
     out = []
     for norm_id, reading in _numerators(*ca.OPERATORS[op], s):
@@ -316,7 +316,7 @@ def _records_for(op, p, f, s, fdata, dual_offset, cell, top):
         if reading == "l2":
             err = l2
         elif reading == "graph":
-            err = float(np.sqrt(l2**2 + dl2**2))
+            err = graph
         else:
             form, order, rows, offsets = reading
             err, *stab = [form(g, b[rows, : g.n], order) for g in

@@ -2,7 +2,8 @@
 monomial integrals, trace operators expanded in a space on the trace cell,
 fields compiled from sympy expressions with symbolic jets, the field suites
 in that form, the sum of two analytic fields, the interpolants' stage
-equations, and best approximation in the integer norms by least squares."""
+equations, best approximation in the integer norms by least squares, and
+the modal stiffness from gradient tables."""
 
 from fractions import Fraction
 from itertools import pairwise, product
@@ -385,3 +386,20 @@ def least_squares_best_approx(space, field, norm, quad):
     Q, R = np.linalg.qr(np.vstack(design))
     x = scipy.linalg.solve_triangular(R, Q.T @ np.concatenate(rhs))
     return x @ space.basis
+
+
+def stiffness_from_gradient_tables(cell, top):
+    """The modal stiffness sum_i G_i W G_i^T of degree `top`, straight from
+    the complex-step gradient tables G_i at the points of the degree-
+    (2 top - 2) rule, exact for products of gradients of degree top - 1,
+    summed a block of points at a time."""
+    q = quadrature(cell, max(2 * top - 2, 0))
+    root = np.sqrt(q.weights)
+    S = np.zeros((cell.n_modes(top), cell.n_modes(top)))
+    for start in range(0, len(root), ps._POINT_BLOCK):
+        block = slice(start, start + ps._POINT_BLOCK)
+        for direction in range(cell.dim):
+            G = cell.tabulate_grad(top, q.points[block], direction)
+            G *= root[block]
+            S += G @ G.T
+    return S

@@ -10,10 +10,11 @@ from hypothesis import strategies as hst
 import oracles
 from exseq import cache
 from exseq import fields as fl
+from exseq import orthopoly
 from exseq import polyspace as ps
 from exseq import projectors as pj
 from exseq import sobolev as sb
-from exseq.refsimplex import make_reference_cell, quadrature
+from exseq.refsimplex import Cell, make_reference_cell, quadrature
 
 
 def test_gram_spd_and_endpoints(rc3, rng):
@@ -402,6 +403,43 @@ def test_stiffness_leading_blocks_match_per_degree(dim):
         D = [ps.deriv_matrix(cell, degree, i) for i in range(dim)]
         ref = sum(Di.T @ Di for Di in D)
         assert np.abs(S[:n, :n] - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+# a triangle and a tetrahedron whose metric Ainv Ainv^T has no zero entry
+_SKEW_CELLS = {
+    "skew_tri": [[0.1, 0.2], [1.3, 0.4], [0.5, 1.7]],
+    "skew_tet": [[0.1, 0.2, 0.0], [1.3, 0.4, 0.2], [0.5, 1.7, 0.1],
+                 [0.3, 0.2, 1.4]],
+}
+
+
+@pytest.mark.parametrize("name", ["edge", "tri", "tet", *_SKEW_CELLS])
+def test_stiffness_matches_gradient_table_oracle(name):
+    # the sum-factorised stiffness against the complex-step gradient tables
+    # at degrees 0..12; measured margin: at most 2.9e-14 of the largest
+    # entry (the reference triangle), against the 1e-13 asserted
+    if name in _SKEW_CELLS:
+        cell = Cell(_SKEW_CELLS[name], name)
+        assert np.all(cell._Ainv @ cell._Ainv.T != 0.0)
+    else:
+        cell = make_reference_cell({"edge": 1, "tri": 2, "tet": 3}[name]).cell
+    for degree in range(13):
+        S = sb._stiffness(cell, degree)
+        ref = oracles.stiffness_from_gradient_tables(cell, degree)
+        assert np.array_equal(S, S.T)
+        assert np.abs(S - ref).max() <= 1e-13 * max(np.abs(ref).max(), 1.0)
+
+
+def test_stiffness_tabulates_no_mode_table(rc3, monkeypatch):
+    # the stiffness reads each Jacobi family on one axis of nodes, never a
+    # table of the modes or of their gradients
+    calls = []
+    for name in ("tabulate", "tabulate_grad"):
+        fn = getattr(orthopoly, name)
+        monkeypatch.setattr(orthopoly, name, lambda *a, name=name, fn=fn:
+                            calls.append(name) or fn(*a))
+    S = sb._stiffness.__wrapped__(rc3, 12)
+    assert S.shape == (rc3.n_modes(12),) * 2 and not calls
 
 
 @pytest.mark.parametrize("dim", [2, 3])

@@ -409,16 +409,26 @@ def test_graph_part_is_defined_once():
     assert found == []
 
 
+def _gradient_table_reads(module):
+    tree = ast.parse((PACKAGE / module).read_text())
+    return [f"{module}:{node.lineno}" for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and node.attr == "tabulate_grad"
+            or isinstance(node, ast.Name) and node.id == "tabulate_grad"]
+
+
 def test_plans_read_value_tables_only():
     # every stage pairs its rows with modal value tables: the adjoint and
     # the boundary fluxes are read off the derivative's tensor, so no plan
     # build tabulates a gradient
-    tree = ast.parse((PACKAGE / "projectors.py").read_text())
-    found = [f"projectors.py:{node.lineno}" for node in ast.walk(tree)
-             if isinstance(node, ast.Attribute)
-             and node.attr == "tabulate_grad"
-             or isinstance(node, ast.Name) and node.id == "tabulate_grad"]
-    assert found == []
+    assert _gradient_table_reads("projectors.py") == []
+
+
+def test_sobolev_reads_no_gradient_table():
+    # the stiffness comes from 1D integrals on the collapsed axes
+    # (`Cell.stiffness`), and the Grams' other derivatives from derivative
+    # matrices, so no Sobolev form tabulates a gradient
+    assert _gradient_table_reads("sobolev.py") == []
 
 
 # the complex's derivative tables: the rate sweep's error parts come from
